@@ -1,20 +1,37 @@
 """Time-dependent goal probability: uniformization solver and Monte Carlo check.
 
 The solver computes P[in goal at t] for the absorbing chain by
-uniformization: the chain is embedded into a discrete-time chain at a
-uniform event rate and the transient distribution becomes a Poisson-weighted
-sum of its powers, truncated once the neglected tail is below the requested
-tolerance. The simulator replays the same race semantics with sampled
+uniformization: the chain is embedded into a discrete-time jump chain at a
+uniform rate Λ and the transient distribution becomes a Poisson-weighted sum
+of its powers, y(t) = sum_k Pois(k; Λt) g_k, where g_k is the goal mass
+after k jumps. The sum is truncated three ways, and the tolerance ``epsilon``
+is split between them:
+
+- the jump chain is iterated only until the mass left in non-absorbing
+  states (exit rate > 0) is at most ``epsilon/2``, or until the right
+  point R of the largest horizon. Every later g_k lies within that leftover
+  mass of the last one, so each time point's Poisson tail beyond the stop
+  is put on the last g value;
+- each time point only weighs the terms in its own window [L_t, R_t].
+  Chernoff bounds on the Poisson tails put at most ``epsilon/4`` below L_t
+  and at most ``epsilon/4`` above R_t.
+
+The three parts add up to at most ``epsilon``; ``meta["error_bound"]``
+records the sum. The cost is one sparse matrix-vector product per jump,
+until absorption or R, and memory O(n + K + |grid|·window), where K is the
+number of jumps taken and the window width is O(sqrt(Λt)).
+
+The simulator replays the same race semantics with sampled
 exponential completion times and reports binomial half-widths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import poisson
 
 from .errors import DomainError
 from .model import (
@@ -27,6 +44,7 @@ from .model import (
     apply_scenario,
 )
 from .semantics import Ctmc, collect_rates
+from .statics import _postorder
 
 _RNG_NAME = "philox4x64"
 _CHUNK = 1 << 17
@@ -69,14 +87,14 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     times : sequence of float
         Strictly increasing grid of hours, each >= 0.
     epsilon : float
-        Poisson truncation tolerance in (0, 1e-3]. Halving it never moves
-        any output by more than the previous value.
+        Truncation tolerance in (0, 1e-3]. Halving it never moves any output
+        by more than the previous value.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise DomainError(f"epsilon must lie in (0, 1e-3], got {epsilon!r}")
     ts = _check_grid(times)
 
-    goal = sorted(ctmc.goal)
+    goal = np.array(sorted(ctmc.goal), dtype=np.intp)
     meta = {
         "method": "uniformization",
         "epsilon": epsilon,
@@ -87,8 +105,8 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     exit_rates = np.asarray(ctmc.rates.sum(axis=1)).ravel()
     rate = float(exit_rates.max(initial=0.0))
     init_in_goal = 1.0 if ctmc.init in ctmc.goal else 0.0
-    if rate == 0.0 or not goal:
-        ys = tuple(init_in_goal if goal else 0.0 for _ in ts)
+    if rate == 0.0 or not goal.size:
+        ys = tuple(init_in_goal if goal.size else 0.0 for _ in ts)
         return CurveResult(tuple(ts), ys, ctmc.scenario, meta)
 
     # uniformized jump chain
@@ -96,25 +114,67 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     P.setdiag(1.0 - exit_rates / rate)
     PT = P.tocsr().T.tocsr()
 
-    mu_max = rate * float(ts[-1])
-    K = int(poisson.isf(epsilon, mu_max)) if mu_max > 0.0 else 0
-    while poisson.sf(K, mu_max) > epsilon:
-        K += 1
+    mus = rate * ts
+    lo, hi = _poisson_windows(mus, epsilon / 4.0)
+    right = int(hi[-1])
+    stop_mass = epsilon / 2.0
+    # absorbing states are usually few, so the leftover transient mass is
+    # cheapest to read as one minus their mass
+    absorbing = np.flatnonzero(exit_rates == 0.0)
 
     v = np.zeros(n)
     v[ctmc.init] = 1.0
-    g = np.empty(K + 1)
-    for k in range(K + 1):
-        g[k] = v[goal].sum()
-        if k < K:
-            v = PT.dot(v)
+    g = np.empty(right + 1)
+    steps = 0
+    while True:
+        g[steps] = v[goal].sum()
+        tail = 1.0 - v[absorbing].sum()
+        if tail <= stop_mass or steps == right:
+            break
+        v = PT.dot(v)
+        steps += 1
+    g = g[:steps + 1]
 
-    ks = np.arange(K + 1)
-    weights = poisson.pmf(ks[None, :], (rate * ts)[:, None])
-    ys = np.clip(weights @ g, 0.0, 1.0)
+    ys = np.clip(_poisson_mix(g, mus, lo, np.minimum(hi, steps)), 0.0, 1.0)
     meta["uniformization_rate"] = rate
-    meta["poisson_terms"] = K + 1
+    meta["poisson_terms"] = steps
+    meta["right_point"] = right
+    meta["tail_mass"] = max(float(tail), 0.0)
+    # a chain still running at the right point puts its leftover mass only on
+    # terms past R, whose weight the right-window share already bounds
+    meta["error_bound"] = epsilon / 2.0 + (meta["tail_mass"] if tail <= stop_mass else 0.0)
     return CurveResult(tuple(ts), tuple(float(y) for y in ys), ctmc.scenario, meta)
+
+
+def _poisson_windows(mus: np.ndarray, tail: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mean index windows [L, R] with at most ``tail`` Poisson mass on each side.
+
+    Chernoff bounds: P[N <= mu - x] <= exp(-x^2 / (2 mu)) and
+    P[N >= mu + x] <= exp(-x^2 / (2 (mu + x/3))), solved for x at ``tail``.
+    """
+    a = -math.log(tail)
+    lo = np.maximum(np.ceil(mus - np.sqrt(2.0 * a * mus)), 0.0)
+    hi = np.floor(mus + a / 3.0 + np.sqrt(a * a / 9.0 + 2.0 * a * mus))
+    hi[mus == 0.0] = 0.0  # all mass on k = 0; _poisson_mix relies on it
+    return lo.astype(np.intp), hi.astype(np.intp)
+
+
+def _poisson_mix(g: np.ndarray, mus: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """sum_k Pois(k; mu) g_min(k, S) for each mu, over the windows [lo, hi].
+
+    S is the last index of ``g``. Written as g_S - sum_k w_k (g_S - g_k), so
+    only windows that start at or below S need weights, and the weight
+    outside a window stays on g_S. The weights come from one log-factorial table
+    per call.
+    """
+    counts = np.maximum(hi - lo + 1, 0)
+    last = g[-1]
+    row = np.repeat(np.arange(mus.size), counts)
+    ks = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    log_fact = np.fromiter(map(math.lgamma, range(1, int(hi.max()) + 2)), float)
+    log_mus = np.log(np.where(mus > 0.0, mus, 1.0))
+    weights = np.exp(ks * log_mus[row] - mus[row] - log_fact[ks])
+    return last - np.bincount(row, weights * (last - g[ks]), minlength=mus.size)
 
 
 def _simulation_plan(act: Act):
@@ -170,7 +230,7 @@ def simulate(
             if rates.mitigate is not None:
                 deadline = deadline + _sample_exponential(rng, rates.mitigate, size)
             deadlines[nid] = deadline
-        root_time = _completion_times(resolved, resolved.root, samples, deadlines)
+        root_time = _completion_times(resolved, samples, deadlines)
         counts += np.searchsorted(np.sort(root_time), ts, side="right")
 
     phat = counts / runs
@@ -186,17 +246,19 @@ def simulate(
                        halfwidths=tuple(float(3.0 * s) for s in sigma))
 
 
-def _completion_times(act: Act, nid: int, samples, deadlines) -> np.ndarray:
-    kind = act.nodes[nid].kind
-    if isinstance(kind, AttackLeaf):
-        return samples[nid]
-    if isinstance(kind, OrGate):
-        return np.minimum.reduce([_completion_times(act, c, samples, deadlines) for c in kind.children])
-    if isinstance(kind, AndGate):
-        cm = next((c for c in kind.children if isinstance(act.nodes[c].kind, CmGate)), None)
-        attack_side = [_completion_times(act, c, samples, deadlines) for c in kind.children if c != cm]
-        done = np.maximum.reduce(attack_side)
-        if cm is None:
-            return done
-        return np.where(done < deadlines[cm], done, np.inf)
-    raise DomainError(f"cannot simulate node kind {type(kind).__name__}")
+def _completion_times(act: Act, samples, deadlines) -> np.ndarray:
+    """Root completion times, folded bottom-up in post-order without recursion."""
+    times = {}
+    for nid in _postorder(act):
+        kind = act.nodes[nid].kind
+        if isinstance(kind, AttackLeaf):
+            times[nid] = samples[nid]
+        elif isinstance(kind, OrGate):
+            times[nid] = np.minimum.reduce([times.pop(c) for c in kind.children])
+        elif isinstance(kind, AndGate):
+            cm = next((c for c in kind.children if isinstance(act.nodes[c].kind, CmGate)), None)
+            done = np.maximum.reduce([times.pop(c) for c in kind.children if c != cm])
+            times[nid] = done if cm is None else np.where(done < deadlines[cm], done, np.inf)
+    if act.root not in times:
+        raise DomainError(f"cannot simulate node kind {type(act.nodes[act.root].kind).__name__}")
+    return times[act.root]

@@ -178,3 +178,13 @@ def reverse_children(act: Act) -> Act:
             kind = OrGate(tuple(reversed(kind.children)))
         nodes.append(Node(node.ident, node.name, kind))
     return Act(act.title, act.root, tuple(nodes))
+
+
+def or_chain_text(depth: int, lam: float) -> str:
+    """An OR chain ``depth`` gates deep; its root time is Exp(depth * lam)."""
+    lines = ['act "deep" {', "  root g0;"]
+    for i in range(depth - 1):
+        lines.append(f"  g{i} = OR(a{i}, g{i + 1});")
+        lines.append(f"  a{i} = ATTACK(p=0.5, lambda={lam!r});")
+    lines.append(f"  g{depth - 1} = ATTACK(p=0.5, lambda={lam!r});")
+    return "\n".join(lines + ["}"]) + "\n"

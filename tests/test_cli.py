@@ -8,6 +8,8 @@ from actkit.cli import main
 from actkit.dsl import serialize_act
 from actkit.semantics import parse_ctmc_text
 
+from oracles import or_chain_text
+
 MINIMAL = (
     'act "Mini" {\n'
     '  root top;\n'
@@ -167,6 +169,15 @@ def test_simulate_command_deterministic(mia_path, tmp_path):
                      "--seed", "11", "--out", str(out)]) == 0
         outs.append((out / "dynamic_full_p0.1.dat").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_simulate_deep_or_chain_exits_zero(tmp_path):
+    path = tmp_path / "deep.act"
+    path.write_text(or_chain_text(5000, 1e-3), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", str(path), "--grid", "0:2:5", "--pleaf", "0.1",
+                 "--scenario", "full", "--runs", "500", "--out", str(out)]) == 0
+    assert (out / "dynamic_full_p0.1.dat").exists()
 
 
 def test_dynamic_monte_carlo_backend(mia_path, tmp_path):

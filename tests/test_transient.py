@@ -1,21 +1,45 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from actkit import load_bundled
+from actkit import load_bundled, parse_act
 from actkit.errors import DomainError
-from actkit.model import Scenario, and_gate, attack, build_act, or_gate, with_attack_probability
-from actkit.semantics import compose
+from actkit.model import (
+    Scenario,
+    and_gate,
+    attack,
+    build_act,
+    cm_gate,
+    detect,
+    mitigate,
+    or_gate,
+    with_attack_probability,
+)
+from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
 from actkit.transient import simulate, transient_probability
 
-from oracles import expm_transient, race_probability
+from oracles import expm_transient, or_chain_text, race_probability
 
 E1 = 1.0 - math.exp(-1.0)  # unit-rate success probability at one hour
 
 
 def single_leaf():
     return build_act("one", attack("a", p=E1))
+
+
+def stiff_race():
+    """A fast attack racing a slow detect+mitigate pair: absorbed in a few jumps."""
+    return build_act("stiff", and_gate(
+        "top", attack("a", lam=50.0),
+        cm_gate("cm", detect("d", p=0.5, lam=0.5), mitigate("m", p=0.5, lam=0.25)),
+    ))
+
+
+LONG_GRID = np.linspace(0.0, 1000.0, 101)
 
 
 def test_single_leaf_matches_cdf():
@@ -51,6 +75,51 @@ def test_tolerance_contract():
         assert np.all(np.abs(np.asarray(ys) - exact) <= eps)
 
 
+def test_stiff_race_stops_early_within_tolerance():
+    ctmc = compose(stiff_race(), Scenario.FULL)
+    # an imported chain has no blocked labels; absorption is read from its rates
+    imported = parse_ctmc_text(export_ctmc_text(ctmc).replace("#blocked", "#"))
+    exact = expm_transient(ctmc, LONG_GRID)
+    for eps in (1e-3, 1e-6, 1e-9):
+        for chain in (ctmc, imported):
+            curve = transient_probability(chain, LONG_GRID, epsilon=eps)
+            assert np.all(np.abs(np.asarray(curve.ys) - exact) <= eps)
+            assert curve.meta["poisson_terms"] < 10 < curve.meta["right_point"]
+            assert curve.meta["tail_mass"] <= eps / 2
+            assert curve.meta["error_bound"] <= eps
+
+
+def test_slow_absorption_runs_to_right_point_in_bounded_memory():
+    act = build_act("slow", and_gate("top", attack("a", lam=0.01), attack("b", lam=50.0)))
+    ctmc = compose(act)
+    tracemalloc.start()
+    try:
+        curve = transient_probability(ctmc, LONG_GRID, epsilon=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = (1.0 - np.exp(-0.01 * LONG_GRID)) * (1.0 - np.exp(-50.0 * LONG_GRID))
+    assert np.all(np.abs(np.asarray(curve.ys) - want) <= 1e-9)
+    assert curve.meta["poisson_terms"] == curve.meta["right_point"] > 50_000
+    assert curve.meta["tail_mass"] > 1e-9
+    assert curve.meta["error_bound"] <= 1e-9
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("case", ["mia", "stiff"])
+def test_halving_epsilon_moves_outputs_by_less_than_epsilon(case):
+    if case == "mia":
+        ctmc, ts = compose(load_bundled("mia"), Scenario.FULL), np.linspace(0.0, 10.0, 41)
+    else:
+        ctmc, ts = compose(stiff_race(), Scenario.FULL), LONG_GRID
+    eps = 1e-3
+    prev = np.asarray(transient_probability(ctmc, ts, epsilon=eps).ys)
+    while eps > 1e-12:
+        cur = np.asarray(transient_probability(ctmc, ts, epsilon=eps / 2).ys)
+        assert np.all(np.abs(cur - prev) <= eps)
+        prev, eps = cur, eps / 2
+
+
 def test_curve_is_monotone_and_bounded():
     ctmc = compose(load_bundled("mia"), Scenario.FULL)
     ys = transient_probability(ctmc, np.linspace(0, 20, 81), epsilon=1e-9).ys
@@ -66,6 +135,9 @@ def test_meta_records_solver_settings():
     assert curve.meta["method"] == "uniformization"
     assert curve.meta["epsilon"] == 1e-7
     assert curve.meta["states"] == ctmc.n
+    assert 0 < curve.meta["poisson_terms"] <= curve.meta["right_point"]
+    assert 0.0 <= curve.meta["tail_mass"] <= 1.0
+    assert curve.meta["error_bound"] <= 1e-7
     assert curve.halfwidths is None
     assert curve.scenario is Scenario.FULL
 
@@ -132,3 +204,17 @@ def test_simulated_scenario_dominance():
         tol = 3.0 * math.sqrt(sum(c.halfwidths[i] ** 2 for c in curves.values())) / 3.0
         assert curves[Scenario.DETECT_ONLY].ys[i] <= curves[Scenario.FULL].ys[i] + tol
         assert curves[Scenario.FULL].ys[i] <= curves[Scenario.NO_CM].ys[i] + tol
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_simulate_deep_or_chain(depth):
+    act = parse_act(or_chain_text(depth, 1.0 / depth))
+    ts = [0.5, 1.0, 2.0]
+    curve = simulate(act, Scenario.FULL, ts, runs=2000, seed=1)
+    for t, y, hw in zip(ts, curve.ys, curve.halfwidths):
+        assert abs(y - (1.0 - math.exp(-t))) <= hw
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import actkit.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
