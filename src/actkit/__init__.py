@@ -44,12 +44,8 @@ from .model import (
 from .ranking import CmEffect, rank_countermeasures
 from .semantics import (
     Ctmc,
-    Imc,
-    bas_imc,
-    cm_imc,
     compose,
     export_ctmc_text,
-    gate_imc,
     parse_ctmc_text,
 )
 from .statics import SweepResult, static_failure, static_probability, sweep_pleaf
@@ -72,7 +68,6 @@ __all__ = [
     "DetectLeaf",
     "Diagnostic",
     "DomainError",
-    "Imc",
     "LeafTiming",
     "MissingParameter",
     "MitigateLeaf",
@@ -85,15 +80,12 @@ __all__ = [
     "and_gate",
     "apply_scenario",
     "attack",
-    "bas_imc",
     "build_act",
     "bundled_model_text",
     "cm_gate",
-    "cm_imc",
     "compose",
     "detect",
     "export_ctmc_text",
-    "gate_imc",
     "load_act",
     "load_bundled",
     "mitigate",

@@ -135,14 +135,14 @@ def cmd_static_sweep(args) -> int:
     return 0
 
 
-def _dynamic_curves(args, backend: str):
+def cmd_dynamic(args) -> int:
     act = _load_model(args)
     grid = _parse_grid(args.grid)
     out = _out_dir(args)
     for scenario in _scenarios(args):
         for pleaf in args.pleaf:
             staged = with_attack_probability(act, pleaf)
-            if backend == "solver":
+            if args.backend == "solver":
                 ctmc = compose(staged, scenario, state_cap=args.state_cap)
                 curve = transient_probability(ctmc, grid, args.epsilon)
             else:
@@ -158,14 +158,6 @@ def _dynamic_curves(args, backend: str):
                 )
             _write(out / name, text)
     return 0
-
-
-def cmd_dynamic(args) -> int:
-    return _dynamic_curves(args, args.backend)
-
-
-def cmd_simulate(args) -> int:
-    return _dynamic_curves(args, "monte-carlo")
 
 
 def cmd_rank(args) -> int:
@@ -239,17 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pleaf", action="append", type=float,
                        help="attack-leaf probability, repeatable (default 0.05 0.1 0.25)")
         p.add_argument("--grid", default="0:10:101", help="time grid START:STOP:STEPS in hours (default 0:10:101)")
-        p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
         p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
         p.add_argument("--seed", type=int, default=1, help="simulation seed")
-        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
         if name == "dynamic":
+            p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
+            p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
             p.add_argument("--backend", choices=("solver", "monte-carlo"), default="solver")
-            p.set_defaults(func=cmd_dynamic)
         else:
-            p.set_defaults(func=cmd_simulate)
+            p.set_defaults(backend="monte-carlo")
+        p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("rank", help="rank countermeasures by removal impact")
     _add_common(p, scenario=False)

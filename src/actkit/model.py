@@ -85,8 +85,6 @@ class CmGate:
 
 NodeKind = Union[AttackLeaf, DetectLeaf, MitigateLeaf, AndGate, OrGate, CmGate]
 
-LEAF_KINDS = (AttackLeaf, DetectLeaf, MitigateLeaf)
-
 
 @dataclass(frozen=True)
 class Node:
@@ -103,9 +101,6 @@ class Act:
     root: int
     nodes: tuple[Node, ...]
 
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
-
     def kind(self, nid: int) -> NodeKind:
         return self.nodes[nid].kind
 
@@ -114,6 +109,29 @@ class Act:
         if isinstance(kind, (AndGate, OrGate, CmGate)):
             return kind.children
         return ()
+
+    def postorder(self) -> list[int]:
+        """Nodes reachable from the root, every child before its parent."""
+        order: list[int] = []
+        stack: list[tuple[int, bool]] = [(self.root, False)]
+        while stack:
+            nid, expanded = stack.pop()
+            if expanded:
+                order.append(nid)
+                continue
+            stack.append((nid, True))
+            for c in self.children(nid):
+                stack.append((c, False))
+        return order
+
+    def guard(self, nid: int) -> int | None:
+        """The countermeasure child of an AND gate, or None."""
+        kind = self.nodes[nid].kind
+        if isinstance(kind, AndGate):
+            for c in kind.children:
+                if isinstance(self.nodes[c].kind, CmGate):
+                    return c
+        return None
 
     def attack_leaves(self) -> Iterator[int]:
         for nid, node in enumerate(self.nodes):
@@ -173,19 +191,15 @@ def validate_act(act: Act) -> list[Diagnostic]:
         out.append(Diagnostic("RootMissing", str(act.root), "root id is not in the node table"))
         return out
 
-    dangling = False
-    for node in act.nodes:
-        for c in _kind_children(node.kind):
-            if not 0 <= c < n:
-                out.append(Diagnostic("DanglingReference", node.name, f"child id {c} is not in the node table"))
-                dangling = True
-    if dangling:
-        return out
-
     parents: list[list[int]] = [[] for _ in range(n)]
     for nid, node in enumerate(act.nodes):
-        for c in _kind_children(node.kind):
-            parents[c].append(nid)
+        for c in act.children(nid):
+            if 0 <= c < n:
+                parents[c].append(nid)
+            else:
+                out.append(Diagnostic("DanglingReference", node.name, f"child id {c} is not in the node table"))
+    if out:
+        return out
 
     for nid, node in enumerate(act.nodes):
         if nid == act.root:
@@ -205,7 +219,7 @@ def validate_act(act: Act) -> list[Diagnostic]:
         color[start] = 1
         while stack:
             v, i = stack[-1]
-            kids = _kind_children(act.nodes[v].kind)
+            kids = act.children(v)
             if i < len(kids):
                 stack[-1] = (v, i + 1)
                 c = kids[i]
@@ -253,12 +267,6 @@ def validate_act(act: Act) -> list[Diagnostic]:
                 out.append(Diagnostic("CmChildren", node.name, "attack events cannot be countermeasure children"))
             _check_timing(node, out)
     return out
-
-
-def _kind_children(kind: NodeKind) -> tuple[int, ...]:
-    if isinstance(kind, (AndGate, OrGate, CmGate)):
-        return kind.children
-    return ()
 
 
 def _rebuild_without(act: Act, removed: set[int]) -> Act:
@@ -386,14 +394,20 @@ def build_act(title: str, root: _Spec, validate: bool = True) -> Act:
     """Assemble an Act from nested specs, assigning ids in preorder."""
     from .errors import ActValidationError
 
-    nodes: list[Node] = []
+    # (spec, ident, child ids) per node, in the preorder a recursive walk
+    # would visit them, so ids and deduplicated idents come out the same
+    entries: list[tuple[_Spec, str, list[int]]] = []
     used: set[str] = set()
+    stack: list[tuple[_Spec, int | None]] = [(root, None)]
+    while stack:
+        spec, parent = stack.pop()
+        if parent is not None:
+            entries[parent][2].append(len(entries))
+        stack.extend((c, len(entries)) for c in reversed(spec.children))
+        entries.append((spec, _slug(spec.name, used), []))
 
-    def walk(spec: _Spec) -> int:
-        nid = len(nodes)
-        nodes.append(None)  # reserve the preorder slot
-        ident = _slug(spec.name, used)
-        kids = tuple(walk(c) for c in spec.children)
+    nodes: list[Node] = []
+    for spec, ident, children in entries:
         if spec.tag == "attack":
             kind: NodeKind = AttackLeaf(spec.timing)
         elif spec.tag == "detect":
@@ -401,18 +415,15 @@ def build_act(title: str, root: _Spec, validate: bool = True) -> Act:
         elif spec.tag == "mitigate":
             kind = MitigateLeaf(spec.timing)
         elif spec.tag == "and":
-            kind = AndGate(kids)
+            kind = AndGate(tuple(children))
         elif spec.tag == "or":
-            kind = OrGate(kids)
+            kind = OrGate(tuple(children))
         elif spec.tag == "cm":
-            kind = CmGate(*kids)
+            kind = CmGate(*children)
         else:
             raise ValueError(f"unknown spec tag {spec.tag!r}")
-        nodes[nid] = Node(ident, spec.name, kind)
-        return nid
-
-    root_id = walk(root)
-    act = Act(title, root_id, tuple(nodes))
+        nodes.append(Node(ident, spec.name, kind))
+    act = Act(title, 0, tuple(nodes))
     if validate:
         diagnostics = validate_act(act)
         if diagnostics:

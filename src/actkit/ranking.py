@@ -35,21 +35,16 @@ def rank_countermeasures(
     cms = sorted(act.cm_gates())
     if not cms:
         return []
-    with_all = transient_probability(
-        compose(act, Scenario.FULL, state_cap=state_cap), [t_star], epsilon
-    ).ys[0]
+
+    def pgoal(model: Act) -> float:
+        ctmc = compose(model, Scenario.FULL, state_cap=state_cap)
+        return transient_probability(ctmc, [t_star], epsilon).ys[0]
+
+    with_all = pgoal(act)
     effects = []
     for nid in cms:
-        reduced = remove_cm_gates(act, {nid})
-        without = transient_probability(
-            compose(reduced, Scenario.FULL, state_cap=state_cap), [t_star], epsilon
-        ).ys[0]
-        effects.append(CmEffect(
-            node=nid,
-            name=act.nodes[nid].name,
-            pgoal_with=with_all,
-            pgoal_without=without,
-            delta=without - with_all,
-        ))
+        without = pgoal(remove_cm_gates(act, {nid}))
+        effects.append(CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,
+                                pgoal_without=without, delta=without - with_all))
     effects.sort(key=lambda e: (-e.delta, e.name))
     return effects

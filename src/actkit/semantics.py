@@ -1,4 +1,4 @@
-"""Stochastic semantics: per-node automata and the composed absorbing CTMC.
+"""Stochastic semantics: the absorbing CTMC of a tree.
 
 Every leaf runs an exponential clock that starts at time zero (activation
 signals cascade through the gates instantaneously). An AND gate with a
@@ -6,22 +6,22 @@ countermeasure child succeeds only if all its attack-side children complete
 strictly before the countermeasure finishes detection plus mitigation; a
 countermeasure finishing first permanently disables that AND gate.
 
-Two constructions of the same chain are provided: a direct one over leaf and
-countermeasure completion statuses, and a product of per-node interactive
-Markov automata closed under maximal progress. Both collapse successful
-states into a single absorbing goal state and states from which the goal is
-unreachable into a single absorbing blocked state.
+The chain is built directly over leaf and countermeasure completion
+statuses. It is the same process as the paper's product of per-node
+interactive Markov automata under maximal progress, with fewer states; the
+tests keep that product as an independent second construction to compare
+against. Successful states collapse into a single absorbing goal state and
+states from which the goal is unreachable into a single absorbing blocked
+state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
-import numpy as np
 from scipy import sparse
 
-from .errors import ActError, MissingParameter, RateUndefined, StateSpaceLimit
+from .errors import MissingParameter, RateUndefined, StateSpaceLimit
 from .model import (
     Act,
     AndGate,
@@ -42,136 +42,6 @@ _PENDING, _DONE, _CLOSED = 0, 1, 2
 _CM_DETECT, _CM_MITIGATE, _CM_WON, _CM_CANCELLED = 0, 1, 2, 3
 # three-valued node evaluation
 _P, _S, _D = 0, 1, 2
-
-
-# -- interactive Markov automata ----------------------------------------------
-
-@dataclass(frozen=True)
-class Imc:
-    """A small interactive Markov automaton for one tree node.
-
-    ``interactive`` transitions are immediate and labelled ``(kind, node,
-    direction)`` with direction '!' for emitted signals and '?' for consumed
-    ones; matching '!'/'?' pairs synchronise in the product. ``markovian``
-    transitions carry exponential rates. Zero-rate edges are kept for
-    structure but never fire.
-    """
-
-    n_states: int
-    init: int
-    interactive: tuple[tuple[int, tuple[str, int, str], int], ...]
-    markovian: tuple[tuple[int, float, int], ...]
-    accepting: frozenset[int]
-
-    def alphabet(self) -> frozenset[tuple[str, int]]:
-        return frozenset((k, n) for _, (k, n, _), _ in self.interactive)
-
-
-def bas_imc(node: int, rate: float) -> Imc:
-    """Basic attack step: wait for activation, delay, emit success."""
-    return Imc(
-        n_states=4,
-        init=0,
-        interactive=((0, ("act", node, "?"), 1), (2, ("succ", node, "!"), 3)),
-        markovian=((1, float(rate), 2),),
-        accepting=frozenset({3}),
-    )
-
-
-def gate_imc(kind: str, node: int, children: tuple[int, ...]) -> Imc:
-    """AND/OR gate automaton generalised to any number of children.
-
-    On activation the gate emits activation signals to its children in order.
-    An AND gate collects success signals from all children in any
-    interleaving before emitting its own; an OR gate emits after the first.
-    """
-    if kind == "and":
-        return _and_imc(node, children, cm_child=None)
-    if kind == "or":
-        return _or_imc(node, children)
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def _activation_chain(node: int, children: tuple[int, ...]):
-    # state 0 --act?--> 1 --act c0!--> 2 --...--> 1+len(children)
-    edges = [(0, ("act", node, "?"), 1)]
-    for i, c in enumerate(children):
-        edges.append((1 + i, ("act", c, "!"), 2 + i))
-    return edges, 1 + len(children)
-
-
-def _or_imc(node: int, children: tuple[int, ...]) -> Imc:
-    edges, wait = _activation_chain(node, children)
-    nxt = wait + 1
-    acc = wait + 1 + len(children)
-    for i, c in enumerate(children):
-        got = nxt + i
-        edges.append((wait, ("succ", c, "?"), got))
-        edges.append((got, ("succ", node, "!"), acc))
-    return Imc(acc + 1, 0, tuple(edges), (), frozenset({acc}))
-
-
-def _and_imc(node: int, children: tuple[int, ...], cm_child: int | None) -> Imc:
-    """AND gate; with ``cm_child`` set, the countermeasure's completion signal
-    moves any still-collecting state into a dead sink."""
-    edges, wait = _activation_chain(node, children)
-    collect = tuple(c for c in children if c != cm_child)
-    subsets: dict[frozenset, int] = {}
-
-    def subset_state(s: frozenset) -> int:
-        if s not in subsets:
-            subsets[s] = wait + len(subsets)
-        return subsets[s]
-
-    full = frozenset(collect)
-    assert subset_state(frozenset()) == wait
-    # breadth-first over the subset lattice keeps state numbering stable
-    frontier = [frozenset()]
-    seen = {frozenset()}
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for c in collect:
-                if c in s:
-                    continue
-                s2 = s | {c}
-                edges.append((subset_state(s), ("succ", c, "?"), subset_state(s2)))
-                if s2 not in seen:
-                    seen.add(s2)
-                    nxt.append(s2)
-        frontier = nxt
-    acc = wait + len(subsets)
-    edges.append((subset_state(full), ("succ", node, "!"), acc))
-    n = acc + 1
-    if cm_child is not None:
-        dead = n
-        n += 1
-        for s, idx in subsets.items():
-            if s != full:
-                edges.append((idx, ("done", cm_child, "?"), dead))
-    return Imc(n, 0, tuple(edges), (), frozenset({acc}))
-
-
-def cm_imc(node: int, detect_rate: float, mitigate_rate: float | None) -> Imc:
-    """Countermeasure: activation, detection delay, mitigation delay, done.
-
-    ``mitigate_rate=None`` models instantaneous mitigation (single phase).
-    """
-    if mitigate_rate is None:
-        return Imc(
-            n_states=4,
-            init=0,
-            interactive=((0, ("act", node, "?"), 1), (2, ("done", node, "!"), 3)),
-            markovian=((1, float(detect_rate), 2),),
-            accepting=frozenset({3}),
-        )
-    return Imc(
-        n_states=5,
-        init=0,
-        interactive=((0, ("act", node, "?"), 1), (3, ("done", node, "!"), 4)),
-        markovian=((1, float(detect_rate), 2), (2, float(mitigate_rate), 3)),
-        accepting=frozenset({4}),
-    )
 
 
 # -- rate collection -----------------------------------------------------------
@@ -226,31 +96,22 @@ class Ctmc:
     labels: tuple[str, ...]
     title: str | None = None
     scenario: Scenario | None = None
-    method: str = "direct"
 
 
 def compose(
     act: Act,
     scenario: Scenario = Scenario.FULL,
-    method: str = "direct",
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Ctmc:
     """Build the absorbing chain for a model under a defender scenario.
 
-    ``method`` is ``direct`` (completion-status states, recommended) or
-    ``imc-product`` (explicit automata product, useful for cross-checks).
     Raises StateSpaceLimit when more than ``state_cap`` states are reachable
     and RateUndefined when a required leaf has probability 1.
     """
     resolved = apply_scenario(act, scenario)
     leaf_rates, cm_rates = collect_rates(resolved)
-    if method == "direct":
-        raw = _build_direct(resolved, leaf_rates, cm_rates, state_cap)
-    elif method == "imc-product":
-        raw = _build_product(resolved, leaf_rates, cm_rates, state_cap)
-    else:
-        raise ValueError(f"unknown construction method {method!r}")
-    return _collapse(*raw, title=act.title, scenario=scenario, method=method)
+    raw = _explore(_DirectBuilder(resolved, leaf_rates, cm_rates), state_cap)
+    return _collapse(*raw, title=act.title, scenario=scenario)
 
 
 _GOAL = "goal"
@@ -274,25 +135,10 @@ class _DirectBuilder:
         self.cms = sorted(cm_rates)
         self.cm_idx = {nid: i for i, nid in enumerate(self.cms)}
         self.cm_rate = [cm_rates[nid] for nid in self.cms]
-        self.cm_owner = {}  # cm node id -> enclosing AND node id
-        for nid, node in enumerate(act.nodes):
-            if isinstance(node.kind, AndGate):
-                for c in node.kind.children:
-                    if isinstance(act.nodes[c].kind, CmGate):
-                        self.cm_owner[c] = nid
-        self.order = self._postorder()
-
-    def _postorder(self) -> list[int]:
-        order, stack = [], [(self.act.root, False)]
-        while stack:
-            nid, expanded = stack.pop()
-            if expanded:
-                order.append(nid)
-                continue
-            stack.append((nid, True))
-            for c in self.act.children(nid):
-                stack.append((c, False))
-        return order
+        self.guards = [act.guard(nid) for nid in range(len(act.nodes))]
+        # cm node id -> enclosing AND node id
+        self.cm_owner = {cm: nid for nid, cm in enumerate(self.guards) if cm is not None}
+        self.order = act.postorder()
 
     def _values(self, leafstat, cmstat) -> list[int]:
         act = self.act
@@ -304,7 +150,7 @@ class _DirectBuilder:
             elif isinstance(kind, (DetectLeaf, MitigateLeaf, CmGate)):
                 continue
             elif isinstance(kind, AndGate):
-                cm = next((c for c in kind.children if isinstance(act.nodes[c].kind, CmGate)), None)
+                cm = self.guards[nid]
                 if cm is not None and cmstat[self.cm_idx[cm]] == _CM_WON:
                     vals[nid] = _D
                     continue
@@ -336,8 +182,9 @@ class _DirectBuilder:
             relevant[nid] = True
             kind = self.act.nodes[nid].kind
             if isinstance(kind, (AndGate, OrGate)):
+                cm = self.guards[nid]
                 for c in kind.children:
-                    if not isinstance(self.act.nodes[c].kind, CmGate) and vals[c] == _P:
+                    if c != cm and vals[c] == _P:
                         stack.append(c)
 
         for i, nid in enumerate(self.leaves):
@@ -379,7 +226,7 @@ class _DirectBuilder:
 
 
 def _explore(builder, state_cap: int):
-    """Generic breadth-first reachability shared by both constructions."""
+    """Breadth-first reachability over a builder's ``initial``/``transitions``."""
     init = builder.initial()
     index: dict[object, int] = {}
     labels: list[str] = []
@@ -409,125 +256,9 @@ def _explore(builder, state_cap: int):
     return index[init], edges, labels, goal_idx
 
 
-def _build_direct(act, leaf_rates, cm_rates, state_cap):
-    return _explore(_DirectBuilder(act, leaf_rates, cm_rates), state_cap)
-
-
-# -- product of automata -------------------------------------------------------
-
-_ENV = -1  # pseudo node id for the activation environment
-
-
-class _ProductBuilder:
-    """Synchronous product of per-node automata under maximal progress."""
-
-    def __init__(self, act: Act, leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
-        self.act = act
-        self.automata: list[Imc] = []
-        self.owners: list[int] = []  # node id per automaton, _ENV for the environment
-        root = act.root
-        env = Imc(
-            n_states=3,
-            init=0,
-            interactive=((0, ("act", root, "!"), 1), (1, ("succ", root, "?"), 2)),
-            markovian=(),
-            accepting=frozenset({2}),
-        )
-        self.automata.append(env)
-        self.owners.append(_ENV)
-        for nid, node in enumerate(act.nodes):
-            kind = node.kind
-            if isinstance(kind, AttackLeaf):
-                imc = bas_imc(nid, leaf_rates[nid])
-            elif isinstance(kind, AndGate):
-                cm = next((c for c in kind.children if isinstance(act.nodes[c].kind, CmGate)), None)
-                imc = _and_imc(nid, kind.children, cm)
-            elif isinstance(kind, OrGate):
-                imc = _or_imc(nid, kind.children)
-            elif isinstance(kind, CmGate):
-                imc = cm_imc(nid, cm_rates[nid].detect, cm_rates[nid].mitigate)
-            else:
-                continue  # detect/mitigate phases live inside cm_imc
-            self.automata.append(imc)
-            self.owners.append(nid)
-        self.env_pos = 0
-        # per automaton: action -> {local state: next local state}
-        self.moves: list[dict[tuple[str, int, str], dict[int, int]]] = []
-        for imc in self.automata:
-            table: dict[tuple[str, int, str], dict[int, int]] = {}
-            for s, action, d in imc.interactive:
-                table.setdefault(action, {})[s] = d
-            self.moves.append(table)
-        # sync pairs: action key -> [(automaton, direction table), ...]
-        self.sync: dict[tuple[str, int], list[tuple[int, str]]] = {}
-        for ai, imc in enumerate(self.automata):
-            for _, (kind, nid, direction), _ in imc.interactive:
-                entry = (ai, direction)
-                participants = self.sync.setdefault((kind, nid), [])
-                if entry not in participants:
-                    participants.append(entry)
-        self.markov_from: list[dict[int, list[tuple[float, int]]]] = []
-        for imc in self.automata:
-            table: dict[int, list[tuple[float, int]]] = {}
-            for s, rate, d in imc.markovian:
-                if rate > 0.0:
-                    table.setdefault(s, []).append((rate, d))
-            self.markov_from.append(table)
-
-    def _closure(self, locals_: tuple[int, ...]):
-        """Fire enabled immediate actions until none remain (maximal progress)."""
-        state = list(locals_)
-        seen = {tuple(state)}
-        while True:
-            if state[self.env_pos] in self.automata[self.env_pos].accepting:
-                return _GOAL
-            fired = None
-            for key in sorted(self.sync):
-                participants = self.sync[key]
-                nxts = []
-                ok = True
-                for ai, direction in participants:
-                    nxt = self.moves[ai].get((key[0], key[1], direction), {}).get(state[ai])
-                    if nxt is None:
-                        ok = False
-                        break
-                    nxts.append((ai, nxt))
-                if ok and participants:
-                    fired = nxts
-                    break
-            if fired is None:
-                return tuple(state)
-            for ai, nxt in fired:
-                state[ai] = nxt
-            key = tuple(state)
-            if key in seen:
-                raise ActError("immediate-transition cycle in automata product")
-            seen.add(key)
-
-    def initial(self):
-        return self._closure(tuple(imc.init for imc in self.automata))
-
-    def transitions(self, state):
-        out: dict[object, float] = {}
-        for ai, table in enumerate(self.markov_from):
-            for rate, dst in table.get(state[ai], ()):
-                succ_locals = list(state)
-                succ_locals[ai] = dst
-                succ = self._closure(tuple(succ_locals))
-                out[succ] = out.get(succ, 0.0) + rate
-        return out
-
-    def label(self, state) -> str:
-        return "imc=" + ",".join(str(s) for s in state)
-
-
-def _build_product(act, leaf_rates, cm_rates, state_cap):
-    return _explore(_ProductBuilder(act, leaf_rates, cm_rates), state_cap)
-
-
 # -- collapse and packaging ----------------------------------------------------
 
-def _collapse(init, edges, labels, goal_idx, title, scenario, method) -> Ctmc:
+def _collapse(init, edges, labels, goal_idx, title, scenario) -> Ctmc:
     """Merge goal-unreachable states into one absorbing blocked state."""
     m = len(edges)
     co_reach = [False] * m
@@ -549,7 +280,7 @@ def _collapse(init, edges, labels, goal_idx, title, scenario, method) -> Ctmc:
         return Ctmc(
             n=1, init=0, rates=sparse.csr_matrix((1, 1)),
             goal=frozenset(), blocked=frozenset({0}), labels=("blocked",),
-            title=title, scenario=scenario, method=method,
+            title=title, scenario=scenario,
         )
 
     # breadth-first renumbering of surviving states keeps output deterministic
@@ -585,15 +316,13 @@ def _collapse(init, edges, labels, goal_idx, title, scenario, method) -> Ctmc:
             cols.append(blocked_new)
             data.append(merged)
 
-    n = len(order) + (1 if needs_blocked else 0)
-    out_labels = [labels[u] for u in order]
-    if needs_blocked:
-        out_labels.append("blocked")
+    out_labels = [labels[u] for u in order] + (["blocked"] if needs_blocked else [])
+    n = len(out_labels)
     goal = frozenset({new_index[goal_idx]}) if goal_idx is not None and co_reach[goal_idx] and goal_idx in new_index else frozenset()
     blocked = frozenset({blocked_new}) if needs_blocked else frozenset()
     rates = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     return Ctmc(n=n, init=0, rates=rates, goal=goal, blocked=blocked,
-                labels=tuple(out_labels), title=title, scenario=scenario, method=method)
+                labels=tuple(out_labels), title=title, scenario=scenario)
 
 
 # -- plain-text export ----------------------------------------------------------
@@ -650,4 +379,4 @@ def parse_ctmc_text(text: str) -> Ctmc:
     rates = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     label_tuple = tuple(labels.get(i, f"s{i}") for i in range(n))
     return Ctmc(n=n, init=init, rates=rates, goal=frozenset(goal),
-                blocked=frozenset(blocked), labels=label_tuple, method="import")
+                blocked=frozenset(blocked), labels=label_tuple)

@@ -57,7 +57,7 @@ def _evaluate(resolved: Act) -> tuple[float, float]:
     """
     succ: dict[int, float] = {}
     fail: dict[int, float] = {}
-    for nid in _postorder(resolved):
+    for nid in resolved.postorder():
         kind = resolved.nodes[nid].kind
         if isinstance(kind, (AttackLeaf, DetectLeaf, MitigateLeaf)):
             p = kind.timing.probability()
@@ -79,20 +79,6 @@ def _evaluate(resolved: Act) -> tuple[float, float]:
                 q *= fail[c]
             succ[nid], fail[nid] = p, q
     return succ[resolved.root], fail[resolved.root]
-
-
-def _postorder(act: Act) -> list[int]:
-    order: list[int] = []
-    stack: list[tuple[int, bool]] = [(act.root, False)]
-    while stack:
-        nid, expanded = stack.pop()
-        if expanded:
-            order.append(nid)
-            continue
-        stack.append((nid, True))
-        for c in act.children(nid):
-            stack.append((c, False))
-    return order
 
 
 @dataclass(frozen=True)

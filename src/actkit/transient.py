@@ -38,13 +38,11 @@ from .model import (
     Act,
     AndGate,
     AttackLeaf,
-    CmGate,
     OrGate,
     Scenario,
     apply_scenario,
 )
 from .semantics import Ctmc, collect_rates
-from .statics import _postorder
 
 _RNG_NAME = "philox4x64"
 _CHUNK = 1 << 17
@@ -177,19 +175,6 @@ def _poisson_mix(g: np.ndarray, mus: np.ndarray, lo: np.ndarray, hi: np.ndarray)
     return last - np.bincount(row, weights * (last - g[ks]), minlength=mus.size)
 
 
-def _simulation_plan(act: Act):
-    """Leaf order and race structure for vectorised sampling."""
-    leaves = []
-    cms = {}
-    for nid, node in enumerate(act.nodes):
-        if isinstance(node.kind, AttackLeaf):
-            leaves.append(nid)
-    leaf_rates, cm_rates = collect_rates(act)
-    for nid in sorted(cm_rates):
-        cms[nid] = cm_rates[nid]
-    return leaves, leaf_rates, cms
-
-
 def _sample_exponential(rng, rate: float, size: int) -> np.ndarray:
     if rate <= 0.0:
         return np.full(size, np.inf)
@@ -215,7 +200,7 @@ def simulate(
         raise DomainError("runs must be positive")
     ts = _check_grid(times)
     resolved = apply_scenario(act, scenario)
-    leaves, leaf_rates, cms = _simulation_plan(resolved)
+    leaf_rates, cm_rates = collect_rates(resolved)
 
     rng = np.random.Generator(np.random.Philox(seed))
     counts = np.zeros(ts.size, dtype=np.int64)
@@ -223,9 +208,9 @@ def simulate(
     while remaining > 0:
         size = min(_CHUNK, remaining)
         remaining -= size
-        samples = {nid: _sample_exponential(rng, leaf_rates[nid], size) for nid in leaves}
+        samples = {nid: _sample_exponential(rng, rate, size) for nid, rate in leaf_rates.items()}
         deadlines = {}
-        for nid, rates in cms.items():
+        for nid, rates in cm_rates.items():
             deadline = _sample_exponential(rng, rates.detect, size)
             if rates.mitigate is not None:
                 deadline = deadline + _sample_exponential(rng, rates.mitigate, size)
@@ -249,14 +234,14 @@ def simulate(
 def _completion_times(act: Act, samples, deadlines) -> np.ndarray:
     """Root completion times, folded bottom-up in post-order without recursion."""
     times = {}
-    for nid in _postorder(act):
+    for nid in act.postorder():
         kind = act.nodes[nid].kind
         if isinstance(kind, AttackLeaf):
             times[nid] = samples[nid]
         elif isinstance(kind, OrGate):
             times[nid] = np.minimum.reduce([times.pop(c) for c in kind.children])
         elif isinstance(kind, AndGate):
-            cm = next((c for c in kind.children if isinstance(act.nodes[c].kind, CmGate)), None)
+            cm = act.guard(nid)
             done = np.maximum.reduce([times.pop(c) for c in kind.children if c != cm])
             times[nid] = done if cm is None else np.where(done < deadlines[cm], done, np.inf)
     if act.root not in times:

@@ -1,0 +1,259 @@
+"""The paper's product of per-node interactive Markov automata (IMCs).
+
+The library builds the same chain directly over completion statuses; this
+independent second construction is the oracle acceptance criterion 8 holds it
+to. It shares only rate collection, exploration and collapse with the library.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from actkit.errors import ActError
+from actkit.model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, apply_scenario
+from actkit.semantics import (
+    _GOAL, DEFAULT_STATE_CAP, Ctmc, _CmRates, _collapse, _explore, collect_rates,
+)
+
+
+def compose_product(act: Act, scenario: Scenario = Scenario.FULL, state_cap: int = DEFAULT_STATE_CAP) -> Ctmc:
+    """The absorbing chain of ``act`` built as a product of per-node automata."""
+    resolved = apply_scenario(act, scenario)
+    leaf_rates, cm_rates = collect_rates(resolved)
+    raw = _explore(_ProductBuilder(resolved, leaf_rates, cm_rates), state_cap)
+    return _collapse(*raw, title=act.title, scenario=scenario)
+
+
+# -- interactive Markov automata ----------------------------------------------
+
+@dataclass(frozen=True)
+class Imc:
+    """A small interactive Markov automaton for one tree node.
+
+    ``interactive`` transitions are immediate and labelled ``(kind, node,
+    direction)`` with direction '!' for emitted signals and '?' for consumed
+    ones; matching '!'/'?' pairs synchronise in the product. ``markovian``
+    transitions carry exponential rates. Zero-rate edges are kept for
+    structure but never fire.
+    """
+
+    n_states: int
+    init: int
+    interactive: tuple[tuple[int, tuple[str, int, str], int], ...]
+    markovian: tuple[tuple[int, float, int], ...]
+    accepting: frozenset[int]
+
+
+def bas_imc(node: int, rate: float) -> Imc:
+    """Basic attack step: wait for activation, delay, emit success."""
+    return Imc(
+        n_states=4,
+        init=0,
+        interactive=((0, ("act", node, "?"), 1), (2, ("succ", node, "!"), 3)),
+        markovian=((1, float(rate), 2),),
+        accepting=frozenset({3}),
+    )
+
+
+def gate_imc(kind: str, node: int, children: tuple[int, ...]) -> Imc:
+    """AND/OR gate automaton generalised to any number of children.
+
+    On activation the gate emits activation signals to its children in order.
+    An AND gate collects success signals from all children in any
+    interleaving before emitting its own; an OR gate emits after the first.
+    """
+    if kind == "and":
+        return _and_imc(node, children, cm_child=None)
+    if kind == "or":
+        return _or_imc(node, children)
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _activation_chain(node: int, children: tuple[int, ...]):
+    # state 0 --act?--> 1 --act c0!--> 2 --...--> 1+len(children)
+    edges = [(0, ("act", node, "?"), 1)]
+    for i, c in enumerate(children):
+        edges.append((1 + i, ("act", c, "!"), 2 + i))
+    return edges, 1 + len(children)
+
+
+def _or_imc(node: int, children: tuple[int, ...]) -> Imc:
+    edges, wait = _activation_chain(node, children)
+    nxt = wait + 1
+    acc = wait + 1 + len(children)
+    for i, c in enumerate(children):
+        got = nxt + i
+        edges.append((wait, ("succ", c, "?"), got))
+        edges.append((got, ("succ", node, "!"), acc))
+    return Imc(acc + 1, 0, tuple(edges), (), frozenset({acc}))
+
+
+def _and_imc(node: int, children: tuple[int, ...], cm_child: int | None) -> Imc:
+    """AND gate; with ``cm_child`` set, the countermeasure's completion signal
+    moves any still-collecting state into a dead sink."""
+    edges, wait = _activation_chain(node, children)
+    collect = tuple(c for c in children if c != cm_child)
+    subsets: dict[frozenset, int] = {}
+
+    def subset_state(s: frozenset) -> int:
+        if s not in subsets:
+            subsets[s] = wait + len(subsets)
+        return subsets[s]
+
+    full = frozenset(collect)
+    assert subset_state(frozenset()) == wait
+    # breadth-first over the subset lattice keeps state numbering stable
+    frontier = [frozenset()]
+    seen = {frozenset()}
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for c in collect:
+                if c in s:
+                    continue
+                s2 = s | {c}
+                edges.append((subset_state(s), ("succ", c, "?"), subset_state(s2)))
+                if s2 not in seen:
+                    seen.add(s2)
+                    nxt.append(s2)
+        frontier = nxt
+    acc = wait + len(subsets)
+    edges.append((subset_state(full), ("succ", node, "!"), acc))
+    n = acc + 1
+    if cm_child is not None:
+        dead = n
+        n += 1
+        for s, idx in subsets.items():
+            if s != full:
+                edges.append((idx, ("done", cm_child, "?"), dead))
+    return Imc(n, 0, tuple(edges), (), frozenset({acc}))
+
+
+def cm_imc(node: int, detect_rate: float, mitigate_rate: float | None) -> Imc:
+    """Countermeasure: activation, detection delay, mitigation delay, done.
+
+    ``mitigate_rate=None`` models instantaneous mitigation (single phase).
+    """
+    if mitigate_rate is None:
+        return Imc(
+            n_states=4,
+            init=0,
+            interactive=((0, ("act", node, "?"), 1), (2, ("done", node, "!"), 3)),
+            markovian=((1, float(detect_rate), 2),),
+            accepting=frozenset({3}),
+        )
+    return Imc(
+        n_states=5,
+        init=0,
+        interactive=((0, ("act", node, "?"), 1), (3, ("done", node, "!"), 4)),
+        markovian=((1, float(detect_rate), 2), (2, float(mitigate_rate), 3)),
+        accepting=frozenset({4}),
+    )
+
+
+# -- product of automata -------------------------------------------------------
+
+_ENV = -1  # pseudo node id for the activation environment
+
+
+class _ProductBuilder:
+    """Synchronous product of per-node automata under maximal progress."""
+
+    def __init__(self, act: Act, leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
+        self.act = act
+        self.automata: list[Imc] = []
+        self.owners: list[int] = []  # node id per automaton, _ENV for the environment
+        root = act.root
+        env = Imc(
+            n_states=3,
+            init=0,
+            interactive=((0, ("act", root, "!"), 1), (1, ("succ", root, "?"), 2)),
+            markovian=(),
+            accepting=frozenset({2}),
+        )
+        self.automata.append(env)
+        self.owners.append(_ENV)
+        for nid, node in enumerate(act.nodes):
+            kind = node.kind
+            if isinstance(kind, AttackLeaf):
+                imc = bas_imc(nid, leaf_rates[nid])
+            elif isinstance(kind, AndGate):
+                cm = next((c for c in kind.children if isinstance(act.nodes[c].kind, CmGate)), None)
+                imc = _and_imc(nid, kind.children, cm)
+            elif isinstance(kind, OrGate):
+                imc = _or_imc(nid, kind.children)
+            elif isinstance(kind, CmGate):
+                imc = cm_imc(nid, cm_rates[nid].detect, cm_rates[nid].mitigate)
+            else:
+                continue  # detect/mitigate phases live inside cm_imc
+            self.automata.append(imc)
+            self.owners.append(nid)
+        self.env_pos = 0
+        # per automaton: action -> {local state: next local state}
+        self.moves: list[dict[tuple[str, int, str], dict[int, int]]] = []
+        for imc in self.automata:
+            table: dict[tuple[str, int, str], dict[int, int]] = {}
+            for s, action, d in imc.interactive:
+                table.setdefault(action, {})[s] = d
+            self.moves.append(table)
+        # sync pairs: action key -> [(automaton, direction table), ...]
+        self.sync: dict[tuple[str, int], list[tuple[int, str]]] = {}
+        for ai, imc in enumerate(self.automata):
+            for _, (kind, nid, direction), _ in imc.interactive:
+                entry = (ai, direction)
+                participants = self.sync.setdefault((kind, nid), [])
+                if entry not in participants:
+                    participants.append(entry)
+        self.markov_from: list[dict[int, list[tuple[float, int]]]] = []
+        for imc in self.automata:
+            table: dict[int, list[tuple[float, int]]] = {}
+            for s, rate, d in imc.markovian:
+                if rate > 0.0:
+                    table.setdefault(s, []).append((rate, d))
+            self.markov_from.append(table)
+
+    def _closure(self, locals_: tuple[int, ...]):
+        """Fire enabled immediate actions until none remain (maximal progress)."""
+        state = list(locals_)
+        seen = {tuple(state)}
+        while True:
+            if state[self.env_pos] in self.automata[self.env_pos].accepting:
+                return _GOAL
+            fired = None
+            for key in sorted(self.sync):
+                participants = self.sync[key]
+                nxts = []
+                ok = True
+                for ai, direction in participants:
+                    nxt = self.moves[ai].get((key[0], key[1], direction), {}).get(state[ai])
+                    if nxt is None:
+                        ok = False
+                        break
+                    nxts.append((ai, nxt))
+                if ok and participants:
+                    fired = nxts
+                    break
+            if fired is None:
+                return tuple(state)
+            for ai, nxt in fired:
+                state[ai] = nxt
+            key = tuple(state)
+            if key in seen:
+                raise ActError("immediate-transition cycle in automata product")
+            seen.add(key)
+
+    def initial(self):
+        return self._closure(tuple(imc.init for imc in self.automata))
+
+    def transitions(self, state):
+        out: dict[object, float] = {}
+        for ai, table in enumerate(self.markov_from):
+            for rate, dst in table.get(state[ai], ()):
+                succ_locals = list(state)
+                succ_locals[ai] = dst
+                succ = self._closure(tuple(succ_locals))
+                out[succ] = out.get(succ, 0.0) + rate
+        return out
+
+    def label(self, state) -> str:
+        return "imc=" + ",".join(str(s) for s in state)

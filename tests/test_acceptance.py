@@ -33,6 +33,7 @@ from actkit.statics import static_failure, static_probability, sweep_pleaf
 from actkit.timing import rate_from_probability, success_cdf
 from actkit.transient import simulate, transient_probability
 
+from imc_product import compose_product
 from oracles import enumerate_static, race_probability, random_act, reverse_children
 
 SEED = 20260814
@@ -164,14 +165,14 @@ def test_criterion_8_construction_equivalence():
     for _ in range(20):
         act = random_act(rng, max_leaves=5)
         direct = np.asarray(
-            transient_probability(compose(act, method="direct"), ts, 1e-12).ys)
+            transient_probability(compose(act), ts, 1e-12).ys)
         product = np.asarray(
-            transient_probability(compose(act, method="imc-product"), ts, 1e-12).ys)
+            transient_probability(compose_product(act), ts, 1e-12).ys)
         assert np.all(np.abs(direct - product) <= 1e-9)
         flipped = reverse_children(act)
-        for method in ("direct", "imc-product"):
+        for build in (compose, compose_product):
             again = np.asarray(
-                transient_probability(compose(flipped, method=method), ts, 1e-12).ys)
+                transient_probability(build(flipped), ts, 1e-12).ys)
             assert np.all(np.abs(again - direct) <= 1e-9)
 
 

@@ -180,6 +180,13 @@ def test_simulate_deep_or_chain_exits_zero(tmp_path):
     assert (out / "dynamic_full_p0.1.dat").exists()
 
 
+def test_simulate_rejects_solver_flags(mia_path):
+    for flag in (["--epsilon", "1e-6"], ["--state-cap", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", mia_path, *flag])
+        assert exc.value.code == 2
+
+
 def test_dynamic_monte_carlo_backend(mia_path, tmp_path):
     out = tmp_path / "mc"
     assert main(["dynamic", "--model", mia_path, "--backend", "monte-carlo",

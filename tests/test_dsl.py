@@ -5,7 +5,6 @@ from actkit.errors import ActParseError, ActValidationError, MissingParameter
 from actkit.model import (
     AndGate,
     AttackLeaf,
-    CmGate,
     LeafTiming,
     Node,
     Act,

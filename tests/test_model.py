@@ -24,6 +24,7 @@ from actkit.model import (
     validate_act,
     with_attack_probability,
 )
+from actkit.statics import static_probability
 
 
 def small_act():
@@ -61,6 +62,42 @@ def test_children_helpers():
     assert act.children(1) == ()
     assert list(act.attack_leaves()) == [1]
     assert list(act.cm_gates()) == [2]
+
+
+def _leaf(i):
+    return Node(f"a{i}", f"a{i}", AttackLeaf(LeafTiming(p=0.1)))
+
+
+def test_postorder_is_iterative_and_children_first():
+    n = 10_000  # far past the interpreter's recursion limit
+    deep = Act("deep", 0, tuple(Node(f"g{i}", f"g{i}", OrGate((i + 1,))) for i in range(n)) + (_leaf(n),))
+    # the last leaf is an orphan: postorder lists only what the root reaches
+    wide = Act("wide", 0, (Node("top", "top", OrGate(tuple(range(1, n + 1)))),)
+               + tuple(_leaf(i) for i in range(n + 1)))
+    for act in (deep, wide):
+        order = act.postorder()
+        assert sorted(order) == list(range(n + 1))
+        pos = {nid: i for i, nid in enumerate(order)}
+        assert all(pos[c] < pos[nid] for nid in order for c in act.children(nid))
+
+
+def test_guard():
+    act = small_act()
+    assert act.guard(0) == 2
+    assert [act.guard(nid) for nid in (1, 2, 3, 4)] == [None] * 4
+    plain = build_act("plain", or_gate(
+        "top", and_gate("both", attack("a", p=0.1), attack("b", p=0.2)), attack("c", p=0.3)))
+    assert [plain.guard(nid) for nid in range(len(plain.nodes))] == [None] * 5
+
+
+def test_build_act_deep_chain():
+    n, p = 5000, 1e-3
+    spec = attack("a", p=p)
+    for i in range(n - 1):
+        spec = or_gate(f"g{i}", attack(f"a{i}", p=p), spec)
+    act = build_act("deep", spec)
+    assert len(act.nodes) == 2 * n - 1
+    assert static_probability(act) == pytest.approx(1.0 - (1.0 - p) ** n, rel=1e-12)
 
 
 def test_leaf_timing_accessors():

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from actkit import load_bundled
@@ -15,7 +14,6 @@ from actkit.model import (
 )
 from actkit.ranking import rank_countermeasures
 from actkit.semantics import compose
-from actkit.transient import transient_probability
 
 from oracles import expm_transient
 

@@ -17,18 +17,10 @@ from actkit.model import (
     or_gate,
     remove_cm_gates,
 )
-from actkit.semantics import (
-    Ctmc,
-    bas_imc,
-    cm_imc,
-    collect_rates,
-    compose,
-    export_ctmc_text,
-    gate_imc,
-    parse_ctmc_text,
-)
+from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text
 from actkit.transient import transient_probability
 
+from imc_product import bas_imc, cm_imc, compose_product, gate_imc
 from oracles import expm_transient, race_probability, random_act, reverse_children
 
 
@@ -127,8 +119,8 @@ def test_race_chain_structure():
 
 
 def test_race_eventual_probability():
-    for method in ("direct", "imc-product"):
-        ctmc = compose(race_act(), method=method)
+    for build in (compose, compose_product):
+        ctmc = build(race_act())
         p = transient_probability(ctmc, [200.0], epsilon=1e-9).ys[0]
         assert p == pytest.approx(race_probability(1.0, 1.0, 1.0), abs=1e-6)
 
@@ -138,15 +130,15 @@ def test_methods_agree_on_bundled_model():
     ts = [0.5, 1.0, 2.0, 5.0]
     for scenario in Scenario:
         direct = transient_probability(compose(act, scenario), ts, 1e-10)
-        product = transient_probability(compose(act, scenario, method="imc-product"), ts, 1e-10)
+        product = transient_probability(compose_product(act, scenario), ts, 1e-10)
         assert np.allclose(direct.ys, product.ys, atol=1e-9)
 
 
 def test_matches_matrix_exponential():
     act = race_act(0.3, 0.55, 0.7)
     ts = [0.25, 1.0, 3.0, 10.0]
-    for method in ("direct", "imc-product"):
-        ctmc = compose(act, method=method)
+    for build in (compose, compose_product):
+        ctmc = build(act)
         got = transient_probability(ctmc, ts, epsilon=1e-12).ys
         assert np.allclose(got, expm_transient(ctmc, ts), atol=1e-9)
 
@@ -173,9 +165,9 @@ def test_child_order_is_irrelevant():
     for _ in range(5):
         act = random_act(rng, max_leaves=4)
         ts = [0.5, 1.5, 4.0]
-        for method in ("direct", "imc-product"):
-            a = transient_probability(compose(act, method=method), ts, 1e-10).ys
-            b = transient_probability(compose(reverse_children(act), method=method), ts, 1e-10).ys
+        for build in (compose, compose_product):
+            a = transient_probability(build(act), ts, 1e-10).ys
+            b = transient_probability(build(reverse_children(act)), ts, 1e-10).ys
             assert np.allclose(a, b, atol=1e-9)
 
 
@@ -226,8 +218,3 @@ def test_export_contains_headers():
     assert lines[1] == "#init 0"
     assert any(line.startswith("#goal ") for line in lines)
     assert any(line.startswith("#label 0 ") for line in lines)
-
-
-def test_compose_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        compose(race_act(), method="magic")

@@ -22,7 +22,7 @@ from actkit.model import (
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
 from actkit.transient import simulate, transient_probability
 
-from oracles import expm_transient, or_chain_text, race_probability
+from oracles import expm_transient, or_chain_text
 
 E1 = 1.0 - math.exp(-1.0)  # unit-rate success probability at one hour
 
