@@ -50,7 +50,7 @@ from .semantics import (
 )
 from .statics import SweepResult, static_failure, static_probability, sweep_pleaf
 from .timing import rate_from_probability, success_cdf
-from .transient import CurveResult, simulate, transient_probability
+from .transient import CurveResult, goal_curve, simulate, transient_probability
 
 __version__ = "0.1.0"
 
@@ -86,6 +86,7 @@ __all__ = [
     "compose",
     "detect",
     "export_ctmc_text",
+    "goal_curve",
     "load_act",
     "load_bundled",
     "mitigate",

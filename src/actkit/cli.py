@@ -32,7 +32,7 @@ from .model import Act, Scenario, validate_act, with_attack_probability
 from .ranking import rank_countermeasures
 from .semantics import DEFAULT_STATE_CAP, compose, export_ctmc_text
 from .statics import sweep_pleaf
-from .transient import CurveResult, simulate, transient_probability
+from .transient import CurveResult, goal_curve, simulate
 
 _SCENARIOS = [s.value for s in Scenario]
 _DEFAULT_PLEAF = (0.05, 0.1, 0.25)
@@ -53,8 +53,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def _scenarios(args) -> list[Scenario]:
-    names = args.scenario or _SCENARIOS
+def _scenarios(args, default=_SCENARIOS) -> list[Scenario]:
+    names = args.scenario or default
     return [Scenario(n) for n in names]
 
 
@@ -143,8 +143,7 @@ def cmd_dynamic(args) -> int:
         for pleaf in args.pleaf:
             staged = with_attack_probability(act, pleaf)
             if args.backend == "solver":
-                ctmc = compose(staged, scenario, state_cap=args.state_cap)
-                curve = transient_probability(ctmc, grid, args.epsilon)
+                curve = goal_curve(staged, scenario, grid, args.epsilon, args.state_cap)
             else:
                 curve = simulate(staged, scenario, grid, args.runs, args.seed)
             curve.meta["pleaf"] = pleaf
@@ -183,15 +182,14 @@ def cmd_rank(args) -> int:
 
 def cmd_export_ctmc(args) -> int:
     act = _load_model(args)
-    scenario = Scenario(args.scenario[0]) if args.scenario else Scenario.FULL
-    ctmc = compose(act, scenario, state_cap=args.state_cap)
-    text = export_ctmc_text(ctmc)
-    print(f"# {ctmc.n} reachable states", file=sys.stderr)
-    if args.out:
-        out = _out_dir(args)
-        _write(out / f"ctmc_{scenario.value}.txt", text)
-    else:
-        sys.stdout.write(text)
+    for scenario in _scenarios(args, default=(Scenario.FULL.value,)):
+        ctmc = compose(act, scenario, state_cap=args.state_cap)
+        text = export_ctmc_text(ctmc)
+        print(f"# {ctmc.n} reachable states", file=sys.stderr)
+        if args.out:
+            _write(_out_dir(args) / f"ctmc_{scenario.value}.txt", text)
+        else:
+            sys.stdout.write(text)
     return 0
 
 
@@ -201,11 +199,12 @@ def cmd_fmt(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, scenario=True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> None:
+    """Add --model and, unless ``scenario`` is None, --scenario with that default."""
     p.add_argument("--model", required=True, help="path to a model file")
     if scenario:
         p.add_argument("--scenario", action="append", choices=_SCENARIOS,
-                       help="defender scenario, repeatable (default: all)")
+                       help=f"defender scenario, repeatable (default: {scenario})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a model file for structural errors")
-    _add_common(p, scenario=False)
+    _add_common(p, scenario=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("static-sweep", help="goal probability versus a common attack-leaf probability")
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("rank", help="rank countermeasures by removal impact")
-    _add_common(p, scenario=False)
+    _add_common(p, scenario=None)
     p.add_argument("--t-star", type=float, default=2.0, help="evaluation horizon in hours")
     p.add_argument("--epsilon", type=float, default=1e-9, help="solver tolerance")
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
@@ -252,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("export-ctmc", help="dump the composed chain as a transition list")
-    _add_common(p)
+    _add_common(p, scenario="full")
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--out", default=None, help="write ctmc_<scenario>.txt here instead of stdout")
     p.set_defaults(func=cmd_export_ctmc)
 
     p = sub.add_parser("fmt", help="reprint a model in canonical form")
-    _add_common(p, scenario=False)
+    _add_common(p, scenario=None)
     p.set_defaults(func=cmd_fmt)
 
     return parser
@@ -267,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "export-ctmc" and not args.out and len(args.scenario or ()) > 1:
+        parser.error("export-ctmc writes several scenarios only with --out")
     defaults_pleaf = getattr(args, "pleaf", None)
     if hasattr(args, "pleaf") and not defaults_pleaf:
         args.pleaf = list(_DEFAULT_PLEAF)

@@ -21,6 +21,12 @@ records the sum. The cost is one sparse matrix-vector product per jump,
 until absorption or R, and memory O(n + K + |grid|·window), where K is the
 number of jumps taken and the window width is O(sqrt(Λt)).
 
+``goal_curve`` answers the same question for a model without building
+the whole tree's chain. Sibling subtrees share no node, so their completion
+times are independent and their curves combine in closed form; only an AND
+gate guarded by a countermeasure races, and each outermost such gate is
+solved as its own small chain.
+
 The simulator replays the same race semantics with sampled
 exponential completion times and reports binomial half-widths.
 """
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from .model import (
     Scenario,
     apply_scenario,
 )
-from .semantics import Ctmc, collect_rates
+from .semantics import DEFAULT_STATE_CAP, Ctmc, _leaf_rate, collect_rates, compose
 
 _RNG_NAME = "philox4x64"
 _CHUNK = 1 << 17
@@ -75,6 +81,11 @@ def _check_grid(times: Sequence[float]) -> np.ndarray:
     return ts
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon <= 1e-3:
+        raise DomainError(f"epsilon must lie in (0, 1e-3], got {epsilon!r}")
+
+
 def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1e-9) -> CurveResult:
     """P[goal reached by t] for each grid point, within ``epsilon``.
 
@@ -88,8 +99,7 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         Truncation tolerance in (0, 1e-3]. Halving it never moves any output
         by more than the previous value.
     """
-    if not 0.0 < epsilon <= 1e-3:
-        raise DomainError(f"epsilon must lie in (0, 1e-3], got {epsilon!r}")
+    _check_epsilon(epsilon)
     ts = _check_grid(times)
 
     goal = np.array(sorted(ctmc.goal), dtype=np.intp)
@@ -173,6 +183,81 @@ def _poisson_mix(g: np.ndarray, mus: np.ndarray, lo: np.ndarray, hi: np.ndarray)
     log_mus = np.log(np.where(mus > 0.0, mus, 1.0))
     weights = np.exp(ks * log_mus[row] - mus[row] - log_fact[ks])
     return last - np.bincount(row, weights * (last - g[ks]), minlength=mus.size)
+
+
+def goal_curve(
+    act: Act,
+    scenario: Scenario,
+    times: Sequence[float],
+    epsilon: float = 1e-9,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> CurveResult:
+    """P[goal reached by t] for each grid point, within ``epsilon``, chain by chain.
+
+    Each outermost guarded AND gate is solved with ``compose`` and
+    ``transient_probability`` at ``epsilon`` divided by the number of
+    countermeasures, so ``state_cap`` bounds each of those chains, not the
+    whole tree's. Everything else combines in closed form. Products of
+    values in [0, 1] move by at most the sum of their factors' errors, so
+    the curve is within the sum of the chains' bounds, at most ``epsilon``.
+    A model whose root is guarded is solved as one chain.
+    """
+    _check_epsilon(epsilon)
+    ts = _check_grid(times)
+    resolved = apply_scenario(act, scenario)
+    share = epsilon / max(sum(1 for _ in resolved.cm_gates()), 1)
+    chains: list[dict] = []
+
+    def solve(sub: Act) -> np.ndarray:
+        curve = transient_probability(compose(sub, Scenario.FULL, state_cap), ts, share)
+        chains.append(curve.meta)
+        return np.asarray(curve.ys)
+
+    ys = _tree_curve(resolved, ts, solve)
+    meta = {
+        "method": "compositional",
+        "epsilon": epsilon,
+        "model": act.title,
+        "chains": len(chains),
+        "states": sum(m["states"] for m in chains),
+        # a chain that never leaves its initial state is solved exactly
+        "poisson_terms": sum(m.get("poisson_terms", 0) for m in chains),
+        "error_bound": sum((m.get("error_bound", 0.0) for m in chains), 0.0),
+    }
+    return CurveResult(tuple(ts), tuple(float(y) for y in ys), scenario, meta)
+
+
+def _tree_curve(act: Act, ts: np.ndarray, solve: Callable[[Act], np.ndarray]) -> np.ndarray:
+    """Goal curve of a validated model at ``ts``, bottom-up over ``postorder()``.
+
+    An attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c) and an AND
+    prod(F_c). An AND gate with a countermeasure goes to ``solve`` as its own
+    Act (``Act.subtree``), and nothing below it is visited.
+    """
+    order = act.postorder()
+    cut: set[int] = set()
+    below: set[int] = set()
+    for nid in reversed(order):
+        if nid not in below and act.guard(nid) is not None:
+            cut.add(nid)
+        if nid in below or nid in cut:
+            below.update(act.children(nid))
+    curves: dict[int, np.ndarray] = {}
+    for nid in order:
+        if nid in below:
+            continue
+        kind = act.nodes[nid].kind
+        if nid in cut:
+            curves[nid] = solve(act.subtree(nid))
+        elif isinstance(kind, AttackLeaf):
+            curves[nid] = -np.expm1(-_leaf_rate(act, nid) * ts)
+        elif isinstance(kind, OrGate):
+            curves[nid] = 1.0 - np.prod([1.0 - curves.pop(c) for c in kind.children], axis=0)
+        elif isinstance(kind, AndGate):
+            curves[nid] = np.prod([curves.pop(c) for c in kind.children], axis=0)
+    if act.root not in curves:
+        raise DomainError(f"cannot evaluate node kind {type(act.nodes[act.root].kind).__name__}")
+    return curves[act.root]
 
 
 def _sample_exponential(rng, rate: float, size: int) -> np.ndarray:

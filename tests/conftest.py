@@ -30,3 +30,27 @@ def pytest_terminal_summary(terminalreporter):
     for num in sorted(_results):
         word, desc = _results[num]
         terminalreporter.write_line(f"criterion {num:2d} {word} - {desc}")
+
+
+@pytest.fixture
+def branch_compose(monkeypatch):
+    """Let the CLI, ranking and the solvers compose only models of at most 7 nodes.
+
+    That is one ``AND(OR(a, b), CM)`` branch. A larger model fails the test
+    before its chain is built. Returns the node counts of the composed models.
+    """
+    import actkit.cli
+    import actkit.ranking
+    import actkit.transient
+    from actkit.semantics import compose
+
+    sizes = []
+
+    def spy(act, *args, **kwargs):
+        assert len(act.nodes) <= 7, f"compose called on a {len(act.nodes)}-node model"
+        sizes.append(len(act.nodes))
+        return compose(act, *args, **kwargs)
+
+    for module in (actkit.cli, actkit.ranking, actkit.transient):
+        monkeypatch.setattr(module, "compose", spy)
+    return sizes

@@ -188,3 +188,28 @@ def or_chain_text(depth: int, lam: float) -> str:
         lines.append(f"  a{i} = ATTACK(p=0.5, lambda={lam!r});")
     lines.append(f"  g{depth - 1} = ATTACK(p=0.5, lambda={lam!r});")
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def guarded_branch(i: int):
+    """Spec of ``AND(OR(a, b), CM)`` whose leaf parameters vary with ``i``."""
+    return and_gate(
+        f"g{i}",
+        or_gate(f"o{i}", attack(f"a{i}", p=0.1 + 0.01 * i), attack(f"b{i}", p=0.2)),
+        cm_gate(f"cm{i}", detect(f"d{i}", p=0.3 + 0.03 * i), mitigate(f"m{i}", p=0.6 - 0.02 * i)),
+    )
+
+
+def guarded_or(m: int) -> Act:
+    """OR of ``m`` guarded branches; its whole chain grows exponentially in m."""
+    return build_act(f"guarded or m={m}", or_gate("top", *(guarded_branch(i) for i in range(m))))
+
+
+def branch_curves(m: int, chain_of_branch, times) -> np.ndarray:
+    """Goal curve of each of the first ``m`` branches alone, by dense expm.
+
+    ``chain_of_branch(act)`` turns a one-branch model into its Ctmc. The
+    branches of ``guarded_or(m)`` are independent, so its curve is
+    1 - prod(1 - P_i) without ever building the whole model's chain.
+    """
+    return np.array([expm_transient(chain_of_branch(build_act(f"branch {i}", guarded_branch(i))), times)
+                     for i in range(m)])

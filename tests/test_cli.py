@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from actkit import load_bundled
 from actkit.cli import main
 from actkit.dsl import serialize_act
-from actkit.semantics import parse_ctmc_text
+from actkit.model import Scenario, with_attack_probability
+from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
 
-from oracles import or_chain_text
+from oracles import branch_curves, guarded_or, or_chain_text
 
 MINIMAL = (
     'act "Mini" {\n'
@@ -77,6 +79,13 @@ def test_numeric_limit_exit_code(tmp_path, capsys):
 def test_state_cap_exit_code(mia_path, tmp_path):
     assert main(["export-ctmc", "--model", mia_path, "--state-cap", "3",
                  "--out", str(tmp_path)]) == 3
+
+
+def test_dynamic_state_cap_bounds_each_chain(mia_path, tmp_path):
+    # mia's whole chain explores 28 states, each guarded branch's chain 4
+    out = str(tmp_path / "dyn")
+    assert main(["dynamic", "--model", mia_path, "--state-cap", "3", "--out", out]) == 3
+    assert main(["dynamic", "--model", mia_path, "--state-cap", "4", "--out", out]) == 0
 
 
 def test_bad_grid_exit_code(mia_path, tmp_path):
@@ -180,6 +189,35 @@ def test_simulate_deep_or_chain_exits_zero(tmp_path):
     assert (out / "dynamic_full_p0.1.dat").exists()
 
 
+def test_dynamic_deep_or_chain_exits_zero(tmp_path):
+    path = tmp_path / "deep.act"
+    path.write_text(or_chain_text(5000, 1e-3), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["dynamic", "--model", str(path), "--grid", "0:2:5", "--pleaf", "1e-6",
+                 "--scenario", "full", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads((out / "dynamic_full_p1e-06.json").read_text())
+    rate = -np.log1p(-1e-6) * 5000
+    assert np.allclose(payload["ys"], -np.expm1(-rate * np.array(payload["xs"])), rtol=0, atol=1e-12)
+
+
+def test_dynamic_twelve_guarded_branches(tmp_path, branch_compose):
+    m = 12
+    path = tmp_path / "wide.act"
+    path.write_text(serialize_act(guarded_or(m)), encoding="utf-8")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["dynamic", "--model", str(path), "--format", "json", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 5.0
+    for scenario in Scenario:
+        for pleaf in (0.05, 0.1, 0.25):
+            payload = json.loads((out / f"dynamic_{scenario.value}_p{pleaf:g}.json").read_text())
+            curves = branch_curves(
+                m, lambda b: compose(with_attack_probability(b, pleaf), scenario), payload["xs"])
+            want = 1.0 - np.prod(1.0 - curves, axis=0)
+            assert np.all(np.abs(np.asarray(payload["ys"]) - want) <= 1e-6 + 1e-12)
+            assert payload["meta"]["chains"] == (0 if scenario is Scenario.NO_CM else m)
+
+
 def test_simulate_rejects_solver_flags(mia_path):
     for flag in (["--epsilon", "1e-6"], ["--state-cap", "10"]):
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +273,25 @@ def test_export_ctmc_file(mia_path, tmp_path):
                  "--out", str(out)]) == 0
     ctmc = parse_ctmc_text((out / "ctmc_detect-only.txt").read_text())
     assert ctmc.n == 13
+
+
+def test_export_ctmc_several_scenarios(mia_path, tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["export-ctmc", "--model", mia_path, "--scenario", "no-cm",
+                 "--scenario", "full", "--out", str(out)]) == 0
+    act = load_bundled("mia")
+    assert sorted(p.name for p in out.iterdir()) == ["ctmc_full.txt", "ctmc_no-cm.txt"]
+    for name in ("no-cm", "full"):
+        assert (out / f"ctmc_{name}.txt").read_text() == export_ctmc_text(compose(act, Scenario(name)))
+    # without --scenario only the full model is exported
+    default = tmp_path / "default"
+    assert main(["export-ctmc", "--model", mia_path, "--out", str(default)]) == 0
+    assert [p.name for p in default.iterdir()] == ["ctmc_full.txt"]
+    # several chains cannot share stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["export-ctmc", "--model", mia_path, "--scenario", "no-cm", "--scenario", "full"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_fmt_round_trip(mia_path, capsys):

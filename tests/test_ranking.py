@@ -1,3 +1,7 @@
+import random
+import time
+
+import numpy as np
 import pytest
 
 from actkit import load_bundled
@@ -14,8 +18,9 @@ from actkit.model import (
 )
 from actkit.ranking import rank_countermeasures
 from actkit.semantics import compose
+from actkit.transient import transient_probability
 
-from oracles import expm_transient
+from oracles import branch_curves, expm_transient, guarded_or, random_act
 
 
 def test_no_countermeasures_gives_empty_ranking():
@@ -77,3 +82,62 @@ def test_delta_shrinks_with_weak_detection():
     (ds,) = rank_countermeasures(strong, 2.0)
     (dw,) = rank_countermeasures(weak, 2.0)
     assert ds.delta > dw.delta
+
+
+def _nested(act) -> bool:
+    """Whether some guarded AND gate has a guarded gate below it."""
+    for nid in range(len(act.nodes)):
+        if act.guard(nid) is None:
+            continue
+        stack = list(act.children(nid))
+        while stack:
+            c = stack.pop()
+            if act.guard(c) is not None:
+                return True
+            stack.extend(act.children(c))
+    return False
+
+
+def test_ranking_matches_whole_chain_ranking():
+    eps, t_star = 1e-9, 1.5
+    rng = random.Random(77)
+    models = []
+    while len(models) < 8:
+        act = random_act(rng, max_leaves=8, max_cms=3)
+        if sum(1 for _ in act.cm_gates()) >= 2:
+            models.append(act)
+    assert sum(_nested(act) for act in models) >= 3
+
+    def whole(model):
+        return transient_probability(compose(model, Scenario.FULL), [t_star], eps).ys[0]
+
+    for act in models:
+        effects = rank_countermeasures(act, t_star, epsilon=eps)
+        with_all = whole(act)
+        want = {nid: whole(remove_cm_gates(act, {nid})) - with_all for nid in act.cm_gates()}
+        assert sorted(e.node for e in effects) == sorted(want)
+        for e in effects:
+            assert e.pgoal_with == pytest.approx(with_all, abs=2 * eps)
+            assert e.pgoal_without == pytest.approx(want[e.node] + with_all, abs=2 * eps)
+        # same order as the whole-chain deltas, up to ties within the tolerance
+        deltas = [want[e.node] for e in effects]
+        assert all(b <= a + 4 * eps for a, b in zip(deltas, deltas[1:]))
+
+
+def test_ranking_twelve_guarded_branches(branch_compose):
+    m, t_star = 12, 2.0
+    act = guarded_or(m)
+    start = time.perf_counter()
+    effects = rank_countermeasures(act, t_star)
+    assert time.perf_counter() - start < 5.0
+    assert branch_compose == [7] * m  # one chain per guarded branch, none twice
+
+    guarded = branch_curves(m, compose, [t_star])[:, 0]
+    bare = branch_curves(m, lambda b: compose(b, Scenario.NO_CM), [t_star])[:, 0]
+    with_all = 1.0 - np.prod(1.0 - guarded)
+    assert len(effects) == m
+    for e in effects:
+        i = int(e.name.removeprefix("cm"))
+        without = 1.0 - np.prod(1.0 - np.where(np.arange(m) == i, bare, guarded))
+        assert e.pgoal_with == pytest.approx(with_all, abs=1e-9 + 1e-12)
+        assert e.pgoal_without == pytest.approx(without, abs=1e-9 + 1e-12)

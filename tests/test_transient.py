@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from actkit import load_bundled, parse_act
-from actkit.errors import DomainError
+from actkit.errors import DomainError, RateUndefined
 from actkit.model import (
     Scenario,
     and_gate,
@@ -20,9 +21,9 @@ from actkit.model import (
     with_attack_probability,
 )
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
-from actkit.transient import simulate, transient_probability
+from actkit.transient import goal_curve, simulate, transient_probability
 
-from oracles import expm_transient, or_chain_text
+from oracles import expm_transient, or_chain_text, random_act, reverse_children
 
 E1 = 1.0 - math.exp(-1.0)  # unit-rate success probability at one hour
 
@@ -218,3 +219,53 @@ def test_simulate_deep_or_chain(depth):
 def test_cli_import_leaves_out_scipy_stats():
     code = "import actkit.cli, sys; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_goal_curve_matches_whole_chain():
+    ts = np.linspace(0.0, 6.0, 13)
+    rng = random.Random(404)
+    for _ in range(40):
+        act = random_act(rng, max_leaves=8)
+        for model in (act, reverse_children(act)):
+            for scenario in Scenario:
+                want = transient_probability(compose(model, scenario), ts, 1e-12).ys
+                curve = goal_curve(model, scenario, ts, 1e-12)
+                assert np.all(np.abs(np.asarray(curve.ys) - want) <= 1e-9)
+                assert curve.meta["chains"] <= sum(1 for _ in model.cm_gates())
+                assert curve.meta["error_bound"] <= 1e-12
+
+
+@pytest.mark.parametrize("scenario, chains", [
+    (Scenario.FULL, 2), (Scenario.DETECT_ONLY, 2), (Scenario.NO_CM, 0)])
+def test_goal_curve_meta_counts_chains(scenario, chains):
+    act = load_bundled("mia")
+    meta = goal_curve(act, scenario, np.linspace(0.0, 10.0, 21), epsilon=1e-6).meta
+    assert meta["method"] == "compositional"
+    assert meta["epsilon"] == 1e-6 and meta["model"] == act.title
+    assert meta["chains"] == chains
+    # the guarded branches' chains together are smaller than the whole tree's
+    assert (meta["states"] > 0) == (chains > 0)
+    assert meta["states"] < compose(act, scenario).n
+    assert (meta["poisson_terms"] > 0) == (chains > 0)
+    assert 0.0 <= meta["error_bound"] <= 1e-6
+
+
+def test_goal_curve_of_guarded_root_is_the_whole_chain():
+    act = stiff_race()
+    assert act.subtree(act.root) == act
+    curve = goal_curve(act, Scenario.FULL, LONG_GRID, 1e-9)
+    whole = transient_probability(compose(act), LONG_GRID, 1e-9)
+    assert curve.ys == whole.ys
+    assert curve.meta["chains"] == 1 and curve.meta["states"] == whole.meta["states"]
+
+
+def test_goal_curve_checks_leaves_and_tolerance_outside_chains():
+    act = build_act("sure", or_gate("g", attack("a", p=1.0), attack("b", p=0.5)))
+    with pytest.raises(RateUndefined, match="'a'"):
+        goal_curve(act, Scenario.FULL, [1.0])
+    plain = build_act("plain", or_gate("g", attack("a", p=0.5), attack("b", p=0.5)))
+    for eps in (0.0, 1e-2):
+        with pytest.raises(DomainError):
+            goal_curve(plain, Scenario.FULL, [1.0], epsilon=eps)
+    with pytest.raises(DomainError):
+        goal_curve(plain, Scenario.FULL, [2.0, 1.0])
