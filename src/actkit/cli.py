@@ -1,7 +1,10 @@
 """Command line interface.
 
-Commands mirror the library: ``validate``, ``static-sweep``, ``dynamic``,
-``rank``, ``export-ctmc`` and ``simulate``. Data files use two
+Commands mirror the library: ``validate``, ``static-sweep``, ``dynamic``
+(``goal_curve``), ``simulate`` (Monte Carlo), ``rank``, ``export-ctmc`` and
+``fmt``. Each timed command takes only its own method's options:
+``dynamic`` the solver's ``--epsilon`` and ``--state-cap``, ``simulate``
+``--runs`` and ``--seed``. Data files use two
 whitespace-separated columns with ``#`` comment lines, numbers are printed
 with six significant digits, and repeated runs with identical flags produce
 byte-identical outputs.
@@ -28,7 +31,7 @@ from .errors import (
     RateUndefined,
     StateSpaceLimit,
 )
-from .model import Act, Scenario, validate_act, with_attack_probability
+from .model import Scenario, with_attack_probability
 from .ranking import rank_countermeasures
 from .semantics import DEFAULT_STATE_CAP, compose, export_ctmc_text
 from .statics import sweep_pleaf
@@ -90,20 +93,11 @@ def _curve_json(curve: CurveResult) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _load_model(args) -> Act:
-    return load_act(args.model)
-
-
 def cmd_validate(args) -> int:
     try:
-        act = _load_model(args)
+        act = load_act(args.model)
     except ActValidationError as exc:
         for diag in exc.diagnostics:
-            print(diag, file=sys.stderr)
-        return 2
-    diagnostics = validate_act(act)
-    if diagnostics:
-        for diag in diagnostics:
             print(diag, file=sys.stderr)
         return 2
     leaves = sum(1 for _ in act.attack_leaves())
@@ -113,7 +107,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_static_sweep(args) -> int:
-    act = _load_model(args)
+    act = load_act(args.model)
     grid = _parse_grid(args.grid)
     out = _out_dir(args)
     for result in sweep_pleaf(act, grid, _scenarios(args)):
@@ -136,13 +130,13 @@ def cmd_static_sweep(args) -> int:
 
 
 def cmd_dynamic(args) -> int:
-    act = _load_model(args)
+    act = load_act(args.model)
     grid = _parse_grid(args.grid)
     out = _out_dir(args)
     for scenario in _scenarios(args):
-        for pleaf in args.pleaf:
+        for pleaf in args.pleaf or _DEFAULT_PLEAF:
             staged = with_attack_probability(act, pleaf)
-            if args.backend == "solver":
+            if args.command == "dynamic":
                 curve = goal_curve(staged, scenario, grid, args.epsilon, args.state_cap)
             else:
                 curve = simulate(staged, scenario, grid, args.runs, args.seed)
@@ -160,7 +154,7 @@ def cmd_dynamic(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    act = _load_model(args)
+    act = load_act(args.model)
     effects = rank_countermeasures(act, args.t_star, args.epsilon, args.state_cap)
     if not effects:
         print("model has no countermeasures")
@@ -181,7 +175,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_export_ctmc(args) -> int:
-    act = _load_model(args)
+    act = load_act(args.model)
     for scenario in _scenarios(args, default=(Scenario.FULL.value,)):
         ctmc = compose(act, scenario, state_cap=args.state_cap)
         text = export_ctmc_text(ctmc)
@@ -194,7 +188,7 @@ def cmd_export_ctmc(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    act = _load_model(args)
+    act = load_act(args.model)
     sys.stdout.write(serialize_act(act))
     return 0
 
@@ -230,16 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pleaf", action="append", type=float,
                        help="attack-leaf probability, repeatable (default 0.05 0.1 0.25)")
         p.add_argument("--grid", default="0:10:101", help="time grid START:STOP:STEPS in hours (default 0:10:101)")
-        p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
-        p.add_argument("--seed", type=int, default=1, help="simulation seed")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
         if name == "dynamic":
             p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
             p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
-            p.add_argument("--backend", choices=("solver", "monte-carlo"), default="solver")
         else:
-            p.set_defaults(backend="monte-carlo")
+            p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
+            p.add_argument("--seed", type=int, default=1, help="simulation seed")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
         p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("rank", help="rank countermeasures by removal impact")
@@ -268,9 +260,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "export-ctmc" and not args.out and len(args.scenario or ()) > 1:
         parser.error("export-ctmc writes several scenarios only with --out")
-    defaults_pleaf = getattr(args, "pleaf", None)
-    if hasattr(args, "pleaf") and not defaults_pleaf:
-        args.pleaf = list(_DEFAULT_PLEAF)
     try:
         return args.func(args)
     except OSError as exc:

@@ -1,14 +1,16 @@
-"""Countermeasure ranking by impact on the timed goal probability."""
+"""Countermeasure ranking by impact on the timed goal probability.
+
+Every model is evaluated by ``goal_curve``'s evaluator, so ranking shares
+its tolerance split, input checks and chain construction.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import Act, Scenario, remove_cm_gates
-from .semantics import DEFAULT_STATE_CAP, compose
-from .transient import _check_epsilon, _check_grid, _tree_curve, transient_probability
+from . import transient
+from .model import Act, remove_cm_gates
+from .semantics import DEFAULT_STATE_CAP
 
 
 @dataclass(frozen=True)
@@ -34,33 +36,18 @@ def rank_countermeasures(
     the model with just that gate removed, both evaluated at horizon
     ``t_star``. Results are sorted by decreasing effect, ties broken by name.
 
-    Every model is evaluated like ``goal_curve``, with each chain at
-    ``epsilon`` divided by the number of countermeasures. A guarded subtree
-    that removing a gate leaves unchanged is the same Act in both models, so
-    its chain is solved once; ``state_cap`` bounds each chain.
+    The models are evaluated together, like ``goal_curve`` under the full
+    scenario, with each chain at ``epsilon`` divided by the number of
+    countermeasures. A guarded subtree that removing a gate leaves unchanged
+    is the same Act in both models, so its chain is solved once;
+    ``state_cap`` bounds each chain. ``epsilon`` and ``t_star`` are checked
+    even when the model has no countermeasures.
     """
     cms = sorted(act.cm_gates())
-    if not cms:
-        return []
-    _check_epsilon(epsilon)
-    ts = _check_grid([t_star])
-    share = epsilon / len(cms)
-    solved: dict[Act, np.ndarray] = {}
-
-    def solve(sub: Act) -> np.ndarray:
-        if sub not in solved:
-            ctmc = compose(sub, Scenario.FULL, state_cap=state_cap)
-            solved[sub] = np.asarray(transient_probability(ctmc, ts, share).ys)
-        return solved[sub]
-
-    def pgoal(model: Act) -> float:
-        return float(_tree_curve(model, ts, solve)[0])
-
-    with_all = pgoal(act)
-    effects = []
-    for nid in cms:
-        without = pgoal(remove_cm_gates(act, {nid}))
-        effects.append(CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,
-                                pgoal_without=without, delta=without - with_all))
+    _, results = transient._goal_curves(
+        [act, *(remove_cm_gates(act, {nid}) for nid in cms)], [t_star], epsilon, state_cap)
+    with_all, *without = (float(ys[0]) for ys, _ in results)
+    effects = [CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,
+                        pgoal_without=p, delta=p - with_all) for nid, p in zip(cms, without)]
     effects.sort(key=lambda e: (-e.delta, e.name))
     return effects

@@ -25,7 +25,10 @@ number of jumps taken and the window width is O(sqrt(Λt)).
 the whole tree's chain. Sibling subtrees share no node, so their completion
 times are independent and their curves combine in closed form; only an AND
 gate guarded by a countermeasure races, and each outermost such gate is
-solved as its own small chain.
+solved as its own small chain. ``_goal_curves`` holds that evaluation for
+``goal_curve`` and for countermeasure ranking: it checks the tolerance and
+the grid, splits ``epsilon`` between the chains and solves each distinct
+chain once across all the models it is given.
 
 The simulator replays the same race semantics with sampled
 exponential completion times and reports binomial half-widths.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -202,18 +205,7 @@ def goal_curve(
     the curve is within the sum of the chains' bounds, at most ``epsilon``.
     A model whose root is guarded is solved as one chain.
     """
-    _check_epsilon(epsilon)
-    ts = _check_grid(times)
-    resolved = apply_scenario(act, scenario)
-    share = epsilon / max(sum(1 for _ in resolved.cm_gates()), 1)
-    chains: list[dict] = []
-
-    def solve(sub: Act) -> np.ndarray:
-        curve = transient_probability(compose(sub, Scenario.FULL, state_cap), ts, share)
-        chains.append(curve.meta)
-        return np.asarray(curve.ys)
-
-    ys = _tree_curve(resolved, ts, solve)
+    ts, [(ys, chains)] = _goal_curves([apply_scenario(act, scenario)], times, epsilon, state_cap)
     meta = {
         "method": "compositional",
         "epsilon": epsilon,
@@ -227,37 +219,59 @@ def goal_curve(
     return CurveResult(tuple(ts), tuple(float(y) for y in ys), scenario, meta)
 
 
-def _tree_curve(act: Act, ts: np.ndarray, solve: Callable[[Act], np.ndarray]) -> np.ndarray:
-    """Goal curve of a validated model at ``ts``, bottom-up over ``postorder()``.
+def _goal_curves(
+    models: Sequence[Act],
+    times: Sequence[float],
+    epsilon: float,
+    state_cap: int,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, list[dict]]]]:
+    """Goal curves of validated models on one grid, bottom-up over ``postorder()``.
 
     An attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c) and an AND
-    prod(F_c). An AND gate with a countermeasure goes to ``solve`` as its own
-    Act (``Act.subtree``), and nothing below it is visited.
+    prod(F_c). An AND gate with a countermeasure is cut out as its own Act
+    (``Act.subtree``) and solved by ``compose`` and ``transient_probability``
+    at ``epsilon`` divided by the first model's countermeasure count; nothing
+    below it is visited. Equal subtrees are equal Acts, so a chain that
+    several models share is solved once. Returns the checked grid and, per
+    model, its curve and the ``meta`` of each chain it cut, in cut order.
     """
-    order = act.postorder()
-    cut: set[int] = set()
-    below: set[int] = set()
-    for nid in reversed(order):
-        if nid not in below and act.guard(nid) is not None:
-            cut.add(nid)
-        if nid in below or nid in cut:
-            below.update(act.children(nid))
-    curves: dict[int, np.ndarray] = {}
-    for nid in order:
-        if nid in below:
-            continue
-        kind = act.nodes[nid].kind
-        if nid in cut:
-            curves[nid] = solve(act.subtree(nid))
-        elif isinstance(kind, AttackLeaf):
-            curves[nid] = -np.expm1(-_leaf_rate(act, nid) * ts)
-        elif isinstance(kind, OrGate):
-            curves[nid] = 1.0 - np.prod([1.0 - curves.pop(c) for c in kind.children], axis=0)
-        elif isinstance(kind, AndGate):
-            curves[nid] = np.prod([curves.pop(c) for c in kind.children], axis=0)
-    if act.root not in curves:
-        raise DomainError(f"cannot evaluate node kind {type(act.nodes[act.root].kind).__name__}")
-    return curves[act.root]
+    _check_epsilon(epsilon)
+    ts = _check_grid(times)
+    share = epsilon / max(sum(1 for _ in models[0].cm_gates()), 1)
+    solved: dict[Act, CurveResult] = {}
+    results = []
+    for act in models:
+        order = act.postorder()
+        cut: set[int] = set()
+        below: set[int] = set()
+        for nid in reversed(order):
+            if nid not in below and act.guard(nid) is not None:
+                cut.add(nid)
+            if nid in below or nid in cut:
+                below.update(act.children(nid))
+        curves: dict[int, np.ndarray] = {}
+        chains: list[dict] = []
+        for nid in order:
+            if nid in below:
+                continue
+            kind = act.nodes[nid].kind
+            if nid in cut:
+                sub = act.subtree(nid)
+                chain = solved.get(sub)
+                if chain is None:
+                    chain = solved[sub] = transient_probability(compose(sub, Scenario.FULL, state_cap), ts, share)
+                chains.append(chain.meta)
+                curves[nid] = np.asarray(chain.ys)
+            elif isinstance(kind, AttackLeaf):
+                curves[nid] = -np.expm1(-_leaf_rate(act, nid) * ts)
+            elif isinstance(kind, OrGate):
+                curves[nid] = 1.0 - np.prod([1.0 - curves.pop(c) for c in kind.children], axis=0)
+            elif isinstance(kind, AndGate):
+                curves[nid] = np.prod([curves.pop(c) for c in kind.children], axis=0)
+        if act.root not in curves:
+            raise DomainError(f"cannot evaluate node kind {type(act.nodes[act.root].kind).__name__}")
+        results.append((curves[act.root], chains))
+    return ts, results
 
 
 def _sample_exponential(rng, rate: float, size: int) -> np.ndarray:

@@ -34,13 +34,12 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def branch_compose(monkeypatch):
-    """Let the CLI, ranking and the solvers compose only models of at most 7 nodes.
+    """Let the CLI and the solvers compose only models of at most 7 nodes.
 
     That is one ``AND(OR(a, b), CM)`` branch. A larger model fails the test
     before its chain is built. Returns the node counts of the composed models.
     """
     import actkit.cli
-    import actkit.ranking
     import actkit.transient
     from actkit.semantics import compose
 
@@ -51,6 +50,6 @@ def branch_compose(monkeypatch):
         sizes.append(len(act.nodes))
         return compose(act, *args, **kwargs)
 
-    for module in (actkit.cli, actkit.ranking, actkit.transient):
+    for module in (actkit.cli, actkit.transient):
         monkeypatch.setattr(module, "compose", spy)
     return sizes

@@ -219,23 +219,13 @@ def test_dynamic_twelve_guarded_branches(tmp_path, branch_compose):
 
 
 def test_simulate_rejects_solver_flags(mia_path):
-    for flag in (["--epsilon", "1e-6"], ["--state-cap", "10"]):
+    # and dynamic rejects the simulator's flags: each command has one method
+    for command, flag in (("simulate", ["--epsilon", "1e-6"]), ("simulate", ["--state-cap", "10"]),
+                          ("dynamic", ["--runs", "10"]), ("dynamic", ["--seed", "3"]),
+                          ("dynamic", ["--backend", "monte-carlo"])):
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--model", mia_path, *flag])
+            main([command, "--model", mia_path, *flag])
         assert exc.value.code == 2
-
-
-def test_dynamic_monte_carlo_backend(mia_path, tmp_path):
-    out = tmp_path / "mc"
-    assert main(["dynamic", "--model", mia_path, "--backend", "monte-carlo",
-                 "--grid", "0:2:5", "--pleaf", "0.1", "--scenario", "full",
-                 "--runs", "20000", "--seed", "11", "--out", str(out)]) == 0
-    sim = tmp_path / "sim"
-    assert main(["simulate", "--model", mia_path, "--grid", "0:2:5",
-                 "--pleaf", "0.1", "--scenario", "full", "--runs", "20000",
-                 "--seed", "11", "--out", str(sim)]) == 0
-    assert ((out / "dynamic_full_p0.1.dat").read_bytes()
-            == (sim / "dynamic_full_p0.1.dat").read_bytes())
 
 
 def test_rank_output(mia_path, tmp_path, capsys):
@@ -257,6 +247,9 @@ def test_rank_without_cms(tmp_path, capsys):
                     'b = ATTACK(p=0.4); }', encoding="utf-8")
     assert main(["rank", "--model", str(path)]) == 0
     assert "no countermeasures" in capsys.readouterr().out
+    # bad flags fail as they do on a model with countermeasures
+    assert main(["rank", "--model", str(path), "--epsilon", "5"]) == 3
+    assert main(["rank", "--model", str(path), "--t-star", "-1"]) == 3
 
 
 def test_export_ctmc_stdout(mini_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from actkit import load_bundled
+from actkit.errors import DomainError
 from actkit.model import (
     Scenario,
     and_gate,
@@ -18,7 +19,7 @@ from actkit.model import (
 )
 from actkit.ranking import rank_countermeasures
 from actkit.semantics import compose
-from actkit.transient import transient_probability
+from actkit.transient import goal_curve, transient_probability
 
 from oracles import branch_curves, expm_transient, guarded_or, random_act
 
@@ -26,6 +27,8 @@ from oracles import branch_curves, expm_transient, guarded_or, random_act
 def test_no_countermeasures_gives_empty_ranking():
     act = build_act("plain", or_gate("g", attack("a", p=0.3), attack("b", p=0.4)))
     assert rank_countermeasures(act, 2.0) == []
+    with pytest.raises(DomainError):
+        rank_countermeasures(act, -1.0)
 
 
 def test_single_cm_delta_matches_gap():
@@ -117,6 +120,8 @@ def test_ranking_matches_whole_chain_ranking():
         want = {nid: whole(remove_cm_gates(act, {nid})) - with_all for nid in act.cm_gates()}
         assert sorted(e.node for e in effects) == sorted(want)
         for e in effects:
+            # one evaluator: ranking's full model is goal_curve's, bit for bit
+            assert e.pgoal_with == goal_curve(act, Scenario.FULL, [t_star], eps).ys[0]
             assert e.pgoal_with == pytest.approx(with_all, abs=2 * eps)
             assert e.pgoal_without == pytest.approx(want[e.node] + with_all, abs=2 * eps)
         # same order as the whole-chain deltas, up to ties within the tolerance
