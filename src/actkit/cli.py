@@ -2,9 +2,9 @@
 
 Commands mirror the library: ``validate``, ``static-sweep``, ``dynamic``
 (``goal_curve``), ``simulate`` (Monte Carlo), ``rank``, ``export-ctmc`` and
-``fmt``. Each timed command takes only its own method's options:
-``dynamic`` the solver's ``--epsilon`` and ``--state-cap``, ``simulate``
-``--runs`` and ``--seed``. Data files use two
+``fmt``. Each timed command binds its method when the parser is built and
+takes only that method's options: ``dynamic`` the solver's ``--epsilon`` and
+``--state-cap``, ``simulate`` ``--runs`` and ``--seed``. Data files use two
 whitespace-separated columns with ``#`` comment lines, numbers are printed
 with six significant digits, and repeated runs with identical flags produce
 byte-identical outputs.
@@ -129,17 +129,13 @@ def cmd_static_sweep(args) -> int:
     return 0
 
 
-def cmd_dynamic(args) -> int:
+def cmd_timed(args) -> int:
     act = load_act(args.model)
     grid = _parse_grid(args.grid)
     out = _out_dir(args)
     for scenario in _scenarios(args):
         for pleaf in args.pleaf or _DEFAULT_PLEAF:
-            staged = with_attack_probability(act, pleaf)
-            if args.command == "dynamic":
-                curve = goal_curve(staged, scenario, grid, args.epsilon, args.state_cap)
-            else:
-                curve = simulate(staged, scenario, grid, args.runs, args.seed)
+            curve = args.curve(args, with_attack_probability(act, pleaf), scenario, grid)
             curve.meta["pleaf"] = pleaf
             name = f"dynamic_{scenario.value}_p{pleaf:g}.{args.format}"
             if args.format == "json":
@@ -201,6 +197,19 @@ def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> 
                        help=f"defender scenario, repeatable (default: {scenario})")
 
 
+def _add_timed(sub, name: str, helptext: str, curve) -> argparse.ArgumentParser:
+    """Add a timed command that writes ``curve(args, act, scenario, grid)`` per scenario and pleaf."""
+    p = sub.add_parser(name, help=helptext)
+    _add_common(p)
+    p.add_argument("--pleaf", action="append", type=float,
+                   help="attack-leaf probability, repeatable (default 0.05 0.1 0.25)")
+    p.add_argument("--grid", default="0:10:101", help="time grid START:STOP:STEPS in hours (default 0:10:101)")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
+    p.set_defaults(func=cmd_timed, curve=curve)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="actkit",
                                      description="attack countermeasure tree analysis")
@@ -217,22 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
     p.set_defaults(func=cmd_static_sweep)
 
-    for name, helptext in (("dynamic", "timed goal-probability curves"),
-                           ("simulate", "timed curves via Monte Carlo simulation")):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        p.add_argument("--pleaf", action="append", type=float,
-                       help="attack-leaf probability, repeatable (default 0.05 0.1 0.25)")
-        p.add_argument("--grid", default="0:10:101", help="time grid START:STOP:STEPS in hours (default 0:10:101)")
-        if name == "dynamic":
-            p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
-            p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
-        else:
-            p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
-            p.add_argument("--seed", type=int, default=1, help="simulation seed")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
-        p.set_defaults(func=cmd_dynamic)
+    p = _add_timed(sub, "dynamic", "timed goal-probability curves",
+                   lambda args, act, scenario, grid: goal_curve(act, scenario, grid, args.epsilon, args.state_cap))
+    p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+
+    p = _add_timed(sub, "simulate", "timed curves via Monte Carlo simulation",
+                   lambda args, act, scenario, grid: simulate(act, scenario, grid, args.runs, args.seed))
+    p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
+    p.add_argument("--seed", type=int, default=1, help="simulation seed")
 
     p = sub.add_parser("rank", help="rank countermeasures by removal impact")
     _add_common(p, scenario=None)

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import transient
 from .model import Act, remove_cm_gates
-from .semantics import DEFAULT_STATE_CAP
+# ``compose`` is unused here, but bench/tests/test_bench.py checks that the
+# tracer rewraps ``actkit.ranking.compose``; drop it when that test moves.
+from .semantics import DEFAULT_STATE_CAP, compose  # noqa: F401
+from .transient import goal_curves
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ def rank_countermeasures(
     even when the model has no countermeasures.
     """
     cms = sorted(act.cm_gates())
-    _, results = transient._goal_curves(
+    _, results = goal_curves(
         [act, *(remove_cm_gates(act, {nid}) for nid in cms)], [t_star], epsilon, state_cap)
     with_all, *without = (float(ys[0]) for ys, _ in results)
     effects = [CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,

@@ -25,7 +25,7 @@ number of jumps taken and the window width is O(sqrt(Λt)).
 the whole tree's chain. Sibling subtrees share no node, so their completion
 times are independent and their curves combine in closed form; only an AND
 gate guarded by a countermeasure races, and each outermost such gate is
-solved as its own small chain. ``_goal_curves`` holds that evaluation for
+solved as its own small chain. ``goal_curves`` holds that evaluation for
 ``goal_curve`` and for countermeasure ranking: it checks the tolerance and
 the grid, splits ``epsilon`` between the chains and solves each distinct
 chain once across all the models it is given.
@@ -205,7 +205,7 @@ def goal_curve(
     the curve is within the sum of the chains' bounds, at most ``epsilon``.
     A model whose root is guarded is solved as one chain.
     """
-    ts, [(ys, chains)] = _goal_curves([apply_scenario(act, scenario)], times, epsilon, state_cap)
+    ts, [(ys, chains)] = goal_curves([apply_scenario(act, scenario)], times, epsilon, state_cap)
     meta = {
         "method": "compositional",
         "epsilon": epsilon,
@@ -219,7 +219,7 @@ def goal_curve(
     return CurveResult(tuple(ts), tuple(float(y) for y in ys), scenario, meta)
 
 
-def _goal_curves(
+def goal_curves(
     models: Sequence[Act],
     times: Sequence[float],
     epsilon: float,
@@ -234,6 +234,7 @@ def _goal_curves(
     below it is visited. Equal subtrees are equal Acts, so a chain that
     several models share is solved once. Returns the checked grid and, per
     model, its curve and the ``meta`` of each chain it cut, in cut order.
+    Package-internal: ``actkit`` does not export it.
     """
     _check_epsilon(epsilon)
     ts = _check_grid(times)
