@@ -132,20 +132,25 @@ def cmd_static_sweep(args) -> int:
 def cmd_timed(args) -> int:
     act = load_act(args.model)
     grid = _parse_grid(args.grid)
-    out = _out_dir(args)
+    # every curve is computed before the first file is written, so a failing
+    # (scenario, pleaf) pair leaves no partial output behind
+    curves = []
     for scenario in _scenarios(args):
         for pleaf in args.pleaf or _DEFAULT_PLEAF:
             curve = args.curve(args, with_attack_probability(act, pleaf), scenario, grid)
             curve.meta["pleaf"] = pleaf
-            name = f"dynamic_{scenario.value}_p{pleaf:g}.{args.format}"
-            if args.format == "json":
-                text = _curve_json(curve)
-            else:
-                text = _table_text(
-                    f"{act.title} | scenario={scenario.value} | pleaf={pleaf:g} | {curve.meta['method']}",
-                    ("Time", "Pgoal"), curve.xs, curve.ys, args.format,
-                )
-            _write(out / name, text)
+            curves.append((scenario, pleaf, curve))
+    out = _out_dir(args)
+    for scenario, pleaf, curve in curves:
+        name = f"dynamic_{scenario.value}_p{pleaf:g}.{args.format}"
+        if args.format == "json":
+            text = _curve_json(curve)
+        else:
+            text = _table_text(
+                f"{act.title} | scenario={scenario.value} | pleaf={pleaf:g} | {curve.meta['method']}",
+                ("Time", "Pgoal"), curve.xs, curve.ys, args.format,
+            )
+        _write(out / name, text)
     return 0
 
 

@@ -7,20 +7,24 @@ Grammar::
     expr   := 'AND' '(' idlist ')' | 'OR' '(' idlist ')'
             | 'CM' '(' IDENT ',' IDENT ')'
             | 'ATTACK' params | 'DETECT' params | 'MITIGATE' params
-    params := '(' 'p' '=' FLOAT (',' 't' '=' FLOAT | ',' 'lambda' '=' FLOAT)? ')'
+    params := '(' 'p' '=' NUMBER (',' 't' '=' NUMBER | ',' 'lambda' '=' NUMBER)? ')'
     idlist := IDENT (',' IDENT)*
 
-Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; the optional quoted string after
-an identifier is the node's display name (default: the identifier itself) and
-is preserved byte-exactly apart from ``\\"`` and ``\\\\`` escapes. ``#``
-starts a comment running to the end of the line. Definitions may reference
-identifiers defined later in the file.
+Lexical rules: identifiers are ASCII, ``[A-Za-z_][A-Za-z0-9_]*``. A STRING
+is double-quoted, may span lines, and its only escapes are ``\\"`` and
+``\\\\``; any other backslash is kept as written. A NUMBER is a Python float
+with an optional sign and exponent, such as ``-1.5e-3``. ``#`` starts a
+comment running to the end of the line, and spaces, tabs, carriage returns
+and newlines separate tokens. The optional quoted string after an
+identifier is the node's display name (default: the identifier itself).
+Definitions may reference identifiers defined later in the file.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ActParseError, ActValidationError, MissingParameter
 from .model import (
@@ -36,14 +40,31 @@ from .model import (
     validate_act,
 )
 
-_PUNCT = "{}();,="
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_BODY = _IDENT_START | set("0123456789")
 _DEFAULT_HORIZON = 1.0
 
+# one keyword per node kind, shared by the parser and serialize_act
+_KINDS = {"AND": AndGate, "OR": OrGate, "CM": CmGate,
+          "ATTACK": AttackLeaf, "DETECT": DetectLeaf, "MITIGATE": MitigateLeaf}
+_KEYWORDS = {cls: word for word, cls in _KINDS.items()}
+_LEAVES = (AttackLeaf, DetectLeaf, MitigateLeaf)
 
-@dataclass(frozen=True)
-class _Token:
+# One group per token kind. Inside a string a backslash always takes the next
+# character with it, so an escaped quote never closes the string and a string
+# cut off by the end of the text does not match. A sign needs a digit or '.'
+# after it and an exponent needs digits; float() then rejects words like 1.2.3.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
+  | (?P<punct>[{}();,=])
+  | "(?P<string>(?:[^"\\]|\\.)*)"
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>[+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r'\\(["\\])')
+_WHAT = {"ident": "an identifier", "string": "a quoted string", "number": "a number",
+         "eof": "end of input"}
+
+
+class _Token(NamedTuple):
     kind: str  # 'ident', 'string', 'number', 'punct', 'eof'
     value: str
     line: int
@@ -52,84 +73,30 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            advance(1)
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            advance(1)
-            out = []
-            while True:
-                if i >= n:
-                    raise ActParseError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    out.append(text[i + 1])
-                    advance(2)
-                    continue
-                if c == '"':
-                    advance(1)
-                    break
-                out.append(c)
-                advance(1)
-            tokens.append(_Token("string", "".join(out), start_line, start_col))
-            continue
-        if ch in _IDENT_START:
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j] in _IDENT_BODY:
-                j += 1
-            tokens.append(_Token("ident", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isdigit() or ch == "." or (ch in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
-            start_line, start_col = line, col
-            j = i
-            if text[j] in "+-":
-                j += 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            if text[pos] == '"':
+                raise ActParseError("unterminated string", line, col)
+            raise ActParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, word = m.lastgroup, m.group(m.lastgroup)
+        if kind == "number":
             try:
                 float(word)
             except ValueError:
-                raise ActParseError(f"bad number {word!r}", start_line, start_col) from None
-            tokens.append(_Token("number", word, start_line, start_col))
-            advance(j - i)
-            continue
-        raise ActParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+                raise ActParseError(f"bad number {word!r}", line, col) from None
+        elif kind == "string":
+            word = _ESCAPE.sub(r"\1", word)
+        if kind != "skip":
+            tokens.append(_Token(kind, word, line, col))
+        pos = m.end()
+        newlines = text.count("\n", m.start(), pos)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", m.start(), pos) + 1
+    tokens.append(_Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -142,78 +109,55 @@ class _Parser:
     def tok(self) -> _Token:
         return self.tokens[self.pos]
 
-    def _fail(self, expected: str) -> ActParseError:
+    def accept(self, kind: str, value: str | None = None) -> _Token | None:
+        """Consume and return the next token if it has ``kind`` (and ``value``)."""
         tok = self.tok
-        found = "end of input" if tok.kind == "eof" else repr(tok.value)
-        return ActParseError(f"expected {expected}, found {found}", tok.line, tok.column)
-
-    def expect_punct(self, ch: str) -> None:
-        if self.tok.kind != "punct" or self.tok.value != ch:
-            raise self._fail(f"'{ch}'")
-        self.pos += 1
-
-    def expect_keyword(self, word: str) -> None:
-        if self.tok.kind != "ident" or self.tok.value != word:
-            raise self._fail(f"'{word}'")
-        self.pos += 1
-
-    def expect_ident(self) -> _Token:
-        if self.tok.kind != "ident":
-            raise self._fail("an identifier")
-        tok = self.tok
+        if tok.kind != kind or (value is not None and tok.value != value):
+            return None
         self.pos += 1
         return tok
 
-    def expect_string(self) -> str:
-        if self.tok.kind != "string":
-            raise self._fail("a quoted string")
-        value = self.tok.value
-        self.pos += 1
-        return value
-
-    def expect_number(self) -> float:
-        if self.tok.kind != "number":
-            raise self._fail("a number")
-        value = float(self.tok.value)
-        self.pos += 1
-        return value
-
-    def accept_punct(self, ch: str) -> bool:
-        if self.tok.kind == "punct" and self.tok.value == ch:
-            self.pos += 1
-            return True
-        return False
+    def expect(self, kind: str, value: str | None = None) -> _Token:
+        tok = self.accept(kind, value)
+        if tok is None:
+            tok = self.tok
+            expected = _WHAT[kind] if value is None else f"'{value}'"
+            found = "end of input" if tok.kind == "eof" else repr(tok.value)
+            raise ActParseError(f"expected {expected}, found {found}", tok.line, tok.column)
+        return tok
 
 
 def _parse_params(p: _Parser) -> LeafTiming:
-    p.expect_punct("(")
-    p.expect_keyword("p")
-    p.expect_punct("=")
-    prob = p.expect_number()
-    horizon: float | None = None
-    lam: float | None = None
-    if p.accept_punct(","):
-        key = p.expect_ident()
-        if key.value == "t":
-            p.expect_punct("=")
-            horizon = p.expect_number()
-        elif key.value == "lambda":
-            p.expect_punct("=")
-            lam = p.expect_number()
-        else:
+    p.expect("punct", "(")
+    p.expect("ident", "p")
+    p.expect("punct", "=")
+    prob = float(p.expect("number").value)
+    horizon, lam = _DEFAULT_HORIZON, None
+    if p.accept("punct", ","):
+        key = p.expect("ident")
+        if key.value not in ("t", "lambda"):
             raise ActParseError(f"expected 't' or 'lambda', found {key.value!r}", key.line, key.column)
-    p.expect_punct(")")
-    if lam is None and horizon is None:
-        horizon = _DEFAULT_HORIZON
+        p.expect("punct", "=")
+        value = float(p.expect("number").value)
+        if key.value == "t":
+            horizon = value
+        else:
+            horizon, lam = None, value
+    p.expect("punct", ")")
     return LeafTiming(p=prob, t=horizon, lam=lam)
 
 
-def _parse_idlist(p: _Parser) -> list[_Token]:
-    p.expect_punct("(")
-    items = [p.expect_ident()]
-    while p.accept_punct(","):
-        items.append(p.expect_ident())
-    p.expect_punct(")")
+def _parse_children(p: _Parser, cls: type) -> list[_Token]:
+    """``(a, b, ...)`` for AND and OR, exactly ``(detect, mitigate)`` for CM."""
+    p.expect("punct", "(")
+    items = [p.expect("ident")]
+    if cls is CmGate:
+        p.expect("punct", ",")
+        items.append(p.expect("ident"))
+    else:
+        while p.accept("punct", ","):
+            items.append(p.expect("ident"))
+    p.expect("punct", ")")
     return items
 
 
@@ -224,48 +168,33 @@ def parse_act(text: str) -> Act:
     definitions, and ActValidationError when the tree breaks a structural rule.
     """
     p = _Parser(_tokenize(text))
-    p.expect_keyword("act")
-    title = p.expect_string()
-    p.expect_punct("{")
-    p.expect_keyword("root")
-    root_tok = p.expect_ident()
-    p.expect_punct(";")
+    p.expect("ident", "act")
+    title = p.expect("string").value
+    p.expect("punct", "{")
+    p.expect("ident", "root")
+    root_tok = p.expect("ident")
+    p.expect("punct", ";")
 
-    # (ident token, display name, expr tag, payload)
-    defs: list[tuple[_Token, str, str, object]] = []
+    # (ident token, display name, node class, leaf timing or child tokens)
+    defs: list[tuple[_Token, str, type, object]] = []
     by_ident: dict[str, int] = {}
-    while not p.accept_punct("}"):
-        ident = p.expect_ident()
-        name = ident.value
-        if p.tok.kind == "string":
-            name = p.expect_string()
-        p.expect_punct("=")
-        head = p.expect_ident()
-        if head.value in ("AND", "OR"):
-            payload: object = _parse_idlist(p)
-        elif head.value == "CM":
-            p.expect_punct("(")
-            d = p.expect_ident()
-            p.expect_punct(",")
-            m = p.expect_ident()
-            p.expect_punct(")")
-            payload = (d, m)
-        elif head.value in ("ATTACK", "DETECT", "MITIGATE"):
-            payload = _parse_params(p)
-        else:
-            raise ActParseError(
-                f"expected one of AND, OR, CM, ATTACK, DETECT, MITIGATE, found {head.value!r}",
-                head.line,
-                head.column,
-            )
-        p.expect_punct(";")
+    while not p.accept("punct", "}"):
+        ident = p.expect("ident")
+        label = p.accept("string")
+        p.expect("punct", "=")
+        head = p.expect("ident")
+        cls = _KINDS.get(head.value)
+        if cls is None:
+            raise ActParseError(f"expected one of {', '.join(_KINDS)}, found {head.value!r}",
+                                head.line, head.column)
+        payload = _parse_params(p) if cls in _LEAVES else _parse_children(p, cls)
+        p.expect("punct", ";")
         if ident.value in by_ident:
             raise ActParseError(f"duplicate definition of {ident.value!r}", ident.line, ident.column,
                                 code="duplicate-definition")
         by_ident[ident.value] = len(defs)
-        defs.append((ident, name, head.value, payload))
-    if p.tok.kind != "eof":
-        raise p._fail("end of input")
+        defs.append((ident, label.value if label else ident.value, cls, payload))
+    p.expect("eof")
     if not defs:
         raise ActParseError("a model needs at least one definition", root_tok.line, root_tok.column)
 
@@ -276,19 +205,13 @@ def parse_act(text: str) -> Act:
         return by_ident[tok.value]
 
     nodes: list[Node] = []
-    for ident, name, tag, payload in defs:
-        if tag == "AND":
-            kind: object = AndGate(tuple(resolve(t) for t in payload))
-        elif tag == "OR":
-            kind = OrGate(tuple(resolve(t) for t in payload))
-        elif tag == "CM":
-            kind = CmGate(resolve(payload[0]), resolve(payload[1]))
-        elif tag == "ATTACK":
-            kind = AttackLeaf(payload)
-        elif tag == "DETECT":
-            kind = DetectLeaf(payload)
+    for ident, name, cls, payload in defs:
+        if cls in _LEAVES:
+            kind = cls(payload)
+        elif cls is CmGate:
+            kind = CmGate(*map(resolve, payload))
         else:
-            kind = MitigateLeaf(payload)
+            kind = cls(tuple(map(resolve, payload)))
         nodes.append(Node(ident.value, name, kind))
 
     act = Act(title, resolve(root_tok), tuple(nodes))
@@ -302,37 +225,27 @@ def _escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def serialize_act(act: Act) -> str:
     """Render an Act back to canonical model text (inverse of parse_act)."""
     lines = [f'act "{_escape(act.title)}" {{']
     lines.append(f"  root {act.nodes[act.root].ident};")
-    for node in act.nodes:
+    for nid, node in enumerate(act.nodes):
         kind = node.kind
-        if isinstance(kind, AndGate):
-            expr = f"AND({', '.join(act.nodes[c].ident for c in kind.children)})"
-        elif isinstance(kind, OrGate):
-            expr = f"OR({', '.join(act.nodes[c].ident for c in kind.children)})"
-        elif isinstance(kind, CmGate):
-            expr = f"CM({act.nodes[kind.detect].ident}, {act.nodes[kind.mitigate].ident})"
-        else:
-            word = {AttackLeaf: "ATTACK", DetectLeaf: "DETECT", MitigateLeaf: "MITIGATE"}[type(kind)]
+        if isinstance(kind, _LEAVES):
             tm = kind.timing
             if tm.p is None:
                 raise MissingParameter(
                     f"leaf '{node.name}' has no probability; rate-only leaves cannot be written as text"
                 )
-            parts = [f"p={_fmt_float(tm.p)}"]
+            args = [f"p={float(tm.p)!r}"]
             if tm.lam is not None:
-                parts.append(f"lambda={_fmt_float(tm.lam)}")
+                args.append(f"lambda={float(tm.lam)!r}")
             elif tm.t is not None:
-                parts.append(f"t={_fmt_float(tm.t)}")
-            expr = f"{word}({', '.join(parts)})"
+                args.append(f"t={float(tm.t)!r}")
+        else:
+            args = [act.nodes[c].ident for c in act.children(nid)]
         label = "" if node.name == node.ident else f' "{_escape(node.name)}"'
-        lines.append(f"  {node.ident}{label} = {expr};")
+        lines.append(f"  {node.ident}{label} = {_KEYWORDS[type(kind)]}({', '.join(args)});")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

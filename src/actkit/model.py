@@ -363,18 +363,21 @@ class _Spec:
     children: tuple["_Spec", ...] = ()
 
 
+def _leaf(tag: str, name: str, p: float | None, t: float | None, lam: float | None) -> _Spec:
+    # as in the text format, a leaf has a horizon or a rate, never both
+    return _Spec(tag, name, LeafTiming(p=p, t=None if lam is not None else t, lam=lam))
+
+
 def attack(name: str, p: float | None = None, t: float | None = 1.0, lam: float | None = None) -> _Spec:
-    if lam is not None and p is None:
-        t = None
-    return _Spec("attack", name, LeafTiming(p=p, t=t, lam=lam))
+    return _leaf("attack", name, p, t, lam)
 
 
 def detect(name: str, p: float, t: float = 1.0, lam: float | None = None) -> _Spec:
-    return _Spec("detect", name, LeafTiming(p=p, t=t, lam=lam))
+    return _leaf("detect", name, p, t, lam)
 
 
 def mitigate(name: str, p: float, t: float = 1.0, lam: float | None = None) -> _Spec:
-    return _Spec("mitigate", name, LeafTiming(p=p, t=t, lam=lam))
+    return _leaf("mitigate", name, p, t, lam)
 
 
 def and_gate(name: str, *children: _Spec) -> _Spec:

@@ -283,26 +283,15 @@ def _collapse(init, edges, labels, goal_idx, title, scenario) -> Ctmc:
             title=title, scenario=scenario,
         )
 
-    # breadth-first renumbering of surviving states keeps output deterministic
-    new_index: dict[int, int] = {init: 0}
-    order = [init]
-    cursor = 0
+    # keep _explore's breadth-first order: a state that reaches the goal is
+    # first reached from one that does, so the numbering stays deterministic
+    order = [u for u in range(m) if co_reach[u]]
+    new_index = {u: i for i, u in enumerate(order)}
+    blocked_new = len(order)
     needs_blocked = False
-    while cursor < len(order):
-        u = order[cursor]
-        cursor += 1
-        for v in edges[u]:
-            if co_reach[v]:
-                if v not in new_index:
-                    new_index[v] = len(order)
-                    order.append(v)
-            else:
-                needs_blocked = True
-    blocked_new = len(order) if needs_blocked else None
 
     rows, cols, data = [], [], []
-    for u in order:
-        nu = new_index[u]
+    for nu, u in enumerate(order):
         merged = 0.0
         for v, rate in sorted(edges[u].items()):
             if co_reach[v]:
@@ -310,6 +299,7 @@ def _collapse(init, edges, labels, goal_idx, title, scenario) -> Ctmc:
                 cols.append(new_index[v])
                 data.append(rate)
             else:
+                needs_blocked = True
                 merged += rate
         if merged > 0.0:
             rows.append(nu)
@@ -318,7 +308,7 @@ def _collapse(init, edges, labels, goal_idx, title, scenario) -> Ctmc:
 
     out_labels = [labels[u] for u in order] + (["blocked"] if needs_blocked else [])
     n = len(out_labels)
-    goal = frozenset({new_index[goal_idx]}) if goal_idx is not None and co_reach[goal_idx] and goal_idx in new_index else frozenset()
+    goal = frozenset({new_index[goal_idx]})
     blocked = frozenset({blocked_new}) if needs_blocked else frozenset()
     rates = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     return Ctmc(n=n, init=0, rates=rates, goal=goal, blocked=blocked,

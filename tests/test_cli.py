@@ -76,6 +76,15 @@ def test_numeric_limit_exit_code(tmp_path, capsys):
     assert main(["export-ctmc", "--model", str(leaf)]) == 3
 
 
+def test_timed_failure_writes_no_curve(mia_path, tmp_path):
+    # the second pleaf fails after the first curve is computed
+    for argv in (["dynamic", "--pleaf", "0.1", "--pleaf", "1.5"],
+                 ["simulate", "--runs", "100", "--pleaf", "0.1", "--pleaf", "1.0"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--model", mia_path, "--out", str(out)]) == 3
+        assert not list(out.glob("dynamic_*"))
+
+
 def test_state_cap_exit_code(mia_path, tmp_path):
     assert main(["export-ctmc", "--model", mia_path, "--state-cap", "3",
                  "--out", str(tmp_path)]) == 3

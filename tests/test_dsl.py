@@ -1,18 +1,29 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actkit.dsl import load_act, parse_act, serialize_act
 from actkit.errors import ActParseError, ActValidationError, MissingParameter
 from actkit.model import (
     AndGate,
     AttackLeaf,
+    DetectLeaf,
     LeafTiming,
+    MitigateLeaf,
     Node,
     Act,
+    and_gate,
     attack,
     build_act,
+    cm_gate,
+    detect,
+    mitigate,
     or_gate,
     validate_act,
 )
+
+from oracles import random_act
 
 MINIMAL = """
 act "Demo" {
@@ -100,16 +111,31 @@ def test_undefined_root():
 
 
 def test_syntax_error_position():
-    with pytest.raises(ActParseError) as err:
-        parse_act('act "S" {\n  root g\n  g = ATTACK(p=0.1);\n}')
-    assert err.value.code == "syntax"
-    assert err.value.line == 3  # the missing ';' is noticed at the next token
-    assert "expected" in err.value.message
+    cases = [
+        # the missing ';' is noticed at the next token
+        ('act "S" {\n  root g\n  g = ATTACK(p=0.1);\n}', 3, 3, "expected ';', found 'g'"),
+        ('act "two\nline\ntitle" {\n  root g\n  g = ATTACK(p=0.1);\n}', 5, 3, "expected ';', found 'g'"),
+        ('act "a\nb" x', 2, 4, "expected '{', found 'x'"),
+        ('act "N" { root a; a = ATTACK(p=1.2.3); }', 1, 32, "bad number '1.2.3'"),
+    ]
+    for text, line, column, message in cases:
+        with pytest.raises(ActParseError) as err:
+            parse_act(text)
+        assert err.value.code == "syntax"
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
 
 def test_unterminated_string():
-    with pytest.raises(ActParseError):
-        parse_act('act "oops { root a; a = ATTACK(p=0.1); }')
+    cases = [
+        ('act "oops { root a; a = ATTACK(p=0.1); }', 1, 5),
+        # an escaped quote does not close the string
+        ('act "T" {\n  root a;\n  a "name\\" = ATTACK(p=0.1); }', 3, 5),
+        ('act "T" { root a; # "\n  a = ATTACK(p=0.1); } "', 2, 24),
+    ]
+    for text, line, column in cases:
+        with pytest.raises(ActParseError) as err:
+            parse_act(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, "unterminated string")
 
 
 def test_bad_probability_is_validation_not_parse():
@@ -143,6 +169,37 @@ def test_round_trip_preserves_odd_names():
     assert again.title == act.title
     assert [n.name for n in again.nodes] == [n.name for n in act.nodes]
     assert serialize_act(again) == serialize_act(act)
+
+
+# titles and display names with quotes, backslashes, comments, line breaks
+# and non-ASCII text, which the printer must escape and the lexer undo
+_ODD_TEXT = st.text(alphabet='"\\#\n\r\t ;{}=(),aZ_09.-é中\U0001F600', max_size=12) | st.text(max_size=12)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), _ODD_TEXT, st.data())
+def test_parse_inverts_serialize(seed, title, data):
+    act = random_act(random.Random(seed), max_leaves=8)
+    nodes = []
+    for node in act.nodes:
+        kind = node.kind
+        if isinstance(kind, (AttackLeaf, DetectLeaf, MitigateLeaf)) and data.draw(st.booleans()):
+            lam = data.draw(st.floats(0.0, 1e6))
+            kind = type(kind)(LeafTiming(p=kind.timing.p, lam=lam))
+        nodes.append(Node(node.ident, data.draw(_ODD_TEXT | st.just(node.ident)), kind))
+    act = Act(title, act.root, tuple(nodes))
+    assert parse_act(serialize_act(act)) == act
+
+
+def test_builder_rate_leaves_round_trip():
+    # a leaf built with both p and lam carries no horizon, as in the text
+    act = build_act("L", and_gate(
+        "g",
+        or_gate("o", attack("x", p=0.5, lam=2.0), attack("y", p=0.1)),
+        cm_gate("cm", detect("d", p=0.5, lam=0.5), mitigate("m", p=0.5, t=2.0, lam=0.25)),
+    ))
+    assert all(n.kind.timing.t is None for n in act.nodes if n.ident in ("x", "d", "m"))
+    assert parse_act(serialize_act(act)) == act
 
 
 def test_serialize_name_only_when_distinct():
