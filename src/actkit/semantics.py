@@ -13,6 +13,14 @@ tests keep that product as an independent second construction to compare
 against. Successful states collapse into a single absorbing goal state and
 states from which the goal is unreachable into a single absorbing blocked
 state.
+
+Exploration evaluates the tree once per reachable state. Each successor
+changes one node, so only the path from that node towards the root is
+re-evaluated, up to the first ancestor whose value stays pending; the
+events below the highest changed node are the ones that stop mattering,
+and they are closed. Building the chain therefore costs about one tree
+walk per state plus one short path per transition, not one tree walk per
+transition.
 """
 
 from __future__ import annotations
@@ -27,8 +35,6 @@ from .model import (
     AndGate,
     AttackLeaf,
     CmGate,
-    DetectLeaf,
-    MitigateLeaf,
     OrGate,
     Scenario,
     apply_scenario,
@@ -105,8 +111,9 @@ def compose(
 ) -> Ctmc:
     """Build the absorbing chain for a model under a defender scenario.
 
-    Raises StateSpaceLimit when more than ``state_cap`` states are reachable
-    and RateUndefined when a required leaf has probability 1.
+    ``act`` must be a model that ``validate_act`` accepts. Raises
+    StateSpaceLimit when more than ``state_cap`` states are reachable and
+    RateUndefined when a required leaf has probability 1.
     """
     resolved = apply_scenario(act, scenario)
     leaf_rates, cm_rates = collect_rates(resolved)
@@ -121,107 +128,171 @@ _BLOCKED = "blocked"
 class _DirectBuilder:
     """Reachability over (leaf status, countermeasure phase) vectors.
 
-    After every transition the state is normalised: decided races are
-    recorded in the countermeasure phase, pending events that can no longer
-    influence the root are closed, and fully decided roots map to the goal or
-    blocked sentinels.
+    Every state is normalised: decided races are recorded in the
+    countermeasure phase, pending events that can no longer influence the
+    root are closed, and fully decided roots map to the goal or blocked
+    sentinels. So in every state each PENDING leaf, and the owner of each
+    detecting or mitigating countermeasure, has only P ancestors. The
+    initial state is all pending because ``validate_act`` gives every gate an
+    attack-side child, so nothing is decided before the first event.
+
+    ``transitions`` evaluates the tree once per state, over a flat
+    post-order table of the gates. Each successor turns one P node decided:
+    a leaf turns S, or a countermeasure's owner turns D when the
+    countermeasure wins. The new value climbs to the parent when the parent
+    is an OR and the value is S, an AND and the value is D, or every other
+    attack-side child already holds it; the climb stops at the first parent
+    that stays P. Climbs are memoised per state and value, so successors
+    that share a path walk it once. Let ``top`` be the highest node that
+    changed. A node matters while it and all its ancestors are P, and no
+    node outside ``top``'s subtree changed, so exactly the nodes under
+    ``top`` stop mattering. By the invariant every PENDING leaf and active
+    countermeasure there mattered until now, so closing and cancelling all
+    of them does what a whole-tree relevance pass would.
     """
 
     def __init__(self, act: Act, leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
-        self.act = act
+        self.root = act.root
         self.leaves = sorted(leaf_rates)
-        self.leaf_idx = {nid: i for i, nid in enumerate(self.leaves)}
         self.leaf_rate = [leaf_rates[nid] for nid in self.leaves]
         self.cms = sorted(cm_rates)
-        self.cm_idx = {nid: i for i, nid in enumerate(self.cms)}
         self.cm_rate = [cm_rates[nid] for nid in self.cms]
-        self.guards = [act.guard(nid) for nid in range(len(act.nodes))]
-        # cm node id -> enclosing AND node id
-        self.cm_owner = {cm: nid for nid, cm in enumerate(self.guards) if cm is not None}
-        self.order = act.postorder()
-
-    def _values(self, leafstat, cmstat) -> list[int]:
-        act = self.act
-        vals = [_P] * len(act.nodes)
-        for nid in self.order:
+        leaf_idx = {nid: i for i, nid in enumerate(self.leaves)}
+        cm_idx = {nid: i for i, nid in enumerate(self.cms)}
+        n = len(act.nodes)
+        self.n = n
+        # per node: attack-side parent (-1 at the root), attack-side arity and,
+        # for gates, the value that needs every attack-side child (OR: D, AND: S)
+        self.parent = [-1] * n
+        self.arity = [0] * n
+        self.unanimous = [_P] * n
+        self.owner = [0] * len(self.cms)  # cm index -> owning AND gate
+        # gates in post-order: (node, value any child forces, unanimous value,
+        # attack-side children, guard's cm index or -1)
+        self.gates: list[tuple[int, int, int, tuple[int, ...], int]] = []
+        # leaf and cm indices in post-order, so every subtree's are one run;
+        # span[node] = (leaf run start, end, cm run start, end)
+        self.leaf_post: list[int] = []
+        self.cm_post: list[int] = []
+        self.span = [(0, 0, 0, 0)] * n
+        for nid in act.postorder():
             kind = act.nodes[nid].kind
+            children = act.children(nid)
+            leaf_lo = min((self.span[c][0] for c in children), default=len(self.leaf_post))
+            cm_lo = min((self.span[c][2] for c in children), default=len(self.cm_post))
             if isinstance(kind, AttackLeaf):
-                vals[nid] = _S if leafstat[self.leaf_idx[nid]] == _DONE else _P
-            elif isinstance(kind, (DetectLeaf, MitigateLeaf, CmGate)):
+                self.leaf_post.append(leaf_idx[nid])
+            elif isinstance(kind, CmGate):
+                self.cm_post.append(cm_idx[nid])
+            elif isinstance(kind, (AndGate, OrGate)):
+                guard = act.guard(nid)
+                kids = tuple(c for c in children if c != guard)
+                for c in kids:
+                    self.parent[c] = nid
+                if guard is not None:
+                    self.owner[cm_idx[guard]] = nid
+                forced, unanimous = (_S, _D) if isinstance(kind, OrGate) else (_D, _S)
+                self.arity[nid] = len(kids)
+                self.unanimous[nid] = unanimous
+                self.gates.append((nid, forced, unanimous, kids, -1 if guard is None else cm_idx[guard]))
+            self.span[nid] = (leaf_lo, len(self.leaf_post), cm_lo, len(self.cm_post))
+
+    def _evaluate(self, leafstat, cmstat) -> list[int]:
+        """Per gate, how many attack-side children hold its unanimous value."""
+        vals = [_P] * self.n
+        for nid, status in zip(self.leaves, leafstat):
+            if status == _DONE:
+                vals[nid] = _S
+        agree = [0] * self.n
+        for nid, forced, unanimous, kids, guard in self.gates:
+            if guard >= 0 and cmstat[guard] == _CM_WON:
+                vals[nid] = _D
                 continue
-            elif isinstance(kind, AndGate):
-                cm = self.guards[nid]
-                if cm is not None and cmstat[self.cm_idx[cm]] == _CM_WON:
-                    vals[nid] = _D
-                    continue
-                attack_side = [vals[c] for c in kind.children if c != cm]
-                if any(v == _D for v in attack_side):
-                    vals[nid] = _D
-                elif all(v == _S for v in attack_side):
-                    vals[nid] = _S
-            elif isinstance(kind, OrGate):
-                child_vals = [vals[c] for c in kind.children]
-                if any(v == _S for v in child_vals):
-                    vals[nid] = _S
-                elif all(v == _D for v in child_vals):
-                    vals[nid] = _D
-        return vals
+            child_vals = [vals[c] for c in kids]
+            if forced in child_vals:
+                vals[nid] = forced
+                continue
+            agree[nid] = child_vals.count(unanimous)
+            if agree[nid] == len(kids):
+                vals[nid] = unanimous
+        return agree
 
-    def normalize(self, leafstat: list[int], cmstat: list[int]):
-        vals = self._values(leafstat, cmstat)
-        if vals[self.act.root] == _S:
-            return _GOAL
-        if vals[self.act.root] == _D:
-            return _BLOCKED
+    def _top(self, nid: int, value: int, agree: list[int], climbs: dict[int, int]) -> int:
+        """Highest node that turns ``value`` when the P node ``nid`` does.
 
-        # nodes still able to change the root's outcome
-        relevant = [False] * len(self.act.nodes)
-        stack = [self.act.root]
-        while stack:
-            nid = stack.pop()
-            relevant[nid] = True
-            kind = self.act.nodes[nid].kind
-            if isinstance(kind, (AndGate, OrGate)):
-                cm = self.guards[nid]
-                for c in kind.children:
-                    if c != cm and vals[c] == _P:
-                        stack.append(c)
+        ``climbs`` memoises the answer per starting node for this state and
+        ``value``.
+        """
+        path = []
+        while nid not in climbs:
+            path.append(nid)
+            up = self.parent[nid]
+            if up < 0 or (value == self.unanimous[up] and agree[up] + 1 < self.arity[up]):
+                top = nid
+                break
+            nid = up
+        else:
+            top = climbs[nid]
+        for node in path:
+            climbs[node] = top
+        return top
 
-        for i, nid in enumerate(self.leaves):
-            if leafstat[i] == _PENDING and not relevant[nid]:
+    def _closed(self, top: int, leafstat, cmstat) -> tuple[list[int], list[int]]:
+        """Copies of the vectors with ``top``'s subtree closed and cancelled."""
+        leafstat, cmstat = list(leafstat), list(cmstat)
+        leaf_lo, leaf_hi, cm_lo, cm_hi = self.span[top]
+        for i in self.leaf_post[leaf_lo:leaf_hi]:
+            if leafstat[i] == _PENDING:
                 leafstat[i] = _CLOSED
-        for i, nid in enumerate(self.cms):
-            if cmstat[i] in (_CM_DETECT, _CM_MITIGATE) and not relevant[self.cm_owner[nid]]:
+        for i in self.cm_post[cm_lo:cm_hi]:
+            if cmstat[i] in (_CM_DETECT, _CM_MITIGATE):
                 cmstat[i] = _CM_CANCELLED
-        return (tuple(leafstat), tuple(cmstat))
+        return leafstat, cmstat
 
     def initial(self):
-        return self.normalize([_PENDING] * len(self.leaves), [_CM_DETECT] * len(self.cms))
+        return (_PENDING,) * len(self.leaves), (_CM_DETECT,) * len(self.cms)
 
     def transitions(self, state):
         leafstat, cmstat = state
+        agree = self._evaluate(leafstat, cmstat)
+        climbs: dict[int, dict[int, int]] = {_S: {}, _D: {}}
         out: dict[object, float] = {}
         for i, rate in enumerate(self.leaf_rate):
             if leafstat[i] == _PENDING and rate > 0.0:
-                succ = self.normalize(list(leafstat[:i]) + [_DONE] + list(leafstat[i + 1:]), list(cmstat))
+                top = self._top(self.leaves[i], _S, agree, climbs[_S])
+                if top == self.root:
+                    succ = _GOAL
+                else:
+                    ls, cs = self._closed(top, leafstat, cmstat)
+                    ls[i] = _DONE
+                    succ = (tuple(ls), tuple(cs))
                 out[succ] = out.get(succ, 0.0) + rate
         for i, rates in enumerate(self.cm_rate):
             phase = cmstat[i]
             if phase == _CM_DETECT and rates.detect > 0.0:
-                nxt = _CM_WON if rates.mitigate is None else _CM_MITIGATE
+                rate, nxt = rates.detect, (_CM_WON if rates.mitigate is None else _CM_MITIGATE)
             elif phase == _CM_MITIGATE and rates.mitigate is not None and rates.mitigate > 0.0:
-                nxt = _CM_WON
+                rate, nxt = rates.mitigate, _CM_WON
             else:
                 continue
-            succ = self.normalize(list(leafstat), list(cmstat[:i]) + [nxt] + list(cmstat[i + 1:]))
-            out[succ] = out.get(succ, 0.0) + (rates.detect if phase == _CM_DETECT else rates.mitigate)
+            if nxt == _CM_MITIGATE:  # detection alone decides nothing
+                succ = (leafstat, cmstat[:i] + (nxt,) + cmstat[i + 1:])
+            else:
+                top = self._top(self.owner[i], _D, agree, climbs[_D])
+                if top == self.root:
+                    succ = _BLOCKED
+                else:
+                    ls, cs = self._closed(top, leafstat, cmstat)
+                    cs[i] = nxt
+                    succ = (tuple(ls), tuple(cs))
+            out[succ] = out.get(succ, 0.0) + rate
         return out
 
     def label(self, state) -> str:
         leafstat, cmstat = state
-        text = "leaves=" + "".join(str(s) for s in leafstat)
+        text = "leaves=" + "".join(map(str, leafstat))
         if cmstat:
-            text += " cms=" + "".join(str(s) for s in cmstat)
+            text += " cms=" + "".join(map(str, cmstat))
         return text
 
 

@@ -1,8 +1,12 @@
-"""The paper's product of per-node interactive Markov automata (IMCs).
+"""Two independent constructions of the absorbing chain, kept as oracles.
 
-The library builds the same chain directly over completion statuses; this
-independent second construction is the oracle acceptance criterion 8 holds it
-to. It shares only rate collection, exploration and collapse with the library.
+The paper's product of per-node interactive Markov automata (IMCs) is the
+oracle acceptance criterion 8 holds the library's direct chain to. The
+whole-tree builder is the direct construction before it became incremental:
+it re-evaluates every node and re-runs a relevance pass for every successor,
+and the library must export byte-identical chains. Both share only rate
+collection, exploration and collapse with the library; the whole-tree
+builder also reads its status codes.
 """
 
 from __future__ import annotations
@@ -10,9 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from actkit.errors import ActError
-from actkit.model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, apply_scenario
+from actkit.model import (
+    Act, AndGate, AttackLeaf, CmGate, DetectLeaf, MitigateLeaf, OrGate, Scenario, apply_scenario,
+)
 from actkit.semantics import (
-    _GOAL, DEFAULT_STATE_CAP, Ctmc, _CmRates, _collapse, _explore, collect_rates,
+    _BLOCKED, _CLOSED, _CM_CANCELLED, _CM_DETECT, _CM_MITIGATE, _CM_WON, _D, _DONE, _GOAL, _P,
+    _PENDING, _S, DEFAULT_STATE_CAP, Ctmc, _CmRates, _collapse, _explore, collect_rates,
 )
 
 
@@ -21,6 +28,15 @@ def compose_product(act: Act, scenario: Scenario = Scenario.FULL, state_cap: int
     resolved = apply_scenario(act, scenario)
     leaf_rates, cm_rates = collect_rates(resolved)
     raw = _explore(_ProductBuilder(resolved, leaf_rates, cm_rates), state_cap)
+    return _collapse(*raw, title=act.title, scenario=scenario)
+
+
+def compose_whole_tree(act: Act, scenario: Scenario = Scenario.FULL,
+                       state_cap: int = DEFAULT_STATE_CAP) -> Ctmc:
+    """The absorbing chain of ``act`` with the whole tree re-evaluated per successor."""
+    resolved = apply_scenario(act, scenario)
+    leaf_rates, cm_rates = collect_rates(resolved)
+    raw = _explore(_WholeTreeBuilder(resolved, leaf_rates, cm_rates), state_cap)
     return _collapse(*raw, title=act.title, scenario=scenario)
 
 
@@ -257,3 +273,112 @@ class _ProductBuilder:
 
     def label(self, state) -> str:
         return "imc=" + ",".join(str(s) for s in state)
+
+
+# -- whole-tree direct construction ---------------------------------------------
+
+class _WholeTreeBuilder:
+    """Reachability over (leaf status, countermeasure phase) vectors.
+
+    After every transition the state is normalised: decided races are
+    recorded in the countermeasure phase, pending events that can no longer
+    influence the root are closed, and fully decided roots map to the goal or
+    blocked sentinels.
+    """
+
+    def __init__(self, act: Act, leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
+        self.act = act
+        self.leaves = sorted(leaf_rates)
+        self.leaf_idx = {nid: i for i, nid in enumerate(self.leaves)}
+        self.leaf_rate = [leaf_rates[nid] for nid in self.leaves]
+        self.cms = sorted(cm_rates)
+        self.cm_idx = {nid: i for i, nid in enumerate(self.cms)}
+        self.cm_rate = [cm_rates[nid] for nid in self.cms]
+        self.guards = [act.guard(nid) for nid in range(len(act.nodes))]
+        # cm node id -> enclosing AND node id
+        self.cm_owner = {cm: nid for nid, cm in enumerate(self.guards) if cm is not None}
+        self.order = act.postorder()
+
+    def _values(self, leafstat, cmstat) -> list[int]:
+        act = self.act
+        vals = [_P] * len(act.nodes)
+        for nid in self.order:
+            kind = act.nodes[nid].kind
+            if isinstance(kind, AttackLeaf):
+                vals[nid] = _S if leafstat[self.leaf_idx[nid]] == _DONE else _P
+            elif isinstance(kind, (DetectLeaf, MitigateLeaf, CmGate)):
+                continue
+            elif isinstance(kind, AndGate):
+                cm = self.guards[nid]
+                if cm is not None and cmstat[self.cm_idx[cm]] == _CM_WON:
+                    vals[nid] = _D
+                    continue
+                attack_side = [vals[c] for c in kind.children if c != cm]
+                if any(v == _D for v in attack_side):
+                    vals[nid] = _D
+                elif all(v == _S for v in attack_side):
+                    vals[nid] = _S
+            elif isinstance(kind, OrGate):
+                child_vals = [vals[c] for c in kind.children]
+                if any(v == _S for v in child_vals):
+                    vals[nid] = _S
+                elif all(v == _D for v in child_vals):
+                    vals[nid] = _D
+        return vals
+
+    def normalize(self, leafstat: list[int], cmstat: list[int]):
+        vals = self._values(leafstat, cmstat)
+        if vals[self.act.root] == _S:
+            return _GOAL
+        if vals[self.act.root] == _D:
+            return _BLOCKED
+
+        # nodes still able to change the root's outcome
+        relevant = [False] * len(self.act.nodes)
+        stack = [self.act.root]
+        while stack:
+            nid = stack.pop()
+            relevant[nid] = True
+            kind = self.act.nodes[nid].kind
+            if isinstance(kind, (AndGate, OrGate)):
+                cm = self.guards[nid]
+                for c in kind.children:
+                    if c != cm and vals[c] == _P:
+                        stack.append(c)
+
+        for i, nid in enumerate(self.leaves):
+            if leafstat[i] == _PENDING and not relevant[nid]:
+                leafstat[i] = _CLOSED
+        for i, nid in enumerate(self.cms):
+            if cmstat[i] in (_CM_DETECT, _CM_MITIGATE) and not relevant[self.cm_owner[nid]]:
+                cmstat[i] = _CM_CANCELLED
+        return (tuple(leafstat), tuple(cmstat))
+
+    def initial(self):
+        return self.normalize([_PENDING] * len(self.leaves), [_CM_DETECT] * len(self.cms))
+
+    def transitions(self, state):
+        leafstat, cmstat = state
+        out: dict[object, float] = {}
+        for i, rate in enumerate(self.leaf_rate):
+            if leafstat[i] == _PENDING and rate > 0.0:
+                succ = self.normalize(list(leafstat[:i]) + [_DONE] + list(leafstat[i + 1:]), list(cmstat))
+                out[succ] = out.get(succ, 0.0) + rate
+        for i, rates in enumerate(self.cm_rate):
+            phase = cmstat[i]
+            if phase == _CM_DETECT and rates.detect > 0.0:
+                nxt = _CM_WON if rates.mitigate is None else _CM_MITIGATE
+            elif phase == _CM_MITIGATE and rates.mitigate is not None and rates.mitigate > 0.0:
+                nxt = _CM_WON
+            else:
+                continue
+            succ = self.normalize(list(leafstat), list(cmstat[:i]) + [nxt] + list(cmstat[i + 1:]))
+            out[succ] = out.get(succ, 0.0) + (rates.detect if phase == _CM_DETECT else rates.mitigate)
+        return out
+
+    def label(self, state) -> str:
+        leafstat, cmstat = state
+        text = "leaves=" + "".join(str(s) for s in leafstat)
+        if cmstat:
+            text += " cms=" + "".join(str(s) for s in cmstat)
+        return text

@@ -190,6 +190,22 @@ def or_chain_text(depth: int, lam: float) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def or_wide_text(width: int, lam: float) -> str:
+    """One OR gate over ``width`` leaves; its root time is Exp(width * lam)."""
+    lines = ['act "wide" {', "  root top;", "  top = OR(" + ", ".join(f"a{i}" for i in range(width)) + ");"]
+    lines += [f"  a{i} = ATTACK(p=0.5, lambda={lam!r});" for i in range(width)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def and_of_ors(k: int) -> Act:
+    """AND of ``k`` two-leaf ORs under one countermeasure; its chain grows exponentially in k."""
+    return build_act(f"and-or k={k}", and_gate(
+        "top",
+        *(or_gate(f"o{i}", attack(f"a{i}", p=0.3 + 0.05 * i), attack(f"b{i}", p=0.4)) for i in range(k)),
+        cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.7)),
+    ))
+
+
 def guarded_branch(i: int):
     """Spec of ``AND(OR(a, b), CM)`` whose leaf parameters vary with ``i``."""
     return and_gate(

@@ -10,7 +10,7 @@ from actkit.dsl import serialize_act
 from actkit.model import Scenario, with_attack_probability
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
 
-from oracles import branch_curves, guarded_or, or_chain_text
+from oracles import branch_curves, guarded_or, or_chain_text, or_wide_text
 
 MINIMAL = (
     'act "Mini" {\n'
@@ -267,6 +267,19 @@ def test_export_ctmc_stdout(mini_path, capsys):
     ctmc = parse_ctmc_text(captured.out)
     assert ctmc.n == 4
     assert "reachable states" in captured.err
+
+
+def test_export_ctmc_deep_and_wide_or(tmp_path, capsys):
+    # both collapse to one state racing the goal at the summed leaf rate
+    for n, text in ((5000, or_chain_text(5000, 1e-3)), (10_000, or_wide_text(10_000, 1e-3))):
+        path = tmp_path / "big.act"
+        path.write_text(text, encoding="utf-8")
+        assert main(["export-ctmc", "--model", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["#states 2", "#init 0", "#goal 1"]
+        src, dst, rate = lines[-1].split()
+        assert (src, dst) == ("0", "1")
+        assert float(rate) == pytest.approx(n * 1e-3, rel=1e-12)
 
 
 def test_export_ctmc_file(mia_path, tmp_path):

@@ -1,12 +1,17 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actkit import load_bundled
 from actkit.errors import RateUndefined, StateSpaceLimit
 from actkit.model import (
+    AttackLeaf,
+    DetectLeaf,
+    MitigateLeaf,
     Scenario,
     and_gate,
     attack,
@@ -17,11 +22,13 @@ from actkit.model import (
     or_gate,
     remove_cm_gates,
 )
-from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text
+from actkit.semantics import (
+    DEFAULT_STATE_CAP, _DirectBuilder, _explore, collect_rates, compose, export_ctmc_text, parse_ctmc_text,
+)
 from actkit.transient import transient_probability
 
-from imc_product import bas_imc, cm_imc, compose_product, gate_imc
-from oracles import expm_transient, race_probability, random_act, reverse_children
+from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
+from oracles import and_of_ors, expm_transient, race_probability, random_act, reverse_children
 
 
 def race_act(p_a=0.6321205588285577, p_d=0.6321205588285577, p_m=0.6321205588285577):
@@ -218,3 +225,54 @@ def test_export_contains_headers():
     assert lines[1] == "#init 0"
     assert any(line.startswith("#goal ") for line in lines)
     assert any(line.startswith("#label 0 ") for line in lines)
+
+
+def _assert_same_chain(act):
+    for scenario in Scenario:
+        assert export_ctmc_text(compose(act, scenario)) == export_ctmc_text(compose_whole_tree(act, scenario))
+
+
+def _guarded(i):
+    return and_gate(f"g{i}", attack(f"x{i}", p=0.4), cm_gate(f"cm{i}", detect(f"d{i}", p=0.5), mitigate(f"m{i}", p=0.6)))
+
+
+def test_chain_matches_whole_tree_reference():
+    # once both guards win, "o" is decided and so is "c", which closes "z"
+    nested = build_act("nested", or_gate(
+        "top", and_gate("c", or_gate("o", _guarded(1), _guarded(2)), attack("z", p=0.3)), attack("w", p=0.2)))
+    rng = random.Random(31)
+    models = [load_bundled("mia"), nested] + [and_of_ors(k) for k in range(1, 6)]
+    for _ in range(200):
+        act = random_act(rng, max_leaves=6)
+        models += [act, reverse_children(act)]
+    for act in models:
+        _assert_same_chain(act)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
+def test_chain_matches_whole_tree_reference_property(seed, max_leaves, data):
+    act = random_act(random.Random(seed), max_leaves=max_leaves, max_cms=3)
+    nodes = list(act.nodes)
+    events = [nid for nid, node in enumerate(nodes) if isinstance(node.kind, (AttackLeaf, DetectLeaf, MitigateLeaf))]
+    # an event with probability 0 has rate 0 and stays pending for good
+    for nid in data.draw(st.lists(st.sampled_from(events), max_size=2)):
+        kind = nodes[nid].kind
+        nodes[nid] = dataclasses.replace(nodes[nid], kind=type(kind)(dataclasses.replace(kind.timing, p=0.0)))
+    _assert_same_chain(dataclasses.replace(act, nodes=tuple(nodes)))
+
+
+def test_one_tree_evaluation_per_expanded_state(monkeypatch):
+    calls = []
+    evaluate = _DirectBuilder._evaluate
+
+    def counted(self, *args):
+        calls.append(args)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(_DirectBuilder, "_evaluate", counted)
+    act = and_of_ors(4)
+    _, _, labels, _ = _explore(_DirectBuilder(act, *collect_rates(act)), DEFAULT_STATE_CAP)
+    expanded = sum(label not in ("goal", "blocked") for label in labels)
+    assert expanded > 100
+    assert len(calls) <= expanded
