@@ -133,19 +133,6 @@ class Act:
                     return c
         return None
 
-    def subtree(self, nid: int) -> "Act":
-        """The subtree rooted at ``nid`` as its own Act, renumbered densely in id order.
-
-        Equal subtrees of different models give equal Acts, and a model
-        whose root is ``nid`` comes back unchanged.
-        """
-        keep: list[int] = []
-        stack = [nid]
-        while stack:
-            keep.append(stack.pop())
-            stack.extend(self.children(keep[-1]))
-        return _reindexed(self, sorted(keep), nid)
-
     def attack_leaves(self) -> Iterator[int]:
         for nid, node in enumerate(self.nodes):
             if isinstance(node.kind, AttackLeaf):
@@ -282,28 +269,8 @@ def validate_act(act: Act) -> list[Diagnostic]:
     return out
 
 
-def _reindexed(act: Act, keep: list[int], root: int) -> Act:
-    """The nodes in ``keep``, in that order and renumbered densely.
-
-    AND children outside ``keep`` are dropped; every other child must be kept.
-    """
-    remap = {nid: i for i, nid in enumerate(keep)}
-    rebuilt: list[Node] = []
-    for nid in keep:
-        node = act.nodes[nid]
-        kind = node.kind
-        if isinstance(kind, AndGate):
-            kind = AndGate(tuple(remap[c] for c in kind.children if c in remap))
-        elif isinstance(kind, OrGate):
-            kind = OrGate(tuple(remap[c] for c in kind.children))
-        elif isinstance(kind, CmGate):
-            kind = CmGate(remap[kind.detect], remap[kind.mitigate])
-        rebuilt.append(replace(node, kind=kind))
-    return Act(act.title, remap[root], tuple(rebuilt))
-
-
 def remove_cm_gates(act: Act, cm_ids: set[int]) -> Act:
-    """Delete the given countermeasure gates and their detection/mitigation leaves."""
+    """Delete the given countermeasure gates and their leaves; the rest keep their order, renumbered."""
     removed: set[int] = set()
     for nid in cm_ids:
         kind = act.nodes[nid].kind
@@ -312,7 +279,18 @@ def remove_cm_gates(act: Act, cm_ids: set[int]) -> Act:
         removed.update((nid, kind.detect, kind.mitigate))
     if not removed:
         return act
-    return _reindexed(act, [nid for nid in range(len(act.nodes)) if nid not in removed], act.root)
+    keep = [nid for nid in range(len(act.nodes)) if nid not in removed]
+    remap = {nid: i for i, nid in enumerate(keep)}
+    rebuilt: list[Node] = []
+    for nid in keep:
+        node = act.nodes[nid]
+        kind = node.kind
+        if isinstance(kind, (AndGate, OrGate)):
+            kind = type(kind)(tuple(remap[c] for c in kind.children if c in remap))
+        elif isinstance(kind, CmGate):
+            kind = CmGate(remap[kind.detect], remap[kind.mitigate])
+        rebuilt.append(Node(node.ident, node.name, kind))
+    return Act(act.title, remap[act.root], tuple(rebuilt))
 
 
 INSTANT_MITIGATION = LeafTiming(p=1.0, t=1.0)

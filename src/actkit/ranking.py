@@ -1,6 +1,6 @@
 """Countermeasure ranking by impact on the timed goal probability.
 
-Every model is evaluated by ``goal_curve``'s evaluator, so ranking shares
+The model is evaluated by ``goal_curve``'s evaluator, so ranking shares
 its tolerance split, input checks and chain construction.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Act, remove_cm_gates
+from .model import Act
 # ``compose`` is unused here, but bench/tests/test_bench.py checks that the
 # tracer rewraps ``actkit.ranking.compose``; drop it when that test moves.
 from .semantics import DEFAULT_STATE_CAP, compose  # noqa: F401
@@ -38,16 +38,16 @@ def rank_countermeasures(
     the model with just that gate removed, both evaluated at horizon
     ``t_star``. Results are sorted by decreasing effect, ties broken by name.
 
-    The models are evaluated together, like ``goal_curve`` under the full
-    scenario, with each chain at ``epsilon`` divided by the number of
-    countermeasures. A guarded subtree that removing a gate leaves unchanged
-    is the same Act in both models, so its chain is solved once;
-    ``state_cap`` bounds each chain. ``epsilon`` and ``t_star`` are checked
-    even when the model has no countermeasures.
+    The one model is evaluated like ``goal_curve`` under the full scenario,
+    once as it is and once per gate read as removed, with each chain at
+    ``epsilon`` divided by the number of countermeasures. A chain that
+    removing a gate leaves unchanged is solved once; ``state_cap`` bounds
+    each chain. ``epsilon`` and ``t_star`` are checked even when the model
+    has no countermeasures.
     """
     cms = sorted(act.cm_gates())
     _, results = goal_curves(
-        [act, *(remove_cm_gates(act, {nid}) for nid in cms)], [t_star], epsilon, state_cap)
+        act, [frozenset(), *(frozenset({nid}) for nid in cms)], [t_star], epsilon, state_cap)
     with_all, *without = (float(ys[0]) for ys, _ in results)
     effects = [CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,
                         pgoal_without=p, delta=p - with_all) for nid, p in zip(cms, without)]

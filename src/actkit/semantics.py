@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 from scipy import sparse
 
-from .errors import MissingParameter, RateUndefined, StateSpaceLimit
+from .errors import ActValidationError, MissingParameter, RateUndefined, StateSpaceLimit
 from .model import (
     Act,
     AndGate,
     AttackLeaf,
     CmGate,
+    Diagnostic,
     OrGate,
     Scenario,
     apply_scenario,
@@ -66,7 +67,7 @@ def _leaf_rate(act: Act, nid: int) -> float:
 
 
 def collect_rates(act: Act) -> tuple[dict[int, float], dict[int, _CmRates]]:
-    """Completion rates for attack leaves and countermeasure phases.
+    """Completion rates for the attack leaves and countermeasure phases under ``act.root``.
 
     A mitigation leaf with probability 1 and no explicit rate means the
     mitigation is instantaneous; probability 1 anywhere else has no finite
@@ -74,7 +75,8 @@ def collect_rates(act: Act) -> tuple[dict[int, float], dict[int, _CmRates]]:
     """
     leaf_rates: dict[int, float] = {}
     cm_rates: dict[int, _CmRates] = {}
-    for nid, node in enumerate(act.nodes):
+    for nid in sorted(act.postorder()):
+        node = act.nodes[nid]
         if isinstance(node.kind, AttackLeaf):
             leaf_rates[nid] = _leaf_rate(act, nid)
         elif isinstance(node.kind, CmGate):
@@ -111,9 +113,11 @@ def compose(
 ) -> Ctmc:
     """Build the absorbing chain for a model under a defender scenario.
 
-    ``act`` must be a model that ``validate_act`` accepts. Raises
-    StateSpaceLimit when more than ``state_cap`` states are reachable and
-    RateUndefined when a required leaf has probability 1.
+    The tree under ``act.root`` must be well-formed; nodes outside it are
+    ignored, so the view ``Act(title, g, act.nodes)`` composes the chain of
+    ``g``'s subtree alone. Raises ActValidationError for a gate without an
+    attack-side child, StateSpaceLimit when more than ``state_cap`` states
+    are reachable and RateUndefined when a required leaf has probability 1.
     """
     resolved = apply_scenario(act, scenario)
     leaf_rates, cm_rates = collect_rates(resolved)
@@ -133,8 +137,8 @@ class _DirectBuilder:
     root are closed, and fully decided roots map to the goal or blocked
     sentinels. So in every state each PENDING leaf, and the owner of each
     detecting or mitigating countermeasure, has only P ancestors. The
-    initial state is all pending because ``validate_act`` gives every gate an
-    attack-side child, so nothing is decided before the first event.
+    initial state is all pending because every gate has an attack-side child
+    (the constructor checks it), so nothing is decided before the first event.
 
     ``transitions`` evaluates the tree once per state, over a flat
     post-order table of the gates. Each successor turns one P node decided:
@@ -152,21 +156,24 @@ class _DirectBuilder:
     """
 
     def __init__(self, act: Act, leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
-        self.root = act.root
-        self.leaves = sorted(leaf_rates)
-        self.leaf_rate = [leaf_rates[nid] for nid in self.leaves]
-        self.cms = sorted(cm_rates)
-        self.cm_rate = [cm_rates[nid] for nid in self.cms]
-        leaf_idx = {nid: i for i, nid in enumerate(self.leaves)}
-        cm_idx = {nid: i for i, nid in enumerate(self.cms)}
-        n = len(act.nodes)
-        self.n = n
+        # nodes are numbered by post-order position, so the per-state tables
+        # cover only the tree under the root; leaf and cm indices follow node ids
+        order = act.postorder()
+        pos = {nid: i for i, nid in enumerate(order)}
+        self.n = n = len(order)
+        self.root = n - 1
+        leaf_ids, cm_ids = sorted(leaf_rates), sorted(cm_rates)
+        self.leaves = [pos[nid] for nid in leaf_ids]
+        self.leaf_rate = [leaf_rates[nid] for nid in leaf_ids]
+        self.cm_rate = [cm_rates[nid] for nid in cm_ids]
+        leaf_idx = {nid: i for i, nid in enumerate(leaf_ids)}
+        cm_idx = {nid: i for i, nid in enumerate(cm_ids)}
         # per node: attack-side parent (-1 at the root), attack-side arity and,
         # for gates, the value that needs every attack-side child (OR: D, AND: S)
         self.parent = [-1] * n
         self.arity = [0] * n
         self.unanimous = [_P] * n
-        self.owner = [0] * len(self.cms)  # cm index -> owning AND gate
+        self.owner = [0] * len(cm_ids)  # cm index -> owning AND gate
         # gates in post-order: (node, value any child forces, unanimous value,
         # attack-side children, guard's cm index or -1)
         self.gates: list[tuple[int, int, int, tuple[int, ...], int]] = []
@@ -175,9 +182,9 @@ class _DirectBuilder:
         self.leaf_post: list[int] = []
         self.cm_post: list[int] = []
         self.span = [(0, 0, 0, 0)] * n
-        for nid in act.postorder():
+        for i, nid in enumerate(order):
             kind = act.nodes[nid].kind
-            children = act.children(nid)
+            children = [pos[c] for c in act.children(nid)]
             leaf_lo = min((self.span[c][0] for c in children), default=len(self.leaf_post))
             cm_lo = min((self.span[c][2] for c in children), default=len(self.cm_post))
             if isinstance(kind, AttackLeaf):
@@ -186,16 +193,19 @@ class _DirectBuilder:
                 self.cm_post.append(cm_idx[nid])
             elif isinstance(kind, (AndGate, OrGate)):
                 guard = act.guard(nid)
-                kids = tuple(c for c in children if c != guard)
+                kids = tuple(pos[c] for c in act.children(nid) if c != guard)
+                if not kids:
+                    code = "CmPlacement" if children else "GateArity"
+                    raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "gate has no attack-side child")])
                 for c in kids:
-                    self.parent[c] = nid
+                    self.parent[c] = i
                 if guard is not None:
-                    self.owner[cm_idx[guard]] = nid
+                    self.owner[cm_idx[guard]] = i
                 forced, unanimous = (_S, _D) if isinstance(kind, OrGate) else (_D, _S)
-                self.arity[nid] = len(kids)
-                self.unanimous[nid] = unanimous
-                self.gates.append((nid, forced, unanimous, kids, -1 if guard is None else cm_idx[guard]))
-            self.span[nid] = (leaf_lo, len(self.leaf_post), cm_lo, len(self.cm_post))
+                self.arity[i] = len(kids)
+                self.unanimous[i] = unanimous
+                self.gates.append((i, forced, unanimous, kids, -1 if guard is None else cm_idx[guard]))
+            self.span[i] = (leaf_lo, len(self.leaf_post), cm_lo, len(self.cm_post))
 
     def _evaluate(self, leafstat, cmstat) -> list[int]:
         """Per gate, how many attack-side children hold its unanimous value."""
@@ -250,7 +260,7 @@ class _DirectBuilder:
         return leafstat, cmstat
 
     def initial(self):
-        return (_PENDING,) * len(self.leaves), (_CM_DETECT,) * len(self.cms)
+        return (_PENDING,) * len(self.leaves), (_CM_DETECT,) * len(self.cm_rate)
 
     def transitions(self, state):
         leafstat, cmstat = state

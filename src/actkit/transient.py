@@ -28,7 +28,7 @@ gate guarded by a countermeasure races, and each outermost such gate is
 solved as its own small chain. ``goal_curves`` holds that evaluation for
 ``goal_curve`` and for countermeasure ranking: it checks the tolerance and
 the grid, splits ``epsilon`` between the chains and solves each distinct
-chain once across all the models it is given.
+chain once across all the curves it is asked for.
 
 The simulator replays the same race semantics with sampled
 exponential completion times and reports binomial half-widths.
@@ -50,11 +50,13 @@ from .model import (
     OrGate,
     Scenario,
     apply_scenario,
+    remove_cm_gates,
 )
 from .semantics import DEFAULT_STATE_CAP, Ctmc, _leaf_rate, collect_rates, compose
 
 _RNG_NAME = "philox4x64"
 _CHUNK = 1 << 17
+_CHUNK_VALUES = 1 << 22  # sampled doubles per chunk across all arrays: 32 MB
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ def goal_curve(
     the curve is within the sum of the chains' bounds, at most ``epsilon``.
     A model whose root is guarded is solved as one chain.
     """
-    ts, [(ys, chains)] = goal_curves([apply_scenario(act, scenario)], times, epsilon, state_cap)
+    ts, [(ys, chains)] = goal_curves(apply_scenario(act, scenario), [frozenset()], times, epsilon, state_cap)
     meta = {
         "method": "compositional",
         "epsilon": epsilon,
@@ -220,47 +222,52 @@ def goal_curve(
 
 
 def goal_curves(
-    models: Sequence[Act],
+    act: Act,
+    removed: Sequence[frozenset[int]],
     times: Sequence[float],
     epsilon: float,
     state_cap: int,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, list[dict]]]]:
-    """Goal curves of validated models on one grid, bottom-up over ``postorder()``.
+    """Goal curves of one validated model on one grid, one per set of countermeasures read as removed.
 
-    An attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c) and an AND
-    prod(F_c). An AND gate with a countermeasure is cut out as its own Act
-    (``Act.subtree``) and solved by ``compose`` and ``transient_probability``
-    at ``epsilon`` divided by the first model's countermeasure count; nothing
-    below it is visited. Equal subtrees are equal Acts, so a chain that
-    several models share is solved once. Returns the checked grid and, per
-    model, its curve and the ``meta`` of each chain it cut, in cut order.
+    Bottom-up over ``postorder()``, an attack leaf gives 1 - exp(-rate t), an
+    OR 1 - prod(1 - F_c) and an AND prod(F_c) over its attack-side children.
+    An AND gate that keeps its countermeasure is one chain: ``compose`` of
+    the view ``Act(title, gate, nodes)`` less the removed gates inside it,
+    solved at ``epsilon`` divided by the model's countermeasure count. Curves
+    that share a (gate, removed gates inside) chain solve it once. Returns
+    the grid and, per set, its curve and each chain's ``meta`` in post-order.
     Package-internal: ``actkit`` does not export it.
     """
     _check_epsilon(epsilon)
     ts = _check_grid(times)
-    share = epsilon / max(sum(1 for _ in models[0].cm_gates()), 1)
-    solved: dict[Act, CurveResult] = {}
+    share = epsilon / max(sum(1 for _ in act.cm_gates()), 1)
+    order = act.postorder()
+    guards = {nid: cm for nid in order if (cm := act.guard(nid)) is not None}
+    solved: dict[tuple[int, frozenset[int]], CurveResult] = {}
     results = []
-    for act in models:
-        order = act.postorder()
-        cut: set[int] = set()
-        below: set[int] = set()
+    for gone in removed:
+        live = {nid for nid, cm in guards.items() if cm not in gone}
+        # the chain gate above each node below one; reverse post-order visits parents first
+        inside: dict[int, int] = {}
         for nid in reversed(order):
-            if nid not in below and act.guard(nid) is not None:
-                cut.add(nid)
-            if nid in below or nid in cut:
-                below.update(act.children(nid))
+            gate = inside.get(nid, nid if nid in live else None)
+            if gate is not None:
+                for c in act.children(nid):
+                    inside[c] = gate
         curves: dict[int, np.ndarray] = {}
         chains: list[dict] = []
         for nid in order:
-            if nid in below:
-                continue
             kind = act.nodes[nid].kind
-            if nid in cut:
-                sub = act.subtree(nid)
-                chain = solved.get(sub)
+            if nid in inside:
+                continue
+            if nid in live:
+                under = frozenset(cm for cm in gone if inside.get(cm) == nid)
+                chain = solved.get((nid, under))
                 if chain is None:
-                    chain = solved[sub] = transient_probability(compose(sub, Scenario.FULL, state_cap), ts, share)
+                    view = Act(act.title, nid, act.nodes)
+                    view = remove_cm_gates(view, under) if under else view
+                    chain = solved[nid, under] = transient_probability(compose(view, Scenario.FULL, state_cap), ts, share)
                 chains.append(chain.meta)
                 curves[nid] = np.asarray(chain.ys)
             elif isinstance(kind, AttackLeaf):
@@ -268,7 +275,7 @@ def goal_curves(
             elif isinstance(kind, OrGate):
                 curves[nid] = 1.0 - np.prod([1.0 - curves.pop(c) for c in kind.children], axis=0)
             elif isinstance(kind, AndGate):
-                curves[nid] = np.prod([curves.pop(c) for c in kind.children], axis=0)
+                curves[nid] = np.prod([curves.pop(c) for c in kind.children if c != guards.get(nid)], axis=0)
         if act.root not in curves:
             raise DomainError(f"cannot evaluate node kind {type(act.nodes[act.root].kind).__name__}")
         results.append((curves[act.root], chains))
@@ -295,6 +302,8 @@ def simulate(
     earliest child, AND the latest attack-side child unless that time is
     beaten by the countermeasure's detection plus mitigation total, in which
     case the gate never succeeds. Deterministic for fixed (seed, runs, grid).
+    Runs are drawn in chunks of at most 2^17, and of at most 2^22 sampled
+    values in all, so memory stays bounded however many leaves the model has.
     """
     if runs <= 0:
         raise DomainError("runs must be positive")
@@ -302,11 +311,13 @@ def simulate(
     resolved = apply_scenario(act, scenario)
     leaf_rates, cm_rates = collect_rates(resolved)
 
+    sampled = len(leaf_rates) + sum(1 if r.mitigate is None else 2 for r in cm_rates.values())
+    chunk = min(_CHUNK, max(1, _CHUNK_VALUES // sampled))
     rng = np.random.Generator(np.random.Philox(seed))
     counts = np.zeros(ts.size, dtype=np.int64)
     remaining = runs
     while remaining > 0:
-        size = min(_CHUNK, remaining)
+        size = min(chunk, remaining)
         remaining -= size
         samples = {nid: _sample_exponential(rng, rate, size) for nid, rate in leaf_rates.items()}
         deadlines = {}

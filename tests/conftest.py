@@ -34,10 +34,11 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def branch_compose(monkeypatch):
-    """Let the CLI and the solvers compose only models of at most 7 nodes.
+    """Let the CLI and the solvers compose only trees of at most 7 nodes.
 
-    That is one ``AND(OR(a, b), CM)`` branch. A larger model fails the test
-    before its chain is built. Returns the node counts of the composed models.
+    That is one ``AND(OR(a, b), CM)`` branch. A larger tree under the
+    composed model's root fails the test before its chain is built. Returns
+    the node counts of the composed trees.
     """
     import actkit.cli
     import actkit.transient
@@ -46,8 +47,9 @@ def branch_compose(monkeypatch):
     sizes = []
 
     def spy(act, *args, **kwargs):
-        assert len(act.nodes) <= 7, f"compose called on a {len(act.nodes)}-node model"
-        sizes.append(len(act.nodes))
+        size = len(act.postorder())
+        assert size <= 7, f"compose called on a {size}-node tree"
+        sizes.append(size)
         return compose(act, *args, **kwargs)
 
     for module in (actkit.cli, actkit.transient):

@@ -91,22 +91,6 @@ def test_guard():
     assert [plain.guard(nid) for nid in range(len(plain.nodes))] == [None] * 5
 
 
-def test_subtree_is_the_same_act_in_every_model_that_keeps_it():
-    act = load_bundled("mia")
-    virus, password = sorted(act.cm_gates())
-    gate = next(nid for nid in range(len(act.nodes)) if act.guard(nid) == password)
-    sub = act.subtree(gate)
-    assert sub.root == 0 and len(sub.nodes) == 7
-    assert [n.name for n in sub.nodes][:2] == ["Acquire Password", "Steal Password"]
-    assert validate_act(sub) == []
-    # removing the other gate renumbers the model but not this subtree
-    reduced = remove_cm_gates(act, {virus})
-    moved = next(nid for nid in range(len(reduced.nodes)) if reduced.nodes[nid].name == "Acquire Password")
-    assert moved != gate and reduced.subtree(moved) == sub
-    assert hash(reduced.subtree(moved)) == hash(sub)
-    assert act.subtree(act.root) == act
-
-
 def test_build_act_deep_chain():
     n, p = 5000, 1e-3
     spec = attack("a", p=p)

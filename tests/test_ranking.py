@@ -87,8 +87,9 @@ def test_delta_shrinks_with_weak_detection():
     assert ds.delta > dw.delta
 
 
-def _nested(act) -> bool:
-    """Whether some guarded AND gate has a guarded gate below it."""
+def _nested_guards(act) -> list[int]:
+    """Countermeasure gates whose AND gate lies below another guarded AND gate."""
+    nested = set()
     for nid in range(len(act.nodes)):
         if act.guard(nid) is None:
             continue
@@ -96,9 +97,14 @@ def _nested(act) -> bool:
         while stack:
             c = stack.pop()
             if act.guard(c) is not None:
-                return True
+                nested.add(act.guard(c))
             stack.extend(act.children(c))
-    return False
+    return sorted(nested)
+
+
+def _nested(act) -> bool:
+    """Whether some guarded AND gate has a guarded gate below it."""
+    return bool(_nested_guards(act))
 
 
 def test_ranking_matches_whole_chain_ranking():
@@ -146,3 +152,29 @@ def test_ranking_twelve_guarded_branches(branch_compose):
         without = 1.0 - np.prod(1.0 - np.where(np.arange(m) == i, bare, guarded))
         assert e.pgoal_with == pytest.approx(with_all, abs=1e-9 + 1e-12)
         assert e.pgoal_without == pytest.approx(without, abs=1e-9 + 1e-12)
+
+
+def test_ranking_rebuilds_only_chains_that_hold_the_removed_gate(monkeypatch):
+    import actkit.model
+    import actkit.transient
+
+    calls = []
+
+    def spy(act, cm_ids):
+        calls.append(set(cm_ids))
+        return remove_cm_gates(act, cm_ids)
+
+    for module in (actkit.model, actkit.transient):
+        monkeypatch.setattr(module, "remove_cm_gates", spy)
+    rank_countermeasures(guarded_or(12), 2.0)
+    assert calls == []
+    # a removed gate nested in another guard's chain rebuilds that one chain
+    rng = random.Random(78)
+    seen = 0
+    for _ in range(30):
+        act = random_act(rng, max_leaves=8, max_cms=3)
+        calls.clear()
+        rank_countermeasures(act, 1.5)
+        assert calls == [{cm} for cm in _nested_guards(act)]
+        seen += len(calls)
+    assert seen >= 3

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actkit import load_bundled
-from actkit.errors import RateUndefined, StateSpaceLimit
+from actkit.errors import ActValidationError, RateUndefined, StateSpaceLimit
 from actkit.model import (
+    Act,
     AttackLeaf,
     DetectLeaf,
     MitigateLeaf,
@@ -21,6 +22,7 @@ from actkit.model import (
     mitigate,
     or_gate,
     remove_cm_gates,
+    validate_act,
 )
 from actkit.semantics import (
     DEFAULT_STATE_CAP, _DirectBuilder, _explore, collect_rates, compose, export_ctmc_text, parse_ctmc_text,
@@ -28,7 +30,7 @@ from actkit.semantics import (
 from actkit.transient import transient_probability
 
 from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
-from oracles import and_of_ors, expm_transient, race_probability, random_act, reverse_children
+from oracles import and_of_ors, expm_transient, guarded_branch, race_probability, random_act, reverse_children
 
 
 def race_act(p_a=0.6321205588285577, p_d=0.6321205588285577, p_m=0.6321205588285577):
@@ -260,6 +262,32 @@ def test_chain_matches_whole_tree_reference_property(seed, max_leaves, data):
         kind = nodes[nid].kind
         nodes[nid] = dataclasses.replace(nodes[nid], kind=type(kind)(dataclasses.replace(kind.timing, p=0.0)))
     _assert_same_chain(dataclasses.replace(act, nodes=tuple(nodes)))
+
+
+def test_view_composes_the_branch_under_its_root():
+    def nested(i):
+        return and_gate(f"n{i}", or_gate(f"o{i}", _guarded(i), attack(f"y{i}", p=0.3)),
+                        cm_gate(f"ncm{i}", detect(f"nd{i}", p=0.2), mitigate(f"nm{i}", p=0.7)))
+
+    branches = [guarded_branch(0), nested(1), guarded_branch(2), nested(3)]
+    act = build_act("wide", or_gate("top", *branches, attack("z", p=0.1)))
+    # each view keeps the whole node table; compose reads only the tree under its root
+    for gate, spec in zip(act.children(act.root), branches):
+        alone = build_act("alone", spec)
+        for scenario in Scenario:
+            view = compose(Act(act.title, gate, act.nodes), scenario)
+            assert export_ctmc_text(view) == export_ctmc_text(compose(alone, scenario))
+
+
+def test_compose_rejects_a_gate_without_an_attack_side_child():
+    cm = cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5))
+    only_cm = build_act("only cm", or_gate("top", attack("a", p=0.5), and_gate("g", cm)), validate=False)
+    assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
+    # no-cm deletes the countermeasure and leaves the gate with no child at all
+    for scenario, code in ((Scenario.FULL, "CmPlacement"), (Scenario.NO_CM, "GateArity")):
+        with pytest.raises(ActValidationError) as exc:
+            compose(only_cm, scenario)
+        assert [(d.code, d.node) for d in exc.value.diagnostics] == [(code, "g")]
 
 
 def test_one_tree_evaluation_per_expanded_state(monkeypatch):

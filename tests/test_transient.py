@@ -207,6 +207,29 @@ def test_simulated_scenario_dominance():
         assert curves[Scenario.FULL].ys[i] <= curves[Scenario.NO_CM].ys[i] + tol
 
 
+def test_simulate_keeps_its_draws_on_the_bundled_model():
+    # mia samples 21 arrays, few enough that runs are drawn in chunks of 2^17
+    act = load_bundled("mia")
+    ts = [0.5, 1.0, 2.0, 5.0]
+    assert simulate(act, Scenario.FULL, ts, runs=300_000, seed=7).ys == (
+        0.31872666666666666, 0.5329266666666667, 0.7744233333333334, 0.9706966666666667)
+    assert simulate(act, Scenario.NO_CM, ts, runs=300_000, seed=7).ys == (
+        0.31933333333333336, 0.53586, 0.7864433333333334, 0.9796733333333333)
+
+
+def test_simulate_wide_model_in_bounded_memory():
+    act = build_act("wide", or_gate("top", *(attack(f"a{i}", lam=0.005) for i in range(200))))
+    tracemalloc.start()
+    try:
+        curve = simulate(act, Scenario.FULL, [0.5, 1.0], runs=1 << 17, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for t, y, hw in zip(curve.xs, curve.ys, curve.halfwidths):
+        assert abs(y - (1.0 - math.exp(-t))) <= hw
+    assert peak < 128 * 2**20
+
+
 @pytest.mark.parametrize("depth", [500, 5000])
 def test_simulate_deep_or_chain(depth):
     act = parse_act(or_chain_text(depth, 1.0 / depth))
@@ -252,7 +275,6 @@ def test_goal_curve_meta_counts_chains(scenario, chains):
 
 def test_goal_curve_of_guarded_root_is_the_whole_chain():
     act = stiff_race()
-    assert act.subtree(act.root) == act
     curve = goal_curve(act, Scenario.FULL, LONG_GRID, 1e-9)
     whole = transient_probability(compose(act), LONG_GRID, 1e-9)
     assert curve.ys == whole.ys
