@@ -3,11 +3,12 @@
 Commands mirror the library: ``validate``, ``static-sweep``, ``dynamic``
 (``goal_curve``), ``simulate`` (Monte Carlo), ``rank``, ``export-ctmc`` and
 ``fmt``. Each timed command binds its method when the parser is built and
-takes only that method's options: ``dynamic`` the solver's ``--epsilon`` and
-``--state-cap``, ``simulate`` ``--runs`` and ``--seed``. Data files use two
-whitespace-separated columns with ``#`` comment lines, numbers are printed
-with six significant digits, and repeated runs with identical flags produce
-byte-identical outputs.
+takes only that method's options: ``dynamic`` the solver's ``--epsilon``,
+``simulate`` ``--runs`` and ``--seed``. Only ``export-ctmc`` builds a chain,
+so only it takes ``--state-cap``. Data files use two whitespace-separated
+columns with ``#`` comment lines, numbers are printed with six significant
+digits, and repeated runs with identical flags produce byte-identical
+outputs.
 
 Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 numeric or
 state-space limit.
@@ -156,7 +157,7 @@ def cmd_timed(args) -> int:
 
 def cmd_rank(args) -> int:
     act = load_act(args.model)
-    effects = rank_countermeasures(act, args.t_star, args.epsilon, args.state_cap)
+    effects = rank_countermeasures(act, args.t_star, args.epsilon)
     if not effects:
         print("model has no countermeasures")
         return 0
@@ -232,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_static_sweep)
 
     p = _add_timed(sub, "dynamic", "timed goal-probability curves",
-                   lambda args, act, scenario, grid: goal_curve(act, scenario, grid, args.epsilon, args.state_cap))
+                   lambda args, act, scenario, grid: goal_curve(act, scenario, grid, args.epsilon))
     p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
 
     p = _add_timed(sub, "simulate", "timed curves via Monte Carlo simulation",
                    lambda args, act, scenario, grid: simulate(act, scenario, grid, args.runs, args.seed))
@@ -245,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, scenario=None)
     p.add_argument("--t-star", type=float, default=2.0, help="evaluation horizon in hours")
     p.add_argument("--epsilon", type=float, default=1e-9, help="solver tolerance")
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--out", default=None, help="also write rank.json here")
     p.set_defaults(func=cmd_rank)
 

@@ -1,7 +1,7 @@
 """Countermeasure ranking by impact on the timed goal probability.
 
 The model is evaluated by ``goal_curve``'s evaluator, so ranking shares
-its tolerance split, input checks and chain construction.
+its tolerance split, input checks and quadrature.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .model import Act
 # ``compose`` is unused here, but bench/tests/test_bench.py checks that the
 # tracer rewraps ``actkit.ranking.compose``; drop it when that test moves.
-from .semantics import DEFAULT_STATE_CAP, compose  # noqa: F401
+from .semantics import compose  # noqa: F401
 from .transient import goal_curves
 
 
@@ -30,7 +30,6 @@ def rank_countermeasures(
     act: Act,
     t_star: float,
     epsilon: float = 1e-9,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[CmEffect]:
     """Rank countermeasures by the goal-probability increase their removal causes.
 
@@ -39,16 +38,15 @@ def rank_countermeasures(
     ``t_star``. Results are sorted by decreasing effect, ties broken by name.
 
     The one model is evaluated like ``goal_curve`` under the full scenario,
-    once as it is and once per gate read as removed, with each chain at
-    ``epsilon`` divided by the number of countermeasures. A chain that
-    removing a gate leaves unchanged is solved once; ``state_cap`` bounds
-    each chain. ``epsilon`` and ``t_star`` are checked even when the model
-    has no countermeasures.
+    with each countermeasure race integrated to ``epsilon`` divided by the
+    number of countermeasures. Each removal then recomputes only the path
+    from its gate, or from the outermost race holding that gate, to the
+    root; no model is rebuilt and no chain is built. ``epsilon`` and
+    ``t_star`` are checked even when the model has no countermeasures.
     """
     cms = sorted(act.cm_gates())
-    _, results = goal_curves(
-        act, [frozenset(), *(frozenset({nid}) for nid in cms)], [t_star], epsilon, state_cap)
-    with_all, *without = (float(ys[0]) for ys, _ in results)
+    _, curves, _ = goal_curves(act, [t_star], epsilon, cms)
+    with_all, *without = (float(ys[0]) for ys in curves)
     effects = [CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,
                         pgoal_without=p, delta=p - with_all) for nid, p in zip(cms, without)]
     effects.sort(key=lambda e: (-e.delta, e.name))

@@ -21,14 +21,16 @@ records the sum. The cost is one sparse matrix-vector product per jump,
 until absorption or R, and memory O(n + K + |grid|·window), where K is the
 number of jumps taken and the window width is O(sqrt(Λt)).
 
-``goal_curve`` answers the same question for a model without building
-the whole tree's chain. Sibling subtrees share no node, so their completion
-times are independent and their curves combine in closed form; only an AND
-gate guarded by a countermeasure races, and each outermost such gate is
-solved as its own small chain. ``goal_curves`` holds that evaluation for
-``goal_curve`` and for countermeasure ranking: it checks the tolerance and
-the grid, splits ``epsilon`` between the chains and solves each distinct
-chain once across all the curves it is asked for.
+``goal_curve`` answers the same question for a model without building any
+chain. Sibling subtrees share no node, so their completion times are
+independent and their curves combine in closed form; only an AND gate
+guarded by a countermeasure races, and its curve is the integral of its
+attack side's density times the countermeasure's survival. That integral
+is taken by cumulative Chebyshev quadrature on panels of the grid, bisected
+until each race's estimated error is within its share of ``epsilon``.
+``goal_curves`` holds that evaluation for ``goal_curve`` and for
+countermeasure ranking, which recomputes only the path from each removed
+countermeasure to the root.
 
 The simulator replays the same race semantics with sampled
 exponential completion times and reports binomial half-widths.
@@ -41,18 +43,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev
+from scipy import sparse
 
 from .errors import DomainError
-from .model import (
-    Act,
-    AndGate,
-    AttackLeaf,
-    OrGate,
-    Scenario,
-    apply_scenario,
-    remove_cm_gates,
-)
-from .semantics import DEFAULT_STATE_CAP, Ctmc, _leaf_rate, collect_rates, compose
+from .model import Act, AndGate, AttackLeaf, OrGate, Scenario, apply_scenario
+from .semantics import Ctmc, _CmRates, collect_rates
 
 _RNG_NAME = "philox4x64"
 _CHUNK = 1 << 17
@@ -123,8 +119,7 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         return CurveResult(tuple(ts), ys, ctmc.scenario, meta)
 
     # uniformized jump chain
-    P = (ctmc.rates / rate).tolil()
-    P.setdiag(1.0 - exit_rates / rate)
+    P = ctmc.rates / rate + sparse.diags(1.0 - exit_rates / rate)
     PT = P.tocsr().T.tocsr()
 
     mus = rate * ts
@@ -195,91 +190,218 @@ def goal_curve(
     scenario: Scenario,
     times: Sequence[float],
     epsilon: float = 1e-9,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> CurveResult:
-    """P[goal reached by t] for each grid point, within ``epsilon``, chain by chain.
+    """P[goal reached by t] for each grid point, within ``epsilon``, without a chain.
 
-    Each outermost guarded AND gate is solved with ``compose`` and
-    ``transient_probability`` at ``epsilon`` divided by the number of
-    countermeasures, so ``state_cap`` bounds each of those chains, not the
-    whole tree's. Everything else combines in closed form. Products of
-    values in [0, 1] move by at most the sum of their factors' errors, so
-    the curve is within the sum of the chains' bounds, at most ``epsilon``.
-    A model whose root is guarded is solved as one chain.
+    Gates without a countermeasure combine in closed form. Each countermeasure
+    race is integrated by cumulative quadrature to within ``epsilon``
+    divided by the number of countermeasures; products of values in [0, 1]
+    move by at most the sum of their factors' errors, so the curve is within
+    the sum of the races' estimated errors, at most ``epsilon``. ``meta``
+    counts the ``guards`` integrated, the ``panels`` and quadrature ``nodes``
+    they took, and sums their ``error_bound``.
     """
-    ts, [(ys, chains)] = goal_curves(apply_scenario(act, scenario), [frozenset()], times, epsilon, state_cap)
-    meta = {
-        "method": "compositional",
-        "epsilon": epsilon,
-        "model": act.title,
-        "chains": len(chains),
-        "states": sum(m["states"] for m in chains),
-        # a chain that never leaves its initial state is solved exactly
-        "poisson_terms": sum(m.get("poisson_terms", 0) for m in chains),
-        "error_bound": sum((m.get("error_bound", 0.0) for m in chains), 0.0),
-    }
+    ts, [ys], stats = goal_curves(apply_scenario(act, scenario), times, epsilon)
+    meta = {"method": "quadrature", "epsilon": epsilon, "model": act.title, **stats}
     return CurveResult(tuple(ts), tuple(float(y) for y in ys), scenario, meta)
 
 
 def goal_curves(
     act: Act,
-    removed: Sequence[frozenset[int]],
     times: Sequence[float],
     epsilon: float,
-    state_cap: int,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, list[dict]]]]:
-    """Goal curves of one validated model on one grid, one per set of countermeasures read as removed.
+    removed: Sequence[int] = (),
+) -> tuple[np.ndarray, list[np.ndarray], dict]:
+    """Goal curve of one validated model, then one per countermeasure gate in ``removed`` read as removed.
 
-    Bottom-up over ``postorder()``, an attack leaf gives 1 - exp(-rate t), an
-    OR 1 - prod(1 - F_c) and an AND prod(F_c) over its attack-side children.
-    An AND gate that keeps its countermeasure is one chain: ``compose`` of
-    the view ``Act(title, gate, nodes)`` less the removed gates inside it,
-    solved at ``epsilon`` divided by the model's countermeasure count. Curves
-    that share a (gate, removed gates inside) chain solve it once. Returns
-    the grid and, per set, its curve and each chain's ``meta`` in post-order.
+    Bottom-up, an attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c)
+    and an AND prod(F_c) over its attack-side children; an AND gate that
+    keeps its countermeasure is a ``_race`` at ``epsilon`` divided by the
+    model's countermeasure count. Every node's curve and its children's
+    stacked curves are kept, so a removal recomputes only the path from its
+    gate, or from the outermost race holding it, to the root. Returns the
+    grid, the curves and the summed ``_race`` statistics of the first one.
     Package-internal: ``actkit`` does not export it.
     """
     _check_epsilon(epsilon)
     ts = _check_grid(times)
     share = epsilon / max(sum(1 for _ in act.cm_gates()), 1)
+    leaf_rates, cm_rates = collect_rates(act)
     order = act.postorder()
     guards = {nid: cm for nid in order if (cm := act.guard(nid)) is not None}
-    solved: dict[tuple[int, frozenset[int]], CurveResult] = {}
-    results = []
-    for gone in removed:
-        live = {nid for nid, cm in guards.items() if cm not in gone}
-        # the chain gate above each node below one; reverse post-order visits parents first
-        inside: dict[int, int] = {}
-        for nid in reversed(order):
-            gate = inside.get(nid, nid if nid in live else None)
-            if gate is not None:
-                for c in act.children(nid):
-                    inside[c] = gate
-        curves: dict[int, np.ndarray] = {}
-        chains: list[dict] = []
+    owner = {cm: nid for nid, cm in guards.items()}
+    sides = {nid: [c for c in act.children(nid) if c != guards.get(nid)]  # attack side of each gate
+             for nid in order if isinstance(act.nodes[nid].kind, (AndGate, OrGate))}
+    parent = {c: nid for nid, kids in sides.items() for c in kids}
+    curves: dict[int, np.ndarray] = {}  # each node's curve with nothing removed
+    stacks: dict[int, np.ndarray] = {}  # the children's curves each gate combined
+    stats = {"guards": 0, "panels": 0, "nodes": 0, "error_bound": 0.0}
+
+    def race(gate: int, gone: frozenset[int]) -> np.ndarray:
+        ys, solved = _race(act, gate, gone, ts, leaf_rates, cm_rates, share)
+        for key, value in solved.items():
+            stats[key] += value
+        return ys
+
+    def evaluate(top: int) -> np.ndarray:
+        """Fill ``curves`` for every node under ``top`` that no race below ``top`` holds."""
+        stack = [(top, False)]
+        while stack:
+            nid, expanded = stack.pop()
+            if nid in curves:
+                continue
+            kind = act.nodes[nid].kind
+            if nid in guards:
+                curves[nid] = race(nid, frozenset())
+            elif isinstance(kind, AttackLeaf):
+                curves[nid] = -np.expm1(-leaf_rates[nid] * ts)
+            elif expanded:
+                stacks[nid] = np.array([curves[c] for c in sides[nid]])
+                curves[nid] = _combine(kind, stacks[nid])
+            elif nid in sides:
+                stack.append((nid, True))
+                stack.extend((c, False) for c in sides[nid])
+            else:
+                raise DomainError(f"cannot evaluate node kind {type(kind).__name__}")
+        return curves[top]
+
+    def without(cm: int) -> np.ndarray:
+        gate = v = owner[cm]
+        top = None
+        while v in parent:
+            v = parent[v]
+            top = v if v in guards else top
+        if top is None:
+            v, ys = gate, _combine(act.nodes[gate].kind, np.array([evaluate(c) for c in sides[gate]]))
+        else:
+            v, ys = top, race(top, frozenset({cm}))
+        while v in parent:
+            up = parent[v]
+            kids = stacks[up].copy()
+            kids[sides[up].index(v)] = ys
+            v, ys = up, _combine(act.nodes[up].kind, kids)
+        return ys
+
+    result = [evaluate(act.root)]
+    first = dict(stats)
+    result += [without(cm) for cm in removed]
+    return ts, result, first
+
+
+def _combine(kind, ys: np.ndarray) -> np.ndarray:
+    """An OR's or an AND's completion probability from its children's, stacked on axis 0."""
+    if isinstance(kind, OrGate):
+        return 1.0 - (1.0 - ys).prod(axis=0)
+    return ys.prod(axis=0)
+
+
+def _others(xs: np.ndarray) -> np.ndarray:
+    """Row i: the product of every row of ``xs`` but row i, by prefix and suffix products."""
+    if len(xs) == 2:
+        return xs[::-1]
+    out = np.empty_like(xs)
+    out[0] = 1.0
+    xs[:-1].cumprod(axis=0, out=out[1:])
+    out[:-1] *= xs[:0:-1].cumprod(axis=0)[::-1]
+    return out
+
+
+def _survival(rates: _CmRates, s: np.ndarray) -> np.ndarray:
+    """P[detection plus mitigation takes longer than s].
+
+    Hypoexponential, written around the smaller rate a and the gap d to
+    the larger one, so it neither cancels when d is small nor overflows:
+    e^{-as}(1 + a(1 - e^{-ds})/d), which is Erlang-2 at d = 0 and 1 when a
+    rate is 0. Instant mitigation leaves the detection time alone.
+    """
+    if rates.mitigate is None:
+        return np.exp(-rates.detect * s)
+    a, b = sorted((rates.detect, rates.mitigate))
+    ramp = s if b == a else -np.expm1(-(b - a) * s) / (b - a)
+    return np.exp(-a * s) * (1.0 + a * ramp)
+
+
+def _cumulative_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Chebyshev-Lobatto nodes on [-1, 1], ascending, and the matrix taking
+    values at them to their interpolant's integral from -1 to each node."""
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))
+    coef = np.linalg.inv(chebyshev.chebvander(x, n - 1))
+    q = chebyshev.chebvander(x, n) @ chebyshev.chebint(coef, lbnd=-1, axis=0)
+    q[0] = 0.0
+    return x, q
+
+
+_NODES, _CUMULATIVE = _cumulative_rule(17)
+# the rule's integrals at every other node minus those of the nested 9-node
+# rule on the same nodes: an estimate of the error of the coarser rule
+_ESTIMATE = _CUMULATIVE[::2].copy()
+_ESTIMATE[:, ::2] -= _cumulative_rule(9)[1]
+_ROUNDING = 64.0 * np.finfo(float).eps
+# weights of a panel's left and right ends at each node
+_LEFT, _RIGHT = (1.0 - _NODES) / 2.0, (1.0 + _NODES) / 2.0
+
+
+def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
+          leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates], share: float) -> tuple[np.ndarray, dict]:
+    """Completion probability at ``ts`` of a guarded gate, by cumulative quadrature.
+
+    The attack side and the countermeasure are independent, so the gate's
+    density is g = f_A S_D (attack-side density times countermeasure
+    survival) and F_G(t) = int_0^t g. The panels, [0, ts[0]] and the grid
+    intervals, get 17 Chebyshev-Lobatto nodes each. One post-order pass over
+    the subtree carries every node's (F, f) there: closed forms at leaves,
+    the product rule at gates, and the running integral of g at each guard
+    not in ``gone``. A guard's error on a panel is estimated as the largest
+    gap to the nested 9-node rule; panels are bisected until each guard's
+    summed estimate is at most ``share``, except where it is rounding noise.
+    Returns the curve and the last pass's ``guards``, ``panels``, ``nodes``
+    and summed ``error_bound``.
+    """
+    order = Act(act.title, gate, act.nodes).postorder()
+    edges = ts if ts[0] == 0.0 else np.concatenate(([0.0], ts))
+    while True:
+        h = edges[1:] - edges[:-1]
+        half = (h / 2.0)[:, None]
+        s = edges[:-1, None] * _LEFT + edges[1:, None] * _RIGHT
+        values: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        estimates = []
         for nid in order:
             kind = act.nodes[nid].kind
-            if nid in inside:
+            if isinstance(kind, AttackLeaf):
+                rate = leaf_rates[nid]
+                values[nid] = (-np.expm1(-rate * s), rate * np.exp(-rate * s))
                 continue
-            if nid in live:
-                under = frozenset(cm for cm in gone if inside.get(cm) == nid)
-                chain = solved.get((nid, under))
-                if chain is None:
-                    view = Act(act.title, nid, act.nodes)
-                    view = remove_cm_gates(view, under) if under else view
-                    chain = solved[nid, under] = transient_probability(compose(view, Scenario.FULL, state_cap), ts, share)
-                chains.append(chain.meta)
-                curves[nid] = np.asarray(chain.ys)
-            elif isinstance(kind, AttackLeaf):
-                curves[nid] = -np.expm1(-_leaf_rate(act, nid) * ts)
-            elif isinstance(kind, OrGate):
-                curves[nid] = 1.0 - np.prod([1.0 - curves.pop(c) for c in kind.children], axis=0)
-            elif isinstance(kind, AndGate):
-                curves[nid] = np.prod([curves.pop(c) for c in kind.children if c != guards.get(nid)], axis=0)
-        if act.root not in curves:
-            raise DomainError(f"cannot evaluate node kind {type(act.nodes[act.root].kind).__name__}")
-        results.append((curves[act.root], chains))
-    return ts, results
+            if not isinstance(kind, (AndGate, OrGate)):
+                continue
+            cm = act.guard(nid)
+            kids = [values.pop(c) for c in kind.children if c != cm]
+            if len(kids) == 1:
+                (F, f), = kids
+            else:
+                Fs, fs = np.array([k[0] for k in kids]), np.array([k[1] for k in kids])
+                F = _combine(kind, Fs)
+                f = (fs * _others(1.0 - Fs if isinstance(kind, OrGate) else Fs)).sum(axis=0)
+            if cm is not None and cm not in gone:
+                f = f * _survival(cm_rates[cm], s)
+                cumulative = half * (f @ _CUMULATIVE.T)
+                offsets = np.zeros((h.size, 1))
+                cumulative[:-1, -1:].cumsum(axis=0, out=offsets[1:])
+                F = offsets + cumulative
+                estimates.append((half[:, 0] * np.abs(f @ _ESTIMATE.T).max(axis=1), f))
+            values[nid] = (F, f)
+        mids = (edges[:-1] + edges[1:]) / 2.0
+        split = (edges[:-1] < mids) & (mids < edges[1:])
+        wide = np.zeros_like(split)
+        for gap, f in estimates:
+            if gap.sum() > share:
+                wide |= (gap > share * h / edges[-1]) & (gap > _ROUNDING * h * np.abs(f).max(axis=1))
+        if not (split & wide).any():
+            break
+        edges = np.sort(np.concatenate((edges, mids[split & wide])))
+    F = values[gate][0]
+    ys = np.concatenate(([0.0], F[:, -1]))[np.searchsorted(edges, ts)]  # nothing completes at 0
+    return ys, {"guards": len(estimates), "panels": h.size, "nodes": F.size,
+                "error_bound": float(sum(gap.sum() for gap, _ in estimates))}
 
 
 def _sample_exponential(rng, rate: float, size: int) -> np.ndarray:

@@ -33,25 +33,30 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
-def branch_compose(monkeypatch):
-    """Let the CLI and the solvers compose only trees of at most 7 nodes.
+def chain_calls(monkeypatch):
+    """Record every chain the library builds or solves and every model it rebuilds.
 
-    That is one ``AND(OR(a, b), CM)`` branch. A larger tree under the
-    composed model's root fails the test before its chain is built. Returns
-    the node counts of the composed trees.
+    Wraps ``compose``, ``transient_probability`` and ``remove_cm_gates``
+    wherever an ``actkit`` module binds them. Returns the called names in
+    call order.
     """
-    import actkit.cli
+    import sys
+
+    import actkit.model
+    import actkit.semantics
     import actkit.transient
-    from actkit.semantics import compose
 
-    sizes = []
+    calls = []
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "actkit"]
+    for owner, name in ((actkit.semantics, "compose"), (actkit.transient, "transient_probability"),
+                        (actkit.model, "remove_cm_gates")):
+        original = getattr(owner, name)
 
-    def spy(act, *args, **kwargs):
-        size = len(act.postorder())
-        assert size <= 7, f"compose called on a {size}-node tree"
-        sizes.append(size)
-        return compose(act, *args, **kwargs)
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    for module in (actkit.cli, actkit.transient):
-        monkeypatch.setattr(module, "compose", spy)
-    return sizes
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return calls

@@ -198,20 +198,24 @@ def or_wide_text(width: int, lam: float) -> str:
 
 
 def and_of_ors(k: int) -> Act:
-    """AND of ``k`` two-leaf ORs under one countermeasure; its chain grows exponentially in k."""
+    """AND of ``k`` two-leaf ORs under one countermeasure; its chain grows exponentially in k.
+
+    Leaf probabilities repeat every 13 ORs, so every k gives a valid model.
+    """
     return build_act(f"and-or k={k}", and_gate(
         "top",
-        *(or_gate(f"o{i}", attack(f"a{i}", p=0.3 + 0.05 * i), attack(f"b{i}", p=0.4)) for i in range(k)),
+        *(or_gate(f"o{i}", attack(f"a{i}", p=0.3 + 0.05 * (i % 13)), attack(f"b{i}", p=0.4)) for i in range(k)),
         cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.7)),
     ))
 
 
 def guarded_branch(i: int):
-    """Spec of ``AND(OR(a, b), CM)`` whose leaf parameters vary with ``i``."""
+    """Spec of ``AND(OR(a, b), CM)`` whose leaf parameters vary with ``i``, repeating every 20."""
+    j = i % 20
     return and_gate(
         f"g{i}",
-        or_gate(f"o{i}", attack(f"a{i}", p=0.1 + 0.01 * i), attack(f"b{i}", p=0.2)),
-        cm_gate(f"cm{i}", detect(f"d{i}", p=0.3 + 0.03 * i), mitigate(f"m{i}", p=0.6 - 0.02 * i)),
+        or_gate(f"o{i}", attack(f"a{i}", p=0.1 + 0.01 * j), attack(f"b{i}", p=0.2)),
+        cm_gate(f"cm{i}", detect(f"d{i}", p=0.3 + 0.03 * j), mitigate(f"m{i}", p=0.6 - 0.02 * j)),
     )
 
 

@@ -10,7 +10,7 @@ from actkit.dsl import serialize_act
 from actkit.model import Scenario, with_attack_probability
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
 
-from oracles import branch_curves, guarded_or, or_chain_text, or_wide_text
+from oracles import and_of_ors, branch_curves, guarded_or, or_chain_text, or_wide_text
 
 MINIMAL = (
     'act "Mini" {\n'
@@ -90,11 +90,31 @@ def test_state_cap_exit_code(mia_path, tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
-def test_dynamic_state_cap_bounds_each_chain(mia_path, tmp_path):
-    # mia's whole chain explores 28 states, each guarded branch's chain 4
-    out = str(tmp_path / "dyn")
-    assert main(["dynamic", "--model", mia_path, "--state-cap", "3", "--out", out]) == 3
-    assert main(["dynamic", "--model", mia_path, "--state-cap", "4", "--out", out]) == 0
+def test_dynamic_and_rank_reject_state_cap(mia_path, tmp_path):
+    # neither builds a chain, so only export-ctmc has a state cap
+    for command in ("dynamic", "rank"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", mia_path, "--state-cap", "4", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+
+def test_dynamic_guarded_and_of_two_hundred_leaves(tmp_path):
+    # the root's chain would have more than 2^100 states
+    path = tmp_path / "and-or.act"
+    path.write_text(serialize_act(and_of_ors(100)), encoding="utf-8")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["dynamic", "--model", str(path), "--format", "json", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    for pleaf in (0.05, 0.1, 0.25):
+        curves = {s: np.asarray(json.loads((out / f"dynamic_{s.value}_p{pleaf:g}.json").read_text())["ys"])
+                  for s in Scenario}
+        xs = np.asarray(json.loads((out / f"dynamic_no-cm_p{pleaf:g}.json").read_text())["xs"])
+        # without the countermeasure the root is the AND of 100 ORs of two leaves
+        rate = -np.log1p(-pleaf)
+        assert np.allclose(curves[Scenario.NO_CM], (-np.expm1(-2 * rate * xs)) ** 100, rtol=0, atol=1e-12)
+        assert np.all(curves[Scenario.DETECT_ONLY] <= curves[Scenario.FULL] + 2e-6)
+        assert np.all(curves[Scenario.FULL] <= curves[Scenario.NO_CM] + 2e-6)
 
 
 def test_bad_grid_exit_code(mia_path, tmp_path):
@@ -209,7 +229,7 @@ def test_dynamic_deep_or_chain_exits_zero(tmp_path):
     assert np.allclose(payload["ys"], -np.expm1(-rate * np.array(payload["xs"])), rtol=0, atol=1e-12)
 
 
-def test_dynamic_twelve_guarded_branches(tmp_path, branch_compose):
+def test_dynamic_twelve_guarded_branches(tmp_path, chain_calls):
     m = 12
     path = tmp_path / "wide.act"
     path.write_text(serialize_act(guarded_or(m)), encoding="utf-8")
@@ -224,7 +244,9 @@ def test_dynamic_twelve_guarded_branches(tmp_path, branch_compose):
                 m, lambda b: compose(with_attack_probability(b, pleaf), scenario), payload["xs"])
             want = 1.0 - np.prod(1.0 - curves, axis=0)
             assert np.all(np.abs(np.asarray(payload["ys"]) - want) <= 1e-6 + 1e-12)
-            assert payload["meta"]["chains"] == (0 if scenario is Scenario.NO_CM else m)
+            assert payload["meta"]["guards"] == (0 if scenario is Scenario.NO_CM else m)
+    # no chain is built or solved; only the no-cm scenario rewrites the model
+    assert set(chain_calls) == {"remove_cm_gates"}
 
 
 def test_simulate_rejects_solver_flags(mia_path):
@@ -267,6 +289,20 @@ def test_export_ctmc_stdout(mini_path, capsys):
     ctmc = parse_ctmc_text(captured.out)
     assert ctmc.n == 4
     assert "reachable states" in captured.err
+
+
+def test_dynamic_and_rank_deep_and_wide_or(tmp_path, capsys):
+    for n, text in ((5000, or_chain_text(5000, 1e-3)), (10_000, or_wide_text(10_000, 1e-3))):
+        path = tmp_path / "big.act"
+        path.write_text(text, encoding="utf-8")
+        assert main(["rank", "--model", str(path)]) == 0
+        assert "no countermeasures" in capsys.readouterr().out
+        out = tmp_path / f"out{n}"
+        assert main(["dynamic", "--model", str(path), "--grid", "0:2:5", "--pleaf", "1e-6",
+                     "--scenario", "full", "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads((out / "dynamic_full_p1e-06.json").read_text())
+        rate = -np.log1p(-1e-6) * n
+        assert np.allclose(payload["ys"], -np.expm1(-rate * np.array(payload["xs"])), rtol=0, atol=1e-12)
 
 
 def test_export_ctmc_deep_and_wide_or(tmp_path, capsys):

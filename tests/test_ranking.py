@@ -135,13 +135,13 @@ def test_ranking_matches_whole_chain_ranking():
         assert all(b <= a + 4 * eps for a, b in zip(deltas, deltas[1:]))
 
 
-def test_ranking_twelve_guarded_branches(branch_compose):
+def test_ranking_twelve_guarded_branches(chain_calls):
     m, t_star = 12, 2.0
     act = guarded_or(m)
     start = time.perf_counter()
     effects = rank_countermeasures(act, t_star)
     assert time.perf_counter() - start < 5.0
-    assert branch_compose == [7] * m  # one chain per guarded branch, none twice
+    assert chain_calls == []  # no chain is built or solved, no model rebuilt
 
     guarded = branch_curves(m, compose, [t_star])[:, 0]
     bare = branch_curves(m, lambda b: compose(b, Scenario.NO_CM), [t_star])[:, 0]
@@ -154,27 +154,44 @@ def test_ranking_twelve_guarded_branches(branch_compose):
         assert e.pgoal_without == pytest.approx(without, abs=1e-9 + 1e-12)
 
 
-def test_ranking_rebuilds_only_chains_that_hold_the_removed_gate(monkeypatch):
-    import actkit.model
+def test_ranking_rebuilds_only_chains_that_hold_the_removed_gate(monkeypatch, chain_calls):
     import actkit.transient
 
-    calls = []
+    races = []
 
-    def spy(act, cm_ids):
-        calls.append(set(cm_ids))
-        return remove_cm_gates(act, cm_ids)
+    def spy(act, gate, gone, *args):
+        races.append((gate, gone))
+        return race(act, gate, gone, *args)
 
-    for module in (actkit.model, actkit.transient):
-        monkeypatch.setattr(module, "remove_cm_gates", spy)
-    rank_countermeasures(guarded_or(12), 2.0)
-    assert calls == []
-    # a removed gate nested in another guard's chain rebuilds that one chain
+    race = actkit.transient._race
+    monkeypatch.setattr(actkit.transient, "_race", spy)
+    act = guarded_or(12)
+    rank_countermeasures(act, 2.0)
+    # one race per branch; a removed branch is combined in closed form
+    assert sorted(gate for gate, _ in races) == [g for g in range(len(act.nodes)) if act.guard(g) is not None]
+    assert all(gone == frozenset() for _, gone in races)
+    # a removed gate nested in another guard's race re-solves that one race
     rng = random.Random(78)
     seen = 0
     for _ in range(30):
         act = random_act(rng, max_leaves=8, max_cms=3)
-        calls.clear()
+        races.clear()
         rank_countermeasures(act, 1.5)
-        assert calls == [{cm} for cm in _nested_guards(act)]
-        seen += len(calls)
+        again = [gone for _, gone in races if gone]
+        assert again == [frozenset({cm}) for cm in _nested_guards(act)]
+        seen += len(again)
     assert seen >= 3
+    assert chain_calls == []
+
+
+def test_ranking_many_branches_recomputes_only_their_paths():
+    # every removal rewalks one branch and the root, not the whole tree
+    act = guarded_or(800)
+    start = time.perf_counter()
+    goal_curve(act, Scenario.FULL, [2.0])
+    one_curve = time.perf_counter() - start
+    start = time.perf_counter()
+    effects = rank_countermeasures(act, 2.0)
+    ranking = time.perf_counter() - start
+    assert len(effects) == 800
+    assert ranking < 1.0 and ranking < 3.0 * one_curve

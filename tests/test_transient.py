@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actkit import load_bundled, parse_act
 from actkit.errors import DomainError, RateUndefined
@@ -247,38 +248,111 @@ def test_cli_import_leaves_out_scipy_stats():
 def test_goal_curve_matches_whole_chain():
     ts = np.linspace(0.0, 6.0, 13)
     rng = random.Random(404)
+    cases = [(stiff_race(), LONG_GRID), (load_bundled("mia"), np.linspace(0.0, 10.0, 21))]
     for _ in range(40):
         act = random_act(rng, max_leaves=8)
-        for model in (act, reverse_children(act)):
-            for scenario in Scenario:
-                want = transient_probability(compose(model, scenario), ts, 1e-12).ys
-                curve = goal_curve(model, scenario, ts, 1e-12)
-                assert np.all(np.abs(np.asarray(curve.ys) - want) <= 1e-9)
-                assert curve.meta["chains"] <= sum(1 for _ in model.cm_gates())
-                assert curve.meta["error_bound"] <= 1e-12
+        cases += [(act, ts), (reverse_children(act), ts)]
+    for model, grid in cases:
+        for scenario in Scenario:
+            want = np.asarray(transient_probability(compose(model, scenario), grid, 1e-14).ys)
+            for eps in (1e-6, 1e-9, 1e-12):
+                curve = goal_curve(model, scenario, grid, eps)
+                assert np.all(np.abs(np.asarray(curve.ys) - want) <= eps)
+                assert curve.meta["guards"] <= sum(1 for _ in model.cm_gates())
+                assert curve.meta["error_bound"] <= eps
 
 
-@pytest.mark.parametrize("scenario, chains", [
+@pytest.mark.parametrize("scenario, guards", [
     (Scenario.FULL, 2), (Scenario.DETECT_ONLY, 2), (Scenario.NO_CM, 0)])
-def test_goal_curve_meta_counts_chains(scenario, chains):
+def test_goal_curve_meta_counts_guards(scenario, guards):
     act = load_bundled("mia")
     meta = goal_curve(act, scenario, np.linspace(0.0, 10.0, 21), epsilon=1e-6).meta
-    assert meta["method"] == "compositional"
+    assert meta["method"] == "quadrature"
     assert meta["epsilon"] == 1e-6 and meta["model"] == act.title
-    assert meta["chains"] == chains
-    # the guarded branches' chains together are smaller than the whole tree's
-    assert (meta["states"] > 0) == (chains > 0)
-    assert meta["states"] < compose(act, scenario).n
-    assert (meta["poisson_terms"] > 0) == (chains > 0)
+    assert meta["guards"] == guards
+    # at least the 20 grid intervals per guard, 17 nodes on each
+    assert meta["panels"] >= 20 * guards
+    assert meta["nodes"] == 17 * meta["panels"]
     assert 0.0 <= meta["error_bound"] <= 1e-6
+    assert not {"chains", "states", "poisson_terms"} & set(meta)
 
 
 def test_goal_curve_of_guarded_root_is_the_whole_chain():
     act = stiff_race()
     curve = goal_curve(act, Scenario.FULL, LONG_GRID, 1e-9)
-    whole = transient_probability(compose(act), LONG_GRID, 1e-9)
-    assert curve.ys == whole.ys
-    assert curve.meta["chains"] == 1 and curve.meta["states"] == whole.meta["states"]
+    whole = transient_probability(compose(act), LONG_GRID, 1e-12)
+    assert np.all(np.abs(np.asarray(curve.ys) - whole.ys) <= 1e-9)
+    assert curve.meta["guards"] == 1
+    # the fast attack's density needs panels far finer than the grid near 0
+    assert curve.meta["panels"] > 100
+
+
+@pytest.mark.parametrize("case", ["mia", "stiff"])
+def test_goal_curve_halving_epsilon_moves_outputs_by_less_than_epsilon(case):
+    if case == "mia":
+        act, ts = load_bundled("mia"), np.linspace(0.0, 10.0, 41)
+    else:
+        act, ts = stiff_race(), LONG_GRID
+    eps = 1e-3
+    prev = np.asarray(goal_curve(act, Scenario.FULL, ts, eps).ys)
+    while eps > 1e-12:
+        cur = np.asarray(goal_curve(act, Scenario.FULL, ts, eps / 2).ys)
+        assert np.all(np.abs(cur - prev) <= eps)
+        prev, eps = cur, eps / 2
+
+
+def _race_model(lam_a: float, detect_rate: float, mitigate_rate: float):
+    return build_act("race", and_gate(
+        "top", or_gate("o", attack("a", lam=lam_a), attack("b", lam=0.3)),
+        cm_gate("cm", detect("d", p=0.5, lam=detect_rate), mitigate("m", p=0.5, lam=mitigate_rate)),
+    ))
+
+
+@pytest.mark.parametrize("rates", [
+    (0.0, 1.0, 2.0),  # a leaf that never completes
+    (1.0, 0.0, 2.0),  # detection never happens: the countermeasure never wins
+    (1.0, 1.0, 0.0),  # mitigation never completes
+    (1.0, 0.7, 0.7),  # equal phase rates: Erlang-2 survival
+    (1.0, 0.7, 0.7 * (1.0 + 1e-10)),
+    (1.0, 0.7 * (1.0 + 1e-10), 0.7),
+])
+def test_goal_curve_degenerate_countermeasure_rates(rates):
+    act = _race_model(*rates)
+    ts = np.linspace(0.0, 8.0, 17)
+    for scenario in (Scenario.FULL, Scenario.DETECT_ONLY):
+        want = np.asarray(transient_probability(compose(act, scenario), ts, 1e-14).ys)
+        for eps in (1e-6, 1e-12):
+            assert np.all(np.abs(np.asarray(goal_curve(act, scenario, ts, eps).ys) - want) <= eps)
+
+
+def test_goal_curve_refinement_stops_at_rounding_level():
+    # no tolerance is too small: panels stop splitting once the estimate is rounding noise
+    act = stiff_race()
+    want = expm_transient(compose(act), LONG_GRID)
+    for eps in (1e-300, 5e-324):
+        curve = goal_curve(act, Scenario.FULL, LONG_GRID, eps)
+        assert np.all(np.abs(np.asarray(curve.ys) - want) <= 1e-12)
+        assert curve.meta["error_bound"] < 1e-13
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_goal_curve_scenario_order(seed):
+    # a stronger defender never raises the goal probability
+    act = random_act(random.Random(seed), max_leaves=8, max_cms=3)
+    ts = np.linspace(0.0, 5.0, 11)
+    eps = 1e-9
+    lo, mid, hi = (np.asarray(goal_curve(act, s, ts, eps).ys)
+                   for s in (Scenario.DETECT_ONLY, Scenario.FULL, Scenario.NO_CM))
+    assert np.all(lo <= mid + 2 * eps) and np.all(mid <= hi + 2 * eps)
+
+
+def test_transient_probability_keeps_its_values():
+    # the jump matrix is built without LIL; these are the LIL-built curves' values
+    mia = transient_probability(compose(load_bundled("mia")), [0.5, 1.0, 2.0, 5.0], 1e-9)
+    assert mia.ys == (0.3188876032184079, 0.533688610738206, 0.7757167053224105, 0.9704541676384153)
+    stiff = transient_probability(compose(stiff_race()), [0.01, 0.05, 1.0, 1000.0], 1e-9)
+    assert stiff.ys == (0.39346862221568046, 0.9178923729012712, 0.999950741336874, 0.999950741336874)
 
 
 def test_goal_curve_checks_leaves_and_tolerance_outside_chains():
