@@ -44,10 +44,9 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import sparse
 
-from .errors import DomainError
-from .model import Act, AndGate, AttackLeaf, OrGate, Scenario, apply_scenario
+from .errors import ActValidationError, DomainError
+from .model import Act, AndGate, AttackLeaf, Diagnostic, OrGate, Scenario, apply_scenario
 from .semantics import Ctmc, _CmRates, collect_rates
 
 _RNG_NAME = "philox4x64"
@@ -119,7 +118,8 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         return CurveResult(tuple(ts), ys, ctmc.scenario, meta)
 
     # uniformized jump chain
-    P = ctmc.rates / rate + sparse.diags(1.0 - exit_rates / rate)
+    P = (ctmc.rates / rate).tolil()
+    P.setdiag(1.0 - exit_rates / rate)
     PT = P.tocsr().T.tocsr()
 
     mus = rate * ts
@@ -217,10 +217,11 @@ def goal_curves(
     Bottom-up, an attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c)
     and an AND prod(F_c) over its attack-side children; an AND gate that
     keeps its countermeasure is a ``_race`` at ``epsilon`` divided by the
-    model's countermeasure count. Every node's curve and its children's
-    stacked curves are kept, so a removal recomputes only the path from its
-    gate, or from the outermost race holding it, to the root. Returns the
-    grid, the curves and the summed ``_race`` statistics of the first one.
+    model's countermeasure count. Every node's curve is kept, so a removal
+    recomputes only the path from its gate, or from the outermost race
+    holding it, to the root. Returns the grid, the curves and the summed
+    ``_race`` statistics of the first one. Raises ActValidationError for a
+    gate without an attack-side child.
     Package-internal: ``actkit`` does not export it.
     """
     _check_epsilon(epsilon)
@@ -232,9 +233,12 @@ def goal_curves(
     owner = {cm: nid for nid, cm in guards.items()}
     sides = {nid: [c for c in act.children(nid) if c != guards.get(nid)]  # attack side of each gate
              for nid in order if isinstance(act.nodes[nid].kind, (AndGate, OrGate))}
+    for nid, kids in sides.items():
+        if not kids:
+            code = "CmPlacement" if act.children(nid) else "GateArity"
+            raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "gate has no attack-side child")])
     parent = {c: nid for nid, kids in sides.items() for c in kids}
     curves: dict[int, np.ndarray] = {}  # each node's curve with nothing removed
-    stacks: dict[int, np.ndarray] = {}  # the children's curves each gate combined
     stats = {"guards": 0, "panels": 0, "nodes": 0, "error_bound": 0.0}
 
     def race(gate: int, gone: frozenset[int]) -> np.ndarray:
@@ -256,8 +260,7 @@ def goal_curves(
             elif isinstance(kind, AttackLeaf):
                 curves[nid] = -np.expm1(-leaf_rates[nid] * ts)
             elif expanded:
-                stacks[nid] = np.array([curves[c] for c in sides[nid]])
-                curves[nid] = _combine(kind, stacks[nid])
+                curves[nid] = _combine(kind, np.array([curves[c] for c in sides[nid]]))
             elif nid in sides:
                 stack.append((nid, True))
                 stack.extend((c, False) for c in sides[nid])
@@ -277,9 +280,7 @@ def goal_curves(
             v, ys = top, race(top, frozenset({cm}))
         while v in parent:
             up = parent[v]
-            kids = stacks[up].copy()
-            kids[sides[up].index(v)] = ys
-            v, ys = up, _combine(act.nodes[up].kind, kids)
+            v, ys = up, _combine(act.nodes[up].kind, np.array([ys if c == v else curves[c] for c in sides[up]]))
         return ys
 
     result = [evaluate(act.root)]
@@ -306,19 +307,22 @@ def _others(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _survival(rates: _CmRates, s: np.ndarray) -> np.ndarray:
-    """P[detection plus mitigation takes longer than s].
+def _survival(rates: _CmRates, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P[detection plus mitigation takes longer than s], and its density.
 
     Hypoexponential, written around the smaller rate a and the gap d to
-    the larger one, so it neither cancels when d is small nor overflows:
-    e^{-as}(1 + a(1 - e^{-ds})/d), which is Erlang-2 at d = 0 and 1 when a
-    rate is 0. Instant mitigation leaves the detection time alone.
+    the larger one b, so it neither cancels when d is small nor overflows:
+    e^{-as}(1 + a(1 - e^{-ds})/d), with density ab e^{-as}(1 - e^{-ds})/d,
+    which is Erlang-2 at d = 0 and 1 when a rate is 0. Instant mitigation
+    leaves the detection time alone.
     """
     if rates.mitigate is None:
-        return np.exp(-rates.detect * s)
+        survival = np.exp(-rates.detect * s)
+        return survival, rates.detect * survival
     a, b = sorted((rates.detect, rates.mitigate))
     ramp = s if b == a else -np.expm1(-(b - a) * s) / (b - a)
-    return np.exp(-a * s) * (1.0 + a * ramp)
+    decay = np.exp(-a * s)
+    return decay * (1.0 + a * ramp), a * b * decay * ramp
 
 
 def _cumulative_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,6 +340,7 @@ _NODES, _CUMULATIVE = _cumulative_rule(17)
 # rule on the same nodes: an estimate of the error of the coarser rule
 _ESTIMATE = _CUMULATIVE[::2].copy()
 _ESTIMATE[:, ::2] -= _cumulative_rule(9)[1]
+_WEIGHTS = _CUMULATIVE[-1]  # the rule's integral over the whole panel
 _ROUNDING = 64.0 * np.finfo(float).eps
 # weights of a panel's left and right ends at each node
 _LEFT, _RIGHT = (1.0 - _NODES) / 2.0, (1.0 + _NODES) / 2.0
@@ -352,10 +357,14 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
     the subtree carries every node's (F, f) there: closed forms at leaves,
     the product rule at gates, and the running integral of g at each guard
     not in ``gone``. A guard's error on a panel is estimated as the largest
-    gap to the nested 9-node rule; panels are bisected until each guard's
-    summed estimate is at most ``share``, except where it is rounding noise.
-    Returns the curve and the last pass's ``guards``, ``panels``, ``nodes``
-    and summed ``error_bound``.
+    gap to the nested 9-node rule. That estimate reads only samples, so the
+    rule must also reproduce each panel's exact integrals of f_A (F_A's
+    rise) and of the countermeasure's density (S_D's fall, weighted by F_A's
+    rise). A panel is bisected while its guard's summed gaps and misses
+    exceed ``share`` and its own gap or miss exceeds the panel's part of
+    ``share``, unless that is rounding noise. Returns the curve and the last
+    pass's ``guards``, ``panels``, ``nodes`` and summed ``error_bound``
+    (the gaps).
     """
     order = Act(act.title, gate, act.nodes).postorder()
     edges = ts if ts[0] == 0.0 else np.concatenate(([0.0], ts))
@@ -382,26 +391,34 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
                 F = _combine(kind, Fs)
                 f = (fs * _others(1.0 - Fs if isinstance(kind, OrGate) else Fs)).sum(axis=0)
             if cm is not None and cm not in gone:
-                f = f * _survival(cm_rates[cm], s)
+                survival, density = _survival(cm_rates[cm], s)
+                # both factors' exact integrals over each panel, which the rule
+                # must reproduce: a density that peaks between two nodes shows
+                # here even when every sample of g misses it
+                rise = F[:, -1] - F[:, 0]
+                miss = (np.abs(half[:, 0] * (f @ _WEIGHTS) - rise)
+                        + np.abs(half[:, 0] * (density @ _WEIGHTS) - survival[:, 0] + survival[:, -1]) * rise)
+                noise = _ROUNDING * (h * np.abs(f).max(axis=1) + F[:, -1])
+                f = f * survival
                 cumulative = half * (f @ _CUMULATIVE.T)
                 offsets = np.zeros((h.size, 1))
                 cumulative[:-1, -1:].cumsum(axis=0, out=offsets[1:])
                 F = offsets + cumulative
-                estimates.append((half[:, 0] * np.abs(f @ _ESTIMATE.T).max(axis=1), f))
+                estimates.append((half[:, 0] * np.abs(f @ _ESTIMATE.T).max(axis=1), miss, noise))
             values[nid] = (F, f)
         mids = (edges[:-1] + edges[1:]) / 2.0
         split = (edges[:-1] < mids) & (mids < edges[1:])
         wide = np.zeros_like(split)
-        for gap, f in estimates:
-            if gap.sum() > share:
-                wide |= (gap > share * h / edges[-1]) & (gap > _ROUNDING * h * np.abs(f).max(axis=1))
+        for gap, miss, noise in estimates:
+            if gap.sum() + miss.sum() > share:
+                wide |= np.maximum(gap, miss) > np.maximum(share * h / edges[-1], noise)
         if not (split & wide).any():
             break
         edges = np.sort(np.concatenate((edges, mids[split & wide])))
     F = values[gate][0]
     ys = np.concatenate(([0.0], F[:, -1]))[np.searchsorted(edges, ts)]  # nothing completes at 0
     return ys, {"guards": len(estimates), "panels": h.size, "nodes": F.size,
-                "error_bound": float(sum(gap.sum() for gap, _ in estimates))}
+                "error_bound": float(sum(gap.sum() for gap, _, _ in estimates))}
 
 
 def _sample_exponential(rng, rate: float, size: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from actkit.model import (
 from actkit.semantics import (
     DEFAULT_STATE_CAP, _DirectBuilder, _explore, collect_rates, compose, export_ctmc_text, parse_ctmc_text,
 )
-from actkit.transient import transient_probability
+from actkit.transient import goal_curve, transient_probability
 
 from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
 from oracles import and_of_ors, expm_transient, guarded_branch, race_probability, random_act, reverse_children
@@ -285,9 +285,10 @@ def test_compose_rejects_a_gate_without_an_attack_side_child():
     assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
     # no-cm deletes the countermeasure and leaves the gate with no child at all
     for scenario, code in ((Scenario.FULL, "CmPlacement"), (Scenario.NO_CM, "GateArity")):
-        with pytest.raises(ActValidationError) as exc:
-            compose(only_cm, scenario)
-        assert [(d.code, d.node) for d in exc.value.diagnostics] == [(code, "g")]
+        for solve in (lambda: compose(only_cm, scenario), lambda: goal_curve(only_cm, scenario, [0.0, 1.0])):
+            with pytest.raises(ActValidationError) as exc:
+                solve()
+            assert [(d.code, d.node) for d in exc.value.diagnostics] == [(code, "g")]
 
 
 def test_one_tree_evaluation_per_expanded_state(monkeypatch):

@@ -325,6 +325,31 @@ def test_goal_curve_degenerate_countermeasure_rates(rates):
             assert np.all(np.abs(np.asarray(goal_curve(act, scenario, ts, eps).ys) - want) <= eps)
 
 
+def _fast_pair():
+    return and_gate("ab", attack("a", lam=500.0), attack("b", lam=500.0))
+
+
+@pytest.mark.parametrize("attack_side, detect_rate, mitigate_rate", [
+    # density zero at 0 and gone long before the first panel's second node
+    (_fast_pair, 0.5, 0.25),
+    # the same mass beside a slow sibling that keeps every sample smooth
+    (lambda: or_gate("o", _fast_pair(), attack("c", lam=0.01)), 0.5, 0.25),
+    # a countermeasure that wins or loses long before that node
+    (lambda: and_gate("ab", attack("a", lam=1.0), attack("b", lam=1.0)), 1000.0, 1000.0),
+], ids=["fast-and", "fast-and-beside-slow-or", "fast-countermeasure"])
+def test_goal_curve_resolves_mass_between_quadrature_nodes(attack_side, detect_rate, mitigate_rate):
+    act = build_act("between nodes", and_gate(
+        "top", attack_side(),
+        cm_gate("cm", detect("d", p=0.5, lam=detect_rate), mitigate("m", p=0.5, lam=mitigate_rate)),
+    ))
+    for scenario in (Scenario.FULL, Scenario.DETECT_ONLY):
+        want = np.asarray(transient_probability(compose(act, scenario), LONG_GRID, 1e-14).ys)
+        for eps in (1e-6, 1e-9, 1e-12):
+            curve = goal_curve(act, scenario, LONG_GRID, eps)
+            assert np.all(np.abs(np.asarray(curve.ys) - want) <= eps)
+            assert curve.meta["error_bound"] <= eps
+
+
 def test_goal_curve_refinement_stops_at_rounding_level():
     # no tolerance is too small: panels stop splitting once the estimate is rounding noise
     act = stiff_race()
@@ -348,7 +373,7 @@ def test_goal_curve_scenario_order(seed):
 
 
 def test_transient_probability_keeps_its_values():
-    # the jump matrix is built without LIL; these are the LIL-built curves' values
+    # pinned curves: a new way of building the jump matrix must reproduce them bit for bit
     mia = transient_probability(compose(load_bundled("mia")), [0.5, 1.0, 2.0, 5.0], 1e-9)
     assert mia.ys == (0.3188876032184079, 0.533688610738206, 0.7757167053224105, 0.9704541676384153)
     stiff = transient_probability(compose(stiff_race()), [0.01, 0.05, 1.0, 1000.0], 1e-9)
