@@ -110,10 +110,10 @@ class Act:
             return kind.children
         return ()
 
-    def postorder(self) -> list[int]:
-        """Nodes reachable from the root, every child before its parent."""
+    def postorder(self, top: int | None = None) -> list[int]:
+        """Nodes reachable from ``top`` (default: the root), every child before its parent."""
         order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        stack: list[tuple[int, bool]] = [(self.root if top is None else top, False)]
         while stack:
             nid, expanded = stack.pop()
             if expanded:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Act
+from .model import Act, Scenario
 # ``compose`` is unused here, but bench/tests/test_bench.py checks that the
 # tracer rewraps ``actkit.ranking.compose``; drop it when that test moves.
 from .semantics import compose  # noqa: F401
@@ -45,7 +45,7 @@ def rank_countermeasures(
     ``t_star`` are checked even when the model has no countermeasures.
     """
     cms = sorted(act.cm_gates())
-    _, curves, _ = goal_curves(act, [t_star], epsilon, cms)
+    _, curves, _ = goal_curves(act, Scenario.FULL, [t_star], epsilon, cms)
     with_all, *without = (float(ys[0]) for ys in curves)
     effects = [CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,
                         pgoal_without=p, delta=p - with_all) for nid, p in zip(cms, without)]

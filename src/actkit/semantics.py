@@ -30,16 +30,7 @@ from dataclasses import dataclass
 from scipy import sparse
 
 from .errors import ActValidationError, MissingParameter, RateUndefined, StateSpaceLimit
-from .model import (
-    Act,
-    AndGate,
-    AttackLeaf,
-    CmGate,
-    Diagnostic,
-    OrGate,
-    Scenario,
-    apply_scenario,
-)
+from .model import Act, AndGate, AttackLeaf, CmGate, Diagnostic, OrGate, Scenario
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -66,26 +57,43 @@ def _leaf_rate(act: Act, nid: int) -> float:
         raise type(exc)(f"leaf '{act.nodes[nid].name}': {exc}") from None
 
 
-def collect_rates(act: Act) -> tuple[dict[int, float], dict[int, _CmRates]]:
-    """Completion rates for the attack leaves and countermeasure phases under ``act.root``.
+def attack_side(act: Act, gate: int, scenario: Scenario) -> list[int]:
+    """An AND or OR gate's children but its countermeasure; ActValidationError when there are none.
 
-    A mitigation leaf with probability 1 and no explicit rate means the
-    mitigation is instantaneous; probability 1 anywhere else has no finite
-    rate and raises RateUndefined.
+    The code is CmPlacement for a lone countermeasure and GateArity for a gate left empty, as no-cm reads it.
+    """
+    guard = act.guard(gate)
+    kids = [c for c in act.children(gate) if c != guard]
+    if not kids:
+        code = "CmPlacement" if guard is not None and scenario is not Scenario.NO_CM else "GateArity"
+        raise ActValidationError([Diagnostic(code, act.nodes[gate].name, "gate has no attack-side child")])
+    return kids
+
+
+def collect_rates(act: Act, scenario: Scenario = Scenario.FULL) -> tuple[dict[int, float], dict[int, _CmRates]]:
+    """Completion rates of the attack leaves under ``act.root``, and the law of each countermeasure.
+
+    The one place a scenario takes effect: full keeps both phases, detect-only
+    makes mitigation instantaneous and no-cm keeps no law, so that gate reads
+    as a plain AND. Under full, a mitigation leaf with probability 1 and no
+    explicit rate is instantaneous; probability 1 anywhere else has no finite
+    rate and raises RateUndefined. Checks every gate with ``attack_side``.
     """
     leaf_rates: dict[int, float] = {}
     cm_rates: dict[int, _CmRates] = {}
     for nid in sorted(act.postorder()):
-        node = act.nodes[nid]
-        if isinstance(node.kind, AttackLeaf):
+        kind = act.nodes[nid].kind
+        if isinstance(kind, AttackLeaf):
             leaf_rates[nid] = _leaf_rate(act, nid)
-        elif isinstance(node.kind, CmGate):
-            det = _leaf_rate(act, node.kind.detect)
-            mit_tm = act.nodes[node.kind.mitigate].kind.timing
-            if mit_tm.lam is None and mit_tm.p == 1.0:
+        elif isinstance(kind, (AndGate, OrGate)):
+            attack_side(act, nid, scenario)
+        elif isinstance(kind, CmGate) and scenario is not Scenario.NO_CM:
+            det = _leaf_rate(act, kind.detect)
+            mit_tm = act.nodes[kind.mitigate].kind.timing
+            if scenario is Scenario.DETECT_ONLY or (mit_tm.lam is None and mit_tm.p == 1.0):
                 mit: float | None = None
             else:
-                mit = _leaf_rate(act, node.kind.mitigate)
+                mit = _leaf_rate(act, kind.mitigate)
             cm_rates[nid] = _CmRates(det, mit)
     return leaf_rates, cm_rates
 
@@ -115,13 +123,11 @@ def compose(
 
     The tree under ``act.root`` must be well-formed; nodes outside it are
     ignored, so the view ``Act(title, g, act.nodes)`` composes the chain of
-    ``g``'s subtree alone. Raises ActValidationError for a gate without an
-    attack-side child, StateSpaceLimit when more than ``state_cap`` states
-    are reachable and RateUndefined when a required leaf has probability 1.
+    ``g``'s subtree alone. Raises what ``collect_rates`` raises and
+    StateSpaceLimit when more than ``state_cap`` states are reachable.
     """
-    resolved = apply_scenario(act, scenario)
-    leaf_rates, cm_rates = collect_rates(resolved)
-    raw = _explore(_DirectBuilder(resolved, leaf_rates, cm_rates), state_cap)
+    leaf_rates, cm_rates = collect_rates(act, scenario)
+    raw = _explore(_DirectBuilder(act, leaf_rates, cm_rates), state_cap)
     return _collapse(*raw, title=act.title, scenario=scenario)
 
 
@@ -138,7 +144,7 @@ class _DirectBuilder:
     sentinels. So in every state each PENDING leaf, and the owner of each
     detecting or mitigating countermeasure, has only P ancestors. The
     initial state is all pending because every gate has an attack-side child
-    (the constructor checks it), so nothing is decided before the first event.
+    (``collect_rates`` checks it), so nothing is decided before the first event.
 
     ``transitions`` evaluates the tree once per state, over a flat
     post-order table of the gates. Each successor turns one P node decided:
@@ -189,22 +195,20 @@ class _DirectBuilder:
             cm_lo = min((self.span[c][2] for c in children), default=len(self.cm_post))
             if isinstance(kind, AttackLeaf):
                 self.leaf_post.append(leaf_idx[nid])
-            elif isinstance(kind, CmGate):
+            elif nid in cm_idx:
                 self.cm_post.append(cm_idx[nid])
             elif isinstance(kind, (AndGate, OrGate)):
                 guard = act.guard(nid)
                 kids = tuple(pos[c] for c in act.children(nid) if c != guard)
-                if not kids:
-                    code = "CmPlacement" if children else "GateArity"
-                    raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "gate has no attack-side child")])
                 for c in kids:
                     self.parent[c] = i
-                if guard is not None:
-                    self.owner[cm_idx[guard]] = i
+                cm = cm_idx.get(guard, -1)
+                if cm >= 0:
+                    self.owner[cm] = i
                 forced, unanimous = (_S, _D) if isinstance(kind, OrGate) else (_D, _S)
                 self.arity[i] = len(kids)
                 self.unanimous[i] = unanimous
-                self.gates.append((i, forced, unanimous, kids, -1 if guard is None else cm_idx[guard]))
+                self.gates.append((i, forced, unanimous, kids, cm))
             self.span[i] = (leaf_lo, len(self.leaf_post), cm_lo, len(self.cm_post))
 
     def _evaluate(self, leafstat, cmstat) -> list[int]:

@@ -3,7 +3,7 @@
 Leaf successes are independent Bernoulli events. Gates combine bottom-up:
 AND multiplies child probabilities, OR complements the product of failure
 probabilities, and a countermeasure contributes the attacker-facing factor
-``1 - p_detect * p_mitigate`` to its enclosing AND gate.
+``1 - p_detect * p_mitigate`` (detect-only: ``1 - p_detect``, no-cm: 1) to its enclosing AND gate.
 """
 
 from __future__ import annotations
@@ -12,18 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .model import (
-    Act,
-    AndGate,
-    AttackLeaf,
-    CmGate,
-    DetectLeaf,
-    MitigateLeaf,
-    OrGate,
-    Scenario,
-    apply_scenario,
-    with_attack_probability,
-)
+from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, with_attack_probability
+from .semantics import attack_side
 
 
 def static_probability(act: Act, scenario: Scenario = Scenario.FULL) -> float:
@@ -33,7 +23,7 @@ def static_probability(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     accumulations is the small one, so it is correctly rounded on both ends
     of [0, 1] and ordered consistently across scenarios.
     """
-    succ, fail = _evaluate(apply_scenario(act, scenario))
+    succ, fail = _evaluate(act, scenario)
     return succ if succ <= fail else 1.0 - fail
 
 
@@ -44,28 +34,32 @@ def static_failure(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     ``1 - static_probability`` rounds to zero; this route keeps them exact
     enough to compare scenarios whose probabilities all round to 1.0.
     """
-    succ, fail = _evaluate(apply_scenario(act, scenario))
+    succ, fail = _evaluate(act, scenario)
     return fail if fail <= succ else 1.0 - succ
 
 
-def _evaluate(resolved: Act) -> tuple[float, float]:
-    """Root (success, failure) probabilities, each accumulated on its own.
+def _evaluate(act: Act, scenario: Scenario) -> tuple[float, float]:
+    """Root (success, failure) probabilities under ``scenario``, each accumulated on its own.
 
     Success and failure are carried side by side: products keep relative
     precision, and each complement telescopes into a sum of non-negative
-    terms instead of a catastrophic ``1 - product``.
+    terms instead of a catastrophic ``1 - product``. Only the events the scenario keeps are read.
     """
     succ: dict[int, float] = {}
     fail: dict[int, float] = {}
-    for nid in resolved.postorder():
-        kind = resolved.nodes[nid].kind
-        if isinstance(kind, (AttackLeaf, DetectLeaf, MitigateLeaf)):
+    nodes = act.nodes
+    for nid in act.postorder():
+        kind = nodes[nid].kind
+        if isinstance(kind, AttackLeaf):
             p = kind.timing.probability()
             succ[nid], fail[nid] = p, 1.0 - p
         elif isinstance(kind, CmGate):
-            q = succ[kind.detect] * succ[kind.mitigate]
+            q = 0.0 if scenario is Scenario.NO_CM else nodes[kind.detect].kind.timing.probability()
+            if scenario is Scenario.FULL:
+                q *= nodes[kind.mitigate].kind.timing.probability()
             succ[nid], fail[nid] = 1.0 - q, q
         elif isinstance(kind, AndGate):
+            attack_side(act, nid, scenario)  # the countermeasure's factor alone is no gate
             # 1 - p1..pk = (1-p1) + p1(1-p2) + p1 p2 (1-p3) + ...
             p, q = 1.0, 0.0
             for c in kind.children:
@@ -74,11 +68,11 @@ def _evaluate(resolved: Act) -> tuple[float, float]:
             succ[nid], fail[nid] = p, q
         elif isinstance(kind, OrGate):
             p, q = 0.0, 1.0
-            for c in kind.children:
+            for c in attack_side(act, nid, scenario):
                 p += q * succ[c]
                 q *= fail[c]
             succ[nid], fail[nid] = p, q
-    return succ[resolved.root], fail[resolved.root]
+    return succ[act.root], fail[act.root]
 
 
 @dataclass(frozen=True)

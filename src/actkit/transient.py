@@ -45,8 +45,8 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import ActValidationError, DomainError
-from .model import Act, AndGate, AttackLeaf, Diagnostic, OrGate, Scenario, apply_scenario
+from .errors import DomainError
+from .model import Act, AndGate, AttackLeaf, OrGate, Scenario
 from .semantics import Ctmc, _CmRates, collect_rates
 
 _RNG_NAME = "philox4x64"
@@ -201,42 +201,39 @@ def goal_curve(
     counts the ``guards`` integrated, the ``panels`` and quadrature ``nodes``
     they took, and sums their ``error_bound``.
     """
-    ts, [ys], stats = goal_curves(apply_scenario(act, scenario), times, epsilon)
+    ts, [ys], stats = goal_curves(act, scenario, times, epsilon)
     meta = {"method": "quadrature", "epsilon": epsilon, "model": act.title, **stats}
     return CurveResult(tuple(ts), tuple(float(y) for y in ys), scenario, meta)
 
 
 def goal_curves(
     act: Act,
+    scenario: Scenario,
     times: Sequence[float],
     epsilon: float,
     removed: Sequence[int] = (),
 ) -> tuple[np.ndarray, list[np.ndarray], dict]:
-    """Goal curve of one validated model, then one per countermeasure gate in ``removed`` read as removed.
+    """Goal curve of one validated model under ``scenario``, then one per countermeasure gate in ``removed`` read as removed.
 
     Bottom-up, an attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c)
-    and an AND prod(F_c) over its attack-side children; an AND gate that
-    keeps its countermeasure is a ``_race`` at ``epsilon`` divided by the
-    model's countermeasure count. Every node's curve is kept, so a removal
-    recomputes only the path from its gate, or from the outermost race
-    holding it, to the root. Returns the grid, the curves and the summed
-    ``_race`` statistics of the first one. Raises ActValidationError for a
-    gate without an attack-side child.
+    and an AND prod(F_c) over its attack-side children; an AND gate whose
+    countermeasure has a law under ``scenario`` and is not removed is a
+    ``_race`` at ``epsilon`` divided by the number of such laws. Every
+    node's curve is kept, so a removal recomputes only the path from its
+    gate, or from the outermost race holding it, to the root. Returns the
+    grid, the curves and the summed ``_race`` statistics of the first one.
+    Raises what ``collect_rates`` raises.
     Package-internal: ``actkit`` does not export it.
     """
     _check_epsilon(epsilon)
     ts = _check_grid(times)
-    share = epsilon / max(sum(1 for _ in act.cm_gates()), 1)
-    leaf_rates, cm_rates = collect_rates(act)
+    leaf_rates, cm_rates = collect_rates(act, scenario)
+    share = epsilon / max(len(cm_rates), 1)
     order = act.postorder()
-    guards = {nid: cm for nid in order if (cm := act.guard(nid)) is not None}
+    guards = {nid: cm for nid in order if (cm := act.guard(nid)) in cm_rates}
     owner = {cm: nid for nid, cm in guards.items()}
-    sides = {nid: [c for c in act.children(nid) if c != guards.get(nid)]  # attack side of each gate
+    sides = {nid: [c for c in act.children(nid) if c != act.guard(nid)]  # attack side of each gate
              for nid in order if isinstance(act.nodes[nid].kind, (AndGate, OrGate))}
-    for nid, kids in sides.items():
-        if not kids:
-            code = "CmPlacement" if act.children(nid) else "GateArity"
-            raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "gate has no attack-side child")])
     parent = {c: nid for nid, kids in sides.items() for c in kids}
     curves: dict[int, np.ndarray] = {}  # each node's curve with nothing removed
     stats = {"guards": 0, "panels": 0, "nodes": 0, "error_bound": 0.0}
@@ -356,17 +353,17 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
     intervals, get 17 Chebyshev-Lobatto nodes each. One post-order pass over
     the subtree carries every node's (F, f) there: closed forms at leaves,
     the product rule at gates, and the running integral of g at each guard
-    not in ``gone``. A guard's error on a panel is estimated as the largest
-    gap to the nested 9-node rule. That estimate reads only samples, so the
-    rule must also reproduce each panel's exact integrals of f_A (F_A's
-    rise) and of the countermeasure's density (S_D's fall, weighted by F_A's
-    rise). A panel is bisected while its guard's summed gaps and misses
+    with a law in ``cm_rates`` and not in ``gone``. A guard's error on a
+    panel is estimated as the largest gap to the nested 9-node rule. That
+    estimate reads only samples, so the rule must also reproduce each
+    panel's exact integrals of f_A (F_A's rise) and of the countermeasure's
+    density (S_D's fall, weighted by F_A's rise). A panel is bisected while its guard's summed gaps and misses
     exceed ``share`` and its own gap or miss exceeds the panel's part of
     ``share``, unless that is rounding noise. Returns the curve and the last
     pass's ``guards``, ``panels``, ``nodes`` and summed ``error_bound``
     (the gaps).
     """
-    order = Act(act.title, gate, act.nodes).postorder()
+    order = act.postorder(gate)
     edges = ts if ts[0] == 0.0 else np.concatenate(([0.0], ts))
     while True:
         h = edges[1:] - edges[:-1]
@@ -390,7 +387,7 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
                 Fs, fs = np.array([k[0] for k in kids]), np.array([k[1] for k in kids])
                 F = _combine(kind, Fs)
                 f = (fs * _others(1.0 - Fs if isinstance(kind, OrGate) else Fs)).sum(axis=0)
-            if cm is not None and cm not in gone:
+            if cm in cm_rates and cm not in gone:
                 survival, density = _survival(cm_rates[cm], s)
                 # both factors' exact integrals over each panel, which the rule
                 # must reproduce: a density that peaks between two nodes shows
@@ -447,8 +444,7 @@ def simulate(
     if runs <= 0:
         raise DomainError("runs must be positive")
     ts = _check_grid(times)
-    resolved = apply_scenario(act, scenario)
-    leaf_rates, cm_rates = collect_rates(resolved)
+    leaf_rates, cm_rates = collect_rates(act, scenario)
 
     sampled = len(leaf_rates) + sum(1 if r.mitigate is None else 2 for r in cm_rates.values())
     chunk = min(_CHUNK, max(1, _CHUNK_VALUES // sampled))
@@ -465,7 +461,7 @@ def simulate(
             if rates.mitigate is not None:
                 deadline = deadline + _sample_exponential(rng, rates.mitigate, size)
             deadlines[nid] = deadline
-        root_time = _completion_times(resolved, samples, deadlines)
+        root_time = _completion_times(act, samples, deadlines)
         counts += np.searchsorted(np.sort(root_time), ts, side="right")
 
     phat = counts / runs
@@ -493,7 +489,7 @@ def _completion_times(act: Act, samples, deadlines) -> np.ndarray:
         elif isinstance(kind, AndGate):
             cm = act.guard(nid)
             done = np.maximum.reduce([times.pop(c) for c in kind.children if c != cm])
-            times[nid] = done if cm is None else np.where(done < deadlines[cm], done, np.inf)
+            times[nid] = done if cm not in deadlines else np.where(done < deadlines[cm], done, np.inf)
     if act.root not in times:
         raise DomainError(f"cannot simulate node kind {type(act.nodes[act.root].kind).__name__}")
     return times[act.root]

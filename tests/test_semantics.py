@@ -15,6 +15,7 @@ from actkit.model import (
     MitigateLeaf,
     Scenario,
     and_gate,
+    apply_scenario,
     attack,
     build_act,
     cm_gate,
@@ -27,7 +28,8 @@ from actkit.model import (
 from actkit.semantics import (
     DEFAULT_STATE_CAP, _DirectBuilder, _explore, collect_rates, compose, export_ctmc_text, parse_ctmc_text,
 )
-from actkit.transient import goal_curve, transient_probability
+from actkit.statics import static_failure, static_probability
+from actkit.transient import goal_curve, simulate, transient_probability
 
 from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
 from oracles import and_of_ors, expm_transient, guarded_branch, race_probability, random_act, reverse_children
@@ -279,13 +281,38 @@ def test_view_composes_the_branch_under_its_root():
             assert export_ctmc_text(view) == export_ctmc_text(compose(alone, scenario))
 
 
+def test_scenario_laws_match_the_rewritten_model():
+    # every analysis reads a scenario per countermeasure; apply_scenario's
+    # rewrite is the reference, and the two must agree bit for bit
+    rng = random.Random(20)
+    acts = [load_bundled("mia")]
+    for _ in range(40):
+        act = random_act(rng, max_leaves=8, max_cms=3)
+        acts += [act, reverse_children(act)]
+    ts = [0.0, 0.5, 1.0, 3.0]
+    analyses = (
+        lambda act, s: static_probability(act, s),
+        lambda act, s: static_failure(act, s),
+        lambda act, s: goal_curve(act, s, ts).ys,
+        lambda act, s: simulate(act, s, ts, 500, 7).ys,
+        lambda act, s: export_ctmc_text(compose(act, s)),
+    )
+    for act in acts:
+        for scenario in Scenario:
+            rewritten = apply_scenario(act, scenario)
+            for f in analyses:
+                assert f(act, scenario) == f(rewritten, Scenario.FULL)
+
+
 def test_compose_rejects_a_gate_without_an_attack_side_child():
     cm = cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5))
     only_cm = build_act("only cm", or_gate("top", attack("a", p=0.5), and_gate("g", cm)), validate=False)
     assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
     # no-cm deletes the countermeasure and leaves the gate with no child at all
     for scenario, code in ((Scenario.FULL, "CmPlacement"), (Scenario.NO_CM, "GateArity")):
-        for solve in (lambda: compose(only_cm, scenario), lambda: goal_curve(only_cm, scenario, [0.0, 1.0])):
+        for solve in (lambda: compose(only_cm, scenario), lambda: goal_curve(only_cm, scenario, [0.0, 1.0]),
+                      lambda: simulate(only_cm, scenario, [0.0, 1.0], 10, 1),
+                      lambda: static_probability(only_cm, scenario)):
             with pytest.raises(ActValidationError) as exc:
                 solve()
             assert [(d.code, d.node) for d in exc.value.diagnostics] == [(code, "g")]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from actkit import load_bundled, parse_act
 from actkit.errors import DomainError, RateUndefined
 from actkit.model import (
+    Act,
     Scenario,
     and_gate,
     attack,
@@ -22,6 +23,7 @@ from actkit.model import (
     with_attack_probability,
 )
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
+from actkit.ranking import rank_countermeasures
 from actkit.transient import goal_curve, simulate, transient_probability
 
 from oracles import expm_transient, or_chain_text, random_act, reverse_children
@@ -378,6 +380,23 @@ def test_transient_probability_keeps_its_values():
     assert mia.ys == (0.3188876032184079, 0.533688610738206, 0.7757167053224105, 0.9704541676384153)
     stiff = transient_probability(compose(stiff_race()), [0.01, 0.05, 1.0, 1000.0], 1e-9)
     assert stiff.ys == (0.39346862221568046, 0.9178923729012712, 0.999950741336874, 0.999950741336874)
+
+
+def test_goal_curve_and_ranking_build_no_model(monkeypatch):
+    # scenarios are read per countermeasure, and races walk the subtree in place
+    act = load_bundled("mia")
+    built = []
+    init = Act.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Act, "__init__", spy)
+    for scenario in Scenario:
+        goal_curve(act, scenario, [0.0, 1.0, 2.0])
+    rank_countermeasures(act, 2.0)
+    assert built == []
 
 
 def test_goal_curve_checks_leaves_and_tolerance_outside_chains():
