@@ -255,11 +255,11 @@ def validate_act(act: Act) -> list[Diagnostic]:
             if nid == act.root:
                 out.append(Diagnostic("CmPlacement", node.name, "countermeasure gates may only be children of AND gates"))
         elif isinstance(kind, DetectLeaf):
-            if any(not isinstance(act.nodes[p].kind, CmGate) for p in parents[nid]):
+            if nid == act.root or any(not isinstance(act.nodes[p].kind, CmGate) for p in parents[nid]):
                 out.append(Diagnostic("LeafPlacement", node.name, "detection events may only appear under a countermeasure gate"))
             _check_timing(node, out)
         elif isinstance(kind, MitigateLeaf):
-            if any(not isinstance(act.nodes[p].kind, CmGate) for p in parents[nid]):
+            if nid == act.root or any(not isinstance(act.nodes[p].kind, CmGate) for p in parents[nid]):
                 out.append(Diagnostic("LeafPlacement", node.name, "mitigation events may only appear under a countermeasure gate"))
             _check_timing(node, out)
         elif isinstance(kind, AttackLeaf):

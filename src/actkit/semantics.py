@@ -25,11 +25,12 @@ transition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy import sparse
 
-from .errors import ActValidationError, MissingParameter, RateUndefined, StateSpaceLimit
+from .errors import ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
 from .model import Act, AndGate, AttackLeaf, CmGate, Diagnostic, OrGate, Scenario
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -77,7 +78,8 @@ def collect_rates(act: Act, scenario: Scenario = Scenario.FULL) -> tuple[dict[in
     makes mitigation instantaneous and no-cm keeps no law, so that gate reads
     as a plain AND. Under full, a mitigation leaf with probability 1 and no
     explicit rate is instantaneous; probability 1 anywhere else has no finite
-    rate and raises RateUndefined. Checks every gate with ``attack_side``.
+    rate and raises RateUndefined. Checks every gate with ``attack_side``, and
+    raises DomainError when the rates sum past the largest double.
     """
     leaf_rates: dict[int, float] = {}
     cm_rates: dict[int, _CmRates] = {}
@@ -95,6 +97,9 @@ def collect_rates(act: Act, scenario: Scenario = Scenario.FULL) -> tuple[dict[in
             else:
                 mit = _leaf_rate(act, kind.mitigate)
             cm_rates[nid] = _CmRates(det, mit)
+    total = sum(leaf_rates.values()) + sum(r.detect + (r.mitigate or 0.0) for r in cm_rates.values())
+    if not math.isfinite(total):
+        raise DomainError("the completion rates sum past the largest double")
     return leaf_rates, cm_rates
 
 

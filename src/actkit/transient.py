@@ -123,6 +123,8 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     PT = P.tocsr().T.tocsr()
 
     mus = rate * ts
+    if not mus[-1] < 2.0**53:  # past this, doubles no longer count the jumps
+        raise DomainError(f"uniformization at rate {rate:g} to t = {ts[-1]:g} takes too many jumps")
     lo, hi = _poisson_windows(mus, epsilon / 4.0)
     right = int(hi[-1])
     stop_mass = epsilon / 2.0
@@ -395,7 +397,7 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
                 rise = F[:, -1] - F[:, 0]
                 miss = (np.abs(half[:, 0] * (f @ _WEIGHTS) - rise)
                         + np.abs(half[:, 0] * (density @ _WEIGHTS) - survival[:, 0] + survival[:, -1]) * rise)
-                noise = _ROUNDING * (h * np.abs(f).max(axis=1) + F[:, -1])
+                noise = _ROUNDING * h * np.abs(f).max(axis=1) + _ROUNDING * F[:, -1]  # h * f may overflow
                 f = f * survival
                 cumulative = half * (f @ _CUMULATIVE.T)
                 offsets = np.zeros((h.size, 1))

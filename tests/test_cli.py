@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from actkit import load_bundled
+from actkit import load_bundled, parse_act
 from actkit.cli import main
 from actkit.dsl import serialize_act
 from actkit.model import Scenario, with_attack_probability
@@ -57,11 +57,13 @@ def test_validate_parse_error(tmp_path, capsys):
 
 def test_validate_structural_error(tmp_path, capsys):
     path = tmp_path / "invalid.act"
-    path.write_text('act "B" { root g; g = OR(c, a); a = ATTACK(p=0.5); '
-                    'c = CM(d, m); d = DETECT(p=0.5); m = MITIGATE(p=0.5); }',
-                    encoding="utf-8")
-    assert main(["validate", "--model", str(path)]) == 2
-    assert "CmPlacement" in capsys.readouterr().err
+    for text, code in (('act "B" { root g; g = OR(c, a); a = ATTACK(p=0.5); '
+                        'c = CM(d, m); d = DETECT(p=0.5); m = MITIGATE(p=0.5); }', "CmPlacement"),
+                       ('act "x" { root d; d = DETECT(p=0.5, t=1.0); }', "LeafPlacement"),
+                       ('act "x" { root m; m = MITIGATE(p=0.5, t=1.0); }', "LeafPlacement")):
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--model", str(path)]) == 2
+        assert code in capsys.readouterr().err
 
 
 def test_numeric_limit_exit_code(tmp_path, capsys):
@@ -303,6 +305,16 @@ def test_dynamic_and_rank_deep_and_wide_or(tmp_path, capsys):
         payload = json.loads((out / "dynamic_full_p1e-06.json").read_text())
         rate = -np.log1p(-1e-6) * n
         assert np.allclose(payload["ys"], -np.expm1(-rate * np.array(payload["xs"])), rtol=0, atol=1e-12)
+        # an OR of n leaves at p fails only if every leaf fails
+        assert main(["static-sweep", "--model", str(path), "--grid", "0:1:3", "--out", str(out)]) == 0
+        for scenario in Scenario:
+            rows = (out / f"static_{scenario.value}.dat").read_text().splitlines()[1:]
+            assert [tuple(map(float, row.split())) for row in rows] == [(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)]
+    # path now holds the wide gate
+    assert main(["simulate", "--model", str(path), "--runs", "100", "--grid", "0:2:5", "--pleaf", "1e-6",
+                 "--scenario", "full", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads((out / "dynamic_full_p1e-06.json").read_text())
+    assert payload["meta"]["runs"] == 100 and payload["ys"][0] == 0.0
 
 
 def test_export_ctmc_deep_and_wide_or(tmp_path, capsys):
@@ -310,6 +322,10 @@ def test_export_ctmc_deep_and_wide_or(tmp_path, capsys):
     for n, text in ((5000, or_chain_text(5000, 1e-3)), (10_000, or_wide_text(10_000, 1e-3))):
         path = tmp_path / "big.act"
         path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--model", str(path)]) == 0
+        assert f"{n} attack leaves" in capsys.readouterr().out
+        assert main(["fmt", "--model", str(path)]) == 0
+        assert parse_act(capsys.readouterr().out) == parse_act(text)
         assert main(["export-ctmc", "--model", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:3] == ["#states 2", "#init 0", "#goal 1"]

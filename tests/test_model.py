@@ -188,6 +188,9 @@ def test_validate_detect_outside_cm():
         Node("d", "d", DetectLeaf(LeafTiming(p=0.5, t=1.0))),
     ))
     assert "LeafPlacement" in codes(act)
+    # nor as the root, where there is no parent to check
+    for kind in (DetectLeaf, MitigateLeaf):
+        assert codes(Act("root leaf", 0, (Node("e", "e", kind(LeafTiming(p=0.5, t=1.0))),))) == ["LeafPlacement"]
 
 
 def test_validate_leaf_params():

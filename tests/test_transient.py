@@ -23,6 +23,7 @@ from actkit.model import (
     with_attack_probability,
 )
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
+from actkit.cli import main
 from actkit.ranking import rank_countermeasures
 from actkit.transient import goal_curve, simulate, transient_probability
 
@@ -397,6 +398,33 @@ def test_goal_curve_and_ranking_build_no_model(monkeypatch):
         goal_curve(act, scenario, [0.0, 1.0, 2.0])
     rank_countermeasures(act, 2.0)
     assert built == []
+
+
+def test_rates_near_the_largest_double(tmp_path):
+    # AND(OR(a, b), CM): each call answers within [0, 1] or raises DomainError
+    def model(lam):
+        return (f'act "fast" {{ root g; g = AND(o, cm); o = OR(a, b); a = ATTACK(p=0.5, lambda={lam!r}); '
+                f'b = ATTACK(p=0.5, lambda={lam!r}); cm = CM(d, m); d = DETECT(p=0.5, lambda=1.0); '
+                f'm = MITIGATE(p=0.5, lambda=1.0); }}')
+
+    path = tmp_path / "fast.act"
+    for lam in (1e200, 8e307, 1e308):
+        act = parse_act(model(lam))
+        path.write_text(model(lam), encoding="utf-8")
+        with pytest.raises(DomainError):  # far too many uniformization jumps, or rates that sum to inf
+            transient_probability(compose(act), [0.0, 1.0, 10.0])
+        if lam == 1e308:
+            for scenario in Scenario:
+                with pytest.raises(DomainError):
+                    goal_curve(act, scenario, [0.0, 1.0, 10.0])
+            assert main(["rank", "--model", str(path)]) == 3
+            continue
+        for scenario in Scenario:
+            ys = goal_curve(act, scenario, [0.0, 1.0, 10.0]).ys
+            assert ys[0] == 0.0 and all(0.99 < y <= 1.0 for y in ys[1:])
+        (effect,) = rank_countermeasures(act, 2.0)
+        assert 0.99 < effect.pgoal_with <= effect.pgoal_without <= 1.0
+        assert main(["rank", "--model", str(path)]) == 0
 
 
 def test_goal_curve_checks_leaves_and_tolerance_outside_chains():
