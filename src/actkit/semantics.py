@@ -59,9 +59,10 @@ def _leaf_rate(act: Act, nid: int) -> float:
 
 
 def attack_side(act: Act, gate: int, scenario: Scenario) -> list[int]:
-    """An AND or OR gate's children but its countermeasure; ActValidationError when there are none.
+    """An AND or OR gate's children other than its countermeasure.
 
-    The code is CmPlacement for a lone countermeasure and GateArity for a gate left empty, as no-cm reads it.
+    Raises ActValidationError when there are none: CmPlacement for a lone
+    countermeasure, GateArity for a gate left empty, as no-cm reads one.
     """
     guard = act.guard(gate)
     kids = [c for c in act.children(gate) if c != guard]

@@ -59,7 +59,7 @@ def _evaluate(act: Act, scenario: Scenario) -> tuple[float, float]:
                 q *= nodes[kind.mitigate].kind.timing.probability()
             succ[nid], fail[nid] = 1.0 - q, q
         elif isinstance(kind, AndGate):
-            attack_side(act, nid, scenario)  # the countermeasure's factor alone is no gate
+            attack_side(act, nid, scenario)  # raises when the countermeasure is the only child
             # 1 - p1..pk = (1-p1) + p1(1-p2) + p1 p2 (1-p3) + ...
             p, q = 1.0, 0.0
             for c in kind.children:

@@ -47,7 +47,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import DomainError
 from .model import Act, AndGate, AttackLeaf, OrGate, Scenario
-from .semantics import Ctmc, _CmRates, collect_rates
+from .semantics import Ctmc, _CmRates, attack_side, collect_rates
 
 _RNG_NAME = "philox4x64"
 _CHUNK = 1 << 17
@@ -234,8 +234,8 @@ def goal_curves(
     order = act.postorder()
     guards = {nid: cm for nid in order if (cm := act.guard(nid)) in cm_rates}
     owner = {cm: nid for nid, cm in guards.items()}
-    sides = {nid: [c for c in act.children(nid) if c != act.guard(nid)]  # attack side of each gate
-             for nid in order if isinstance(act.nodes[nid].kind, (AndGate, OrGate))}
+    sides = {nid: attack_side(act, nid, scenario) for nid in order
+             if isinstance(act.nodes[nid].kind, (AndGate, OrGate))}
     parent = {c: nid for nid, kids in sides.items() for c in kids}
     curves: dict[int, np.ndarray] = {}  # each node's curve with nothing removed
     stats = {"guards": 0, "panels": 0, "nodes": 0, "error_bound": 0.0}

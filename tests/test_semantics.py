@@ -308,8 +308,9 @@ def test_compose_rejects_a_gate_without_an_attack_side_child():
     cm = cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5))
     only_cm = build_act("only cm", or_gate("top", attack("a", p=0.5), and_gate("g", cm)), validate=False)
     assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
-    # no-cm deletes the countermeasure and leaves the gate with no child at all
-    for scenario, code in ((Scenario.FULL, "CmPlacement"), (Scenario.NO_CM, "GateArity")):
+    # no-cm reads the countermeasure as absent, which leaves the gate with no child at all
+    for scenario, code in ((Scenario.FULL, "CmPlacement"), (Scenario.DETECT_ONLY, "CmPlacement"),
+                           (Scenario.NO_CM, "GateArity")):
         for solve in (lambda: compose(only_cm, scenario), lambda: goal_curve(only_cm, scenario, [0.0, 1.0]),
                       lambda: simulate(only_cm, scenario, [0.0, 1.0], 10, 1),
                       lambda: static_probability(only_cm, scenario)):
