@@ -3,7 +3,8 @@
 Leaf successes are independent Bernoulli events. Gates combine bottom-up:
 AND multiplies child probabilities, OR complements the product of failure
 probabilities, and a countermeasure contributes the attacker-facing factor
-``1 - p_detect * p_mitigate`` (detect-only: ``1 - p_detect``, no-cm: 1) to its enclosing AND gate.
+``1 - p_detect * p_mitigate`` to its enclosing AND gate (detect-only:
+``1 - p_detect``; no-cm: 1).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def _evaluate(act: Act, scenario: Scenario) -> tuple[float, float]:
 
     Success and failure are carried side by side: products keep relative
     precision, and each complement telescopes into a sum of non-negative
-    terms instead of a catastrophic ``1 - product``. Only the events the scenario keeps are read.
+    terms instead of a catastrophic ``1 - product``. Only the events the
+    scenario keeps are read.
     """
     succ: dict[int, float] = {}
     fail: dict[int, float] = {}

@@ -359,11 +359,11 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
     panel is estimated as the largest gap to the nested 9-node rule. That
     estimate reads only samples, so the rule must also reproduce each
     panel's exact integrals of f_A (F_A's rise) and of the countermeasure's
-    density (S_D's fall, weighted by F_A's rise). A panel is bisected while its guard's summed gaps and misses
-    exceed ``share`` and its own gap or miss exceeds the panel's part of
-    ``share``, unless that is rounding noise. Returns the curve and the last
-    pass's ``guards``, ``panels``, ``nodes`` and summed ``error_bound``
-    (the gaps).
+    density (S_D's fall, weighted by F_A's rise). A panel is bisected while
+    its guard's summed gaps and misses exceed ``share`` and its own gap or
+    miss exceeds the panel's part of ``share``, unless that is rounding
+    noise. Returns the curve and the last pass's ``guards``, ``panels``,
+    ``nodes`` and summed ``error_bound`` (the gaps).
     """
     order = act.postorder(gate)
     edges = ts if ts[0] == 0.0 else np.concatenate(([0.0], ts))
