@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actkit import load_bundled, parse_act
+from actkit.cli import main
 from actkit.errors import DomainError, RateUndefined
 from actkit.model import (
     Act,
@@ -23,7 +24,6 @@ from actkit.model import (
     with_attack_probability,
 )
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
-from actkit.cli import main
 from actkit.ranking import rank_countermeasures
 from actkit.transient import goal_curve, simulate, transient_probability
 
