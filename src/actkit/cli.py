@@ -8,7 +8,10 @@ takes only that method's options: ``dynamic`` the solver's ``--epsilon``,
 so only it takes ``--state-cap``. Data files use two whitespace-separated
 columns with ``#`` comment lines, numbers are printed with six significant
 digits, and repeated runs with identical flags produce byte-identical
-outputs.
+outputs. ``simulate`` folds one draw per scenario into every ``--pleaf``
+curve, so a scenario's curves are positively correlated (common random
+numbers); each file still matches a single-``--pleaf`` run with the same
+``--seed`` byte for byte.
 
 Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 numeric or
 state-space limit.
@@ -34,9 +37,9 @@ from .errors import (
 )
 from .model import Scenario, with_attack_probability
 from .ranking import rank_countermeasures
-from .semantics import DEFAULT_STATE_CAP, compose, export_ctmc_text
+from .semantics import DEFAULT_STATE_CAP, collect_rates, compose, export_ctmc_text
 from .statics import sweep_pleaf
-from .transient import CurveResult, goal_curve, simulate
+from .transient import CurveResult, goal_curve, simulate_curves
 
 _SCENARIOS = [s.value for s in Scenario]
 _DEFAULT_PLEAF = (0.05, 0.1, 0.25)
@@ -133,12 +136,13 @@ def cmd_static_sweep(args) -> int:
 def cmd_timed(args) -> int:
     act = load_act(args.model)
     grid = _parse_grid(args.grid)
+    pleafs = args.pleaf or _DEFAULT_PLEAF
+    acts = [with_attack_probability(act, pleaf) for pleaf in pleafs]
     # every curve is computed before the first file is written, so a failing
     # (scenario, pleaf) pair leaves no partial output behind
     curves = []
     for scenario in _scenarios(args):
-        for pleaf in args.pleaf or _DEFAULT_PLEAF:
-            curve = args.curve(args, with_attack_probability(act, pleaf), scenario, grid)
+        for pleaf, curve in zip(pleafs, args.curves(args, acts, scenario, grid)):
             curve.meta["pleaf"] = pleaf
             curves.append((scenario, pleaf, curve))
     out = _out_dir(args)
@@ -203,8 +207,8 @@ def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> 
                        help=f"defender scenario, repeatable (default: {scenario})")
 
 
-def _add_timed(sub, name: str, helptext: str, curve) -> argparse.ArgumentParser:
-    """Add a timed command that writes ``curve(args, act, scenario, grid)`` per scenario and pleaf."""
+def _add_timed(sub, name: str, helptext: str, curves) -> argparse.ArgumentParser:
+    """Add a timed command that writes ``curves(args, acts, scenario, grid)``, one curve per pleaf's model, per scenario."""
     p = sub.add_parser(name, help=helptext)
     _add_common(p)
     p.add_argument("--pleaf", action="append", type=float,
@@ -212,7 +216,7 @@ def _add_timed(sub, name: str, helptext: str, curve) -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:10:101", help="time grid START:STOP:STEPS in hours (default 0:10:101)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
-    p.set_defaults(func=cmd_timed, curve=curve)
+    p.set_defaults(func=cmd_timed, curves=curves)
     return p
 
 
@@ -233,11 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_static_sweep)
 
     p = _add_timed(sub, "dynamic", "timed goal-probability curves",
-                   lambda args, act, scenario, grid: goal_curve(act, scenario, grid, args.epsilon))
+                   lambda args, acts, scenario, grid: [goal_curve(a, scenario, grid, args.epsilon) for a in acts])
     p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
 
     p = _add_timed(sub, "simulate", "timed curves via Monte Carlo simulation",
-                   lambda args, act, scenario, grid: simulate(act, scenario, grid, args.runs, args.seed))
+                   lambda args, acts, scenario, grid: simulate_curves(
+                       acts[0], scenario, grid, args.runs, args.seed,
+                       [collect_rates(a, scenario)[0] for a in acts]))
     p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
     p.add_argument("--seed", type=int, default=1, help="simulation seed")
 

@@ -34,6 +34,8 @@ countermeasure to the root.
 
 The simulator replays the same race semantics with sampled
 exponential completion times and reports binomial half-widths.
+``simulate_curves`` folds one draw into the curves of several sets of
+attack-leaf rates, as the CLI's ``--pleaf`` values give.
 """
 
 from __future__ import annotations
@@ -122,9 +124,9 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     P.setdiag(1.0 - exit_rates / rate)
     PT = P.tocsr().T.tocsr()
 
-    mus = rate * ts
-    if not mus[-1] < 2.0**53:  # past this, doubles no longer count the jumps
+    if not ts[-1] < 2.0**53 / rate:  # past this, doubles no longer count the jumps
         raise DomainError(f"uniformization at rate {rate:g} to t = {ts[-1]:g} takes too many jumps")
+    mus = rate * ts
     lo, hi = _poisson_windows(mus, epsilon / 4.0)
     right = int(hi[-1])
     stop_mass = epsilon / 2.0
@@ -282,9 +284,12 @@ def goal_curves(
             v, ys = up, _combine(act.nodes[up].kind, np.array([ys if c == v else curves[c] for c in sides[up]]))
         return ys
 
-    result = [evaluate(act.root)]
-    first = dict(stats)
-    result += [without(cm) for cm in removed]
+    # a fast leaf's rate * t may overflow to inf, which every closed form
+    # reads as certain completion
+    with np.errstate(over="ignore"):
+        result = [evaluate(act.root)]
+        first = dict(stats)
+        result += [without(cm) for cm in removed]
     return ts, result, first
 
 
@@ -442,32 +447,65 @@ def simulate(
     case the gate never succeeds. Deterministic for fixed (seed, runs, grid).
     Runs are drawn in chunks of at most 2^17, and of at most 2^22 sampled
     values in all, so memory stays bounded however many leaves the model has.
+    A leaf's time is a unit exponential times 1/rate, so calls with the same
+    seed whose models differ only in positive attack-leaf rates read the
+    same draws, and their curves are positively correlated (common random
+    numbers). The CLI's ``--pleaf`` curves of one scenario are such a set,
+    folded from one draw by ``simulate_curves``; this is its one-model case.
+    """
+    leaf_rates, _ = collect_rates(act, scenario)
+    return simulate_curves(act, scenario, times, runs, seed, [leaf_rates])[0]
+
+
+def simulate_curves(
+    act: Act,
+    scenario: Scenario,
+    times: Sequence[float],
+    runs: int,
+    seed: int,
+    leaf_rates: Sequence[dict[int, float]],
+) -> list[CurveResult]:
+    """``simulate``'s curve of one validated model under ``scenario`` for each dict of attack-leaf rates.
+
+    Each curve is bit for bit the one ``simulate`` gives for the model with
+    those leaf rates. A leaf of rate 0 draws nothing, so the dicts are
+    grouped by the leaves that draw, and each group replays ``seed`` once:
+    per chunk, one unit exponential array per drawing leaf in the dict's
+    order, then the countermeasure phases, which no leaf rate changes. Each
+    dict folds those draws, scaling a leaf's units by 1/rate where its parent
+    reads them, the product ``Generator.exponential`` forms. The curves of
+    one group share their draws (common random numbers), so they are
+    positively correlated. Package-internal: ``actkit`` does not export it.
     """
     if runs <= 0:
         raise DomainError("runs must be positive")
     ts = _check_grid(times)
-    leaf_rates, cm_rates = collect_rates(act, scenario)
+    _, cm_rates = collect_rates(act, scenario)
+    order = act.postorder()
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, rates in enumerate(leaf_rates):
+        groups.setdefault(tuple(nid for nid, rate in rates.items() if rate > 0.0), []).append(i)
+    counts = np.zeros((len(leaf_rates), ts.size), dtype=np.int64)
+    for drawn, members in groups.items():
+        sampled = len(leaf_rates[members[0]]) + sum(1 if r.mitigate is None else 2 for r in cm_rates.values())
+        chunk = min(_CHUNK, max(1, _CHUNK_VALUES // sampled))
+        rng = np.random.Generator(np.random.Philox(seed))
+        remaining = runs
+        while remaining > 0:
+            size = min(chunk, remaining)
+            remaining -= size
+            units = {nid: rng.standard_exponential(size) for nid in drawn}
+            deadlines = {}
+            for nid, rates in cm_rates.items():
+                deadline = _sample_exponential(rng, rates.detect, size)
+                if rates.mitigate is not None:
+                    deadline = deadline + _sample_exponential(rng, rates.mitigate, size)
+                deadlines[nid] = deadline
+            for i in members:
+                scales = {nid: 1.0 / leaf_rates[i][nid] for nid in drawn}
+                root_time = _fold_chunk(act, order, size, units, scales, deadlines)
+                counts[i] += np.searchsorted(np.sort(root_time), ts, side="right")
 
-    sampled = len(leaf_rates) + sum(1 if r.mitigate is None else 2 for r in cm_rates.values())
-    chunk = min(_CHUNK, max(1, _CHUNK_VALUES // sampled))
-    rng = np.random.Generator(np.random.Philox(seed))
-    counts = np.zeros(ts.size, dtype=np.int64)
-    remaining = runs
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        samples = {nid: _sample_exponential(rng, rate, size) for nid, rate in leaf_rates.items()}
-        deadlines = {}
-        for nid, rates in cm_rates.items():
-            deadline = _sample_exponential(rng, rates.detect, size)
-            if rates.mitigate is not None:
-                deadline = deadline + _sample_exponential(rng, rates.mitigate, size)
-            deadlines[nid] = deadline
-        root_time = _completion_times(act, samples, deadlines)
-        counts += np.searchsorted(np.sort(root_time), ts, side="right")
-
-    phat = counts / runs
-    sigma = np.sqrt(phat * (1.0 - phat) / runs)
     meta = {
         "method": "monte-carlo",
         "rng": _RNG_NAME,
@@ -475,23 +513,44 @@ def simulate(
         "runs": runs,
         "model": act.title,
     }
-    return CurveResult(tuple(ts), tuple(float(p) for p in phat), scenario, meta,
-                       halfwidths=tuple(float(3.0 * s) for s in sigma))
+    curves = []
+    for row in counts:
+        phat = row / runs
+        sigma = np.sqrt(phat * (1.0 - phat) / runs)
+        curves.append(CurveResult(tuple(ts), tuple(float(p) for p in phat), scenario, dict(meta),
+                                  halfwidths=tuple(float(3.0 * s) for s in sigma)))
+    return curves
 
 
-def _completion_times(act: Act, samples, deadlines) -> np.ndarray:
-    """Root completion times, folded bottom-up in post-order without recursion."""
-    times = {}
-    for nid in act.postorder():
+def _fold_chunk(act: Act, order: list[int], size: int, units: dict[int, np.ndarray],
+                scales: dict[int, float], deadlines: dict[int, np.ndarray]) -> np.ndarray:
+    """Root completion times of one chunk, folded bottom-up in post-order without recursion.
+
+    A leaf's times are its ``units`` times its scale, formed when its parent
+    reads them; a leaf without units never completes. Each gate folds its
+    attack-side children into the first one's fresh array in place.
+    """
+    times: dict[int, np.ndarray] = {}
+
+    def read(nid: int) -> np.ndarray:
+        if nid in times:
+            return times.pop(nid)
+        if nid in units:
+            return units[nid] * scales[nid]
+        return np.full(size, np.inf)
+
+    for nid in order:
         kind = act.nodes[nid].kind
-        if isinstance(kind, AttackLeaf):
-            times[nid] = samples[nid]
-        elif isinstance(kind, OrGate):
-            times[nid] = np.minimum.reduce([times.pop(c) for c in kind.children])
-        elif isinstance(kind, AndGate):
+        if isinstance(kind, (AndGate, OrGate)):
             cm = act.guard(nid)
-            done = np.maximum.reduce([times.pop(c) for c in kind.children if c != cm])
-            times[nid] = done if cm not in deadlines else np.where(done < deadlines[cm], done, np.inf)
-    if act.root not in times:
+            first, *rest = (c for c in kind.children if c != cm)
+            done = read(first)
+            fold = np.minimum if isinstance(kind, OrGate) else np.maximum
+            for c in rest:
+                fold(done, read(c), out=done)
+            if cm in deadlines:
+                done[done >= deadlines[cm]] = np.inf
+            times[nid] = done
+    if not isinstance(act.nodes[act.root].kind, (AttackLeaf, AndGate, OrGate)):
         raise DomainError(f"cannot simulate node kind {type(act.nodes[act.root].kind).__name__}")
-    return times[act.root]
+    return read(act.root)

@@ -79,7 +79,7 @@ def test_numeric_limit_exit_code(tmp_path, capsys):
 
 
 def test_timed_failure_writes_no_curve(mia_path, tmp_path):
-    # the second pleaf fails after the first curve is computed
+    # the second pleaf fails after the first is read or solved, and no curve is written
     for argv in (["dynamic", "--pleaf", "0.1", "--pleaf", "1.5"],
                  ["simulate", "--runs", "100", "--pleaf", "0.1", "--pleaf", "1.0"]):
         out = tmp_path / argv[0]
@@ -209,6 +209,20 @@ def test_simulate_command_deterministic(mia_path, tmp_path):
                      "--seed", "11", "--out", str(out)]) == 0
         outs.append((out / "dynamic_full_p0.1.dat").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_simulate_pleafs_write_the_bytes_of_single_pleaf_runs(mia_path, tmp_path):
+    # the curves of one scenario share their draws, each still equal to its own run
+    common = ["simulate", "--model", mia_path, "--grid", "0:4:9", "--runs", "20000", "--seed", "5"]
+    assert main(common + ["--pleaf", "0", "--pleaf", "0.1", "--pleaf", "0.25",
+                          "--out", str(tmp_path / "all")]) == 0
+    written = {p.name: p.read_bytes() for p in (tmp_path / "all").iterdir()}
+    alone = {}
+    for pleaf in ("0", "0.1", "0.25"):
+        out = tmp_path / f"p{pleaf}"
+        assert main(common + ["--pleaf", pleaf, "--out", str(out)]) == 0
+        alone.update((p.name, p.read_bytes()) for p in out.iterdir())
+    assert len(written) == 9 and written == alone
 
 
 def test_simulate_deep_or_chain_exits_zero(tmp_path):

@@ -13,6 +13,8 @@ from actkit.cli import main
 from actkit.errors import DomainError, RateUndefined
 from actkit.model import (
     Act,
+    AndGate,
+    OrGate,
     Scenario,
     and_gate,
     attack,
@@ -23,9 +25,9 @@ from actkit.model import (
     or_gate,
     with_attack_probability,
 )
-from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
+from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text
 from actkit.ranking import rank_countermeasures
-from actkit.transient import goal_curve, simulate, transient_probability
+from actkit.transient import goal_curve, simulate, simulate_curves, transient_probability
 
 from oracles import expm_transient, or_chain_text, random_act, reverse_children
 
@@ -223,15 +225,63 @@ def test_simulate_keeps_its_draws_on_the_bundled_model():
 
 def test_simulate_wide_model_in_bounded_memory():
     act = build_act("wide", or_gate("top", *(attack(f"a{i}", lam=0.005) for i in range(200))))
+    leaf_rates, _ = collect_rates(act)
+    scales = (1.0, 2.0, 3.0)  # three curves folded from one draw
     tracemalloc.start()
     try:
         curve = simulate(act, Scenario.FULL, [0.5, 1.0], runs=1 << 17, seed=3)
+        curves = simulate_curves(act, Scenario.FULL, [0.5, 1.0], 1 << 17, 3,
+                                 [{nid: k * rate for nid, rate in leaf_rates.items()} for k in scales])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    for t, y, hw in zip(curve.xs, curve.ys, curve.halfwidths):
-        assert abs(y - (1.0 - math.exp(-t))) <= hw
+    assert curves[0].ys == curve.ys
+    for k, c in zip(scales, curves):
+        for t, y, hw in zip(c.xs, c.ys, c.halfwidths):
+            assert abs(y - (1.0 - math.exp(-k * t))) <= hw
     assert peak < 128 * 2**20
+
+
+def one_draw_per_curve(act, scenario, ts, runs, seed):
+    """``simulate``'s goal frequencies in one chunk, drawn afresh for this model alone."""
+    leaf_rates, cm_rates = collect_rates(act, scenario)
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def draw(rate):
+        return rng.exponential(1.0 / rate, runs) if rate > 0.0 else np.full(runs, np.inf)
+
+    times = {nid: draw(rate) for nid, rate in leaf_rates.items()}
+    deadlines = {nid: draw(r.detect) + (0.0 if r.mitigate is None else draw(r.mitigate))
+                 for nid, r in cm_rates.items()}
+    for nid in act.postorder():
+        kind = act.nodes[nid].kind
+        if isinstance(kind, OrGate):
+            times[nid] = np.min([times[c] for c in kind.children], axis=0)
+        elif isinstance(kind, AndGate):
+            cm = act.guard(nid)
+            done = np.max([times[c] for c in kind.children if c != cm], axis=0)
+            times[nid] = np.where(done < deadlines[cm], done, np.inf) if cm in deadlines else done
+    return tuple(np.count_nonzero(times[act.root] <= t) / runs for t in ts)
+
+
+@pytest.mark.parametrize("pleafs", [(0.05, 0.1, 0.25), (0.0, 0.1, 0.1, 0.3)])
+def test_simulate_curves_equal_separate_draws(pleafs):
+    # one draw folded per pleaf gives each pleaf's own simulate() bits, below
+    # one chunk on random models and over three chunks on mia (21 arrays)
+    ts = [0.5, 1.0, 2.0, 5.0]
+    rng = random.Random(31)
+    cases = [(random_act(rng, max_leaves=8), 2000) for _ in range(15)] + [(load_bundled("mia"), 300_000)]
+    for model, runs in cases:
+        acts = [with_attack_probability(model, p) for p in pleafs]
+        for scenario in Scenario:
+            curves = simulate_curves(acts[0], scenario, ts, runs, 11,
+                                     [collect_rates(a, scenario)[0] for a in acts])
+            assert len(curves) == len(pleafs)
+            for act, curve in zip(acts, curves):
+                alone = simulate(act, scenario, ts, runs, 11)
+                assert (curve.ys, curve.halfwidths, curve.meta) == (alone.ys, alone.halfwidths, alone.meta)
+                if runs <= 2000:
+                    assert curve.ys == one_draw_per_curve(act, scenario, ts, runs, 11)
 
 
 @pytest.mark.parametrize("depth", [500, 5000])
@@ -400,6 +450,7 @@ def test_goal_curve_and_ranking_build_no_model(monkeypatch):
     assert built == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_rates_near_the_largest_double(tmp_path):
     # AND(OR(a, b), CM): each call answers within [0, 1] or raises DomainError
     def model(lam):
