@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, with_attack_probability
+from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario
 from .semantics import attack_side
 
 
@@ -24,7 +24,11 @@ def static_probability(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     accumulations is the small one, so it is correctly rounded on both ends
     of [0, 1] and ordered consistently across scenarios.
     """
-    succ, fail = _evaluate(act, scenario)
+    return _smaller_side(*_evaluate(act, scenario))
+
+
+def _smaller_side(succ: float, fail: float) -> float:
+    """The success probability, read from whichever accumulation is the small one."""
     return succ if succ <= fail else 1.0 - fail
 
 
@@ -39,13 +43,14 @@ def static_failure(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     return fail if fail <= succ else 1.0 - succ
 
 
-def _evaluate(act: Act, scenario: Scenario) -> tuple[float, float]:
+def _evaluate(act: Act, scenario: Scenario, pleaf: float | None = None) -> tuple[float, float]:
     """Root (success, failure) probabilities under ``scenario``, each accumulated on its own.
 
     Success and failure are carried side by side: products keep relative
     precision, and each complement telescopes into a sum of non-negative
     terms instead of a catastrophic ``1 - product``. Only the events the
-    scenario keeps are read.
+    scenario keeps are read. A given ``pleaf`` is read as every attack
+    leaf's probability, as ``with_attack_probability`` would set it.
     """
     succ: dict[int, float] = {}
     fail: dict[int, float] = {}
@@ -53,7 +58,7 @@ def _evaluate(act: Act, scenario: Scenario) -> tuple[float, float]:
     for nid in act.postorder():
         kind = nodes[nid].kind
         if isinstance(kind, AttackLeaf):
-            p = kind.timing.probability()
+            p = kind.timing.probability() if pleaf is None else pleaf
             succ[nid], fail[nid] = p, 1.0 - p
         elif isinstance(kind, CmGate):
             q = 0.0 if scenario is Scenario.NO_CM else nodes[kind.detect].kind.timing.probability()
@@ -90,7 +95,9 @@ def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] =
     """Evaluate static_probability with every attack leaf set to each grid value.
 
     The grid must be strictly increasing within [0, 1]. Detection and
-    mitigation probabilities keep their modelled values.
+    mitigation probabilities keep their modelled values. Each point equals
+    ``static_probability(with_attack_probability(act, x), scenario)`` bit
+    for bit, without building that model.
     """
     grid = tuple(float(x) for x in grid)
     if not grid:
@@ -102,6 +109,6 @@ def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] =
         raise DomainError("sweep grid must lie in [0, 1]")
     results = []
     for scenario in scenarios:
-        pgoal = tuple(static_probability(with_attack_probability(act, x), scenario) for x in grid)
+        pgoal = tuple(_smaller_side(*_evaluate(act, scenario, x)) for x in grid)
         results.append(SweepResult(scenario, grid, pgoal))
     return results

@@ -26,8 +26,12 @@ chain. Sibling subtrees share no node, so their completion times are
 independent and their curves combine in closed form; only an AND gate
 guarded by a countermeasure races, and its curve is the integral of its
 attack side's density times the countermeasure's survival. That integral
-is taken by cumulative Chebyshev quadrature on panels of the grid, bisected
-until each race's estimated error is within its share of ``epsilon``.
+is taken by cumulative Chebyshev quadrature on panels of the grid, graded
+toward 0 when a rate is fast, and bisected until each race's error,
+estimated from the tail of each panel's Chebyshev coefficients, is within
+its share of ``epsilon``. Inside a race, gates fold their children by the
+product rule as each child is done, so its memory does not grow with a
+gate's width.
 ``goal_curves`` holds that evaluation for ``goal_curve`` and for
 countermeasure ranking, which recomputes only the path from each removed
 countermeasure to the root.
@@ -198,12 +202,19 @@ def goal_curve(
     """P[goal reached by t] for each grid point, within ``epsilon``, without a chain.
 
     Gates without a countermeasure combine in closed form. Each countermeasure
-    race is integrated by cumulative quadrature to within ``epsilon``
-    divided by the number of countermeasures; products of values in [0, 1]
-    move by at most the sum of their factors' errors, so the curve is within
-    the sum of the races' estimated errors, at most ``epsilon``. ``meta``
-    counts the ``guards`` integrated, the ``panels`` and quadrature ``nodes``
-    they took, and sums their ``error_bound``.
+    race is integrated by cumulative Chebyshev quadrature on the grid's
+    panels, graded toward 0 when a rate is fast against the first grid
+    point, to within ``epsilon`` divided by the number of countermeasures;
+    products of values in [0, 1] move by at most the sum of their factors'
+    errors, so the curve is within the sum of the races' estimated errors,
+    at most ``epsilon``. Inside a race each gate folds its children by the
+    product rule as they finish, so a gate of any width holds one pair of
+    panel arrays. ``meta`` counts the ``guards`` integrated, the ``panels``
+    and quadrature ``nodes`` they took, and the bisection ``rounds``, passes
+    over a race's subtree summed over the races (a race accepted on its
+    first panels counts 1). It sums the races' ``error_bound``: per panel,
+    the largest of the integrand's last three Chebyshev coefficients times
+    the panel's half-width.
     """
     ts, [ys], stats = goal_curves(act, scenario, times, epsilon)
     meta = {"method": "quadrature", "epsilon": epsilon, "model": act.title, **stats}
@@ -240,7 +251,7 @@ def goal_curves(
              if isinstance(act.nodes[nid].kind, (AndGate, OrGate))}
     parent = {c: nid for nid, kids in sides.items() for c in kids}
     curves: dict[int, np.ndarray] = {}  # each node's curve with nothing removed
-    stats = {"guards": 0, "panels": 0, "nodes": 0, "error_bound": 0.0}
+    stats = {"guards": 0, "panels": 0, "nodes": 0, "rounds": 0, "error_bound": 0.0}
 
     def race(gate: int, gone: frozenset[int]) -> np.ndarray:
         ys, solved = _race(act, gate, gone, ts, leaf_rates, cm_rates, share)
@@ -300,17 +311,6 @@ def _combine(kind, ys: np.ndarray) -> np.ndarray:
     return ys.prod(axis=0)
 
 
-def _others(xs: np.ndarray) -> np.ndarray:
-    """Row i: the product of every row of ``xs`` but row i, by prefix and suffix products."""
-    if len(xs) == 2:
-        return xs[::-1]
-    out = np.empty_like(xs)
-    out[0] = 1.0
-    xs[:-1].cumprod(axis=0, out=out[1:])
-    out[:-1] *= xs[:0:-1].cumprod(axis=0)[::-1]
-    return out
-
-
 def _survival(rates: _CmRates, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P[detection plus mitigation takes longer than s], and its density.
 
@@ -329,25 +329,46 @@ def _survival(rates: _CmRates, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return decay * (1.0 + a * ramp), a * b * decay * ramp
 
 
-def _cumulative_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n Chebyshev-Lobatto nodes on [-1, 1], ascending, and the matrix taking
-    values at them to their interpolant's integral from -1 to each node."""
+def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n Chebyshev-Lobatto nodes on [-1, 1], ascending, the matrix taking
+    values at them to their interpolant's integral from -1 to each node, and
+    the matrix taking them to the interpolant's Chebyshev coefficients."""
     x = -np.cos(np.pi * np.arange(n) / (n - 1))
     coef = np.linalg.inv(chebyshev.chebvander(x, n - 1))
     q = chebyshev.chebvander(x, n) @ chebyshev.chebint(coef, lbnd=-1, axis=0)
     q[0] = 0.0
-    return x, q
+    return x, q, coef
 
 
-_NODES, _CUMULATIVE = _cumulative_rule(17)
-# the rule's integrals at every other node minus those of the nested 9-node
-# rule on the same nodes: an estimate of the error of the coarser rule
-_ESTIMATE = _CUMULATIVE[::2].copy()
-_ESTIMATE[:, ::2] -= _cumulative_rule(9)[1]
+_NODES, _CUMULATIVE, _COEFFICIENTS = _lobatto_rule(17)
+_TAIL = _COEFFICIENTS[-3:].T.copy()  # values to the last three coefficients
 _WEIGHTS = _CUMULATIVE[-1]  # the rule's integral over the whole panel
 _ROUNDING = 64.0 * np.finfo(float).eps
 # weights of a panel's left and right ends at each node
 _LEFT, _RIGHT = (1.0 - _NODES) / 2.0, (1.0 + _NODES) / 2.0
+# past 1024/rate an exponential phase has no mass left to resolve, so panels
+# beyond it may widen fast
+_SETTLED, _WIDENING = 1024.0, 2.0**16
+
+
+def _graded(t0: float, rates: list[float]) -> np.ndarray:
+    """Panel edges in (0, t0), graded toward 0, for a race whose phase rates are ``rates``.
+
+    Empty while their sum, which bounds the rate of any first completion
+    among them, times t0 is at most 8: one panel, or one bisection of it,
+    resolves that. Otherwise edges double from 1/sum(rates) to
+    1024/max(rates), past which the fastest phase is over, and then widen
+    by 2^16 up to t0; a rate of 1e200 costs about 50 panels in one pass,
+    where bisection would take one pass per halving.
+    """
+    total = sum(rates)
+    if total * t0 <= 8.0:
+        return np.empty(0)
+    lo, hi = 1.0 / total, min(_SETTLED / max(rates), t0)
+    fine = lo * 2.0 ** np.arange(math.ceil(math.log2(hi / lo)))
+    coarse = hi * _WIDENING ** np.arange(math.ceil(math.log(t0 / hi, _WIDENING)))
+    edges = np.unique(np.concatenate((fine, coarse)))
+    return edges[edges < t0]  # a rounded logarithm may reach hi or t0
 
 
 def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
@@ -357,72 +378,105 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
     The attack side and the countermeasure are independent, so the gate's
     density is g = f_A S_D (attack-side density times countermeasure
     survival) and F_G(t) = int_0^t g. The panels, [0, ts[0]] and the grid
-    intervals, get 17 Chebyshev-Lobatto nodes each. One post-order pass over
-    the subtree carries every node's (F, f) there: closed forms at leaves,
-    the product rule at gates, and the running integral of g at each guard
-    with a law in ``cm_rates`` and not in ``gone``. A guard's error on a
-    panel is estimated as the largest gap to the nested 9-node rule. That
-    estimate reads only samples, so the rule must also reproduce each
-    panel's exact integrals of f_A (F_A's rise) and of the countermeasure's
-    density (S_D's fall, weighted by F_A's rise). A panel is bisected while
-    its guard's summed gaps and misses exceed ``share`` and its own gap or
+    intervals, get 17 Chebyshev-Lobatto nodes each; when a phase is fast
+    against the first grid point, the first panel starts ``_graded`` toward
+    0. One post-order pass over the subtree carries every node's (F, f)
+    there: closed forms at leaves, the running integral of g at each guard
+    with a law in ``cm_rates`` and not in ``gone``, and the product rule,
+    folded into the open parent as soon as a child is done (AND:
+    F <- F F_c and f <- f F_c + F f_c; OR: the same on 1 - F), so a gate
+    holds one (F, f) pair however wide it is. A guard's error on a panel is
+    estimated from the tail of g's interpolant there: the largest of its
+    last three Chebyshev coefficients (so an odd or even g still shows one)
+    times the panel's half-width. Below 64 ulps of the panel's scale the
+    tail is a rounding plateau, which Chebfun's ``standardChop`` likewise
+    reads as converged (Aurentz and Trefethen, ACM TOMS 2017). The estimate
+    reads only samples, so the rule must also reproduce each panel's exact
+    integrals of f_A (F_A's rise) and of the countermeasure's density (S_D's
+    fall, weighted by F_A's rise). A panel is bisected while its guard's
+    summed estimates and misses exceed ``share`` and its own estimate or
     miss exceeds the panel's part of ``share``, unless that is rounding
     noise. Returns the curve and the last pass's ``guards``, ``panels``,
-    ``nodes`` and summed ``error_bound`` (the gaps).
+    ``nodes`` and summed ``error_bound`` (the estimates), with the number
+    of passes as ``rounds``.
     """
-    order = act.postorder(gate)
+    steps = []  # (node, its rate if an attack leaf, whether an OR gate, its law if it races)
+    parent: dict[int, tuple[int, bool]] = {}  # attack-side child: its gate, and whether that is an OR
+    rates = []
+    for nid in act.postorder(gate):
+        kind = act.nodes[nid].kind
+        if isinstance(kind, AttackLeaf):
+            rates.append(leaf_rates[nid])
+            steps.append((nid, leaf_rates[nid], False, None))
+        elif isinstance(kind, (AndGate, OrGate)):
+            cm = act.guard(nid)
+            law = cm_rates[cm] if cm in cm_rates and cm not in gone else None
+            if law is not None:
+                rates += [law.detect, law.mitigate or 0.0]
+            is_or = isinstance(kind, OrGate)
+            parent.update((c, (nid, is_or)) for c in kind.children if c != cm)
+            steps.append((nid, None, is_or, law))
     edges = ts if ts[0] == 0.0 else np.concatenate(([0.0], ts))
+    if edges.size > 1:
+        edges = np.concatenate(([0.0], _graded(edges[1], rates), edges[1:]))
+    rounds = 0
     while True:
+        rounds += 1
         h = edges[1:] - edges[:-1]
         half = (h / 2.0)[:, None]
         s = edges[:-1, None] * _LEFT + edges[1:, None] * _RIGHT
-        values: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # per open gate: its first child's (F, f), or once folded the product X and its derivative
+        open_gates: dict[int, tuple[np.ndarray, np.ndarray, bool]] = {}
         estimates = []
-        for nid in order:
-            kind = act.nodes[nid].kind
-            if isinstance(kind, AttackLeaf):
-                rate = leaf_rates[nid]
-                values[nid] = (-np.expm1(-rate * s), rate * np.exp(-rate * s))
-                continue
-            if not isinstance(kind, (AndGate, OrGate)):
-                continue
-            cm = act.guard(nid)
-            kids = [values.pop(c) for c in kind.children if c != cm]
-            if len(kids) == 1:
-                (F, f), = kids
+        for nid, rate, is_or, law in steps:
+            if rate is not None:
+                x = -rate * s
+                F, f = -np.expm1(x), rate * np.exp(x)
             else:
-                Fs, fs = np.array([k[0] for k in kids]), np.array([k[1] for k in kids])
-                F = _combine(kind, Fs)
-                f = (fs * _others(1.0 - Fs if isinstance(kind, OrGate) else Fs)).sum(axis=0)
-            if cm in cm_rates and cm not in gone:
-                survival, density = _survival(cm_rates[cm], s)
+                F, f, folded = open_gates.pop(nid)
+                if folded and is_or:
+                    F = 1.0 - F
+            if law is not None:
+                survival, density = _survival(law, s)
                 # both factors' exact integrals over each panel, which the rule
                 # must reproduce: a density that peaks between two nodes shows
                 # here even when every sample of g misses it
                 rise = F[:, -1] - F[:, 0]
-                miss = (np.abs(half[:, 0] * (f @ _WEIGHTS) - rise)
+                scaled = half * f  # scaled first: a fast density's node sums may overflow
+                miss = (np.abs(scaled @ _WEIGHTS - rise)
                         + np.abs(half[:, 0] * (density @ _WEIGHTS) - survival[:, 0] + survival[:, -1]) * rise)
                 noise = _ROUNDING * h * np.abs(f).max(axis=1) + _ROUNDING * F[:, -1]  # h * f may overflow
                 f = f * survival
-                cumulative = half * (f @ _CUMULATIVE.T)
+                scaled *= survival
+                cumulative = scaled @ _CUMULATIVE.T
                 offsets = np.zeros((h.size, 1))
                 cumulative[:-1, -1:].cumsum(axis=0, out=offsets[1:])
                 F = offsets + cumulative
-                estimates.append((half[:, 0] * np.abs(f @ _ESTIMATE.T).max(axis=1), miss, noise))
-            values[nid] = (F, f)
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        split = (edges[:-1] < mids) & (mids < edges[1:])
-        wide = np.zeros_like(split)
-        for gap, miss, noise in estimates:
-            if gap.sum() + miss.sum() > share:
-                wide |= np.maximum(gap, miss) > np.maximum(share * h / edges[-1], noise)
-        if not (split & wide).any():
+                estimates.append((np.abs(scaled @ _TAIL).max(axis=1), miss, noise))
+            if nid == gate:
+                break
+            up, up_is_or = parent[nid]
+            if up not in open_gates:
+                open_gates[up] = (F, f, False)
+                continue
+            # a gate folds its children as they finish: on F for an AND, on 1 - F for an OR
+            X, dX, folded = open_gates[up]
+            if up_is_or:
+                F = 1.0 - F
+                X = X if folded else 1.0 - X
+            open_gates[up] = (X * F, dX * F + X * f, True)
+        wide = [np.maximum(tail, miss) > np.maximum(share * h / edges[-1], noise)
+                for tail, miss, noise in estimates if tail.sum() + miss.sum() > share]
+        if not wide:
             break
-        edges = np.sort(np.concatenate((edges, mids[split & wide])))
-    F = values[gate][0]
+        mids = (edges[:-1] + edges[1:]) / 2.0
+        split = np.logical_or.reduce(wide) & (edges[:-1] < mids) & (mids < edges[1:])
+        if not split.any():
+            break
+        edges = np.sort(np.concatenate((edges, mids[split])))
     ys = np.concatenate(([0.0], F[:, -1]))[np.searchsorted(edges, ts)]  # nothing completes at 0
-    return ys, {"guards": len(estimates), "panels": h.size, "nodes": F.size,
-                "error_bound": float(sum(gap.sum() for gap, _, _ in estimates))}
+    return ys, {"guards": len(estimates), "panels": h.size, "nodes": F.size, "rounds": rounds,
+                "error_bound": float(sum(tail.sum() for tail, _, _ in estimates))}
 
 
 def _sample_exponential(rng, rate: float, size: int) -> np.ndarray:

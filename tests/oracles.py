@@ -19,6 +19,7 @@ from actkit.model import (
     AttackLeaf,
     CmGate,
     DetectLeaf,
+    LeafTiming,
     MitigateLeaf,
     Node,
     OrGate,
@@ -165,6 +166,18 @@ def random_act(rng: random.Random, max_leaves: int = 12, allow_cm: bool = True,
     if root.tag == "attack":  # single leaf still needs a gate-free tree; that is valid
         return build_act(title, root)
     return build_act(title, root)
+
+
+def with_random_rates(act: Act, rng: random.Random, lo: float, hi: float) -> Act:
+    """Same model with every leaf's rate drawn log-uniform in [lo, hi]; each leaf keeps its probability."""
+    nodes = []
+    for node in act.nodes:
+        kind = node.kind
+        if isinstance(kind, (AttackLeaf, DetectLeaf, MitigateLeaf)):
+            rate = lo * (hi / lo) ** rng.random()
+            kind = type(kind)(LeafTiming(p=kind.timing.p, lam=rate))
+        nodes.append(Node(node.ident, node.name, kind))
+    return Act(act.title, act.root, tuple(nodes))
 
 
 def reverse_children(act: Act) -> Act:

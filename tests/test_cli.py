@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import actkit
 from actkit import load_bundled, parse_act
 from actkit.cli import main
 from actkit.dsl import serialize_act
@@ -76,6 +81,23 @@ def test_numeric_limit_exit_code(tmp_path, capsys):
     leaf = tmp_path / "leaf.act"
     leaf.write_text('act "L" { root a; a = ATTACK(p=1.0); }', encoding="utf-8")
     assert main(["export-ctmc", "--model", str(leaf)]) == 3
+
+
+def test_rank_near_the_largest_double_writes_only_the_error(tmp_path):
+    # rates that sum past the largest double: exit 3, one stderr line, no warning or traceback
+    path = tmp_path / "fast.act"
+    path.write_text('act "fast" { root g; g = AND(o, cm); o = OR(a, b); a = ATTACK(p=0.5, lambda=1e308); '
+                    'b = ATTACK(p=0.5, lambda=1e308); cm = CM(d, m); d = DETECT(p=0.5, lambda=1.0); '
+                    'm = MITIGATE(p=0.5, lambda=1.0); }', encoding="utf-8")
+    src = str(Path(actkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-W", "default", "-m", "actkit.cli", "rank", "--model", str(path),
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "error: the completion rates sum past the largest double\n"
+    assert not out.exists()
 
 
 def test_timed_failure_writes_no_curve(mia_path, tmp_path):

@@ -88,6 +88,15 @@ def test_sweep_shape_and_endpoints():
     assert by_scenario[Scenario.NO_CM][-1] == 1.0
 
 
+def test_sweep_equals_rebuilt_models_bit_for_bit():
+    # the sweep reads each grid value as the leaf probability instead of building the model
+    rng = random.Random(31)
+    grid = np.linspace(0, 1, 101)
+    for act in [load_bundled("mia")] + [random_act(rng, max_leaves=10, max_cms=3) for _ in range(20)]:
+        for r in sweep_pleaf(act, grid):
+            assert r.pgoal == tuple(static_probability(with_attack_probability(act, x), r.scenario) for x in grid)
+
+
 def test_failure_complements_probability():
     assert static_failure(TEXTBOOK, Scenario.FULL) == pytest.approx(0.44, abs=1e-15)
     rng = random.Random(7)

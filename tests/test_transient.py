@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from actkit import load_bundled, parse_act
@@ -29,7 +30,7 @@ from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctm
 from actkit.ranking import rank_countermeasures
 from actkit.transient import goal_curve, simulate, simulate_curves, transient_probability
 
-from oracles import expm_transient, or_chain_text, random_act, reverse_children
+from oracles import expm_transient, or_chain_text, random_act, reverse_children, with_random_rates
 
 E1 = 1.0 - math.exp(-1.0)  # unit-rate success probability at one hour
 
@@ -315,6 +316,26 @@ def test_goal_curve_matches_whole_chain():
                 assert curve.meta["error_bound"] <= eps
 
 
+def test_goal_curve_within_epsilon_on_stiff_random_models():
+    # rates spanning five decades against dense matrix exponentials of the whole chain
+    rng = random.Random(1762)
+    checked = 0
+    for _ in range(200):
+        act = with_random_rates(random_act(rng, max_leaves=6, max_cms=3), rng, 1e-2, 3e3)
+        ts = np.sort([1e-3 * 3e4 ** rng.random() for _ in range(8)])
+        for scenario in Scenario:
+            ctmc = compose(act, scenario)
+            if ctmc.n > 150:
+                continue
+            want = expm_transient(ctmc, ts)
+            for eps in (1e-6, 1e-12):
+                curve = goal_curve(act, scenario, ts, eps)
+                assert np.all(np.abs(np.asarray(curve.ys) - want) <= eps)
+                assert curve.meta["error_bound"] <= eps
+            checked += 1
+    assert checked >= 500
+
+
 @pytest.mark.parametrize("scenario, guards", [
     (Scenario.FULL, 2), (Scenario.DETECT_ONLY, 2), (Scenario.NO_CM, 0)])
 def test_goal_curve_meta_counts_guards(scenario, guards):
@@ -326,6 +347,7 @@ def test_goal_curve_meta_counts_guards(scenario, guards):
     # at least the 20 grid intervals per guard, 17 nodes on each
     assert meta["panels"] >= 20 * guards
     assert meta["nodes"] == 17 * meta["panels"]
+    assert guards <= meta["rounds"] <= 2 * guards
     assert 0.0 <= meta["error_bound"] <= 1e-6
     assert not {"chains", "states", "poisson_terms"} & set(meta)
 
@@ -376,6 +398,51 @@ def test_goal_curve_degenerate_countermeasure_rates(rates):
         want = np.asarray(transient_probability(compose(act, scenario), ts, 1e-14).ys)
         for eps in (1e-6, 1e-12):
             assert np.all(np.abs(np.asarray(goal_curve(act, scenario, ts, eps).ys) - want) <= eps)
+
+
+def test_goal_curve_accepts_a_resolved_race_in_one_round():
+    # a rank-many-cm branch at one time point: the first panel's Chebyshev tail is already within epsilon
+    act = build_act("branch", and_gate(
+        "g", or_gate("o", attack("a", lam=0.2), attack("b", lam=0.2)),
+        cm_gate("cm", detect("d", p=0.5, lam=1.0), mitigate("m", p=0.5, lam=2.0)),
+    ))
+    curve = goal_curve(act, Scenario.FULL, [2.0], 1e-9)
+    assert (curve.meta["rounds"], curve.meta["panels"]) == (1, 1)
+    want = transient_probability(compose(act), [2.0], 1e-14).ys[0]
+    assert abs(curve.ys[0] - want) <= curve.meta["error_bound"] <= 1e-9
+
+
+def test_goal_curve_grades_the_first_panel_for_fast_leaves():
+    # bisection alone halves [0, 1] about 660 times toward the 1e-200 h scale, one pass per halving
+    act = _race_model(1e200, 1.0, 1.0)
+    curve = goal_curve(act, Scenario.FULL, [0.0, 1.0, 2.0, 5.0], 1e-9)
+    assert curve.meta["panels"] <= 100 and curve.meta["rounds"] <= 2
+    assert curve.ys[0] == 0.0 and all(0.99 < y <= 1.0 for y in curve.ys[1:])
+
+
+def test_goal_curve_of_a_wide_guarded_and_in_bounded_memory():
+    # each gate folds its children as they finish, so no k-row stack of panel arrays
+    act = build_act("wide", and_gate(
+        "top", *(attack(f"a{i}", p=0.5) for i in range(10_000)),
+        cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5)),
+    ))
+    tracemalloc.start()
+    try:
+        curve = goal_curve(act, Scenario.FULL, np.linspace(0.0, 10.0, 101))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # F_A = (1 - e^{-rs})^n with r = ln 2, against an Erlang-2 countermeasure of the same rate
+    r, n = math.log(2.0), 10_000
+
+    def density(s):
+        return n * r * math.exp(-r * s) * (-math.expm1(-r * s)) ** (n - 1) * math.exp(-r * s) * (1.0 + r * s)
+
+    for i in (60, 80, 100):
+        want, _ = scipy.integrate.quad(density, 0.0, curve.xs[i], epsabs=1e-15, epsrel=1e-12, limit=200)
+        assert abs(curve.ys[i] - want) <= 1e-9
+    assert curve.ys[100] == pytest.approx(want, rel=1e-9)  # about 4.8e-7
 
 
 def _fast_pair():
