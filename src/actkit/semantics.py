@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import sparse
+from typing import TYPE_CHECKING
 
 from .errors import ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
 from .model import Act, AndGate, AttackLeaf, CmGate, Diagnostic, OrGate, Scenario
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -351,6 +353,8 @@ def _explore(builder, state_cap: int):
 
 def _collapse(init, edges, labels, goal_idx, title, scenario) -> Ctmc:
     """Merge goal-unreachable states into one absorbing blocked state."""
+    from scipy import sparse  # loaded by chain code only: the CLI's other commands start without it
+
     m = len(edges)
     co_reach = [False] * m
     if goal_idx is not None:
@@ -457,6 +461,8 @@ def parse_ctmc_text(text: str) -> Ctmc:
     rows = [t[0] for t in triples]
     cols = [t[1] for t in triples]
     data = [t[2] for t in triples]
+    from scipy import sparse
+
     rates = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     label_tuple = tuple(labels.get(i, f"s{i}") for i in range(n))
     return Ctmc(n=n, init=init, rates=rates, goal=frozenset(goal),

@@ -123,10 +123,7 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         ys = tuple(init_in_goal if goal.size else 0.0 for _ in ts)
         return CurveResult(tuple(ts), ys, ctmc.scenario, meta)
 
-    # uniformized jump chain
-    P = (ctmc.rates / rate).tolil()
-    P.setdiag(1.0 - exit_rates / rate)
-    PT = P.tocsr().T.tocsr()
+    PT = _jump_transpose(ctmc, exit_rates, rate)
 
     if not ts[-1] < 2.0**53 / rate:  # past this, doubles no longer count the jumps
         raise DomainError(f"uniformization at rate {rate:g} to t = {ts[-1]:g} takes too many jumps")
@@ -160,6 +157,25 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     # terms past R, whose weight the right-window share already bounds
     meta["error_bound"] = epsilon / 2.0 + (meta["tail_mass"] if tail <= stop_mass else 0.0)
     return CurveResult(tuple(ts), tuple(float(y) for y in ys), ctmc.scenario, meta)
+
+
+def _jump_transpose(ctmc: Ctmc, exit_rates: np.ndarray, rate: float):
+    """Transpose of ``ctmc``'s jump chain uniformized at ``rate``, as one CSR build.
+
+    Off the diagonal the chain's rates times 1/rate, the product scipy
+    forms for a division by a scalar; on it 1 - exit rate/rate, left out
+    where that is zero. A self-loop in the rates gives way to the diagonal.
+    """
+    from scipy import sparse
+
+    coo = ctmc.rates.tocoo(copy=False)  # read only
+    off = coo.row != coo.col
+    stay = 1.0 - exit_rates / rate
+    kept = np.flatnonzero(stay).astype(coo.row.dtype)  # int64 would double the index arrays scipy then copies back
+    data = np.concatenate((coo.data[off] * (1.0 / rate), stay[kept]))
+    rows = np.concatenate((coo.col[off], kept))
+    cols = np.concatenate((coo.row[off], kept))
+    return sparse.csr_matrix((data, (rows, cols)), shape=(ctmc.n, ctmc.n))
 
 
 def _poisson_windows(mus: np.ndarray, tail: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +267,7 @@ def goal_curves(
              if isinstance(act.nodes[nid].kind, (AndGate, OrGate))}
     parent = {c: nid for nid, kids in sides.items() for c in kids}
     curves: dict[int, np.ndarray] = {}  # each node's curve with nothing removed
+    stacks: dict[int, np.ndarray] = {}  # a gate's children's curves, stacked once for every removal below it
     stats = {"guards": 0, "panels": 0, "nodes": 0, "rounds": 0, "error_bound": 0.0}
 
     def race(gate: int, gone: frozenset[int]) -> np.ndarray:
@@ -292,7 +309,11 @@ def goal_curves(
             v, ys = top, race(top, frozenset({cm}))
         while v in parent:
             up = parent[v]
-            v, ys = up, _combine(act.nodes[up].kind, np.array([ys if c == v else curves[c] for c in sides[up]]))
+            if up not in stacks:
+                stacks[up] = np.array([curves[c] for c in sides[up]])
+            rows = stacks[up].copy()
+            rows[sides[up].index(v)] = ys
+            v, ys = up, _combine(act.nodes[up].kind, rows)
         return ys
 
     # a fast leaf's rate * t may overflow to inf, which every closed form
@@ -359,15 +380,30 @@ def _graded(t0: float, rates: list[float]) -> np.ndarray:
     resolves that. Otherwise edges double from 1/sum(rates) to
     1024/max(rates), past which the fastest phase is over, and then widen
     by 2^16 up to t0; a rate of 1e200 costs about 50 panels in one pass,
-    where bisection would take one pass per halving.
+    where bisection would take one pass per halving. Each slower rate r
+    with r t0 > 8 adds its own doubling window, from 1/(the sum of the
+    rates up to r) to 1024/r, which the widening joins; windows that meet
+    merge, so a rate that the widening would put in one 2^16-wide panel
+    costs about ten panels, not a pass per halving.
     """
     total = sum(rates)
     if total * t0 <= 8.0:
         return np.empty(0)
-    lo, hi = 1.0 / total, min(_SETTLED / max(rates), t0)
-    fine = lo * 2.0 ** np.arange(math.ceil(math.log2(hi / lo)))
-    coarse = hi * _WIDENING ** np.arange(math.ceil(math.log(t0 / hi, _WIDENING)))
-    edges = np.unique(np.concatenate((fine, coarse)))
+    ascending = np.sort(rates)
+    below = np.cumsum(ascending)  # below[i]: the sum of the i + 1 slowest rates
+    windows = [[1.0 / total, min(_SETTLED / ascending[-1], t0)]]
+    # the last index of each distinct rate, fast and below the largest, fastest first
+    for i in np.flatnonzero((ascending[:-1] < ascending[1:]) & (ascending[:-1] * t0 > 8.0))[::-1]:
+        lo, hi = 1.0 / below[i], min(_SETTLED / ascending[i], t0)
+        if lo <= windows[-1][1]:
+            windows[-1][1] = hi
+        else:
+            windows.append([lo, hi])
+    parts = []
+    for (lo, hi), upto in zip(windows, [lo for lo, _ in windows[1:]] + [t0]):
+        parts.append(lo * 2.0 ** np.arange(math.ceil(math.log2(hi / lo))))
+        parts.append(hi * _WIDENING ** np.arange(math.ceil(math.log(upto / hi, _WIDENING))))
+    edges = np.unique(np.concatenate(parts))
     return edges[edges < t0]  # a rounded logarithm may reach hi or t0
 
 

@@ -246,3 +246,30 @@ def branch_curves(m: int, chain_of_branch, times) -> np.ndarray:
     """
     return np.array([expm_transient(chain_of_branch(build_act(f"branch {i}", guarded_branch(i))), times)
                      for i in range(m)])
+
+
+def jump_transpose_lil(ctmc, exit_rates, rate):
+    """Transposed uniformized jump matrix of ``ctmc``, built through LIL ``setdiag``."""
+    P = (ctmc.rates / rate).tolil()
+    P.setdiag(1.0 - exit_rates / rate)
+    return P.tocsr().T.tocsr()
+
+
+def and_race_curve(attack_rates, detect_rate: float, mitigate_rate: float, times) -> np.ndarray:
+    """Goal curve of AND(leaves, CM) in closed form, for distinct detect and mitigate rates.
+
+    The AND's density is sum over nonempty leaf subsets S of (-1)^(|S|+1) L_S e^(-L_S s),
+    L_S the subset's rate sum, and the countermeasure's survival is
+    (m e^(-ds) - d e^(-ms)) / (m - d); each term integrates to exponentials.
+    Exact where a rate is too fast for a matrix exponential.
+    """
+    d, m = detect_rate, mitigate_rate
+    ts = np.asarray(times, dtype=float)
+    out = np.zeros_like(ts)
+    n = len(attack_rates)
+    for mask in range(1, 1 << n):
+        lam = sum(rate for i, rate in enumerate(attack_rates) if mask >> i & 1)
+        sign = 1.0 if bin(mask).count("1") % 2 else -1.0
+        out += sign * lam / (m - d) * (m * -np.expm1(-(lam + d) * ts) / (lam + d)
+                                       - d * -np.expm1(-(lam + m) * ts) / (lam + m))
+    return out

@@ -403,3 +403,31 @@ def test_fmt_round_trip(mia_path, capsys):
     assert main(["fmt", "--model", mia_path]) == 0
     assert capsys.readouterr().out == first
     assert first.startswith('act "Malicious Insider Attack" {')
+
+
+_ONLY_CHAINS_LOAD_SCIPY = """
+import sys
+
+import actkit, actkit.cli
+from actkit.cli import main
+
+model, out = sys.argv[1:]
+assert "scipy" not in sys.modules
+for argv in (["validate"], ["static-sweep", "--out", out], ["dynamic", "--out", out],
+             ["simulate", "--runs", "200", "--out", out], ["rank"]):
+    assert main([*argv, "--model", model]) == 0
+    assert "scipy" not in sys.modules, argv[0]
+assert main(["export-ctmc", "--model", model]) == 0
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_only_chain_code_loads_scipy(mia_path, tmp_path):
+    # scipy costs about half of a fresh process's start-up, and only chains need it
+    src = str(Path(actkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", _ONLY_CHAINS_LOAD_SCIPY, mia_path, str(tmp_path)],
+                   check=True, capture_output=True, env=env)
+    parse = ("import sys, actkit; actkit.parse_ctmc_text('#states 1\\n#init 0\\n'); "
+             "assert 'scipy.sparse' in sys.modules")
+    subprocess.run([sys.executable, "-c", parse], check=True, env=env)

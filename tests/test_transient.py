@@ -28,9 +28,19 @@ from actkit.model import (
 )
 from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text
 from actkit.ranking import rank_countermeasures
+from actkit import transient
 from actkit.transient import goal_curve, simulate, simulate_curves, transient_probability
 
-from oracles import expm_transient, or_chain_text, random_act, reverse_children, with_random_rates
+from oracles import (
+    and_of_ors,
+    and_race_curve,
+    expm_transient,
+    jump_transpose_lil,
+    or_chain_text,
+    random_act,
+    reverse_children,
+    with_random_rates,
+)
 
 E1 = 1.0 - math.exp(-1.0)  # unit-rate success probability at one hour
 
@@ -420,6 +430,27 @@ def test_goal_curve_grades_the_first_panel_for_fast_leaves():
     assert curve.ys[0] == 0.0 and all(0.99 < y <= 1.0 for y in curve.ys[1:])
 
 
+@pytest.mark.parametrize("slow", [1e100, 1e150, 1e3])
+def test_goal_curve_grades_toward_every_fast_time_scale(slow):
+    # a second fast phase used to sit in one 2^16-wide panel, halved one pass at a time (9-17 passes)
+    act = build_act("two scales", and_gate(
+        "top", and_gate("ab", attack("a", lam=1e200), attack("b", lam=slow)),
+        cm_gate("cm", detect("d", p=0.5, lam=1.0), mitigate("m", p=0.5, lam=2.0)),
+    ))
+    ts = [0.0, 1.0, 2.0, 5.0]
+    curve = goal_curve(act, Scenario.FULL, ts, 1e-9)
+    assert curve.meta["rounds"] <= 3
+    # dense expm reads NaN at these rates, so the reference is the closed form
+    assert np.all(np.abs(np.asarray(curve.ys) - and_race_curve([1e200, slow], 1.0, 2.0, ts)) <= 1e-9)
+
+
+@pytest.mark.parametrize("scenario", [Scenario.FULL, Scenario.DETECT_ONLY])
+def test_goal_curve_leaves_slow_races_ungraded(scenario):
+    # every mia race has rate sum times its first grid point below 8: one panel per grid interval and guard
+    ts = np.linspace(0.0, 10.0, 101)
+    assert goal_curve(load_bundled("mia"), scenario, ts, 1e-6).meta["panels"] == 200
+
+
 def test_goal_curve_of_a_wide_guarded_and_in_bounded_memory():
     # each gate folds its children as they finish, so no k-row stack of panel arrays
     act = build_act("wide", and_gate(
@@ -492,12 +523,74 @@ def test_goal_curve_scenario_order(seed):
     assert np.all(lo <= mid + 2 * eps) and np.all(mid <= hi + 2 * eps)
 
 
+def _wide_gate(kind: str, width: int, guarded: bool, seed: int) -> Act:
+    """One AND or OR over ``width`` random leaves, under a countermeasure if ``guarded``."""
+    rng = random.Random(seed)
+    leaves = [attack(f"a{i}", p=rng.uniform(0.02, 0.95), t=rng.choice([0.5, 1.0, 2.0])) for i in range(width)]
+    gate = (and_gate if kind == "and" else or_gate)("wide", *leaves)
+    if guarded:  # a countermeasure guards only an AND, so an OR goes under one
+        cm = cm_gate("cm", detect("d", p=rng.uniform(0.1, 0.9)), mitigate("m", p=rng.uniform(0.1, 0.9)))
+        gate = and_gate("wide", *leaves, cm) if kind == "and" else and_gate("top", gate, cm)
+    return build_act(f"wide {kind}", gate)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_MODELS = st.one_of(
+    st.builds(lambda seed: random_act(random.Random(seed), max_leaves=8, max_cms=3), _SEEDS),
+    st.builds(lambda depth, lam: parse_act(or_chain_text(depth, lam)), st.integers(2, 400), st.floats(1e-3, 1.0)),
+    # an AND's chain has 2^width states, an OR's a handful
+    st.builds(_wide_gate, st.just("and"), st.integers(2, 8), st.booleans(), _SEEDS),
+    st.builds(_wide_gate, st.just("or"), st.integers(2, 300), st.booleans(), _SEEDS),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_MODELS, st.sampled_from(Scenario), _SEEDS)
+def test_chain_quadrature_and_simulation_agree(act, scenario, seed):
+    ts = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0]
+    eps, runs, alpha = 1e-9, 4000, 1e-6
+    solved = transient_probability(compose(act, scenario), ts, eps)
+    integrated = goal_curve(act, scenario, ts, eps)
+    assert solved.meta["error_bound"] <= eps and integrated.meta["error_bound"] <= eps
+    exact = np.clip(np.asarray(solved.ys), 0.0, 1.0)
+    assert np.all(np.abs(np.asarray(integrated.ys) - exact) <= 2.0 * eps)
+    # three sigma widened to Bonferroni's share of alpha per grid point, in Bernstein's form
+    # P[|p^ - p| >= x] <= 2 exp(-n x^2 / (2 p (1 - p) + 2 x / 3)), which also holds where p^ is 0 or 1
+    a = math.log(2.0 * len(ts) / alpha)
+    width = (a / 3.0 + np.sqrt(a * a / 9.0 + 2.0 * a * runs * exact * (1.0 - exact))) / runs
+    sampled = np.asarray(simulate(act, scenario, ts, runs, seed).ys)
+    assert np.all(np.abs(sampled - exact) <= width + eps)
+
+
 def test_transient_probability_keeps_its_values():
     # pinned curves: a new way of building the jump matrix must reproduce them bit for bit
     mia = transient_probability(compose(load_bundled("mia")), [0.5, 1.0, 2.0, 5.0], 1e-9)
     assert mia.ys == (0.3188876032184079, 0.533688610738206, 0.7757167053224105, 0.9704541676384153)
     stiff = transient_probability(compose(stiff_race()), [0.01, 0.05, 1.0, 1000.0], 1e-9)
     assert stiff.ys == (0.39346862221568046, 0.9178923729012712, 0.999950741336874, 0.999950741336874)
+
+
+def test_jump_matrix_matches_the_lil_construction(monkeypatch):
+    rng = random.Random(913)
+    chains = [compose(load_bundled("mia"), s) for s in Scenario]
+    chains += [compose(and_of_ors(k)) for k in range(1, 8)]
+    chains += [compose(random_act(rng, max_leaves=8), s) for _ in range(100) for s in Scenario]
+    # an imported chain may repeat an edge, give a rate of 0 or loop on a state
+    chains.append(parse_ctmc_text("#states 4\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 1 1.0\n1 3 1.0\n"
+                                  "2 3 0.5\n0 1 1.0\n"))
+    for ctmc in chains:
+        exit_rates = np.asarray(ctmc.rates.sum(axis=1)).ravel()
+        rate = float(exit_rates.max())
+        if rate > 0.0:
+            got = transient._jump_transpose(ctmc, exit_rates, rate)
+            want = jump_transpose_lil(ctmc, exit_rates, rate)
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+    ts = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
+    curves = [transient_probability(ctmc, ts) for ctmc in chains]
+    monkeypatch.setattr(transient, "_jump_transpose", jump_transpose_lil)
+    for ctmc, curve in zip(chains, curves):
+        assert curve == transient_probability(ctmc, ts)
 
 
 def test_goal_curve_and_ranking_build_no_model(monkeypatch):
