@@ -13,8 +13,8 @@ curve, so a scenario's curves are positively correlated (common random
 numbers); each file still matches a single-``--pleaf`` run with the same
 ``--seed`` byte for byte.
 
-Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 numeric or
-state-space limit.
+Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 numeric,
+state-space or memory limit.
 """
 
 from __future__ import annotations
@@ -280,8 +280,8 @@ def main(argv=None) -> int:
     except (ActParseError, ActValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, RateUndefined, MissingParameter, StateSpaceLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, RateUndefined, MissingParameter, StateSpaceLimit, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
+from .errors import ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
 from .model import Act, AndGate, AttackLeaf, CmGate, Diagnostic, OrGate, Scenario
 
 if TYPE_CHECKING:
@@ -135,8 +135,7 @@ def compose(
     StateSpaceLimit when more than ``state_cap`` states are reachable.
     """
     leaf_rates, cm_rates = collect_rates(act, scenario)
-    raw = _explore(_DirectBuilder(act, leaf_rates, cm_rates), state_cap)
-    return _collapse(*raw, title=act.title, scenario=scenario)
+    return _chain(_DirectBuilder(act, leaf_rates, cm_rates), state_cap, act.title, scenario)
 
 
 _GOAL = "goal"
@@ -318,96 +317,83 @@ class _DirectBuilder:
         return text
 
 
-def _explore(builder, state_cap: int):
-    """Breadth-first reachability over a builder's ``initial``/``transitions``."""
-    init = builder.initial()
-    index: dict[object, int] = {}
-    labels: list[str] = []
-    edges: list[dict[int, float]] = []
-    order: list[object] = []
+# -- reachable chain -----------------------------------------------------------
 
-    def intern(state) -> int:
-        if state not in index:
-            if len(index) >= state_cap:
-                raise StateSpaceLimit(f"more than {state_cap} reachable states")
-            index[state] = len(order)
-            order.append(state)
-            labels.append(state if isinstance(state, str) else builder.label(state))
-            edges.append({})
-        return index[state]
+def _chain(builder, state_cap: int, title: str | None, scenario: Scenario | None) -> Ctmc:
+    """The absorbing chain of a builder's ``initial``/``transitions``/``label``.
 
-    intern(init)
-    cursor = 0
-    while cursor < len(order):
-        state = order[cursor]
-        if state not in (_GOAL, _BLOCKED):
-            for succ, rate in builder.transitions(state).items():
-                j = intern(succ)
-                edges[cursor][j] = edges[cursor].get(j, 0.0) + rate
-        cursor += 1
-    goal_idx = index.get(_GOAL)
-    return index[init], edges, labels, goal_idx
-
-
-# -- collapse and packaging ----------------------------------------------------
-
-def _collapse(init, edges, labels, goal_idx, title, scenario) -> Ctmc:
-    """Merge goal-unreachable states into one absorbing blocked state."""
+    States are numbered breadth first from the initial state, and every state
+    that cannot reach the goal merges into one absorbing blocked state, placed
+    last. A state that reaches the goal is first reached from one that does,
+    so the merge keeps the numbering deterministic. When the initial state
+    cannot reach the goal the chain is that one blocked state. Raises
+    StateSpaceLimit when more than ``state_cap`` states are reachable.
+    """
     from scipy import sparse  # loaded by chain code only: the CLI's other commands start without it
 
+    init = builder.initial()
+    index: dict[object, int] = {init: 0}
+    states = [init]
+    labels = [init if isinstance(init, str) else builder.label(init)]
+    edges: list[dict[int, float]] = []
+    for state in states:
+        # a state past the cap is always still to expand, so this check sees it
+        if len(states) > state_cap:
+            raise StateSpaceLimit(f"more than {state_cap} reachable states")
+        succs: dict[int, float] = {}
+        if state not in (_GOAL, _BLOCKED):
+            for succ, rate in builder.transitions(state).items():  # summed per successor already
+                j = index.get(succ)
+                if j is None:
+                    j = index[succ] = len(states)
+                    states.append(succ)
+                    labels.append(succ if isinstance(succ, str) else builder.label(succ))
+                succs[j] = rate
+        edges.append(succs)
+    goal = index.get(_GOAL)
+    del index, states  # the merge below needs only the edges: free the states before it
     m = len(edges)
-    co_reach = [False] * m
-    if goal_idx is not None:
+    reaches = [False] * m
+    if goal is not None:
         rev: list[list[int]] = [[] for _ in range(m)]
         for u, succs in enumerate(edges):
             for v in succs:
                 rev[v].append(u)
-        stack = [goal_idx]
-        co_reach[goal_idx] = True
+        reaches[goal] = True
+        stack = [goal]
         while stack:
-            v = stack.pop()
-            for u in rev[v]:
-                if not co_reach[u]:
-                    co_reach[u] = True
+            for u in rev[stack.pop()]:
+                if not reaches[u]:
+                    reaches[u] = True
                     stack.append(u)
 
-    if not co_reach[init]:
-        return Ctmc(
-            n=1, init=0, rates=sparse.csr_matrix((1, 1)),
-            goal=frozenset(), blocked=frozenset({0}), labels=("blocked",),
-            title=title, scenario=scenario,
-        )
-
-    # keep _explore's breadth-first order: a state that reaches the goal is
-    # first reached from one that does, so the numbering stays deterministic
-    order = [u for u in range(m) if co_reach[u]]
-    new_index = {u: i for i, u in enumerate(order)}
-    blocked_new = len(order)
-    needs_blocked = False
-
-    rows, cols, data = [], [], []
-    for nu, u in enumerate(order):
+    # every state is reached from the initial one, so the initial state is
+    # kept whenever a goal exists (without one, all states merge into the
+    # blocked one), and a kept state has a positive rate into every merge
+    kept = [u for u in range(m) if reaches[u]]
+    renumber = {u: i for i, u in enumerate(kept)}
+    blocked = len(kept)
+    n = blocked + (blocked < m)
+    indices: list[int] = []
+    data: list[float] = []
+    indptr = [0]
+    for u in kept:
         merged = 0.0
         for v, rate in sorted(edges[u].items()):
-            if co_reach[v]:
-                rows.append(nu)
-                cols.append(new_index[v])
+            if reaches[v]:
+                indices.append(renumber[v])
                 data.append(rate)
             else:
-                needs_blocked = True
                 merged += rate
         if merged > 0.0:
-            rows.append(nu)
-            cols.append(blocked_new)
+            indices.append(blocked)
             data.append(merged)
-
-    out_labels = [labels[u] for u in order] + (["blocked"] if needs_blocked else [])
-    n = len(out_labels)
-    goal = frozenset({new_index[goal_idx]})
-    blocked = frozenset({blocked_new}) if needs_blocked else frozenset()
-    rates = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return Ctmc(n=n, init=0, rates=rates, goal=goal, blocked=blocked,
-                labels=tuple(out_labels), title=title, scenario=scenario)
+        indptr.append(len(indices))
+    indptr += [len(indices)] * (n - blocked)
+    return Ctmc(n=n, init=0, rates=sparse.csr_matrix((data, indices, indptr), shape=(n, n)),
+                goal=frozenset({renumber[goal]} if kept else ()), blocked=frozenset(range(blocked, n)),
+                labels=tuple(labels[u] for u in kept) + ("blocked",) * (n - blocked),
+                title=title, scenario=scenario)
 
 
 # -- plain-text export ----------------------------------------------------------
@@ -427,43 +413,61 @@ def export_ctmc_text(ctmc: Ctmc) -> str:
 
 
 def parse_ctmc_text(text: str) -> Ctmc:
-    """Read a transition list produced by export_ctmc_text."""
+    """Read a transition list produced by export_ctmc_text.
+
+    Without a ``#states`` line, n is one more than the highest state a
+    transition names. Raises ActParseError (code ``syntax``, column 1) at the
+    first line with a wrong field count, a state that is not an integer in
+    [0, n) or a rate that is negative or not finite.
+    """
     n = None
     init = 0
-    goal: set[int] = set()
-    blocked: set[int] = set()
+    marked: dict[str, set[int]] = {"goal": set(), "blocked": set()}
     labels: dict[int, str] = {}
     triples: list[tuple[int, int, float]] = []
-    for raw in text.splitlines():
+    named: list[tuple[int, int]] = []  # (state, line) of every state read, checked once n is known
+
+    def state(word: str) -> int:
+        if not word.isdecimal():
+            raise ActParseError(f"expected a state index, found {word!r}", lineno, 1)
+        named.append((int(word), lineno))
+        return int(word)
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            parts = line[1:].split()
-            if not parts:
-                continue
-            key, rest = parts[0], parts[1:]
+            key, *rest = line[1:].split() or [""]
+            if key in ("states", "init") and len(rest) != 1 or key == "label" and not rest:
+                raise ActParseError(f"malformed #{key} line: {line!r}", lineno, 1)
             if key == "states":
+                if not rest[0].isdecimal() or int(rest[0]) < 1:
+                    raise ActParseError(f"expected a positive state count, found {rest[0]!r}", lineno, 1)
                 n = int(rest[0])
             elif key == "init":
-                init = int(rest[0])
-            elif key == "goal":
-                goal.update(int(x) for x in rest)
-            elif key == "blocked":
-                blocked.update(int(x) for x in rest)
+                init = state(rest[0])
+            elif key in marked:
+                marked[key].update(map(state, rest))
             elif key == "label":
-                labels[int(rest[0])] = line.split(None, 2)[2] if len(parts) > 2 else ""
-            continue
-        src, dst, rate = line.split()
-        triples.append((int(src), int(dst), float(rate)))
+                labels[state(rest[0])] = line[1:].split(None, 2)[2] if len(rest) > 1 else ""
+        elif line:
+            fields = line.split()
+            if len(fields) != 3:
+                raise ActParseError(f"expected 'source target rate', found {line!r}", lineno, 1)
+            try:
+                rate = float(fields[2])
+            except ValueError:
+                rate = math.nan
+            if not 0.0 <= rate < math.inf:
+                raise ActParseError(f"expected a finite non-negative rate, found {fields[2]!r}", lineno, 1)
+            triples.append((state(fields[0]), state(fields[1]), rate))
     if n is None:
         n = 1 + max((max(s, d) for s, d, _ in triples), default=0)
-    rows = [t[0] for t in triples]
-    cols = [t[1] for t in triples]
-    data = [t[2] for t in triples]
+    for i, at in named:
+        if i >= n:
+            raise ActParseError(f"state {i} is outside a chain of {n} states", at, 1)
     from scipy import sparse
 
-    rates = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    label_tuple = tuple(labels.get(i, f"s{i}") for i in range(n))
-    return Ctmc(n=n, init=init, rates=rates, goal=frozenset(goal),
-                blocked=frozenset(blocked), labels=label_tuple)
+    rows, cols, data = map(list, zip(*triples)) if triples else ([], [], [])
+    return Ctmc(n=n, init=init, rates=sparse.csr_matrix((data, (rows, cols)), shape=(n, n)),
+                goal=frozenset(marked["goal"]), blocked=frozenset(marked["blocked"]),
+                labels=tuple(labels.get(i, f"s{i}") for i in range(n)))

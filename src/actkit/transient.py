@@ -515,6 +515,10 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
                 "error_bound": float(sum(tail.sum() for tail, _, _ in estimates))}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _sample_exponential(rng, rate: float, size: int) -> np.ndarray:
     if rate <= 0.0:
         return np.full(size, np.inf)
@@ -565,10 +569,14 @@ def simulate_curves(
     dict folds those draws, scaling a leaf's units by 1/rate where its parent
     reads them, the product ``Generator.exponential`` forms. The curves of
     one group share their draws (common random numbers), so they are
-    positively correlated. Package-internal: ``actkit`` does not export it.
+    positively correlated. Raises DomainError unless ``runs`` is a positive
+    integer and ``seed`` a non-negative one. Package-internal: ``actkit``
+    does not export it.
     """
-    if runs <= 0:
-        raise DomainError("runs must be positive")
+    if not _is_int(runs) or runs <= 0:
+        raise DomainError(f"runs must be a positive integer, got {runs!r}")
+    if not _is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     ts = _check_grid(times)
     _, cm_rates = collect_rates(act, scenario)
     order = act.postorder()

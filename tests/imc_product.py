@@ -5,8 +5,8 @@ oracle acceptance criterion 8 holds the library's direct chain to. The
 whole-tree builder is the direct construction before it became incremental:
 it re-evaluates every node and re-runs a relevance pass for every successor,
 and the library must export byte-identical chains. Both share only rate
-collection, exploration and collapse with the library; the whole-tree
-builder also reads its status codes.
+collection and ``_chain`` (state numbering and the blocked merge) with the
+library; the whole-tree builder also reads its status codes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from actkit.model import (
 )
 from actkit.semantics import (
     _BLOCKED, _CLOSED, _CM_CANCELLED, _CM_DETECT, _CM_MITIGATE, _CM_WON, _D, _DONE, _GOAL, _P,
-    _PENDING, _S, DEFAULT_STATE_CAP, Ctmc, _CmRates, _collapse, _explore, collect_rates,
+    _PENDING, _S, DEFAULT_STATE_CAP, Ctmc, _chain, _CmRates, collect_rates,
 )
 
 
@@ -27,8 +27,7 @@ def compose_product(act: Act, scenario: Scenario = Scenario.FULL, state_cap: int
     """The absorbing chain of ``act`` built as a product of per-node automata."""
     resolved = apply_scenario(act, scenario)
     leaf_rates, cm_rates = collect_rates(resolved)
-    raw = _explore(_ProductBuilder(resolved, leaf_rates, cm_rates), state_cap)
-    return _collapse(*raw, title=act.title, scenario=scenario)
+    return _chain(_ProductBuilder(resolved, leaf_rates, cm_rates), state_cap, act.title, scenario)
 
 
 def compose_whole_tree(act: Act, scenario: Scenario = Scenario.FULL,
@@ -36,8 +35,7 @@ def compose_whole_tree(act: Act, scenario: Scenario = Scenario.FULL,
     """The absorbing chain of ``act`` with the whole tree re-evaluated per successor."""
     resolved = apply_scenario(act, scenario)
     leaf_rates, cm_rates = collect_rates(resolved)
-    raw = _explore(_WholeTreeBuilder(resolved, leaf_rates, cm_rates), state_cap)
-    return _collapse(*raw, title=act.title, scenario=scenario)
+    return _chain(_WholeTreeBuilder(resolved, leaf_rates, cm_rates), state_cap, act.title, scenario)
 
 
 # -- interactive Markov automata ----------------------------------------------

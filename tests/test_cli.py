@@ -109,6 +109,20 @@ def test_timed_failure_writes_no_curve(mia_path, tmp_path):
         assert not list(out.glob("dynamic_*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--runs", "0"],
+    # a grid no address space holds: the allocation is refused before any memory is touched
+    ["dynamic", "--grid", "0:10:1000000000000000000"],
+])
+def test_bad_simulation_arguments_and_refused_allocations_exit_3(argv, mia_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--model", mia_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_state_cap_exit_code(mia_path, tmp_path):
     assert main(["export-ctmc", "--model", mia_path, "--state-cap", "3",
                  "--out", str(tmp_path)]) == 3
@@ -210,6 +224,16 @@ def test_csv_and_json_formats(mia_path, tmp_path):
     assert payload["scenario"] == "full"
     assert len(payload["xs"]) == 5 and len(payload["ys"]) == 5
     assert payload["meta"]["pleaf"] == 0.1
+
+    assert main(["static-sweep", "--model", mia_path, "--grid", "0:1:11", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert main(["static-sweep", "--model", mia_path, "--grid", "0:1:11", "--out", str(out)]) == 0
+    for scenario in Scenario:
+        payload = json.loads((out / f"static_{scenario.value}.json").read_text())
+        table = np.loadtxt(out / f"static_{scenario.value}.dat")
+        assert payload["scenario"] == scenario.value and payload["model"] == "Malicious Insider Attack"
+        assert payload["grid"] == pytest.approx(table[:, 0], rel=1e-5)
+        assert payload["pgoal"] == pytest.approx(table[:, 1], rel=1e-5, abs=1e-12)
 
 
 def test_dynamic_deterministic_bytes(mia_path, tmp_path):
@@ -405,13 +429,16 @@ def test_fmt_round_trip(mia_path, capsys):
     assert first.startswith('act "Malicious Insider Attack" {')
 
 
+# scipy modules no command loads: each adds megabytes to a fresh process
+_HEAVY_SCIPY = {"scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg", "scipy.integrate"}
+
 _ONLY_CHAINS_LOAD_SCIPY = """
 import sys
 
 import actkit, actkit.cli
 from actkit.cli import main
 
-model, out = sys.argv[1:]
+model, out, *heavy = sys.argv[1:]
 assert "scipy" not in sys.modules
 for argv in (["validate"], ["static-sweep", "--out", out], ["dynamic", "--out", out],
              ["simulate", "--runs", "200", "--out", out], ["rank"]):
@@ -419,6 +446,7 @@ for argv in (["validate"], ["static-sweep", "--out", out], ["dynamic", "--out", 
     assert "scipy" not in sys.modules, argv[0]
 assert main(["export-ctmc", "--model", model]) == 0
 assert "scipy.sparse" in sys.modules
+assert not set(heavy) & set(sys.modules), set(heavy) & set(sys.modules)
 """
 
 
@@ -426,8 +454,8 @@ def test_only_chain_code_loads_scipy(mia_path, tmp_path):
     # scipy costs about half of a fresh process's start-up, and only chains need it
     src = str(Path(actkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-c", _ONLY_CHAINS_LOAD_SCIPY, mia_path, str(tmp_path)],
+    subprocess.run([sys.executable, "-c", _ONLY_CHAINS_LOAD_SCIPY, mia_path, str(tmp_path), *_HEAVY_SCIPY],
                    check=True, capture_output=True, env=env)
     parse = ("import sys, actkit; actkit.parse_ctmc_text('#states 1\\n#init 0\\n'); "
-             "assert 'scipy.sparse' in sys.modules")
+             f"assert 'scipy.sparse' in sys.modules and not {_HEAVY_SCIPY!r} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", parse], check=True, env=env)

@@ -117,6 +117,12 @@ def test_syntax_error_position():
         ('act "two\nline\ntitle" {\n  root g\n  g = ATTACK(p=0.1);\n}', 5, 3, "expected ';', found 'g'"),
         ('act "a\nb" x', 2, 4, "expected '{', found 'x'"),
         ('act "N" { root a; a = ATTACK(p=1.2.3); }', 1, 32, "bad number '1.2.3'"),
+        ('act "S" { root a; a = ATTACK(p=0.1) @ }', 1, 37, "unexpected character '@'"),
+        ('act "K" { root a;\n  a = ATTACK(p=0.1, rate=2); }', 2, 21, "expected 't' or 'lambda', found 'rate'"),
+        ('act "K" { root a; a = XOR(b, c); }', 1, 23,
+         "expected one of AND, OR, CM, ATTACK, DETECT, MITIGATE, found 'XOR'"),
+        # a model without definitions is reported at its root name
+        ('act "E" {\n  root a;\n}', 2, 8, "a model needs at least one definition"),
     ]
     for text, line, column, message in cases:
         with pytest.raises(ActParseError) as err:

@@ -149,6 +149,10 @@ def test_validate_cm_under_or():
         cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5)),
     ), validate=False)
     assert "CmPlacement" in codes(act)
+    # nor as the root
+    root = Act("cm root", 0, (Node("cm", "cm", CmGate(1, 2)), Node("d", "d", DetectLeaf(LeafTiming(p=0.5, t=1.0))),
+                              Node("m", "m", MitigateLeaf(LeafTiming(p=0.5, t=1.0)))))
+    assert codes(root) == ["CmPlacement"]
 
 
 def test_validate_cm_needs_attack_sibling():
@@ -179,6 +183,15 @@ def test_validate_cm_children_swapped():
         Node("m", "m", MitigateLeaf(LeafTiming(p=0.5, t=1.0))),
     ))
     assert codes(act).count("CmChildren") == 2
+    # an attack event in the detection slot is flagged by the gate and by the leaf
+    act = Act("bad", 0, (
+        Node("top", "top", AndGate((1, 2))),
+        Node("a", "a", AttackLeaf(LeafTiming(p=0.5, t=1.0))),
+        Node("cm", "cm", CmGate(3, 4)),
+        Node("x", "x", AttackLeaf(LeafTiming(p=0.5, t=1.0))),
+        Node("m", "m", MitigateLeaf(LeafTiming(p=0.5, t=1.0))),
+    ))
+    assert [(d.code, d.node) for d in validate_act(act)] == [("CmChildren", "cm"), ("CmChildren", "x")]
 
 
 def test_validate_detect_outside_cm():
@@ -198,8 +211,11 @@ def test_validate_leaf_params():
         "top",
         attack("a", p=1.5),
         attack("b", p=0.5, t=-1.0),
+        attack("c"),  # neither a probability nor a rate
+        attack("e", lam=-1.0),
+        attack("f", lam=float("inf")),
     ), validate=False)
-    assert codes(act) == ["LeafParam", "LeafParam"]
+    assert [(d.code, d.node) for d in validate_act(act)] == [("LeafParam", n) for n in "abcef"]
 
 
 def test_build_act_raises_on_invalid():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actkit import load_bundled
-from actkit.errors import ActValidationError, RateUndefined, StateSpaceLimit
+from actkit.errors import ActParseError, ActValidationError, RateUndefined, StateSpaceLimit
 from actkit.model import (
     Act,
     AttackLeaf,
@@ -26,7 +26,7 @@ from actkit.model import (
     validate_act,
 )
 from actkit.semantics import (
-    DEFAULT_STATE_CAP, _DirectBuilder, _explore, collect_rates, compose, export_ctmc_text, parse_ctmc_text,
+    DEFAULT_STATE_CAP, _chain, _DirectBuilder, collect_rates, compose, export_ctmc_text, parse_ctmc_text,
 )
 from actkit.statics import static_failure, static_probability
 from actkit.transient import goal_curve, simulate, transient_probability
@@ -210,16 +210,54 @@ def test_state_cap():
 
 
 def test_export_parse_round_trip():
-    ctmc = compose(race_act())
-    text = export_ctmc_text(ctmc)
-    again = parse_ctmc_text(text)
-    assert again.n == ctmc.n
-    assert again.init == ctmc.init
-    assert again.goal == ctmc.goal
-    assert again.blocked == ctmc.blocked
-    assert again.labels == ctmc.labels
-    assert np.allclose(again.rates.toarray(), ctmc.rates.toarray(), atol=0)
-    assert export_ctmc_text(again) == text
+    never = build_act("never", or_gate("top", attack("a", p=0.0), attack("b", p=0.0)))
+    for act in (race_act(), load_bundled("mia"), and_of_ors(3), never):
+        for scenario in Scenario:
+            ctmc = compose(act, scenario)
+            text = export_ctmc_text(ctmc)
+            again = parse_ctmc_text(text)
+            assert again.n == ctmc.n
+            assert again.init == ctmc.init
+            assert again.goal == ctmc.goal
+            assert again.blocked == ctmc.blocked
+            assert again.labels == ctmc.labels
+            assert np.allclose(again.rates.toarray(), ctmc.rates.toarray(), atol=0)
+            assert export_ctmc_text(again) == text
+
+
+def test_parse_infers_the_state_count():
+    # without #states, n is one more than the highest state a transition names
+    ctmc = parse_ctmc_text("# a comment\n#goal 2\n0 2 1.5\n0 1 0.5\n#label 1 two  words\n")
+    assert ctmc.n == 3 and ctmc.init == 0 and ctmc.goal == frozenset({2})
+    assert ctmc.labels == ("s0", "two  words", "s2")
+    assert ctmc.rates.toarray().tolist() == [[0.0, 0.5, 1.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 1\n", 1),  # too few fields
+    ("#states 2\n0 1 1.0 2\n", 2),  # too many fields
+    ("#states\n", 1),
+    ("#states 0\n", 1),
+    ("#states two\n", 1),
+    ("#init\n", 1),
+    ("#label\n", 1),
+    ("#states 2\n0 5 1.0\n", 2),  # a transition out of range
+    ("0 1.5 1.0\n", 1),  # a state that is not an integer
+    ("#init -1\n0 1 1.0\n", 1),
+    ("#states 2\n#init 7\n", 2),
+    ("#states 2\n0 1 1.0\n#goal 1 9\n", 3),
+    ("#states 2\n#blocked 2\n", 2),
+    ("#states 2\n#label 4 x\n", 2),
+    ("0 1 2.0\n#goal 2\n", 2),  # out of range of the inferred count
+    ("#states 2\n0 1 -1.0\n", 2),
+    ("#states 2\n\n0 1 nan\n", 3),
+    ("#states 2\n0 1 inf\n", 2),
+    ("#states 2\n0 1 fast\n", 2),
+])
+def test_parse_rejects_malformed_chains(text, line):
+    with pytest.raises(ActParseError) as exc:
+        parse_ctmc_text(text)
+    assert (exc.value.code, exc.value.line, exc.value.column) == ("syntax", line, 1)
 
 
 def test_export_contains_headers():
@@ -329,7 +367,7 @@ def test_one_tree_evaluation_per_expanded_state(monkeypatch):
 
     monkeypatch.setattr(_DirectBuilder, "_evaluate", counted)
     act = and_of_ors(4)
-    _, _, labels, _ = _explore(_DirectBuilder(act, *collect_rates(act)), DEFAULT_STATE_CAP)
-    expanded = sum(label not in ("goal", "blocked") for label in labels)
+    ctmc = _chain(_DirectBuilder(act, *collect_rates(act)), DEFAULT_STATE_CAP, act.title, Scenario.FULL)
+    expanded = sum(label not in ("goal", "blocked") for label in ctmc.labels)
     assert expanded > 100
     assert len(calls) <= expanded

@@ -171,6 +171,24 @@ def test_grid_validation():
         transient_probability(ctmc, [0.0, 1.0], epsilon=0.5)
 
 
+def test_chains_without_moves_stay_where_they_start():
+    # every attack leaf at p = 0: the goal is unreachable, so the chain is the one blocked state
+    act = build_act("never", and_gate("top", or_gate("o", attack("a", p=0.0), attack("b", p=0.0)),
+                                      cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5))))
+    ts = [0.0, 1.0, 10.0]
+    ctmc = compose(act)
+    assert (ctmc.n, ctmc.goal, ctmc.blocked) == (1, frozenset(), frozenset({0}))
+    assert transient_probability(ctmc, ts).ys == goal_curve(act, Scenario.FULL, ts).ys == (0.0, 0.0, 0.0)
+    # a chain that starts in the goal stays there
+    assert transient_probability(parse_ctmc_text("#states 1\n#goal 0\n"), ts).ys == (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("runs, seed", [(0, 1), (-5, 1), (2.5, 1), (True, 1), (10, -1), (10, 1.5), (10, None)])
+def test_simulate_rejects_bad_runs_and_seeds(runs, seed):
+    with pytest.raises(DomainError):
+        simulate(single_leaf(), Scenario.FULL, [1.0], runs, seed)
+
+
 def test_simulate_single_leaf():
     curve = simulate(single_leaf(), Scenario.FULL, [1.0], runs=1_000_000, seed=5)
     assert abs(curve.ys[0] - E1) <= curve.halfwidths[0]
@@ -408,6 +426,11 @@ def test_goal_curve_degenerate_countermeasure_rates(rates):
         want = np.asarray(transient_probability(compose(act, scenario), ts, 1e-14).ys)
         for eps in (1e-6, 1e-12):
             assert np.all(np.abs(np.asarray(goal_curve(act, scenario, ts, eps).ys) - want) <= eps)
+        if rates[1] == 0.0:  # the simulator never draws a phase of rate 0
+            # three sigma of the solver value: the sampled half-width is 0 where every run succeeded
+            runs = 20_000
+            sampled = np.asarray(simulate(act, scenario, ts, runs, 1).ys)
+            assert np.all(np.abs(sampled - want) <= 3.0 * np.sqrt(want * (1.0 - want) / runs) + 1e-9)
 
 
 def test_goal_curve_accepts_a_resolved_race_in_one_round():
