@@ -8,10 +8,11 @@ takes only that method's options: ``dynamic`` the solver's ``--epsilon``,
 so only it takes ``--state-cap``. Data files use two whitespace-separated
 columns with ``#`` comment lines, numbers are printed with six significant
 digits, and repeated runs with identical flags produce byte-identical
-outputs. ``simulate`` folds one draw per scenario into every ``--pleaf``
-curve, so a scenario's curves are positively correlated (common random
-numbers); each file still matches a single-``--pleaf`` run with the same
-``--seed`` byte for byte.
+outputs. A timed command asks for every (scenario, ``--pleaf``) curve at
+once: ``simulate`` draws each event once per call and folds every curve
+from those draws, so all its curves are positively correlated (common
+random numbers); each file still matches a single-``--scenario``,
+single-``--pleaf`` run with the same ``--seed`` byte for byte.
 
 Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 numeric,
 state-space or memory limit.
@@ -137,16 +138,15 @@ def cmd_timed(args) -> int:
     act = load_act(args.model)
     grid = _parse_grid(args.grid)
     pleafs = args.pleaf or _DEFAULT_PLEAF
-    acts = [with_attack_probability(act, pleaf) for pleaf in pleafs]
+    acts = {pleaf: with_attack_probability(act, pleaf) for pleaf in pleafs}
     # every curve is computed before the first file is written, so a failing
     # (scenario, pleaf) pair leaves no partial output behind
-    curves = []
-    for scenario in _scenarios(args):
-        for pleaf, curve in zip(pleafs, args.curves(args, acts, scenario, grid)):
-            curve.meta["pleaf"] = pleaf
-            curves.append((scenario, pleaf, curve))
+    pairs = [(scenario, pleaf) for scenario in _scenarios(args) for pleaf in pleafs]
+    curves = args.curves(args, acts, pairs, grid)
+    for (_, pleaf), curve in zip(pairs, curves):
+        curve.meta["pleaf"] = pleaf
     out = _out_dir(args)
-    for scenario, pleaf, curve in curves:
+    for (scenario, pleaf), curve in zip(pairs, curves):
         name = f"dynamic_{scenario.value}_p{pleaf:g}.{args.format}"
         if args.format == "json":
             text = _curve_json(curve)
@@ -208,7 +208,10 @@ def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> 
 
 
 def _add_timed(sub, name: str, helptext: str, curves) -> argparse.ArgumentParser:
-    """Add a timed command that writes ``curves(args, acts, scenario, grid)``, one curve per pleaf's model, per scenario."""
+    """Add a timed command that writes ``curves(args, acts, pairs, grid)``, one curve per (scenario, pleaf) pair.
+
+    ``acts`` maps each pleaf to its model.
+    """
     p = sub.add_parser(name, help=helptext)
     _add_common(p)
     p.add_argument("--pleaf", action="append", type=float,
@@ -237,13 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_static_sweep)
 
     p = _add_timed(sub, "dynamic", "timed goal-probability curves",
-                   lambda args, acts, scenario, grid: [goal_curve(a, scenario, grid, args.epsilon) for a in acts])
+                   lambda args, acts, pairs, grid: [goal_curve(acts[pleaf], scenario, grid, args.epsilon)
+                                                    for scenario, pleaf in pairs])
     p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
 
     p = _add_timed(sub, "simulate", "timed curves via Monte Carlo simulation",
-                   lambda args, acts, scenario, grid: simulate_curves(
-                       acts[0], scenario, grid, args.runs, args.seed,
-                       [collect_rates(a, scenario)[0] for a in acts]))
+                   lambda args, acts, pairs, grid: simulate_curves(
+                       acts[pairs[0][1]], grid, args.runs, args.seed,
+                       [(scenario, collect_rates(acts[pleaf], scenario)[0]) for scenario, pleaf in pairs]))
     p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
     p.add_argument("--seed", type=int, default=1, help="simulation seed")
 

@@ -37,9 +37,11 @@ countermeasure ranking, which recomputes only the path from each removed
 countermeasure to the root.
 
 The simulator replays the same race semantics with sampled
-exponential completion times and reports binomial half-widths.
-``simulate_curves`` folds one draw into the curves of several sets of
-attack-leaf rates, as the CLI's ``--pleaf`` values give.
+exponential completion times and reports Wilson half-widths. Each event
+draws from its own Philox stream, keyed by the seed and the event's
+identifier, so ``simulate_curves`` folds one draw per event into the curves
+of every scenario and set of attack-leaf rates, as the CLI's ``--pleaf``
+values give.
 """
 
 from __future__ import annotations
@@ -55,16 +57,16 @@ from .errors import DomainError
 from .model import Act, AndGate, AttackLeaf, OrGate, Scenario
 from .semantics import Ctmc, _CmRates, attack_side, collect_rates
 
-_RNG_NAME = "philox4x64"
-_CHUNK = 1 << 17
-_CHUNK_VALUES = 1 << 22  # sampled doubles per chunk across all arrays: 32 MB
+_RNG_NAME = "philox4x64 per event, keyed by identifier"
+_CHUNK = 1 << 13  # runs per chunk: mia's draws stay in cache
+_CHUNK_VALUES = 1 << 22  # drawn doubles per chunk across all events: 32 MB
 
 
 @dataclass(frozen=True)
 class CurveResult:
     """Goal probability sampled on a time grid.
 
-    ``halfwidths`` holds three-sigma binomial half-widths for simulated
+    ``halfwidths`` holds three-sigma Wilson half-widths for simulated
     curves and is None for solver output. ``meta`` records where the numbers
     came from (model, scenario, tolerance or run count and seed).
     """
@@ -519,10 +521,10 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _sample_exponential(rng, rate: float, size: int) -> np.ndarray:
-    if rate <= 0.0:
-        return np.full(size, np.inf)
-    return rng.exponential(1.0 / rate, size)
+def _event_stream(seed: int, ident: str) -> np.random.Generator:
+    """An event's own generator, keyed by its identifier, which stays put when a sibling is removed."""
+    key = int.from_bytes(ident.encode(), "big")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(key,))))
 
 
 def simulate(
@@ -539,70 +541,82 @@ def simulate(
     earliest child, AND the latest attack-side child unless that time is
     beaten by the countermeasure's detection plus mitigation total, in which
     case the gate never succeeds. Deterministic for fixed (seed, runs, grid).
-    Runs are drawn in chunks of at most 2^17, and of at most 2^22 sampled
-    values in all, so memory stays bounded however many leaves the model has.
-    A leaf's time is a unit exponential times 1/rate, so calls with the same
-    seed whose models differ only in positive attack-leaf rates read the
-    same draws, and their curves are positively correlated (common random
-    numbers). The CLI's ``--pleaf`` curves of one scenario are such a set,
-    folded from one draw by ``simulate_curves``; this is its one-model case.
+    Each event draws from its own Philox stream keyed by the seed and its
+    identifier, so a time is a unit exponential times 1/rate that depends
+    only on the seed, the event's identifier and the run index: not on the
+    scenario, on the chunk size, or on which other events draw. Calls with
+    the same seed therefore share the draws of every event they have in
+    common, and their curves are positively correlated (common random
+    numbers). This is ``simulate_curves``' one-curve case.
     """
     leaf_rates, _ = collect_rates(act, scenario)
-    return simulate_curves(act, scenario, times, runs, seed, [leaf_rates])[0]
+    return simulate_curves(act, times, runs, seed, [(scenario, leaf_rates)])[0]
 
 
 def simulate_curves(
     act: Act,
-    scenario: Scenario,
     times: Sequence[float],
     runs: int,
     seed: int,
-    leaf_rates: Sequence[dict[int, float]],
+    curves: Sequence[tuple[Scenario, dict[int, float]]],
 ) -> list[CurveResult]:
-    """``simulate``'s curve of one validated model under ``scenario`` for each dict of attack-leaf rates.
+    """``simulate``'s curve of one validated model for each (scenario, attack-leaf rates) pair.
 
     Each curve is bit for bit the one ``simulate`` gives for the model with
-    those leaf rates. A leaf of rate 0 draws nothing, so the dicts are
-    grouped by the leaves that draw, and each group replays ``seed`` once:
-    per chunk, one unit exponential array per drawing leaf in the dict's
-    order, then the countermeasure phases, which no leaf rate changes. Each
-    dict folds those draws, scaling a leaf's units by 1/rate where its parent
-    reads them, the product ``Generator.exponential`` forms. The curves of
-    one group share their draws (common random numbers), so they are
-    positively correlated. Raises DomainError unless ``runs`` is a positive
-    integer and ``seed`` a non-negative one. Package-internal: ``actkit``
-    does not export it.
+    those leaf rates under that scenario. Per chunk of runs, every event
+    that some curve reads at a positive rate draws its unit exponentials
+    once, and every curve folds from them: a leaf's units scaled by 1/rate
+    where its parent reads them, and a countermeasure's deadline of
+    detection units/δ, plus mitigation units/μ under ``full``. So
+    ``detect-only`` and ``full`` share their detection draws, and in each
+    run the goal falls no earlier under detect-only than under full, nor
+    under full than under no-cm. Chunks hold at most 2^13 runs and
+    2^22 drawn values, which bounds memory and changes no draw. Raises
+    DomainError unless ``runs`` is a positive integer and ``seed`` a
+    non-negative one. Package-internal: ``actkit`` does not export it.
     """
     if not _is_int(runs) or runs <= 0:
         raise DomainError(f"runs must be a positive integer, got {runs!r}")
     if not _is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     ts = _check_grid(times)
-    _, cm_rates = collect_rates(act, scenario)
-    order = act.postorder()
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, rates in enumerate(leaf_rates):
-        groups.setdefault(tuple(nid for nid, rate in rates.items() if rate > 0.0), []).append(i)
-    counts = np.zeros((len(leaf_rates), ts.size), dtype=np.int64)
-    for drawn, members in groups.items():
-        sampled = len(leaf_rates[members[0]]) + sum(1 if r.mitigate is None else 2 for r in cm_rates.values())
-        chunk = min(_CHUNK, max(1, _CHUNK_VALUES // sampled))
-        rng = np.random.Generator(np.random.Philox(seed))
-        remaining = runs
-        while remaining > 0:
-            size = min(chunk, remaining)
-            remaining -= size
-            units = {nid: rng.standard_exponential(size) for nid in drawn}
-            deadlines = {}
-            for nid, rates in cm_rates.items():
-                deadline = _sample_exponential(rng, rates.detect, size)
-                if rates.mitigate is not None:
-                    deadline = deadline + _sample_exponential(rng, rates.mitigate, size)
-                deadlines[nid] = deadline
-            for i in members:
-                scales = {nid: 1.0 / leaf_rates[i][nid] for nid in drawn}
-                root_time = _fold_chunk(act, order, size, units, scales, deadlines)
-                counts[i] += np.searchsorted(np.sort(root_time), ts, side="right")
+    if not isinstance(act.nodes[act.root].kind, (AttackLeaf, AndGate, OrGate)):
+        raise DomainError(f"cannot simulate node kind {type(act.nodes[act.root].kind).__name__}")
+    laws = {scenario: collect_rates(act, scenario)[1] for scenario, _ in curves}
+    drawn = {nid for _, rates in curves for nid, rate in rates.items() if rate > 0.0}
+    for cm_rates in laws.values():
+        for cm, law in cm_rates.items():
+            detect, mitigate = act.nodes[cm].kind.children
+            drawn.update(nid for nid, rate in ((detect, law.detect), (mitigate, law.mitigate or 0.0)) if rate > 0.0)
+    streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
+    gates = []  # (gate, fold, first attack-side child, the others, guard)
+    for nid in act.postorder():
+        kind = act.nodes[nid].kind
+        if isinstance(kind, (AndGate, OrGate)):
+            cm = act.guard(nid)
+            first, *rest = (c for c in kind.children if c != cm)
+            gates.append((nid, np.minimum if isinstance(kind, OrGate) else np.maximum, first, rest, cm))
+
+    chunk = min(_CHUNK, max(1, _CHUNK_VALUES // max(1, len(streams))))
+    scratch = np.empty(chunk)
+    counts = np.zeros((len(curves), ts.size), dtype=np.int64)
+    done = 0
+    while done < runs:
+        size = min(chunk, runs - done)
+        done += size
+        units = {nid: stream.standard_exponential(size) for nid, stream in streams.items()}
+        deadlines = {}
+        for scenario, cm_rates in laws.items():
+            deadlines[scenario] = by_cm = {}
+            for cm, law in cm_rates.items():
+                detect, mitigate = act.nodes[cm].kind.children
+                by_cm[cm] = _scaled(units, detect, law.detect, np.empty(size))
+                if law.mitigate is not None:
+                    by_cm[cm] += _scaled(units, mitigate, law.mitigate, scratch[:size])
+        for i, (scenario, rates) in enumerate(curves):
+            root_time = _fold_chunk(act.root, gates, units, rates, deadlines[scenario], scratch[:size])
+            root_time.sort()
+            counts[i] += np.searchsorted(root_time, ts, side="right")
 
     meta = {
         "method": "monte-carlo",
@@ -611,44 +625,50 @@ def simulate_curves(
         "runs": runs,
         "model": act.title,
     }
-    curves = []
-    for row in counts:
-        phat = row / runs
-        sigma = np.sqrt(phat * (1.0 - phat) / runs)
-        curves.append(CurveResult(tuple(ts), tuple(float(p) for p in phat), scenario, dict(meta),
-                                  halfwidths=tuple(float(3.0 * s) for s in sigma)))
-    return curves
+    return [CurveResult(tuple(ts), tuple(float(p) for p in row / runs), scenario, dict(meta),
+                        halfwidths=tuple(float(h) for h in _wilson_halfwidths(row, runs)))
+            for (scenario, _), row in zip(curves, counts)]
 
 
-def _fold_chunk(act: Act, order: list[int], size: int, units: dict[int, np.ndarray],
-                scales: dict[int, float], deadlines: dict[int, np.ndarray]) -> np.ndarray:
-    """Root completion times of one chunk, folded bottom-up in post-order without recursion.
+def _wilson_halfwidths(successes: np.ndarray, runs: int) -> np.ndarray:
+    """The larger distance from p̂ to the ends of the three-sigma Wilson interval: nonzero even at p̂ = 0 or 1."""
+    z = 3.0
+    phat = successes / runs
+    shrink = 1.0 / (1.0 + z * z / runs)
+    center = (phat + z * z / (2.0 * runs)) * shrink
+    half = z * shrink * np.sqrt(phat * (1.0 - phat) / runs + z * z / (4.0 * runs * runs))
+    return np.maximum(center + half - phat, phat - (center - half))
 
-    A leaf's times are its ``units`` times its scale, formed when its parent
-    reads them; a leaf without units never completes. Each gate folds its
-    attack-side children into the first one's fresh array in place.
+
+def _scaled(units: dict[int, np.ndarray], nid: int, rate: float, out: np.ndarray) -> np.ndarray:
+    """Event ``nid``'s completion times at ``rate``, written into ``out``: its units times 1/rate, or never at rate 0."""
+    if rate > 0.0:
+        return np.multiply(units[nid], 1.0 / rate, out=out)
+    out.fill(np.inf)
+    return out
+
+
+def _fold_chunk(root: int, gates: list, units: dict[int, np.ndarray], rates: dict[int, float],
+                deadlines: dict[int, np.ndarray], scratch: np.ndarray) -> np.ndarray:
+    """Root completion times of one chunk, folded gate by gate in post-order without recursion.
+
+    A leaf's times are formed where its parent reads them; a leaf missing
+    from ``rates`` never completes. Each gate folds its attack-side children
+    into the first one's fresh array in place, reading every other leaf
+    child through the one ``scratch`` buffer.
     """
     times: dict[int, np.ndarray] = {}
 
-    def read(nid: int) -> np.ndarray:
+    def read(nid: int, out: np.ndarray | None) -> np.ndarray:
         if nid in times:
             return times.pop(nid)
-        if nid in units:
-            return units[nid] * scales[nid]
-        return np.full(size, np.inf)
+        return _scaled(units, nid, rates.get(nid, 0.0), np.empty_like(scratch) if out is None else out)
 
-    for nid in order:
-        kind = act.nodes[nid].kind
-        if isinstance(kind, (AndGate, OrGate)):
-            cm = act.guard(nid)
-            first, *rest = (c for c in kind.children if c != cm)
-            done = read(first)
-            fold = np.minimum if isinstance(kind, OrGate) else np.maximum
-            for c in rest:
-                fold(done, read(c), out=done)
-            if cm in deadlines:
-                done[done >= deadlines[cm]] = np.inf
-            times[nid] = done
-    if not isinstance(act.nodes[act.root].kind, (AttackLeaf, AndGate, OrGate)):
-        raise DomainError(f"cannot simulate node kind {type(act.nodes[act.root].kind).__name__}")
-    return read(act.root)
+    for nid, fold, first, rest, cm in gates:
+        done = read(first, None)
+        for c in rest:
+            fold(done, read(c, scratch), out=done)
+        if cm in deadlines:
+            np.putmask(done, done >= deadlines[cm], np.inf)
+        times[nid] = done
+    return read(root, None)

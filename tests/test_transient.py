@@ -36,6 +36,7 @@ from oracles import (
     and_race_curve,
     expm_transient,
     jump_transpose_lil,
+    mpmath_transient,
     or_chain_text,
     random_act,
     reverse_children,
@@ -243,13 +244,18 @@ def test_simulated_scenario_dominance():
 
 
 def test_simulate_keeps_its_draws_on_the_bundled_model():
-    # mia samples 21 arrays, few enough that runs are drawn in chunks of 2^17
+    # pinned at the keyed per-event streams; mia draws 21 events, in chunks of 2^13 runs
     act = load_bundled("mia")
     ts = [0.5, 1.0, 2.0, 5.0]
-    assert simulate(act, Scenario.FULL, ts, runs=300_000, seed=7).ys == (
-        0.31872666666666666, 0.5329266666666667, 0.7744233333333334, 0.9706966666666667)
-    assert simulate(act, Scenario.NO_CM, ts, runs=300_000, seed=7).ys == (
-        0.31933333333333336, 0.53586, 0.7864433333333334, 0.9796733333333333)
+    runs = 300_000
+    pinned = {
+        Scenario.FULL: (0.31826333333333334, 0.5344133333333333, 0.77682, 0.9702866666666666),
+        Scenario.NO_CM: (0.3192333333333333, 0.5386766666666667, 0.7883966666666666, 0.97951),
+    }
+    for scenario, ys in pinned.items():
+        assert simulate(act, scenario, ts, runs=runs, seed=7).ys == ys
+        exact = np.asarray(transient_probability(compose(act, scenario), ts, 1e-9).ys)
+        assert np.all(np.abs(np.asarray(ys) - exact) <= 3.0 * np.sqrt(exact * (1.0 - exact) / runs))
 
 
 def test_simulate_wide_model_in_bounded_memory():
@@ -259,8 +265,9 @@ def test_simulate_wide_model_in_bounded_memory():
     tracemalloc.start()
     try:
         curve = simulate(act, Scenario.FULL, [0.5, 1.0], runs=1 << 17, seed=3)
-        curves = simulate_curves(act, Scenario.FULL, [0.5, 1.0], 1 << 17, 3,
-                                 [{nid: k * rate for nid, rate in leaf_rates.items()} for k in scales])
+        curves = simulate_curves(act, [0.5, 1.0], 1 << 17, 3,
+                                 [(Scenario.FULL, {nid: k * rate for nid, rate in leaf_rates.items()})
+                                  for k in scales])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -271,17 +278,28 @@ def test_simulate_wide_model_in_bounded_memory():
     assert peak < 128 * 2**20
 
 
-def one_draw_per_curve(act, scenario, ts, runs, seed):
-    """``simulate``'s goal frequencies in one chunk, drawn afresh for this model alone."""
-    leaf_rates, cm_rates = collect_rates(act, scenario)
-    rng = np.random.Generator(np.random.Philox(seed))
+def _pleaf_curves(act, pleafs, scenarios=tuple(Scenario)):
+    """The (scenario, leaf rates) list the CLI's simulate asks for, scenario-major."""
+    return [(scenario, collect_rates(with_attack_probability(act, p), scenario)[0])
+            for scenario in scenarios for p in pleafs]
 
-    def draw(rate):
+
+def one_draw_per_curve(act, scenario, ts, runs, seed):
+    """``simulate``'s goal frequencies in one chunk: each event's whole stream at once, keyed by its identifier."""
+    leaf_rates, cm_rates = collect_rates(act, scenario)
+
+    def draw(nid, rate):
+        key = int.from_bytes(act.nodes[nid].ident.encode(), "big")
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(key,))))
         return rng.exponential(1.0 / rate, runs) if rate > 0.0 else np.full(runs, np.inf)
 
-    times = {nid: draw(rate) for nid, rate in leaf_rates.items()}
-    deadlines = {nid: draw(r.detect) + (0.0 if r.mitigate is None else draw(r.mitigate))
-                 for nid, r in cm_rates.items()}
+    times = {nid: draw(nid, rate) for nid, rate in leaf_rates.items()}
+    deadlines = {}
+    for nid, r in cm_rates.items():
+        kind = act.nodes[nid].kind
+        deadlines[nid] = draw(kind.detect, r.detect)
+        if r.mitigate is not None:
+            deadlines[nid] = deadlines[nid] + draw(kind.mitigate, r.mitigate)
     for nid in act.postorder():
         kind = act.nodes[nid].kind
         if isinstance(kind, OrGate):
@@ -295,22 +313,107 @@ def one_draw_per_curve(act, scenario, ts, runs, seed):
 
 @pytest.mark.parametrize("pleafs", [(0.05, 0.1, 0.25), (0.0, 0.1, 0.1, 0.3)])
 def test_simulate_curves_equal_separate_draws(pleafs):
-    # one draw folded per pleaf gives each pleaf's own simulate() bits, below
-    # one chunk on random models and over three chunks on mia (21 arrays)
+    # one all-scenario call gives each (scenario, pleaf) the bits of its own
+    # one-scenario simulate(), below one chunk on random models and over 37 chunks on mia
     ts = [0.5, 1.0, 2.0, 5.0]
     rng = random.Random(31)
     cases = [(random_act(rng, max_leaves=8), 2000) for _ in range(15)] + [(load_bundled("mia"), 300_000)]
     for model, runs in cases:
-        acts = [with_attack_probability(model, p) for p in pleafs]
-        for scenario in Scenario:
-            curves = simulate_curves(acts[0], scenario, ts, runs, 11,
-                                     [collect_rates(a, scenario)[0] for a in acts])
-            assert len(curves) == len(pleafs)
-            for act, curve in zip(acts, curves):
-                alone = simulate(act, scenario, ts, runs, 11)
-                assert (curve.ys, curve.halfwidths, curve.meta) == (alone.ys, alone.halfwidths, alone.meta)
-                if runs <= 2000:
-                    assert curve.ys == one_draw_per_curve(act, scenario, ts, runs, 11)
+        curves = simulate_curves(model, ts, runs, 11, _pleaf_curves(model, pleafs))
+        assert len(curves) == 3 * len(pleafs)
+        pairs = [(scenario, p) for scenario in Scenario for p in pleafs]
+        for (scenario, p), curve in zip(pairs, curves):
+            act = with_attack_probability(model, p)
+            alone = simulate(act, scenario, ts, runs, 11)
+            assert curve.scenario is scenario
+            assert (curve.ys, curve.halfwidths, curve.meta) == (alone.ys, alone.halfwidths, alone.meta)
+            if runs <= 2000:
+                assert curve.ys == one_draw_per_curve(act, scenario, ts, runs, 11)
+
+
+@pytest.mark.parametrize("chunk, values, runs", [
+    (1, transient._CHUNK_VALUES, 1500),
+    (transient._CHUNK, 1, 1500),
+    (7919, transient._CHUNK_VALUES, 20_000),
+    (transient._CHUNK, 7919, 20_000),
+])
+def test_simulate_curves_do_not_depend_on_the_chunk(monkeypatch, chunk, values, runs):
+    act = load_bundled("mia")
+    ts = np.linspace(0.0, 6.0, 13)
+    want = simulate_curves(act, ts, runs, 5, _pleaf_curves(act, (0.05, 0.25)))
+    monkeypatch.setattr(transient, "_CHUNK", chunk)
+    monkeypatch.setattr(transient, "_CHUNK_VALUES", values)
+    got = simulate_curves(act, ts, runs, 5, _pleaf_curves(act, (0.05, 0.25)))
+    assert [c.ys for c in got] == [c.ys for c in want]
+
+
+def test_simulate_leaf_draws_ignore_silent_or_removed_siblings():
+    # mia's acquire_password branch, with every other attack leaf silent
+    # (rate 0) or deleted from the text, which renumbers the nodes
+    act = load_bundled("mia")
+    kept = {"sniff_network", "root_telnet"}
+    silent = {nid: (rate if act.nodes[nid].ident in kept else 0.0) for nid, rate in collect_rates(act)[0].items()}
+    alone = parse_act("""act "branch" {
+      root goal;
+      goal = OR(elevation);
+      elevation = OR(acquire_admin);
+      acquire_admin = OR(acquire_password);
+      acquire_password = AND(steal_password, password_cm);
+      steal_password = OR(sniff_network, root_telnet);
+      sniff_network = ATTACK(p=0.05, t=1.0);
+      root_telnet = ATTACK(p=0.05, t=1.0);
+      password_cm = CM(track_password_tries, request_admin_pin);
+      track_password_tries = DETECT(p=0.5, t=1.0);
+      request_admin_pin = MITIGATE(p=0.5, t=1.0);
+    }""")
+    ids = {node.ident: nid for nid, node in enumerate(act.nodes)}
+    assert all(ids[alone.nodes[nid].ident] != nid for nid in alone.attack_leaves())
+    ts = np.linspace(0.0, 6.0, 13)
+    for scenario in Scenario:
+        want = simulate(alone, scenario, ts, 20_000, 4)
+        got = simulate_curves(act, ts, 20_000, 4, [(scenario, silent)])[0]
+        assert (got.ys, got.halfwidths) == (want.ys, want.halfwidths)
+        assert want.ys != simulate(act, scenario, ts, 20_000, 4).ys
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_simulated_scenarios_dominate_run_by_run(seed):
+    # shared draws: detect-only's deadline is full's minus the mitigation time,
+    # and no-cm has none, so the order holds exactly at every point
+    act = load_bundled("mia") if seed == 0 else random_act(random.Random(seed), max_leaves=8, max_cms=3)
+    ts = np.linspace(0.0, 6.0, 25)
+    pleafs = (0.05, 0.1, 0.25)
+    curves = simulate_curves(act, ts, 20_000, seed, _pleaf_curves(act, pleafs))
+    by = {(c.scenario, p): np.asarray(c.ys) for c, p in zip(curves, pleafs * 3)}
+    for p in pleafs:
+        assert np.all(by[Scenario.DETECT_ONLY, p] <= by[Scenario.FULL, p])
+        assert np.all(by[Scenario.FULL, p] <= by[Scenario.NO_CM, p])
+
+
+def test_simulate_bundled_model_in_small_memory():
+    act = load_bundled("mia")
+    curves = _pleaf_curves(act, (0.05, 0.1, 0.25))
+    ts = np.linspace(0.0, 10.0, 101)
+    tracemalloc.start()
+    try:
+        simulate_curves(act, ts, 100_000, 1, curves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_simulate_saturated_points_keep_a_half_width():
+    # near t = 8 h about one run in 20 000 fails, and p^ may read 0 or 1
+    act = _race_model(1.0, 0.0, 2.0)
+    ts = np.linspace(0.0, 8.0, 17)
+    curve = simulate(act, Scenario.FULL, ts, 20_000, 1)
+    exact = transient_probability(compose(act), ts, 1e-14).ys
+    assert exact[-2:] == pytest.approx((0.99994, 0.99997), abs=5e-6)
+    for i in (-2, -1):
+        assert curve.halfwidths[i] > 0.0
+        assert abs(curve.ys[i] - exact[i]) <= curve.halfwidths[i]
+    assert curve.ys[0] == 0.0 and curve.halfwidths[0] > 0.0
 
 
 @pytest.mark.parametrize("depth", [500, 5000])
@@ -362,6 +465,27 @@ def test_goal_curve_within_epsilon_on_stiff_random_models():
                 assert curve.meta["error_bound"] <= eps
             checked += 1
     assert checked >= 500
+
+
+def test_goal_curve_within_epsilon_on_very_stiff_random_models():
+    # rates spanning eleven decades, where double-precision expm fails; the
+    # oracle costs about a second per exponential at 20 states, hence few models
+    rng = random.Random(1762)
+    checked = []
+    for _ in range(12):
+        act = with_random_rates(random_act(rng, max_leaves=4, max_cms=2), rng, 1e-2, 1e9)
+        ts = np.sort([1e-3 * 3e4 ** rng.random() for _ in range(4)])
+        for scenario in Scenario:
+            ctmc = compose(act, scenario)
+            if ctmc.n > 50:
+                continue
+            want = mpmath_transient(ctmc, ts)
+            for eps in (1e-6, 1e-12):
+                curve = goal_curve(act, scenario, ts, eps)
+                assert np.all(np.abs(np.asarray(curve.ys) - want) <= eps)
+                assert curve.meta["error_bound"] <= eps
+            checked.append(ctmc.n)
+    assert len(checked) >= 30 and sum(n > 4 for n in checked) >= 10
 
 
 @pytest.mark.parametrize("scenario, guards", [
