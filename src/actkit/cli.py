@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,8 +57,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError:
         raise DomainError(f"grid must be START:STOP:STEPS, got {spec!r}") from None
-    if steps < 2 or not stop > start:
-        raise DomainError("grid needs STOP > START and at least 2 steps")
+    if steps < 2 or not stop > start or not math.isfinite(stop - start):
+        raise DomainError("grid needs STOP > START, a finite STOP - START and at least 2 steps")
     return np.linspace(start, stop, steps)
 
 

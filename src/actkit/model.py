@@ -110,19 +110,14 @@ class Act:
             return kind.children
         return ()
 
-    def postorder(self, top: int | None = None) -> list[int]:
-        """Nodes reachable from ``top`` (default: the root), every child before its parent."""
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root if top is None else top, False)]
-        while stack:
-            nid, expanded = stack.pop()
-            if expanded:
-                order.append(nid)
-                continue
-            stack.append((nid, True))
-            for c in self.children(nid):
-                stack.append((c, False))
-        return order
+    def postorder(self) -> list[int]:
+        """Nodes reachable from the root, every child before its parent and the last child first."""
+        order, stack = [], [self.root]
+        while stack:  # a pre-order visiting children in child order, reversed on return
+            nid = stack.pop()
+            order.append(nid)
+            stack.extend(reversed(self.children(nid)))
+        return order[::-1]
 
     def guard(self, nid: int) -> int | None:
         """The countermeasure child of an AND gate, or None."""

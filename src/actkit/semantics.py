@@ -1,4 +1,8 @@
-"""Stochastic semantics: the absorbing CTMC of a tree.
+"""Stochastic semantics: the absorbing CTMC of a tree, and the gate table.
+
+``read_gates`` is the one reading of a tree's shape: every evaluator (the
+chain built here, the static sweep, quadrature and simulation) walks its
+table of gates once per scenario instead of the tree.
 
 Every leaf runs an exponential clock that starts at time zero (activation
 signals cascade through the gates instantaneously). An AND gate with a
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
 from .model import Act, AndGate, AttackLeaf, CmGate, Diagnostic, OrGate, Scenario
@@ -60,18 +64,28 @@ def _leaf_rate(act: Act, nid: int) -> float:
         raise type(exc)(f"leaf '{act.nodes[nid].name}': {exc}") from None
 
 
-def attack_side(act: Act, gate: int, scenario: Scenario) -> list[int]:
-    """An AND or OR gate's children other than its countermeasure.
+# one AND or OR gate as every evaluator reads it: its attack-side children in child order, and its countermeasure child
+_Gate = NamedTuple("_Gate", [("node", int), ("is_or", bool), ("side", tuple[int, ...]), ("guard", int | None)])
 
-    Raises ActValidationError when there are none: CmPlacement for a lone
-    countermeasure, GateArity for a gate left empty, as no-cm reads one.
+
+def read_gates(act: Act, scenario: Scenario) -> list[_Gate]:
+    """Every AND and OR gate under ``act.root`` in ``act.postorder()`` order: the one reading of a tree's shape.
+
+    Raises ActValidationError for a gate without an attack-side child:
+    CmPlacement for a lone countermeasure, GateArity for a gate left empty,
+    as no-cm reads one. Package-internal.
     """
-    guard = act.guard(gate)
-    kids = [c for c in act.children(gate) if c != guard]
-    if not kids:
-        code = "CmPlacement" if guard is not None and scenario is not Scenario.NO_CM else "GateArity"
-        raise ActValidationError([Diagnostic(code, act.nodes[gate].name, "gate has no attack-side child")])
-    return kids
+    gates = []
+    for nid in act.postorder():
+        kind = act.nodes[nid].kind
+        if isinstance(kind, (AndGate, OrGate)):
+            guard = act.guard(nid)
+            side = tuple(c for c in kind.children if c != guard)
+            if not side:
+                code = "CmPlacement" if guard is not None and scenario is not Scenario.NO_CM else "GateArity"
+                raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "gate has no attack-side child")])
+            gates.append(_Gate(nid, isinstance(kind, OrGate), side, guard))
+    return gates
 
 
 def collect_rates(act: Act, scenario: Scenario = Scenario.FULL) -> tuple[dict[int, float], dict[int, _CmRates]]:
@@ -81,17 +95,20 @@ def collect_rates(act: Act, scenario: Scenario = Scenario.FULL) -> tuple[dict[in
     makes mitigation instantaneous and no-cm keeps no law, so that gate reads
     as a plain AND. Under full, a mitigation leaf with probability 1 and no
     explicit rate is instantaneous; probability 1 anywhere else has no finite
-    rate and raises RateUndefined. Checks every gate with ``attack_side``, and
-    raises DomainError when the rates sum past the largest double.
+    rate and raises RateUndefined. Raises what ``read_gates`` raises, and
+    DomainError when the rates sum past the largest double.
     """
+    return _rates(act, read_gates(act, scenario), scenario)
+
+
+def _rates(act: Act, gates: list[_Gate], scenario: Scenario) -> tuple[dict[int, float], dict[int, _CmRates]]:
+    """``collect_rates`` of ``act`` read off its gate table ``gates``: every event the table names, in node order."""
     leaf_rates: dict[int, float] = {}
     cm_rates: dict[int, _CmRates] = {}
-    for nid in sorted(act.postorder()):
+    for nid in sorted([act.root, *(c for g in gates for c in g.side), *(g.guard for g in gates if g.guard is not None)]):
         kind = act.nodes[nid].kind
         if isinstance(kind, AttackLeaf):
             leaf_rates[nid] = _leaf_rate(act, nid)
-        elif isinstance(kind, (AndGate, OrGate)):
-            attack_side(act, nid, scenario)
         elif isinstance(kind, CmGate) and scenario is not Scenario.NO_CM:
             det = _leaf_rate(act, kind.detect)
             mit_tm = act.nodes[kind.mitigate].kind.timing
@@ -131,11 +148,13 @@ def compose(
 
     The tree under ``act.root`` must be well-formed; nodes outside it are
     ignored, so the view ``Act(title, g, act.nodes)`` composes the chain of
-    ``g``'s subtree alone. Raises what ``collect_rates`` raises and
-    StateSpaceLimit when more than ``state_cap`` states are reachable.
+    ``g``'s subtree alone. Raises what ``collect_rates`` raises, DomainError
+    for a ``state_cap`` below 1, and StateSpaceLimit when more are reachable.
     """
-    leaf_rates, cm_rates = collect_rates(act, scenario)
-    return _chain(_DirectBuilder(act, leaf_rates, cm_rates), state_cap, act.title, scenario)
+    if state_cap < 1:
+        raise DomainError(f"the state cap must be at least 1, got {state_cap}")
+    gates = read_gates(act, scenario)
+    return _chain(_DirectBuilder(act, gates, *_rates(act, gates, scenario)), state_cap, act.title, scenario)
 
 
 _GOAL = "goal"
@@ -151,12 +170,11 @@ class _DirectBuilder:
     sentinels. So in every state each PENDING leaf, and the owner of each
     detecting or mitigating countermeasure, has only P ancestors. The
     initial state is all pending because every gate has an attack-side child
-    (``collect_rates`` checks it), so nothing is decided before the first event.
+    (``read_gates`` checks it), so nothing is decided before the first event.
 
-    ``transitions`` evaluates the tree once per state, over a flat
-    post-order table of the gates. Each successor turns one P node decided:
-    a leaf turns S, or a countermeasure's owner turns D when the
-    countermeasure wins. The new value climbs to the parent when the parent
+    ``transitions`` evaluates the tree once per state, over the gate table
+    in post-order. Each successor turns one P node decided: a leaf turns S,
+    or a countermeasure's owner turns D when the countermeasure wins. The new value climbs to the parent when the parent
     is an OR and the value is S, an AND and the value is D, or every other
     attack-side child already holds it; the climb stops at the first parent
     that stays P. Climbs are memoised per state and value, so successors
@@ -168,18 +186,14 @@ class _DirectBuilder:
     of them does what a whole-tree relevance pass would.
     """
 
-    def __init__(self, act: Act, leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
-        # nodes are numbered by post-order position, so the per-state tables
-        # cover only the tree under the root; leaf and cm indices follow node ids
-        order = act.postorder()
-        pos = {nid: i for i, nid in enumerate(order)}
-        self.n = n = len(order)
-        self.root = n - 1
-        leaf_ids, cm_ids = sorted(leaf_rates), sorted(cm_rates)
-        self.leaves = [pos[nid] for nid in leaf_ids]
-        self.leaf_rate = [leaf_rates[nid] for nid in leaf_ids]
+    def __init__(self, act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
+        # per-node tables are indexed by node id; leaf and cm indices follow node ids too
+        self.n = n = len(act.nodes)
+        self.root = act.root
+        self.leaves, cm_ids = sorted(leaf_rates), sorted(cm_rates)
+        self.leaf_rate = [leaf_rates[nid] for nid in self.leaves]
         self.cm_rate = [cm_rates[nid] for nid in cm_ids]
-        leaf_idx = {nid: i for i, nid in enumerate(leaf_ids)}
+        leaf_idx = {nid: i for i, nid in enumerate(self.leaves)}
         cm_idx = {nid: i for i, nid in enumerate(cm_ids)}
         # per node: attack-side parent (-1 at the root), attack-side arity and,
         # for gates, the value that needs every attack-side child (OR: D, AND: S)
@@ -190,33 +204,28 @@ class _DirectBuilder:
         # gates in post-order: (node, value any child forces, unanimous value,
         # attack-side children, guard's cm index or -1)
         self.gates: list[tuple[int, int, int, tuple[int, ...], int]] = []
-        # leaf and cm indices in post-order, so every subtree's are one run;
-        # span[node] = (leaf run start, end, cm run start, end)
+        # leaf and cm indices laid down gate by gate in post-order, so every subtree's are one run;
+        # span[gate] = (leaf run start, end, cm run start, end); a leaf's is empty
         self.leaf_post: list[int] = []
         self.cm_post: list[int] = []
         self.span = [(0, 0, 0, 0)] * n
-        for i, nid in enumerate(order):
-            kind = act.nodes[nid].kind
-            children = [pos[c] for c in act.children(nid)]
-            leaf_lo = min((self.span[c][0] for c in children), default=len(self.leaf_post))
-            cm_lo = min((self.span[c][2] for c in children), default=len(self.cm_post))
-            if isinstance(kind, AttackLeaf):
-                self.leaf_post.append(leaf_idx[nid])
-            elif nid in cm_idx:
-                self.cm_post.append(cm_idx[nid])
-            elif isinstance(kind, (AndGate, OrGate)):
-                guard = act.guard(nid)
-                kids = tuple(pos[c] for c in act.children(nid) if c != guard)
-                for c in kids:
-                    self.parent[c] = i
-                cm = cm_idx.get(guard, -1)
-                if cm >= 0:
-                    self.owner[cm] = i
-                forced, unanimous = (_S, _D) if isinstance(kind, OrGate) else (_D, _S)
-                self.arity[i] = len(kids)
-                self.unanimous[i] = unanimous
-                self.gates.append((i, forced, unanimous, kids, cm))
-            self.span[i] = (leaf_lo, len(self.leaf_post), cm_lo, len(self.cm_post))
+        for nid, is_or, side, guard in gates:
+            leaf_lo, cm_lo = len(self.leaf_post), len(self.cm_post)
+            for c in side:
+                self.parent[c] = nid
+                if c in leaf_idx:
+                    self.leaf_post.append(leaf_idx[c])
+                else:  # a gate, whose run is already laid down
+                    leaf_lo, cm_lo = min(leaf_lo, self.span[c][0]), min(cm_lo, self.span[c][2])
+            cm = cm_idx.get(guard, -1)
+            if cm >= 0:
+                self.cm_post.append(cm)
+                self.owner[cm] = nid
+            forced, unanimous = (_S, _D) if is_or else (_D, _S)
+            self.arity[nid] = len(side)
+            self.unanimous[nid] = unanimous
+            self.gates.append((nid, forced, unanimous, side, cm))
+            self.span[nid] = (leaf_lo, len(self.leaf_post), cm_lo, len(self.cm_post))
 
     def _evaluate(self, leafstat, cmstat) -> list[int]:
         """Per gate, how many attack-side children hold its unanimous value."""

@@ -4,7 +4,8 @@ Leaf successes are independent Bernoulli events. Gates combine bottom-up:
 AND multiplies child probabilities, OR complements the product of failure
 probabilities, and a countermeasure contributes the attacker-facing factor
 ``1 - p_detect * p_mitigate`` to its enclosing AND gate (detect-only:
-``1 - p_detect``; no-cm: 1).
+``1 - p_detect``; no-cm: 1). Each scenario reads the tree once, as the
+gate table of ``read_gates``, which a sweep then walks per grid point.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario
-from .semantics import attack_side
+from .model import Act, AttackLeaf, CmGate, Scenario
+from .semantics import read_gates
 
 
 def static_probability(act: Act, scenario: Scenario = Scenario.FULL) -> float:
@@ -24,7 +25,7 @@ def static_probability(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     accumulations is the small one, so it is correctly rounded on both ends
     of [0, 1] and ordered consistently across scenarios.
     """
-    return _smaller_side(*_evaluate(act, scenario))
+    return _smaller_side(*_evaluate(act, read_gates(act, scenario), scenario))
 
 
 def _smaller_side(succ: float, fail: float) -> float:
@@ -39,12 +40,12 @@ def static_failure(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     ``1 - static_probability`` rounds to zero; this route keeps them exact
     enough to compare scenarios whose probabilities all round to 1.0.
     """
-    succ, fail = _evaluate(act, scenario)
+    succ, fail = _evaluate(act, read_gates(act, scenario), scenario)
     return fail if fail <= succ else 1.0 - succ
 
 
-def _evaluate(act: Act, scenario: Scenario, pleaf: float | None = None) -> tuple[float, float]:
-    """Root (success, failure) probabilities under ``scenario``, each accumulated on its own.
+def _evaluate(act: Act, gates: list, scenario: Scenario, pleaf: float | None = None) -> tuple[float, float]:
+    """Root (success, failure) probabilities over ``gates = read_gates(act, scenario)``, each accumulated on its own.
 
     Success and failure are carried side by side: products keep relative
     precision, and each complement telescopes into a sum of non-negative
@@ -55,7 +56,7 @@ def _evaluate(act: Act, scenario: Scenario, pleaf: float | None = None) -> tuple
     succ: dict[int, float] = {}
     fail: dict[int, float] = {}
     nodes = act.nodes
-    for nid in act.postorder():
+    for nid in (act.root, *(c for g in gates for c in g.side), *(g.guard for g in gates if g.guard is not None)):
         kind = nodes[nid].kind
         if isinstance(kind, AttackLeaf):
             p = kind.timing.probability() if pleaf is None else pleaf
@@ -65,20 +66,15 @@ def _evaluate(act: Act, scenario: Scenario, pleaf: float | None = None) -> tuple
             if scenario is Scenario.FULL:
                 q *= nodes[kind.mitigate].kind.timing.probability()
             succ[nid], fail[nid] = 1.0 - q, q
-        elif isinstance(kind, AndGate):
-            attack_side(act, nid, scenario)  # raises when the countermeasure is the only child
-            # 1 - p1..pk = (1-p1) + p1(1-p2) + p1 p2 (1-p3) + ...
-            p, q = 1.0, 0.0
-            for c in kind.children:
-                q += p * fail[c]
-                p *= succ[c]
-            succ[nid], fail[nid] = p, q
-        elif isinstance(kind, OrGate):
-            p, q = 0.0, 1.0
-            for c in attack_side(act, nid, scenario):
-                p += q * succ[c]
-                q *= fail[c]
-            succ[nid], fail[nid] = p, q
+    for nid, is_or, side, _ in gates:
+        # AND: 1 - p1..pk = (1-p1) + p1(1-p2) + p1 p2 (1-p3) + ..., over every child, the guard's
+        # factor in its place; an OR is the same over its attack side with success and failure swapped
+        prod, other = (fail, succ) if is_or else (succ, fail)
+        x, y = 1.0, 0.0
+        for c in side if is_or else act.children(nid):
+            y += x * other[c]
+            x *= prod[c]
+        prod[nid], other[nid] = x, y
     return succ[act.root], fail[act.root]
 
 
@@ -109,6 +105,7 @@ def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] =
         raise DomainError("sweep grid must lie in [0, 1]")
     results = []
     for scenario in scenarios:
-        pgoal = tuple(_smaller_side(*_evaluate(act, scenario, x)) for x in grid)
+        gates = read_gates(act, scenario)
+        pgoal = tuple(_smaller_side(*_evaluate(act, gates, scenario, x)) for x in grid)
         results.append(SweepResult(scenario, grid, pgoal))
     return results

@@ -55,7 +55,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import DomainError
 from .model import Act, AndGate, AttackLeaf, OrGate, Scenario
-from .semantics import Ctmc, _CmRates, attack_side, collect_rates
+from .semantics import Ctmc, _CmRates, _Gate, _rates, collect_rates, read_gates
 
 _RNG_NAME = "philox4x64 per event, keyed by identifier"
 _CHUNK = 1 << 13  # runs per chunk: mia's draws stay in cache
@@ -260,43 +260,36 @@ def goal_curves(
     """
     _check_epsilon(epsilon)
     ts = _check_grid(times)
-    leaf_rates, cm_rates = collect_rates(act, scenario)
+    table = read_gates(act, scenario)
+    leaf_rates, cm_rates = _rates(act, table, scenario)
     share = epsilon / max(len(cm_rates), 1)
-    order = act.postorder()
-    guards = {nid: cm for nid in order if (cm := act.guard(nid)) in cm_rates}
-    owner = {cm: nid for nid, cm in guards.items()}
-    sides = {nid: attack_side(act, nid, scenario) for nid in order
-             if isinstance(act.nodes[nid].kind, (AndGate, OrGate))}
-    parent = {c: nid for nid, kids in sides.items() for c in kids}
+    gates = {g.node: g for g in table}
+    laws = {g.node: cm_rates[g.guard] for g in table if g.guard in cm_rates}  # per racing gate, its guard's law
+    owner = {gates[nid].guard: nid for nid in laws}
+    parent = {c: g.node for g in table for c in g.side}
     curves: dict[int, np.ndarray] = {}  # each node's curve with nothing removed
     stacks: dict[int, np.ndarray] = {}  # a gate's children's curves, stacked once for every removal below it
     stats = {"guards": 0, "panels": 0, "nodes": 0, "rounds": 0, "error_bound": 0.0}
 
     def race(gate: int, gone: frozenset[int]) -> np.ndarray:
-        ys, solved = _race(act, gate, gone, ts, leaf_rates, cm_rates, share)
+        ys, solved = _race(gates, gate, gone, ts, leaf_rates, laws, share)
         for key, value in solved.items():
             stats[key] += value
         return ys
 
     def evaluate(top: int) -> np.ndarray:
         """Fill ``curves`` for every node under ``top`` that no race below ``top`` holds."""
-        stack = [(top, False)]
-        while stack:
-            nid, expanded = stack.pop()
+        for nid in _postorder(gates, top, laws):
             if nid in curves:
                 continue
-            kind = act.nodes[nid].kind
-            if nid in guards:
+            if nid in laws:
                 curves[nid] = race(nid, frozenset())
-            elif isinstance(kind, AttackLeaf):
+            elif nid in gates:
+                curves[nid] = _combine(gates[nid].is_or, np.array([curves[c] for c in gates[nid].side]))
+            elif nid in leaf_rates:
                 curves[nid] = -np.expm1(-leaf_rates[nid] * ts)
-            elif expanded:
-                curves[nid] = _combine(kind, np.array([curves[c] for c in sides[nid]]))
-            elif nid in sides:
-                stack.append((nid, True))
-                stack.extend((c, False) for c in sides[nid])
             else:
-                raise DomainError(f"cannot evaluate node kind {type(kind).__name__}")
+                raise DomainError(f"cannot evaluate node kind {type(act.nodes[nid].kind).__name__}")
         return curves[top]
 
     def without(cm: int) -> np.ndarray:
@@ -304,18 +297,19 @@ def goal_curves(
         top = None
         while v in parent:
             v = parent[v]
-            top = v if v in guards else top
+            top = v if v in laws else top
         if top is None:
-            v, ys = gate, _combine(act.nodes[gate].kind, np.array([evaluate(c) for c in sides[gate]]))
+            v, ys = gate, _combine(gates[gate].is_or, np.array([evaluate(c) for c in gates[gate].side]))
         else:
             v, ys = top, race(top, frozenset({cm}))
         while v in parent:
             up = parent[v]
+            side = gates[up].side
             if up not in stacks:
-                stacks[up] = np.array([curves[c] for c in sides[up]])
+                stacks[up] = np.array([curves[c] for c in side])
             rows = stacks[up].copy()
-            rows[sides[up].index(v)] = ys
-            v, ys = up, _combine(act.nodes[up].kind, rows)
+            rows[side.index(v)] = ys
+            v, ys = up, _combine(gates[up].is_or, rows)
         return ys
 
     # a fast leaf's rate * t may overflow to inf, which every closed form
@@ -327,11 +321,20 @@ def goal_curves(
     return ts, result, first
 
 
-def _combine(kind, ys: np.ndarray) -> np.ndarray:
+def _postorder(gates: dict[int, _Gate], top: int, closed=()) -> list[int]:
+    """``top`` and the attack side under it, not entering a gate in ``closed``, in ``Act.postorder``'s order."""
+    order, stack = [], [top]
+    while stack:  # a pre-order visiting children in child order, reversed on return
+        nid = stack.pop()
+        order.append(nid)
+        if nid in gates and nid not in closed:
+            stack.extend(reversed(gates[nid].side))
+    return order[::-1]
+
+
+def _combine(is_or: bool, ys: np.ndarray) -> np.ndarray:
     """An OR's or an AND's completion probability from its children's, stacked on axis 0."""
-    if isinstance(kind, OrGate):
-        return 1.0 - (1.0 - ys).prod(axis=0)
-    return ys.prod(axis=0)
+    return 1.0 - (1.0 - ys).prod(axis=0) if is_or else ys.prod(axis=0)
 
 
 def _survival(rates: _CmRates, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,8 +412,8 @@ def _graded(t0: float, rates: list[float]) -> np.ndarray:
     return edges[edges < t0]  # a rounded logarithm may reach hi or t0
 
 
-def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
-          leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates], share: float) -> tuple[np.ndarray, dict]:
+def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarray,
+          leaf_rates: dict[int, float], laws: dict[int, _CmRates], share: float) -> tuple[np.ndarray, dict]:
     """Completion probability at ``ts`` of a guarded gate, by cumulative quadrature.
 
     The attack side and the countermeasure are independent, so the gate's
@@ -418,10 +421,11 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
     survival) and F_G(t) = int_0^t g. The panels, [0, ts[0]] and the grid
     intervals, get 17 Chebyshev-Lobatto nodes each; when a phase is fast
     against the first grid point, the first panel starts ``_graded`` toward
-    0. One post-order pass over the subtree carries every node's (F, f)
-    there: closed forms at leaves, the running integral of g at each guard
-    with a law in ``cm_rates`` and not in ``gone``, and the product rule,
-    folded into the open parent as soon as a child is done (AND:
+    0. One post-order pass over the subtree, read from the gate table
+    ``gates`` (the one reading of the tree's shape), carries every node's
+    (F, f): closed forms at leaves, the running integral of g at each gate
+    with a law in ``laws`` whose guard is not in ``gone``, and the product
+    rule, folded into the open parent as soon as a child is done (AND:
     F <- F F_c and f <- f F_c + F f_c; OR: the same on 1 - F), so a gate
     holds one (F, f) pair however wide it is. A guard's error on a panel is
     estimated from the tail of g's interpolant there: the largest of its
@@ -440,20 +444,18 @@ def _race(act: Act, gate: int, gone: frozenset[int], ts: np.ndarray,
     """
     steps = []  # (node, its rate if an attack leaf, whether an OR gate, its law if it races)
     parent: dict[int, tuple[int, bool]] = {}  # attack-side child: its gate, and whether that is an OR
-    rates = []
-    for nid in act.postorder(gate):
-        kind = act.nodes[nid].kind
-        if isinstance(kind, AttackLeaf):
-            rates.append(leaf_rates[nid])
-            steps.append((nid, leaf_rates[nid], False, None))
-        elif isinstance(kind, (AndGate, OrGate)):
-            cm = act.guard(nid)
-            law = cm_rates[cm] if cm in cm_rates and cm not in gone else None
+    rates = []  # in post-order, which ``_graded``'s sum depends on
+    for nid in _postorder(gates, gate):
+        if nid in gates:
+            _, is_or, side, guard = gates[nid]
+            law = laws.get(nid) if guard not in gone else None
             if law is not None:
                 rates += [law.detect, law.mitigate or 0.0]
-            is_or = isinstance(kind, OrGate)
-            parent.update((c, (nid, is_or)) for c in kind.children if c != cm)
+            parent.update((c, (nid, is_or)) for c in side)
             steps.append((nid, None, is_or, law))
+        else:
+            rates.append(leaf_rates[nid])
+            steps.append((nid, leaf_rates[nid], False, None))
     edges = ts if ts[0] == 0.0 else np.concatenate(([0.0], ts))
     if edges.size > 1:
         edges = np.concatenate(([0.0], _graded(edges[1], rates), edges[1:]))
@@ -549,8 +551,7 @@ def simulate(
     common, and their curves are positively correlated (common random
     numbers). This is ``simulate_curves``' one-curve case.
     """
-    leaf_rates, _ = collect_rates(act, scenario)
-    return simulate_curves(act, times, runs, seed, [(scenario, leaf_rates)])[0]
+    return simulate_curves(act, times, runs, seed, [(scenario, collect_rates(act, scenario)[0])])[0]
 
 
 def simulate_curves(
@@ -582,20 +583,14 @@ def simulate_curves(
     ts = _check_grid(times)
     if not isinstance(act.nodes[act.root].kind, (AttackLeaf, AndGate, OrGate)):
         raise DomainError(f"cannot simulate node kind {type(act.nodes[act.root].kind).__name__}")
-    laws = {scenario: collect_rates(act, scenario)[1] for scenario, _ in curves}
+    tables = {scenario: read_gates(act, scenario) for scenario in dict.fromkeys(s for s, _ in curves)}
+    laws = {scenario: _rates(act, gates, scenario)[1] for scenario, gates in tables.items()}
     drawn = {nid for _, rates in curves for nid, rate in rates.items() if rate > 0.0}
     for cm_rates in laws.values():
         for cm, law in cm_rates.items():
             detect, mitigate = act.nodes[cm].kind.children
             drawn.update(nid for nid, rate in ((detect, law.detect), (mitigate, law.mitigate or 0.0)) if rate > 0.0)
     streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
-    gates = []  # (gate, fold, first attack-side child, the others, guard)
-    for nid in act.postorder():
-        kind = act.nodes[nid].kind
-        if isinstance(kind, (AndGate, OrGate)):
-            cm = act.guard(nid)
-            first, *rest = (c for c in kind.children if c != cm)
-            gates.append((nid, np.minimum if isinstance(kind, OrGate) else np.maximum, first, rest, cm))
 
     chunk = min(_CHUNK, max(1, _CHUNK_VALUES // max(1, len(streams))))
     scratch = np.empty(chunk)
@@ -614,7 +609,7 @@ def simulate_curves(
                 if law.mitigate is not None:
                     by_cm[cm] += _scaled(units, mitigate, law.mitigate, scratch[:size])
         for i, (scenario, rates) in enumerate(curves):
-            root_time = _fold_chunk(act.root, gates, units, rates, deadlines[scenario], scratch[:size])
+            root_time = _fold_chunk(act.root, tables[scenario], units, rates, deadlines[scenario], scratch[:size])
             root_time.sort()
             counts[i] += np.searchsorted(root_time, ts, side="right")
 
@@ -648,9 +643,9 @@ def _scaled(units: dict[int, np.ndarray], nid: int, rate: float, out: np.ndarray
     return out
 
 
-def _fold_chunk(root: int, gates: list, units: dict[int, np.ndarray], rates: dict[int, float],
+def _fold_chunk(root: int, gates: list[_Gate], units: dict[int, np.ndarray], rates: dict[int, float],
                 deadlines: dict[int, np.ndarray], scratch: np.ndarray) -> np.ndarray:
-    """Root completion times of one chunk, folded gate by gate in post-order without recursion.
+    """Root completion times of one chunk, folded over the gate table in post-order without recursion.
 
     A leaf's times are formed where its parent reads them; a leaf missing
     from ``rates`` never completes. Each gate folds its attack-side children
@@ -664,9 +659,10 @@ def _fold_chunk(root: int, gates: list, units: dict[int, np.ndarray], rates: dic
             return times.pop(nid)
         return _scaled(units, nid, rates.get(nid, 0.0), np.empty_like(scratch) if out is None else out)
 
-    for nid, fold, first, rest, cm in gates:
-        done = read(first, None)
-        for c in rest:
+    for nid, is_or, side, cm in gates:
+        fold = np.minimum if is_or else np.maximum
+        done = read(side[0], None)
+        for c in side[1:]:
             fold(done, read(c, scratch), out=done)
         if cm in deadlines:
             np.putmask(done, done >= deadlines[cm], np.inf)

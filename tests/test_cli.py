@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,10 +115,17 @@ def test_timed_failure_writes_no_curve(mia_path, tmp_path):
     ["simulate", "--runs", "0"],
     # a grid no address space holds: the allocation is refused before any memory is touched
     ["dynamic", "--grid", "0:10:1000000000000000000"],
+    # grids whose span STOP - START overflows, which numpy would spread with overflow warnings
+    *([command, f"--grid={grid}"] for command in ("dynamic", "simulate", "static-sweep")
+      for grid in ("0:inf:3", "-1e308:1e308:3")),
+    ["export-ctmc", "--state-cap", "0"],
+    ["export-ctmc", "--state-cap", "-3"],
 ])
 def test_bad_simulation_arguments_and_refused_allocations_exit_3(argv, mia_path, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main([*argv, "--model", mia_path, "--out", str(out)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print ahead of the error line
+        assert main([*argv, "--model", mia_path, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()

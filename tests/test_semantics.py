@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actkit import load_bundled
-from actkit.errors import ActParseError, ActValidationError, RateUndefined, StateSpaceLimit
+from actkit.errors import ActParseError, ActValidationError, DomainError, RateUndefined, StateSpaceLimit
 from actkit.model import (
     Act,
     AttackLeaf,
@@ -24,12 +24,14 @@ from actkit.model import (
     or_gate,
     remove_cm_gates,
     validate_act,
+    with_attack_probability,
 )
+from actkit.ranking import rank_countermeasures
 from actkit.semantics import (
-    DEFAULT_STATE_CAP, _chain, _DirectBuilder, collect_rates, compose, export_ctmc_text, parse_ctmc_text,
+    DEFAULT_STATE_CAP, _chain, _DirectBuilder, collect_rates, compose, export_ctmc_text, parse_ctmc_text, read_gates,
 )
-from actkit.statics import static_failure, static_probability
-from actkit.transient import goal_curve, simulate, transient_probability
+from actkit.statics import static_failure, static_probability, sweep_pleaf
+from actkit.transient import goal_curve, goal_curves, simulate, simulate_curves, transient_probability
 
 from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
 from oracles import and_of_ors, expm_transient, guarded_branch, race_probability, random_act, reverse_children
@@ -207,6 +209,9 @@ def test_state_cap():
     act = load_bundled("mia")
     with pytest.raises(StateSpaceLimit):
         compose(act, Scenario.FULL, state_cap=5)
+    for cap in (0, -3):  # no chain fits, and the error names the cap rather than counting states past it
+        with pytest.raises(DomainError, match=f"state cap must be at least 1, got {cap}"):
+            compose(act, Scenario.FULL, state_cap=cap)
 
 
 def test_export_parse_round_trip():
@@ -346,15 +351,47 @@ def test_compose_rejects_a_gate_without_an_attack_side_child():
     cm = cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5))
     only_cm = build_act("only cm", or_gate("top", attack("a", p=0.5), and_gate("g", cm)), validate=False)
     assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
+    rates = {nid: 1.0 for nid in only_cm.attack_leaves()}
+    ts = [0.0, 1.0]
     # no-cm reads the countermeasure as absent, which leaves the gate with no child at all
     for scenario, code in ((Scenario.FULL, "CmPlacement"), (Scenario.DETECT_ONLY, "CmPlacement"),
                            (Scenario.NO_CM, "GateArity")):
-        for solve in (lambda: compose(only_cm, scenario), lambda: goal_curve(only_cm, scenario, [0.0, 1.0]),
-                      lambda: simulate(only_cm, scenario, [0.0, 1.0], 10, 1),
-                      lambda: static_probability(only_cm, scenario)):
+        # a simulation of several scenarios raises its first curve's scenario's code
+        curves = [(scenario, rates)] + [(s, rates) for s in Scenario if s is not scenario]
+        for solve in (lambda: compose(only_cm, scenario), lambda: goal_curve(only_cm, scenario, ts),
+                      lambda: goal_curves(only_cm, scenario, ts, 1e-9, list(only_cm.cm_gates())),
+                      lambda: simulate(only_cm, scenario, ts, 10, 1),
+                      lambda: simulate_curves(only_cm, ts, 10, 1, curves),
+                      lambda: static_probability(only_cm, scenario), lambda: static_failure(only_cm, scenario),
+                      lambda: sweep_pleaf(only_cm, [0.1, 0.5], [scenario])):
             with pytest.raises(ActValidationError) as exc:
                 solve()
             assert [(d.code, d.node) for d in exc.value.diagnostics] == [(code, "g")]
+    with pytest.raises(ActValidationError) as exc:  # ranking reads the model under full
+        rank_countermeasures(only_cm, 1.0)
+    assert [(d.code, d.node) for d in exc.value.diagnostics] == [("CmPlacement", "g")]
+
+
+def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch):
+    # every evaluator reads the gate table, which is one walk of the tree, once per scenario
+    walks = []
+    postorder = Act.postorder
+
+    def counted(act):
+        walks.append(act)
+        return postorder(act)
+
+    mia = load_bundled("mia")
+    curves = [(s, collect_rates(with_attack_probability(mia, p), s)[0]) for s in Scenario for p in (0.05, 0.1, 0.25)]
+    monkeypatch.setattr(Act, "postorder", counted)
+    for analysis, reads in ((lambda: sweep_pleaf(mia, np.linspace(0.0, 1.0, 101)), 3),
+                            (lambda: goal_curve(mia, Scenario.FULL, np.linspace(0.0, 10.0, 101)), 1),
+                            (lambda: rank_countermeasures(mia, 2.0), 1),
+                            (lambda: compose(mia), 1),
+                            (lambda: simulate_curves(mia, [0.5, 1.0, 2.0], 1000, 1, curves), 3)):
+        walks.clear()
+        analysis()
+        assert walks == [mia] * reads
 
 
 def test_one_tree_evaluation_per_expanded_state(monkeypatch):
@@ -367,7 +404,8 @@ def test_one_tree_evaluation_per_expanded_state(monkeypatch):
 
     monkeypatch.setattr(_DirectBuilder, "_evaluate", counted)
     act = and_of_ors(4)
-    ctmc = _chain(_DirectBuilder(act, *collect_rates(act)), DEFAULT_STATE_CAP, act.title, Scenario.FULL)
+    ctmc = _chain(_DirectBuilder(act, read_gates(act, Scenario.FULL), *collect_rates(act)), DEFAULT_STATE_CAP,
+                  act.title, Scenario.FULL)
     expanded = sum(label not in ("goal", "blocked") for label in ctmc.labels)
     assert expanded > 100
     assert len(calls) <= expanded
