@@ -200,6 +200,13 @@ def cmd_fmt(args) -> int:
     return 0
 
 
+def _simulated(args, acts, pairs, grid) -> list[CurveResult]:
+    """One ``simulate_curves`` call, reading each ``--pleaf`` model's leaf rates once, under the first scenario."""
+    rates = {pleaf: collect_rates(act, pairs[0][0])[0] for pleaf, act in acts.items()}
+    return simulate_curves(acts[pairs[0][1]], grid, args.runs, args.seed,
+                           [(scenario, rates[pleaf]) for scenario, pleaf in pairs])
+
+
 def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> None:
     """Add --model and, unless ``scenario`` is None, --scenario with that default."""
     p.add_argument("--model", required=True, help="path to a model file")
@@ -245,10 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                     for scenario, pleaf in pairs])
     p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
 
-    p = _add_timed(sub, "simulate", "timed curves via Monte Carlo simulation",
-                   lambda args, acts, pairs, grid: simulate_curves(
-                       acts[pairs[0][1]], grid, args.runs, args.seed,
-                       [(scenario, collect_rates(acts[pleaf], scenario)[0]) for scenario, pleaf in pairs]))
+    p = _add_timed(sub, "simulate", "timed curves via Monte Carlo simulation", _simulated)
     p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
     p.add_argument("--seed", type=int, default=1, help="simulation seed")
 

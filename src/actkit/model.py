@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Union
 
-from .errors import MissingParameter
+from .errors import ActValidationError, DomainError, MissingParameter
 from .timing import rate_from_probability
 
 
@@ -111,13 +111,25 @@ class Act:
         return ()
 
     def postorder(self) -> list[int]:
-        """Nodes reachable from the root, every child before its parent and the last child first."""
-        order, stack = [], [self.root]
+        """Nodes reachable from the root, every child before its parent and the last child first.
+
+        The walk stops at the first node it reaches twice and raises
+        ActValidationError: CycleDetected at the node that reached it when it
+        is that node's ancestor (or the node itself), SharedSubtree at it otherwise.
+        """
+        reached: dict[int, int] = {}  # each node reached, in pre-order, and the node it was reached from
+        stack = [(self.root, -1)]
         while stack:  # a pre-order visiting children in child order, reversed on return
-            nid = stack.pop()
-            order.append(nid)
-            stack.extend(reversed(self.children(nid)))
-        return order[::-1]
+            nid, up = stack.pop()
+            if nid in reached:
+                v = up
+                while v not in (nid, -1):
+                    v = reached[v]
+                at, code = (up, "CycleDetected") if v == nid else (nid, "SharedSubtree")
+                raise ActValidationError([Diagnostic(code, self.nodes[at].name, f"'{self.nodes[nid].name}' is reached twice")])
+            reached[nid] = up
+            stack.extend((c, nid) for c in reversed(self.children(nid)))
+        return list(reached)[::-1]
 
     def guard(self, nid: int) -> int | None:
         """The countermeasure child of an AND gate, or None."""
@@ -315,8 +327,11 @@ def with_attack_probability(act: Act, p: float) -> Act:
 
     Detection and mitigation events keep their modelled values. The leaf's
     horizon is kept (default 1 hour) and any explicit rate is dropped so the
-    timed rate re-derives from the new probability.
+    timed rate re-derives from the new probability. Raises DomainError
+    unless ``p`` lies in [0, 1].
     """
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"attack-leaf probability must lie in [0, 1], got {p!r}")
     nodes = []
     for node in act.nodes:
         if isinstance(node.kind, AttackLeaf):
@@ -379,8 +394,6 @@ def _slug(name: str, used: set[str]) -> str:
 
 def build_act(title: str, root: _Spec, validate: bool = True) -> Act:
     """Assemble an Act from nested specs, assigning ids in preorder."""
-    from .errors import ActValidationError
-
     # (spec, ident, child ids) per node, in the preorder a recursive walk
     # would visit them, so ids and deduplicated idents come out the same
     entries: list[tuple[_Spec, str, list[int]]] = []

@@ -33,9 +33,11 @@ def rank_countermeasures(
 ) -> list[CmEffect]:
     """Rank countermeasures by the goal-probability increase their removal causes.
 
-    For each countermeasure gate the fully defended model is compared against
-    the model with just that gate removed, both evaluated at horizon
-    ``t_star``. Results are sorted by decreasing effect, ties broken by name.
+    For each countermeasure gate in the tree under ``act.root`` the fully
+    defended model is compared against the model with just that gate
+    removed, both evaluated at horizon ``t_star``; a view
+    ``Act(title, g, act.nodes)`` ranks the guards of ``g``'s subtree alone.
+    Results are sorted by decreasing effect, ties broken by name.
 
     The one model is evaluated like ``goal_curve`` under the full scenario,
     with each countermeasure race integrated to ``epsilon`` divided by the
@@ -46,8 +48,8 @@ def rank_countermeasures(
     """
     cms = sorted(act.cm_gates())
     _, curves, _ = goal_curves(act, Scenario.FULL, [t_star], epsilon, cms)
-    with_all, *without = (float(ys[0]) for ys in curves)
+    with_all, *without = (None if ys is None else float(ys[0]) for ys in curves)  # None: outside the root's tree
     effects = [CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,
-                        pgoal_without=p, delta=p - with_all) for nid, p in zip(cms, without)]
+                        pgoal_without=p, delta=p - with_all) for nid, p in zip(cms, without) if p is not None]
     effects.sort(key=lambda e: (-e.delta, e.name))
     return effects

@@ -71,10 +71,17 @@ _Gate = NamedTuple("_Gate", [("node", int), ("is_or", bool), ("side", tuple[int,
 def read_gates(act: Act, scenario: Scenario) -> list[_Gate]:
     """Every AND and OR gate under ``act.root`` in ``act.postorder()`` order: the one reading of a tree's shape.
 
-    Raises ActValidationError for a gate without an attack-side child:
-    CmPlacement for a lone countermeasure, GateArity for a gate left empty,
-    as no-cm reads one. Package-internal.
+    The one check every evaluator passes, so each finds only AND and OR
+    gates and attack events on the attack side. Raises DomainError for a
+    ``scenario`` that is not a Scenario, what ``act.postorder`` raises for a
+    cycle or a shared node, and ActValidationError for a gate without an
+    attack-side child (CmPlacement for a lone countermeasure, GateArity for
+    a gate left empty, as no-cm reads one), then for a root or attack-side
+    child that is a countermeasure (CmPlacement) or a detection or
+    mitigation event (LeafPlacement). Package-internal.
     """
+    if not isinstance(scenario, Scenario):
+        raise DomainError(f"scenario must be a Scenario, got {scenario!r}")
     gates = []
     for nid in act.postorder():
         kind = act.nodes[nid].kind
@@ -85,6 +92,11 @@ def read_gates(act: Act, scenario: Scenario) -> list[_Gate]:
                 code = "CmPlacement" if guard is not None and scenario is not Scenario.NO_CM else "GateArity"
                 raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "gate has no attack-side child")])
             gates.append(_Gate(nid, isinstance(kind, OrGate), side, guard))
+    for nid in (act.root, *(c for g in gates for c in g.side)):
+        kind = act.nodes[nid].kind
+        if not isinstance(kind, (AndGate, OrGate, AttackLeaf)):
+            code = "CmPlacement" if isinstance(kind, CmGate) else "LeafPlacement"
+            raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "the attack side holds only AND/OR gates and attack events")])
     return gates
 
 

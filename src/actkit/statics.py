@@ -101,7 +101,7 @@ def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] =
     for a, b in zip(grid, grid[1:]):
         if not a < b:
             raise DomainError("sweep grid must be strictly increasing")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
+    if not (0.0 <= grid[0] and grid[-1] <= 1.0):  # NaN fails here too
         raise DomainError("sweep grid must lie in [0, 1]")
     results = []
     for scenario in scenarios:

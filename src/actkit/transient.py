@@ -54,8 +54,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import DomainError
-from .model import Act, AndGate, AttackLeaf, OrGate, Scenario
-from .semantics import Ctmc, _CmRates, _Gate, _rates, collect_rates, read_gates
+from .model import Act, Scenario
+from .semantics import Ctmc, _CmRates, _Gate, _rates, read_gates
 
 _RNG_NAME = "philox4x64 per event, keyed by identifier"
 _CHUNK = 1 << 13  # runs per chunk: mia's draws stay in cache
@@ -80,6 +80,8 @@ class CurveResult:
 
 def _check_grid(times: Sequence[float]) -> np.ndarray:
     ts = np.asarray(list(times), dtype=float)
+    if ts.ndim != 1:
+        raise DomainError("time grid must be a flat sequence of hours")
     if ts.size == 0:
         raise DomainError("time grid is empty")
     if not np.all(np.isfinite(ts)) or ts[0] < 0.0:
@@ -246,7 +248,7 @@ def goal_curves(
     epsilon: float,
     removed: Sequence[int] = (),
 ) -> tuple[np.ndarray, list[np.ndarray], dict]:
-    """Goal curve of one validated model under ``scenario``, then one per countermeasure gate in ``removed`` read as removed.
+    """Goal curve of one model under ``scenario``, then one per countermeasure gate in ``removed`` read as removed.
 
     Bottom-up, an attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c)
     and an AND prod(F_c) over its attack-side children; an AND gate whose
@@ -254,8 +256,10 @@ def goal_curves(
     ``_race`` at ``epsilon`` divided by the number of such laws. Every
     node's curve is kept, so a removal recomputes only the path from its
     gate, or from the outermost race holding it, to the root. Returns the
-    grid, the curves and the summed ``_race`` statistics of the first one.
-    Raises what ``collect_rates`` raises.
+    grid, the curves, with None for a gate in ``removed`` that guards no
+    race (one outside ``act.root``'s tree, or any under no-cm), and the
+    summed ``_race`` statistics of the first one. Raises what
+    ``collect_rates`` raises.
     Package-internal: ``actkit`` does not export it.
     """
     _check_epsilon(epsilon)
@@ -286,10 +290,8 @@ def goal_curves(
                 curves[nid] = race(nid, frozenset())
             elif nid in gates:
                 curves[nid] = _combine(gates[nid].is_or, np.array([curves[c] for c in gates[nid].side]))
-            elif nid in leaf_rates:
-                curves[nid] = -np.expm1(-leaf_rates[nid] * ts)
             else:
-                raise DomainError(f"cannot evaluate node kind {type(act.nodes[nid].kind).__name__}")
+                curves[nid] = -np.expm1(-leaf_rates[nid] * ts)
         return curves[top]
 
     def without(cm: int) -> np.ndarray:
@@ -317,7 +319,7 @@ def goal_curves(
     with np.errstate(over="ignore"):
         result = [evaluate(act.root)]
         first = dict(stats)
-        result += [without(cm) for cm in removed]
+        result += [without(cm) if cm in owner else None for cm in removed]
     return ts, result, first
 
 
@@ -551,7 +553,7 @@ def simulate(
     common, and their curves are positively correlated (common random
     numbers). This is ``simulate_curves``' one-curve case.
     """
-    return simulate_curves(act, times, runs, seed, [(scenario, collect_rates(act, scenario)[0])])[0]
+    return simulate_curves(act, times, runs, seed, [(scenario, None)])[0]
 
 
 def simulate_curves(
@@ -559,9 +561,9 @@ def simulate_curves(
     times: Sequence[float],
     runs: int,
     seed: int,
-    curves: Sequence[tuple[Scenario, dict[int, float]]],
+    curves: Sequence[tuple[Scenario, dict[int, float] | None]],
 ) -> list[CurveResult]:
-    """``simulate``'s curve of one validated model for each (scenario, attack-leaf rates) pair.
+    """``simulate``'s curve of one model for each (scenario, attack-leaf rates) pair; None reads the model's own rates.
 
     Each curve is bit for bit the one ``simulate`` gives for the model with
     those leaf rates under that scenario. Per chunk of runs, every event
@@ -581,10 +583,10 @@ def simulate_curves(
     if not _is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     ts = _check_grid(times)
-    if not isinstance(act.nodes[act.root].kind, (AttackLeaf, AndGate, OrGate)):
-        raise DomainError(f"cannot simulate node kind {type(act.nodes[act.root].kind).__name__}")
     tables = {scenario: read_gates(act, scenario) for scenario in dict.fromkeys(s for s, _ in curves)}
-    laws = {scenario: _rates(act, gates, scenario)[1] for scenario, gates in tables.items()}
+    own = {scenario: _rates(act, gates, scenario) for scenario, gates in tables.items()}  # (leaf rates, laws)
+    laws = {scenario: cm_rates for scenario, (_, cm_rates) in own.items()}
+    curves = [(scenario, own[scenario][0] if rates is None else rates) for scenario, rates in curves]
     drawn = {nid for _, rates in curves for nid, rate in rates.items() if rate > 0.0}
     for cm_rates in laws.values():
         for cm, law in cm_rates.items():

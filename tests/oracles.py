@@ -204,6 +204,47 @@ def with_random_rates(act: Act, rng: random.Random, lo: float, hi: float) -> Act
     return Act(act.title, act.root, tuple(nodes))
 
 
+def malformed_act(rng: random.Random) -> Act:
+    """A ``random_act`` with one defect that ``validate_act`` reports, drawn from five shapes.
+
+    One attack leaf becomes a detection event, a mitigation event or a
+    countermeasure gate (only where a countermeasure is misplaced: at the
+    root, under an OR, or beside a guard), or one gate gains an extra child:
+    an attack leaf that already has a parent, or the gate itself or one of
+    its ancestors, which closes a cycle.
+    """
+    act = random_act(rng, max_leaves=8, max_cms=2)
+    nodes = list(act.nodes)
+    parent = {c: nid for nid in range(len(nodes)) for c in act.children(nid)}
+    leaves = list(act.attack_leaves())
+    gates = [nid for nid, node in enumerate(nodes) if isinstance(node.kind, (AndGate, OrGate))]
+    misplaced_cm = [nid for nid in leaves if nid not in parent or isinstance(nodes[parent[nid]].kind, OrGate)
+                    or act.guard(parent[nid]) is not None]
+    shape = rng.choice(["detect", "mitigate"] + ["cm"] * bool(misplaced_cm) + ["shared", "cycle"] * bool(gates))
+    if shape in ("shared", "cycle"):
+        gate = rng.choice(gates)
+        if shape == "shared":
+            extra = rng.choice(leaves)
+        else:
+            above = [gate]
+            while above[-1] in parent:
+                above.append(parent[above[-1]])
+            extra = rng.choice(above)
+        kind = nodes[gate].kind
+        nodes[gate] = Node(nodes[gate].ident, nodes[gate].name, type(kind)(kind.children + (extra,)))
+        return Act(act.title, act.root, tuple(nodes))
+    nid = rng.choice(misplaced_cm if shape == "cm" else leaves)
+    node, timing = nodes[nid], nodes[nid].kind.timing
+    if shape == "cm":
+        kind = CmGate(len(nodes), len(nodes) + 1)
+        nodes += [Node(f"{node.ident}_d", f"{node.name} detection", DetectLeaf(LeafTiming(p=0.5, t=1.0))),
+                  Node(f"{node.ident}_m", f"{node.name} mitigation", MitigateLeaf(LeafTiming(p=0.5, t=1.0)))]
+    else:
+        kind = (DetectLeaf if shape == "detect" else MitigateLeaf)(timing)
+    nodes[nid] = Node(node.ident, node.name, kind)
+    return Act(act.title, act.root, tuple(nodes))
+
+
 def reverse_children(act: Act) -> Act:
     """Same model with every AND/OR child tuple reversed in place."""
     nodes = []

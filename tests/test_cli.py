@@ -103,7 +103,7 @@ def test_rank_near_the_largest_double_writes_only_the_error(tmp_path):
 
 def test_timed_failure_writes_no_curve(mia_path, tmp_path):
     # the second pleaf fails after the first is read or solved, and no curve is written
-    for argv in (["dynamic", "--pleaf", "0.1", "--pleaf", "1.5"],
+    for argv in (["dynamic", "--pleaf", "0.1", "--pleaf", "1.0"],
                  ["simulate", "--runs", "100", "--pleaf", "0.1", "--pleaf", "1.0"]):
         out = tmp_path / argv[0]
         assert main(argv + ["--model", mia_path, "--out", str(out)]) == 3
@@ -120,6 +120,9 @@ def test_timed_failure_writes_no_curve(mia_path, tmp_path):
       for grid in ("0:inf:3", "-1e308:1e308:3")),
     ["export-ctmc", "--state-cap", "0"],
     ["export-ctmc", "--state-cap", "-3"],
+    # an attack-leaf probability outside [0, 1] is refused before any model is built
+    ["dynamic", "--pleaf", "2"],
+    ["simulate", "--pleaf", "2"],
 ])
 def test_bad_simulation_arguments_and_refused_allocations_exit_3(argv, mia_path, tmp_path, capsys):
     out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import pytest
 
 from actkit import load_bundled
-from actkit.errors import ActValidationError, MissingParameter
+from actkit.errors import ActValidationError, DomainError, MissingParameter
 from actkit.model import (
     Act,
     AndGate,
@@ -267,6 +267,9 @@ def test_remove_cm_rejects_other_nodes():
 
 
 def test_with_attack_probability():
+    for bad in (2.0, -0.5, float("nan")):  # a model validate_act would reject is never built
+        with pytest.raises(DomainError):
+            with_attack_probability(small_act(), bad)
     act = with_attack_probability(small_act(), 0.25)
     (aid,) = act.attack_leaves()
     assert act.nodes[aid].kind.timing.p == 0.25

@@ -7,6 +7,7 @@ import pytest
 from actkit import load_bundled
 from actkit.errors import DomainError
 from actkit.model import (
+    Act,
     Scenario,
     and_gate,
     attack,
@@ -44,6 +45,19 @@ def test_single_cm_delta_matches_gap():
     assert effect.pgoal_with == pytest.approx(full, abs=1e-9)
     assert effect.pgoal_without == pytest.approx(bare, abs=1e-9)
     assert effect.delta == pytest.approx(bare - full, abs=1e-9)
+    assert effect.delta > 0
+
+
+def test_ranking_on_a_subtree_view():
+    # the view keeps mia's whole node table; ranking reads only the guards of the tree under its root
+    mia = load_bundled("mia")
+    branch = next(nid for nid, node in enumerate(mia.nodes) if node.ident == "acquire_password")
+    view = Act(mia.title, branch, mia.nodes)
+    (effect,) = rank_countermeasures(view, 2.0)
+    assert mia.nodes[effect.node].ident == "password_cm"
+    assert effect.pgoal_with == goal_curve(view, Scenario.FULL, [2.0]).ys[0]
+    bare = goal_curve(remove_cm_gates(view, {effect.node}), Scenario.FULL, [2.0]).ys[0]
+    assert effect.pgoal_without == pytest.approx(bare, abs=1e-12)
     assert effect.delta > 0
 
 

@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actkit import load_bundled
+from actkit.cli import main
+from actkit.dsl import serialize_act
 from actkit.errors import ActParseError, ActValidationError, DomainError, RateUndefined, StateSpaceLimit
 from actkit.model import (
     Act,
     AttackLeaf,
     DetectLeaf,
+    LeafTiming,
     MitigateLeaf,
+    Node,
+    OrGate,
     Scenario,
     and_gate,
     apply_scenario,
@@ -34,7 +39,9 @@ from actkit.statics import static_failure, static_probability, sweep_pleaf
 from actkit.transient import goal_curve, goal_curves, simulate, simulate_curves, transient_probability
 
 from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
-from oracles import and_of_ors, expm_transient, guarded_branch, race_probability, random_act, reverse_children
+from oracles import (
+    and_of_ors, expm_transient, guarded_branch, malformed_act, race_probability, random_act, reverse_children,
+)
 
 
 def race_act(p_a=0.6321205588285577, p_d=0.6321205588285577, p_m=0.6321205588285577):
@@ -347,32 +354,82 @@ def test_scenario_laws_match_the_rewritten_model():
                 assert f(act, scenario) == f(rewritten, Scenario.FULL)
 
 
-def test_compose_rejects_a_gate_without_an_attack_side_child():
-    cm = cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5))
-    only_cm = build_act("only cm", or_gate("top", attack("a", p=0.5), and_gate("g", cm)), validate=False)
-    assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
-    rates = {nid: 1.0 for nid in only_cm.attack_leaves()}
+def _entry_points(act, scenario):
+    """Every analysis of ``act`` under ``scenario``, as calls; ranking always reads full."""
     ts = [0.0, 1.0]
+    rates = {nid: 1.0 for nid in act.attack_leaves()}
+    # a simulation of several scenarios raises its first curve's scenario's error
+    curves = [(scenario, rates)] + [(s, rates) for s in Scenario if s is not scenario]
+    return [lambda: compose(act, scenario), lambda: goal_curve(act, scenario, ts),
+            lambda: goal_curves(act, scenario, ts, 1e-9, list(act.cm_gates())),
+            lambda: simulate(act, scenario, ts, 10, 1), lambda: simulate_curves(act, ts, 10, 1, curves),
+            lambda: static_probability(act, scenario), lambda: static_failure(act, scenario),
+            lambda: sweep_pleaf(act, [0.1, 0.5], [scenario]),
+            *([lambda: rank_countermeasures(act, 1.0)] if scenario is Scenario.FULL else [])]
+
+
+def _rejections(act, scenario):
+    """The single diagnostic each entry point raises, as a set of (code, node)."""
+    raised = set()
+    for solve in _entry_points(act, scenario):
+        with pytest.raises(ActValidationError) as exc:
+            solve()
+        (diagnostic,) = exc.value.diagnostics
+        raised.add((diagnostic.code, diagnostic.node))
+    return raised
+
+
+def test_compose_rejects_a_gate_without_an_attack_side_child():
+    def cm(i=""):
+        return cm_gate(f"cm{i}", detect(f"d{i}", p=0.5), mitigate(f"m{i}", p=0.5))
+
+    only_cm = build_act("only cm", or_gate("top", attack("a", p=0.5), and_gate("g", cm())), validate=False)
+    assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
     # no-cm reads the countermeasure as absent, which leaves the gate with no child at all
     for scenario, code in ((Scenario.FULL, "CmPlacement"), (Scenario.DETECT_ONLY, "CmPlacement"),
                            (Scenario.NO_CM, "GateArity")):
-        # a simulation of several scenarios raises its first curve's scenario's code
-        curves = [(scenario, rates)] + [(s, rates) for s in Scenario if s is not scenario]
-        for solve in (lambda: compose(only_cm, scenario), lambda: goal_curve(only_cm, scenario, ts),
-                      lambda: goal_curves(only_cm, scenario, ts, 1e-9, list(only_cm.cm_gates())),
-                      lambda: simulate(only_cm, scenario, ts, 10, 1),
-                      lambda: simulate_curves(only_cm, ts, 10, 1, curves),
-                      lambda: static_probability(only_cm, scenario), lambda: static_failure(only_cm, scenario),
-                      lambda: sweep_pleaf(only_cm, [0.1, 0.5], [scenario])):
-            with pytest.raises(ActValidationError) as exc:
+        assert _rejections(only_cm, scenario) == {(code, "g")}
+    # every other shape no evaluator can read fails the same way under every scenario
+    a = attack("a", p=0.5)
+    shapes = [
+        (cm(), ("CmPlacement", "cm")),
+        (detect("d", p=0.5), ("LeafPlacement", "d")),
+        (or_gate("top", a, detect("d", p=0.5)), ("LeafPlacement", "d")),
+        (and_gate("top", a, mitigate("m", p=0.5)), ("LeafPlacement", "m")),
+        (and_gate("top", or_gate("o", a, detect("d", p=0.5)), cm(2)), ("LeafPlacement", "d")),
+        (or_gate("top", a, cm()), ("CmPlacement", "cm")),
+    ]
+    acts = [(build_act("bad", spec, validate=False), want) for spec, want in shapes]
+    leaf = Node("a", "a", AttackLeaf(LeafTiming(p=0.5)))
+    acts += [  # a leaf shared by two ORs, and the cycle root -> b -> root
+        (Act("shared", 0, (Node("top", "top", OrGate((1, 2))), Node("o1", "o1", OrGate((3,))),
+                           Node("o2", "o2", OrGate((3,))), leaf)), ("SharedSubtree", "a")),
+        (Act("cycle", 0, (Node("root", "root", OrGate((1,))), Node("b", "b", OrGate((0,))))),
+         ("CycleDetected", "b")),
+    ]
+    for act, (code, node) in acts:
+        assert code in [d.code for d in validate_act(act)]
+        for scenario in Scenario:
+            assert _rejections(act, scenario) == {(code, node)}
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_every_entry_point_rejects_a_malformed_model_alike(seed):
+    act = malformed_act(random.Random(seed))
+    (code, node), = _rejections(act, Scenario.FULL)
+    assert code in [d.code for d in validate_act(act)]
+
+
+def test_every_entry_point_rejects_a_scenario_name():
+    mia = load_bundled("mia")
+    for name in ("full", "no-cm"):
+        for solve in _entry_points(mia, name):
+            with pytest.raises(DomainError, match="must be a Scenario"):
                 solve()
-            assert [(d.code, d.node) for d in exc.value.diagnostics] == [(code, "g")]
-    with pytest.raises(ActValidationError) as exc:  # ranking reads the model under full
-        rank_countermeasures(only_cm, 1.0)
-    assert [(d.code, d.node) for d in exc.value.diagnostics] == [("CmPlacement", "g")]
 
 
-def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch):
+def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch, tmp_path):
     # every evaluator reads the gate table, which is one walk of the tree, once per scenario
     walks = []
     postorder = Act.postorder
@@ -382,16 +439,23 @@ def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch):
         return postorder(act)
 
     mia = load_bundled("mia")
-    curves = [(s, collect_rates(with_attack_probability(mia, p), s)[0]) for s in Scenario for p in (0.05, 0.1, 0.25)]
+    pleafs = [with_attack_probability(mia, p) for p in (0.05, 0.1, 0.25)]
+    curves = [(s, collect_rates(act, s)[0]) for s in Scenario for act in pleafs]
+    path = tmp_path / "mia.act"
+    path.write_text(serialize_act(mia), encoding="utf-8")
     monkeypatch.setattr(Act, "postorder", counted)
-    for analysis, reads in ((lambda: sweep_pleaf(mia, np.linspace(0.0, 1.0, 101)), 3),
-                            (lambda: goal_curve(mia, Scenario.FULL, np.linspace(0.0, 10.0, 101)), 1),
-                            (lambda: rank_countermeasures(mia, 2.0), 1),
-                            (lambda: compose(mia), 1),
-                            (lambda: simulate_curves(mia, [0.5, 1.0, 2.0], 1000, 1, curves), 3)):
+    for analysis, read in ((lambda: sweep_pleaf(mia, np.linspace(0.0, 1.0, 101)), [mia] * 3),
+                           (lambda: goal_curve(mia, Scenario.FULL, np.linspace(0.0, 10.0, 101)), [mia]),
+                           (lambda: rank_countermeasures(mia, 2.0), [mia]),
+                           (lambda: compose(mia), [mia]),
+                           (lambda: simulate(mia, Scenario.FULL, [0.5, 1.0, 2.0], 1000, 1), [mia]),
+                           (lambda: simulate_curves(mia, [0.5, 1.0, 2.0], 1000, 1, curves), [mia] * 3),
+                           # leaf rates once per --pleaf model, then one table per scenario
+                           (lambda: main(["simulate", "--model", str(path), "--runs", "1000",
+                                          "--out", str(tmp_path / "out")]), pleafs + pleafs[:1] * 3)):
         walks.clear()
         analysis()
-        assert walks == [mia] * reads
+        assert walks == read
 
 
 def test_one_tree_evaluation_per_expanded_state(monkeypatch):

@@ -127,3 +127,6 @@ def test_sweep_rejects_bad_grids():
         sweep_pleaf(act, [0.5, 1.5])
     with pytest.raises(DomainError):
         sweep_pleaf(act, [-0.1, 0.5])
+    for bad in ([float("nan")], [float("nan"), 0.5], [0.5, float("nan")]):  # NaN passes both < and >
+        with pytest.raises(DomainError):
+            sweep_pleaf(act, bad)
