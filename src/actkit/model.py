@@ -113,14 +113,19 @@ class Act:
     def postorder(self) -> list[int]:
         """Nodes reachable from the root, every child before its parent and the last child first.
 
-        The walk stops at the first node it reaches twice and raises
-        ActValidationError: CycleDetected at the node that reached it when it
-        is that node's ancestor (or the node itself), SharedSubtree at it otherwise.
+        The walk stops at the first node it reaches twice, or at an id outside
+        the node table, and raises ActValidationError: CycleDetected at the node
+        that reached it when it is that node's ancestor (or the node itself),
+        SharedSubtree at it otherwise; RootMissing for such a root id, and
+        DanglingReference at the parent of such a child id.
         """
         reached: dict[int, int] = {}  # each node reached, in pre-order, and the node it was reached from
         stack = [(self.root, -1)]
         while stack:  # a pre-order visiting children in child order, reversed on return
             nid, up = stack.pop()
+            if not 0 <= nid < len(self.nodes):
+                code, at = ("RootMissing", str(nid)) if up < 0 else ("DanglingReference", self.nodes[up].name)
+                raise ActValidationError([Diagnostic(code, at, f"id {nid} is not in the node table")])
             if nid in reached:
                 v = up
                 while v not in (nid, -1):
@@ -159,6 +164,11 @@ class Scenario(Enum):
     FULL = "full"
 
 
+def _check_scenario(scenario: Scenario) -> None:
+    if not isinstance(scenario, Scenario):
+        raise DomainError(f"scenario must be a Scenario, got {scenario!r}")
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     """One validation violation with a machine-readable rule id."""
@@ -171,17 +181,47 @@ class Diagnostic:
         return f"{self.code} at '{self.node}': {self.message}"
 
 
-def _check_timing(node: Node, out: list[Diagnostic]) -> None:
-    tm = node.kind.timing
-    bad = lambda code, msg: out.append(Diagnostic(code, node.name, msg))
-    if tm.p is None and tm.lam is None:
-        bad("LeafParam", "leaf carries neither a probability nor a rate")
-    if tm.p is not None and (math.isnan(tm.p) or not 0.0 <= tm.p <= 1.0):
-        bad("LeafParam", f"probability {tm.p!r} outside [0, 1]")
-    if tm.t is not None and (not math.isfinite(tm.t) or tm.t <= 0.0):
-        bad("LeafParam", f"horizon {tm.t!r} is not a positive number of hours")
-    if tm.lam is not None and (not math.isfinite(tm.lam) or tm.lam < 0.0):
-        bad("LeafParam", f"rate {tm.lam!r} is not finite and non-negative")
+def _faults(act: Act, nid: int) -> list[Diagnostic]:
+    """The rules of a well-formed tree that read only node ``nid``, its own children and whether it is the root.
+
+    ``validate_act`` applies them to every node and ``read_gates`` to each node under the root, once every child
+    id is known to lie in the node table. Package-internal.
+    """
+    nodes, kind = act.nodes, act.nodes[nid].kind
+    out: list[Diagnostic] = []
+    bad = lambda code, at, msg: out.append(Diagnostic(code, nodes[at].name, msg))
+    placed = [nid] if nid == act.root else []  # the root and attack-side children this node answers for
+    if isinstance(kind, (AndGate, OrGate)):
+        cms = [c for c in kind.children if isinstance(nodes[c].kind, CmGate)] if isinstance(kind, AndGate) else []
+        if not kind.children:
+            bad("GateArity", nid, "gate has no children")
+        elif len(cms) > 1 or len(cms) == len(kind.children):
+            bad("CmPlacement", nid, "an AND gate holds at most one countermeasure and at least one other child")
+        placed += [c for c in kind.children if c not in cms]
+    elif isinstance(kind, CmGate):
+        if not isinstance(nodes[kind.detect].kind, DetectLeaf):
+            bad("CmChildren", nid, "first countermeasure child must be a detection event")
+        if not isinstance(nodes[kind.mitigate].kind, MitigateLeaf):
+            bad("CmChildren", nid, "second countermeasure child must be a mitigation event")
+        for c in kind.children:
+            if isinstance(nodes[c].kind, AttackLeaf):
+                bad("CmChildren", c, "attack events cannot be countermeasure children")
+    else:
+        tm = kind.timing  # NaN fails every comparison below
+        if tm.p is None and tm.lam is None:
+            bad("LeafParam", nid, "leaf carries neither a probability nor a rate")
+        if tm.p is not None and not 0.0 <= tm.p <= 1.0:
+            bad("LeafParam", nid, f"probability {tm.p!r} outside [0, 1]")
+        if tm.t is not None and not 0.0 < tm.t < math.inf:
+            bad("LeafParam", nid, f"horizon {tm.t!r} is not a positive number of hours")
+        if tm.lam is not None and not 0.0 <= tm.lam < math.inf:
+            bad("LeafParam", nid, f"rate {tm.lam!r} is not finite and non-negative")
+    for c in placed:
+        if isinstance(nodes[c].kind, CmGate):
+            bad("CmPlacement", c, "countermeasure gates may only be children of AND gates")
+        elif not isinstance(nodes[c].kind, (AndGate, OrGate, AttackLeaf)):
+            bad("LeafPlacement", c, "detection and mitigation events may only appear under a countermeasure gate")
+    return out
 
 
 def validate_act(act: Act) -> list[Diagnostic]:
@@ -190,7 +230,8 @@ def validate_act(act: Act) -> list[Diagnostic]:
     An empty list means the act is a well-formed tree: acyclic, single-rooted,
     no shared subtrees, gates non-empty, countermeasure gates placed under AND
     gates with exactly one detection and one mitigation child, and all leaf
-    parameters in range.
+    parameters in range. It checks the rules that read the whole table
+    first, then ``_faults`` of every node.
     """
     out: list[Diagnostic] = []
     n = len(act.nodes)
@@ -239,40 +280,8 @@ def validate_act(act: Act) -> list[Diagnostic]:
                 color[v] = 2
                 stack.pop()
 
-    for nid, node in enumerate(act.nodes):
-        kind = node.kind
-        if isinstance(kind, (AndGate, OrGate)):
-            if not kind.children:
-                out.append(Diagnostic("GateArity", node.name, "gate has no children"))
-            if isinstance(kind, AndGate):
-                cms = [c for c in kind.children if isinstance(act.nodes[c].kind, CmGate)]
-                if len(cms) > 1:
-                    out.append(Diagnostic("CmPlacement", node.name, "an AND gate may hold at most one countermeasure child"))
-                if cms and len(cms) == len(kind.children):
-                    out.append(Diagnostic("CmPlacement", node.name, "an AND gate with a countermeasure needs at least one attack-side child"))
-            else:
-                for c in kind.children:
-                    if isinstance(act.nodes[c].kind, CmGate):
-                        out.append(Diagnostic("CmPlacement", act.nodes[c].name, "countermeasure gates may only be children of AND gates"))
-        elif isinstance(kind, CmGate):
-            if not isinstance(act.nodes[kind.detect].kind, DetectLeaf):
-                out.append(Diagnostic("CmChildren", node.name, "first countermeasure child must be a detection event"))
-            if not isinstance(act.nodes[kind.mitigate].kind, MitigateLeaf):
-                out.append(Diagnostic("CmChildren", node.name, "second countermeasure child must be a mitigation event"))
-            if nid == act.root:
-                out.append(Diagnostic("CmPlacement", node.name, "countermeasure gates may only be children of AND gates"))
-        elif isinstance(kind, DetectLeaf):
-            if nid == act.root or any(not isinstance(act.nodes[p].kind, CmGate) for p in parents[nid]):
-                out.append(Diagnostic("LeafPlacement", node.name, "detection events may only appear under a countermeasure gate"))
-            _check_timing(node, out)
-        elif isinstance(kind, MitigateLeaf):
-            if nid == act.root or any(not isinstance(act.nodes[p].kind, CmGate) for p in parents[nid]):
-                out.append(Diagnostic("LeafPlacement", node.name, "mitigation events may only appear under a countermeasure gate"))
-            _check_timing(node, out)
-        elif isinstance(kind, AttackLeaf):
-            if any(isinstance(act.nodes[p].kind, CmGate) for p in parents[nid]):
-                out.append(Diagnostic("CmChildren", node.name, "attack events cannot be countermeasure children"))
-            _check_timing(node, out)
+    for nid in range(n):
+        out += _faults(act, nid)
     return out
 
 
@@ -308,8 +317,10 @@ def apply_scenario(act: Act, scenario: Scenario) -> Act:
 
     no-cm deletes every countermeasure gate (an AND left with one child acts
     as a pass-through). detect-only makes every mitigation instantaneous,
-    which statically reads as probability 1. full is the identity.
+    which statically reads as probability 1. full is the identity. Raises
+    DomainError for a ``scenario`` that is not a Scenario.
     """
+    _check_scenario(scenario)
     if scenario is Scenario.FULL:
         return act
     if scenario is Scenario.NO_CM:

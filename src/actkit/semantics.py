@@ -2,7 +2,7 @@
 
 ``read_gates`` is the one reading of a tree's shape: every evaluator (the
 chain built here, the static sweep, quadrature and simulation) walks its
-table of gates once per scenario instead of the tree.
+table of gates, read once per call, instead of the tree.
 
 Every leaf runs an exponential clock that starts at time zero (activation
 signals cascade through the gates instantaneously). An AND gate with a
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
-from .model import Act, AndGate, AttackLeaf, CmGate, Diagnostic, OrGate, Scenario
+from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, _check_scenario, _faults
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -68,35 +68,25 @@ def _leaf_rate(act: Act, nid: int) -> float:
 _Gate = NamedTuple("_Gate", [("node", int), ("is_or", bool), ("side", tuple[int, ...]), ("guard", int | None)])
 
 
-def read_gates(act: Act, scenario: Scenario) -> list[_Gate]:
+def read_gates(act: Act) -> list[_Gate]:
     """Every AND and OR gate under ``act.root`` in ``act.postorder()`` order: the one reading of a tree's shape.
 
-    The one check every evaluator passes, so each finds only AND and OR
-    gates and attack events on the attack side. Raises DomainError for a
-    ``scenario`` that is not a Scenario, what ``act.postorder`` raises for a
-    cycle or a shared node, and ActValidationError for a gate without an
-    attack-side child (CmPlacement for a lone countermeasure, GateArity for
-    a gate left empty, as no-cm reads one), then for a root or attack-side
-    child that is a countermeasure (CmPlacement) or a detection or
-    mitigation event (LeafPlacement). Package-internal.
+    The one check every evaluator passes: it raises what ``act.postorder``
+    raises, then the first of ``model._faults`` of the nodes it returns, as
+    a one-diagnostic ActValidationError. So it rejects under the root every
+    per-node rule ``validate_act`` reports, and each evaluator finds only
+    AND and OR gates and attack events on the attack side. No scenario
+    changes the table. Package-internal.
     """
-    if not isinstance(scenario, Scenario):
-        raise DomainError(f"scenario must be a Scenario, got {scenario!r}")
     gates = []
     for nid in act.postorder():
+        faults = _faults(act, nid)
+        if faults:
+            raise ActValidationError(faults[:1])
         kind = act.nodes[nid].kind
         if isinstance(kind, (AndGate, OrGate)):
             guard = act.guard(nid)
-            side = tuple(c for c in kind.children if c != guard)
-            if not side:
-                code = "CmPlacement" if guard is not None and scenario is not Scenario.NO_CM else "GateArity"
-                raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "gate has no attack-side child")])
-            gates.append(_Gate(nid, isinstance(kind, OrGate), side, guard))
-    for nid in (act.root, *(c for g in gates for c in g.side)):
-        kind = act.nodes[nid].kind
-        if not isinstance(kind, (AndGate, OrGate, AttackLeaf)):
-            code = "CmPlacement" if isinstance(kind, CmGate) else "LeafPlacement"
-            raise ActValidationError([Diagnostic(code, act.nodes[nid].name, "the attack side holds only AND/OR gates and attack events")])
+            gates.append(_Gate(nid, isinstance(kind, OrGate), tuple(c for c in kind.children if c != guard), guard))
     return gates
 
 
@@ -107,14 +97,16 @@ def collect_rates(act: Act, scenario: Scenario = Scenario.FULL) -> tuple[dict[in
     makes mitigation instantaneous and no-cm keeps no law, so that gate reads
     as a plain AND. Under full, a mitigation leaf with probability 1 and no
     explicit rate is instantaneous; probability 1 anywhere else has no finite
-    rate and raises RateUndefined. Raises what ``read_gates`` raises, and
-    DomainError when the rates sum past the largest double.
+    rate and raises RateUndefined. Raises what ``read_gates`` raises, then
+    DomainError for a ``scenario`` that is not a Scenario and when the rates
+    sum past the largest double.
     """
-    return _rates(act, read_gates(act, scenario), scenario)
+    return _rates(act, read_gates(act), scenario)
 
 
 def _rates(act: Act, gates: list[_Gate], scenario: Scenario) -> tuple[dict[int, float], dict[int, _CmRates]]:
     """``collect_rates`` of ``act`` read off its gate table ``gates``: every event the table names, in node order."""
+    _check_scenario(scenario)
     leaf_rates: dict[int, float] = {}
     cm_rates: dict[int, _CmRates] = {}
     for nid in sorted([act.root, *(c for g in gates for c in g.side), *(g.guard for g in gates if g.guard is not None)]):
@@ -165,7 +157,7 @@ def compose(
     """
     if state_cap < 1:
         raise DomainError(f"the state cap must be at least 1, got {state_cap}")
-    gates = read_gates(act, scenario)
+    gates = read_gates(act)
     return _chain(_DirectBuilder(act, gates, *_rates(act, gates, scenario)), state_cap, act.title, scenario)
 
 

@@ -4,8 +4,8 @@ Leaf successes are independent Bernoulli events. Gates combine bottom-up:
 AND multiplies child probabilities, OR complements the product of failure
 probabilities, and a countermeasure contributes the attacker-facing factor
 ``1 - p_detect * p_mitigate`` to its enclosing AND gate (detect-only:
-``1 - p_detect``; no-cm: 1). Each scenario reads the tree once, as the
-gate table of ``read_gates``, which a sweep then walks per grid point.
+``1 - p_detect``; no-cm: 1). Each call reads the tree once, as the gate
+table of ``read_gates``, which a sweep then walks per scenario and point.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .model import Act, AttackLeaf, CmGate, Scenario
+from .model import Act, AttackLeaf, CmGate, Scenario, _check_scenario
 from .semantics import read_gates
 
 
@@ -25,7 +25,7 @@ def static_probability(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     accumulations is the small one, so it is correctly rounded on both ends
     of [0, 1] and ordered consistently across scenarios.
     """
-    return _smaller_side(*_evaluate(act, read_gates(act, scenario), scenario))
+    return _smaller_side(*_evaluate(act, read_gates(act), scenario))
 
 
 def _smaller_side(succ: float, fail: float) -> float:
@@ -40,19 +40,21 @@ def static_failure(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     ``1 - static_probability`` rounds to zero; this route keeps them exact
     enough to compare scenarios whose probabilities all round to 1.0.
     """
-    succ, fail = _evaluate(act, read_gates(act, scenario), scenario)
+    succ, fail = _evaluate(act, read_gates(act), scenario)
     return fail if fail <= succ else 1.0 - succ
 
 
 def _evaluate(act: Act, gates: list, scenario: Scenario, pleaf: float | None = None) -> tuple[float, float]:
-    """Root (success, failure) probabilities over ``gates = read_gates(act, scenario)``, each accumulated on its own.
+    """Root (success, failure) probabilities over ``gates = read_gates(act)``, each accumulated on its own.
 
     Success and failure are carried side by side: products keep relative
     precision, and each complement telescopes into a sum of non-negative
     terms instead of a catastrophic ``1 - product``. Only the events the
     scenario keeps are read. A given ``pleaf`` is read as every attack
     leaf's probability, as ``with_attack_probability`` would set it.
+    Raises DomainError for a ``scenario`` that is not a Scenario.
     """
+    _check_scenario(scenario)
     succ: dict[int, float] = {}
     fail: dict[int, float] = {}
     nodes = act.nodes
@@ -95,7 +97,10 @@ def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] =
     ``static_probability(with_attack_probability(act, x), scenario)`` bit
     for bit, without building that model.
     """
-    grid = tuple(float(x) for x in grid)
+    try:
+        grid = tuple(float(x) for x in grid)
+    except (TypeError, ValueError):
+        raise DomainError("sweep grid must be a flat sequence of numbers") from None
     if not grid:
         raise DomainError("sweep grid is empty")
     for a, b in zip(grid, grid[1:]):
@@ -103,9 +108,9 @@ def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] =
             raise DomainError("sweep grid must be strictly increasing")
     if not (0.0 <= grid[0] and grid[-1] <= 1.0):  # NaN fails here too
         raise DomainError("sweep grid must lie in [0, 1]")
+    gates = read_gates(act)
     results = []
     for scenario in scenarios:
-        gates = read_gates(act, scenario)
         pgoal = tuple(_smaller_side(*_evaluate(act, gates, scenario, x)) for x in grid)
         results.append(SweepResult(scenario, grid, pgoal))
     return results

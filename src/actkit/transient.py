@@ -264,7 +264,7 @@ def goal_curves(
     """
     _check_epsilon(epsilon)
     ts = _check_grid(times)
-    table = read_gates(act, scenario)
+    table = read_gates(act)
     leaf_rates, cm_rates = _rates(act, table, scenario)
     share = epsilon / max(len(cm_rates), 1)
     gates = {g.node: g for g in table}
@@ -583,8 +583,8 @@ def simulate_curves(
     if not _is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     ts = _check_grid(times)
-    tables = {scenario: read_gates(act, scenario) for scenario in dict.fromkeys(s for s, _ in curves)}
-    own = {scenario: _rates(act, gates, scenario) for scenario, gates in tables.items()}  # (leaf rates, laws)
+    table = read_gates(act)
+    own = {s: _rates(act, table, s) for s in dict.fromkeys(s for s, _ in curves)}  # (leaf rates, laws)
     laws = {scenario: cm_rates for scenario, (_, cm_rates) in own.items()}
     curves = [(scenario, own[scenario][0] if rates is None else rates) for scenario, rates in curves]
     drawn = {nid for _, rates in curves for nid, rate in rates.items() if rate > 0.0}
@@ -611,7 +611,7 @@ def simulate_curves(
                 if law.mitigate is not None:
                     by_cm[cm] += _scaled(units, mitigate, law.mitigate, scratch[:size])
         for i, (scenario, rates) in enumerate(curves):
-            root_time = _fold_chunk(act.root, tables[scenario], units, rates, deadlines[scenario], scratch[:size])
+            root_time = _fold_chunk(act.root, table, units, rates, deadlines[scenario], scratch[:size])
             root_time.sort()
             counts[i] += np.searchsorted(root_time, ts, side="right")
 

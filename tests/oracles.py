@@ -205,44 +205,84 @@ def with_random_rates(act: Act, rng: random.Random, lo: float, hi: float) -> Act
 
 
 def malformed_act(rng: random.Random) -> Act:
-    """A ``random_act`` with one defect that ``validate_act`` reports, drawn from five shapes.
+    """A ``random_act`` with one defect that ``validate_act`` reports; every node stays reachable from the root.
 
     One attack leaf becomes a detection event, a mitigation event or a
     countermeasure gate (only where a countermeasure is misplaced: at the
-    root, under an OR, or beside a guard), or one gate gains an extra child:
-    an attack leaf that already has a parent, or the gate itself or one of
-    its ancestors, which closes a cycle.
+    root, under an OR, or beside a guard). Or one gate gains an extra child:
+    an attack leaf that already has a parent, the gate itself or one of its
+    ancestors, which closes a cycle, or an id outside the node table. Or an
+    AND gate gains countermeasures until it holds two. Or a countermeasure
+    swaps its slots, or one of its events becomes an attack event or a gate
+    over a new attack leaf. Or one event gets a probability outside [0, 1]
+    or NaN, a horizon that is not positive, or a negative rate.
     """
     act = random_act(rng, max_leaves=8, max_cms=2)
     nodes = list(act.nodes)
     parent = {c: nid for nid in range(len(nodes)) for c in act.children(nid)}
     leaves = list(act.attack_leaves())
+    events = [nid for nid, node in enumerate(nodes) if isinstance(node.kind, (AttackLeaf, DetectLeaf, MitigateLeaf))]
     gates = [nid for nid, node in enumerate(nodes) if isinstance(node.kind, (AndGate, OrGate))]
+    ands = [nid for nid in gates if isinstance(nodes[nid].kind, AndGate)]
+    cms = list(act.cm_gates())
     misplaced_cm = [nid for nid in leaves if nid not in parent or isinstance(nodes[parent[nid]].kind, OrGate)
                     or act.guard(parent[nid]) is not None]
-    shape = rng.choice(["detect", "mitigate"] + ["cm"] * bool(misplaced_cm) + ["shared", "cycle"] * bool(gates))
-    if shape in ("shared", "cycle"):
-        gate = rng.choice(gates)
+    shape = rng.choice(["detect", "mitigate", "p", "t", "lam"] + ["cm"] * bool(misplaced_cm)
+                       + ["shared", "cycle", "dangling"] * bool(gates) + ["two cms"] * bool(ands)
+                       + ["swapped", "slot"] * bool(cms))
+
+    def new_cm(ident: str, name: str) -> CmGate:
+        """A countermeasure over two new events, appended to the table."""
+        nodes.extend([Node(f"{ident}_d", f"{name} detection", DetectLeaf(LeafTiming(p=0.5, t=1.0))),
+                      Node(f"{ident}_m", f"{name} mitigation", MitigateLeaf(LeafTiming(p=0.5, t=1.0)))])
+        return CmGate(len(nodes) - 2, len(nodes) - 1)
+
+    def set_kind(nid: int, kind) -> Act:
+        nodes[nid] = Node(nodes[nid].ident, nodes[nid].name, kind)
+        return Act(act.title, act.root, tuple(nodes))
+
+    if shape in ("shared", "cycle", "dangling", "two cms"):
+        gate = rng.choice(ands if shape == "two cms" else gates)
         if shape == "shared":
-            extra = rng.choice(leaves)
-        else:
+            extra = (rng.choice(leaves),)
+        elif shape == "cycle":
             above = [gate]
             while above[-1] in parent:
                 above.append(parent[above[-1]])
-            extra = rng.choice(above)
-        kind = nodes[gate].kind
-        nodes[gate] = Node(nodes[gate].ident, nodes[gate].name, type(kind)(kind.children + (extra,)))
-        return Act(act.title, act.root, tuple(nodes))
+            extra = (rng.choice(above),)
+        elif shape == "dangling":
+            extra = (rng.choice([-1, len(nodes), len(nodes) + 3]),)
+        else:
+            extra = ()
+            for k in range(1 + (act.guard(gate) is None)):
+                kind = new_cm(f"extra_cm{k}", f"extra cm{k}")
+                nodes.append(Node(f"extra_cm{k}", f"extra cm{k}", kind))
+                extra += (len(nodes) - 1,)
+        return set_kind(gate, type(nodes[gate].kind)(nodes[gate].kind.children + extra))
+    if shape in ("swapped", "slot"):
+        cm = rng.choice(cms)
+        detect_id, mitigate_id = nodes[cm].kind.children
+        if shape == "swapped":
+            return set_kind(cm, CmGate(mitigate_id, detect_id))
+        slot = rng.choice([detect_id, mitigate_id])
+        if rng.random() < 0.5:
+            return set_kind(slot, AttackLeaf(nodes[slot].kind.timing))
+        nodes.append(Node(f"{nodes[slot].ident}_a", f"{nodes[slot].name} attack", AttackLeaf(LeafTiming(p=0.5, t=1.0))))
+        return set_kind(slot, AndGate((len(nodes) - 1,)))
+    if shape in ("p", "t", "lam"):
+        nid = rng.choice(events)
+        kind, timing = nodes[nid].kind, nodes[nid].kind.timing
+        if shape == "p":
+            timing = LeafTiming(p=rng.choice([-0.5, 1.5, float("nan")]), t=timing.t)
+        elif shape == "t":
+            timing = LeafTiming(p=timing.p, t=rng.choice([0.0, -1.0]))
+        else:
+            timing = LeafTiming(p=timing.p, lam=-rng.uniform(0.1, 2.0))
+        return set_kind(nid, type(kind)(timing))
     nid = rng.choice(misplaced_cm if shape == "cm" else leaves)
-    node, timing = nodes[nid], nodes[nid].kind.timing
     if shape == "cm":
-        kind = CmGate(len(nodes), len(nodes) + 1)
-        nodes += [Node(f"{node.ident}_d", f"{node.name} detection", DetectLeaf(LeafTiming(p=0.5, t=1.0))),
-                  Node(f"{node.ident}_m", f"{node.name} mitigation", MitigateLeaf(LeafTiming(p=0.5, t=1.0)))]
-    else:
-        kind = (DetectLeaf if shape == "detect" else MitigateLeaf)(timing)
-    nodes[nid] = Node(node.ident, node.name, kind)
-    return Act(act.title, act.root, tuple(nodes))
+        return set_kind(nid, new_cm(nodes[nid].ident, nodes[nid].name))
+    return set_kind(nid, (DetectLeaf if shape == "detect" else MitigateLeaf)(nodes[nid].kind.timing))
 
 
 def reverse_children(act: Act) -> Act:

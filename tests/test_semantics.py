@@ -385,12 +385,11 @@ def test_compose_rejects_a_gate_without_an_attack_side_child():
 
     only_cm = build_act("only cm", or_gate("top", attack("a", p=0.5), and_gate("g", cm())), validate=False)
     assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
-    # no-cm reads the countermeasure as absent, which leaves the gate with no child at all
-    for scenario, code in ((Scenario.FULL, "CmPlacement"), (Scenario.DETECT_ONLY, "CmPlacement"),
-                           (Scenario.NO_CM, "GateArity")):
-        assert _rejections(only_cm, scenario) == {(code, "g")}
+    # the gate table holds no scenario, so no-cm reads the lone countermeasure as misplaced too
+    for scenario in Scenario:
+        assert _rejections(only_cm, scenario) == {("CmPlacement", "g")}
     # every other shape no evaluator can read fails the same way under every scenario
-    a = attack("a", p=0.5)
+    a, b = attack("a", p=0.5), attack("b", p=0.5)
     shapes = [
         (cm(), ("CmPlacement", "cm")),
         (detect("d", p=0.5), ("LeafPlacement", "d")),
@@ -398,39 +397,67 @@ def test_compose_rejects_a_gate_without_an_attack_side_child():
         (and_gate("top", a, mitigate("m", p=0.5)), ("LeafPlacement", "m")),
         (and_gate("top", or_gate("o", a, detect("d", p=0.5)), cm(2)), ("LeafPlacement", "d")),
         (or_gate("top", a, cm()), ("CmPlacement", "cm")),
+        (and_gate("top", a, cm(1), cm(2)), ("CmPlacement", "top")),
+        # a countermeasure's slots hold one detection and then one mitigation event
+        (and_gate("top", a, cm_gate("cm", mitigate("m", p=0.5), detect("d", p=0.5))), ("CmChildren", "cm")),
+        (and_gate("top", a, cm_gate("cm", and_gate("g", attack("e", p=0.5)), mitigate("m", p=0.5))),
+         ("CmChildren", "cm")),
+        (and_gate("top", a, cm_gate("cm", attack("e", p=0.5), mitigate("m", p=0.5))), ("CmChildren", "cm")),
+        # leaf parameters outside their ranges
+        (or_gate("top", attack("a", p=2.0), b), ("LeafParam", "a")),
+        (or_gate("top", attack("a", p=float("nan")), b), ("LeafParam", "a")),
+        (or_gate("top", attack("a", p=0.5, t=-1.0), b), ("LeafParam", "a")),
+        (or_gate("top", attack("a", lam=-1.0), b), ("LeafParam", "a")),
+        (and_gate("top", a, cm_gate("cm", detect("d", p=0.5, t=0.0), mitigate("m", p=0.5))), ("LeafParam", "d")),
     ]
     acts = [(build_act("bad", spec, validate=False), want) for spec, want in shapes]
     leaf = Node("a", "a", AttackLeaf(LeafTiming(p=0.5)))
-    acts += [  # a leaf shared by two ORs, and the cycle root -> b -> root
+    acts += [  # a leaf shared by two ORs, the cycle root -> b -> root, and ids outside the node table
         (Act("shared", 0, (Node("top", "top", OrGate((1, 2))), Node("o1", "o1", OrGate((3,))),
                            Node("o2", "o2", OrGate((3,))), leaf)), ("SharedSubtree", "a")),
         (Act("cycle", 0, (Node("root", "root", OrGate((1,))), Node("b", "b", OrGate((0,))))),
          ("CycleDetected", "b")),
+        (Act("dangling", 0, (Node("top", "top", OrGate((1, -1))), leaf)), ("DanglingReference", "top")),
+        (Act("dangling", 0, (Node("top", "top", OrGate((1, 7))), leaf)), ("DanglingReference", "top")),
+        (Act("no root", 3, (leaf,)), ("RootMissing", "3")),
+        (Act("no root", -1, (leaf,)), ("RootMissing", "-1")),
     ]
-    for act, (code, node) in acts:
-        assert code in [d.code for d in validate_act(act)]
+    for act, want in acts:
+        assert want in [(d.code, d.node) for d in validate_act(act)]
         for scenario in Scenario:
-            assert _rejections(act, scenario) == {(code, node)}
+            assert _rejections(act, scenario) == {want}
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.integers(0, 2**32 - 1))
-def test_every_entry_point_rejects_a_malformed_model_alike(seed):
-    act = malformed_act(random.Random(seed))
-    (code, node), = _rejections(act, Scenario.FULL)
-    assert code in [d.code for d in validate_act(act)]
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_the_gate_table_reads_exactly_what_validate_act_accepts(seed, malformed):
+    rng = random.Random(seed)
+    act = malformed_act(rng) if malformed else random_act(rng, max_leaves=8, max_cms=2)
+    found = [(d.code, d.node) for d in validate_act(act)]
+    assert "OrphanNode" not in [code for code, _ in found]  # every node is reachable from the root
+    try:
+        read_gates(act)
+    except ActValidationError as exc:
+        (diagnostic,) = exc.diagnostics
+        want = (diagnostic.code, diagnostic.node)
+        assert want in found
+        for scenario in Scenario:
+            assert _rejections(act, scenario) == {want}
+    else:
+        assert found == []
 
 
 def test_every_entry_point_rejects_a_scenario_name():
     mia = load_bundled("mia")
     for name in ("full", "no-cm"):
-        for solve in _entry_points(mia, name):
+        # apply_scenario is the reference every analysis is held to
+        for solve in [*_entry_points(mia, name), lambda: apply_scenario(mia, name)]:
             with pytest.raises(DomainError, match="must be a Scenario"):
                 solve()
 
 
 def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch, tmp_path):
-    # every evaluator reads the gate table, which is one walk of the tree, once per scenario
+    # every evaluator reads the gate table, which is one walk of the tree, once per call
     walks = []
     postorder = Act.postorder
 
@@ -444,15 +471,15 @@ def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch, tmp_path):
     path = tmp_path / "mia.act"
     path.write_text(serialize_act(mia), encoding="utf-8")
     monkeypatch.setattr(Act, "postorder", counted)
-    for analysis, read in ((lambda: sweep_pleaf(mia, np.linspace(0.0, 1.0, 101)), [mia] * 3),
+    for analysis, read in ((lambda: sweep_pleaf(mia, np.linspace(0.0, 1.0, 101)), [mia]),
                            (lambda: goal_curve(mia, Scenario.FULL, np.linspace(0.0, 10.0, 101)), [mia]),
                            (lambda: rank_countermeasures(mia, 2.0), [mia]),
                            (lambda: compose(mia), [mia]),
                            (lambda: simulate(mia, Scenario.FULL, [0.5, 1.0, 2.0], 1000, 1), [mia]),
-                           (lambda: simulate_curves(mia, [0.5, 1.0, 2.0], 1000, 1, curves), [mia] * 3),
-                           # leaf rates once per --pleaf model, then one table per scenario
+                           (lambda: simulate_curves(mia, [0.5, 1.0, 2.0], 1000, 1, curves), [mia]),
+                           # leaf rates once per --pleaf model, then one table for every scenario
                            (lambda: main(["simulate", "--model", str(path), "--runs", "1000",
-                                          "--out", str(tmp_path / "out")]), pleafs + pleafs[:1] * 3)):
+                                          "--out", str(tmp_path / "out")]), pleafs + pleafs[:1])):
         walks.clear()
         analysis()
         assert walks == read
@@ -468,7 +495,7 @@ def test_one_tree_evaluation_per_expanded_state(monkeypatch):
 
     monkeypatch.setattr(_DirectBuilder, "_evaluate", counted)
     act = and_of_ors(4)
-    ctmc = _chain(_DirectBuilder(act, read_gates(act, Scenario.FULL), *collect_rates(act)), DEFAULT_STATE_CAP,
+    ctmc = _chain(_DirectBuilder(act, read_gates(act), *collect_rates(act)), DEFAULT_STATE_CAP,
                   act.title, Scenario.FULL)
     expanded = sum(label not in ("goal", "blocked") for label in ctmc.labels)
     assert expanded > 100

@@ -130,3 +130,5 @@ def test_sweep_rejects_bad_grids():
     for bad in ([float("nan")], [float("nan"), 0.5], [0.5, float("nan")]):  # NaN passes both < and >
         with pytest.raises(DomainError):
             sweep_pleaf(act, bad)
+    with pytest.raises(DomainError):  # a grid that is not one-dimensional
+        sweep_pleaf(act, [[0.1, 0.2]])
