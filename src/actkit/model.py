@@ -9,6 +9,7 @@ probability/timing parameters.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -113,17 +114,18 @@ class Act:
     def postorder(self) -> list[int]:
         """Nodes reachable from the root, every child before its parent and the last child first.
 
-        The walk stops at the first node it reaches twice, or at an id outside
-        the node table, and raises ActValidationError: CycleDetected at the node
-        that reached it when it is that node's ancestor (or the node itself),
-        SharedSubtree at it otherwise; RootMissing for such a root id, and
-        DanglingReference at the parent of such a child id.
+        The walk stops at the first node it reaches twice, or at an id that is
+        not an integer in the node table, and raises ActValidationError:
+        CycleDetected at the node that reached it when it is that node's
+        ancestor (or the node itself), SharedSubtree at it otherwise;
+        RootMissing for such a root id, and DanglingReference at the parent of
+        such a child id.
         """
         reached: dict[int, int] = {}  # each node reached, in pre-order, and the node it was reached from
         stack = [(self.root, -1)]
         while stack:  # a pre-order visiting children in child order, reversed on return
             nid, up = stack.pop()
-            if not 0 <= nid < len(self.nodes):
+            if not _in_table(nid, len(self.nodes)):
                 code, at = ("RootMissing", str(nid)) if up < 0 else ("DanglingReference", self.nodes[up].name)
                 raise ActValidationError([Diagnostic(code, at, f"id {nid} is not in the node table")])
             if nid in reached:
@@ -154,6 +156,12 @@ class Act:
         for nid, node in enumerate(self.nodes):
             if isinstance(node.kind, CmGate):
                 yield nid
+
+
+def _in_table(nid: object, n: int) -> bool:
+    """Whether ``nid`` is an integer id of a table of ``n`` nodes."""
+    # the plain int test first: the ABC test alone makes postorder, which every analysis runs, measurably slower
+    return (type(nid) is int or isinstance(nid, numbers.Integral)) and 0 <= nid < n
 
 
 class Scenario(Enum):
@@ -235,14 +243,14 @@ def validate_act(act: Act) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
     n = len(act.nodes)
-    if not 0 <= act.root < n:
+    if not _in_table(act.root, n):
         out.append(Diagnostic("RootMissing", str(act.root), "root id is not in the node table"))
         return out
 
     parents: list[list[int]] = [[] for _ in range(n)]
     for nid, node in enumerate(act.nodes):
         for c in act.children(nid):
-            if 0 <= c < n:
+            if _in_table(c, n):
                 parents[c].append(nid)
             else:
                 out.append(Diagnostic("DanglingReference", node.name, f"child id {c} is not in the node table"))
@@ -339,9 +347,9 @@ def with_attack_probability(act: Act, p: float) -> Act:
     Detection and mitigation events keep their modelled values. The leaf's
     horizon is kept (default 1 hour) and any explicit rate is dropped so the
     timed rate re-derives from the new probability. Raises DomainError
-    unless ``p`` lies in [0, 1].
+    unless ``p`` is a number in [0, 1].
     """
-    if not 0.0 <= p <= 1.0:
+    if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
         raise DomainError(f"attack-leaf probability must lie in [0, 1], got {p!r}")
     nodes = []
     for node in act.nodes:

@@ -18,18 +18,21 @@ against. Successful states collapse into a single absorbing goal state and
 states from which the goal is unreachable into a single absorbing blocked
 state.
 
-Exploration evaluates the tree once per reachable state. Each successor
-changes one node, so only the path from that node towards the root is
-re-evaluated, up to the first ancestor whose value stays pending; the
-events below the highest changed node are the ones that stop mattering,
-and they are closed. Building the chain therefore costs about one tree
-walk per state plus one short path per transition, not one tree walk per
-transition.
+Exploration reads the gate table once and evaluates no gate per state. A
+state is one integer with a 4-bit status field per event, and each state
+still to expand carries its per-gate count of children that hold the
+gate's unanimous value. Each successor changes one node, so only the path
+from that node towards the root is walked, up to the first ancestor whose
+value stays pending; the events below the highest changed node are the ones
+that stop mattering, and masks precomputed per node close them in a few
+integer operations. Building the chain therefore costs about one short path
+per transition, not one tree walk per state.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -153,220 +156,169 @@ def compose(
     The tree under ``act.root`` must be well-formed; nodes outside it are
     ignored, so the view ``Act(title, g, act.nodes)`` composes the chain of
     ``g``'s subtree alone. Raises what ``collect_rates`` raises, DomainError
-    for a ``state_cap`` below 1, and StateSpaceLimit when more are reachable.
+    unless ``state_cap`` is an integer of at least 1, and StateSpaceLimit
+    when more states than that are reachable.
+
+    States are numbered breadth first from the initial one, successors in
+    event order, and every state that cannot reach the goal merges into one
+    absorbing blocked state, placed last. A state that reaches the goal is
+    first reached from one that does, so the merge keeps the numbering
+    deterministic. When the initial state cannot reach the goal the chain is
+    that one blocked state.
     """
+    if isinstance(state_cap, bool) or not isinstance(state_cap, numbers.Integral):
+        raise DomainError(f"the state cap must be an integer, got {state_cap!r}")
     if state_cap < 1:
         raise DomainError(f"the state cap must be at least 1, got {state_cap}")
     gates = read_gates(act)
-    return _chain(_DirectBuilder(act, gates, *_rates(act, gates, scenario)), state_cap, act.title, scenario)
+    leaf_rates, cm_rates = _rates(act, gates, scenario)
+    states, edges = _explore(act, gates, leaf_rates, cm_rates, state_cap)
+    return _absorbing(states, edges, len(leaf_rates), len(cm_rates), act.title, scenario)
 
 
-_GOAL = "goal"
-_BLOCKED = "blocked"
+# a state is one int with a 4-bit status field per event: the attack leaves
+# by index, then the countermeasures; these two stand for the absorbing states
+_GOAL, _BLOCKED = -1, -2
 
 
-class _DirectBuilder:
-    """Reachability over (leaf status, countermeasure phase) vectors.
+def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates],
+             state_cap: int) -> tuple[list[int], list[dict[int, float]]]:
+    """Every reachable state breadth first, and per state its successors' indices with summed rates.
 
     Every state is normalised: decided races are recorded in the
     countermeasure phase, pending events that can no longer influence the
     root are closed, and fully decided roots map to the goal or blocked
-    sentinels. So in every state each PENDING leaf, and the owner of each
+    state. So in every state each PENDING leaf, and the owner of each
     detecting or mitigating countermeasure, has only P ancestors. The
     initial state is all pending because every gate has an attack-side child
     (``read_gates`` checks it), so nothing is decided before the first event.
 
-    ``transitions`` evaluates the tree once per state, over the gate table
-    in post-order. Each successor turns one P node decided: a leaf turns S,
-    or a countermeasure's owner turns D when the countermeasure wins. The new value climbs to the parent when the parent
-    is an OR and the value is S, an AND and the value is D, or every other
-    attack-side child already holds it; the climb stops at the first parent
-    that stays P. Climbs are memoised per state and value, so successors
-    that share a path walk it once. Let ``top`` be the highest node that
-    changed. A node matters while it and all its ancestors are P, and no
-    node outside ``top``'s subtree changed, so exactly the nodes under
-    ``top`` stop mattering. By the invariant every PENDING leaf and active
-    countermeasure there mattered until now, so closing and cancelling all
-    of them does what a whole-tree relevance pass would.
+    Each successor turns one P node decided: a leaf turns S, or a
+    countermeasure's owner turns D when the countermeasure wins. The new
+    value climbs to the parent when the parent is an OR and the value is S,
+    an AND and the value is D, or every other attack-side child already
+    holds it; the climb stops at the first parent that stays P. Climbs are
+    memoised per state and value, so successors that share a path walk it
+    once. Let ``top`` be the highest node that changed. A node matters while
+    it and all its ancestors are P, and no node outside ``top``'s subtree
+    changed, so exactly the nodes under ``top`` stop mattering. By the
+    invariant every PENDING leaf and active countermeasure there mattered
+    until now, so closing and cancelling all of them does what a whole-tree
+    relevance pass would.
+
+    No state evaluates the tree. A state still to expand carries, per gate,
+    how many attack-side children hold the gate's unanimous value (OR: D,
+    AND: S): its parent's counts, plus one at the gate above ``top``, the
+    only P gate whose children changed. Raises StateSpaceLimit when more
+    than ``state_cap`` states are reachable.
     """
+    n = len(act.nodes)
+    root = act.root
+    low = {nid: 1 << 4 * i for i, nid in enumerate([*sorted(leaf_rates), *sorted(cm_rates)])}
+    # per node: attack-side parent (-1 at the root), attack-side arity and,
+    # for gates, the value that needs every attack-side child; the low bits
+    # of the leaves and of the countermeasures in its subtree
+    parent = [-1] * n
+    arity = [0] * n
+    unanimous = [_P] * n
+    leaf_mask = [low.get(nid, 0) for nid in range(n)]
+    cm_mask = [0] * n
+    wins = []  # per countermeasure: (shift, low bit, owning gate, detection rate, mitigation rate)
+    for nid, is_or, side, guard in gates:
+        arity[nid] = len(side)
+        unanimous[nid] = _D if is_or else _S
+        for c in side:
+            parent[c] = nid
+            leaf_mask[nid] |= leaf_mask[c]
+            cm_mask[nid] |= cm_mask[c]
+        if guard in cm_rates:
+            bit = low[guard]
+            cm_mask[nid] |= bit
+            wins.append((bit.bit_length() - 1, bit, nid, cm_rates[guard].detect, cm_rates[guard].mitigate))
+    wins.sort()  # by index
+    fires = [(low[nid] * 15, low[nid], nid, rate) for nid, rate in sorted(leaf_rates.items()) if rate > 0.0]
 
-    def __init__(self, act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
-        # per-node tables are indexed by node id; leaf and cm indices follow node ids too
-        self.n = n = len(act.nodes)
-        self.root = act.root
-        self.leaves, cm_ids = sorted(leaf_rates), sorted(cm_rates)
-        self.leaf_rate = [leaf_rates[nid] for nid in self.leaves]
-        self.cm_rate = [cm_rates[nid] for nid in cm_ids]
-        leaf_idx = {nid: i for i, nid in enumerate(self.leaves)}
-        cm_idx = {nid: i for i, nid in enumerate(cm_ids)}
-        # per node: attack-side parent (-1 at the root), attack-side arity and,
-        # for gates, the value that needs every attack-side child (OR: D, AND: S)
-        self.parent = [-1] * n
-        self.arity = [0] * n
-        self.unanimous = [_P] * n
-        self.owner = [0] * len(cm_ids)  # cm index -> owning AND gate
-        # gates in post-order: (node, value any child forces, unanimous value,
-        # attack-side children, guard's cm index or -1)
-        self.gates: list[tuple[int, int, int, tuple[int, ...], int]] = []
-        # leaf and cm indices laid down gate by gate in post-order, so every subtree's are one run;
-        # span[gate] = (leaf run start, end, cm run start, end); a leaf's is empty
-        self.leaf_post: list[int] = []
-        self.cm_post: list[int] = []
-        self.span = [(0, 0, 0, 0)] * n
-        for nid, is_or, side, guard in gates:
-            leaf_lo, cm_lo = len(self.leaf_post), len(self.cm_post)
-            for c in side:
-                self.parent[c] = nid
-                if c in leaf_idx:
-                    self.leaf_post.append(leaf_idx[c])
-                else:  # a gate, whose run is already laid down
-                    leaf_lo, cm_lo = min(leaf_lo, self.span[c][0]), min(cm_lo, self.span[c][2])
-            cm = cm_idx.get(guard, -1)
-            if cm >= 0:
-                self.cm_post.append(cm)
-                self.owner[cm] = nid
-            forced, unanimous = (_S, _D) if is_or else (_D, _S)
-            self.arity[nid] = len(side)
-            self.unanimous[nid] = unanimous
-            self.gates.append((nid, forced, unanimous, side, cm))
-            self.span[nid] = (leaf_lo, len(self.leaf_post), cm_lo, len(self.cm_post))
-
-    def _evaluate(self, leafstat, cmstat) -> list[int]:
-        """Per gate, how many attack-side children hold its unanimous value."""
-        vals = [_P] * self.n
-        for nid, status in zip(self.leaves, leafstat):
-            if status == _DONE:
-                vals[nid] = _S
-        agree = [0] * self.n
-        for nid, forced, unanimous, kids, guard in self.gates:
-            if guard >= 0 and cmstat[guard] == _CM_WON:
-                vals[nid] = _D
-                continue
-            child_vals = [vals[c] for c in kids]
-            if forced in child_vals:
-                vals[nid] = forced
-                continue
-            agree[nid] = child_vals.count(unanimous)
-            if agree[nid] == len(kids):
-                vals[nid] = unanimous
-        return agree
-
-    def _top(self, nid: int, value: int, agree: list[int], climbs: dict[int, int]) -> int:
-        """Highest node that turns ``value`` when the P node ``nid`` does.
-
-        ``climbs`` memoises the answer per starting node for this state and
-        ``value``.
-        """
+    def climb(nid: int, value: int, agree: list[int], tops: dict[int, int]) -> int:
+        """Highest node that turns ``value`` when the P node ``nid`` does; ``tops`` memoises it per node."""
         path = []
-        while nid not in climbs:
+        while nid not in tops:
             path.append(nid)
-            up = self.parent[nid]
-            if up < 0 or (value == self.unanimous[up] and agree[up] + 1 < self.arity[up]):
+            up = parent[nid]
+            if up < 0 or value == unanimous[up] and agree[up] + 1 < arity[up]:
                 top = nid
                 break
             nid = up
         else:
-            top = climbs[nid]
+            top = tops[nid]
         for node in path:
-            climbs[node] = top
+            tops[node] = top
         return top
 
-    def _closed(self, top: int, leafstat, cmstat) -> tuple[list[int], list[int]]:
-        """Copies of the vectors with ``top``'s subtree closed and cancelled."""
-        leafstat, cmstat = list(leafstat), list(cmstat)
-        leaf_lo, leaf_hi, cm_lo, cm_hi = self.span[top]
-        for i in self.leaf_post[leaf_lo:leaf_hi]:
-            if leafstat[i] == _PENDING:
-                leafstat[i] = _CLOSED
-        for i in self.cm_post[cm_lo:cm_hi]:
-            if cmstat[i] in (_CM_DETECT, _CM_MITIGATE):
-                cmstat[i] = _CM_CANCELLED
-        return leafstat, cmstat
-
-    def initial(self):
-        return (_PENDING,) * len(self.leaves), (_CM_DETECT,) * len(self.cm_rate)
-
-    def transitions(self, state):
-        leafstat, cmstat = state
-        agree = self._evaluate(leafstat, cmstat)
-        climbs: dict[int, dict[int, int]] = {_S: {}, _D: {}}
-        out: dict[object, float] = {}
-        for i, rate in enumerate(self.leaf_rate):
-            if leafstat[i] == _PENDING and rate > 0.0:
-                top = self._top(self.leaves[i], _S, agree, climbs[_S])
-                if top == self.root:
-                    succ = _GOAL
-                else:
-                    ls, cs = self._closed(top, leafstat, cmstat)
-                    ls[i] = _DONE
-                    succ = (tuple(ls), tuple(cs))
-                out[succ] = out.get(succ, 0.0) + rate
-        for i, rates in enumerate(self.cm_rate):
-            phase = cmstat[i]
-            if phase == _CM_DETECT and rates.detect > 0.0:
-                rate, nxt = rates.detect, (_CM_WON if rates.mitigate is None else _CM_MITIGATE)
-            elif phase == _CM_MITIGATE and rates.mitigate is not None and rates.mitigate > 0.0:
-                rate, nxt = rates.mitigate, _CM_WON
-            else:
-                continue
-            if nxt == _CM_MITIGATE:  # detection alone decides nothing
-                succ = (leafstat, cmstat[:i] + (nxt,) + cmstat[i + 1:])
-            else:
-                top = self._top(self.owner[i], _D, agree, climbs[_D])
-                if top == self.root:
-                    succ = _BLOCKED
-                else:
-                    ls, cs = self._closed(top, leafstat, cmstat)
-                    cs[i] = nxt
-                    succ = (tuple(ls), tuple(cs))
-            out[succ] = out.get(succ, 0.0) + rate
-        return out
-
-    def label(self, state) -> str:
-        leafstat, cmstat = state
-        text = "leaves=" + "".join(map(str, leafstat))
-        if cmstat:
-            text += " cms=" + "".join(map(str, cmstat))
-        return text
-
-
-# -- reachable chain -----------------------------------------------------------
-
-def _chain(builder, state_cap: int, title: str | None, scenario: Scenario | None) -> Ctmc:
-    """The absorbing chain of a builder's ``initial``/``transitions``/``label``.
-
-    States are numbered breadth first from the initial state, and every state
-    that cannot reach the goal merges into one absorbing blocked state, placed
-    last. A state that reaches the goal is first reached from one that does,
-    so the merge keeps the numbering deterministic. When the initial state
-    cannot reach the goal the chain is that one blocked state. Raises
-    StateSpaceLimit when more than ``state_cap`` states are reachable.
-    """
-    from scipy import sparse  # loaded by chain code only: the CLI's other commands start without it
-
-    init = builder.initial()
-    index: dict[object, int] = {init: 0}
-    states = [init]
-    labels = [init if isinstance(init, str) else builder.label(init)]
+    states = [0]  # every field 0: leaves PENDING, countermeasures DETECT
+    index = {0: 0}
+    counts = {0: [0] * n}  # the agree counts of each state still to expand
     edges: list[dict[int, float]] = []
-    for state in states:
+
+    def reach(succ: int, top: int, value: int, agree: list[int], out: dict[int, float], rate: float) -> None:
+        """Add ``rate`` towards ``succ`` once ``top``'s subtree is closed, numbering it if it is new.
+
+        Closing turns PENDING leaves CLOSED (0 -> 2) and DETECT and MITIGATE
+        countermeasures CANCELLED (0, 1 -> 3).
+        """
+        if top == root:
+            succ = _GOAL if value == _S else _BLOCKED
+        else:
+            cancel = cm_mask[top] & ~(succ >> 1)
+            succ |= (leaf_mask[top] & ~(succ | succ >> 1)) << 1 | cancel * 3
+        j = index.get(succ)
+        if j is None:
+            j = index[succ] = len(states)
+            states.append(succ)
+            if succ >= 0:
+                counts[j] = bumped = agree.copy()
+                bumped[parent[top]] += 1
+        out[j] = out.get(j, 0.0) + rate
+
+    for k, s in enumerate(states):
         # a state past the cap is always still to expand, so this check sees it
         if len(states) > state_cap:
             raise StateSpaceLimit(f"more than {state_cap} reachable states")
-        succs: dict[int, float] = {}
-        if state not in (_GOAL, _BLOCKED):
-            for succ, rate in builder.transitions(state).items():  # summed per successor already
+        out: dict[int, float] = {}
+        edges.append(out)
+        if s < 0:
+            continue
+        agree = counts.pop(k)
+        tops: dict[int, int] = {}
+        for field, bit, nid, rate in fires:
+            if not s & field:  # PENDING -> DONE
+                reach(s | bit, climb(nid, _S, agree, tops), _S, agree, out, rate)
+        tops = {}
+        for shift, bit, owner, detect, mitigate in wins:
+            phase = s >> shift & 15
+            if phase == _CM_DETECT and detect > 0.0:
+                if mitigate is None:
+                    reach(s | bit * _CM_WON, climb(owner, _D, agree, tops), _D, agree, out, detect)
+                    continue
+                succ = s | bit  # DETECT -> MITIGATE decides nothing
                 j = index.get(succ)
                 if j is None:
                     j = index[succ] = len(states)
                     states.append(succ)
-                    labels.append(succ if isinstance(succ, str) else builder.label(succ))
-                succs[j] = rate
-        edges.append(succs)
-    goal = index.get(_GOAL)
-    del index, states  # the merge below needs only the edges: free the states before it
+                    counts[j] = agree
+                out[j] = out.get(j, 0.0) + detect
+            elif phase == _CM_MITIGATE and mitigate > 0.0:
+                reach(s + bit, climb(owner, _D, agree, tops), _D, agree, out, mitigate)
+    return states, edges
+
+
+def _absorbing(states: list[int], edges: list[dict[int, float]], leaves: int, cms: int,
+               title: str | None, scenario: Scenario) -> Ctmc:
+    """The chain of ``_explore``'s states with every state that cannot reach the goal merged into one."""
+    from scipy import sparse  # loaded by chain code only: the CLI's other commands start without it
+
     m = len(edges)
     reaches = [False] * m
+    goal = states.index(_GOAL) if _GOAL in states else None
     if goal is not None:
         rev: list[list[int]] = [[] for _ in range(m)]
         for u, succs in enumerate(edges):
@@ -403,10 +355,19 @@ def _chain(builder, state_cap: int, title: str | None, scenario: Scenario | None
             data.append(merged)
         indptr.append(len(indices))
     indptr += [len(indices)] * (n - blocked)
+    # a label lists the status digits, leaves then countermeasures; in hex, the lowest field comes last
+    width = leaves + cms
+    labels = []
+    for u in kept:
+        s = states[u]
+        if s == _GOAL:
+            labels.append("goal")
+        else:
+            digits = format(s, f"0{width}x")[::-1]
+            labels.append("leaves=" + digits[:leaves] + (" cms=" + digits[leaves:] if cms else ""))
     return Ctmc(n=n, init=0, rates=sparse.csr_matrix((data, indices, indptr), shape=(n, n)),
                 goal=frozenset({renumber[goal]} if kept else ()), blocked=frozenset(range(blocked, n)),
-                labels=tuple(labels[u] for u in kept) + ("blocked",) * (n - blocked),
-                title=title, scenario=scenario)
+                labels=tuple(labels) + ("blocked",) * (n - blocked), title=title, scenario=scenario)
 
 
 # -- plain-text export ----------------------------------------------------------

@@ -79,7 +79,10 @@ class CurveResult:
 
 
 def _check_grid(times: Sequence[float]) -> np.ndarray:
-    ts = np.asarray(list(times), dtype=float)
+    try:
+        ts = np.asarray(list(times), dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("time grid must hold numbers of hours") from None
     if ts.ndim != 1:
         raise DomainError("time grid must be a flat sequence of hours")
     if ts.size == 0:
@@ -120,7 +123,11 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         "model": ctmc.title,
     }
     n = ctmc.n
-    exit_rates = np.asarray(ctmc.rates.sum(axis=1)).ravel()
+    # the row sums scipy's ``sum(axis=1)`` forms, without its matrix round trip
+    rates = ctmc.rates.tocsr()  # the matrix itself when it is CSR already
+    busy = np.flatnonzero(np.diff(rates.indptr))
+    exit_rates = np.zeros(n)
+    exit_rates[busy] = np.add.reduceat(rates.data, rates.indptr[busy])
     rate = float(exit_rates.max(initial=0.0))
     init_in_goal = 1.0 if ctmc.init in ctmc.goal else 0.0
     if rate == 0.0 or not goal.size:
@@ -164,22 +171,28 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
 
 
 def _jump_transpose(ctmc: Ctmc, exit_rates: np.ndarray, rate: float):
-    """Transpose of ``ctmc``'s jump chain uniformized at ``rate``, as one CSR build.
+    """Transpose of ``ctmc``'s jump chain uniformized at ``rate``, as one CSR build from its CSR arrays.
 
     Off the diagonal the chain's rates times 1/rate, the product scipy
     forms for a division by a scalar; on it 1 - exit rate/rate, left out
     where that is zero. A self-loop in the rates gives way to the diagonal.
+    Entries are sorted by row and then column, as scipy's own conversions
+    leave them.
     """
     from scipy import sparse
 
-    coo = ctmc.rates.tocoo(copy=False)  # read only
-    off = coo.row != coo.col
+    rates, n = ctmc.rates.tocsr(), ctmc.n
+    cols = np.repeat(np.arange(n, dtype=rates.indices.dtype), np.diff(rates.indptr))  # the transpose's columns
+    off = cols != rates.indices
     stay = 1.0 - exit_rates / rate
-    kept = np.flatnonzero(stay).astype(coo.row.dtype)  # int64 would double the index arrays scipy then copies back
-    data = np.concatenate((coo.data[off] * (1.0 / rate), stay[kept]))
-    rows = np.concatenate((coo.col[off], kept))
-    cols = np.concatenate((coo.row[off], kept))
-    return sparse.csr_matrix((data, (rows, cols)), shape=(ctmc.n, ctmc.n))
+    kept = np.flatnonzero(stay).astype(cols.dtype)  # int64 would widen every index array below
+    data = np.concatenate((rates.data[off] * (1.0 / rate), stay[kept]))
+    rows = np.concatenate((rates.indices[off], kept))
+    cols = np.concatenate((cols[off], kept))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=cols.dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
 
 
 def _poisson_windows(mus: np.ndarray, tail: float) -> tuple[np.ndarray, np.ndarray]:

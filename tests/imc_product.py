@@ -4,23 +4,27 @@ The paper's product of per-node interactive Markov automata (IMCs) is the
 oracle acceptance criterion 8 holds the library's direct chain to. The
 whole-tree builder is the direct construction before it became incremental:
 it re-evaluates every node and re-runs a relevance pass for every successor,
-and the library must export byte-identical chains. Both share only rate
-collection and ``_chain`` (state numbering and the blocked merge) with the
-library; the whole-tree builder also reads its status codes.
+and the library must export byte-identical chains. Both number their
+states and merge the blocked ones in ``_chain`` here, and share only rate
+collection with the library; the whole-tree builder also reads its status
+codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from actkit.errors import ActError
+from actkit.errors import ActError, StateSpaceLimit
 from actkit.model import (
     Act, AndGate, AttackLeaf, CmGate, DetectLeaf, MitigateLeaf, OrGate, Scenario, apply_scenario,
 )
 from actkit.semantics import (
-    _BLOCKED, _CLOSED, _CM_CANCELLED, _CM_DETECT, _CM_MITIGATE, _CM_WON, _D, _DONE, _GOAL, _P,
-    _PENDING, _S, DEFAULT_STATE_CAP, Ctmc, _chain, _CmRates, collect_rates,
+    _CLOSED, _CM_CANCELLED, _CM_DETECT, _CM_MITIGATE, _CM_WON, _D, _DONE, _P, _PENDING, _S, DEFAULT_STATE_CAP,
+    Ctmc, _CmRates, collect_rates,
 )
+
+_GOAL = "goal"
+_BLOCKED = "blocked"
 
 
 def compose_product(act: Act, scenario: Scenario = Scenario.FULL, state_cap: int = DEFAULT_STATE_CAP) -> Ctmc:
@@ -36,6 +40,85 @@ def compose_whole_tree(act: Act, scenario: Scenario = Scenario.FULL,
     resolved = apply_scenario(act, scenario)
     leaf_rates, cm_rates = collect_rates(resolved)
     return _chain(_WholeTreeBuilder(resolved, leaf_rates, cm_rates), state_cap, act.title, scenario)
+
+
+# -- reachable chain -----------------------------------------------------------
+
+def _chain(builder, state_cap: int, title: str | None, scenario: Scenario | None) -> Ctmc:
+    """The absorbing chain of a builder's ``initial``/``transitions``/``label``.
+
+    States are numbered breadth first from the initial state, and every state
+    that cannot reach the goal merges into one absorbing blocked state, placed
+    last. A state that reaches the goal is first reached from one that does,
+    so the merge keeps the numbering deterministic. When the initial state
+    cannot reach the goal the chain is that one blocked state. Raises
+    StateSpaceLimit when more than ``state_cap`` states are reachable.
+    """
+    from scipy import sparse  # loaded by chain code only: the CLI's other commands start without it
+
+    init = builder.initial()
+    index: dict[object, int] = {init: 0}
+    states = [init]
+    labels = [init if isinstance(init, str) else builder.label(init)]
+    edges: list[dict[int, float]] = []
+    for state in states:
+        # a state past the cap is always still to expand, so this check sees it
+        if len(states) > state_cap:
+            raise StateSpaceLimit(f"more than {state_cap} reachable states")
+        succs: dict[int, float] = {}
+        if state not in (_GOAL, _BLOCKED):
+            for succ, rate in builder.transitions(state).items():  # summed per successor already
+                j = index.get(succ)
+                if j is None:
+                    j = index[succ] = len(states)
+                    states.append(succ)
+                    labels.append(succ if isinstance(succ, str) else builder.label(succ))
+                succs[j] = rate
+        edges.append(succs)
+    goal = index.get(_GOAL)
+    del index, states  # the merge below needs only the edges: free the states before it
+    m = len(edges)
+    reaches = [False] * m
+    if goal is not None:
+        rev: list[list[int]] = [[] for _ in range(m)]
+        for u, succs in enumerate(edges):
+            for v in succs:
+                rev[v].append(u)
+        reaches[goal] = True
+        stack = [goal]
+        while stack:
+            for u in rev[stack.pop()]:
+                if not reaches[u]:
+                    reaches[u] = True
+                    stack.append(u)
+
+    # every state is reached from the initial one, so the initial state is
+    # kept whenever a goal exists (without one, all states merge into the
+    # blocked one), and a kept state has a positive rate into every merge
+    kept = [u for u in range(m) if reaches[u]]
+    renumber = {u: i for i, u in enumerate(kept)}
+    blocked = len(kept)
+    n = blocked + (blocked < m)
+    indices: list[int] = []
+    data: list[float] = []
+    indptr = [0]
+    for u in kept:
+        merged = 0.0
+        for v, rate in sorted(edges[u].items()):
+            if reaches[v]:
+                indices.append(renumber[v])
+                data.append(rate)
+            else:
+                merged += rate
+        if merged > 0.0:
+            indices.append(blocked)
+            data.append(merged)
+        indptr.append(len(indices))
+    indptr += [len(indices)] * (n - blocked)
+    return Ctmc(n=n, init=0, rates=sparse.csr_matrix((data, indices, indptr), shape=(n, n)),
+                goal=frozenset({renumber[goal]} if kept else ()), blocked=frozenset(range(blocked, n)),
+                labels=tuple(labels[u] for u in kept) + ("blocked",) * (n - blocked),
+                title=title, scenario=scenario)
 
 
 # -- interactive Markov automata ----------------------------------------------

@@ -211,11 +211,12 @@ def malformed_act(rng: random.Random) -> Act:
     countermeasure gate (only where a countermeasure is misplaced: at the
     root, under an OR, or beside a guard). Or one gate gains an extra child:
     an attack leaf that already has a parent, the gate itself or one of its
-    ancestors, which closes a cycle, or an id outside the node table. Or an
-    AND gate gains countermeasures until it holds two. Or a countermeasure
-    swaps its slots, or one of its events becomes an attack event or a gate
-    over a new attack leaf. Or one event gets a probability outside [0, 1]
-    or NaN, a horizon that is not positive, or a negative rate.
+    ancestors, which closes a cycle, an id outside the node table, or a
+    float id that names a node in it. Or an AND gate gains countermeasures
+    until it holds two. Or a countermeasure swaps its slots, or one of its
+    events becomes an attack event or a gate over a new attack leaf. Or one
+    event gets a probability outside [0, 1] or NaN, a horizon that is not
+    positive, or a negative rate.
     """
     act = random_act(rng, max_leaves=8, max_cms=2)
     nodes = list(act.nodes)
@@ -251,7 +252,7 @@ def malformed_act(rng: random.Random) -> Act:
                 above.append(parent[above[-1]])
             extra = (rng.choice(above),)
         elif shape == "dangling":
-            extra = (rng.choice([-1, len(nodes), len(nodes) + 3]),)
+            extra = (rng.choice([-1, len(nodes), len(nodes) + 3, float(rng.randrange(len(nodes)))]),)
         else:
             extra = ()
             for k in range(1 + (act.guard(gate) is None)):

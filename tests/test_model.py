@@ -267,7 +267,7 @@ def test_remove_cm_rejects_other_nodes():
 
 
 def test_with_attack_probability():
-    for bad in (2.0, -0.5, float("nan")):  # a model validate_act would reject is never built
+    for bad in (2.0, -0.5, float("nan"), "0.5", None):  # a model validate_act would reject is never built
         with pytest.raises(DomainError):
             with_attack_probability(small_act(), bad)
     act = with_attack_probability(small_act(), 0.25)

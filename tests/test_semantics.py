@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actkit import load_bundled
+from actkit import load_bundled, semantics
 from actkit.cli import main
 from actkit.dsl import serialize_act
 from actkit.errors import ActParseError, ActValidationError, DomainError, RateUndefined, StateSpaceLimit
@@ -32,15 +33,14 @@ from actkit.model import (
     with_attack_probability,
 )
 from actkit.ranking import rank_countermeasures
-from actkit.semantics import (
-    DEFAULT_STATE_CAP, _chain, _DirectBuilder, collect_rates, compose, export_ctmc_text, parse_ctmc_text, read_gates,
-)
+from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text, read_gates
 from actkit.statics import static_failure, static_probability, sweep_pleaf
 from actkit.transient import goal_curve, goal_curves, simulate, simulate_curves, transient_probability
 
 from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
 from oracles import (
-    and_of_ors, expm_transient, guarded_branch, malformed_act, race_probability, random_act, reverse_children,
+    and_of_ors, expm_transient, guarded_branch, guarded_or, malformed_act, race_probability, random_act,
+    reverse_children,
 )
 
 
@@ -219,6 +219,31 @@ def test_state_cap():
     for cap in (0, -3):  # no chain fits, and the error names the cap rather than counting states past it
         with pytest.raises(DomainError, match=f"state cap must be at least 1, got {cap}"):
             compose(act, Scenario.FULL, state_cap=cap)
+    # a cap that is not an integer: a string, NaN (which would never fire), a bool, a fraction
+    for cap in ("5", float("nan"), True, 5.5, None):
+        with pytest.raises(DomainError, match="state cap must be an integer"):
+            compose(act, Scenario.FULL, state_cap=cap)
+    assert compose(act, Scenario.FULL, state_cap=np.int64(1000)).n == compose(act).n
+
+
+def test_state_cap_fires_at_the_reference_caps():
+    # every cap from 1 up to the first one the whole chain fits in
+    fits = []
+    for act in (and_of_ors(3), load_bundled("mia")):
+        for scenario in Scenario:
+            cap, raised = 0, ["capped"]
+            while raised[0] is not None:
+                cap += 1
+                raised = []
+                for build in (compose, compose_whole_tree):
+                    try:
+                        build(act, scenario, state_cap=cap)
+                        raised.append(None)
+                    except StateSpaceLimit as exc:
+                        raised.append(str(exc))
+                assert raised[0] == raised[1]
+            fits.append(cap)
+    assert min(fits) > 1 and max(fits) > 20
 
 
 def test_export_parse_round_trip():
@@ -290,12 +315,26 @@ def _guarded(i):
     return and_gate(f"g{i}", attack(f"x{i}", p=0.4), cm_gate(f"cm{i}", detect(f"d{i}", p=0.5), mitigate(f"m{i}", p=0.6)))
 
 
+def _nested_guards(depth, name="n"):
+    """Spec of ``AND(OR(next, a), CM)`` per level, with zero-rate attack and detection events and p = 1 mitigations."""
+    spec = attack(f"{name}core", p=0.4)
+    for i in range(depth):
+        side = or_gate(f"{name}o{i}", spec, attack(f"{name}a{i}", p=0.0 if i == 1 else 0.1 * (i + 1)))
+        cm = cm_gate(f"{name}cm{i}", detect(f"{name}d{i}", p=0.0 if i == 2 else 0.5),
+                     mitigate(f"{name}m{i}", p=1.0 if i % 2 else 0.6))
+        spec = and_gate(f"{name}{i}", side, cm)
+    return spec
+
+
 def test_chain_matches_whole_tree_reference():
     # once both guards win, "o" is decided and so is "c", which closes "z"
     nested = build_act("nested", or_gate(
         "top", and_gate("c", or_gate("o", _guarded(1), _guarded(2)), attack("z", p=0.3)), attack("w", p=0.2)))
+    deep = build_act("deep", _nested_guards(5))
+    wide = build_act("wide", or_gate("top", _nested_guards(3, "x"), _nested_guards(4, "y"), attack("z", p=0.2)))
     rng = random.Random(31)
-    models = [load_bundled("mia"), nested] + [and_of_ors(k) for k in range(1, 6)]
+    models = [load_bundled("mia"), nested, deep, reverse_children(deep), wide, guarded_or(6)]
+    models += [and_of_ors(k) for k in range(1, 8)]  # k = 7 has 4120 states
     for _ in range(200):
         act = random_act(rng, max_leaves=6)
         models += [act, reverse_children(act)]
@@ -421,6 +460,10 @@ def test_compose_rejects_a_gate_without_an_attack_side_child():
         (Act("dangling", 0, (Node("top", "top", OrGate((1, 7))), leaf)), ("DanglingReference", "top")),
         (Act("no root", 3, (leaf,)), ("RootMissing", "3")),
         (Act("no root", -1, (leaf,)), ("RootMissing", "-1")),
+        # ids that are not integers, although 1.0 and 0.0 would name a node
+        (Act("float id", 0, (Node("top", "top", OrGate((1.0,))), leaf)), ("DanglingReference", "top")),
+        (Act("text id", 0, (Node("top", "top", OrGate(("1",))), leaf)), ("DanglingReference", "top")),
+        (Act("float root", 0.0, (leaf,)), ("RootMissing", "0.0")),
     ]
     for act, want in acts:
         assert want in [(d.code, d.node) for d in validate_act(act)]
@@ -485,18 +528,46 @@ def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch, tmp_path):
         assert walks == read
 
 
-def test_one_tree_evaluation_per_expanded_state(monkeypatch):
-    calls = []
-    evaluate = _DirectBuilder._evaluate
+def test_compose_reads_the_gate_table_once_and_evaluates_no_gate_per_state(monkeypatch):
+    # the per-node tables are laid down from the gate table; evaluating a gate in a state would read its children
+    tables, reads = [], Counter()
 
-    def counted(self, *args):
-        calls.append(args)
-        return evaluate(self, *args)
+    class Side(tuple):
+        """A gate's attack-side children, counting every read of them."""
 
-    monkeypatch.setattr(_DirectBuilder, "_evaluate", counted)
-    act = and_of_ors(4)
-    ctmc = _chain(_DirectBuilder(act, read_gates(act), *collect_rates(act)), DEFAULT_STATE_CAP,
-                  act.title, Scenario.FULL)
-    expanded = sum(label not in ("goal", "blocked") for label in ctmc.labels)
-    assert expanded > 100
-    assert len(calls) <= expanded
+        def __new__(cls, gate, children):
+            side = super().__new__(cls, children)
+            side.gate = gate
+            return side
+
+        def __iter__(self):
+            reads[self.gate] += 1
+            return tuple.__iter__(self)
+
+        def __getitem__(self, i):
+            reads[self.gate] += 1
+            return tuple.__getitem__(self, i)
+
+        def __contains__(self, nid):
+            reads[self.gate] += 1
+            return tuple.__contains__(self, nid)
+
+    read = semantics.read_gates
+
+    def counted(act):
+        tables.append(act)
+        return [gate._replace(side=Side(gate.node, gate.side)) for gate in read(act)]
+
+    monkeypatch.setattr(semantics, "read_gates", counted)
+    per_gate = []
+    for k in (1, 6):
+        tables.clear()
+        reads.clear()
+        act = and_of_ors(k)
+        states = compose(act).n
+        assert tables == [act]
+        assert len(reads) == k + 1  # every gate is read
+        per_gate.append((states, sorted(set(reads.values()))))
+    (few, small), (many, large) = per_gate
+    assert few < 10 and many > 1000
+    assert small == large  # as many reads of each gate for a handful of states as for a thousand

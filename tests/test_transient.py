@@ -164,7 +164,7 @@ def test_meta_records_solver_settings():
 def test_grid_validation():
     act = single_leaf()
     ctmc = compose(act)
-    for bad in ([], [1.0, 1.0], [2.0, 1.0], [-1.0, 2.0], [0.0, float("inf")], [[1.0, 2.0]]):
+    for bad in ([], [1.0, 1.0], [2.0, 1.0], [-1.0, 2.0], [0.0, float("inf")], [[1.0, 2.0]], ["a"], [1.0, None], 5.0):
         for solve in (lambda: transient_probability(ctmc, bad), lambda: goal_curve(act, Scenario.FULL, bad),
                       lambda: simulate(act, Scenario.FULL, bad, 10, 1)):
             with pytest.raises(DomainError):
