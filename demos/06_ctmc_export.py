@@ -4,8 +4,10 @@ Inspecting the underlying Markov chain
 
 Timed analysis works on a continuous-time Markov chain compiled from the
 tree. Its states track which attack leaves have completed and how far each
-countermeasure has got; states that can no longer reach the goal merge into
-one absorbing blocked state.
+countermeasure has got. A subtree that is already decided only records
+whether it succeeded, in one canonical form, so states that differ in how
+it was decided are one state; states that can no longer reach the goal
+merge into one absorbing blocked state.
 """
 
 from actkit import (

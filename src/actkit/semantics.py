@@ -12,21 +12,24 @@ countermeasure finishing first permanently disables that AND gate.
 
 The chain is built directly over leaf and countermeasure completion
 statuses. It is the same process as the paper's product of per-node
-interactive Markov automata under maximal progress, with fewer states; the
-tests keep that product as an independent second construction to compare
-against. Successful states collapse into a single absorbing goal state and
-states from which the goal is unreachable into a single absorbing blocked
-state.
+interactive Markov automata under maximal progress, lumped: a subtree that
+is decided is written in one canonical form, so states that differ only in
+how a subtree was decided are one state, and every goal probability is
+kept. An AND of k two-leaf ORs has 2^(k+1) states, not the about 3^k it has
+when states record which leaf decided each OR. The tests keep that product
+as an independent second construction to compare against. Successful
+states collapse into a single absorbing goal state and states from which
+the goal is unreachable into a single absorbing blocked state.
 
 Exploration reads the gate table once and evaluates no gate per state. A
 state is one integer with a 4-bit status field per event, and each state
 still to expand carries its per-gate count of children that hold the
 gate's unanimous value. Each successor changes one node, so only the path
 from that node towards the root is walked, up to the first ancestor whose
-value stays pending; the events below the highest changed node are the ones
-that stop mattering, and masks precomputed per node close them in a few
-integer operations. Building the chain therefore costs about one short path
-per transition, not one tree walk per state.
+value stays pending; the subtree below the highest changed node is the one
+that turns decided, and masks precomputed per node write its canonical
+form in a few integer operations. Building the chain therefore costs about
+one short path per transition, not one tree walk per state.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ DEFAULT_STATE_CAP = 1_000_000
 
 # completion status codes used by the direct construction
 _PENDING, _DONE, _CLOSED = 0, 1, 2
-# countermeasure phase codes: detecting, mitigating, finished first, stood down
-_CM_DETECT, _CM_MITIGATE, _CM_WON, _CM_CANCELLED = 0, 1, 2, 3
+# countermeasure phase codes: detecting, mitigating, stood down; 2, finished
+# first, is never kept, because it decides its owner's subtree
+_CM_DETECT, _CM_MITIGATE, _CM_CANCELLED = 0, 1, 3
 # three-valued node evaluation
 _P, _S, _D = 0, 1, 2
 
@@ -185,13 +189,15 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
              state_cap: int) -> tuple[list[int], list[dict[int, float]]]:
     """Every reachable state breadth first, and per state its successors' indices with summed rates.
 
-    Every state is normalised: decided races are recorded in the
-    countermeasure phase, pending events that can no longer influence the
-    root are closed, and fully decided roots map to the goal or blocked
-    state. So in every state each PENDING leaf, and the owner of each
-    detecting or mitigating countermeasure, has only P ancestors. The
-    initial state is all pending because every gate has an attack-side child
-    (``read_gates`` checks it), so nothing is decided before the first event.
+    Every state is normalised: each decided subtree under a P gate is
+    written in one canonical form (leaves CLOSED, countermeasures CANCELLED
+    and, when it turned S, its lowest leaf DONE), and fully decided roots
+    map to the goal or blocked state. So in every state each PENDING leaf,
+    and the owner of each detecting or mitigating countermeasure, has only P
+    ancestors, and a P subtree keeps a PENDING leaf, so it never looks
+    decided. The initial state is all pending because every gate has an
+    attack-side child (``read_gates`` checks it), so nothing is decided
+    before the first event.
 
     Each successor turns one P node decided: a leaf turns S, or a
     countermeasure's owner turns D when the countermeasure wins. The new
@@ -199,18 +205,23 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     an AND and the value is D, or every other attack-side child already
     holds it; the climb stops at the first parent that stays P. Climbs are
     memoised per state and value, so successors that share a path walk it
-    once. Let ``top`` be the highest node that changed. A node matters while
-    it and all its ancestors are P, and no node outside ``top``'s subtree
-    changed, so exactly the nodes under ``top`` stop mattering. By the
-    invariant every PENDING leaf and active countermeasure there mattered
-    until now, so closing and cancelling all of them does what a whole-tree
-    relevance pass would.
+    once. Let ``top`` be the highest node that changed: its subtree holds the
+    event that fired, and it is the only subtree that turns decided, so
+    rewriting it in canonical form normalises the successor.
+
+    The canonical form is a lumping: the future of a state depends only on
+    which subtrees are decided and how, not on which events decided them,
+    and the form records exactly that. Under a P parent an all-closed child
+    can only be a D child of an OR, and a child whose lowest leaf is DONE an
+    S child of an AND. Merged states therefore have the same successors at
+    the same rates, and every goal probability stays what it was.
 
     No state evaluates the tree. A state still to expand carries, per gate,
     how many attack-side children hold the gate's unanimous value (OR: D,
     AND: S): its parent's counts, plus one at the gate above ``top``, the
-    only P gate whose children changed. Raises StateSpaceLimit when more
-    than ``state_cap`` states are reachable.
+    only P gate whose children changed. The form fixes these counts, so a
+    merged state's are the same whichever way it was reached. Raises
+    StateSpaceLimit when more than ``state_cap`` states are reachable.
     """
     n = len(act.nodes)
     root = act.root
@@ -221,22 +232,34 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     parent = [-1] * n
     arity = [0] * n
     unanimous = [_P] * n
-    leaf_mask = [low.get(nid, 0) for nid in range(n)]
+    leaf_mask = [0] * n
     cm_mask = [0] * n
+    # per node: every field of its subtree, and the canonical form a decided
+    # subtree is written in, by value: leaves CLOSED, countermeasures
+    # CANCELLED and, when it turned S, its lowest leaf DONE (a leaf: DONE)
+    span = [0] * n
+    canonical = {_S: [0] * n, _D: [0] * n}
+    for nid in leaf_rates:
+        leaf_mask[nid] = canonical[_S][nid] = low[nid]
+        span[nid] = low[nid] * 15
     wins = []  # per countermeasure: (shift, low bit, owning gate, detection rate, mitigation rate)
     for nid, is_or, side, guard in gates:
         arity[nid] = len(side)
         unanimous[nid] = _D if is_or else _S
+        leaves = cms = 0
         for c in side:
             parent[c] = nid
-            leaf_mask[nid] |= leaf_mask[c]
-            cm_mask[nid] |= cm_mask[c]
+            leaves |= leaf_mask[c]
+            cms |= cm_mask[c]
         if guard in cm_rates:
             bit = low[guard]
-            cm_mask[nid] |= bit
+            cms |= bit
             wins.append((bit.bit_length() - 1, bit, nid, cm_rates[guard].detect, cm_rates[guard].mitigate))
+        leaf_mask[nid], cm_mask[nid], span[nid] = leaves, cms, (leaves | cms) * 15
+        canonical[_D][nid] = dead = leaves * _CLOSED + cms * _CM_CANCELLED
+        canonical[_S][nid] = dead - (leaves & -leaves)
     wins.sort()  # by index
-    fires = [(low[nid] * 15, low[nid], nid, rate) for nid, rate in sorted(leaf_rates.items()) if rate > 0.0]
+    fires = [(low[nid] * 15, nid, rate) for nid, rate in sorted(leaf_rates.items()) if rate > 0.0]
 
     def climb(nid: int, value: int, agree: list[int], tops: dict[int, int]) -> int:
         """Highest node that turns ``value`` when the P node ``nid`` does; ``tops`` memoises it per node."""
@@ -259,17 +282,16 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     counts = {0: [0] * n}  # the agree counts of each state still to expand
     edges: list[dict[int, float]] = []
 
-    def reach(succ: int, top: int, value: int, agree: list[int], out: dict[int, float], rate: float) -> None:
-        """Add ``rate`` towards ``succ`` once ``top``'s subtree is closed, numbering it if it is new.
+    def reach(s: int, top: int, value: int, agree: list[int], out: dict[int, float], rate: float) -> None:
+        """Add ``rate`` towards ``s`` with ``top``'s subtree turned ``value``, numbering that successor if new.
 
-        Closing turns PENDING leaves CLOSED (0 -> 2) and DETECT and MITIGATE
-        countermeasures CANCELLED (0, 1 -> 3).
+        The event that fired lies under ``top``, so the subtree's canonical
+        form overwrites its field too.
         """
         if top == root:
             succ = _GOAL if value == _S else _BLOCKED
         else:
-            cancel = cm_mask[top] & ~(succ >> 1)
-            succ |= (leaf_mask[top] & ~(succ | succ >> 1)) << 1 | cancel * 3
+            succ = s & ~span[top] | canonical[value][top]
         j = index.get(succ)
         if j is None:
             j = index[succ] = len(states)
@@ -289,15 +311,15 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
             continue
         agree = counts.pop(k)
         tops: dict[int, int] = {}
-        for field, bit, nid, rate in fires:
+        for field, nid, rate in fires:
             if not s & field:  # PENDING -> DONE
-                reach(s | bit, climb(nid, _S, agree, tops), _S, agree, out, rate)
+                reach(s, climb(nid, _S, agree, tops), _S, agree, out, rate)
         tops = {}
         for shift, bit, owner, detect, mitigate in wins:
             phase = s >> shift & 15
             if phase == _CM_DETECT and detect > 0.0:
                 if mitigate is None:
-                    reach(s | bit * _CM_WON, climb(owner, _D, agree, tops), _D, agree, out, detect)
+                    reach(s, climb(owner, _D, agree, tops), _D, agree, out, detect)
                     continue
                 succ = s | bit  # DETECT -> MITIGATE decides nothing
                 j = index.get(succ)
@@ -307,7 +329,7 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
                     counts[j] = agree
                 out[j] = out.get(j, 0.0) + detect
             elif phase == _CM_MITIGATE and mitigate > 0.0:
-                reach(s + bit, climb(owner, _D, agree, tops), _D, agree, out, mitigate)
+                reach(s, climb(owner, _D, agree, tops), _D, agree, out, mitigate)
     return states, edges
 
 
@@ -392,7 +414,8 @@ def parse_ctmc_text(text: str) -> Ctmc:
     Without a ``#states`` line, n is one more than the highest state a
     transition names. Raises ActParseError (code ``syntax``, column 1) at the
     first line with a wrong field count, a state that is not an integer in
-    [0, n) or a rate that is negative or not finite.
+    [0, n), a rate that is negative or not finite, or a transition from a
+    state to itself: ``Ctmc.rates`` holds off-diagonal rates only.
     """
     n = None
     init = 0
@@ -433,7 +456,10 @@ def parse_ctmc_text(text: str) -> Ctmc:
                 rate = math.nan
             if not 0.0 <= rate < math.inf:
                 raise ActParseError(f"expected a finite non-negative rate, found {fields[2]!r}", lineno, 1)
-            triples.append((state(fields[0]), state(fields[1]), rate))
+            src, dst = state(fields[0]), state(fields[1])
+            if src == dst:
+                raise ActParseError(f"expected a transition between two states, found a loop on {src}", lineno, 1)
+            triples.append((src, dst, rate))
     if n is None:
         n = 1 + max((max(s, d) for s, d, _ in triples), default=0)
     for i, at in named:

@@ -175,7 +175,9 @@ def _jump_transpose(ctmc: Ctmc, exit_rates: np.ndarray, rate: float):
 
     Off the diagonal the chain's rates times 1/rate, the product scipy
     forms for a division by a scalar; on it 1 - exit rate/rate, left out
-    where that is zero. A self-loop in the rates gives way to the diagonal.
+    where that is zero. The rates must hold no self-loop, as ``Ctmc``
+    documents and ``parse_ctmc_text`` checks: one would count in
+    ``exit_rates`` but be dropped here, and the solver would lose its mass.
     Entries are sorted by row and then column, as scipy's own conversions
     leave them.
     """

@@ -4,6 +4,7 @@ The paper's product of per-node interactive Markov automata (IMCs) is the
 oracle acceptance criterion 8 holds the library's direct chain to. The
 whole-tree builder is the direct construction before it became incremental:
 it re-evaluates every node and re-runs a relevance pass for every successor,
+then tells states apart by its own canonical form of each decided subtree,
 and the library must export byte-identical chains. Both number their
 states and merge the blocked ones in ``_chain`` here, and share only rate
 collection with the library; the whole-tree builder also reads its status
@@ -19,9 +20,11 @@ from actkit.model import (
     Act, AndGate, AttackLeaf, CmGate, DetectLeaf, MitigateLeaf, OrGate, Scenario, apply_scenario,
 )
 from actkit.semantics import (
-    _CLOSED, _CM_CANCELLED, _CM_DETECT, _CM_MITIGATE, _CM_WON, _D, _DONE, _P, _PENDING, _S, DEFAULT_STATE_CAP,
+    _CLOSED, _CM_CANCELLED, _CM_DETECT, _CM_MITIGATE, _D, _DONE, _P, _PENDING, _S, DEFAULT_STATE_CAP,
     Ctmc, _CmRates, collect_rates,
 )
+
+_CM_WON = 2  # a countermeasure that finished first; the canonical form cancels it
 
 _GOAL = "goal"
 _BLOCKED = "blocked"
@@ -358,13 +361,29 @@ class _ProductBuilder:
 
 # -- whole-tree direct construction ---------------------------------------------
 
+class _Lumped(tuple):
+    """A state's canonical (leaf status, countermeasure phase) pair; ``full`` holds the vectors first seen for it.
+
+    Equality and hashing are the pair's alone, so every state with the same
+    canonical form is one chain state, expanded from the first one found.
+    """
+
+    full: tuple[tuple[int, ...], tuple[int, ...]]
+
+
 class _WholeTreeBuilder:
     """Reachability over (leaf status, countermeasure phase) vectors.
 
     After every transition the state is normalised: decided races are
     recorded in the countermeasure phase, pending events that can no longer
     influence the root are closed, and fully decided roots map to the goal or
-    blocked sentinels.
+    blocked sentinels. States are then told apart by their canonical form:
+    every decided subtree under a pending gate is rewritten with its leaves
+    CLOSED and its countermeasures CANCELLED and, when it succeeded, its
+    lowest leaf DONE. The future depends only on which subtrees are decided
+    and how, so states with one canonical form have the same successors
+    (an ordinary lumping); each is expanded from the vectors it was first
+    reached with.
     """
 
     def __init__(self, act: Act, leaf_rates: dict[int, float], cm_rates: dict[int, _CmRates]):
@@ -433,13 +452,42 @@ class _WholeTreeBuilder:
         for i, nid in enumerate(self.cms):
             if cmstat[i] in (_CM_DETECT, _CM_MITIGATE) and not relevant[self.cm_owner[nid]]:
                 cmstat[i] = _CM_CANCELLED
-        return (tuple(leafstat), tuple(cmstat))
+        full = (tuple(leafstat), tuple(cmstat))
+
+        # the decided attack-side children of the relevant gates
+        for nid in range(len(self.act.nodes)):
+            kind = self.act.nodes[nid].kind
+            if relevant[nid] and isinstance(kind, (AndGate, OrGate)):
+                for c in kind.children:
+                    if c != self.guards[nid] and vals[c] != _P:
+                        below = self._subtree(c)
+                        leaves = sorted(self.leaf_idx[b] for b in below if b in self.leaf_idx)
+                        for i in leaves:
+                            leafstat[i] = _CLOSED
+                        if vals[c] == _S:
+                            leafstat[leaves[0]] = _DONE
+                        for b in below:
+                            if b in self.cm_idx:
+                                cmstat[self.cm_idx[b]] = _CM_CANCELLED
+        state = _Lumped((tuple(leafstat), tuple(cmstat)))
+        state.full = full
+        return state
+
+    def _subtree(self, nid: int) -> list[int]:
+        """Every node under ``nid``, ``nid`` included."""
+        out, stack = [], [nid]
+        while stack:
+            out.append(stack.pop())
+            kind = self.act.nodes[out[-1]].kind
+            if isinstance(kind, (AndGate, OrGate)):
+                stack.extend(kind.children)
+        return out
 
     def initial(self):
         return self.normalize([_PENDING] * len(self.leaves), [_CM_DETECT] * len(self.cms))
 
     def transitions(self, state):
-        leafstat, cmstat = state
+        leafstat, cmstat = state.full
         out: dict[object, float] = {}
         for i, rate in enumerate(self.leaf_rate):
             if leafstat[i] == _PENDING and rate > 0.0:

@@ -290,6 +290,7 @@ def test_parse_infers_the_state_count():
     ("#states 2\n\n0 1 nan\n", 3),
     ("#states 2\n0 1 inf\n", 2),
     ("#states 2\n0 1 fast\n", 2),
+    ("#states 2\n#goal 1\n0 0 3.0\n0 1 1.0\n", 3),  # a self-loop
 ])
 def test_parse_rejects_malformed_chains(text, line):
     with pytest.raises(ActParseError) as exc:
@@ -334,7 +335,7 @@ def test_chain_matches_whole_tree_reference():
     wide = build_act("wide", or_gate("top", _nested_guards(3, "x"), _nested_guards(4, "y"), attack("z", p=0.2)))
     rng = random.Random(31)
     models = [load_bundled("mia"), nested, deep, reverse_children(deep), wide, guarded_or(6)]
-    models += [and_of_ors(k) for k in range(1, 8)]  # k = 7 has 4120 states
+    models += [and_of_ors(k) for k in range(1, 8)]  # k = 7 has 256 states
     for _ in range(200):
         act = random_act(rng, max_leaves=6)
         models += [act, reverse_children(act)]
@@ -353,6 +354,35 @@ def test_chain_matches_whole_tree_reference_property(seed, max_leaves, data):
         kind = nodes[nid].kind
         nodes[nid] = dataclasses.replace(nodes[nid], kind=type(kind)(dataclasses.replace(kind.timing, p=0.0)))
     _assert_same_chain(dataclasses.replace(act, nodes=tuple(nodes)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+def test_lumped_chain_keeps_the_product_chains_curve(seed, max_leaves, data):
+    # decided subtrees in canonical form: never more states than the product of automata, and the same curve
+    act = random_act(random.Random(seed), max_leaves=max_leaves, max_cms=3)
+    nodes = list(act.nodes)
+    events = [nid for nid, node in enumerate(nodes) if isinstance(node.kind, (AttackLeaf, DetectLeaf, MitigateLeaf))]
+    mitigations = [nid for nid in events if isinstance(nodes[nid].kind, MitigateLeaf)]
+    # probability 0 is a zero rate; a mitigation with probability 1 is instantaneous
+    for p, pool in ((0.0, events), (1.0, mitigations)):
+        for nid in data.draw(st.lists(st.sampled_from(pool), max_size=2)) if pool else ():
+            kind = nodes[nid].kind
+            nodes[nid] = dataclasses.replace(nodes[nid], kind=type(kind)(dataclasses.replace(kind.timing, p=p)))
+    act = dataclasses.replace(act, nodes=tuple(nodes))
+    ts, eps = [0.0, 0.25, 1.0, 3.0, 10.0], 1e-10
+    for scenario in Scenario:
+        lumped, product = compose(act, scenario), compose_product(act, scenario)
+        assert lumped.n <= product.n
+        got = np.asarray(transient_probability(lumped, ts, eps).ys)
+        want = np.asarray(transient_probability(product, ts, eps).ys)
+        assert np.all(np.abs(got - want) <= 2.0 * eps)
+
+
+def test_and_of_ors_chain_has_two_to_the_k_plus_one_states():
+    # each OR pending or succeeded, the countermeasure detecting or mitigating; all ORs succeeded is the goal, plus blocked
+    for k in range(1, 13):
+        assert compose(and_of_ors(k)).n == 2 ** (k + 1)
 
 
 def test_view_composes_the_branch_under_its_root():
@@ -560,7 +590,7 @@ def test_compose_reads_the_gate_table_once_and_evaluates_no_gate_per_state(monke
 
     monkeypatch.setattr(semantics, "read_gates", counted)
     per_gate = []
-    for k in (1, 6):
+    for k in (1, 10):
         tables.clear()
         reads.clear()
         act = and_of_ors(k)

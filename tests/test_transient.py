@@ -32,6 +32,7 @@ from actkit import transient
 from actkit.transient import goal_curve, simulate, simulate_curves, transient_probability
 
 from oracles import (
+    acyclic_transient,
     and_of_ors,
     and_race_curve,
     expm_transient,
@@ -471,24 +472,54 @@ def test_goal_curve_within_epsilon_on_stiff_random_models():
 
 
 def test_goal_curve_within_epsilon_on_very_stiff_random_models():
-    # rates spanning eleven decades, where double-precision expm fails; the
-    # oracle costs about a second per exponential at 20 states, hence few models
+    # rates spanning eleven decades, where double-precision expm fails, against
+    # the closed form of every chain, to about a thousand states
     rng = random.Random(1762)
     checked = []
-    for _ in range(12):
-        act = with_random_rates(random_act(rng, max_leaves=4, max_cms=2), rng, 1e-2, 1e9)
+    for _ in range(40):
+        act = with_random_rates(random_act(rng, max_leaves=8, max_cms=3), rng, 1e-2, 1e9)
         ts = np.sort([1e-3 * 3e4 ** rng.random() for _ in range(4)])
         for scenario in Scenario:
             ctmc = compose(act, scenario)
-            if ctmc.n > 50:
-                continue
-            want = mpmath_transient(ctmc, ts)
+            want = acyclic_transient(ctmc, ts)
             for eps in (1e-6, 1e-12):
                 curve = goal_curve(act, scenario, ts, eps)
                 assert np.all(np.abs(np.asarray(curve.ys) - want) <= eps)
                 assert curve.meta["error_bound"] <= eps
             checked.append(ctmc.n)
-    assert len(checked) >= 30 and sum(n > 4 for n in checked) >= 10
+    assert len(checked) >= 30 and sum(n > 50 for n in checked) >= 10
+
+
+def test_acyclic_oracle_matches_the_matrix_exponential():
+    # mpmath.expm costs about a second per exponential at 20 states: every chain to that size
+    rng = random.Random(1762)
+    checked = []
+    # unit rates all around: detection hands over to mitigation at the same exit rate, which raises a power of t
+    even = build_act("even", and_gate("top", attack("a", p=E1), attack("b", p=E1),
+                                      cm_gate("cm", detect("d", p=E1), mitigate("m", p=E1))))
+    for scenario in Scenario:
+        ctmc = compose(even, scenario)
+        ts = [0.5, 2.0, 8.0]
+        np.testing.assert_allclose(acyclic_transient(ctmc, ts), mpmath_transient(ctmc, ts), rtol=1e-15, atol=0)
+    for _ in range(12):
+        act = with_random_rates(random_act(rng, max_leaves=4, max_cms=2), rng, 1e-2, 1e9)
+        ts = np.sort([1e-3 * 3e4 ** rng.random() for _ in range(4)])
+        for scenario in Scenario:
+            ctmc = compose(act, scenario)
+            if ctmc.n <= 20:
+                np.testing.assert_allclose(acyclic_transient(ctmc, ts), mpmath_transient(ctmc, ts), rtol=1e-15, atol=0)
+                checked.append(ctmc.n)
+    assert len(checked) >= 30 and max(checked) > 10
+
+
+def test_acyclic_oracle_fails_loudly():
+    with pytest.raises(AssertionError, match="cycle"):
+        acyclic_transient(parse_ctmc_text("#goal 2\n0 1 1.0\n1 0 1.0\n1 2 1.0\n"), [1.0])
+    # exit rates 1 and 1 + 1e-6 cancel about 12 of the digits; 60 keep enough, 20 do not
+    text = "#goal 3\n0 1 1.0\n1 2 1.000001\n2 3 1.0\n"
+    assert acyclic_transient(parse_ctmc_text(text), [1.0])[0] == pytest.approx(1.0 - 2.5 * math.exp(-1.0), rel=1e-5)
+    with pytest.raises(AssertionError, match="from 20 to 60 digits"):
+        acyclic_transient(parse_ctmc_text(text), [1.0], dps=20)
 
 
 @pytest.mark.parametrize("scenario, guards", [
@@ -728,8 +759,8 @@ def test_jump_matrix_matches_the_lil_construction(monkeypatch):
     chains = [compose(load_bundled("mia"), s) for s in Scenario]
     chains += [compose(and_of_ors(k)) for k in range(1, 8)]
     chains += [compose(random_act(rng, max_leaves=8), s) for _ in range(100) for s in Scenario]
-    # an imported chain may repeat an edge, give a rate of 0 or loop on a state
-    chains.append(parse_ctmc_text("#states 4\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 1 1.0\n1 3 1.0\n"
+    # an imported chain may repeat an edge or give a rate of 0
+    chains.append(parse_ctmc_text("#states 4\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 3 1.0\n"
                                   "2 3 0.5\n0 1 1.0\n"))
     for ctmc in chains:
         exit_rates = np.asarray(ctmc.rates.sum(axis=1)).ravel()
