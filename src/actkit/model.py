@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Union
 
+import numpy as np
+
 from .errors import ActValidationError, DomainError, MissingParameter
 from .timing import rate_from_probability
 
@@ -175,6 +177,14 @@ class Scenario(Enum):
 def _check_scenario(scenario: Scenario) -> None:
     if not isinstance(scenario, Scenario):
         raise DomainError(f"scenario must be a Scenario, got {scenario!r}")
+
+
+def _text_or_bool(values: list) -> bool:
+    """Whether ``values`` holds a str, bytes or bool, which ``float`` and numpy read as numbers.
+
+    Looks at each distinct type once, so a long grid costs one C-level pass.
+    """
+    return any(issubclass(t, (str, bytes, bool, np.bool_)) for t in set(map(type, values)))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ AND multiplies child probabilities, OR complements the product of failure
 probabilities, and a countermeasure contributes the attacker-facing factor
 ``1 - p_detect * p_mitigate`` to its enclosing AND gate (detect-only:
 ``1 - p_detect``; no-cm: 1). Each call reads the tree once, as the gate
-table of ``read_gates``, which a sweep then walks per scenario and point.
+table of ``read_gates``, which a sweep then walks once per scenario, on
+the array of its grid's points.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
-from .model import Act, AttackLeaf, CmGate, Scenario, _check_scenario
+from .model import Act, AttackLeaf, CmGate, Scenario, _check_scenario, _text_or_bool
 from .semantics import read_gates
 
 
@@ -25,12 +28,12 @@ def static_probability(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     accumulations is the small one, so it is correctly rounded on both ends
     of [0, 1] and ordered consistently across scenarios.
     """
-    return _smaller_side(*_evaluate(act, read_gates(act), scenario))
+    return float(_smaller_side(*_evaluate(act, read_gates(act), scenario)))
 
 
-def _smaller_side(succ: float, fail: float) -> float:
-    """The success probability, read from whichever accumulation is the small one."""
-    return succ if succ <= fail else 1.0 - fail
+def _smaller_side(succ, fail) -> np.ndarray:
+    """The success probability, read from whichever accumulation is the small one, elementwise."""
+    return np.where(succ <= fail, succ, 1.0 - fail)
 
 
 def static_failure(act: Act, scenario: Scenario = Scenario.FULL) -> float:
@@ -44,15 +47,18 @@ def static_failure(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     return fail if fail <= succ else 1.0 - succ
 
 
-def _evaluate(act: Act, gates: list, scenario: Scenario, pleaf: float | None = None) -> tuple[float, float]:
+def _evaluate(act: Act, gates: list, scenario: Scenario, pleaf: np.ndarray | None = None):
     """Root (success, failure) probabilities over ``gates = read_gates(act)``, each accumulated on its own.
 
     Success and failure are carried side by side: products keep relative
     precision, and each complement telescopes into a sum of non-negative
     terms instead of a catastrophic ``1 - product``. Only the events the
-    scenario keeps are read. A given ``pleaf`` is read as every attack
-    leaf's probability, as ``with_attack_probability`` would set it.
-    Raises DomainError for a ``scenario`` that is not a Scenario.
+    scenario keeps are read. A given ``pleaf`` array is read as every
+    attack leaf's probability, as ``with_attack_probability`` would set it,
+    and gives arrays of the same shape: IEEE ``+``, ``-`` and ``*`` act
+    elementwise, so each entry has the bits of a float evaluation at that
+    probability. Raises DomainError for a ``scenario`` that is not a
+    Scenario.
     """
     _check_scenario(scenario)
     succ: dict[int, float] = {}
@@ -74,8 +80,8 @@ def _evaluate(act: Act, gates: list, scenario: Scenario, pleaf: float | None = N
         prod, other = (fail, succ) if is_or else (succ, fail)
         x, y = 1.0, 0.0
         for c in side if is_or else act.children(nid):
-            y += x * other[c]
-            x *= prod[c]
+            y = y + x * other[c]
+            x = x * prod[c]
         prod[nid], other[nid] = x, y
     return succ[act.root], fail[act.root]
 
@@ -92,15 +98,20 @@ class SweepResult:
 def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] = tuple(Scenario)) -> list[SweepResult]:
     """Evaluate static_probability with every attack leaf set to each grid value.
 
-    The grid must be strictly increasing within [0, 1]. Detection and
-    mitigation probabilities keep their modelled values. Each point equals
+    The grid must hold numbers, not str, bytes or bool, strictly
+    increasing within [0, 1]. Detection and mitigation probabilities keep
+    their modelled values. Each scenario is evaluated once, on the array of
+    all the grid's points, and each point equals
     ``static_probability(with_attack_probability(act, x), scenario)`` bit
     for bit, without building that model.
     """
     try:
-        grid = tuple(float(x) for x in grid)
+        values = list(grid)
+        grid = tuple(float(x) for x in values)
     except (TypeError, ValueError):
         raise DomainError("sweep grid must be a flat sequence of numbers") from None
+    if _text_or_bool(values):
+        raise DomainError("sweep grid must hold numbers, not text or truth values")
     if not grid:
         raise DomainError("sweep grid is empty")
     for a, b in zip(grid, grid[1:]):
@@ -109,8 +120,6 @@ def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] =
     if not (0.0 <= grid[0] and grid[-1] <= 1.0):  # NaN fails here too
         raise DomainError("sweep grid must lie in [0, 1]")
     gates = read_gates(act)
-    results = []
-    for scenario in scenarios:
-        pgoal = tuple(_smaller_side(*_evaluate(act, gates, scenario, x)) for x in grid)
-        results.append(SweepResult(scenario, grid, pgoal))
-    return results
+    pleaf = np.array(grid)
+    return [SweepResult(scenario, grid, tuple(_smaller_side(*_evaluate(act, gates, scenario, pleaf)).tolist()))
+            for scenario in scenarios]

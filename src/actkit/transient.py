@@ -41,12 +41,18 @@ exponential completion times and reports Wilson half-widths. Each event
 draws from its own Philox stream, keyed by the seed and the event's
 identifier, so ``simulate_curves`` folds one draw per event into the curves
 of every scenario and set of attack-leaf rates, as the CLI's ``--pleaf``
-values give.
+values give. Only the gates above a countermeasure differ between
+scenarios, so the fold is planned once per call. Per chunk of runs, each
+guard-free group of subtrees whose leaves share one rate is folded once,
+on the unit draws; per rate set, each group's times are that fold scaled
+by 1/rate, or the group folded from its leaves' own times; per curve, only
+the gates above a countermeasure are folded and their deadlines applied.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,7 +60,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import DomainError
-from .model import Act, Scenario
+from .model import Act, Scenario, _text_or_bool
 from .semantics import Ctmc, _CmRates, _Gate, _rates, read_gates
 
 _RNG_NAME = "philox4x64 per event, keyed by identifier"
@@ -80,9 +86,12 @@ class CurveResult:
 
 def _check_grid(times: Sequence[float]) -> np.ndarray:
     try:
-        ts = np.asarray(list(times), dtype=float)
+        values = list(times)
+        ts = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise DomainError("time grid must hold numbers of hours") from None
+    if _text_or_bool(values):
+        raise DomainError("time grid must hold numbers of hours, not text or truth values")
     if ts.ndim != 1:
         raise DomainError("time grid must be a flat sequence of hours")
     if ts.size == 0:
@@ -95,7 +104,7 @@ def _check_grid(times: Sequence[float]) -> np.ndarray:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon <= 1e-3:
+    if not isinstance(epsilon, numbers.Real) or not 0.0 < epsilon <= 1e-3:
         raise DomainError(f"epsilon must lie in (0, 1e-3], got {epsilon!r}")
 
 
@@ -583,15 +592,29 @@ def simulate_curves(
     Each curve is bit for bit the one ``simulate`` gives for the model with
     those leaf rates under that scenario. Per chunk of runs, every event
     that some curve reads at a positive rate draws its unit exponentials
-    once, and every curve folds from them: a leaf's units scaled by 1/rate
-    where its parent reads them, and a countermeasure's deadline of
-    detection units/δ, plus mitigation units/μ under ``full``. So
-    ``detect-only`` and ``full`` share their detection draws, and in each
-    run the goal falls no earlier under detect-only than under full, nor
-    under full than under no-cm. Chunks hold at most 2^13 runs and
-    2^22 drawn values, which bounds memory and changes no draw. Raises
-    DomainError unless ``runs`` is a positive integer and ``seed`` a
-    non-negative one. Package-internal: ``actkit`` does not export it.
+    once, and every curve folds from them: a leaf's units scaled by 1/rate,
+    and a countermeasure's deadline of detection units/δ, plus mitigation
+    units/μ under ``full``. So ``detect-only`` and ``full`` share their
+    detection draws, and in each run the goal falls no earlier under
+    detect-only than under full, nor under full than under no-cm.
+
+    Only the gates above a countermeasure differ between scenarios. A gate
+    *races* when some requested scenario gives a law to a guard in its
+    subtree; the guard-free attack-side children of each racing gate (the
+    whole tree, if none races) form one group. Per chunk, a group whose
+    leaves all read one rate λ > 0 in some rate set is folded once on the
+    unit draws; per distinct rate set, each group's times are that fold
+    times 1/λ, or the group folded from its leaves' own times; per curve,
+    only the racing gates are folded, and their deadlines applied. Min and
+    max are exact and x ↦ x/λ rounded is monotone, so the scaled fold is the
+    fold of the scaled draws, bit for bit. A ``--pleaf``-style rate set
+    gives a group one rate when its leaves share one horizon, as all of
+    ``mia``'s do. Curves are taken one rate set at a time, and a set's group
+    times are dropped before the next set's are formed, so only one set's
+    are held. Chunks hold at most 2^13 runs and 2^22 drawn values, which
+    bounds memory and changes no draw. Raises DomainError unless ``runs`` is
+    a positive integer and ``seed`` a non-negative one. Package-internal:
+    ``actkit`` does not export it.
     """
     if not _is_int(runs) or runs <= 0:
         raise DomainError(f"runs must be a positive integer, got {runs!r}")
@@ -609,6 +632,20 @@ def simulate_curves(
             drawn.update(nid for nid, rate in ((detect, law.detect), (mitigate, law.mitigate or 0.0)) if rate > 0.0)
     streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
 
+    racing, groups = _fold_plan(act.root, table, {cm for cm_rates in laws.values() for cm in cm_rates})
+    leaves = [nid for _, _, group_leaves in groups.values() for nid in group_leaves]
+    by_set: dict[tuple[float, ...], list[int]] = {}  # each distinct rate set of the leaves: the curves reading it
+    for i, (_, rates) in enumerate(curves):
+        by_set.setdefault(tuple(rates.get(nid, 0.0) for nid in leaves), []).append(i)
+    sets = []  # per distinct rate set: its rates, each group's 1/λ if it is folded on the unit draws, its curves
+    for members in by_set.values():
+        rates = curves[members[0]][1]
+        sets.append((rates, {top: _unit_scale(rates, group_leaves) for top, (_, _, group_leaves) in groups.items()},
+                     members))
+    on_units = {top for _, scales, _ in sets for top, scale in scales.items() if scale is not None}
+    # the leaves whose own times some set still folds once the deadlines and unit folds are formed
+    kept = {nid for _, scales, _ in sets for top, scale in scales.items() if scale is None for nid in groups[top][2]}
+
     chunk = min(_CHUNK, max(1, _CHUNK_VALUES // max(1, len(streams))))
     scratch = np.empty(chunk)
     counts = np.zeros((len(curves), ts.size), dtype=np.int64)
@@ -625,10 +662,19 @@ def simulate_curves(
                 by_cm[cm] = _scaled(units, detect, law.detect, np.empty(size))
                 if law.mitigate is not None:
                     by_cm[cm] += _scaled(units, mitigate, law.mitigate, scratch[:size])
-        for i, (scenario, rates) in enumerate(curves):
-            root_time = _fold_chunk(act.root, table, units, rates, deadlines[scenario], scratch[:size])
-            root_time.sort()
-            counts[i] += np.searchsorted(root_time, ts, side="right")
+        unit_folds = {top: _fold(top, groups[top][0], units, groups[top][1], scratch[:size]) for top in on_units}
+        units = {nid: ys for nid, ys in units.items() if nid in kept}  # frees the rest before the sets' folds
+        for rates, scales, members in sets:
+            group_times = {top: _fold(top, steps, units, rates, scratch[:size]) if scales[top] is None
+                           else unit_folds[top] * scales[top] for top, (steps, _, _) in groups.items()}
+            for i in members:
+                if racing:
+                    root_time = _fold_racing(racing, group_times, deadlines[curves[i][0]])
+                else:  # the set's curves share the root's times, and sorting them again changes no count
+                    root_time = group_times[act.root]
+                root_time.sort()
+                counts[i] += np.searchsorted(root_time, ts, side="right")
+            del group_times, root_time  # so the next set's arrays are formed with none of this set's held
 
     meta = {
         "method": "monte-carlo",
@@ -660,9 +706,59 @@ def _scaled(units: dict[int, np.ndarray], nid: int, rate: float, out: np.ndarray
     return out
 
 
-def _fold_chunk(root: int, gates: list[_Gate], units: dict[int, np.ndarray], rates: dict[int, float],
-                deadlines: dict[int, np.ndarray], scratch: np.ndarray) -> np.ndarray:
-    """Root completion times of one chunk, folded over the gate table in post-order without recursion.
+def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[tuple], dict[int, tuple]]:
+    """The racing gates of the gate table ``table``, and the guard-free groups they fold.
+
+    A gate races when a countermeasure in ``guarded`` guards it or a gate in
+    its subtree. Returns each racing gate in post-order as (node, its fold,
+    its racing attack-side children, its guard), so the root comes last, and
+    per group, keyed by its top: the gates that fold it in post-order, its
+    leaves each at unit rate, and its leaves. A racing gate's group is its
+    guard-free attack-side children, joined by a last step that folds them
+    as the gate does; with nothing racing, the whole tree is one group,
+    keyed by the root.
+    """
+    racing: dict[int, tuple] = {}
+    for nid, is_or, side, guard in table:
+        if guard in guarded or any(c in racing for c in side):
+            racing[nid] = (nid, np.minimum if is_or else np.maximum, tuple(c for c in side if c in racing), guard)
+    steps: dict[int, list[_Gate]] = {} if racing else {root: []}
+    top = {root: root}  # each guard-free gate: the top of its group
+    for gate in reversed(table):  # every gate before the gates under it
+        for c in gate.side:
+            if c not in racing:
+                top[c] = gate.node if gate.node in racing else top[gate.node]
+    for gate in table:
+        if gate.node not in racing:
+            steps.setdefault(top[gate.node], []).append(gate)
+            continue
+        free = tuple(c for c in gate.side if c not in racing)
+        if free:
+            steps.setdefault(gate.node, []).append(_Gate(gate.node, gate.is_or, free, None))
+    gates = {gate.node for gate in table}
+    groups = {}
+    for nid, group in steps.items():
+        leaves = [c for gate in group for c in gate.side if c not in gates] or [root]  # [root]: a one-leaf tree
+        groups[nid] = (group, dict.fromkeys(leaves, 1.0), leaves)
+    return list(racing.values()), groups
+
+
+def _unit_scale(rates: dict[int, float], leaves: list[int]) -> float | None:
+    """1/λ when every one of ``leaves`` reads one rate λ > 0 in ``rates`` and 1/λ is finite, else None.
+
+    At a finite 1/λ, x ↦ x/λ rounded is monotone and keeps every unit draw
+    finite, so folding the units and then scaling gives the bits of folding
+    the scaled units.
+    """
+    rate = rates.get(leaves[0], 0.0)
+    if rate > 0.0 and all(rates.get(nid, 0.0) == rate for nid in leaves) and 1.0 / rate < math.inf:
+        return 1.0 / rate
+    return None
+
+
+def _fold(top: int, steps: list[_Gate], units: dict[int, np.ndarray], rates: dict[int, float],
+          scratch: np.ndarray) -> np.ndarray:
+    """Times of ``top`` in one chunk, folded over the guard-free gates ``steps`` in post-order without recursion.
 
     A leaf's times are formed where its parent reads them; a leaf missing
     from ``rates`` never completes. Each gate folds its attack-side children
@@ -676,12 +772,29 @@ def _fold_chunk(root: int, gates: list[_Gate], units: dict[int, np.ndarray], rat
             return times.pop(nid)
         return _scaled(units, nid, rates.get(nid, 0.0), np.empty_like(scratch) if out is None else out)
 
-    for nid, is_or, side, cm in gates:
+    for nid, is_or, side, _ in steps:
         fold = np.minimum if is_or else np.maximum
         done = read(side[0], None)
         for c in side[1:]:
             fold(done, read(c, scratch), out=done)
-        if cm in deadlines:
-            np.putmask(done, done >= deadlines[cm], np.inf)
         times[nid] = done
-    return read(root, None)
+    return read(top, None)
+
+
+def _fold_racing(racing: list[tuple], groups: dict[int, np.ndarray], deadlines: dict[int, np.ndarray]) -> np.ndarray:
+    """Root times of one curve in one chunk: each racing gate, in post-order, folds its racing
+    children's fresh times and its group's shared ones, then drops the runs its deadline beats."""
+    times: dict[int, np.ndarray] = {}
+    for nid, fold, inner, guard in racing:
+        if inner:
+            done = times.pop(inner[0])
+            for c in inner[1:]:
+                fold(done, times.pop(c), out=done)
+            if nid in groups:
+                fold(done, groups[nid], out=done)
+        else:
+            done = groups[nid].copy()
+        if guard in deadlines:
+            np.putmask(done, done >= deadlines[guard], np.inf)
+        times[nid] = done
+    return done

@@ -32,6 +32,14 @@ def test_no_countermeasures_gives_empty_ranking():
         rank_countermeasures(act, -1.0)
 
 
+@pytest.mark.parametrize("t_star, epsilon", [("2", 1e-9), (True, 1e-9), (b"2", 1e-9),
+                                             (2.0, "1e-9"), (2.0, 1e-9 + 0j), (2.0, None)],
+                         ids=["str", "bool", "bytes", "str-epsilon", "complex-epsilon", "none-epsilon"])
+def test_ranking_rejects_horizons_and_tolerances_that_are_not_numbers(t_star, epsilon):
+    with pytest.raises(DomainError):
+        rank_countermeasures(load_bundled("mia"), t_star, epsilon)
+
+
 def test_single_cm_delta_matches_gap():
     act = build_act("one-cm", and_gate(
         "top", attack("a", p=0.6),

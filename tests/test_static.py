@@ -132,3 +132,6 @@ def test_sweep_rejects_bad_grids():
             sweep_pleaf(act, bad)
     with pytest.raises(DomainError):  # a grid that is not one-dimensional
         sweep_pleaf(act, [[0.1, 0.2]])
+    for bad in ([b"0.5"], ["0.5"], [0.0, True], [True], np.array([False, True])):  # float() would read them
+        with pytest.raises(DomainError):
+            sweep_pleaf(act, bad)

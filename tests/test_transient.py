@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from actkit.errors import DomainError, RateUndefined
 from actkit.model import (
     Act,
     AndGate,
+    AttackLeaf,
+    LeafTiming,
     OrGate,
     Scenario,
     and_gate,
@@ -165,15 +168,18 @@ def test_meta_records_solver_settings():
 def test_grid_validation():
     act = single_leaf()
     ctmc = compose(act)
-    for bad in ([], [1.0, 1.0], [2.0, 1.0], [-1.0, 2.0], [0.0, float("inf")], [[1.0, 2.0]], ["a"], [1.0, None], 5.0):
+    for bad in ([], [1.0, 1.0], [2.0, 1.0], [-1.0, 2.0], [0.0, float("inf")], [[1.0, 2.0]], ["a"], [1.0, None], 5.0,
+                # text and truth values that float() and numpy would read as hours
+                ["1", "2"], ["1"], [b"1.0"], [0.5, True], [True], np.array([True])):
         for solve in (lambda: transient_probability(ctmc, bad), lambda: goal_curve(act, Scenario.FULL, bad),
                       lambda: simulate(act, Scenario.FULL, bad, 10, 1)):
             with pytest.raises(DomainError):
                 solve()
-    with pytest.raises(DomainError):
-        transient_probability(ctmc, [0.0, 1.0], epsilon=0.0)
-    with pytest.raises(DomainError):
-        transient_probability(ctmc, [0.0, 1.0], epsilon=0.5)
+    for eps in (0.0, 0.5, "1e-9", None, 1e-9 + 0j):
+        for solve in (lambda: transient_probability(ctmc, [0.0, 1.0], eps),
+                      lambda: goal_curve(act, Scenario.FULL, [0.0, 1.0], eps)):
+            with pytest.raises(DomainError):
+                solve()
 
 
 def test_chains_without_moves_stay_where_they_start():
@@ -723,6 +729,61 @@ _MODELS = st.one_of(
     st.builds(_wide_gate, st.just("and"), st.integers(2, 8), st.booleans(), _SEEDS),
     st.builds(_wide_gate, st.just("or"), st.integers(2, 300), st.booleans(), _SEEDS),
 )
+
+
+def _with_leaf_rates(act, rates):
+    """``act`` with each attack leaf at its rate in ``rates``, 0 where it has none: the model a rate set stands for."""
+    nodes = tuple(replace(node, kind=AttackLeaf(LeafTiming(p=node.kind.timing.p, lam=rates.get(nid, 0.0))))
+                  if isinstance(node.kind, AttackLeaf) else node for nid, node in enumerate(act.nodes))
+    return Act(act.title, act.root, nodes)
+
+
+_RATES = st.sampled_from([0.0, 0.4, 1.0, 2.5])
+
+
+@st.composite
+def _models_and_curves(draw):
+    """A model and the (scenario, leaf rates) pairs of one ``simulate_curves`` call.
+
+    The models hold a guard anywhere, a guard at the root, or none at all.
+    A rate set is the model's own (None), one rate shared by every leaf, a
+    rate per leaf (so some subtrees share one and others mix), or an earlier
+    set again, as the same dict or as an equal copy; every kind may hold 0.
+    """
+    seed = draw(_SEEDS)
+    act = draw(st.sampled_from([
+        lambda: random_act(random.Random(seed), max_leaves=8, max_cms=3),
+        lambda: _wide_gate(draw(st.sampled_from(["and", "or"])), draw(st.integers(1, 5)), True, seed),
+        lambda: random_act(random.Random(seed), max_leaves=8, allow_cm=False),
+    ]))()
+    leaves = sorted(act.attack_leaves())
+    curves = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["own", "shared", "mixed", "again", "copy"]))
+        if kind == "shared":
+            rates = dict.fromkeys(leaves, draw(_RATES))
+        elif kind == "mixed":
+            rates = {nid: draw(_RATES) for nid in leaves}
+        elif kind in ("again", "copy") and curves:
+            rates = draw(st.sampled_from([r for _, r in curves]))
+            rates = dict(rates) if kind == "copy" and rates is not None else rates
+        else:
+            rates = None
+        curves.append((draw(st.sampled_from(list(Scenario))), rates))
+    return act, curves
+
+
+@settings(deadline=None, max_examples=150)
+@given(_models_and_curves(), _SEEDS, st.sampled_from([1, 700]))
+def test_simulate_curves_match_whole_tree_folds(model_and_curves, seed, runs):
+    # each curve of one call against the independent whole-tree fold of the model its rates stand for
+    act, curves = model_and_curves
+    ts = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0]
+    got = simulate_curves(act, ts, runs, seed, curves)
+    for (scenario, rates), curve in zip(curves, got):
+        model = act if rates is None else _with_leaf_rates(act, rates)
+        assert curve.scenario is scenario
+        assert curve.ys == one_draw_per_curve(model, scenario, ts, runs, seed)
 
 
 @settings(deadline=None, max_examples=200)
