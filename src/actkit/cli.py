@@ -8,11 +8,13 @@ takes only that method's options: ``dynamic`` the solver's ``--epsilon``,
 so only it takes ``--state-cap``. Data files use two whitespace-separated
 columns with ``#`` comment lines, numbers are printed with six significant
 digits, and repeated runs with identical flags produce byte-identical
-outputs. A timed command asks for every (scenario, ``--pleaf``) curve at
-once: ``simulate`` draws each event once per call and folds every curve
-from those draws, so all its curves are positively correlated (common
-random numbers); each file still matches a single-``--scenario``,
-single-``--pleaf`` run with the same ``--seed`` byte for byte.
+outputs. A timed command asks for every (scenario, ``--pleaf``) curve in
+one call, which reads the model's gate table once: ``dynamic`` solves
+every curve in that call, and ``simulate`` draws each event once per call
+and folds every curve from those draws, so all its curves are positively
+correlated (common random numbers). Each file still matches a
+single-``--scenario``, single-``--pleaf`` run (with the same ``--seed``)
+byte for byte.
 
 Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 numeric,
 state-space or memory limit.
@@ -39,9 +41,9 @@ from .errors import (
 )
 from .model import Scenario, with_attack_probability
 from .ranking import rank_countermeasures
-from .semantics import DEFAULT_STATE_CAP, collect_rates, compose, export_ctmc_text
+from .semantics import DEFAULT_STATE_CAP, compose, export_ctmc_text
 from .statics import sweep_pleaf
-from .transient import CurveResult, goal_curve, simulate_curves
+from .transient import CurveResult, goal_curves, simulate_curves
 
 _SCENARIOS = [s.value for s in Scenario]
 _DEFAULT_PLEAF = (0.05, 0.1, 0.25)
@@ -200,11 +202,16 @@ def cmd_fmt(args) -> int:
     return 0
 
 
+def _solved(args, acts, pairs, grid) -> list[CurveResult]:
+    """One ``goal_curves`` call over every (scenario, ``--pleaf``) pair, off one gate table."""
+    curves = goal_curves(acts[pairs[0][1]], grid, args.epsilon, [(scenario, acts[pleaf]) for scenario, pleaf in pairs])
+    return [curve for curve, _ in curves]
+
+
 def _simulated(args, acts, pairs, grid) -> list[CurveResult]:
-    """One ``simulate_curves`` call, reading each ``--pleaf`` model's leaf rates once, under the first scenario."""
-    rates = {pleaf: collect_rates(act, pairs[0][0])[0] for pleaf, act in acts.items()}
+    """One ``simulate_curves`` call over every (scenario, ``--pleaf``) pair, off one gate table."""
     return simulate_curves(acts[pairs[0][1]], grid, args.runs, args.seed,
-                           [(scenario, rates[pleaf]) for scenario, pleaf in pairs])
+                           [(scenario, acts[pleaf]) for scenario, pleaf in pairs])
 
 
 def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> None:
@@ -247,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
     p.set_defaults(func=cmd_static_sweep)
 
-    p = _add_timed(sub, "dynamic", "timed goal-probability curves",
-                   lambda args, acts, pairs, grid: [goal_curve(acts[pleaf], scenario, grid, args.epsilon)
-                                                    for scenario, pleaf in pairs])
+    p = _add_timed(sub, "dynamic", "timed goal-probability curves", _solved)
     p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
 
     p = _add_timed(sub, "simulate", "timed curves via Monte Carlo simulation", _simulated)

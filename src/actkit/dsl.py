@@ -67,42 +67,44 @@ _WHAT = {"ident": "an identifier", "string": "a quoted string", "number": "a num
 class _Token(NamedTuple):
     kind: str  # 'ident', 'string', 'number', 'punct', 'eof'
     value: str
-    line: int
-    column: int
+    offset: int  # where it starts in the text; ``_line_column`` turns it into a position for an error
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``text[offset]``; a tab or a carriage return is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` in one scan, ending with 'eof'; text no token matches raises ActParseError."""
     tokens: list[_Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        col = pos - line_start + 1
-        if m is None:
-            if text[pos] == '"':
-                raise ActParseError("unterminated string", line, col)
-            raise ActParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind, word = m.lastgroup, m.group(m.lastgroup)
-        if kind == "number":
-            try:
-                float(word)
-            except ValueError:
-                raise ActParseError(f"bad number {word!r}", line, col) from None
-        elif kind == "string":
-            word = _ESCAPE.sub(r"\1", word)
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:  # the scan skipped text no token matches
+            break
+        kind = m.lastgroup
         if kind != "skip":
-            tokens.append(_Token(kind, word, line, col))
+            word = m[kind]
+            if kind == "number":
+                try:
+                    float(word)
+                except ValueError:
+                    raise ActParseError(f"bad number {word!r}", *_line_column(text, pos)) from None
+            elif kind == "string":
+                word = _ESCAPE.sub(r"\1", word)
+            tokens.append(_Token(kind, word, pos))
         pos = m.end()
-        newlines = text.count("\n", m.start(), pos)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", m.start(), pos) + 1
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    if pos < len(text):
+        what = "unterminated string" if text[pos] == '"' else f"unexpected character {text[pos]!r}"
+        raise ActParseError(what, *_line_column(text, pos))
+    tokens.append(_Token("eof", "", pos))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     @property
@@ -123,8 +125,11 @@ class _Parser:
             tok = self.tok
             expected = _WHAT[kind] if value is None else f"'{value}'"
             found = "end of input" if tok.kind == "eof" else repr(tok.value)
-            raise ActParseError(f"expected {expected}, found {found}", tok.line, tok.column)
+            raise self.error(f"expected {expected}, found {found}", tok)
         return tok
+
+    def error(self, message: str, tok: _Token, code: str = "syntax") -> ActParseError:
+        return ActParseError(message, *_line_column(self.text, tok.offset), code=code)
 
 
 def _parse_params(p: _Parser) -> LeafTiming:
@@ -136,7 +141,7 @@ def _parse_params(p: _Parser) -> LeafTiming:
     if p.accept("punct", ","):
         key = p.expect("ident")
         if key.value not in ("t", "lambda"):
-            raise ActParseError(f"expected 't' or 'lambda', found {key.value!r}", key.line, key.column)
+            raise p.error(f"expected 't' or 'lambda', found {key.value!r}", key)
         p.expect("punct", "=")
         value = float(p.expect("number").value)
         if key.value == "t":
@@ -167,7 +172,7 @@ def parse_act(text: str) -> Act:
     Raises ActParseError on malformed text, undefined references or duplicate
     definitions, and ActValidationError when the tree breaks a structural rule.
     """
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     p.expect("ident", "act")
     title = p.expect("string").value
     p.expect("punct", "{")
@@ -185,23 +190,20 @@ def parse_act(text: str) -> Act:
         head = p.expect("ident")
         cls = _KINDS.get(head.value)
         if cls is None:
-            raise ActParseError(f"expected one of {', '.join(_KINDS)}, found {head.value!r}",
-                                head.line, head.column)
+            raise p.error(f"expected one of {', '.join(_KINDS)}, found {head.value!r}", head)
         payload = _parse_params(p) if cls in _LEAVES else _parse_children(p, cls)
         p.expect("punct", ";")
         if ident.value in by_ident:
-            raise ActParseError(f"duplicate definition of {ident.value!r}", ident.line, ident.column,
-                                code="duplicate-definition")
+            raise p.error(f"duplicate definition of {ident.value!r}", ident, code="duplicate-definition")
         by_ident[ident.value] = len(defs)
         defs.append((ident, label.value if label else ident.value, cls, payload))
     p.expect("eof")
     if not defs:
-        raise ActParseError("a model needs at least one definition", root_tok.line, root_tok.column)
+        raise p.error("a model needs at least one definition", root_tok)
 
     def resolve(tok: _Token) -> int:
         if tok.value not in by_ident:
-            raise ActParseError(f"reference to undefined node {tok.value!r}", tok.line, tok.column,
-                                code="undefined-reference")
+            raise p.error(f"reference to undefined node {tok.value!r}", tok, code="undefined-reference")
         return by_ident[tok.value]
 
     nodes: list[Node] = []

@@ -47,8 +47,9 @@ def rank_countermeasures(
     ``t_star`` are checked even when the model has no countermeasures.
     """
     cms = sorted(act.cm_gates())
-    _, curves, _ = goal_curves(act, Scenario.FULL, [t_star], epsilon, cms)
-    with_all, *without = (None if ys is None else float(ys[0]) for ys in curves)  # None: outside the root's tree
+    [(curve, removals)] = goal_curves(act, [t_star], epsilon, [(Scenario.FULL, None)], cms)
+    with_all = curve.ys[0]
+    without = [None if ys is None else float(ys[0]) for ys in removals]  # None: outside the root's tree
     effects = [CmEffect(node=nid, name=act.nodes[nid].name, pgoal_with=with_all,
                         pgoal_without=p, delta=p - with_all) for nid, p in zip(cms, without) if p is not None]
     effects.sort(key=lambda e: (-e.delta, e.name))

@@ -32,9 +32,10 @@ estimated from the tail of each panel's Chebyshev coefficients, is within
 its share of ``epsilon``. Inside a race, gates fold their children by the
 product rule as each child is done, so its memory does not grow with a
 gate's width.
-``goal_curves`` holds that evaluation for ``goal_curve`` and for
-countermeasure ranking, which recomputes only the path from each removed
-countermeasure to the root.
+``goal_curves`` holds that evaluation for ``goal_curve``, for the CLI's
+curves and for countermeasure ranking, which recomputes only the path from
+each removed countermeasure to the root. One call reads the gate table
+once for all its curves.
 
 The simulator replays the same race semantics with sampled
 exponential completion times and reports Wilson half-widths. Each event
@@ -60,7 +61,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import DomainError
-from .model import Act, Scenario, _text_or_bool
+from .model import Act, Scenario, _check_scenario, _text_or_bool
 from .semantics import Ctmc, _CmRates, _Gate, _rates, read_gates
 
 _RNG_NAME = "philox4x64 per event, keyed by identifier"
@@ -258,43 +259,93 @@ def goal_curve(
     over a race's subtree summed over the races (a race accepted on its
     first panels counts 1). It sums the races' ``error_bound``: per panel,
     the largest of the integrand's last three Chebyshev coefficients times
-    the panel's half-width.
+    the panel's half-width. This is ``goal_curves``' one-curve case.
     """
-    ts, [ys], stats = goal_curves(act, scenario, times, epsilon)
-    meta = {"method": "quadrature", "epsilon": epsilon, "model": act.title, **stats}
-    return CurveResult(tuple(ts), tuple(float(y) for y in ys), scenario, meta)
+    [(curve, _)] = goal_curves(act, times, epsilon, [(scenario, None)])
+    return curve
 
 
 def goal_curves(
     act: Act,
-    scenario: Scenario,
     times: Sequence[float],
     epsilon: float,
+    curves: Sequence[tuple[Scenario, Act | None]],
     removed: Sequence[int] = (),
-) -> tuple[np.ndarray, list[np.ndarray], dict]:
-    """Goal curve of one model under ``scenario``, then one per countermeasure gate in ``removed`` read as removed.
+) -> list[tuple[CurveResult, list[np.ndarray | None]]]:
+    """``goal_curve``'s curve for each (scenario, model) pair, and per gate in ``removed`` one more with it removed.
+
+    None reads ``act`` itself. Any other model must differ from ``act``
+    only in its attack leaves' timings, as ``with_attack_probability``
+    makes, and every curve under one scenario must read the same
+    countermeasure laws, as in ``simulate_curves``; its rates are read off
+    ``act``'s gate table, which is read once per call. Each curve is bit
+    for bit the one ``goal_curve`` gives for its model under its scenario,
+    and the call raises what the first curve that fails alone would raise.
 
     Bottom-up, an attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c)
     and an AND prod(F_c) over its attack-side children; an AND gate whose
-    countermeasure has a law under ``scenario`` and is not removed is a
-    ``_race`` at ``epsilon`` divided by the number of such laws. Every
+    countermeasure has a law under the curve's scenario and is not removed
+    is a ``_race`` at ``epsilon`` divided by the number of such laws. Every
     node's curve is kept, so a removal recomputes only the path from its
-    gate, or from the outermost race holding it, to the root. Returns the
-    grid, the curves, with None for a gate in ``removed`` that guards no
-    race (one outside ``act.root``'s tree, or any under no-cm), and the
-    summed ``_race`` statistics of the first one. Raises what
-    ``collect_rates`` raises.
-    Package-internal: ``actkit`` does not export it.
+    gate, or from the outermost race holding it, to the root. Returns, per
+    curve, its CurveResult, whose ``meta`` sums the ``_race`` statistics
+    with nothing removed, and the curve with each gate in ``removed`` read
+    as removed: None for one that guards no race (one outside
+    ``act.root``'s tree, or any under no-cm). Package-internal: ``actkit``
+    does not export it.
     """
     _check_epsilon(epsilon)
     ts = _check_grid(times)
     table = read_gates(act)
-    leaf_rates, cm_rates = _rates(act, table, scenario)
-    share = epsilon / max(len(cm_rates), 1)
     gates = {g.node: g for g in table}
-    laws = {g.node: cm_rates[g.guard] for g in table if g.guard in cm_rates}  # per racing gate, its guard's law
-    owner = {gates[nid].guard: nid for nid in laws}
     parent = {c: g.node for g in table for c in g.side}
+    out = []
+    # a fast leaf's rate * t may overflow to inf, which every closed form
+    # reads as certain completion
+    with np.errstate(over="ignore"):
+        for (scenario, model), (leaf_rates, cm_rates) in zip(curves, _read_rates(act, table, curves)):
+            ys, without, stats = _solve(gates, parent, act.root, ts, leaf_rates, cm_rates,
+                                        epsilon / max(len(cm_rates), 1), removed)
+            title = (act if model is None else model).title
+            meta = {"method": "quadrature", "epsilon": epsilon, "model": title, **stats}
+            out.append((CurveResult(tuple(ts), tuple(float(y) for y in ys), scenario, meta), without))
+    return out
+
+
+def _read_rates(act: Act, table: list[_Gate], curves: Sequence[tuple]) -> list[tuple[dict, dict]]:
+    """Per (scenario, rates) curve, its attack-leaf rates and its scenario's laws, read off ``act``'s gate table.
+
+    Rates that are None read ``act``'s own, a model reads that model's, and
+    a dict is taken as given, with ``act``'s laws. Each (model, scenario)
+    pair is read once, in curve order, so the first curve whose rates fail
+    to read raises the error it would raise alone. A model may differ from
+    ``act`` only in its attack leaves' timings: raises DomainError when a
+    curve reads other countermeasure laws than an earlier curve under the
+    same scenario.
+    """
+    read: dict[tuple[int, Scenario], tuple[dict, dict]] = {}
+    first: dict[Scenario, dict] = {}  # each scenario's laws, as its first curve reads them
+    out = []
+    for scenario, rates in curves:
+        _check_scenario(scenario)  # before it is hashed
+        model = rates if isinstance(rates, Act) else act
+        key = (id(model), scenario)
+        if key not in read:
+            read[key] = _rates(model, table, scenario)
+        leaf_rates, laws = read[key]
+        if first.setdefault(scenario, laws) != laws:
+            raise DomainError(f"model {model.title!r} reads other countermeasure laws than an earlier curve "
+                              f"under {scenario.value}: a model may differ only in its attack leaves")
+        out.append((rates if isinstance(rates, dict) else leaf_rates, laws))
+    return out
+
+
+def _solve(gates: dict[int, _Gate], parent: dict[int, int], root: int, ts: np.ndarray, leaf_rates: dict[int, float],
+           cm_rates: dict[int, _CmRates], share: float,
+           removed: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray | None], dict]:
+    """One curve of ``goal_curves``: the root's, each removal's, and the first one's summed race statistics."""
+    laws = {g.node: cm_rates[g.guard] for g in gates.values() if g.guard in cm_rates}  # per racing gate, its law
+    owner = {gates[nid].guard: nid for nid in laws}
     curves: dict[int, np.ndarray] = {}  # each node's curve with nothing removed
     stacks: dict[int, np.ndarray] = {}  # a gate's children's curves, stacked once for every removal below it
     stats = {"guards": 0, "panels": 0, "nodes": 0, "rounds": 0, "error_bound": 0.0}
@@ -338,13 +389,9 @@ def goal_curves(
             v, ys = up, _combine(gates[up].is_or, rows)
         return ys
 
-    # a fast leaf's rate * t may overflow to inf, which every closed form
-    # reads as certain completion
-    with np.errstate(over="ignore"):
-        result = [evaluate(act.root)]
-        first = dict(stats)
-        result += [without(cm) if cm in owner else None for cm in removed]
-    return ts, result, first
+    ys = evaluate(root)
+    first = dict(stats)
+    return ys, [without(cm) if cm in owner else None for cm in removed], first
 
 
 def _postorder(gates: dict[int, _Gate], top: int, closed=()) -> list[int]:
@@ -585,18 +632,23 @@ def simulate_curves(
     times: Sequence[float],
     runs: int,
     seed: int,
-    curves: Sequence[tuple[Scenario, dict[int, float] | None]],
+    curves: Sequence[tuple[Scenario, dict[int, float] | Act | None]],
 ) -> list[CurveResult]:
     """``simulate``'s curve of one model for each (scenario, attack-leaf rates) pair; None reads the model's own rates.
 
-    Each curve is bit for bit the one ``simulate`` gives for the model with
-    those leaf rates under that scenario. Per chunk of runs, every event
-    that some curve reads at a positive rate draws its unit exponentials
-    once, and every curve folds from them: a leaf's units scaled by 1/rate,
-    and a countermeasure's deadline of detection units/δ, plus mitigation
-    units/μ under ``full``. So ``detect-only`` and ``full`` share their
-    detection draws, and in each run the goal falls no earlier under
-    detect-only than under full, nor under full than under no-cm.
+    In place of rates a pair may name a model that differs from ``act``
+    only in its attack leaves' timings, as ``with_attack_probability``
+    makes; its rates are read off ``act``'s gate table, as in
+    ``goal_curves``, and every curve under one scenario must read the same
+    countermeasure laws. Each curve is bit for bit the one ``simulate``
+    gives for the model with those leaf rates under that scenario. Per
+    chunk of runs, every event that some curve reads at a positive rate
+    draws its unit exponentials once, and every curve folds from them: a
+    leaf's units scaled by 1/rate, and a countermeasure's deadline of
+    detection units/δ, plus mitigation units/μ under ``full``. So
+    ``detect-only`` and ``full`` share their detection draws, and in each
+    run the goal falls no earlier under detect-only than under full, nor
+    under full than under no-cm.
 
     Only the gates above a countermeasure differ between scenarios. A gate
     *races* when some requested scenario gives a law to a guard in its
@@ -622,9 +674,9 @@ def simulate_curves(
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     ts = _check_grid(times)
     table = read_gates(act)
-    own = {s: _rates(act, table, s) for s in dict.fromkeys(s for s, _ in curves)}  # (leaf rates, laws)
-    laws = {scenario: cm_rates for scenario, (_, cm_rates) in own.items()}
-    curves = [(scenario, own[scenario][0] if rates is None else rates) for scenario, rates in curves]
+    read = _read_rates(act, table, curves)
+    laws = {scenario: cm_rates for (scenario, _), (_, cm_rates) in zip(curves, read)}
+    curves = [(scenario, leaf_rates) for (scenario, _), (leaf_rates, _) in zip(curves, read)]
     drawn = {nid for _, rates in curves for nid, rate in rates.items() if rate > 0.0}
     for cm_rates in laws.values():
         for cm, law in cm_rates.items():

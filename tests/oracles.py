@@ -19,6 +19,8 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
+from actkit.dsl import _ESCAPE, _TOKEN
+from actkit.errors import ActParseError
 from actkit.model import (
     Act,
     AndGate,
@@ -457,3 +459,38 @@ def and_race_curve(attack_rates, detect_rate: float, mitigate_rate: float, times
         out += sign * lam / (m - d) * (m * -np.expm1(-(lam + d) * ts) / (lam + d)
                                        - d * -np.expm1(-(lam + m) * ts) / (lam + m))
     return out
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Every token of ``text`` as (kind, value, line, column), ending with 'eof', or the ActParseError it raises.
+
+    One anchored ``_TOKEN.match`` per token, counting lines as it goes, so
+    it shares only the token pattern with ``actkit.dsl._tokenize``, which
+    scans the text once and works out a position only for an error.
+    """
+    tokens = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            if text[pos] == '"':
+                raise ActParseError("unterminated string", line, col)
+            raise ActParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, word = m.lastgroup, m.group(m.lastgroup)
+        if kind == "number":
+            try:
+                float(word)
+            except ValueError:
+                raise ActParseError(f"bad number {word!r}", line, col) from None
+        elif kind == "string":
+            word = _ESCAPE.sub(r"\1", word)
+        if kind != "skip":
+            tokens.append((kind, word, line, col))
+        pos = m.end()
+        newlines = text.count("\n", m.start(), pos)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", m.start(), pos) + 1
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens

@@ -282,6 +282,40 @@ def test_simulate_pleafs_write_the_bytes_of_single_pleaf_runs(mia_path, tmp_path
     assert len(written) == 9 and written == alone
 
 
+@pytest.mark.parametrize("fmt", ["dat", "json"])
+def test_dynamic_pleafs_write_the_bytes_of_single_pleaf_runs(mia_path, tmp_path, fmt):
+    # one call solves every curve off one gate table, each still equal to its own run
+    common = ["dynamic", "--model", mia_path, "--grid", "0:4:9", "--format", fmt]
+    assert main(common + ["--pleaf", "0", "--pleaf", "0.1", "--pleaf", "0.25",
+                          "--out", str(tmp_path / "all")]) == 0
+    written = {p.name: p.read_bytes() for p in (tmp_path / "all").iterdir()}
+    alone = {}
+    for scenario in ("full", "no-cm", "detect-only"):
+        for pleaf in ("0", "0.1", "0.25"):
+            out = tmp_path / f"{scenario}_p{pleaf}"
+            assert main(common + ["--scenario", scenario, "--pleaf", pleaf, "--out", str(out)]) == 0
+            alone.update((p.name, p.read_bytes()) for p in out.iterdir())
+    assert len(written) == 9 and written == alone
+
+
+def test_each_command_reads_the_gate_table_once(mia_path, tmp_path, monkeypatch):
+    from actkit import semantics
+
+    read, tables = semantics.read_gates, []
+
+    def counted(act):
+        tables.append(act)
+        return read(act)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "actkit" or name.startswith("actkit.")) and getattr(module, "read_gates", None) is read:
+            monkeypatch.setattr(module, "read_gates", counted)
+    for argv in (["static-sweep"], ["dynamic"], ["simulate", "--runs", "1000"], ["rank"], ["export-ctmc"]):
+        tables.clear()
+        assert main([*argv, "--model", mia_path, "--out", str(tmp_path / argv[0])]) == 0
+        assert len(tables) == 1, argv[0]
+
+
 def test_simulate_deep_or_chain_exits_zero(tmp_path):
     path = tmp_path / "deep.act"
     path.write_text(or_chain_text(5000, 1e-3), encoding="utf-8")
@@ -470,3 +504,4 @@ def test_only_chain_code_loads_scipy(mia_path, tmp_path):
     parse = ("import sys, actkit; actkit.parse_ctmc_text('#states 1\\n#init 0\\n'); "
              f"assert 'scipy.sparse' in sys.modules and not {_HEAVY_SCIPY!r} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", parse], check=True, env=env)
+

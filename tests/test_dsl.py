@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actkit.dsl import load_act, parse_act, serialize_act
+from actkit.dsl import _line_column, _tokenize, load_act, parse_act, serialize_act
 from actkit.errors import ActParseError, ActValidationError, MissingParameter
 from actkit.model import (
     AndGate,
@@ -23,7 +23,7 @@ from actkit.model import (
     validate_act,
 )
 
-from oracles import random_act
+from oracles import random_act, reference_tokenize
 
 MINIMAL = """
 act "Demo" {
@@ -142,6 +142,53 @@ def test_unterminated_string():
         with pytest.raises(ActParseError) as err:
             parse_act(text)
         assert (err.value.line, err.value.column, err.value.message) == (line, column, "unterminated string")
+
+
+# pieces of model text, well formed or not: CRLF and tab layout, comments, strings over several lines
+# with both escapes, a quote that opens a string nothing closes, good and bad numbers, and characters
+# no token starts with, ASCII or not
+_PIECES = ["act", "root", "ATTACK", "p", "x_1", " ", "\t", "\n", "\r\n", "\r", "{", "}", "(", ")", ";", ",",
+           "=", "0.5", "-1.5e-3", "+.5", "1.2.3", "1e", "..", '"', '"name"', '"two\nlines"', '"q \\" \\\\ \\x"',
+           '"end\\\\"', "# note\n", "#", "é", "→", "\U0001d6cc", "@", "\\"]
+_EDGES = [
+    'act "CRLF" {\r\n  root a;\r\n  a = ATTACK(p=0.5)\r\n}\r\n',
+    'act\t"tabs"\t{\troot a;\n\ta =\tATTACK(p=1.2.3); }',
+    'act "over\nthree \\"quoted\\"\nlines \\\\" {\n  root a; @',
+    'act "é" {\n  root a;\n  a "naïve → done" = ATTACK(p=0.5); é }',
+    'act "T" {\r\n  root a;\r\n  a "cut \\" off = ATTACK(p=0.1); }',
+    "act \"x\" { # comment with \"\n  root a;\t1.2.3",
+]
+
+
+def _scan(tokenize, text):
+    """``tokenize``'s tokens of ``text`` as (kind, value, line, column), or its error's line, column and message."""
+    try:
+        return tokenize(text)
+    except ActParseError as exc:
+        return ("error", exc.line, exc.column, exc.message)
+
+
+def _one_scan(text):
+    return [(tok.kind, tok.value, *_line_column(text, tok.offset)) for tok in _tokenize(text)]
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), st.text(max_size=40),
+                 st.sampled_from(_EDGES)))
+def test_one_scan_finds_the_tokens_and_errors_of_the_reference(text):
+    assert _scan(_one_scan, text) == _scan(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text", _EDGES)
+def test_parse_errors_sit_where_the_reference_scan_puts_them(text):
+    # every edge case fails to parse, at a token's or a gap's position
+    with pytest.raises(ActParseError) as err:
+        parse_act(text)
+    tokens = _scan(reference_tokenize, text)
+    if tokens[0] == "error":
+        assert (err.value.line, err.value.column, err.value.message) == tokens[1:]
+    else:
+        assert (err.value.line, err.value.column) in {(line, column) for _, _, line, column in tokens}
 
 
 def test_bad_probability_is_validation_not_parse():

@@ -430,7 +430,7 @@ def _entry_points(act, scenario):
     # a simulation of several scenarios raises its first curve's scenario's error
     curves = [(scenario, rates)] + [(s, rates) for s in Scenario if s is not scenario]
     return [lambda: compose(act, scenario), lambda: goal_curve(act, scenario, ts),
-            lambda: goal_curves(act, scenario, ts, 1e-9, list(act.cm_gates())),
+            lambda: goal_curves(act, ts, 1e-9, [(scenario, None)], list(act.cm_gates())),
             lambda: simulate(act, scenario, ts, 10, 1), lambda: simulate_curves(act, ts, 10, 1, curves),
             lambda: static_probability(act, scenario), lambda: static_failure(act, scenario),
             lambda: sweep_pleaf(act, [0.1, 0.5], [scenario]),
@@ -550,9 +550,11 @@ def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch, tmp_path):
                            (lambda: compose(mia), [mia]),
                            (lambda: simulate(mia, Scenario.FULL, [0.5, 1.0, 2.0], 1000, 1), [mia]),
                            (lambda: simulate_curves(mia, [0.5, 1.0, 2.0], 1000, 1, curves), [mia]),
-                           # leaf rates once per --pleaf model, then one table for every scenario
+                           # one table for every scenario and --pleaf model
                            (lambda: main(["simulate", "--model", str(path), "--runs", "1000",
-                                          "--out", str(tmp_path / "out")]), pleafs + pleafs[:1])):
+                                          "--out", str(tmp_path / "out")]), pleafs[:1]),
+                           (lambda: main(["dynamic", "--model", str(path), "--out", str(tmp_path / "out")]),
+                            pleafs[:1])):
         walks.clear()
         analysis()
         assert walks == read

@@ -18,6 +18,7 @@ from actkit.model import (
     AndGate,
     AttackLeaf,
     LeafTiming,
+    MitigateLeaf,
     OrGate,
     Scenario,
     and_gate,
@@ -32,7 +33,7 @@ from actkit.model import (
 from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text
 from actkit.ranking import rank_countermeasures
 from actkit import transient
-from actkit.transient import goal_curve, simulate, simulate_curves, transient_probability
+from actkit.transient import goal_curve, goal_curves, simulate, simulate_curves, transient_probability
 
 from oracles import (
     acyclic_transient,
@@ -784,6 +785,64 @@ def test_simulate_curves_match_whole_tree_folds(model_and_curves, seed, runs):
         model = act if rates is None else _with_leaf_rates(act, rates)
         assert curve.scenario is scenario
         assert curve.ys == one_draw_per_curve(model, scenario, ts, runs, seed)
+
+
+def _retimed(act, rng, instant=0.5):
+    """``act`` with about a third of its attack leaves at rate 0 and a share ``instant`` of its mitigations at p = 1."""
+    nodes = []
+    for node in act.nodes:
+        if isinstance(node.kind, AttackLeaf) and rng.random() < 0.3:
+            node = replace(node, kind=AttackLeaf(LeafTiming(p=node.kind.timing.p, lam=0.0)))
+        elif isinstance(node.kind, MitigateLeaf) and rng.random() < instant:
+            node = replace(node, kind=MitigateLeaf(LeafTiming(p=1.0, t=node.kind.timing.t)))
+        nodes.append(node)
+    return Act(act.title, act.root, tuple(nodes))
+
+
+@st.composite
+def _solver_calls(draw):
+    """A model and the (scenario, model) pairs of one ``goal_curves`` call, every scenario among them.
+
+    The model's horizons mix 0.5, 1 and 2 hours; some attack leaves have
+    rate 0 and some mitigations p = 1. A pair reads the model itself (None
+    or the object), a common attack-leaf probability, 0 included, or other
+    zero-rate attack leaves; every model keeps the countermeasures' laws.
+    """
+    rng = random.Random(draw(_SEEDS))
+    act = _retimed(random_act(rng, max_leaves=8, max_cms=3), rng)
+    models = [None, act, with_attack_probability(act, draw(st.sampled_from([0.0, 0.05, 0.3]))),
+              _retimed(act, rng, instant=0.0)]
+    picked = draw(st.lists(st.sampled_from(models), min_size=1, max_size=3))
+    return act, [(scenario, model) for scenario in draw(st.permutations(list(Scenario))) for model in picked]
+
+
+@settings(deadline=None, max_examples=120)
+@given(_solver_calls(), st.sampled_from([[0.0, 0.25, 1.0, 3.0], [0.5, 2.0, 10.0]]), st.sampled_from([1e-6, 1e-9]))
+def test_goal_curves_equal_goal_curve_per_curve(call, ts, eps):
+    # one call reads one gate table for every curve; no bit of any curve moves
+    act, curves = call
+    for (scenario, model), (got, removals) in zip(curves, goal_curves(act, ts, eps, curves)):
+        want = goal_curve(act if model is None else model, scenario, ts, eps)
+        assert got.scenario is scenario and removals == []
+        assert np.asarray(got.ys).tobytes() == np.asarray(want.ys).tobytes()
+        assert got.xs == want.xs and repr(got.meta) == repr(want.meta)
+
+
+def test_curves_under_one_scenario_read_one_set_of_laws():
+    # a model may differ from the first only in its attack leaves: other
+    # countermeasure laws under one scenario are refused, not read as the first's
+    mia = load_bundled("mia")
+    instant = _retimed(with_attack_probability(mia, 0.1), random.Random(0), instant=1.0)
+    ts = [0.5, 1.0]
+    for scenario in (Scenario.FULL, Scenario.NO_CM):
+        curves = [(scenario, None), (scenario, instant)]
+        if scenario is Scenario.FULL:
+            with pytest.raises(DomainError, match="countermeasure laws"):
+                goal_curves(mia, ts, 1e-6, curves)
+            with pytest.raises(DomainError, match="countermeasure laws"):
+                simulate_curves(mia, ts, 10, 1, curves)
+        else:  # no-cm reads no law, so the two models agree
+            assert len(goal_curves(mia, ts, 1e-6, curves)) == len(simulate_curves(mia, ts, 10, 1, curves)) == 2
 
 
 @settings(deadline=None, max_examples=200)
