@@ -90,6 +90,30 @@ def _table_text(comment: str, col_names: tuple[str, str], xs, ys, fmt: str) -> s
     return "\n".join(lines) + "\n"
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` and a newline, through the C encoder.
+
+    The standard library lays out ``indent`` with its pure-Python encoder.
+    This writes the same lines, and hands each scalar and each list of
+    scalars to the C encoder, with the line break and indent as the item
+    separator. Every key must be a string.
+    """
+    return _indented(value, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` as ``_json_text`` lays it out, at the indent that follows ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_indented(item, inner)}" for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if any(isinstance(item, (dict, list, tuple)) for item in value):
+            return "[" + inner + ("," + inner).join(_indented(item, inner) for item in value) + newline + "]"
+        return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + newline + "]"
+    return json.dumps(value)
+
+
 def _curve_json(curve: CurveResult) -> str:
     payload = {
         "scenario": curve.scenario.value if curve.scenario else None,
@@ -98,7 +122,7 @@ def _curve_json(curve: CurveResult) -> str:
         "halfwidths": list(curve.halfwidths) if curve.halfwidths else None,
         "meta": curve.meta,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload)
 
 
 def cmd_validate(args) -> int:
@@ -127,7 +151,7 @@ def cmd_static_sweep(args) -> int:
                 "pgoal": list(result.pgoal),
                 "model": act.title,
             }
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            text = _json_text(payload)
         else:
             text = _table_text(
                 f"{act.title} | scenario={result.scenario.value} | static sweep",
@@ -178,8 +202,7 @@ def cmd_rank(args) -> int:
             {"name": e.name, "pgoal_with": e.pgoal_with, "pgoal_without": e.pgoal_without, "delta": e.delta}
             for e in effects
         ]
-        _write(out / "rank.json", json.dumps({"t_star": args.t_star, "ranking": payload},
-                                             sort_keys=True, indent=2) + "\n")
+        _write(out / "rank.json", _json_text({"t_star": args.t_star, "ranking": payload}))
     return 0
 
 

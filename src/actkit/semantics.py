@@ -28,8 +28,9 @@ gate's unanimous value. Each successor changes one node, so only the path
 from that node towards the root is walked, up to the first ancestor whose
 value stays pending; the subtree below the highest changed node is the one
 that turns decided, and masks precomputed per node write its canonical
-form in a few integer operations. Building the chain therefore costs about
-one short path per transition, not one tree walk per state.
+form in a few integer operations, once per successor: events that climb to
+a node already climbed only add their rate. Building the chain therefore
+costs about one short path per transition, not one tree walk per state.
 """
 
 from __future__ import annotations
@@ -203,11 +204,15 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     countermeasure's owner turns D when the countermeasure wins. The new
     value climbs to the parent when the parent is an OR and the value is S,
     an AND and the value is D, or every other attack-side child already
-    holds it; the climb stops at the first parent that stays P. Climbs are
-    memoised per state and value, so successors that share a path walk it
-    once. Let ``top`` be the highest node that changed: its subtree holds the
-    event that fired, and it is the only subtree that turns decided, so
-    rewriting it in canonical form normalises the successor.
+    holds it; the climb stops at the first parent that stays P. Let ``top``
+    be the highest node that changed: its subtree holds the event that
+    fired, and it is the only subtree that turns decided, so rewriting it in
+    canonical form normalises the successor. Per state and value, each node
+    a climb passed remembers the successor index it led to, so events that
+    climb to one ``top`` (every pending leaf of a pending OR) form and look
+    up that successor once; a leaf whose parent is remembered does not climb
+    at all. The later ones only add their rate, in event order, so every sum
+    keeps its bits.
 
     The canonical form is a lumping: the future of a state depends only on
     which subtrees are decided and how, not on which events decided them,
@@ -261,45 +266,44 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     wins.sort()  # by index
     fires = [(low[nid] * 15, nid, rate) for nid, rate in sorted(leaf_rates.items()) if rate > 0.0]
 
-    def climb(nid: int, value: int, agree: list[int], tops: dict[int, int]) -> int:
-        """Highest node that turns ``value`` when the P node ``nid`` does; ``tops`` memoises it per node."""
-        path = []
-        while nid not in tops:
-            path.append(nid)
-            up = parent[nid]
-            if up < 0 or value == unanimous[up] and agree[up] + 1 < arity[up]:
-                top = nid
-                break
-            nid = up
-        else:
-            top = tops[nid]
-        for node in path:
-            tops[node] = top
-        return top
-
     states = [0]  # every field 0: leaves PENDING, countermeasures DETECT
     index = {0: 0}
     counts = {0: [0] * n}  # the agree counts of each state still to expand
     edges: list[dict[int, float]] = []
 
-    def reach(s: int, top: int, value: int, agree: list[int], out: dict[int, float], rate: float) -> None:
-        """Add ``rate`` towards ``s`` with ``top``'s subtree turned ``value``, numbering that successor if new.
+    def reach(s: int, nid: int, value: int, agree: list[int], seen: dict[int, int]) -> int:
+        """Index of the successor of ``s`` in which the P node ``nid`` turns ``value``, numbered if new.
 
-        The event that fired lies under ``top``, so the subtree's canonical
-        form overwrites its field too.
+        ``seen`` maps, for this state and value, each node a climb has
+        passed to the index its climb led to: a climb that meets one of them
+        leads there too, so each successor is formed once. The event that
+        fired lies under ``top``, so the subtree's canonical form overwrites
+        its field too.
         """
-        if top == root:
-            succ = _GOAL if value == _S else _BLOCKED
-        else:
-            succ = s & ~span[top] | canonical[value][top]
-        j = index.get(succ)
-        if j is None:
-            j = index[succ] = len(states)
-            states.append(succ)
-            if succ >= 0:
-                counts[j] = bumped = agree.copy()
-                bumped[parent[top]] += 1
-        out[j] = out.get(j, 0.0) + rate
+        path = []
+        while nid not in seen:
+            path.append(nid)
+            up = parent[nid]
+            if up < 0 or value == unanimous[up] and agree[up] + 1 < arity[up]:
+                top = nid
+                if top == root:
+                    succ = _GOAL if value == _S else _BLOCKED
+                else:
+                    succ = s & ~span[top] | canonical[value][top]
+                j = index.get(succ)
+                if j is None:
+                    j = index[succ] = len(states)
+                    states.append(succ)
+                    if succ >= 0:
+                        counts[j] = bumped = agree.copy()
+                        bumped[parent[top]] += 1
+                seen[top] = j
+                break
+            nid = up
+        j = seen[nid]
+        for node in path:
+            seen[node] = j
+        return j
 
     for k, s in enumerate(states):
         # a state past the cap is always still to expand, so this check sees it
@@ -310,16 +314,21 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
         if s < 0:
             continue
         agree = counts.pop(k)
-        tops: dict[int, int] = {}
+        seen: dict[int, int] = {}
         for field, nid, rate in fires:
             if not s & field:  # PENDING -> DONE
-                reach(s, climb(nid, _S, agree, tops), _S, agree, out, rate)
-        tops = {}
+                # a climb that reached the parent passed the same test this one would
+                j = seen.get(parent[nid])
+                if j is None:
+                    j = reach(s, nid, _S, agree, seen)
+                out[j] = out.get(j, 0.0) + rate
+        seen = {}
         for shift, bit, owner, detect, mitigate in wins:
             phase = s >> shift & 15
             if phase == _CM_DETECT and detect > 0.0:
                 if mitigate is None:
-                    reach(s, climb(owner, _D, agree, tops), _D, agree, out, detect)
+                    j = reach(s, owner, _D, agree, seen)
+                    out[j] = out.get(j, 0.0) + detect
                     continue
                 succ = s | bit  # DETECT -> MITIGATE decides nothing
                 j = index.get(succ)
@@ -329,7 +338,8 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
                     counts[j] = agree
                 out[j] = out.get(j, 0.0) + detect
             elif phase == _CM_MITIGATE and mitigate > 0.0:
-                reach(s, climb(owner, _D, agree, tops), _D, agree, out, mitigate)
+                j = reach(s, owner, _D, agree, seen)
+                out[j] = out.get(j, 0.0) + mitigate
     return states, edges
 
 

@@ -1,6 +1,6 @@
 """Time-dependent goal probability: uniformization solver and Monte Carlo check.
 
-The solver computes P[in goal at t] for the absorbing chain by
+The solver computes P[goal reached by t] for the absorbing chain by
 uniformization: the chain is embedded into a discrete-time jump chain at a
 uniform rate Λ and the transient distribution becomes a Poisson-weighted sum
 of its powers, y(t) = sum_k Pois(k; Λt) g_k, where g_k is the goal mass
@@ -17,9 +17,10 @@ is split between them:
   and at most ``epsilon/4`` above R_t.
 
 The three parts add up to at most ``epsilon``; ``meta["error_bound"]``
-records the sum. The cost is one sparse matrix-vector product per jump,
-until absorption or R, and memory O(n + K + |grid|·window), where K is the
-number of jumps taken and the window width is O(sqrt(Λt)).
+records the sum. The cost is one call of scipy's CSR mat-vec kernel per
+jump, which also reads the goal and absorbed mass, until absorption or R,
+and memory O(n + K + |grid|·window), where K is the number of jumps taken
+and the window width is O(sqrt(Λt)).
 
 ``goal_curve`` answers the same question for a model without building any
 chain. Sibling subtrees share no node, so their completion times are
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +113,15 @@ def _check_epsilon(epsilon: float) -> None:
 def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1e-9) -> CurveResult:
     """P[goal reached by t] for each grid point, within ``epsilon``.
 
+    Every goal state is read as absorbing: an imported chain may give one
+    exits, and mass that reached the goal stays counted. The transposed jump
+    matrix gets two more rows, one over the goal states and one over the
+    absorbing states, so each jump is one call of scipy's CSR mat-vec kernel
+    that moves the distribution on and reads both masses of the one it
+    moved. The call writes into one of two preallocated vectors, which swap
+    roles, and the goal masses fill a buffer that grows with the jumps
+    taken, so memory stays O(n + jumps) whatever the horizon.
+
     Parameters
     ----------
     ctmc : Ctmc
@@ -122,6 +132,8 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         Truncation tolerance in (0, 1e-3]. Halving it never moves any output
         by more than the previous value.
     """
+    from scipy.sparse._sparsetools import csr_matvec  # the kernel ``csr_matrix.dot`` calls after its dispatch
+
     _check_epsilon(epsilon)
     ts = _check_grid(times)
 
@@ -138,6 +150,14 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     busy = np.flatnonzero(np.diff(rates.indptr))
     exit_rates = np.zeros(n)
     exit_rates[busy] = np.add.reduceat(rates.data, rates.indptr[busy])
+    if exit_rates[goal].any():  # only an imported chain leaves its goal
+        rates = rates.copy()
+        in_goal = np.zeros(n, dtype=bool)
+        in_goal[goal] = True
+        rates.data[in_goal[np.repeat(np.arange(n), np.diff(rates.indptr))]] = 0.0
+        rates.eliminate_zeros()
+        ctmc = replace(ctmc, rates=rates)
+        exit_rates[goal] = 0.0
     rate = float(exit_rates.max(initial=0.0))
     init_in_goal = 1.0 if ctmc.init in ctmc.goal else 0.0
     if rate == 0.0 or not goal.size:
@@ -152,20 +172,29 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     lo, hi = _poisson_windows(mus, epsilon / 4.0)
     right = int(hi[-1])
     stop_mass = epsilon / 2.0
-    # absorbing states are usually few, so the leftover transient mass is
-    # cheapest to read as one minus their mass
+    # row n sums the goal states and row n + 1 the absorbing ones, in index
+    # order; the leftover transient mass is one minus the absorbed mass
     absorbing = np.flatnonzero(exit_rates == 0.0)
+    itype = PT.indices.dtype
+    indptr = np.concatenate((PT.indptr, PT.indptr[-1] + np.array([goal.size, goal.size + absorbing.size], itype)))
+    indices = np.concatenate((PT.indices, goal.astype(itype), absorbing.astype(itype)))
+    data = np.concatenate((PT.data, np.ones(goal.size + absorbing.size)))
 
-    v = np.zeros(n)
+    v = np.zeros(n + 2)
     v[ctmc.init] = 1.0
-    g = np.empty(right + 1)
+    w = np.empty(n + 2)
+    g = np.empty(min(right + 1, 1024))
     steps = 0
     while True:
-        g[steps] = v[goal].sum()
-        tail = 1.0 - v[absorbing].sum()
+        w.fill(0.0)  # the kernel adds into its output
+        csr_matvec(n + 2, n, indptr, indices, data, v, w)
+        if steps == g.size:
+            g = np.concatenate((g, np.empty(g.size)))
+        g[steps] = w[n]
+        tail = 1.0 - w[n + 1]
         if tail <= stop_mass or steps == right:
             break
-        v = PT.dot(v)
+        v, w = w, v
         steps += 1
     g = g[:steps + 1]
 

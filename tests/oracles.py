@@ -441,6 +441,47 @@ def jump_transpose_lil(ctmc, exit_rates, rate):
     return P.tocsr().T.tocsr()
 
 
+def dot_loop_transient(ctmc, times, epsilon: float = 1e-9) -> tuple[tuple[float, ...], dict]:
+    """``transient_probability``'s ys and meta from the jump loop it used to run, one ``PT.dot`` per jump.
+
+    Around the library's own jump matrix and Poisson weights, this keeps the
+    loop they replaced: a fresh vector per jump, the goal and absorbed mass
+    summed by numpy over fancy-indexed states, and the goal masses in an
+    array sized to the right truncation point. It reads the goal as
+    absorbing only where the chain does, so it is the reference for chains
+    whose goal states have no exits.
+    """
+    from actkit.transient import _jump_transpose, _poisson_mix, _poisson_windows
+
+    ts = np.asarray(times, dtype=float)
+    goal = np.array(sorted(ctmc.goal), dtype=np.intp)
+    meta = {"method": "uniformization", "epsilon": epsilon, "states": ctmc.n, "model": ctmc.title}
+    exit_rates = np.asarray(ctmc.rates.sum(axis=1)).ravel()
+    rate = float(exit_rates.max(initial=0.0))
+    if rate == 0.0 or not goal.size:
+        return tuple(float(ctmc.init in ctmc.goal) for _ in ts), meta
+    PT = _jump_transpose(ctmc, exit_rates, rate)
+    mus = rate * ts
+    lo, hi = _poisson_windows(mus, epsilon / 4.0)
+    right = int(hi[-1])
+    absorbing = np.flatnonzero(exit_rates == 0.0)
+    v = np.zeros(ctmc.n)
+    v[ctmc.init] = 1.0
+    g = np.empty(right + 1)
+    steps = 0
+    while True:
+        g[steps] = v[goal].sum()
+        tail = 1.0 - v[absorbing].sum()
+        if tail <= epsilon / 2.0 or steps == right:
+            break
+        v = PT.dot(v)
+        steps += 1
+    ys = np.clip(_poisson_mix(g[:steps + 1], mus, lo, np.minimum(hi, steps)), 0.0, 1.0)
+    meta.update(uniformization_rate=rate, poisson_terms=steps, right_point=right, tail_mass=max(float(tail), 0.0))
+    meta["error_bound"] = epsilon / 2.0 + (meta["tail_mass"] if tail <= epsilon / 2.0 else 0.0)
+    return tuple(float(y) for y in ys), meta
+
+
 def and_race_curve(attack_rates, detect_rate: float, mitigate_rate: float, times) -> np.ndarray:
     """Goal curve of AND(leaves, CM) in closed form, for distinct detect and mitigate rates.
 

@@ -4,17 +4,20 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import actkit
 from actkit import load_bundled, parse_act
-from actkit.cli import main
+from actkit.cli import _curve_json, _json_text, main
 from actkit.dsl import serialize_act
 from actkit.model import Scenario, with_attack_probability
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
+from actkit.transient import goal_curves, simulate_curves
 
 from oracles import and_of_ors, branch_curves, guarded_or, or_chain_text, or_wide_text
 
@@ -245,6 +248,46 @@ def test_csv_and_json_formats(mia_path, tmp_path):
         assert payload["scenario"] == scenario.value and payload["model"] == "Malicious Insider Attack"
         assert payload["grid"] == pytest.approx(table[:, 0], rel=1e-5)
         assert payload["pgoal"] == pytest.approx(table[:, 1], rel=1e-5, abs=1e-12)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON)
+def test_json_text_lays_out_what_the_standard_encoder_does(value):
+    # nested and empty containers, NaN and infinities, escapes and non-ASCII text
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_curve_json_keeps_the_standard_layout(mia_path, tmp_path):
+    mia = load_bundled("mia")
+    ts = np.linspace(0.0, 10.0, 101)
+    ((solved, _),) = goal_curves(mia, ts, 1e-9, [(Scenario.FULL, None)])
+    (simulated,) = simulate_curves(mia, ts, 1000, 7, [(Scenario.DETECT_ONLY, None)])
+    for curve in (solved, simulated, replace(simulated, halfwidths=None)):
+        payload = {
+            "scenario": curve.scenario.value,
+            "xs": list(curve.xs),
+            "ys": list(curve.ys),
+            "halfwidths": list(curve.halfwidths) if curve.halfwidths else None,
+            "meta": curve.meta,
+        }
+        assert _curve_json(curve) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # every JSON file the CLI writes
+    for argv in (["dynamic", "--grid", "0:5:11"], ["simulate", "--grid", "0:5:11", "--runs", "500"],
+                 ["static-sweep", "--grid", "0:1:11"]):
+        assert main([*argv, "--model", mia_path, "--format", "json", "--out", str(tmp_path / argv[0])]) == 0
+    assert main(["rank", "--model", mia_path, "--out", str(tmp_path / "rank")]) == 0
+    files = sorted(tmp_path.glob("*/*.json"))
+    assert len(files) == 9 + 9 + 3 + 1
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_dynamic_deterministic_bytes(mia_path, tmp_path):

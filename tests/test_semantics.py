@@ -343,6 +343,22 @@ def test_chain_matches_whole_tree_reference():
         _assert_same_chain(act)
 
 
+def test_shared_tops_keep_their_bytes():
+    # a and the inner OR's leaves climb to one top: to the goal at the root, or
+    # to the outer OR under a second AND child; rates are added in leaf order
+    def guard():
+        return cm_gate("cm", detect("d", p=0.3), mitigate("m", p=0.6))
+
+    def nested():
+        return or_gate("o", attack("a", p=0.2), or_gate("i", attack("b", p=0.45), attack("c", p=0.7)))
+
+    for act in (build_act("at the root", and_gate("top", nested(), guard())),
+                build_act("below the root", and_gate("top", nested(), attack("x", p=0.35), guard()))):
+        leaf_rates, cm_rates = collect_rates(act)
+        assert len(set(leaf_rates.values())) == len(leaf_rates) and cm_rates
+        _assert_same_chain(act)
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
 def test_chain_matches_whole_tree_reference_property(seed, max_leaves, data):

@@ -39,6 +39,7 @@ from oracles import (
     acyclic_transient,
     and_of_ors,
     and_race_curve,
+    dot_loop_transient,
     expm_transient,
     jump_transpose_lil,
     mpmath_transient,
@@ -895,6 +896,64 @@ def test_jump_matrix_matches_the_lil_construction(monkeypatch):
     monkeypatch.setattr(transient, "_jump_transpose", jump_transpose_lil)
     for ctmc, curve in zip(chains, curves):
         assert curve == transient_probability(ctmc, ts)
+
+
+def _jump_chains():
+    """The chains of ``test_jump_matrix_matches_the_lil_construction``."""
+    rng = random.Random(913)
+    chains = [compose(load_bundled("mia"), s) for s in Scenario]
+    chains += [compose(and_of_ors(k)) for k in range(1, 8)]
+    chains += [compose(random_act(rng, max_leaves=8), s) for _ in range(100) for s in Scenario]
+    chains.append(parse_ctmc_text("#states 4\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 3 1.0\n"
+                                  "2 3 0.5\n0 1 1.0\n"))
+    return chains
+
+
+def test_kernel_loop_matches_the_dot_loop():
+    # one kernel call per jump, reading goal and absorbed mass from two more rows, is the old loop bit for bit
+    ts = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
+    for ctmc in _jump_chains():
+        for eps in (1e-6, 1e-9):
+            curve = transient_probability(ctmc, ts, eps)
+            ys, meta = dot_loop_transient(ctmc, ts, eps)
+            assert curve.ys == ys and curve.meta == meta
+    # an imported chain with 10 goal and 11 absorbing states: numpy's pairwise
+    # sum and the kernel add them in another order
+    lines = ["#states 13", "#init 0", "#goal" + "".join(f" {i}" for i in range(2, 12)), "0 1 1.0", "0 12 0.3"]
+    lines += [f"1 {i} {0.1 * i!r}" for i in range(2, 12)]
+    imported = parse_ctmc_text("\n".join(lines) + "\n")
+    curve = transient_probability(imported, ts)
+    ys, meta = dot_loop_transient(imported, ts)
+    assert np.all(np.abs(np.asarray(curve.ys) - ys) <= 1e-15)
+    assert curve.meta["poisson_terms"] == meta["poisson_terms"] > 8
+    assert abs(curve.meta["tail_mass"] - meta["tail_mass"]) <= 1e-15
+
+
+def test_fast_leaf_at_a_long_horizon_takes_the_jumps_it_needs():
+    # the chain absorbs after one jump, though the right point of t = 1000 at rate 1e9 is about 1e12
+    act = build_act("fast", and_gate("top", attack("a", lam=1e9), cm_gate(
+        "cm", detect("d", p=0.5, lam=0.5), mitigate("m", p=0.5, lam=0.25))))
+    ts = [0.0, 1.0, 1000.0]
+    tracemalloc.start()
+    try:
+        curve = transient_probability(compose(act), ts, epsilon=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.abs(np.asarray(curve.ys) - and_race_curve([1e9], 0.5, 0.25, ts)) <= 1e-6)
+    assert curve.meta["poisson_terms"] == 1 and curve.meta["right_point"] > 1e12
+    assert peak < 1e6
+
+
+def test_an_imported_goal_with_exits_counts_as_reached():
+    # reaching the goal is what counts, not staying in it: 1 - e^-t, not t e^-t
+    ctmc = parse_ctmc_text("#states 3\n#init 0\n#goal 1\n0 1 1.0\n1 2 1.0\n")
+    ts = np.linspace(0.0, 10.0, 41)
+    ys = np.asarray(transient_probability(ctmc, ts).ys)
+    assert np.all(np.abs(ys - (1.0 - np.exp(-ts))) <= 1e-9)
+    assert np.all(np.diff(ys) >= 0.0)
+    # a goal that starts the chain is reached at 0
+    assert transient_probability(parse_ctmc_text("#goal 0\n0 1 1.0\n"), [0.0, 1.0]).ys == (1.0, 1.0)
 
 
 def test_goal_curve_and_ranking_build_no_model(monkeypatch):
