@@ -16,6 +16,12 @@ correlated (common random numbers). Each file still matches a
 single-``--scenario``, single-``--pleaf`` run (with the same ``--seed``)
 byte for byte.
 
+``main`` builds the subparser of the command its argv names and no other
+(help, and a missing or unknown command, get them all), and the model is
+parsed in one regular-expression scan, so the fixed cost of a command is
+the same whether it is the only one a process runs or one of many; nothing
+is kept from one call to the next.
+
 Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 numeric,
 state-space or memory limit.
 """
@@ -245,12 +251,11 @@ def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> 
                        help=f"defender scenario, repeatable (default: {scenario})")
 
 
-def _add_timed(sub, name: str, helptext: str, curves) -> argparse.ArgumentParser:
-    """Add a timed command that writes ``curves(args, acts, pairs, grid)``, one curve per (scenario, pleaf) pair.
+def _timed_options(p: argparse.ArgumentParser, curves) -> None:
+    """Add the options of a timed command that writes ``curves(args, acts, pairs, grid)``, one curve per (scenario, pleaf) pair.
 
     ``acts`` maps each pleaf to its model.
     """
-    p = sub.add_parser(name, help=helptext)
     _add_common(p)
     p.add_argument("--pleaf", action="append", type=float,
                    help="attack-leaf probability, repeatable (default 0.05 0.1 0.25)")
@@ -258,54 +263,93 @@ def _add_timed(sub, name: str, helptext: str, curves) -> argparse.ArgumentParser
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
     p.set_defaults(func=cmd_timed, curves=curves)
-    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="actkit",
-                                     description="attack countermeasure tree analysis")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a model file for structural errors")
+def _validate_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, scenario=None)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("static-sweep", help="goal probability versus a common attack-leaf probability")
+
+def _static_sweep_options(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--grid", default="0:1:101", help="Pleaf grid START:STOP:STEPS (default 0:1:101)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
     p.set_defaults(func=cmd_static_sweep)
 
-    p = _add_timed(sub, "dynamic", "timed goal-probability curves", _solved)
+
+def _dynamic_options(p: argparse.ArgumentParser) -> None:
+    _timed_options(p, _solved)
     p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
 
-    p = _add_timed(sub, "simulate", "timed curves via Monte Carlo simulation", _simulated)
+
+def _simulate_options(p: argparse.ArgumentParser) -> None:
+    _timed_options(p, _simulated)
     p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
     p.add_argument("--seed", type=int, default=1, help="simulation seed")
 
-    p = sub.add_parser("rank", help="rank countermeasures by removal impact")
+
+def _rank_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, scenario=None)
     p.add_argument("--t-star", type=float, default=2.0, help="evaluation horizon in hours")
     p.add_argument("--epsilon", type=float, default=1e-9, help="solver tolerance")
     p.add_argument("--out", default=None, help="also write rank.json here")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("export-ctmc", help="dump the composed chain as a transition list")
+
+def _export_ctmc_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, scenario="full")
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--out", default=None, help="write ctmc_<scenario>.txt here instead of stdout")
     p.set_defaults(func=cmd_export_ctmc)
 
-    p = sub.add_parser("fmt", help="reprint a model in canonical form")
+
+def _fmt_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, scenario=None)
     p.set_defaults(func=cmd_fmt)
 
+
+# each command's help line and the function that adds its options to its subparser
+_COMMANDS = {
+    "validate": ("check a model file for structural errors", _validate_options),
+    "static-sweep": ("goal probability versus a common attack-leaf probability", _static_sweep_options),
+    "dynamic": ("timed goal-probability curves", _dynamic_options),
+    "simulate": ("timed curves via Monte Carlo simulation", _simulate_options),
+    "rank": ("rank countermeasures by removal impact", _rank_options),
+    "export-ctmc": ("dump the composed chain as a transition list", _export_ctmc_options),
+    "fmt": ("reprint a model in canonical form", _fmt_options),
+}
+
+
+def _parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command's subparser, or with only the subparser of ``only``.
+
+    A parser built for ``only`` parses only an argv that names ``only``
+    first. Its usage still lists every command, as the full parser's does.
+    """
+    parser = argparse.ArgumentParser(prog="actkit",
+                                     description="attack countermeasure tree analysis")
+    # Without a metavar, usage lists the subparsers built. Errors about the
+    # command itself name it by its metavar, but a parser built for ``only``
+    # never raises them: its argv names a command.
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if only is None else (only,):
+        helptext, add_options = _COMMANDS[name]
+        add_options(sub.add_parser(name, help=helptext))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A command named first is parsed by its own subparser alone, so only
+    # that one is built; anything else (help, a missing or unknown command)
+    # gets every subparser.
+    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "export-ctmc" and not args.out and len(args.scenario or ()) > 1:
         parser.error("export-ctmc writes several scenarios only with --out")

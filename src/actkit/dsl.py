@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import re
-from typing import NamedTuple
 
 from .errors import ActParseError, ActValidationError, MissingParameter
 from .model import (
@@ -48,26 +47,33 @@ _KINDS = {"AND": AndGate, "OR": OrGate, "CM": CmGate,
 _KEYWORDS = {cls: word for word, cls in _KINDS.items()}
 _LEAVES = (AttackLeaf, DetectLeaf, MitigateLeaf)
 
-# One group per token kind. Inside a string a backslash always takes the next
+# One match per token: the blanks before it, then one group per token kind.
+# A comment is a 'skip' token, 'eof' matches at the end of the text and 'bad'
+# takes the character where no token starts, so every match ends where the
+# next one starts. Inside a string a backslash always takes the next
 # character with it, so an escaped quote never closes the string and a string
 # cut off by the end of the text does not match. A sign needs a digit or '.'
 # after it and an exponent needs digits; float() then rejects words like 1.2.3.
 _TOKEN = re.compile(r"""
-    (?P<skip>[ \t\r\n]+|\#[^\n]*)
-  | (?P<punct>[{}();,=])
-  | "(?P<string>(?:[^"\\]|\\.)*)"
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>[+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)
+    [ \t\r\n]*
+    (?: (?P<skip>\#[^\n]*)
+      | (?P<punct>[{}();,=])
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>[+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)
+      | (?P<eof>\Z)
+      | (?P<bad>.))
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE = re.compile(r'\\(["\\])')
 _WHAT = {"ident": "an identifier", "string": "a quoted string", "number": "a number",
          "eof": "end of input"}
 
 
-class _Token(NamedTuple):
-    kind: str  # 'ident', 'string', 'number', 'punct', 'eof'
-    value: str
-    offset: int  # where it starts in the text; ``_line_column`` turns it into a position for an error
+# A token is a plain (kind, value, offset) tuple, which is cheaper to make than
+# a named one: kind is 'ident', 'string', 'number', 'punct' or 'eof', and
+# offset is where it starts in the text, which ``_line_column`` turns into a
+# position for an error.
+_Token = tuple[str, str, int]
 
 
 def _line_column(text: str, offset: int) -> tuple[int, int]:
@@ -78,27 +84,26 @@ def _line_column(text: str, offset: int) -> tuple[int, int]:
 def _tokenize(text: str) -> list[_Token]:
     """The tokens of ``text`` in one scan, ending with 'eof'; text no token matches raises ActParseError."""
     tokens: list[_Token] = []
-    pos = 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:  # the scan skipped text no token matches
-            break
+    match = _TOKEN.scanner(text).match  # each call matches where the last match ended
+    while True:
+        m = match()
         kind = m.lastgroup
-        if kind != "skip":
-            word = m[kind]
-            if kind == "number":
-                try:
-                    float(word)
-                except ValueError:
-                    raise ActParseError(f"bad number {word!r}", *_line_column(text, pos)) from None
-            elif kind == "string":
-                word = _ESCAPE.sub(r"\1", word)
-            tokens.append(_Token(kind, word, pos))
-        pos = m.end()
-    if pos < len(text):
-        what = "unterminated string" if text[pos] == '"' else f"unexpected character {text[pos]!r}"
-        raise ActParseError(what, *_line_column(text, pos))
-    tokens.append(_Token("eof", "", pos))
-    return tokens
+        if kind == "skip":
+            continue
+        word, start = m[kind], m.start(kind)
+        if kind == "string":
+            word = _ESCAPE.sub(r"\1", word[1:-1])
+        elif kind == "number":
+            try:
+                float(word)
+            except ValueError:
+                raise ActParseError(f"bad number {word!r}", *_line_column(text, start)) from None
+        elif kind == "bad":
+            what = "unterminated string" if word == '"' else f"unexpected character {word!r}"
+            raise ActParseError(what, *_line_column(text, start))
+        tokens.append((kind, word, start))
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:
@@ -107,44 +112,41 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.pos]
-
     def accept(self, kind: str, value: str | None = None) -> _Token | None:
         """Consume and return the next token if it has ``kind`` (and ``value``)."""
-        tok = self.tok
-        if tok.kind != kind or (value is not None and tok.value != value):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (value is not None and tok[1] != value):
             return None
         self.pos += 1
         return tok
 
     def expect(self, kind: str, value: str | None = None) -> _Token:
-        tok = self.accept(kind, value)
-        if tok is None:
-            tok = self.tok
+        """Consume and return the next token, which must have ``kind`` (and ``value``)."""
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (value is not None and tok[1] != value):
             expected = _WHAT[kind] if value is None else f"'{value}'"
-            found = "end of input" if tok.kind == "eof" else repr(tok.value)
+            found = "end of input" if tok[0] == "eof" else repr(tok[1])
             raise self.error(f"expected {expected}, found {found}", tok)
+        self.pos += 1
         return tok
 
     def error(self, message: str, tok: _Token, code: str = "syntax") -> ActParseError:
-        return ActParseError(message, *_line_column(self.text, tok.offset), code=code)
+        return ActParseError(message, *_line_column(self.text, tok[2]), code=code)
 
 
 def _parse_params(p: _Parser) -> LeafTiming:
     p.expect("punct", "(")
     p.expect("ident", "p")
     p.expect("punct", "=")
-    prob = float(p.expect("number").value)
+    prob = float(p.expect("number")[1])
     horizon, lam = _DEFAULT_HORIZON, None
     if p.accept("punct", ","):
         key = p.expect("ident")
-        if key.value not in ("t", "lambda"):
-            raise p.error(f"expected 't' or 'lambda', found {key.value!r}", key)
+        if key[1] not in ("t", "lambda"):
+            raise p.error(f"expected 't' or 'lambda', found {key[1]!r}", key)
         p.expect("punct", "=")
-        value = float(p.expect("number").value)
-        if key.value == "t":
+        value = float(p.expect("number")[1])
+        if key[1] == "t":
             horizon = value
         else:
             horizon, lam = None, value
@@ -174,7 +176,7 @@ def parse_act(text: str) -> Act:
     """
     p = _Parser(text)
     p.expect("ident", "act")
-    title = p.expect("string").value
+    title = p.expect("string")[1]
     p.expect("punct", "{")
     p.expect("ident", "root")
     root_tok = p.expect("ident")
@@ -188,23 +190,23 @@ def parse_act(text: str) -> Act:
         label = p.accept("string")
         p.expect("punct", "=")
         head = p.expect("ident")
-        cls = _KINDS.get(head.value)
+        cls = _KINDS.get(head[1])
         if cls is None:
-            raise p.error(f"expected one of {', '.join(_KINDS)}, found {head.value!r}", head)
+            raise p.error(f"expected one of {', '.join(_KINDS)}, found {head[1]!r}", head)
         payload = _parse_params(p) if cls in _LEAVES else _parse_children(p, cls)
         p.expect("punct", ";")
-        if ident.value in by_ident:
-            raise p.error(f"duplicate definition of {ident.value!r}", ident, code="duplicate-definition")
-        by_ident[ident.value] = len(defs)
-        defs.append((ident, label.value if label else ident.value, cls, payload))
+        if ident[1] in by_ident:
+            raise p.error(f"duplicate definition of {ident[1]!r}", ident, code="duplicate-definition")
+        by_ident[ident[1]] = len(defs)
+        defs.append((ident, (label or ident)[1], cls, payload))
     p.expect("eof")
     if not defs:
         raise p.error("a model needs at least one definition", root_tok)
 
     def resolve(tok: _Token) -> int:
-        if tok.value not in by_ident:
-            raise p.error(f"reference to undefined node {tok.value!r}", tok, code="undefined-reference")
-        return by_ident[tok.value]
+        if tok[1] not in by_ident:
+            raise p.error(f"reference to undefined node {tok[1]!r}", tok, code="undefined-reference")
+        return by_ident[tok[1]]
 
     nodes: list[Node] = []
     for ident, name, cls, payload in defs:
@@ -214,7 +216,7 @@ def parse_act(text: str) -> Act:
             kind = CmGate(*map(resolve, payload))
         else:
             kind = cls(tuple(map(resolve, payload)))
-        nodes.append(Node(ident.value, name, kind))
+        nodes.append(Node(ident[1], name, kind))
 
     act = Act(title, resolve(root_tok), tuple(nodes))
     diagnostics = validate_act(act)
@@ -252,7 +254,23 @@ def serialize_act(act: Act) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _universal_newlines(text: str) -> str:
+    """``text`` with each ``\\r\\n`` and lone ``\\r`` turned into ``\\n``, as a file opened in text mode reads it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_act(path: str | os.PathLike) -> Act:
-    """Parse a model file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_act(fh.read())
+    """Parse a model file, read as UTF-8 with universal newlines.
+
+    Raises ActParseError (code ``syntax``) at the line and column of the
+    first byte that is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[:exc.start].decode("utf-8"))
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ActParseError(message, *_line_column(before, len(before))) from None
+    return parse_act(_universal_newlines(text))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from actkit.dsl import _ESCAPE, _TOKEN
 from actkit.errors import ActParseError
 from actkit.model import (
     Act,
@@ -502,12 +502,25 @@ def and_race_curve(attack_rates, detect_rate: float, mitigate_rate: float, times
     return out
 
 
+# One group per token kind, and one for a run of blanks or a comment, each
+# matched on its own
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
+  | (?P<punct>[{}();,=])
+  | "(?P<string>(?:[^"\\]|\\.)*)"
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>[+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
 def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
     """Every token of ``text`` as (kind, value, line, column), ending with 'eof', or the ActParseError it raises.
 
-    One anchored ``_TOKEN.match`` per token, counting lines as it goes, so
-    it shares only the token pattern with ``actkit.dsl._tokenize``, which
-    scans the text once and works out a position only for an error.
+    One anchored ``_TOKEN.match`` per token and per gap between tokens,
+    counting lines as it goes, so it shares no code with
+    ``actkit.dsl._tokenize``, which matches each token together with the
+    blanks before it and works out a position only for an error.
     """
     tokens = []
     pos, line, line_start = 0, 1, 0

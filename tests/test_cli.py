@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -548,3 +550,95 @@ def test_only_chain_code_loads_scipy(mia_path, tmp_path):
              f"assert 'scipy.sparse' in sys.modules and not {_HEAVY_SCIPY!r} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", parse], check=True, env=env)
 
+
+def test_non_utf8_model_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.act"
+    path.write_bytes(b'act "x" { root a; a = ATTACK(p=0.5); }\n\xff\n')
+    for argv in (["validate"], ["fmt"], ["dynamic", "--out", str(tmp_path / "out")]):
+        assert main([*argv, "--model", str(path)]) == 2
+        assert capsys.readouterr().err == "error: 2:1: byte 0xff is not UTF-8 (invalid start byte)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_builds_only_the_subparser_of_its_command(mini_path, monkeypatch, capsys):
+    from actkit import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser()
+    assert len(built) == 1 + len(cli._COMMANDS)
+    built.clear()
+    assert main(["validate", "--model", mini_path]) == 0
+    assert built == ["actkit", "actkit validate"]
+    assert capsys.readouterr().out.startswith("ok: 'Mini'")
+
+
+def _parsed(parser, argv, capsys):
+    """What ``parser`` makes of ``argv``: its namespace, or its exit code, stdout and stderr."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "m.act"], ["validate", "-h"], ["validate"], ["validate", "--model", "m", "extra"],
+    ["static-sweep", "--model", "m", "--grid", "0:1:5", "--format", "csv", "--scenario", "full"],
+    ["static-sweep", "--help"], ["static-sweep", "--model", "m", "--format", "xml"],
+    ["dynamic", "--model", "m", "--pleaf", "0.1", "--pleaf", "0.2", "--epsilon", "1e-3"], ["dynamic", "-h"],
+    ["dynamic", "--model", "m", "--pleaf", "x"], ["dynamic", "--model", "m", "--runs", "5"],
+    ["simulate", "--model", "m", "--runs", "10", "--seed", "3"], ["simulate", "-h"],
+    ["simulate", "--model", "m", "--runs", "1.5"], ["simulate", "--model", "m", "--scen", "full"],
+    ["rank", "--model", "m", "--t-star", "3"], ["rank", "-h"], ["rank", "--model", "m", "--bogus"],
+    ["export-ctmc", "--model", "m", "--state-cap", "9"], ["export-ctmc", "-h"], ["export-ctmc", "--state-cap", "9"],
+    ["fmt", "--model", "m"], ["fmt", "--model", "m", "-h"], ["fmt", "--model"],
+])
+def test_a_commands_own_subparser_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
+    from actkit import cli
+
+    monkeypatch.setenv("COLUMNS", "70")
+    assert _parsed(cli._parser(argv[0]), argv, capsys) == _parsed(cli.build_parser(), argv, capsys)
+
+
+def _mia_cli_argvs(model: str, out: str) -> list[list[str]]:
+    """The six commands of the `mia-cli` benchmark workload, with each output under ``out``."""
+    pleaf = ["--pleaf", "0.05", "--pleaf", "0.1", "--pleaf", "0.25"]
+    return [["static-sweep", "--model", model, "--out", f"{out}/static"],
+            ["dynamic", "--model", model, *pleaf, "--out", f"{out}/dat"],
+            ["dynamic", "--model", model, *pleaf, "--format", "json", "--out", f"{out}/json"],
+            ["simulate", "--model", model, *pleaf, "--format", "json", "--runs", "2000", "--seed", "7",
+             "--out", f"{out}/sim"],
+            ["rank", "--model", model, "--t-star", "2", "--out", f"{out}/rank"],
+            ["export-ctmc", "--model", model, "--out", f"{out}/ctmc"]]
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_commands_leave_no_state_behind(mia_path, tmp_path, capsys):
+    # the same commands, twice in one process and each in a process of its own, write the same bytes
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(out, ignore_errors=True)
+        stdouts = []
+        for argv in _mia_cli_argvs(mia_path, str(out)):
+            assert main(argv) == 0
+            stdouts.append(capsys.readouterr().out)
+        runs.append((stdouts, _outputs(out)))
+    src = str(Path(actkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    shutil.rmtree(out)
+    stdouts = [subprocess.run([sys.executable, "-m", "actkit.cli", *argv], check=True, capture_output=True,
+                              text=True, env=env).stdout
+               for argv in _mia_cli_argvs(mia_path, str(out))]
+    runs.append((stdouts, _outputs(out)))
+    assert len(runs[0][1]) == 3 + 9 + 9 + 9 + 1 + 1
+    assert runs[0] == runs[1] == runs[2]

@@ -169,7 +169,7 @@ def _scan(tokenize, text):
 
 
 def _one_scan(text):
-    return [(tok.kind, tok.value, *_line_column(text, tok.offset)) for tok in _tokenize(text)]
+    return [(kind, value, *_line_column(text, offset)) for kind, value, offset in _tokenize(text)]
 
 
 @settings(deadline=None, max_examples=500)
@@ -273,6 +273,28 @@ def test_load_act(tmp_path):
     path.write_text(MINIMAL, encoding="utf-8")
     act = load_act(path)
     assert act.title == "Demo"
+
+
+def test_load_act_reads_newlines_as_text_mode_does(tmp_path):
+    # a title may span lines: CRLF and a lone CR both read as one newline
+    path = tmp_path / "m.act"
+    path.write_bytes(b'act "two\r\nlines\rthree" {\r\n  root a;\r  a = ATTACK(p=0.5); }\r\n')
+    assert load_act(path) == parse_act('act "two\nlines\nthree" {\n  root a;\n  a = ATTACK(p=0.5); }\n')
+
+
+@pytest.mark.parametrize("data, line, column", [
+    (b'act "x" { root a; a = ATTACK(p=0.5); }\n\xff\n', 2, 1),
+    # columns count characters, not bytes, and a cut-off sequence is caught at its first byte
+    (b'act "x" {\r\n root a; a = ATTACK(p=0.5); } # \xc3\xa9 \xe2\x82', 2, 35),
+    (b'\x80', 1, 1),
+])
+def test_load_act_rejects_bytes_that_are_not_utf8(tmp_path, data, line, column):
+    path = tmp_path / "bad.act"
+    path.write_bytes(data)
+    with pytest.raises(ActParseError) as err:
+        load_act(path)
+    assert (err.value.code, err.value.line, err.value.column) == ("syntax", line, column)
+    assert "not UTF-8" in err.value.message
 
 
 def test_structural_errors_surface_as_validation():
