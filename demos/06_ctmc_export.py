@@ -24,7 +24,7 @@ act = load_bundled("mia")
 print("scenario      states  transitions")
 for scenario in Scenario:
     ctmc = compose(act, scenario)
-    print(f"{scenario.value:12s} {ctmc.n:7d} {ctmc.rates.nnz:12d}")
+    print(f"{scenario.value:12s} {ctmc.n:7d} {ctmc.data.size:12d}")
 
 # The chain serializes to a plain transition list, handy for diffing or
 # for feeding an external model checker.

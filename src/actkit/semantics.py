@@ -38,12 +38,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
 from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, _check_scenario, _faults
 
 if TYPE_CHECKING:
+    import numpy as np
     from scipy import sparse
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -139,16 +141,35 @@ def _rates(act: Act, gates: list[_Gate], scenario: Scenario) -> tuple[dict[int, 
 
 @dataclass(frozen=True)
 class Ctmc:
-    """Absorbing continuous-time Markov chain over a model's completions."""
+    """Absorbing continuous-time Markov chain over a model's completions.
+
+    The off-diagonal transition rates are the three arrays of a CSR matrix
+    of shape (n, n): the targets of state u are
+    ``indices[indptr[u]:indptr[u + 1]]``, increasing and each named once,
+    and ``data`` holds their rates. ``indptr`` and ``indices`` are int32 and
+    ``data`` float64, the dtypes scipy gives such a matrix. No transition
+    leads from a state to itself. These arrays are the only stored form of
+    the rates: ``rates`` wraps them in a scipy ``csr_matrix`` when first
+    read, sharing their memory, and keeps it.
+    """
 
     n: int
     init: int
-    rates: sparse.csr_matrix  # off-diagonal transition rates, shape (n, n)
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     goal: frozenset[int]
     blocked: frozenset[int]
     labels: tuple[str, ...]
     title: str | None = None
     scenario: Scenario | None = None
+
+    @cached_property
+    def rates(self) -> sparse.csr_matrix:
+        """The off-diagonal transition rates as a scipy ``csr_matrix``; loads scipy on first read."""
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def compose(
@@ -345,8 +366,12 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
 
 def _absorbing(states: list[int], edges: list[dict[int, float]], leaves: int, cms: int,
                title: str | None, scenario: Scenario) -> Ctmc:
-    """The chain of ``_explore``'s states with every state that cannot reach the goal merged into one."""
-    from scipy import sparse  # loaded by chain code only: the CLI's other commands start without it
+    """The chain of ``_explore``'s states with every state that cannot reach the goal merged into one.
+
+    Its rates go to numpy as CSR arrays of the dtypes scipy would pick, and
+    no scipy is loaded: exporting a chain needs none.
+    """
+    import numpy as np
 
     m = len(edges)
     reaches = [False] * m
@@ -397,24 +422,29 @@ def _absorbing(states: list[int], edges: list[dict[int, float]], leaves: int, cm
         else:
             digits = format(s, f"0{width}x")[::-1]
             labels.append("leaves=" + digits[:leaves] + (" cms=" + digits[leaves:] if cms else ""))
-    return Ctmc(n=n, init=0, rates=sparse.csr_matrix((data, indices, indptr), shape=(n, n)),
-                goal=frozenset({renumber[goal]} if kept else ()), blocked=frozenset(range(blocked, n)),
+    return Ctmc(n=n, init=0, indptr=np.array(indptr, dtype=np.int32), indices=np.array(indices, dtype=np.int32),
+                data=np.array(data, dtype=np.float64), goal=frozenset({renumber[goal]} if kept else ()),
+                blocked=frozenset(range(blocked, n)),
                 labels=tuple(labels) + ("blocked",) * (n - blocked), title=title, scenario=scenario)
 
 
 # -- plain-text export ----------------------------------------------------------
 
 def export_ctmc_text(ctmc: Ctmc) -> str:
-    """Transition list with init/goal/blocked header lines, one edge per line."""
+    """Transition list with init/goal/blocked header lines, one edge per line.
+
+    Edges are listed in the order of ``ctmc``'s CSR arrays, by source and
+    then target, and every rate prints as its ``repr``. Loads no scipy.
+    """
+    import numpy as np
+
     lines = [f"#states {ctmc.n}", f"#init {ctmc.init}"]
     lines.append("#goal" + "".join(f" {i}" for i in sorted(ctmc.goal)))
     lines.append("#blocked" + "".join(f" {i}" for i in sorted(ctmc.blocked)))
     for i, label in enumerate(ctmc.labels):
         lines.append(f"#label {i} {label}")
-    coo = ctmc.rates.tocoo()
-    triples = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-    for src, dst, rate in triples:
-        lines.append(f"{src} {dst} {rate!r}")
+    sources = np.repeat(np.arange(ctmc.n), np.diff(ctmc.indptr)).tolist()
+    lines += [f"{src} {dst} {rate!r}" for src, dst, rate in zip(sources, ctmc.indices.tolist(), ctmc.data.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -422,10 +452,15 @@ def parse_ctmc_text(text: str) -> Ctmc:
     """Read a transition list produced by export_ctmc_text.
 
     Without a ``#states`` line, n is one more than the highest state a
-    transition names. Raises ActParseError (code ``syntax``, column 1) at the
-    first line with a wrong field count, a state that is not an integer in
-    [0, n), a rate that is negative or not finite, or a transition from a
-    state to itself: ``Ctmc.rates`` holds off-diagonal rates only.
+    transition names. Lines that repeat a (source, target) pair are one
+    transition whose rate is their sum, and a rate of 0 is kept as a
+    transition: its exit rate and its goal probability are those of the
+    chain without that line, but it is exported again. Raises ActParseError
+    (code ``syntax``, column 1) at the first line with a wrong field count, a
+    state that is not an integer in [0, n), a rate that is negative or not
+    finite, or a transition from a state to itself: ``Ctmc`` holds
+    off-diagonal rates only. Loads scipy, whose COO-to-CSR conversion puts
+    the transitions into that form.
     """
     n = None
     init = 0
@@ -478,6 +513,7 @@ def parse_ctmc_text(text: str) -> Ctmc:
     from scipy import sparse
 
     rows, cols, data = map(list, zip(*triples)) if triples else ([], [], [])
-    return Ctmc(n=n, init=init, rates=sparse.csr_matrix((data, (rows, cols)), shape=(n, n)),
+    rates = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return Ctmc(n=n, init=init, indptr=rates.indptr, indices=rates.indices, data=rates.data,
                 goal=frozenset(marked["goal"]), blocked=frozenset(marked["blocked"]),
                 labels=tuple(labels.get(i, f"s{i}") for i in range(n)))

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -113,14 +113,17 @@ def _check_epsilon(epsilon: float) -> None:
 def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1e-9) -> CurveResult:
     """P[goal reached by t] for each grid point, within ``epsilon``.
 
-    Every goal state is read as absorbing: an imported chain may give one
-    exits, and mass that reached the goal stays counted. The transposed jump
-    matrix gets two more rows, one over the goal states and one over the
-    absorbing states, so each jump is one call of scipy's CSR mat-vec kernel
-    that moves the distribution on and reads both masses of the one it
-    moved. The call writes into one of two preallocated vectors, which swap
-    roles, and the goal masses fill a buffer that grows with the jumps
-    taken, so memory stays O(n + jumps) whatever the horizon.
+    The solver reads the chain's CSR arrays and builds no scipy matrix:
+    ``Ctmc.rates`` is not read, and the one scipy name it loads is the
+    mat-vec kernel. Every goal state is read as absorbing: an imported chain
+    may give one exits, which are filtered out of the arrays, and mass that
+    reached the goal stays counted. The transposed jump matrix gets two more
+    rows, one over the goal states and one over the absorbing states, so
+    each jump is one call of scipy's CSR mat-vec kernel that moves the
+    distribution on and reads both masses of the one it moved. The call
+    writes into one of two preallocated vectors, which swap roles, and the
+    goal masses fill a buffer that grows with the jumps taken, so memory
+    stays O(n + jumps) whatever the horizon.
 
     Parameters
     ----------
@@ -145,18 +148,20 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         "model": ctmc.title,
     }
     n = ctmc.n
+    indptr, indices, data = ctmc.indptr, ctmc.indices, ctmc.data
     # the row sums scipy's ``sum(axis=1)`` forms, without its matrix round trip
-    rates = ctmc.rates.tocsr()  # the matrix itself when it is CSR already
-    busy = np.flatnonzero(np.diff(rates.indptr))
+    busy = np.flatnonzero(np.diff(indptr))
     exit_rates = np.zeros(n)
-    exit_rates[busy] = np.add.reduceat(rates.data, rates.indptr[busy])
+    exit_rates[busy] = np.add.reduceat(data, indptr[busy])
     if exit_rates[goal].any():  # only an imported chain leaves its goal
-        rates = rates.copy()
+        counts = np.diff(indptr)
         in_goal = np.zeros(n, dtype=bool)
         in_goal[goal] = True
-        rates.data[in_goal[np.repeat(np.arange(n), np.diff(rates.indptr))]] = 0.0
-        rates.eliminate_zeros()
-        ctmc = replace(ctmc, rates=rates)
+        stay = ~np.repeat(in_goal, counts)
+        indices, data = indices[stay], data[stay]
+        counts[goal] = 0
+        indptr = np.zeros_like(indptr)
+        np.cumsum(counts, out=indptr[1:])
         exit_rates[goal] = 0.0
     rate = float(exit_rates.max(initial=0.0))
     init_in_goal = 1.0 if ctmc.init in ctmc.goal else 0.0
@@ -164,7 +169,7 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         ys = tuple(init_in_goal if goal.size else 0.0 for _ in ts)
         return CurveResult(tuple(ts), ys, ctmc.scenario, meta)
 
-    PT = _jump_transpose(ctmc, exit_rates, rate)
+    indptr, indices, data = _jump_transpose(indptr, indices, data, exit_rates, rate)
 
     if not ts[-1] < 2.0**53 / rate:  # past this, doubles no longer count the jumps
         raise DomainError(f"uniformization at rate {rate:g} to t = {ts[-1]:g} takes too many jumps")
@@ -175,10 +180,10 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     # row n sums the goal states and row n + 1 the absorbing ones, in index
     # order; the leftover transient mass is one minus the absorbed mass
     absorbing = np.flatnonzero(exit_rates == 0.0)
-    itype = PT.indices.dtype
-    indptr = np.concatenate((PT.indptr, PT.indptr[-1] + np.array([goal.size, goal.size + absorbing.size], itype)))
-    indices = np.concatenate((PT.indices, goal.astype(itype), absorbing.astype(itype)))
-    data = np.concatenate((PT.data, np.ones(goal.size + absorbing.size)))
+    itype = indices.dtype
+    indptr = np.concatenate((indptr, indptr[-1] + np.array([goal.size, goal.size + absorbing.size], itype)))
+    indices = np.concatenate((indices, goal.astype(itype), absorbing.astype(itype)))
+    data = np.concatenate((data, np.ones(goal.size + absorbing.size)))
 
     v = np.zeros(n + 2)
     v[ctmc.init] = 1.0
@@ -209,8 +214,9 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     return CurveResult(tuple(ts), tuple(float(y) for y in ys), ctmc.scenario, meta)
 
 
-def _jump_transpose(ctmc: Ctmc, exit_rates: np.ndarray, rate: float):
-    """Transpose of ``ctmc``'s jump chain uniformized at ``rate``, as one CSR build from its CSR arrays.
+def _jump_transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, exit_rates: np.ndarray,
+                    rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of the transposed jump chain of the rates ``indptr``, ``indices``, ``data``, uniformized at ``rate``.
 
     Off the diagonal the chain's rates times 1/rate, the product scipy
     forms for a division by a scalar; on it 1 - exit rate/rate, left out
@@ -218,22 +224,20 @@ def _jump_transpose(ctmc: Ctmc, exit_rates: np.ndarray, rate: float):
     documents and ``parse_ctmc_text`` checks: one would count in
     ``exit_rates`` but be dropped here, and the solver would lose its mass.
     Entries are sorted by row and then column, as scipy's own conversions
-    leave them.
+    leave them, and keep the input's index dtype.
     """
-    from scipy import sparse
-
-    rates, n = ctmc.rates.tocsr(), ctmc.n
-    cols = np.repeat(np.arange(n, dtype=rates.indices.dtype), np.diff(rates.indptr))  # the transpose's columns
-    off = cols != rates.indices
+    n = indptr.size - 1
+    cols = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))  # the transpose's columns
+    off = cols != indices
     stay = 1.0 - exit_rates / rate
     kept = np.flatnonzero(stay).astype(cols.dtype)  # int64 would widen every index array below
-    data = np.concatenate((rates.data[off] * (1.0 / rate), stay[kept]))
-    rows = np.concatenate((rates.indices[off], kept))
+    data = np.concatenate((data[off] * (1.0 / rate), stay[kept]))
+    rows = np.concatenate((indices[off], kept))
     cols = np.concatenate((cols[off], kept))
     order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=cols.dtype)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sparse.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+    return indptr, cols[order], data[order]
 
 
 def _poisson_windows(mus: np.ndarray, tail: float) -> tuple[np.ndarray, np.ndarray]:

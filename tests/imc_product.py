@@ -57,7 +57,7 @@ def _chain(builder, state_cap: int, title: str | None, scenario: Scenario | None
     cannot reach the goal the chain is that one blocked state. Raises
     StateSpaceLimit when more than ``state_cap`` states are reachable.
     """
-    from scipy import sparse  # loaded by chain code only: the CLI's other commands start without it
+    from scipy import sparse
 
     init = builder.initial()
     index: dict[object, int] = {init: 0}
@@ -118,7 +118,8 @@ def _chain(builder, state_cap: int, title: str | None, scenario: Scenario | None
             data.append(merged)
         indptr.append(len(indices))
     indptr += [len(indices)] * (n - blocked)
-    return Ctmc(n=n, init=0, rates=sparse.csr_matrix((data, indices, indptr), shape=(n, n)),
+    rates = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return Ctmc(n=n, init=0, indptr=rates.indptr, indices=rates.indices, data=rates.data,
                 goal=frozenset({renumber[goal]} if kept else ()), blocked=frozenset(range(blocked, n)),
                 labels=tuple(labels[u] for u in kept) + ("blocked",) * (n - blocked),
                 title=title, scenario=scenario)

@@ -19,6 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from actkit.errors import ActParseError
 from actkit.model import (
@@ -434,11 +435,30 @@ def branch_curves(m: int, chain_of_branch, times) -> np.ndarray:
                      for i in range(m)])
 
 
-def jump_transpose_lil(ctmc, exit_rates, rate):
-    """Transposed uniformized jump matrix of ``ctmc``, built through LIL ``setdiag``."""
-    P = (ctmc.rates / rate).tolil()
+def coo_export_text(ctmc) -> str:
+    """``export_ctmc_text`` as it was written over scipy: the ``rates.tocoo()`` triples, sorted."""
+    lines = [f"#states {ctmc.n}", f"#init {ctmc.init}"]
+    lines.append("#goal" + "".join(f" {i}" for i in sorted(ctmc.goal)))
+    lines.append("#blocked" + "".join(f" {i}" for i in sorted(ctmc.blocked)))
+    for i, label in enumerate(ctmc.labels):
+        lines.append(f"#label {i} {label}")
+    coo = ctmc.rates.tocoo()
+    triples = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    for src, dst, rate in triples:
+        lines.append(f"{src} {dst} {rate!r}")
+    return "\n".join(lines) + "\n"
+
+
+def jump_transpose_lil(indptr, indices, data, exit_rates, rate):
+    """CSR arrays of the transposed uniformized jump matrix of the rates ``indptr``, ``indices``, ``data``.
+
+    Built through scipy's LIL ``setdiag``, then a CSR transpose.
+    """
+    n = indptr.size - 1
+    P = (scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)) / rate).tolil()
     P.setdiag(1.0 - exit_rates / rate)
-    return P.tocsr().T.tocsr()
+    PT = P.tocsr().T.tocsr()
+    return PT.indptr, PT.indices, PT.data
 
 
 def dot_loop_transient(ctmc, times, epsilon: float = 1e-9) -> tuple[tuple[float, ...], dict]:
@@ -460,7 +480,8 @@ def dot_loop_transient(ctmc, times, epsilon: float = 1e-9) -> tuple[tuple[float,
     rate = float(exit_rates.max(initial=0.0))
     if rate == 0.0 or not goal.size:
         return tuple(float(ctmc.init in ctmc.goal) for _ in ts), meta
-    PT = _jump_transpose(ctmc, exit_rates, rate)
+    indptr, indices, data = _jump_transpose(ctmc.indptr, ctmc.indices, ctmc.data, exit_rates, rate)
+    PT = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ctmc.n, ctmc.n))
     mus = rate * ts
     lo, hi = _poisson_windows(mus, epsilon / 4.0)
     right = int(hi[-1])

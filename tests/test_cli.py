@@ -519,7 +519,7 @@ def test_fmt_round_trip(mia_path, capsys):
     assert first.startswith('act "Malicious Insider Attack" {')
 
 
-# scipy modules no command loads: each adds megabytes to a fresh process
+# scipy modules that `Ctmc.rates`, the solver and `parse_ctmc_text` never load: each adds megabytes to a process
 _HEAVY_SCIPY = {"scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg", "scipy.integrate"}
 
 _ONLY_CHAINS_LOAD_SCIPY = """
@@ -528,24 +528,37 @@ import sys
 import actkit, actkit.cli
 from actkit.cli import main
 
-model, out, *heavy = sys.argv[1:]
-assert "scipy" not in sys.modules
+model, out, reader, *heavy = sys.argv[1:]
+
+
+def scipy_loaded():
+    return [name for name in sys.modules if name.startswith("scipy")]
+
+
+assert not scipy_loaded()
 for argv in (["validate"], ["static-sweep", "--out", out], ["dynamic", "--out", out],
-             ["simulate", "--runs", "200", "--out", out], ["rank"]):
+             ["simulate", "--runs", "200", "--out", out], ["rank"], ["export-ctmc", "--out", out]):
     assert main([*argv, "--model", model]) == 0
-    assert "scipy" not in sys.modules, argv[0]
-assert main(["export-ctmc", "--model", model]) == 0
+    assert not scipy_loaded(), (argv[0], scipy_loaded())
+ctmc = actkit.compose(actkit.load_act(model))
+actkit.export_ctmc_text(ctmc)
+assert not scipy_loaded(), scipy_loaded()
+if reader == "rates":
+    ctmc.rates
+else:
+    actkit.transient_probability(ctmc, [1.0])
 assert "scipy.sparse" in sys.modules
 assert not set(heavy) & set(sys.modules), set(heavy) & set(sys.modules)
 """
 
 
 def test_only_chain_code_loads_scipy(mia_path, tmp_path):
-    # scipy costs about half of a fresh process's start-up, and only chains need it
+    # scipy costs about half of a fresh process's start-up, and only the scipy matrix and the solver need it
     src = str(Path(actkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-c", _ONLY_CHAINS_LOAD_SCIPY, mia_path, str(tmp_path), *_HEAVY_SCIPY],
-                   check=True, capture_output=True, env=env)
+    for reader in ("rates", "solver"):
+        subprocess.run([sys.executable, "-c", _ONLY_CHAINS_LOAD_SCIPY, mia_path, str(tmp_path), reader, *_HEAVY_SCIPY],
+                       check=True, capture_output=True, env=env)
     parse = ("import sys, actkit; actkit.parse_ctmc_text('#states 1\\n#init 0\\n'); "
              f"assert 'scipy.sparse' in sys.modules and not {_HEAVY_SCIPY!r} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", parse], check=True, env=env)

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from actkit import load_bundled, semantics
 from actkit.cli import main
@@ -39,8 +40,8 @@ from actkit.transient import goal_curve, goal_curves, simulate, simulate_curves,
 
 from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
 from oracles import (
-    and_of_ors, expm_transient, guarded_branch, guarded_or, malformed_act, race_probability, random_act,
-    reverse_children,
+    and_of_ors, coo_export_text, expm_transient, guarded_branch, guarded_or, malformed_act, race_probability,
+    random_act, reverse_children,
 )
 
 
@@ -268,6 +269,43 @@ def test_parse_infers_the_state_count():
     assert ctmc.n == 3 and ctmc.init == 0 and ctmc.goal == frozenset({2})
     assert ctmc.labels == ("s0", "two  words", "s2")
     assert ctmc.rates.toarray().tolist() == [[0.0, 0.5, 1.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+def test_chain_arrays_match_the_scipy_matrix_and_the_coo_export():
+    # the CSR arrays are what scipy builds from the same lists, and the export keeps the sorted-triple bytes
+    rng = random.Random(2026)
+    chains = [compose(random_act(rng, max_leaves=8), s) for _ in range(60) for s in Scenario]
+    chains += [compose(load_bundled("mia"), s) for s in Scenario]
+    chains += [compose(and_of_ors(k)) for k in range(1, 9)]
+    for ctmc in chains:
+        want = sparse.csr_matrix((ctmc.data.tolist(), ctmc.indices.tolist(), ctmc.indptr.tolist()),
+                                 shape=(ctmc.n, ctmc.n))
+        assert export_ctmc_text(ctmc) == coo_export_text(ctmc)
+        got = ctmc.rates
+        assert got is ctmc.rates  # built once, on first read
+        assert got.shape == want.shape
+        assert got.indices.dtype == got.indptr.dtype == want.indices.dtype == want.indptr.dtype == np.int32
+        for field in ("indptr", "indices", "data"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert getattr(got, field).tobytes() == getattr(ctmc, field).tobytes()
+
+
+def test_parse_sums_repeated_transitions_and_keeps_zero_rates():
+    # scipy's COO-to-CSR conversion sums a repeated (source, target) pair and keeps an explicit 0.0
+    text = "#states 4\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 3 1.0\n2 3 0.5\n0 1 1.0\n3 0 4.0\n"
+    ctmc = parse_ctmc_text(text)
+    assert ctmc.indptr.tolist() == [0, 2, 3, 4, 5]
+    assert ctmc.indices.tolist() == [1, 2, 3, 3, 0]
+    assert ctmc.data.tolist() == [3.0, 0.0, 1.0, 0.5, 4.0]
+    assert ctmc.rates.nnz == 5 and ctmc.rates.has_canonical_format
+    exported = export_ctmc_text(ctmc)
+    assert exported.endswith("0 1 3.0\n0 2 0.0\n1 3 1.0\n2 3 0.5\n3 0 4.0\n")
+    assert exported == coo_export_text(ctmc)
+    assert export_ctmc_text(parse_ctmc_text(exported)) == exported
+    # the zero rate, the goal's exit and the split rate leave the curve's bits as the plain chain gives them
+    plain = parse_ctmc_text("#states 4\n#init 0\n#goal 3\n0 1 3.0\n1 3 1.0\n2 3 0.5\n")
+    ts = [0.0, 0.5, 1.0, 2.0, 5.0]
+    assert transient_probability(ctmc, ts).ys == transient_probability(plain, ts).ys
 
 
 @pytest.mark.parametrize("text, line", [

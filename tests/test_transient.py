@@ -887,10 +887,11 @@ def test_jump_matrix_matches_the_lil_construction(monkeypatch):
         exit_rates = np.asarray(ctmc.rates.sum(axis=1)).ravel()
         rate = float(exit_rates.max())
         if rate > 0.0:
-            got = transient._jump_transpose(ctmc, exit_rates, rate)
-            want = jump_transpose_lil(ctmc, exit_rates, rate)
-            for field in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, field), getattr(want, field))
+            arrays = ctmc.indptr, ctmc.indices, ctmc.data
+            got = transient._jump_transpose(*arrays, exit_rates, rate)
+            want = jump_transpose_lil(*arrays, exit_rates, rate)
+            for mine, theirs in zip(got, want):
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
     ts = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
     curves = [transient_probability(ctmc, ts) for ctmc in chains]
     monkeypatch.setattr(transient, "_jump_transpose", jump_transpose_lil)
