@@ -3,13 +3,12 @@ Building and validating attack countermeasure trees
 ====================================================
 
 Construct a small model two ways (builder API and text format), check it,
-and see what the defender scenarios do to it.
+and see what each defender scenario reads from it.
 """
 
 from actkit import (
     Scenario,
     and_gate,
-    apply_scenario,
     attack,
     build_act,
     cm_gate,
@@ -17,8 +16,10 @@ from actkit import (
     mitigate,
     parse_act,
     serialize_act,
+    static_probability,
     validate_act,
 )
+from actkit.semantics import collect_rates
 
 # A server is compromised when the exploit lands AND the intrusion
 # countermeasure (detector followed by a mitigation) does not stop it.
@@ -39,11 +40,14 @@ print()
 print(text)
 assert serialize_act(parse_act(text)) == text
 
-# Scenarios rewrite the defender's side before an analysis:
-#   no-cm       strips every countermeasure gate
-#   detect-only keeps detection but makes mitigation instantaneous
-#   full        the model as written
+# Every analysis reads the model as written and takes the scenario as the law
+# of each countermeasure, in rates per hour:
+#   full        detection, then mitigation
+#   detect-only detection, then instant mitigation
+#   no-cm       no law, so the countermeasure's AND gate is a plain AND
 for scenario in Scenario:
-    resolved = apply_scenario(act, scenario)
-    cms = sum(1 for _ in resolved.cm_gates())
-    print(f"{scenario.value:12s} -> {len(resolved.nodes)} nodes, {cms} countermeasure(s)")
+    _, cm_laws = collect_rates(act, scenario)
+    laws = [f"{act.nodes[nid].name} (detect {law.detect:.3g}/h, mitigate "
+            + ("instantly)" if law.mitigate is None else f"{law.mitigate:.3g}/h)")
+            for nid, law in cm_laws.items()]
+    print(f"{scenario.value:12s} P(goal) = {static_probability(act, scenario):.4f}, laws: {', '.join(laws) or 'none'}")

@@ -2,19 +2,20 @@
 
 Commands mirror the library: ``validate``, ``static-sweep``, ``dynamic``
 (``goal_curve``), ``simulate`` (Monte Carlo), ``rank``, ``export-ctmc`` and
-``fmt``. Each timed command binds its method when the parser is built and
-takes only that method's options: ``dynamic`` the solver's ``--epsilon``,
-``simulate`` ``--runs`` and ``--seed``. Only ``export-ctmc`` builds a chain,
-so only it takes ``--state-cap``. Data files use two whitespace-separated
-columns with ``#`` comment lines, numbers are printed with six significant
-digits, and repeated runs with identical flags produce byte-identical
-outputs. A timed command asks for every (scenario, ``--pleaf``) curve in
-one call, which reads the model's gate table once: ``dynamic`` solves
-every curve in that call, and ``simulate`` draws each event once per call
-and folds every curve from those draws, so all its curves are positively
-correlated (common random numbers). Each file still matches a
-single-``--scenario``, single-``--pleaf`` run (with the same ``--seed``)
-byte for byte.
+``fmt``. Each timed command runs one method and takes only that method's
+options: ``dynamic`` the solver's ``--epsilon``, ``simulate`` ``--runs``
+and ``--seed``. Only ``export-ctmc`` builds a chain, so only it takes
+``--state-cap``. Data files use two whitespace-separated columns with
+``#`` comment lines, CSV files a header row, and JSON files
+``json.dumps(..., sort_keys=True, indent=2)``; numbers in tables are
+printed with six significant digits, and repeated runs with identical
+flags produce byte-identical outputs. A timed command asks for every
+(scenario, ``--pleaf``) curve in one call, which reads the model's gate
+table once: ``dynamic`` solves every curve in that call, and ``simulate``
+draws each event once per call and folds every curve from those draws, so
+all its curves are positively correlated (common random numbers). Each
+file still matches a single-``--scenario``, single-``--pleaf`` run (with
+the same ``--seed``) byte for byte.
 
 ``main`` builds the subparser of the command its argv names and no other
 (help, and a missing or unknown command, get them all), and the model is
@@ -49,7 +50,7 @@ from .model import Scenario, with_attack_probability
 from .ranking import rank_countermeasures
 from .semantics import DEFAULT_STATE_CAP, compose, export_ctmc_text
 from .statics import sweep_pleaf
-from .transient import CurveResult, goal_curves, simulate_curves
+from .transient import goal_curves, simulate_curves
 
 _SCENARIOS = [s.value for s in Scenario]
 _DEFAULT_PLEAF = (0.05, 0.1, 0.25)
@@ -86,49 +87,16 @@ def _write(path: Path, text: str) -> None:
     print(path)
 
 
-def _table_text(comment: str, col_names: tuple[str, str], xs, ys, fmt: str) -> str:
-    if fmt == "dat":
-        lines = [f"# {comment}"]
-        lines += [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys)]
-    else:
-        lines = [",".join(col_names)]
-        lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
-    return "\n".join(lines) + "\n"
+def _result_text(fmt: str, payload: dict, comment: str, columns: tuple[str, str], xs, ys) -> str:
+    """The ``fmt`` text of one result: ``payload`` as JSON, or ``xs`` against ``ys`` as a table.
 
-
-def _json_text(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` and a newline, through the C encoder.
-
-    The standard library lays out ``indent`` with its pure-Python encoder.
-    This writes the same lines, and hands each scalar and each list of
-    scalars to the C encoder, with the line break and indent as the item
-    separator. Every key must be a string.
+    A ``dat`` table opens with ``comment`` as a ``#`` line, a ``csv`` table
+    with ``columns`` as its header row.
     """
-    return _indented(value, "\n") + "\n"
-
-
-def _indented(value, newline: str) -> str:
-    """``value`` as ``_json_text`` lays it out, at the indent that follows ``newline``."""
-    inner = newline + "  "
-    if isinstance(value, dict) and value:
-        items = (f"{json.dumps(key)}: {_indented(item, inner)}" for key, item in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)) and value:
-        if any(isinstance(item, (dict, list, tuple)) for item in value):
-            return "[" + inner + ("," + inner).join(_indented(item, inner) for item in value) + newline + "]"
-        return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + newline + "]"
-    return json.dumps(value)
-
-
-def _curve_json(curve: CurveResult) -> str:
-    payload = {
-        "scenario": curve.scenario.value if curve.scenario else None,
-        "xs": list(curve.xs),
-        "ys": list(curve.ys),
-        "halfwidths": list(curve.halfwidths) if curve.halfwidths else None,
-        "meta": curve.meta,
-    }
-    return _json_text(payload)
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    sep, header = (" ", f"# {comment}") if fmt == "dat" else (",", ",".join(columns))
+    return "\n".join([header, *(f"{_fmt(x)}{sep}{_fmt(y)}" for x, y in zip(xs, ys))]) + "\n"
 
 
 def cmd_validate(args) -> int:
@@ -149,21 +117,11 @@ def cmd_static_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     out = _out_dir(args)
     for result in sweep_pleaf(act, grid, _scenarios(args)):
-        name = f"static_{result.scenario.value}.{args.format}"
-        if args.format == "json":
-            payload = {
-                "scenario": result.scenario.value,
-                "grid": list(result.grid),
-                "pgoal": list(result.pgoal),
-                "model": act.title,
-            }
-            text = _json_text(payload)
-        else:
-            text = _table_text(
-                f"{act.title} | scenario={result.scenario.value} | static sweep",
-                ("Pleaf", "Pgoal"), result.grid, result.pgoal, args.format,
-            )
-        _write(out / name, text)
+        scenario = result.scenario.value
+        payload = {"scenario": scenario, "grid": result.grid, "pgoal": result.pgoal, "model": act.title}
+        text = _result_text(args.format, payload, f"{act.title} | scenario={scenario} | static sweep",
+                            ("Pleaf", "Pgoal"), result.grid, result.pgoal)
+        _write(out / f"static_{scenario}.{args.format}", text)
     return 0
 
 
@@ -173,22 +131,23 @@ def cmd_timed(args) -> int:
     pleafs = args.pleaf or _DEFAULT_PLEAF
     acts = {pleaf: with_attack_probability(act, pleaf) for pleaf in pleafs}
     # every curve is computed before the first file is written, so a failing
-    # (scenario, pleaf) pair leaves no partial output behind
+    # (scenario, pleaf) pair leaves no partial output behind; one call over
+    # every pair reads the gate table once
     pairs = [(scenario, pleaf) for scenario in _scenarios(args) for pleaf in pleafs]
-    curves = args.curves(args, acts, pairs, grid)
-    for (_, pleaf), curve in zip(pairs, curves):
-        curve.meta["pleaf"] = pleaf
+    models = [(scenario, acts[pleaf]) for scenario, pleaf in pairs]
+    if args.command == "dynamic":
+        curves = [curve for curve, _ in goal_curves(acts[pleafs[0]], grid, args.epsilon, models)]
+    else:
+        curves = simulate_curves(acts[pleafs[0]], grid, args.runs, args.seed, models)
     out = _out_dir(args)
     for (scenario, pleaf), curve in zip(pairs, curves):
-        name = f"dynamic_{scenario.value}_p{pleaf:g}.{args.format}"
-        if args.format == "json":
-            text = _curve_json(curve)
-        else:
-            text = _table_text(
-                f"{act.title} | scenario={scenario.value} | pleaf={pleaf:g} | {curve.meta['method']}",
-                ("Time", "Pgoal"), curve.xs, curve.ys, args.format,
-            )
-        _write(out / name, text)
+        curve.meta["pleaf"] = pleaf
+        payload = {"scenario": scenario.value, "xs": curve.xs, "ys": curve.ys,
+                   "halfwidths": curve.halfwidths, "meta": curve.meta}
+        text = _result_text(args.format, payload,
+                            f"{act.title} | scenario={scenario.value} | pleaf={pleaf:g} | {curve.meta['method']}",
+                            ("Time", "Pgoal"), curve.xs, curve.ys)
+        _write(out / f"dynamic_{scenario.value}_p{pleaf:g}.{args.format}", text)
     return 0
 
 
@@ -208,7 +167,8 @@ def cmd_rank(args) -> int:
             {"name": e.name, "pgoal_with": e.pgoal_with, "pgoal_without": e.pgoal_without, "delta": e.delta}
             for e in effects
         ]
-        _write(out / "rank.json", _json_text({"t_star": args.t_star, "ranking": payload}))
+        text = json.dumps({"t_star": args.t_star, "ranking": payload}, sort_keys=True, indent=2) + "\n"
+        _write(out / "rank.json", text)
     return 0
 
 
@@ -231,18 +191,6 @@ def cmd_fmt(args) -> int:
     return 0
 
 
-def _solved(args, acts, pairs, grid) -> list[CurveResult]:
-    """One ``goal_curves`` call over every (scenario, ``--pleaf``) pair, off one gate table."""
-    curves = goal_curves(acts[pairs[0][1]], grid, args.epsilon, [(scenario, acts[pleaf]) for scenario, pleaf in pairs])
-    return [curve for curve, _ in curves]
-
-
-def _simulated(args, acts, pairs, grid) -> list[CurveResult]:
-    """One ``simulate_curves`` call over every (scenario, ``--pleaf``) pair, off one gate table."""
-    return simulate_curves(acts[pairs[0][1]], grid, args.runs, args.seed,
-                           [(scenario, acts[pleaf]) for scenario, pleaf in pairs])
-
-
 def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> None:
     """Add --model and, unless ``scenario`` is None, --scenario with that default."""
     p.add_argument("--model", required=True, help="path to a model file")
@@ -251,18 +199,15 @@ def _add_common(p: argparse.ArgumentParser, *, scenario: str | None = "all") -> 
                        help=f"defender scenario, repeatable (default: {scenario})")
 
 
-def _timed_options(p: argparse.ArgumentParser, curves) -> None:
-    """Add the options of a timed command that writes ``curves(args, acts, pairs, grid)``, one curve per (scenario, pleaf) pair.
-
-    ``acts`` maps each pleaf to its model.
-    """
+def _timed_options(p: argparse.ArgumentParser) -> None:
+    """Add the options that ``dynamic`` and ``simulate`` share; ``cmd_timed`` writes one curve per (scenario, pleaf) pair."""
     _add_common(p)
     p.add_argument("--pleaf", action="append", type=float,
                    help="attack-leaf probability, repeatable (default 0.05 0.1 0.25)")
     p.add_argument("--grid", default="0:10:101", help="time grid START:STOP:STEPS in hours (default 0:10:101)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("dat", "csv", "json"), default="dat")
-    p.set_defaults(func=cmd_timed, curves=curves)
+    p.set_defaults(func=cmd_timed)
 
 
 def _validate_options(p: argparse.ArgumentParser) -> None:
@@ -279,12 +224,12 @@ def _static_sweep_options(p: argparse.ArgumentParser) -> None:
 
 
 def _dynamic_options(p: argparse.ArgumentParser) -> None:
-    _timed_options(p, _solved)
+    _timed_options(p)
     p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
 
 
 def _simulate_options(p: argparse.ArgumentParser) -> None:
-    _timed_options(p, _simulated)
+    _timed_options(p)
     p.add_argument("--runs", type=int, default=100_000, help="simulation runs")
     p.add_argument("--seed", type=int, default=1, help="simulation seed")
 
@@ -338,10 +283,6 @@ def _parser(only: str | None = None) -> argparse.ArgumentParser:
         helptext, add_options = _COMMANDS[name]
         add_options(sub.add_parser(name, help=helptext))
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parser()
 
 
 def main(argv=None) -> int:

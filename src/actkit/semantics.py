@@ -139,7 +139,7 @@ def _rates(act: Act, gates: list[_Gate], scenario: Scenario) -> tuple[dict[int, 
 
 # -- composed chain ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ctmc:
     """Absorbing continuous-time Markov chain over a model's completions.
 
@@ -150,7 +150,8 @@ class Ctmc:
     ``data`` float64, the dtypes scipy gives such a matrix. No transition
     leads from a state to itself. These arrays are the only stored form of
     the rates: ``rates`` wraps them in a scipy ``csr_matrix`` when first
-    read, sharing their memory, and keeps it.
+    read, sharing their memory, and keeps it. Chains compare and hash by
+    identity, since arrays have no single truth value.
     """
 
     n: int

@@ -6,16 +6,14 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import actkit
 from actkit import load_bundled, parse_act
-from actkit.cli import _curve_json, _json_text, main
+from actkit.cli import main
 from actkit.dsl import serialize_act
 from actkit.model import Scenario, with_attack_probability
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
@@ -252,34 +250,22 @@ def test_csv_and_json_formats(mia_path, tmp_path):
         assert payload["pgoal"] == pytest.approx(table[:, 1], rel=1e-5, abs=1e-12)
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@settings(deadline=None, max_examples=300)
-@given(_JSON)
-def test_json_text_lays_out_what_the_standard_encoder_does(value):
-    # nested and empty containers, NaN and infinities, escapes and non-ASCII text
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
-
-
 def test_curve_json_keeps_the_standard_layout(mia_path, tmp_path):
-    mia = load_bundled("mia")
-    ts = np.linspace(0.0, 10.0, 101)
-    ((solved, _),) = goal_curves(mia, ts, 1e-9, [(Scenario.FULL, None)])
-    (simulated,) = simulate_curves(mia, ts, 1000, 7, [(Scenario.DETECT_ONLY, None)])
-    for curve in (solved, simulated, replace(simulated, halfwidths=None)):
-        payload = {
-            "scenario": curve.scenario.value,
-            "xs": list(curve.xs),
-            "ys": list(curve.ys),
-            "halfwidths": list(curve.halfwidths) if curve.halfwidths else None,
-            "meta": curve.meta,
-        }
-        assert _curve_json(curve) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a curve's file holds the curve the library computes for its (scenario, pleaf) pair
+    grid = np.linspace(0.0, 5.0, 11)
+    act = with_attack_probability(load_bundled("mia"), 0.1)
+    ((solved, _),) = goal_curves(act, grid, 1e-6, [(Scenario.FULL, act)])
+    (simulated,) = simulate_curves(act, grid, 500, 7, [(Scenario.DETECT_ONLY, act)])
+    for argv, curve in ((["dynamic", "--scenario", "full"], solved),
+                        (["simulate", "--scenario", "detect-only", "--runs", "500", "--seed", "7"], simulated)):
+        out = tmp_path / "one" / argv[0]
+        assert main([*argv, "--model", mia_path, "--pleaf", "0.1", "--grid", "0:5:11", "--format", "json",
+                     "--out", str(out)]) == 0
+        (path,) = out.iterdir()
+        halfwidths = list(curve.halfwidths) if curve.halfwidths else None
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "scenario": curve.scenario.value, "xs": list(curve.xs), "ys": list(curve.ys),
+            "halfwidths": halfwidths, "meta": {**curve.meta, "pleaf": 0.1}}
     # every JSON file the CLI writes
     for argv in (["dynamic", "--grid", "0:5:11"], ["simulate", "--grid", "0:5:11", "--runs", "500"],
                  ["static-sweep", "--grid", "0:1:11"]):
@@ -290,6 +276,36 @@ def test_curve_json_keeps_the_standard_layout(mia_path, tmp_path):
     for path in files:
         text = path.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+_RANK_JSON = """{
+  "ranking": [
+    {
+      "delta": %r,
+      "name": "cm",
+      "pgoal_with": %r,
+      "pgoal_without": %r
+    }
+  ],
+  "t_star": 2.0
+}
+"""
+
+
+def test_json_files_have_the_written_down_layout(mini_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["static-sweep", "--model", mini_path, "--grid", "0:1:3", "--scenario", "full",
+                 "--format", "json", "--out", str(out)]) == 0
+    assert (out / "static_full.json").read_text(encoding="utf-8") == (
+        '{\n  "grid": [\n    0.0,\n    0.5,\n    1.0\n  ],\n  "model": "Mini",\n'
+        '  "pgoal": [\n    0.0,\n    0.35,\n    0.7\n  ],\n  "scenario": "full"\n}\n')
+    assert main(["rank", "--model", mini_path, "--out", str(out)]) == 0
+    text = (out / "rank.json").read_text(encoding="utf-8")
+    # the solver's values may differ in their last bits between platforms; the layout may not
+    (effect,) = json.loads(text)["ranking"]
+    assert [effect["delta"], effect["pgoal_with"], effect["pgoal_without"]] == pytest.approx(
+        [0.08524215816862923, 0.8747578418313707, 0.96], rel=1e-12)
+    assert text == _RANK_JSON % (effect["delta"], effect["pgoal_with"], effect["pgoal_without"])
 
 
 def test_dynamic_deterministic_bytes(mia_path, tmp_path):
@@ -584,7 +600,7 @@ def test_main_builds_only_the_subparser_of_its_command(mini_path, monkeypatch, c
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli.build_parser()
+    cli._parser()
     assert len(built) == 1 + len(cli._COMMANDS)
     built.clear()
     assert main(["validate", "--model", mini_path]) == 0
@@ -616,7 +632,7 @@ def test_a_commands_own_subparser_parses_as_the_full_parser_does(argv, monkeypat
     from actkit import cli
 
     monkeypatch.setenv("COLUMNS", "70")
-    assert _parsed(cli._parser(argv[0]), argv, capsys) == _parsed(cli.build_parser(), argv, capsys)
+    assert _parsed(cli._parser(argv[0]), argv, capsys) == _parsed(cli._parser(), argv, capsys)
 
 
 def _mia_cli_argvs(model: str, out: str) -> list[list[str]]:

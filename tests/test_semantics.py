@@ -290,6 +290,15 @@ def test_chain_arrays_match_the_scipy_matrix_and_the_coo_export():
             assert getattr(got, field).tobytes() == getattr(ctmc, field).tobytes()
 
 
+def test_chains_compare_and_hash_by_identity():
+    mia = load_bundled("mia")
+    first, second = compose(mia, Scenario.FULL), compose(mia, Scenario.FULL)
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert hash(first) == hash(first) != hash(second)
+    assert {first, second, first} == {first, second} and len({first, second}) == 2
+
+
 def test_parse_sums_repeated_transitions_and_keeps_zero_rates():
     # scipy's COO-to-CSR conversion sums a repeated (source, target) pair and keeps an explicit 0.0
     text = "#states 4\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 3 1.0\n2 3 0.5\n0 1 1.0\n3 0 4.0\n"

@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from actkit import Scenario, and_gate, attack, build_act, cm_gate, detect, goal_curve, mitigate, simulate
 from actkit.errors import DomainError, RateUndefined
+from actkit.semantics import compose
+from actkit.transient import transient_probability
 from actkit.timing import rate_from_probability, success_cdf
 
 
@@ -36,6 +40,25 @@ def test_probability_one_has_no_rate():
 def test_rate_domain_errors(p, t):
     with pytest.raises(DomainError):
         rate_from_probability(p, t)
+
+
+def test_numpy_scalar_parameters_time_as_their_float_twins():
+    # validate_act accepts any real number, so the timed analyses take them too
+    def model(real):
+        return build_act("twin", and_gate(
+            "top", attack("a", p=real(0.5, np.float32), t=real(2, np.int64)), attack("b", p=real(0.4, np.float64)),
+            cm_gate("cm", detect("d", p=0.6, t=real(3, np.int32)), mitigate("m", p=real(0.5, np.float16)))))
+
+    numpy_act, float_act = model(lambda x, dtype: dtype(x)), model(lambda x, dtype: float(dtype(x)))
+    assert rate_from_probability(np.float32(0.5), np.int64(2)) == rate_from_probability(0.5, 2.0)
+    assert success_cdf(np.float32(0.5), np.int64(2)) == success_cdf(0.5, 2.0)
+    times = np.linspace(0.0, 4.0, 9)
+    for scenario in Scenario:
+        assert goal_curve(numpy_act, scenario, times) == goal_curve(float_act, scenario, times)
+        assert simulate(numpy_act, scenario, times, runs=500, seed=3) == simulate(float_act, scenario, times,
+                                                                                  runs=500, seed=3)
+        assert (transient_probability(compose(numpy_act, scenario), times)
+                == transient_probability(compose(float_act, scenario), times))
 
 
 @pytest.mark.parametrize("rate,t", [(-1.0, 1.0), (float("inf"), 1.0), (float("nan"), 1.0),
