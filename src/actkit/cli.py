@@ -46,7 +46,7 @@ from .errors import (
     RateUndefined,
     StateSpaceLimit,
 )
-from .model import Scenario, with_attack_probability
+from .model import Scenario
 from .ranking import rank_countermeasures
 from .semantics import DEFAULT_STATE_CAP, compose, export_ctmc_text
 from .statics import sweep_pleaf
@@ -128,17 +128,14 @@ def cmd_static_sweep(args) -> int:
 def cmd_timed(args) -> int:
     act = load_act(args.model)
     grid = _parse_grid(args.grid)
-    pleafs = args.pleaf or _DEFAULT_PLEAF
-    acts = {pleaf: with_attack_probability(act, pleaf) for pleaf in pleafs}
     # every curve is computed before the first file is written, so a failing
     # (scenario, pleaf) pair leaves no partial output behind; one call over
     # every pair reads the gate table once
-    pairs = [(scenario, pleaf) for scenario in _scenarios(args) for pleaf in pleafs]
-    models = [(scenario, acts[pleaf]) for scenario, pleaf in pairs]
+    pairs = [(scenario, pleaf) for scenario in _scenarios(args) for pleaf in args.pleaf or _DEFAULT_PLEAF]
     if args.command == "dynamic":
-        curves = [curve for curve, _ in goal_curves(acts[pleafs[0]], grid, args.epsilon, models)]
+        curves = [curve for curve, _ in goal_curves(act, grid, args.epsilon, pairs)]
     else:
-        curves = simulate_curves(acts[pleafs[0]], grid, args.runs, args.seed, models)
+        curves = simulate_curves(act, grid, args.runs, args.seed, pairs)
     out = _out_dir(args)
     for (scenario, pleaf), curve in zip(pairs, curves):
         curve.meta["pleaf"] = pleaf

@@ -351,6 +351,16 @@ def apply_scenario(act: Act, scenario: Scenario) -> Act:
     return Act(act.title, act.root, tuple(nodes))
 
 
+def _check_attack_probability(p: float) -> None:
+    if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise DomainError(f"attack-leaf probability must lie in [0, 1], got {p!r}")
+
+
+def _attack_horizon(timing: LeafTiming) -> float:
+    """The horizon a common attack-leaf probability is read over: the leaf's own, or 1 hour when it has none."""
+    return timing.t if timing.t is not None else 1.0
+
+
 def with_attack_probability(act: Act, p: float) -> Act:
     """Set every attack leaf's success probability to ``p``.
 
@@ -359,13 +369,11 @@ def with_attack_probability(act: Act, p: float) -> Act:
     timed rate re-derives from the new probability. Raises DomainError
     unless ``p`` is a number in [0, 1].
     """
-    if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-        raise DomainError(f"attack-leaf probability must lie in [0, 1], got {p!r}")
+    _check_attack_probability(p)
     nodes = []
     for node in act.nodes:
         if isinstance(node.kind, AttackLeaf):
-            t = node.kind.timing.t if node.kind.timing.t is not None else 1.0
-            node = replace(node, kind=AttackLeaf(LeafTiming(p=p, t=t)))
+            node = replace(node, kind=AttackLeaf(LeafTiming(p=p, t=_attack_horizon(node.kind.timing))))
         nodes.append(node)
     return Act(act.title, act.root, tuple(nodes))
 

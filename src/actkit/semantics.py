@@ -42,7 +42,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
-from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, _check_scenario, _faults
+from .model import (Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, _attack_horizon, _check_attack_probability,
+                    _check_scenario, _faults)
+from .timing import rate_from_probability
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,9 +69,11 @@ class _CmRates:
     mitigate: float | None  # None means instantaneous mitigation
 
 
-def _leaf_rate(act: Act, nid: int) -> float:
+def _leaf_rate(act: Act, nid: int, pleaf: float | None = None) -> float:
+    """Leaf ``nid``'s rate, or at probability ``pleaf`` over ``_attack_horizon``; its errors name the leaf."""
+    timing = act.nodes[nid].kind.timing
     try:
-        return act.nodes[nid].kind.timing.rate()
+        return timing.rate() if pleaf is None else rate_from_probability(pleaf, _attack_horizon(timing))
     except (RateUndefined, MissingParameter) as exc:
         raise type(exc)(f"leaf '{act.nodes[nid].name}': {exc}") from None
 
@@ -114,15 +118,23 @@ def collect_rates(act: Act, scenario: Scenario = Scenario.FULL) -> tuple[dict[in
     return _rates(act, read_gates(act), scenario)
 
 
-def _rates(act: Act, gates: list[_Gate], scenario: Scenario) -> tuple[dict[int, float], dict[int, _CmRates]]:
-    """``collect_rates`` of ``act`` read off its gate table ``gates``: every event the table names, in node order."""
+def _rates(act: Act, gates: list[_Gate], scenario: Scenario,
+           pleaf: float | None = None) -> tuple[dict[int, float], dict[int, _CmRates]]:
+    """``collect_rates`` of ``act`` read off its gate table ``gates``: every event the table names, in node order.
+
+    A ``pleaf`` reads every attack leaf at that probability, as
+    ``with_attack_probability`` sets it, and raises DomainError, after the
+    scenario's check, unless it lies in [0, 1].
+    """
     _check_scenario(scenario)
+    if pleaf is not None:
+        _check_attack_probability(pleaf)
     leaf_rates: dict[int, float] = {}
     cm_rates: dict[int, _CmRates] = {}
     for nid in sorted([act.root, *(c for g in gates for c in g.side), *(g.guard for g in gates if g.guard is not None)]):
         kind = act.nodes[nid].kind
         if isinstance(kind, AttackLeaf):
-            leaf_rates[nid] = _leaf_rate(act, nid)
+            leaf_rates[nid] = _leaf_rate(act, nid, pleaf)
         elif isinstance(kind, CmGate) and scenario is not Scenario.NO_CM:
             det = _leaf_rate(act, kind.detect)
             mit_tm = act.nodes[kind.mitigate].kind.timing

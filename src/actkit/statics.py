@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, MissingParameter
 from .model import Act, AttackLeaf, CmGate, Scenario, _check_scenario, _text_or_bool
 from .semantics import read_gates
 
@@ -47,6 +47,14 @@ def static_failure(act: Act, scenario: Scenario = Scenario.FULL) -> float:
     return fail if fail <= succ else 1.0 - succ
 
 
+def _probability(act: Act, nid: int) -> float:
+    """Leaf ``nid``'s success probability; a leaf without one raises MissingParameter naming it."""
+    try:
+        return act.nodes[nid].kind.timing.probability()
+    except MissingParameter as exc:
+        raise MissingParameter(f"leaf '{act.nodes[nid].name}': {exc}") from None
+
+
 def _evaluate(act: Act, gates: list, scenario: Scenario, pleaf: np.ndarray | None = None):
     """Root (success, failure) probabilities over ``gates = read_gates(act)``, each accumulated on its own.
 
@@ -67,12 +75,12 @@ def _evaluate(act: Act, gates: list, scenario: Scenario, pleaf: np.ndarray | Non
     for nid in (act.root, *(c for g in gates for c in g.side), *(g.guard for g in gates if g.guard is not None)):
         kind = nodes[nid].kind
         if isinstance(kind, AttackLeaf):
-            p = kind.timing.probability() if pleaf is None else pleaf
+            p = _probability(act, nid) if pleaf is None else pleaf
             succ[nid], fail[nid] = p, 1.0 - p
         elif isinstance(kind, CmGate):
-            q = 0.0 if scenario is Scenario.NO_CM else nodes[kind.detect].kind.timing.probability()
+            q = 0.0 if scenario is Scenario.NO_CM else _probability(act, kind.detect)
             if scenario is Scenario.FULL:
-                q *= nodes[kind.mitigate].kind.timing.probability()
+                q *= _probability(act, kind.mitigate)
             succ[nid], fail[nid] = 1.0 - q, q
     for nid, is_or, side, _ in gates:
         # AND: 1 - p1..pk = (1-p1) + p1(1-p2) + p1 p2 (1-p3) + ..., over every child, the guard's

@@ -36,19 +36,21 @@ gate's width.
 ``goal_curves`` holds that evaluation for ``goal_curve``, for the CLI's
 curves and for countermeasure ranking, which recomputes only the path from
 each removed countermeasure to the root. One call reads the gate table
-once for all its curves.
+once for all its curves, and each curve is a scenario and an attack-leaf
+probability (None for the model's own rates), as the CLI's ``--scenario``
+and ``--pleaf`` give.
 
 The simulator replays the same race semantics with sampled
 exponential completion times and reports Wilson half-widths. Each event
 draws from its own Philox stream, keyed by the seed and the event's
 identifier, so ``simulate_curves`` folds one draw per event into the curves
-of every scenario and set of attack-leaf rates, as the CLI's ``--pleaf``
-values give. Only the gates above a countermeasure differ between
-scenarios, so the fold is planned once per call. Per chunk of runs, each
-guard-free group of subtrees whose leaves share one rate is folded once,
-on the unit draws; per rate set, each group's times are that fold scaled
-by 1/rate, or the group folded from its leaves' own times; per curve, only
-the gates above a countermeasure are folded and their deadlines applied.
+of every (scenario, attack-leaf probability) pair. Only the gates above a
+countermeasure differ between scenarios, so the fold is planned once per
+call. Per chunk of runs, each guard-free group of subtrees whose leaves
+share one rate is folded once, on the unit draws; per attack-leaf
+probability, each group's times are that fold scaled by 1/rate, or the
+group folded from its leaves' own times; per curve, only the gates above
+a countermeasure are folded and their deadlines applied.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import DomainError
-from .model import Act, Scenario, _check_scenario, _text_or_bool
+from .model import Act, Scenario, _text_or_bool
 from .semantics import Ctmc, _CmRates, _Gate, _rates, read_gates
 
 _RNG_NAME = "philox4x64 per event, keyed by identifier"
@@ -167,7 +169,7 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     init_in_goal = 1.0 if ctmc.init in ctmc.goal else 0.0
     if rate == 0.0 or not goal.size:
         ys = tuple(init_in_goal if goal.size else 0.0 for _ in ts)
-        return CurveResult(tuple(ts), ys, ctmc.scenario, meta)
+        return CurveResult(tuple(ts.tolist()), ys, ctmc.scenario, meta)
 
     indptr, indices, data = _jump_transpose(indptr, indices, data, exit_rates, rate)
 
@@ -211,7 +213,7 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     # a chain still running at the right point puts its leftover mass only on
     # terms past R, whose weight the right-window share already bounds
     meta["error_bound"] = epsilon / 2.0 + (meta["tail_mass"] if tail <= stop_mass else 0.0)
-    return CurveResult(tuple(ts), tuple(float(y) for y in ys), ctmc.scenario, meta)
+    return CurveResult(tuple(ts.tolist()), tuple(float(y) for y in ys), ctmc.scenario, meta)
 
 
 def _jump_transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, exit_rates: np.ndarray,
@@ -302,18 +304,19 @@ def goal_curves(
     act: Act,
     times: Sequence[float],
     epsilon: float,
-    curves: Sequence[tuple[Scenario, Act | None]],
+    curves: Sequence[tuple[Scenario, float | None]],
     removed: Sequence[int] = (),
 ) -> list[tuple[CurveResult, list[np.ndarray | None]]]:
-    """``goal_curve``'s curve for each (scenario, model) pair, and per gate in ``removed`` one more with it removed.
+    """``goal_curve``'s curve for each (scenario, pleaf) pair, and per gate in ``removed`` one more with it removed.
 
-    None reads ``act`` itself. Any other model must differ from ``act``
-    only in its attack leaves' timings, as ``with_attack_probability``
-    makes, and every curve under one scenario must read the same
-    countermeasure laws, as in ``simulate_curves``; its rates are read off
-    ``act``'s gate table, which is read once per call. Each curve is bit
-    for bit the one ``goal_curve`` gives for its model under its scenario,
-    and the call raises what the first curve that fails alone would raise.
+    A ``pleaf`` of None reads ``act``'s own attack-leaf rates; a number
+    reads every attack leaf at that probability, as
+    ``with_attack_probability`` sets it. Every curve reads ``act``'s
+    countermeasure laws under its scenario, and all are read off ``act``'s
+    gate table, which is read once per call. Each curve is bit for bit the
+    one ``goal_curve`` gives for ``act``, or for
+    ``with_attack_probability(act, pleaf)``, under its scenario, and the
+    call raises what the first curve that fails alone would raise.
 
     Bottom-up, an attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c)
     and an AND prod(F_c) over its attack-side children; an AND gate whose
@@ -332,44 +335,16 @@ def goal_curves(
     table = read_gates(act)
     gates = {g.node: g for g in table}
     parent = {c: g.node for g in table for c in g.side}
+    read = [_rates(act, table, scenario, pleaf) for scenario, pleaf in curves]  # every curve's, before any is solved
     out = []
     # a fast leaf's rate * t may overflow to inf, which every closed form
     # reads as certain completion
     with np.errstate(over="ignore"):
-        for (scenario, model), (leaf_rates, cm_rates) in zip(curves, _read_rates(act, table, curves)):
+        for (scenario, _), (leaf_rates, cm_rates) in zip(curves, read):
             ys, without, stats = _solve(gates, parent, act.root, ts, leaf_rates, cm_rates,
                                         epsilon / max(len(cm_rates), 1), removed)
-            title = (act if model is None else model).title
-            meta = {"method": "quadrature", "epsilon": epsilon, "model": title, **stats}
-            out.append((CurveResult(tuple(ts), tuple(float(y) for y in ys), scenario, meta), without))
-    return out
-
-
-def _read_rates(act: Act, table: list[_Gate], curves: Sequence[tuple]) -> list[tuple[dict, dict]]:
-    """Per (scenario, rates) curve, its attack-leaf rates and its scenario's laws, read off ``act``'s gate table.
-
-    Rates that are None read ``act``'s own, a model reads that model's, and
-    a dict is taken as given, with ``act``'s laws. Each (model, scenario)
-    pair is read once, in curve order, so the first curve whose rates fail
-    to read raises the error it would raise alone. A model may differ from
-    ``act`` only in its attack leaves' timings: raises DomainError when a
-    curve reads other countermeasure laws than an earlier curve under the
-    same scenario.
-    """
-    read: dict[tuple[int, Scenario], tuple[dict, dict]] = {}
-    first: dict[Scenario, dict] = {}  # each scenario's laws, as its first curve reads them
-    out = []
-    for scenario, rates in curves:
-        _check_scenario(scenario)  # before it is hashed
-        model = rates if isinstance(rates, Act) else act
-        key = (id(model), scenario)
-        if key not in read:
-            read[key] = _rates(model, table, scenario)
-        leaf_rates, laws = read[key]
-        if first.setdefault(scenario, laws) != laws:
-            raise DomainError(f"model {model.title!r} reads other countermeasure laws than an earlier curve "
-                              f"under {scenario.value}: a model may differ only in its attack leaves")
-        out.append((rates if isinstance(rates, dict) else leaf_rates, laws))
+            meta = {"method": "quadrature", "epsilon": epsilon, "model": act.title, **stats}
+            out.append((CurveResult(tuple(ts.tolist()), tuple(float(y) for y in ys), scenario, meta), without))
     return out
 
 
@@ -665,41 +640,40 @@ def simulate_curves(
     times: Sequence[float],
     runs: int,
     seed: int,
-    curves: Sequence[tuple[Scenario, dict[int, float] | Act | None]],
+    curves: Sequence[tuple[Scenario, float | None]],
 ) -> list[CurveResult]:
-    """``simulate``'s curve of one model for each (scenario, attack-leaf rates) pair; None reads the model's own rates.
+    """``simulate``'s curve for each (scenario, pleaf) pair, read as in ``goal_curves``.
 
-    In place of rates a pair may name a model that differs from ``act``
-    only in its attack leaves' timings, as ``with_attack_probability``
-    makes; its rates are read off ``act``'s gate table, as in
-    ``goal_curves``, and every curve under one scenario must read the same
+    A ``pleaf`` of None reads ``act``'s own attack-leaf rates, a number
+    every attack leaf at that probability, and every curve reads ``act``'s
     countermeasure laws. Each curve is bit for bit the one ``simulate``
-    gives for the model with those leaf rates under that scenario. Per
-    chunk of runs, every event that some curve reads at a positive rate
-    draws its unit exponentials once, and every curve folds from them: a
-    leaf's units scaled by 1/rate, and a countermeasure's deadline of
-    detection units/δ, plus mitigation units/μ under ``full``. So
-    ``detect-only`` and ``full`` share their detection draws, and in each
-    run the goal falls no earlier under detect-only than under full, nor
-    under full than under no-cm.
+    gives for ``act``, or for ``with_attack_probability(act, pleaf)``,
+    under its scenario, and the call raises what the first curve that
+    fails alone would raise. Per chunk of runs, every event that some
+    curve reads at a positive rate draws its unit exponentials once, and
+    every curve folds from them: a leaf's units scaled by 1/rate, and a
+    countermeasure's deadline of detection units/δ, plus mitigation
+    units/μ under ``full``. So ``detect-only`` and ``full`` share their
+    detection draws, and in each run the goal falls no earlier under
+    detect-only than under full, nor under full than under no-cm.
 
     Only the gates above a countermeasure differ between scenarios. A gate
     *races* when some requested scenario gives a law to a guard in its
     subtree; the guard-free attack-side children of each racing gate (the
     whole tree, if none races) form one group. Per chunk, a group whose
-    leaves all read one rate λ > 0 in some rate set is folded once on the
-    unit draws; per distinct rate set, each group's times are that fold
+    leaves all read one rate λ > 0 under some pleaf is folded once on the
+    unit draws; per distinct pleaf, each group's times are that fold
     times 1/λ, or the group folded from its leaves' own times; per curve,
     only the racing gates are folded, and their deadlines applied. Min and
     max are exact and x ↦ x/λ rounded is monotone, so the scaled fold is the
-    fold of the scaled draws, bit for bit. A ``--pleaf``-style rate set
-    gives a group one rate when its leaves share one horizon, as all of
-    ``mia``'s do. Curves are taken one rate set at a time, and a set's group
-    times are dropped before the next set's are formed, so only one set's
-    are held. Chunks hold at most 2^13 runs and 2^22 drawn values, which
-    bounds memory and changes no draw. Raises DomainError unless ``runs`` is
-    a positive integer and ``seed`` a non-negative one. Package-internal:
-    ``actkit`` does not export it.
+    fold of the scaled draws, bit for bit. A ``pleaf`` gives a group one
+    rate when its leaves share one horizon, as all of ``mia``'s do. Curves
+    are taken one pleaf at a time, and a pleaf's group times are dropped
+    before the next one's are formed, so only one pleaf's are held. Chunks
+    hold at most 2^13 runs and 2^22 drawn values, which bounds memory and
+    changes no draw. Raises DomainError unless ``runs`` is a positive
+    integer and ``seed`` a non-negative one. Package-internal: ``actkit``
+    does not export it.
     """
     if not _is_int(runs) or runs <= 0:
         raise DomainError(f"runs must be a positive integer, got {runs!r}")
@@ -707,10 +681,9 @@ def simulate_curves(
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     ts = _check_grid(times)
     table = read_gates(act)
-    read = _read_rates(act, table, curves)
+    read = [_rates(act, table, scenario, pleaf) for scenario, pleaf in curves]
     laws = {scenario: cm_rates for (scenario, _), (_, cm_rates) in zip(curves, read)}
-    curves = [(scenario, leaf_rates) for (scenario, _), (leaf_rates, _) in zip(curves, read)]
-    drawn = {nid for _, rates in curves for nid, rate in rates.items() if rate > 0.0}
+    drawn = {nid for leaf_rates, _ in read for nid, rate in leaf_rates.items() if rate > 0.0}
     for cm_rates in laws.values():
         for cm, law in cm_rates.items():
             detect, mitigate = act.nodes[cm].kind.children
@@ -718,13 +691,12 @@ def simulate_curves(
     streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
 
     racing, groups = _fold_plan(act.root, table, {cm for cm_rates in laws.values() for cm in cm_rates})
-    leaves = [nid for _, _, group_leaves in groups.values() for nid in group_leaves]
-    by_set: dict[tuple[float, ...], list[int]] = {}  # each distinct rate set of the leaves: the curves reading it
-    for i, (_, rates) in enumerate(curves):
-        by_set.setdefault(tuple(rates.get(nid, 0.0) for nid in leaves), []).append(i)
-    sets = []  # per distinct rate set: its rates, each group's 1/λ if it is folded on the unit draws, its curves
-    for members in by_set.values():
-        rates = curves[members[0]][1]
+    by_pleaf: dict[float | None, list[int]] = {}  # each distinct pleaf: the curves reading its leaf rates
+    for i, (_, pleaf) in enumerate(curves):
+        by_pleaf.setdefault(pleaf, []).append(i)
+    sets = []  # per distinct pleaf: its leaf rates, each group's 1/λ if it is folded on the unit draws, its curves
+    for members in by_pleaf.values():
+        rates = read[members[0]][0]
         sets.append((rates, {top: _unit_scale(rates, group_leaves) for top, (_, _, group_leaves) in groups.items()},
                      members))
     on_units = {top for _, scales, _ in sets for top, scale in scales.items() if scale is not None}
@@ -768,7 +740,7 @@ def simulate_curves(
         "runs": runs,
         "model": act.title,
     }
-    return [CurveResult(tuple(ts), tuple(float(p) for p in row / runs), scenario, dict(meta),
+    return [CurveResult(tuple(ts.tolist()), tuple(float(p) for p in row / runs), scenario, dict(meta),
                         halfwidths=tuple(float(h) for h in _wilson_halfwidths(row, runs)))
             for (scenario, _), row in zip(curves, counts)]
 

@@ -17,7 +17,7 @@ from actkit.cli import main
 from actkit.dsl import serialize_act
 from actkit.model import Scenario, with_attack_probability
 from actkit.semantics import compose, export_ctmc_text, parse_ctmc_text
-from actkit.transient import goal_curves, simulate_curves
+from actkit.transient import goal_curve, goal_curves, simulate_curves
 
 from oracles import and_of_ors, branch_curves, guarded_or, or_chain_text, or_wide_text
 
@@ -253,9 +253,9 @@ def test_csv_and_json_formats(mia_path, tmp_path):
 def test_curve_json_keeps_the_standard_layout(mia_path, tmp_path):
     # a curve's file holds the curve the library computes for its (scenario, pleaf) pair
     grid = np.linspace(0.0, 5.0, 11)
-    act = with_attack_probability(load_bundled("mia"), 0.1)
-    ((solved, _),) = goal_curves(act, grid, 1e-6, [(Scenario.FULL, act)])
-    (simulated,) = simulate_curves(act, grid, 500, 7, [(Scenario.DETECT_ONLY, act)])
+    mia = load_bundled("mia")
+    ((solved, _),) = goal_curves(mia, grid, 1e-6, [(Scenario.FULL, 0.1)])
+    (simulated,) = simulate_curves(mia, grid, 500, 7, [(Scenario.DETECT_ONLY, 0.1)])
     for argv, curve in ((["dynamic", "--scenario", "full"], solved),
                         (["simulate", "--scenario", "detect-only", "--runs", "500", "--seed", "7"], simulated)):
         out = tmp_path / "one" / argv[0]
@@ -357,6 +357,51 @@ def test_dynamic_pleafs_write_the_bytes_of_single_pleaf_runs(mia_path, tmp_path,
             assert main(common + ["--scenario", scenario, "--pleaf", pleaf, "--out", str(out)]) == 0
             alone.update((p.name, p.read_bytes()) for p in out.iterdir())
     assert len(written) == 9 and written == alone
+
+
+MIXED = (
+    'act "mixed horizons" {\n'
+    '  root goal;\n'
+    '  goal = OR(both, guarded);\n'
+    '  both = AND(a, b);\n'
+    '  guarded = AND(c, d, cm);\n'
+    '  a = ATTACK(p=0.2, t=0.5);\n'
+    '  b = ATTACK(p=0.3, t=2.5);\n'
+    '  c = ATTACK(p=0.1, t=1.0);\n'
+    '  d = ATTACK(p=0.4, lambda=0.7);\n'
+    '  cm = CM(det, mit);\n'
+    '  det = DETECT(p=0.5, t=2.0);\n'
+    '  mit = MITIGATE(p=0.4, t=1.5);\n'
+    '}\n'
+)
+
+
+@pytest.mark.parametrize("command", ["dynamic", "simulate"])
+def test_mixed_horizon_pleafs_write_the_bytes_of_single_pleaf_runs(command, tmp_path):
+    # under a positive --pleaf, c and d (its rate dropped, so read over 1 h) share one rate and their group folds
+    # on the unit draws, while a and b do not and theirs folds from its own times; each curve is still the one
+    # its own --pleaf run writes
+    path = tmp_path / "mixed.act"
+    path.write_text(MIXED, encoding="utf-8")
+    common = [command, "--model", str(path), "--grid", "0:4:9", "--format", "json"]
+    common += ["--runs", "3000", "--seed", "5"] if command == "simulate" else ["--epsilon", "1e-9"]
+    pleafs = ("0", "0.1", "0.6")
+    assert main(common + [arg for p in pleafs for arg in ("--pleaf", p)] + ["--out", str(tmp_path / "all")]) == 0
+    written = {p.name: p.read_bytes() for p in (tmp_path / "all").iterdir()}
+    alone = {}
+    for pleaf in pleafs:
+        out = tmp_path / f"p{pleaf}"
+        assert main(common + ["--pleaf", pleaf, "--out", str(out)]) == 0
+        alone.update((p.name, p.read_bytes()) for p in out.iterdir())
+    assert len(written) == 9 and written == alone
+    if command == "dynamic":
+        act = parse_act(MIXED)
+        for scenario in Scenario:
+            for pleaf in pleafs:
+                curve = goal_curve(with_attack_probability(act, float(pleaf)), scenario, np.linspace(0.0, 4.0, 9), 1e-9)
+                payload = json.loads(written[f"dynamic_{scenario.value}_p{pleaf}.json"])
+                assert (payload["xs"], payload["ys"]) == (list(curve.xs), list(curve.ys))
+                assert payload["meta"] == {**curve.meta, "pleaf": float(pleaf)}
 
 
 def test_each_command_reads_the_gate_table_once(mia_path, tmp_path, monkeypatch):

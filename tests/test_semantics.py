@@ -31,7 +31,6 @@ from actkit.model import (
     or_gate,
     remove_cm_gates,
     validate_act,
-    with_attack_probability,
 )
 from actkit.ranking import rank_countermeasures
 from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text, read_gates
@@ -489,9 +488,8 @@ def test_scenario_laws_match_the_rewritten_model():
 def _entry_points(act, scenario):
     """Every analysis of ``act`` under ``scenario``, as calls; ranking always reads full."""
     ts = [0.0, 1.0]
-    rates = {nid: 1.0 for nid in act.attack_leaves()}
     # a simulation of several scenarios raises its first curve's scenario's error
-    curves = [(scenario, rates)] + [(s, rates) for s in Scenario if s is not scenario]
+    curves = [(scenario, 0.5)] + [(s, 0.5) for s in Scenario if s is not scenario]
     return [lambda: compose(act, scenario), lambda: goal_curve(act, scenario, ts),
             lambda: goal_curves(act, ts, 1e-9, [(scenario, None)], list(act.cm_gates())),
             lambda: simulate(act, scenario, ts, 10, 1), lambda: simulate_curves(act, ts, 10, 1, curves),
@@ -602,8 +600,7 @@ def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch, tmp_path):
         return postorder(act)
 
     mia = load_bundled("mia")
-    pleafs = [with_attack_probability(mia, p) for p in (0.05, 0.1, 0.25)]
-    curves = [(s, collect_rates(act, s)[0]) for s in Scenario for act in pleafs]
+    curves = [(s, p) for s in Scenario for p in (0.05, 0.1, 0.25)]
     path = tmp_path / "mia.act"
     path.write_text(serialize_act(mia), encoding="utf-8")
     monkeypatch.setattr(Act, "postorder", counted)
@@ -613,11 +610,11 @@ def test_each_analysis_walks_the_tree_once_per_scenario(monkeypatch, tmp_path):
                            (lambda: compose(mia), [mia]),
                            (lambda: simulate(mia, Scenario.FULL, [0.5, 1.0, 2.0], 1000, 1), [mia]),
                            (lambda: simulate_curves(mia, [0.5, 1.0, 2.0], 1000, 1, curves), [mia]),
-                           # one table for every scenario and --pleaf model
+                           # one table for every scenario and --pleaf value
                            (lambda: main(["simulate", "--model", str(path), "--runs", "1000",
-                                          "--out", str(tmp_path / "out")]), pleafs[:1]),
+                                          "--out", str(tmp_path / "out")]), [mia]),
                            (lambda: main(["dynamic", "--model", str(path), "--out", str(tmp_path / "out")]),
-                            pleafs[:1])):
+                            [mia])):
         walks.clear()
         analysis()
         assert walks == read

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from actkit import load_bundled
-from actkit.errors import DomainError
+from actkit.errors import DomainError, MissingParameter
 from actkit.model import (
     Scenario,
     and_gate,
@@ -115,6 +115,22 @@ def test_failure_resolves_saturated_scenarios():
     assert set(ps.values()) == {1.0}
     qs = {sc: static_failure(act, sc) for sc in Scenario}
     assert qs[Scenario.DETECT_ONLY] > qs[Scenario.FULL] > qs[Scenario.NO_CM] > 0.0
+
+
+def test_static_analyses_name_a_leaf_without_a_probability():
+    # as the timed analyses name a leaf whose rate they cannot read
+    rate_only_attack = build_act("x", or_gate("o", attack("a", lam=1.0), attack("b", p=0.1)))
+    rate_only_detect = build_act("y", and_gate("top", attack("a", p=0.5),
+                                               cm_gate("cm", detect("d", p=None, lam=1.0), mitigate("m", p=0.5))))
+    sweep = lambda act, scenario: sweep_pleaf(act, [0.1, 0.5], [scenario])
+    for analysis in (static_probability, static_failure):
+        with pytest.raises(MissingParameter, match="^leaf 'a': leaf has no success probability$"):
+            analysis(rate_only_attack, Scenario.FULL)
+    for scenario in (Scenario.FULL, Scenario.DETECT_ONLY):
+        for analysis in (static_probability, static_failure, sweep):
+            with pytest.raises(MissingParameter, match="^leaf 'd': leaf has no success probability$"):
+                analysis(rate_only_detect, scenario)
+    assert static_probability(rate_only_detect, Scenario.NO_CM) == 0.5  # no-cm reads no countermeasure leaf
 
 
 def test_sweep_rejects_bad_grids():

@@ -272,14 +272,13 @@ def test_simulate_keeps_its_draws_on_the_bundled_model():
 
 def test_simulate_wide_model_in_bounded_memory():
     act = build_act("wide", or_gate("top", *(attack(f"a{i}", lam=0.005) for i in range(200))))
-    leaf_rates, _ = collect_rates(act)
-    scales = (1.0, 2.0, 3.0)  # three curves folded from one draw
+    # three curves folded from one draw: the leaves' own rate, then a probability per hour at k times it
+    scales = (1.0, 2.0, 3.0)
     tracemalloc.start()
     try:
         curve = simulate(act, Scenario.FULL, [0.5, 1.0], runs=1 << 17, seed=3)
         curves = simulate_curves(act, [0.5, 1.0], 1 << 17, 3,
-                                 [(Scenario.FULL, {nid: k * rate for nid, rate in leaf_rates.items()})
-                                  for k in scales])
+                                 [(Scenario.FULL, None if k == 1.0 else -math.expm1(-k * 0.005)) for k in scales])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,10 +289,9 @@ def test_simulate_wide_model_in_bounded_memory():
     assert peak < 128 * 2**20
 
 
-def _pleaf_curves(act, pleafs, scenarios=tuple(Scenario)):
-    """The (scenario, leaf rates) list the CLI's simulate asks for, scenario-major."""
-    return [(scenario, collect_rates(with_attack_probability(act, p), scenario)[0])
-            for scenario in scenarios for p in pleafs]
+def _pleaf_curves(pleafs):
+    """The (scenario, pleaf) list the CLI's simulate asks for, scenario-major."""
+    return [(scenario, p) for scenario in Scenario for p in pleafs]
 
 
 def one_draw_per_curve(act, scenario, ts, runs, seed):
@@ -331,7 +329,7 @@ def test_simulate_curves_equal_separate_draws(pleafs):
     rng = random.Random(31)
     cases = [(random_act(rng, max_leaves=8), 2000) for _ in range(15)] + [(load_bundled("mia"), 300_000)]
     for model, runs in cases:
-        curves = simulate_curves(model, ts, runs, 11, _pleaf_curves(model, pleafs))
+        curves = simulate_curves(model, ts, runs, 11, _pleaf_curves(pleafs))
         assert len(curves) == 3 * len(pleafs)
         pairs = [(scenario, p) for scenario in Scenario for p in pleafs]
         for (scenario, p), curve in zip(pairs, curves):
@@ -352,10 +350,10 @@ def test_simulate_curves_equal_separate_draws(pleafs):
 def test_simulate_curves_do_not_depend_on_the_chunk(monkeypatch, chunk, values, runs):
     act = load_bundled("mia")
     ts = np.linspace(0.0, 6.0, 13)
-    want = simulate_curves(act, ts, runs, 5, _pleaf_curves(act, (0.05, 0.25)))
+    want = simulate_curves(act, ts, runs, 5, _pleaf_curves((0.05, 0.25)))
     monkeypatch.setattr(transient, "_CHUNK", chunk)
     monkeypatch.setattr(transient, "_CHUNK_VALUES", values)
-    got = simulate_curves(act, ts, runs, 5, _pleaf_curves(act, (0.05, 0.25)))
+    got = simulate_curves(act, ts, runs, 5, _pleaf_curves((0.05, 0.25)))
     assert [c.ys for c in got] == [c.ys for c in want]
 
 
@@ -364,7 +362,9 @@ def test_simulate_leaf_draws_ignore_silent_or_removed_siblings():
     # (rate 0) or deleted from the text, which renumbers the nodes
     act = load_bundled("mia")
     kept = {"sniff_network", "root_telnet"}
-    silent = {nid: (rate if act.nodes[nid].ident in kept else 0.0) for nid, rate in collect_rates(act)[0].items()}
+    silent = Act(act.title, act.root, tuple(
+        replace(node, kind=AttackLeaf(LeafTiming(p=node.kind.timing.p, lam=0.0)))
+        if isinstance(node.kind, AttackLeaf) and node.ident not in kept else node for node in act.nodes))
     alone = parse_act("""act "branch" {
       root goal;
       goal = OR(elevation);
@@ -383,7 +383,7 @@ def test_simulate_leaf_draws_ignore_silent_or_removed_siblings():
     ts = np.linspace(0.0, 6.0, 13)
     for scenario in Scenario:
         want = simulate(alone, scenario, ts, 20_000, 4)
-        got = simulate_curves(act, ts, 20_000, 4, [(scenario, silent)])[0]
+        got = simulate_curves(silent, ts, 20_000, 4, [(scenario, None)])[0]
         assert (got.ys, got.halfwidths) == (want.ys, want.halfwidths)
         assert want.ys != simulate(act, scenario, ts, 20_000, 4).ys
 
@@ -395,7 +395,7 @@ def test_simulated_scenarios_dominate_run_by_run(seed):
     act = load_bundled("mia") if seed == 0 else random_act(random.Random(seed), max_leaves=8, max_cms=3)
     ts = np.linspace(0.0, 6.0, 25)
     pleafs = (0.05, 0.1, 0.25)
-    curves = simulate_curves(act, ts, 20_000, seed, _pleaf_curves(act, pleafs))
+    curves = simulate_curves(act, ts, 20_000, seed, _pleaf_curves(pleafs))
     by = {(c.scenario, p): np.asarray(c.ys) for c, p in zip(curves, pleafs * 3)}
     for p in pleafs:
         assert np.all(by[Scenario.DETECT_ONLY, p] <= by[Scenario.FULL, p])
@@ -404,7 +404,7 @@ def test_simulated_scenarios_dominate_run_by_run(seed):
 
 def test_simulate_bundled_model_in_small_memory():
     act = load_bundled("mia")
-    curves = _pleaf_curves(act, (0.05, 0.1, 0.25))
+    curves = _pleaf_curves((0.05, 0.1, 0.25))
     ts = np.linspace(0.0, 10.0, 101)
     tracemalloc.start()
     try:
@@ -733,24 +733,19 @@ _MODELS = st.one_of(
 )
 
 
-def _with_leaf_rates(act, rates):
-    """``act`` with each attack leaf at its rate in ``rates``, 0 where it has none: the model a rate set stands for."""
-    nodes = tuple(replace(node, kind=AttackLeaf(LeafTiming(p=node.kind.timing.p, lam=rates.get(nid, 0.0))))
-                  if isinstance(node.kind, AttackLeaf) else node for nid, node in enumerate(act.nodes))
-    return Act(act.title, act.root, nodes)
-
-
-_RATES = st.sampled_from([0.0, 0.4, 1.0, 2.5])
+_PLEAFS = st.sampled_from([0.0, 0.05, 0.3, 0.9])
 
 
 @st.composite
 def _models_and_curves(draw):
-    """A model and the (scenario, leaf rates) pairs of one ``simulate_curves`` call.
+    """A model and the (scenario, pleaf) pairs of one ``simulate_curves`` call.
 
-    The models hold a guard anywhere, a guard at the root, or none at all.
-    A rate set is the model's own (None), one rate shared by every leaf, a
-    rate per leaf (so some subtrees share one and others mix), or an earlier
-    set again, as the same dict or as an equal copy; every kind may hold 0.
+    The models hold a guard anywhere, a guard at the root, or none at all,
+    and their attack leaves mix horizons of 0.5, 1 and 2 hours; some have
+    about a third of their attack leaves at rate 0. A pleaf is None (the
+    model's own rates), a common attack-leaf probability, 0 included, or an
+    earlier one again. Under a probability, a subtree whose leaves share
+    one horizon reads one rate, and one that mixes horizons reads several.
     """
     seed = draw(_SEEDS)
     act = draw(st.sampled_from([
@@ -758,32 +753,30 @@ def _models_and_curves(draw):
         lambda: _wide_gate(draw(st.sampled_from(["and", "or"])), draw(st.integers(1, 5)), True, seed),
         lambda: random_act(random.Random(seed), max_leaves=8, allow_cm=False),
     ]))()
-    leaves = sorted(act.attack_leaves())
+    if draw(st.booleans()):
+        act = _retimed(act, random.Random(seed))
     curves = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["own", "shared", "mixed", "again", "copy"]))
-        if kind == "shared":
-            rates = dict.fromkeys(leaves, draw(_RATES))
-        elif kind == "mixed":
-            rates = {nid: draw(_RATES) for nid in leaves}
-        elif kind in ("again", "copy") and curves:
-            rates = draw(st.sampled_from([r for _, r in curves]))
-            rates = dict(rates) if kind == "copy" and rates is not None else rates
+        kind = draw(st.sampled_from(["own", "pleaf", "again"]))
+        if kind == "pleaf":
+            pleaf = draw(_PLEAFS)
+        elif kind == "again" and curves:
+            pleaf = draw(st.sampled_from([p for _, p in curves]))
         else:
-            rates = None
-        curves.append((draw(st.sampled_from(list(Scenario))), rates))
+            pleaf = None
+        curves.append((draw(st.sampled_from(list(Scenario))), pleaf))
     return act, curves
 
 
 @settings(deadline=None, max_examples=150)
 @given(_models_and_curves(), _SEEDS, st.sampled_from([1, 700]))
 def test_simulate_curves_match_whole_tree_folds(model_and_curves, seed, runs):
-    # each curve of one call against the independent whole-tree fold of the model its rates stand for
+    # each curve of one call against the independent whole-tree fold of the model its pleaf stands for
     act, curves = model_and_curves
     ts = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0]
     got = simulate_curves(act, ts, runs, seed, curves)
-    for (scenario, rates), curve in zip(curves, got):
-        model = act if rates is None else _with_leaf_rates(act, rates)
+    for (scenario, pleaf), curve in zip(curves, got):
+        model = act if pleaf is None else with_attack_probability(act, pleaf)
         assert curve.scenario is scenario
         assert curve.ys == one_draw_per_curve(model, scenario, ts, runs, seed)
 
@@ -802,19 +795,16 @@ def _retimed(act, rng, instant=0.5):
 
 @st.composite
 def _solver_calls(draw):
-    """A model and the (scenario, model) pairs of one ``goal_curves`` call, every scenario among them.
+    """A model and the (scenario, pleaf) pairs of one ``goal_curves`` call, every scenario among them.
 
     The model's horizons mix 0.5, 1 and 2 hours; some attack leaves have
-    rate 0 and some mitigations p = 1. A pair reads the model itself (None
-    or the object), a common attack-leaf probability, 0 included, or other
-    zero-rate attack leaves; every model keeps the countermeasures' laws.
+    rate 0 and some mitigations p = 1. A pair reads the model's own rates
+    (None) or a common attack-leaf probability, 0 included.
     """
     rng = random.Random(draw(_SEEDS))
     act = _retimed(random_act(rng, max_leaves=8, max_cms=3), rng)
-    models = [None, act, with_attack_probability(act, draw(st.sampled_from([0.0, 0.05, 0.3]))),
-              _retimed(act, rng, instant=0.0)]
-    picked = draw(st.lists(st.sampled_from(models), min_size=1, max_size=3))
-    return act, [(scenario, model) for scenario in draw(st.permutations(list(Scenario))) for model in picked]
+    picked = draw(st.lists(st.sampled_from([None, 0.0, 0.05, 0.3]), min_size=1, max_size=3))
+    return act, [(scenario, pleaf) for scenario in draw(st.permutations(list(Scenario))) for pleaf in picked]
 
 
 @settings(deadline=None, max_examples=120)
@@ -822,28 +812,11 @@ def _solver_calls(draw):
 def test_goal_curves_equal_goal_curve_per_curve(call, ts, eps):
     # one call reads one gate table for every curve; no bit of any curve moves
     act, curves = call
-    for (scenario, model), (got, removals) in zip(curves, goal_curves(act, ts, eps, curves)):
-        want = goal_curve(act if model is None else model, scenario, ts, eps)
+    for (scenario, pleaf), (got, removals) in zip(curves, goal_curves(act, ts, eps, curves)):
+        want = goal_curve(act if pleaf is None else with_attack_probability(act, pleaf), scenario, ts, eps)
         assert got.scenario is scenario and removals == []
         assert np.asarray(got.ys).tobytes() == np.asarray(want.ys).tobytes()
         assert got.xs == want.xs and repr(got.meta) == repr(want.meta)
-
-
-def test_curves_under_one_scenario_read_one_set_of_laws():
-    # a model may differ from the first only in its attack leaves: other
-    # countermeasure laws under one scenario are refused, not read as the first's
-    mia = load_bundled("mia")
-    instant = _retimed(with_attack_probability(mia, 0.1), random.Random(0), instant=1.0)
-    ts = [0.5, 1.0]
-    for scenario in (Scenario.FULL, Scenario.NO_CM):
-        curves = [(scenario, None), (scenario, instant)]
-        if scenario is Scenario.FULL:
-            with pytest.raises(DomainError, match="countermeasure laws"):
-                goal_curves(mia, ts, 1e-6, curves)
-            with pytest.raises(DomainError, match="countermeasure laws"):
-                simulate_curves(mia, ts, 10, 1, curves)
-        else:  # no-cm reads no law, so the two models agree
-            assert len(goal_curves(mia, ts, 1e-6, curves)) == len(simulate_curves(mia, ts, 10, 1, curves)) == 2
 
 
 @settings(deadline=None, max_examples=200)
@@ -855,7 +828,7 @@ def test_chain_quadrature_and_simulation_agree(act, seed):
     # P[|p^ - p| >= x] <= 2 exp(-n x^2 / (2 p (1 - p) + 2 x / 3)), which also holds where p^ is 0 or 1
     a = math.log(2.0 * len(ts) / alpha)
     # one simulation folds every scenario's curve from the same draws
-    sampled = simulate_curves(act, ts, runs, seed, [(s, collect_rates(act, s)[0]) for s in Scenario])
+    sampled = simulate_curves(act, ts, runs, seed, [(s, None) for s in Scenario])
     for scenario, curve in zip(Scenario, sampled):
         assert curve.scenario is scenario
         solved = transient_probability(compose(act, scenario), ts, eps)
@@ -865,6 +838,19 @@ def test_chain_quadrature_and_simulation_agree(act, seed):
         assert np.all(np.abs(np.asarray(integrated.ys) - exact) <= 2.0 * eps)
         width = (a / 3.0 + np.sqrt(a * a / 9.0 + 2.0 * a * runs * exact * (1.0 - exact))) / runs
         assert np.all(np.abs(np.asarray(curve.ys) - exact) <= width + eps)
+
+
+def test_curve_points_are_floats():
+    # xs hold Python floats, as ys do and CurveResult declares, on every path that makes a curve
+    mia = load_bundled("mia")
+    idle = build_act("idle", attack("a", lam=0.0))  # a chain that never moves
+    ts = np.linspace(0.0, 2.0, 5)
+    curves = [transient_probability(compose(mia), ts), transient_probability(compose(idle), ts),
+              goal_curves(mia, ts, 1e-6, [(Scenario.FULL, 0.1)])[0][0],
+              simulate_curves(mia, ts, 100, 1, [(Scenario.FULL, 0.1)])[0]]
+    for curve in curves:
+        assert curve.xs == tuple(ts.tolist())
+        assert all(type(x) is float for x in curve.xs + curve.ys)
 
 
 def test_transient_probability_keeps_its_values():
