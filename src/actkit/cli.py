@@ -72,8 +72,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _scenarios(args, default=_SCENARIOS) -> list[Scenario]:
-    names = args.scenario or default
-    return [Scenario(n) for n in names]
+    return [Scenario(n) for n in dict.fromkeys(args.scenario or default)]
 
 
 def _out_dir(args) -> Path:
@@ -130,8 +129,9 @@ def cmd_timed(args) -> int:
     grid = _parse_grid(args.grid)
     # every curve is computed before the first file is written, so a failing
     # (scenario, pleaf) pair leaves no partial output behind; one call over
-    # every pair reads the gate table once
-    pairs = [(scenario, pleaf) for scenario in _scenarios(args) for pleaf in args.pleaf or _DEFAULT_PLEAF]
+    # every distinct pair (0.0 and -0.0 are one pleaf) reads the gate table once
+    pleafs = dict.fromkeys(args.pleaf or _DEFAULT_PLEAF)
+    pairs = [(scenario, pleaf) for scenario in _scenarios(args) for pleaf in pleafs]
     if args.command == "dynamic":
         curves = [curve for curve, _ in goal_curves(act, grid, args.epsilon, pairs)]
     else:
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     # gets every subparser.
     parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
-    if args.command == "export-ctmc" and not args.out and len(args.scenario or ()) > 1:
+    if args.command == "export-ctmc" and not args.out and len(set(args.scenario or ())) > 1:
         parser.error("export-ctmc writes several scenarios only with --out")
     try:
         return args.func(args)

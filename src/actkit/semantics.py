@@ -159,8 +159,9 @@ class Ctmc:
     of shape (n, n): the targets of state u are
     ``indices[indptr[u]:indptr[u + 1]]``, increasing and each named once,
     and ``data`` holds their rates. ``indptr`` and ``indices`` are int32 and
-    ``data`` float64, the dtypes scipy gives such a matrix. No transition
-    leads from a state to itself. These arrays are the only stored form of
+    ``data`` float64, the dtypes scipy gives such a matrix. No chain from
+    ``compose`` or ``parse_ctmc_text`` has a self-loop, and the solver reads
+    one as the no-op it is. These arrays are the only stored form of
     the rates: ``rates`` wraps them in a scipy ``csr_matrix`` when first
     read, sharing their memory, and keeps it. Chains compare and hash by
     identity, since arrays have no single truth value.

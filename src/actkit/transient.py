@@ -46,11 +46,11 @@ draws from its own Philox stream, keyed by the seed and the event's
 identifier, so ``simulate_curves`` folds one draw per event into the curves
 of every (scenario, attack-leaf probability) pair. Only the gates above a
 countermeasure differ between scenarios, so the fold is planned once per
-call. Per chunk of runs, each guard-free group of subtrees whose leaves
-share one rate is folded once, on the unit draws; per attack-leaf
-probability, each group's times are that fold scaled by 1/rate, or the
-group folded from its leaves' own times; per curve, only the gates above
-a countermeasure are folded and their deadlines applied.
+call, and one function, ``_fold``, folds each part of the plan per chunk
+of runs: each guard-free group of subtrees whose leaves share one rate
+once, on the unit draws, then scaled by 1/rate per attack-leaf
+probability; any other group per probability, from its leaves' own times;
+per curve, the gates above a countermeasure, with their deadlines.
 """
 
 from __future__ import annotations
@@ -220,22 +220,22 @@ def _jump_transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, e
                     rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR arrays of the transposed jump chain of the rates ``indptr``, ``indices``, ``data``, uniformized at ``rate``.
 
-    Off the diagonal the chain's rates times 1/rate, the product scipy
-    forms for a division by a scalar; on it 1 - exit rate/rate, left out
-    where that is zero. The rates must hold no self-loop, as ``Ctmc``
-    documents and ``parse_ctmc_text`` checks: one would count in
-    ``exit_rates`` but be dropped here, and the solver would lose its mass.
-    Entries are sorted by row and then column, as scipy's own conversions
-    leave them, and keep the input's index dtype.
+    Every rate times 1/rate, the product scipy forms for a division by a
+    scalar, and on the diagonal 1 - exit rate/rate, left out where that is
+    zero. A self-loop, which no chain from ``compose`` or
+    ``parse_ctmc_text`` holds, stays as a second diagonal entry, which the
+    mat-vec kernel adds to the first: its rate counts in ``exit_rates`` and
+    comes back here, so it moves no mass. Entries are sorted by row and
+    then column, as scipy's own conversions leave them, and keep the
+    input's index dtype.
     """
     n = indptr.size - 1
     cols = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))  # the transpose's columns
-    off = cols != indices
     stay = 1.0 - exit_rates / rate
     kept = np.flatnonzero(stay).astype(cols.dtype)  # int64 would widen every index array below
-    data = np.concatenate((data[off] * (1.0 / rate), stay[kept]))
-    rows = np.concatenate((indices[off], kept))
-    cols = np.concatenate((cols[off], kept))
+    data = np.concatenate((data * (1.0 / rate), stay[kept]))
+    rows = np.concatenate((indices, kept))
+    cols = np.concatenate((cols, kept))
     order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=cols.dtype)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -660,20 +660,20 @@ def simulate_curves(
     Only the gates above a countermeasure differ between scenarios. A gate
     *races* when some requested scenario gives a law to a guard in its
     subtree; the guard-free attack-side children of each racing gate (the
-    whole tree, if none races) form one group. Per chunk, a group whose
-    leaves all read one rate λ > 0 under some pleaf is folded once on the
-    unit draws; per distinct pleaf, each group's times are that fold
-    times 1/λ, or the group folded from its leaves' own times; per curve,
-    only the racing gates are folded, and their deadlines applied. Min and
-    max are exact and x ↦ x/λ rounded is monotone, so the scaled fold is the
-    fold of the scaled draws, bit for bit. A ``pleaf`` gives a group one
-    rate when its leaves share one horizon, as all of ``mia``'s do. Curves
-    are taken one pleaf at a time, and a pleaf's group times are dropped
-    before the next one's are formed, so only one pleaf's are held. Chunks
-    hold at most 2^13 runs and 2^22 drawn values, which bounds memory and
-    changes no draw. Raises DomainError unless ``runs`` is a positive
-    integer and ``seed`` a non-negative one. Package-internal: ``actkit``
-    does not export it.
+    whole tree, if none races) form one group, and ``_fold`` folds each
+    part. Per chunk, a group whose leaves all read one rate λ > 0 under some
+    pleaf is folded once on the unit draws; per distinct pleaf, each group's
+    times are that fold times 1/λ, or the group folded from its leaves' own
+    times; per curve, the racing gates are folded over them, with their
+    deadlines. Min and max are exact and x ↦ x/λ rounded is monotone, so the
+    scaled fold is the fold of the scaled draws, bit for bit. A ``pleaf``
+    gives a group one rate when its leaves share one horizon, as all of
+    ``mia``'s do. Curves are taken one pleaf at a time, and a pleaf's group
+    times are dropped before the next one's are formed, so only one pleaf's
+    are held. Chunks hold at most 2^13 runs and 2^22 drawn values, which
+    bounds memory and changes no draw. Raises DomainError unless ``runs`` is
+    a positive integer and ``seed`` a non-negative one. Package-internal:
+    ``actkit`` does not export it.
     """
     if not _is_int(runs) or runs <= 0:
         raise DomainError(f"runs must be a positive integer, got {runs!r}")
@@ -697,11 +697,11 @@ def simulate_curves(
     sets = []  # per distinct pleaf: its leaf rates, each group's 1/λ if it is folded on the unit draws, its curves
     for members in by_pleaf.values():
         rates = read[members[0]][0]
-        sets.append((rates, {top: _unit_scale(rates, group_leaves) for top, (_, _, group_leaves) in groups.items()},
+        sets.append((rates, {top: _unit_scale(rates, group_leaves) for top, (_, group_leaves) in groups.items()},
                      members))
     on_units = {top for _, scales, _ in sets for top, scale in scales.items() if scale is not None}
     # the leaves whose own times some set still folds once the deadlines and unit folds are formed
-    kept = {nid for _, scales, _ in sets for top, scale in scales.items() if scale is None for nid in groups[top][2]}
+    kept = {nid for _, scales, _ in sets for top, scale in scales.items() if scale is None for nid in groups[top][1]}
 
     chunk = min(_CHUNK, max(1, _CHUNK_VALUES // max(1, len(streams))))
     scratch = np.empty(chunk)
@@ -719,16 +719,14 @@ def simulate_curves(
                 by_cm[cm] = _scaled(units, detect, law.detect, np.empty(size))
                 if law.mitigate is not None:
                     by_cm[cm] += _scaled(units, mitigate, law.mitigate, scratch[:size])
-        unit_folds = {top: _fold(top, groups[top][0], units, groups[top][1], scratch[:size]) for top in on_units}
+        unit_folds = {top: _fold(groups[top][0], _arrays(units), scratch[:size], top) for top in on_units}
         units = {nid: ys for nid, ys in units.items() if nid in kept}  # frees the rest before the sets' folds
         for rates, scales, members in sets:
-            group_times = {top: _fold(top, steps, units, rates, scratch[:size]) if scales[top] is None
-                           else unit_folds[top] * scales[top] for top, (steps, _, _) in groups.items()}
+            group_times = {top: _fold(steps, _own_times(units, rates, size), scratch[:size], top)
+                           if scales[top] is None else unit_folds[top] * scales[top]
+                           for top, (steps, _) in groups.items()}
             for i in members:
-                if racing:
-                    root_time = _fold_racing(racing, group_times, deadlines[curves[i][0]])
-                else:  # the set's curves share the root's times, and sorting them again changes no count
-                    root_time = group_times[act.root]
+                root_time = _fold(racing, _arrays(group_times), scratch[:size], act.root, deadlines[curves[i][0]])
                 root_time.sort()
                 counts[i] += np.searchsorted(root_time, ts, side="right")
             del group_times, root_time  # so the next set's arrays are formed with none of this set's held
@@ -763,41 +761,52 @@ def _scaled(units: dict[int, np.ndarray], nid: int, rate: float, out: np.ndarray
     return out
 
 
-def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[tuple], dict[int, tuple]]:
+def _arrays(formed: dict[int, np.ndarray]):
+    """A ``_fold`` reader of formed times: the array itself as an operand, and a copy to fold into."""
+    return lambda nid, out: formed[nid].copy() if out is None else formed[nid]
+
+
+def _own_times(units: dict[int, np.ndarray], rates: dict[int, float], size: int):
+    """A ``_fold`` reader of leaves' own times: units times 1/the leaf's rate in ``rates``, never without one."""
+    return lambda nid, out: _scaled(units, nid, rates.get(nid, 0.0), np.empty(size) if out is None else out)
+
+
+def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[_Gate], dict[int, tuple]]:
     """The racing gates of the gate table ``table``, and the guard-free groups they fold.
 
     A gate races when a countermeasure in ``guarded`` guards it or a gate in
-    its subtree. Returns each racing gate in post-order as (node, its fold,
-    its racing attack-side children, its guard), so the root comes last, and
-    per group, keyed by its top: the gates that fold it in post-order, its
-    leaves each at unit rate, and its leaves. A racing gate's group is its
-    guard-free attack-side children, joined by a last step that folds them
-    as the gate does; with nothing racing, the whole tree is one group,
-    keyed by the root.
+    its subtree. Returns the racing gates in post-order, so the root comes
+    last, each with its racing attack-side children and then its group,
+    keyed ~gate, which no node id takes; and per group, keyed by its top,
+    the gates that fold it in post-order and its leaves. A racing gate's
+    group is its guard-free attack-side children, joined by a last step ~gate
+    that folds them as the gate does; with nothing racing, the whole tree is
+    one group, keyed by the root.
     """
-    racing: dict[int, tuple] = {}
-    for nid, is_or, side, guard in table:
+    racing = set()
+    for nid, _, side, guard in table:
         if guard in guarded or any(c in racing for c in side):
-            racing[nid] = (nid, np.minimum if is_or else np.maximum, tuple(c for c in side if c in racing), guard)
+            racing.add(nid)
     steps: dict[int, list[_Gate]] = {} if racing else {root: []}
     top = {root: root}  # each guard-free gate: the top of its group
     for gate in reversed(table):  # every gate before the gates under it
         for c in gate.side:
             if c not in racing:
-                top[c] = gate.node if gate.node in racing else top[gate.node]
+                top[c] = ~gate.node if gate.node in racing else top[gate.node]
+    plan = []
     for gate in table:
         if gate.node not in racing:
             steps.setdefault(top[gate.node], []).append(gate)
             continue
-        free = tuple(c for c in gate.side if c not in racing)
+        nid, is_or, side, guard = gate
+        free = tuple(c for c in side if c not in racing)
         if free:
-            steps.setdefault(gate.node, []).append(_Gate(gate.node, gate.is_or, free, None))
+            steps.setdefault(~nid, []).append(_Gate(~nid, is_or, free, None))
+        plan.append(_Gate(nid, is_or, tuple(c for c in side if c in racing) + ((~nid,) if free else ()), guard))
     gates = {gate.node for gate in table}
-    groups = {}
-    for nid, group in steps.items():
-        leaves = [c for gate in group for c in gate.side if c not in gates] or [root]  # [root]: a one-leaf tree
-        groups[nid] = (group, dict.fromkeys(leaves, 1.0), leaves)
-    return list(racing.values()), groups
+    # [root]: a one-leaf tree
+    return plan, {key: (group, [c for gate in group for c in gate.side if c not in gates] or [root])
+                  for key, group in steps.items()}
 
 
 def _unit_scale(rates: dict[int, float], leaves: list[int]) -> float | None:
@@ -813,45 +822,29 @@ def _unit_scale(rates: dict[int, float], leaves: list[int]) -> float | None:
     return None
 
 
-def _fold(top: int, steps: list[_Gate], units: dict[int, np.ndarray], rates: dict[int, float],
-          scratch: np.ndarray) -> np.ndarray:
-    """Times of ``top`` in one chunk, folded over the guard-free gates ``steps`` in post-order without recursion.
+def _fold(steps: list[_Gate], read, scratch: np.ndarray, top: int,
+          deadlines: dict[int, np.ndarray] = {}) -> np.ndarray:
+    """Times of ``top`` in one chunk, folded over the gates ``steps`` in post-order without recursion.
 
-    A leaf's times are formed where its parent reads them; a leaf missing
-    from ``rates`` never completes. Each gate folds its attack-side children
-    into the first one's fresh array in place, reading every other leaf
-    child through the one ``scratch`` buffer.
+    Each step folds its attack-side children into the first one's fresh
+    array in place, OR by the earliest time and AND by the latest, and then,
+    if its guard has a deadline in ``deadlines``, never completes in the
+    runs that the deadline beats. A child that no earlier step formed comes
+    from ``read(child, out)``: a fresh array when ``out`` is None, otherwise
+    an operand that the fold only reads, formed in ``scratch`` if at all.
+    With no steps this is ``read(top, None)``.
     """
     times: dict[int, np.ndarray] = {}
 
-    def read(nid: int, out: np.ndarray | None) -> np.ndarray:
-        if nid in times:
-            return times.pop(nid)
-        return _scaled(units, nid, rates.get(nid, 0.0), np.empty_like(scratch) if out is None else out)
+    def child(nid: int, out: np.ndarray | None) -> np.ndarray:
+        return times.pop(nid) if nid in times else read(nid, out)
 
-    for nid, is_or, side, _ in steps:
+    for nid, is_or, side, guard in steps:
         fold = np.minimum if is_or else np.maximum
-        done = read(side[0], None)
+        done = child(side[0], None)
         for c in side[1:]:
-            fold(done, read(c, scratch), out=done)
-        times[nid] = done
-    return read(top, None)
-
-
-def _fold_racing(racing: list[tuple], groups: dict[int, np.ndarray], deadlines: dict[int, np.ndarray]) -> np.ndarray:
-    """Root times of one curve in one chunk: each racing gate, in post-order, folds its racing
-    children's fresh times and its group's shared ones, then drops the runs its deadline beats."""
-    times: dict[int, np.ndarray] = {}
-    for nid, fold, inner, guard in racing:
-        if inner:
-            done = times.pop(inner[0])
-            for c in inner[1:]:
-                fold(done, times.pop(c), out=done)
-            if nid in groups:
-                fold(done, groups[nid], out=done)
-        else:
-            done = groups[nid].copy()
+            fold(done, child(c, scratch), out=done)
         if guard in deadlines:
             np.putmask(done, done >= deadlines[guard], np.inf)
         times[nid] = done
-    return done
+    return child(top, None)

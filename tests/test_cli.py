@@ -404,6 +404,32 @@ def test_mixed_horizon_pleafs_write_the_bytes_of_single_pleaf_runs(command, tmp_
                 assert payload["meta"] == {**curve.meta, "pleaf": float(pleaf)}
 
 
+@pytest.mark.parametrize("command", ["dynamic", "simulate"])
+def test_repeated_requests_are_answered_once(command, mia_path, tmp_path, capsys):
+    # a repeated --scenario, or a --pleaf equal to an earlier one, asks nothing new: each curve is written and
+    # printed once, under the spelling first given, with the bytes of a run that names each request once
+    common = [command, "--model", mia_path, "--grid", "0:2:5"] + (["--runs", "500"] if command == "simulate" else [])
+    scenarios = ["--scenario", "full", "--scenario", "no-cm", "--scenario", "full"]
+    pleafs = ["--pleaf", "0.1", "--pleaf", "-0.0", "--pleaf", "0.10", "--pleaf", "0.0"]
+    assert main(common + scenarios + pleafs + ["--out", str(tmp_path / "repeated")]) == 0
+    printed = [Path(line).name for line in capsys.readouterr().out.split()]
+    assert printed == [f"dynamic_{scenario}_p{pleaf}.dat" for scenario in ("full", "no-cm") for pleaf in ("0.1", "-0")]
+    assert main(common + scenarios[:4] + pleafs[:4] + ["--out", str(tmp_path / "once")]) == 0
+    for name in printed:
+        assert (tmp_path / "repeated" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+
+
+def test_repeated_scenarios_are_swept_and_exported_once(mia_path, tmp_path, capsys):
+    assert main(["static-sweep", "--model", mia_path, "--grid", "0:1:3", "--scenario", "full", "--scenario", "full",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == [str(tmp_path / "static_full.dat")]
+    # one distinct scenario needs no --out
+    assert main(["export-ctmc", "--model", mia_path, "--scenario", "full"]) == 0
+    once = capsys.readouterr()
+    assert main(["export-ctmc", "--model", mia_path, "--scenario", "full", "--scenario", "full"]) == 0
+    assert capsys.readouterr() == once
+
+
 def test_each_command_reads_the_gate_table_once(mia_path, tmp_path, monkeypatch):
     from actkit import semantics
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -30,7 +31,7 @@ from actkit.model import (
     or_gate,
     with_attack_probability,
 )
-from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text
+from actkit.semantics import Ctmc, collect_rates, compose, export_ctmc_text, parse_ctmc_text
 from actkit.ranking import rank_countermeasures
 from actkit import transient
 from actkit.transient import goal_curve, goal_curves, simulate, simulate_curves, transient_probability
@@ -781,6 +782,47 @@ def test_simulate_curves_match_whole_tree_folds(model_and_curves, seed, runs):
         assert curve.ys == one_draw_per_curve(model, scenario, ts, runs, seed)
 
 
+def _fold_shape(shape, horizons):
+    """A model whose simulator fold has the shape ``shape``, its attack leaves' horizons cycling through
+    ``horizons``, and the scenarios to ask for: under no-cm alone nothing races."""
+    hours = itertools.cycle(horizons)
+
+    def leaf(name, p):
+        return attack(name, p=p, t=next(hours))
+
+    def cm(i):
+        return cm_gate(f"cm{i}", detect(f"d{i}", p=0.4 + 0.2 * i), mitigate(f"m{i}", p=0.5))
+
+    if shape == "one leaf":
+        root = leaf("a", 0.3)
+    elif shape == "nothing races":
+        root = and_gate("goal", or_gate("o", leaf("a", 0.2), leaf("b", 0.3)), leaf("c", 0.1), cm(0))
+    elif shape == "racing children and a group":
+        root = or_gate("goal", and_gate("both", leaf("a", 0.2), leaf("b", 0.3)),
+                       and_gate("g", leaf("c", 0.1), or_gate("o", leaf("d", 0.4), leaf("e", 0.2)), cm(0)))
+    elif shape == "only a group":
+        root = and_gate("goal", leaf("a", 0.2), or_gate("o", leaf("b", 0.3), leaf("c", 0.1)), cm(0))
+    else:  # only racing children
+        root = or_gate("goal", and_gate("g0", leaf("a", 0.2), leaf("b", 0.3), cm(0)),
+                       and_gate("g1", or_gate("o", leaf("c", 0.1), leaf("d", 0.4)), cm(1)))
+    return build_act(shape, root), [Scenario.NO_CM] if shape == "nothing races" else list(Scenario)
+
+
+@pytest.mark.parametrize("horizons", [(1.0,), (0.5, 1.0, 2.0)])
+@pytest.mark.parametrize("shape", ["one leaf", "nothing races", "racing children and a group", "only a group",
+                                   "only racing children"])
+def test_every_fold_shape_matches_the_whole_tree_fold(shape, horizons):
+    # the shapes the property above draws only by chance; on one horizon a pleaf folds each group on the unit
+    # draws, on mixed horizons (and on the leaves' own rates) from the leaves' own times
+    act, scenarios = _fold_shape(shape, horizons)
+    ts = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0]
+    curves = [(scenario, pleaf) for scenario in scenarios for pleaf in (None, 0.1, 0.4)]
+    for runs in (1, 3000):
+        for (scenario, pleaf), curve in zip(curves, simulate_curves(act, ts, runs, 17, curves)):
+            model = act if pleaf is None else with_attack_probability(act, pleaf)
+            assert curve.ys == one_draw_per_curve(model, scenario, ts, runs, 17)
+
+
 def _retimed(act, rng, instant=0.5):
     """``act`` with about a third of its attack leaves at rate 0 and a share ``instant`` of its mitigations at p = 1."""
     nodes = []
@@ -883,6 +925,21 @@ def test_jump_matrix_matches_the_lil_construction(monkeypatch):
     monkeypatch.setattr(transient, "_jump_transpose", jump_transpose_lil)
     for ctmc, curve in zip(chains, curves):
         assert curve == transient_probability(ctmc, ts)
+
+
+@pytest.mark.parametrize("indptr, indices, data", [
+    ([0, 2, 2], [0, 1], [1.0, 1.0]),  # the loop's state sets the uniformization rate: no other diagonal entry
+    ([0, 2, 2, 3], [0, 1, 1], [1.0, 1.0, 5.0]),  # a faster state sets it: the loop adds to a diagonal entry
+])
+def test_a_self_loop_moves_no_mass(indptr, indices, data):
+    # a chain built directly may hold one; beside a -> b at rate 1 it leaves P[b by t] = 1 - e^-t
+    n = len(indptr) - 1
+    ctmc = Ctmc(n, 0, np.array(indptr, np.int32), np.array(indices, np.int32), np.array(data),
+                frozenset({1}), frozenset(), tuple("abc"[:n]))
+    ts = [0.5, 1.0, 3.0]
+    curve = transient_probability(ctmc, ts)
+    for t, y in zip(ts, curve.ys):
+        assert abs(y + math.expm1(-t)) <= curve.meta["error_bound"]
 
 
 def _jump_chains():
