@@ -23,8 +23,8 @@ parsed in one regular-expression scan, so the fixed cost of a command is
 the same whether it is the only one a process runs or one of many; nothing
 is kept from one call to the next.
 
-Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 numeric,
-state-space or memory limit.
+Exit codes: 0 success, 1 I/O error, 2 usage, parse or validation error,
+3 numeric, state-space or memory limit.
 """
 
 from __future__ import annotations
@@ -291,6 +291,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "export-ctmc" and not args.out and len(set(args.scenario or ())) > 1:
         parser.error("export-ctmc writes several scenarios only with --out")
+    named: dict[str, float] = {}  # each distinct --pleaf by the name its files carry
+    for pleaf in getattr(args, "pleaf", None) or ():
+        first = named.setdefault(f"{pleaf:g}", pleaf)
+        if first != pleaf and not math.isnan(pleaf):  # nan is no probability, and the analysis says so
+            parser.error(f"--pleaf {first!r} and {pleaf!r} would write the same files (p{pleaf:g})")
     try:
         return args.func(args)
     except OSError as exc:

@@ -25,27 +25,16 @@ from __future__ import annotations
 import os
 import re
 
-from .errors import ActParseError, ActValidationError, MissingParameter
-from .model import (
-    Act,
-    AndGate,
-    AttackLeaf,
-    CmGate,
-    DetectLeaf,
-    LeafTiming,
-    MitigateLeaf,
-    Node,
-    OrGate,
-    validate_act,
-)
-
-_DEFAULT_HORIZON = 1.0
+from .errors import ActParseError, MissingParameter
+from .model import (_LEAVES, Act, AndGate, AttackLeaf, CmGate, DetectLeaf, LeafTiming, MitigateLeaf, OrGate, _checked,
+                    _node, _timing)
 
 # one keyword per node kind, shared by the parser and serialize_act
 _KINDS = {"AND": AndGate, "OR": OrGate, "CM": CmGate,
           "ATTACK": AttackLeaf, "DETECT": DetectLeaf, "MITIGATE": MitigateLeaf}
 _KEYWORDS = {cls: word for word, cls in _KINDS.items()}
-_LEAVES = (AttackLeaf, DetectLeaf, MitigateLeaf)
+# a leaf's optional second parameter: its name in the text, and its keyword of _timing
+_PARAMS = {"t": "t", "lambda": "lam"}
 
 # One match per token: the blanks before it, then one group per token kind.
 # A comment is a 'skip' token, 'eof' matches at the end of the text and 'bad'
@@ -139,19 +128,15 @@ def _parse_params(p: _Parser) -> LeafTiming:
     p.expect("ident", "p")
     p.expect("punct", "=")
     prob = float(p.expect("number")[1])
-    horizon, lam = _DEFAULT_HORIZON, None
+    extra = {}
     if p.accept("punct", ","):
         key = p.expect("ident")
-        if key[1] not in ("t", "lambda"):
+        if key[1] not in _PARAMS:
             raise p.error(f"expected 't' or 'lambda', found {key[1]!r}", key)
         p.expect("punct", "=")
-        value = float(p.expect("number")[1])
-        if key[1] == "t":
-            horizon = value
-        else:
-            horizon, lam = None, value
+        extra[_PARAMS[key[1]]] = float(p.expect("number")[1])
     p.expect("punct", ")")
-    return LeafTiming(p=prob, t=horizon, lam=lam)
+    return _timing(prob, **extra)
 
 
 def _parse_children(p: _Parser, cls: type) -> list[_Token]:
@@ -208,21 +193,9 @@ def parse_act(text: str) -> Act:
             raise p.error(f"reference to undefined node {tok[1]!r}", tok, code="undefined-reference")
         return by_ident[tok[1]]
 
-    nodes: list[Node] = []
-    for ident, name, cls, payload in defs:
-        if cls in _LEAVES:
-            kind = cls(payload)
-        elif cls is CmGate:
-            kind = CmGate(*map(resolve, payload))
-        else:
-            kind = cls(tuple(map(resolve, payload)))
-        nodes.append(Node(ident[1], name, kind))
-
-    act = Act(title, resolve(root_tok), tuple(nodes))
-    diagnostics = validate_act(act)
-    if diagnostics:
-        raise ActValidationError(diagnostics)
-    return act
+    nodes = tuple(_node(ident[1], name, cls, payload if cls in _LEAVES else map(resolve, payload))
+                  for ident, name, cls, payload in defs)
+    return _checked(Act(title, resolve(root_tok), nodes))
 
 
 def _escape(name: str) -> str:
@@ -237,15 +210,9 @@ def serialize_act(act: Act) -> str:
         kind = node.kind
         if isinstance(kind, _LEAVES):
             tm = kind.timing
-            if tm.p is None:
-                raise MissingParameter(
-                    f"leaf '{node.name}' has no probability; rate-only leaves cannot be written as text"
-                )
-            args = [f"p={float(tm.p)!r}"]
-            if tm.lam is not None:
-                args.append(f"lambda={float(tm.lam)!r}")
-            elif tm.t is not None:
-                args.append(f"t={float(tm.t)!r}")
+            if tm.p is None or (tm.lam is None and tm.t is None):
+                raise MissingParameter(f"text needs leaf '{node.name}' to have a probability and a horizon or a rate")
+            args = [f"p={float(tm.p)!r}", f"lambda={float(tm.lam)!r}" if tm.lam is not None else f"t={float(tm.t)!r}"]
         else:
             args = [act.nodes[c].ident for c in act.children(nid)]
         label = "" if node.name == node.ident else f' "{_escape(node.name)}"'

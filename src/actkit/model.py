@@ -87,6 +87,7 @@ class CmGate:
 
 
 NodeKind = Union[AttackLeaf, DetectLeaf, MitigateLeaf, AndGate, OrGate, CmGate]
+_LEAVES = (AttackLeaf, DetectLeaf, MitigateLeaf)
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,6 @@ class Act:
     title: str
     root: int
     nodes: tuple[Node, ...]
-
-    def kind(self, nid: int) -> NodeKind:
-        return self.nodes[nid].kind
 
     def children(self, nid: int) -> tuple[int, ...]:
         kind = self.nodes[nid].kind
@@ -378,43 +376,57 @@ def with_attack_probability(act: Act, p: float) -> Act:
     return Act(act.title, act.root, tuple(nodes))
 
 
-# -- programmatic construction ------------------------------------------------
+# -- assembly: parse_act and build_act end in these three steps ---------------
+
+def _timing(p: float | None, t: float | None = 1.0, lam: float | None = None) -> LeafTiming:
+    """A leaf's timing: a rate, or else a horizon of ``t`` hours, one by default. Package-internal."""
+    return LeafTiming(p, None if lam is not None else t, lam)
+
+
+def _node(ident: str, name: str, cls: type, payload) -> Node:
+    """A node of kind ``cls``; ``payload`` is a leaf's LeafTiming or a gate's child ids. Package-internal."""
+    kind = CmGate(*payload) if cls is CmGate else cls(payload if cls in _LEAVES else tuple(payload))
+    return Node(ident, name, kind)
+
+
+def _checked(act: Act) -> Act:
+    """``act``, or ActValidationError with what ``validate_act`` lists against it. Package-internal."""
+    diagnostics = validate_act(act)
+    if diagnostics:
+        raise ActValidationError(diagnostics)
+    return act
+
 
 @dataclass
 class _Spec:
-    tag: str
+    cls: type
     name: str
     timing: LeafTiming | None = None
     children: tuple["_Spec", ...] = ()
 
 
-def _leaf(tag: str, name: str, p: float | None, t: float | None, lam: float | None) -> _Spec:
-    # as in the text format, a leaf has a horizon or a rate, never both
-    return _Spec(tag, name, LeafTiming(p=p, t=None if lam is not None else t, lam=lam))
-
-
 def attack(name: str, p: float | None = None, t: float | None = 1.0, lam: float | None = None) -> _Spec:
-    return _leaf("attack", name, p, t, lam)
+    return _Spec(AttackLeaf, name, _timing(p, t, lam))
 
 
 def detect(name: str, p: float, t: float = 1.0, lam: float | None = None) -> _Spec:
-    return _leaf("detect", name, p, t, lam)
+    return _Spec(DetectLeaf, name, _timing(p, t, lam))
 
 
 def mitigate(name: str, p: float, t: float = 1.0, lam: float | None = None) -> _Spec:
-    return _leaf("mitigate", name, p, t, lam)
+    return _Spec(MitigateLeaf, name, _timing(p, t, lam))
 
 
 def and_gate(name: str, *children: _Spec) -> _Spec:
-    return _Spec("and", name, children=tuple(children))
+    return _Spec(AndGate, name, children=children)
 
 
 def or_gate(name: str, *children: _Spec) -> _Spec:
-    return _Spec("or", name, children=tuple(children))
+    return _Spec(OrGate, name, children=children)
 
 
 def cm_gate(name: str, detect_spec: _Spec, mitigate_spec: _Spec) -> _Spec:
-    return _Spec("cm", name, children=(detect_spec, mitigate_spec))
+    return _Spec(CmGate, name, children=(detect_spec, mitigate_spec))
 
 
 def _slug(name: str, used: set[str]) -> str:
@@ -429,8 +441,8 @@ def _slug(name: str, used: set[str]) -> str:
     return slug
 
 
-def build_act(title: str, root: _Spec, validate: bool = True) -> Act:
-    """Assemble an Act from nested specs, assigning ids in preorder."""
+def _assemble(title: str, root: _Spec) -> Act:
+    """The Act of nested specs, ids assigned in preorder, unvalidated. Package-internal."""
     # (spec, ident, child ids) per node, in the preorder a recursive walk
     # would visit them, so ids and deduplicated idents come out the same
     entries: list[tuple[_Spec, str, list[int]]] = []
@@ -442,27 +454,10 @@ def build_act(title: str, root: _Spec, validate: bool = True) -> Act:
             entries[parent][2].append(len(entries))
         stack.extend((c, len(entries)) for c in reversed(spec.children))
         entries.append((spec, _slug(spec.name, used), []))
+    return Act(title, 0, tuple(_node(ident, spec.name, spec.cls, spec.timing if spec.cls in _LEAVES else children)
+                               for spec, ident, children in entries))
 
-    nodes: list[Node] = []
-    for spec, ident, children in entries:
-        if spec.tag == "attack":
-            kind: NodeKind = AttackLeaf(spec.timing)
-        elif spec.tag == "detect":
-            kind = DetectLeaf(spec.timing)
-        elif spec.tag == "mitigate":
-            kind = MitigateLeaf(spec.timing)
-        elif spec.tag == "and":
-            kind = AndGate(tuple(children))
-        elif spec.tag == "or":
-            kind = OrGate(tuple(children))
-        elif spec.tag == "cm":
-            kind = CmGate(*children)
-        else:
-            raise ValueError(f"unknown spec tag {spec.tag!r}")
-        nodes.append(Node(ident, spec.name, kind))
-    act = Act(title, 0, tuple(nodes))
-    if validate:
-        diagnostics = validate_act(act)
-        if diagnostics:
-            raise ActValidationError(diagnostics)
-    return act
+
+def build_act(title: str, root: _Spec) -> Act:
+    """Assemble an Act from nested specs, assigning ids in preorder; raises ActValidationError if it breaks a rule."""
+    return _checked(_assemble(title, root))

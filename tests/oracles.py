@@ -267,10 +267,7 @@ def random_act(rng: random.Random, max_leaves: int = 12, allow_cm: bool = True,
         return and_gate(fresh("and"), *gate_children)
 
     budget = rng.randint(1, max_leaves)
-    root = subtree(budget)
-    if root.tag == "attack":  # single leaf still needs a gate-free tree; that is valid
-        return build_act(title, root)
-    return build_act(title, root)
+    return build_act(title, subtree(budget))
 
 
 def with_random_rates(act: Act, rng: random.Random, lo: float, hi: float) -> Act:
@@ -283,6 +280,39 @@ def with_random_rates(act: Act, rng: random.Random, lo: float, hi: float) -> Act
             kind = type(kind)(LeafTiming(p=kind.timing.p, lam=rate))
         nodes.append(Node(node.ident, node.name, kind))
     return Act(act.title, act.root, tuple(nodes))
+
+
+def malformed_specs() -> list[tuple[object, tuple[str, str]]]:
+    """Builder specs that break a structural rule, each with the (code, node) of a diagnostic ``validate_act`` lists.
+
+    The first is the one shape that the gate table, which holds no scenario,
+    also rejects under no-cm: an AND whose only child is a countermeasure.
+    """
+    def cm(i=""):
+        return cm_gate(f"cm{i}", detect(f"d{i}", p=0.5), mitigate(f"m{i}", p=0.5))
+
+    a, b = attack("a", p=0.5), attack("b", p=0.5)
+    return [
+        (or_gate("top", a, and_gate("g", cm())), ("CmPlacement", "g")),
+        (cm(), ("CmPlacement", "cm")),
+        (detect("d", p=0.5), ("LeafPlacement", "d")),
+        (or_gate("top", a, detect("d", p=0.5)), ("LeafPlacement", "d")),
+        (and_gate("top", a, mitigate("m", p=0.5)), ("LeafPlacement", "m")),
+        (and_gate("top", or_gate("o", a, detect("d", p=0.5)), cm(2)), ("LeafPlacement", "d")),
+        (or_gate("top", a, cm()), ("CmPlacement", "cm")),
+        (and_gate("top", a, cm(1), cm(2)), ("CmPlacement", "top")),
+        # a countermeasure's slots hold one detection and then one mitigation event
+        (and_gate("top", a, cm_gate("cm", mitigate("m", p=0.5), detect("d", p=0.5))), ("CmChildren", "cm")),
+        (and_gate("top", a, cm_gate("cm", and_gate("g", attack("e", p=0.5)), mitigate("m", p=0.5))),
+         ("CmChildren", "cm")),
+        (and_gate("top", a, cm_gate("cm", attack("e", p=0.5), mitigate("m", p=0.5))), ("CmChildren", "cm")),
+        # leaf parameters outside their ranges
+        (or_gate("top", attack("a", p=2.0), b), ("LeafParam", "a")),
+        (or_gate("top", attack("a", p=float("nan")), b), ("LeafParam", "a")),
+        (or_gate("top", attack("a", p=0.5, t=-1.0), b), ("LeafParam", "a")),
+        (or_gate("top", attack("a", lam=-1.0), b), ("LeafParam", "a")),
+        (and_gate("top", a, cm_gate("cm", detect("d", p=0.5, t=0.0), mitigate("m", p=0.5))), ("LeafParam", "d")),
+    ]
 
 
 def malformed_act(rng: random.Random) -> Act:

@@ -419,6 +419,24 @@ def test_repeated_requests_are_answered_once(command, mia_path, tmp_path, capsys
         assert (tmp_path / "repeated" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["dynamic", "simulate"])
+def test_pleafs_that_name_one_file_are_refused(command, mia_path, tmp_path, capsys):
+    # 0.1 and 0.1000000001 both print as 0.1, so their curves would share one file name
+    argv = [command, "--model", mia_path, "--scenario", "full", "--pleaf", "0.1", "--pleaf", "0.1000000001",
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0.1 and 0.1000000001" in captured.err
+    assert not (tmp_path / "out").exists()
+    # nan, once or twice, is refused as a probability outside [0, 1], not as a file name
+    for nans in (["--pleaf", "nan"], ["--pleaf", "nan", "--pleaf", "nan"]):
+        assert main([command, "--model", mia_path, "--scenario", "full", *nans, "--out", str(tmp_path / "out")]) == 3
+        assert "[0, 1]" in capsys.readouterr().err
+
+
 def test_repeated_scenarios_are_swept_and_exported_once(mia_path, tmp_path, capsys):
     assert main(["static-sweep", "--model", mia_path, "--grid", "0:1:3", "--scenario", "full", "--scenario", "full",
                  "--out", str(tmp_path)]) == 0

@@ -41,7 +41,7 @@ def test_parse_minimal():
     act = parse_act(MINIMAL)
     assert act.title == "Demo"
     assert validate_act(act) == []
-    assert isinstance(act.kind(act.root), AndGate)
+    assert isinstance(act.nodes[act.root].kind, AndGate)
     names = {n.ident: n.name for n in act.nodes}
     assert names["break_in"] == "break in"
     assert names["sensor"] == "sensor"
@@ -265,6 +265,13 @@ def test_serialize_name_only_when_distinct():
 def test_serialize_rejects_rate_only_leaves():
     act = Act("R", 0, (Node("a", "a", AttackLeaf(LeafTiming(lam=2.0))),))
     with pytest.raises(MissingParameter):
+        serialize_act(act)
+
+
+def test_serialize_rejects_leaves_without_a_horizon_or_a_rate():
+    # text would read such a leaf with a 1-hour horizon, which gives it a rate it does not have
+    act = build_act("H", or_gate("top", attack("leaf a", p=0.5, t=None), attack("b", p=0.5)))
+    with pytest.raises(MissingParameter, match="leaf 'leaf a'"):
         serialize_act(act)
 
 

@@ -13,6 +13,7 @@ from actkit.model import (
     Node,
     OrGate,
     Scenario,
+    _assemble,
     and_gate,
     apply_scenario,
     attack,
@@ -26,6 +27,8 @@ from actkit.model import (
     with_attack_probability,
 )
 from actkit.statics import static_probability
+
+from oracles import malformed_specs
 
 
 def small_act():
@@ -43,7 +46,7 @@ def codes(act):
 def test_builder_assigns_preorder_ids():
     act = small_act()
     assert act.root == 0
-    assert isinstance(act.kind(0), AndGate)
+    assert isinstance(act.nodes[0].kind, AndGate)
     assert [type(n.kind).__name__ for n in act.nodes] == [
         "AndGate", "AttackLeaf", "CmGate", "DetectLeaf", "MitigateLeaf"]
     assert act.nodes[1].ident == "break_in"
@@ -142,12 +145,34 @@ def test_validate_gate_arity():
     assert codes(act) == ["GateArity"]
 
 
+# builder specs that break a structural rule
+CM_UNDER_OR = or_gate(
+    "top",
+    attack("a", p=0.5),
+    cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5)),
+)
+CM_WITHOUT_ATTACK_SIBLING = and_gate(
+    "top",
+    cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5)),
+)
+TWO_CMS_UNDER_ONE_AND = and_gate(
+    "top",
+    attack("a", p=0.5),
+    cm_gate("cm1", detect("d1", p=0.5), mitigate("m1", p=0.5)),
+    cm_gate("cm2", detect("d2", p=0.5), mitigate("m2", p=0.5)),
+)
+LEAF_PARAMS_OUT_OF_RANGE = or_gate(
+    "top",
+    attack("a", p=1.5),
+    attack("b", p=0.5, t=-1.0),
+    attack("c"),  # neither a probability nor a rate
+    attack("e", lam=-1.0),
+    attack("f", lam=float("inf")),
+)
+
+
 def test_validate_cm_under_or():
-    act = build_act("bad", or_gate(
-        "top",
-        attack("a", p=0.5),
-        cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5)),
-    ), validate=False)
+    act = _assemble("bad", CM_UNDER_OR)
     assert "CmPlacement" in codes(act)
     # nor as the root
     root = Act("cm root", 0, (Node("cm", "cm", CmGate(1, 2)), Node("d", "d", DetectLeaf(LeafTiming(p=0.5, t=1.0))),
@@ -156,20 +181,12 @@ def test_validate_cm_under_or():
 
 
 def test_validate_cm_needs_attack_sibling():
-    act = build_act("bad", and_gate(
-        "top",
-        cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5)),
-    ), validate=False)
+    act = _assemble("bad", CM_WITHOUT_ATTACK_SIBLING)
     assert "CmPlacement" in codes(act)
 
 
 def test_validate_two_cms_under_one_and():
-    act = build_act("bad", and_gate(
-        "top",
-        attack("a", p=0.5),
-        cm_gate("cm1", detect("d1", p=0.5), mitigate("m1", p=0.5)),
-        cm_gate("cm2", detect("d2", p=0.5), mitigate("m2", p=0.5)),
-    ), validate=False)
+    act = _assemble("bad", TWO_CMS_UNDER_ONE_AND)
     assert "CmPlacement" in codes(act)
 
 
@@ -207,21 +224,24 @@ def test_validate_detect_outside_cm():
 
 
 def test_validate_leaf_params():
-    act = build_act("bad", or_gate(
-        "top",
-        attack("a", p=1.5),
-        attack("b", p=0.5, t=-1.0),
-        attack("c"),  # neither a probability nor a rate
-        attack("e", lam=-1.0),
-        attack("f", lam=float("inf")),
-    ), validate=False)
+    act = _assemble("bad", LEAF_PARAMS_OUT_OF_RANGE)
     assert [(d.code, d.node) for d in validate_act(act)] == [("LeafParam", n) for n in "abcef"]
 
 
 def test_build_act_raises_on_invalid():
-    with pytest.raises(ActValidationError) as err:
-        build_act("bad", or_gate("top", attack("a", p=2.0)))
-    assert any(d.code == "LeafParam" for d in err.value.diagnostics)
+    specs = [
+        (or_gate("top", attack("a", p=2.0)), ("LeafParam", "a")),
+        (CM_UNDER_OR, ("CmPlacement", "cm")),
+        (CM_WITHOUT_ATTACK_SIBLING, ("CmPlacement", "top")),
+        (TWO_CMS_UNDER_ONE_AND, ("CmPlacement", "top")),
+        (LEAF_PARAMS_OUT_OF_RANGE, ("LeafParam", "a")),
+        *malformed_specs(),
+    ]
+    for spec, want in specs:
+        with pytest.raises(ActValidationError) as err:
+            build_act("bad", spec)
+        assert err.value.diagnostics == validate_act(_assemble("bad", spec))
+        assert want in [(d.code, d.node) for d in err.value.diagnostics]
 
 
 def test_scenario_no_cm_removes_gates():

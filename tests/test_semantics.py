@@ -21,6 +21,7 @@ from actkit.model import (
     Node,
     OrGate,
     Scenario,
+    _assemble,
     and_gate,
     apply_scenario,
     attack,
@@ -39,8 +40,8 @@ from actkit.transient import goal_curve, goal_curves, simulate, simulate_curves,
 
 from imc_product import bas_imc, cm_imc, compose_product, compose_whole_tree, gate_imc
 from oracles import (
-    and_of_ors, coo_export_text, expm_transient, guarded_branch, guarded_or, malformed_act, race_probability,
-    random_act, reverse_children,
+    and_of_ors, coo_export_text, expm_transient, guarded_branch, guarded_or, malformed_act, malformed_specs,
+    race_probability, random_act, reverse_children,
 )
 
 
@@ -510,37 +511,12 @@ def _rejections(act, scenario):
 
 
 def test_compose_rejects_a_gate_without_an_attack_side_child():
-    def cm(i=""):
-        return cm_gate(f"cm{i}", detect(f"d{i}", p=0.5), mitigate(f"m{i}", p=0.5))
-
-    only_cm = build_act("only cm", or_gate("top", attack("a", p=0.5), and_gate("g", cm())), validate=False)
+    (only_cm, _), *acts = [(_assemble("bad", spec), want) for spec, want in malformed_specs()]
     assert [d.code for d in validate_act(only_cm)] == ["CmPlacement"]
     # the gate table holds no scenario, so no-cm reads the lone countermeasure as misplaced too
     for scenario in Scenario:
         assert _rejections(only_cm, scenario) == {("CmPlacement", "g")}
     # every other shape no evaluator can read fails the same way under every scenario
-    a, b = attack("a", p=0.5), attack("b", p=0.5)
-    shapes = [
-        (cm(), ("CmPlacement", "cm")),
-        (detect("d", p=0.5), ("LeafPlacement", "d")),
-        (or_gate("top", a, detect("d", p=0.5)), ("LeafPlacement", "d")),
-        (and_gate("top", a, mitigate("m", p=0.5)), ("LeafPlacement", "m")),
-        (and_gate("top", or_gate("o", a, detect("d", p=0.5)), cm(2)), ("LeafPlacement", "d")),
-        (or_gate("top", a, cm()), ("CmPlacement", "cm")),
-        (and_gate("top", a, cm(1), cm(2)), ("CmPlacement", "top")),
-        # a countermeasure's slots hold one detection and then one mitigation event
-        (and_gate("top", a, cm_gate("cm", mitigate("m", p=0.5), detect("d", p=0.5))), ("CmChildren", "cm")),
-        (and_gate("top", a, cm_gate("cm", and_gate("g", attack("e", p=0.5)), mitigate("m", p=0.5))),
-         ("CmChildren", "cm")),
-        (and_gate("top", a, cm_gate("cm", attack("e", p=0.5), mitigate("m", p=0.5))), ("CmChildren", "cm")),
-        # leaf parameters outside their ranges
-        (or_gate("top", attack("a", p=2.0), b), ("LeafParam", "a")),
-        (or_gate("top", attack("a", p=float("nan")), b), ("LeafParam", "a")),
-        (or_gate("top", attack("a", p=0.5, t=-1.0), b), ("LeafParam", "a")),
-        (or_gate("top", attack("a", lam=-1.0), b), ("LeafParam", "a")),
-        (and_gate("top", a, cm_gate("cm", detect("d", p=0.5, t=0.0), mitigate("m", p=0.5))), ("LeafParam", "d")),
-    ]
-    acts = [(build_act("bad", spec, validate=False), want) for spec, want in shapes]
     leaf = Node("a", "a", AttackLeaf(LeafTiming(p=0.5)))
     acts += [  # a leaf shared by two ORs, the cycle root -> b -> root, and ids outside the node table
         (Act("shared", 0, (Node("top", "top", OrGate((1, 2))), Node("o1", "o1", OrGate((3,))),
