@@ -26,9 +26,10 @@ class LeafTiming:
     """Success probability and completion-time parameters of a basic event.
 
     ``p`` with horizon ``t`` (hours) or an explicit rate ``lam`` drives the
-    timed behaviour; an explicit rate wins, otherwise the rate is derived as
-    ``-ln(1 - p) / t``. Static analysis always reads ``p``, which may be
-    absent on rate-only leaves built programmatically.
+    timed behaviour, never both: ``validate_act`` refuses a leaf that carries
+    a horizon and a rate. Without a rate it is derived as ``-ln(1 - p) / t``.
+    Static analysis always reads ``p``, which may be absent on rate-only
+    leaves built programmatically.
     """
 
     p: float | None = None
@@ -226,6 +227,8 @@ def _faults(act: Act, nid: int) -> list[Diagnostic]:
         tm = kind.timing  # NaN fails every comparison below
         if tm.p is None and tm.lam is None:
             bad("LeafParam", nid, "leaf carries neither a probability nor a rate")
+        if tm.t is not None and tm.lam is not None:
+            bad("LeafParam", nid, "leaf carries both a horizon and a rate")
         if tm.p is not None and not 0.0 <= tm.p <= 1.0:
             bad("LeafParam", nid, f"probability {tm.p!r} outside [0, 1]")
         if tm.t is not None and not 0.0 < tm.t < math.inf:

@@ -19,7 +19,10 @@ kept. An AND of k two-leaf ORs has 2^(k+1) states, not the about 3^k it has
 when states record which leaf decided each OR. The tests keep that product
 as an independent second construction to compare against. Successful
 states collapse into a single absorbing goal state and states from which
-the goal is unreachable into a single absorbing blocked state.
+the goal is unreachable into a single absorbing blocked state. Only a
+zero-rate attack leaf can strand a pending state, so without one the
+blocked state is the only state that merges and no reverse reachability
+pass runs. A state's label is formatted only when ``Ctmc.labels`` is read.
 
 Exploration reads the gate table once and evaluates no gate per state. A
 state is one integer with a 4-bit status field per event, and each state
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -165,6 +169,10 @@ class Ctmc:
     the rates: ``rates`` wraps them in a scipy ``csr_matrix`` when first
     read, sharing their memory, and keeps it. Chains compare and hash by
     identity, since arrays have no single truth value.
+
+    ``labels`` names each state, by index: a tuple, or in a chain from
+    ``compose`` a sequence that formats its labels when first read and
+    reads, slices and compares (``==`` either way) as the tuple of them.
     """
 
     n: int
@@ -174,7 +182,7 @@ class Ctmc:
     data: np.ndarray
     goal: frozenset[int]
     blocked: frozenset[int]
-    labels: tuple[str, ...]
+    labels: Sequence[str]
     title: str | None = None
     scenario: Scenario | None = None
 
@@ -184,6 +192,50 @@ class Ctmc:
         from scipy import sparse
 
         return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+class _Labels(Sequence):
+    """The state labels of a chain from ``compose``, formatted when first read: reads and compares as their tuple.
+
+    Label i names state ``states[kept[i]]`` by its status digits, leaves then
+    countermeasures, and ``blocked`` labels after those name the merged state.
+    """
+
+    def __init__(self, states: list[int], kept: list[int], leaves: int, cms: int, blocked: int):
+        self._read = (states, kept, leaves, cms, blocked)
+
+    @cached_property
+    def _tuple(self) -> tuple[str, ...]:
+        states, kept, leaves, cms, blocked = self._read
+        del self._read  # frees the states
+        width = leaves + cms
+        labels = []
+        for u in kept:
+            s = states[u]
+            if s == _GOAL:
+                labels.append("goal")
+            else:
+                digits = format(s, f"0{width}x")[::-1]  # in hex, the lowest field comes last
+                labels.append("leaves=" + digits[:leaves] + (" cms=" + digits[leaves:] if cms else ""))
+        return tuple(labels) + ("blocked",) * blocked
+
+    def __getitem__(self, i):
+        return self._tuple[i]
+
+    def __len__(self) -> int:
+        return len(self._tuple)
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __eq__(self, other) -> bool:
+        return self._tuple == (other._tuple if isinstance(other, _Labels) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __repr__(self) -> str:
+        return repr(self._tuple)
 
 
 def compose(
@@ -213,7 +265,7 @@ def compose(
     gates = read_gates(act)
     leaf_rates, cm_rates = _rates(act, gates, scenario)
     states, edges = _explore(act, gates, leaf_rates, cm_rates, state_cap)
-    return _absorbing(states, edges, len(leaf_rates), len(cm_rates), act.title, scenario)
+    return _absorbing(states, edges, len(leaf_rates), len(cm_rates), 0.0 in leaf_rates.values(), act.title, scenario)
 
 
 # a state is one int with a 4-bit status field per event: the attack leaves
@@ -378,30 +430,42 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     return states, edges
 
 
-def _absorbing(states: list[int], edges: list[dict[int, float]], leaves: int, cms: int,
+def _absorbing(states: list[int], edges: list[dict[int, float]], leaves: int, cms: int, strands: bool,
                title: str | None, scenario: Scenario) -> Ctmc:
     """The chain of ``_explore``'s states with every state that cannot reach the goal merged into one.
 
+    Unless ``strands`` (some attack leaf has rate 0), that is ``_BLOCKED``
+    alone, and no reverse pass looks for others. Every state but the goal
+    and blocked ones has a pending root, and under a pending node an AND's attack-side children
+    are pending or succeeded and an OR has a pending child; so firing
+    pending leaves below the root, each at a positive rate, turns it
+    succeeded, and with positive probability this path finishes before any
+    countermeasure does: the state reaches the goal.
+
     Its rates go to numpy as CSR arrays of the dtypes scipy would pick, and
-    no scipy is loaded: exporting a chain needs none.
+    no scipy is loaded: exporting a chain needs none. Labels are formatted
+    when first read.
     """
     import numpy as np
 
     m = len(edges)
-    reaches = [False] * m
     goal = states.index(_GOAL) if _GOAL in states else None
-    if goal is not None:
-        rev: list[list[int]] = [[] for _ in range(m)]
-        for u, succs in enumerate(edges):
-            for v in succs:
-                rev[v].append(u)
-        reaches[goal] = True
-        stack = [goal]
-        while stack:
-            for u in rev[stack.pop()]:
-                if not reaches[u]:
-                    reaches[u] = True
-                    stack.append(u)
+    if not strands:
+        reaches = [s != _BLOCKED for s in states]
+    else:
+        reaches = [False] * m
+        if goal is not None:
+            rev: list[list[int]] = [[] for _ in range(m)]
+            for u, succs in enumerate(edges):
+                for v in succs:
+                    rev[v].append(u)
+            reaches[goal] = True
+            stack = [goal]
+            while stack:
+                for u in rev[stack.pop()]:
+                    if not reaches[u]:
+                        reaches[u] = True
+                        stack.append(u)
 
     # every state is reached from the initial one, so the initial state is
     # kept whenever a goal exists (without one, all states merge into the
@@ -426,20 +490,10 @@ def _absorbing(states: list[int], edges: list[dict[int, float]], leaves: int, cm
             data.append(merged)
         indptr.append(len(indices))
     indptr += [len(indices)] * (n - blocked)
-    # a label lists the status digits, leaves then countermeasures; in hex, the lowest field comes last
-    width = leaves + cms
-    labels = []
-    for u in kept:
-        s = states[u]
-        if s == _GOAL:
-            labels.append("goal")
-        else:
-            digits = format(s, f"0{width}x")[::-1]
-            labels.append("leaves=" + digits[:leaves] + (" cms=" + digits[leaves:] if cms else ""))
     return Ctmc(n=n, init=0, indptr=np.array(indptr, dtype=np.int32), indices=np.array(indices, dtype=np.int32),
                 data=np.array(data, dtype=np.float64), goal=frozenset({renumber[goal]} if kept else ()),
-                blocked=frozenset(range(blocked, n)),
-                labels=tuple(labels) + ("blocked",) * (n - blocked), title=title, scenario=scenario)
+                blocked=frozenset(range(blocked, n)), labels=_Labels(states, kept, leaves, cms, n - blocked),
+                title=title, scenario=scenario)
 
 
 # -- plain-text export ----------------------------------------------------------

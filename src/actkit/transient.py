@@ -213,7 +213,7 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     # a chain still running at the right point puts its leftover mass only on
     # terms past R, whose weight the right-window share already bounds
     meta["error_bound"] = epsilon / 2.0 + (meta["tail_mass"] if tail <= stop_mass else 0.0)
-    return CurveResult(tuple(ts.tolist()), tuple(float(y) for y in ys), ctmc.scenario, meta)
+    return CurveResult(tuple(ts.tolist()), tuple(ys.tolist()), ctmc.scenario, meta)
 
 
 def _jump_transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, exit_rates: np.ndarray,
@@ -344,7 +344,7 @@ def goal_curves(
             ys, without, stats = _solve(gates, parent, act.root, ts, leaf_rates, cm_rates,
                                         epsilon / max(len(cm_rates), 1), removed)
             meta = {"method": "quadrature", "epsilon": epsilon, "model": act.title, **stats}
-            out.append((CurveResult(tuple(ts.tolist()), tuple(float(y) for y in ys), scenario, meta), without))
+            out.append((CurveResult(tuple(ts.tolist()), tuple(ys.tolist()), scenario, meta), without))
     return out
 
 
@@ -738,8 +738,8 @@ def simulate_curves(
         "runs": runs,
         "model": act.title,
     }
-    return [CurveResult(tuple(ts.tolist()), tuple(float(p) for p in row / runs), scenario, dict(meta),
-                        halfwidths=tuple(float(h) for h in _wilson_halfwidths(row, runs)))
+    return [CurveResult(tuple(ts.tolist()), tuple((row / runs).tolist()), scenario, dict(meta),
+                        halfwidths=tuple(_wilson_halfwidths(row, runs).tolist()))
             for (scenario, _), row in zip(curves, counts)]
 
 

@@ -327,7 +327,7 @@ def malformed_act(rng: random.Random) -> Act:
     until it holds two. Or a countermeasure swaps its slots, or one of its
     events becomes an attack event or a gate over a new attack leaf. Or one
     event gets a probability outside [0, 1] or NaN, a horizon that is not
-    positive, or a negative rate.
+    positive, a negative rate, or both a horizon and a rate.
     """
     act = random_act(rng, max_leaves=8, max_cms=2)
     nodes = list(act.nodes)
@@ -339,7 +339,7 @@ def malformed_act(rng: random.Random) -> Act:
     cms = list(act.cm_gates())
     misplaced_cm = [nid for nid in leaves if nid not in parent or isinstance(nodes[parent[nid]].kind, OrGate)
                     or act.guard(parent[nid]) is not None]
-    shape = rng.choice(["detect", "mitigate", "p", "t", "lam"] + ["cm"] * bool(misplaced_cm)
+    shape = rng.choice(["detect", "mitigate", "p", "t", "lam", "both"] + ["cm"] * bool(misplaced_cm)
                        + ["shared", "cycle", "dangling"] * bool(gates) + ["two cms"] * bool(ands)
                        + ["swapped", "slot"] * bool(cms))
 
@@ -381,15 +381,17 @@ def malformed_act(rng: random.Random) -> Act:
             return set_kind(slot, AttackLeaf(nodes[slot].kind.timing))
         nodes.append(Node(f"{nodes[slot].ident}_a", f"{nodes[slot].name} attack", AttackLeaf(LeafTiming(p=0.5, t=1.0))))
         return set_kind(slot, AndGate((len(nodes) - 1,)))
-    if shape in ("p", "t", "lam"):
+    if shape in ("p", "t", "lam", "both"):
         nid = rng.choice(events)
         kind, timing = nodes[nid].kind, nodes[nid].kind.timing
         if shape == "p":
             timing = LeafTiming(p=rng.choice([-0.5, 1.5, float("nan")]), t=timing.t)
         elif shape == "t":
             timing = LeafTiming(p=timing.p, t=rng.choice([0.0, -1.0]))
-        else:
+        elif shape == "lam":
             timing = LeafTiming(p=timing.p, lam=-rng.uniform(0.1, 2.0))
+        else:
+            timing = LeafTiming(p=timing.p, t=rng.choice([0.5, 2.0]), lam=rng.uniform(0.1, 2.0))
         return set_kind(nid, type(kind)(timing))
     nid = rng.choice(misplaced_cm if shape == "cm" else leaves)
     if shape == "cm":

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -381,7 +382,9 @@ def test_chain_matches_whole_tree_reference():
     deep = build_act("deep", _nested_guards(5))
     wide = build_act("wide", or_gate("top", _nested_guards(3, "x"), _nested_guards(4, "y"), attack("z", p=0.2)))
     rng = random.Random(31)
-    models = [load_bundled("mia"), nested, deep, reverse_children(deep), wide, guarded_or(6)]
+    # below two levels, a won guard leaves only a zero-rate leaf under the root: the state is stranded
+    stranded = build_act("stranded", _nested_guards(2))
+    models = [load_bundled("mia"), nested, deep, reverse_children(deep), wide, stranded, guarded_or(6)]
     models += [and_of_ors(k) for k in range(1, 8)]  # k = 7 has 256 states
     for _ in range(200):
         act = random_act(rng, max_leaves=6)
@@ -440,6 +443,24 @@ def test_lumped_chain_keeps_the_product_chains_curve(seed, max_leaves, data):
         got = np.asarray(transient_probability(lumped, ts, eps).ys)
         want = np.asarray(transient_probability(product, ts, eps).ys)
         assert np.all(np.abs(got - want) <= 2.0 * eps)
+
+
+def test_labels_read_as_the_tuple_they_replace():
+    # compose formats its labels when they are first read; the reference holds a plain tuple
+    cases = [(load_bundled("mia"), scenario) for scenario in Scenario]
+    cases.append((build_act("stranded", _nested_guards(2)), Scenario.FULL))  # a zero-rate leaf strands a state
+    for act, scenario in cases:
+        labels, want = compose(act, scenario).labels, compose_whole_tree(act, scenario).labels
+        assert isinstance(want, tuple)
+        assert pickle.loads(pickle.dumps(labels)) == want  # before and after the first read
+        assert len(labels) == len(want)
+        assert labels[0] == want[0] and labels[-1] == want[-1]
+        assert labels[1:3] == want[1:3] and labels[::-1] == want[::-1]
+        assert list(labels) == list(want)
+        assert labels == want and want == labels and not labels != want and not want != labels
+        assert labels != want[:-1] and want[:-1] != labels
+        assert pickle.loads(pickle.dumps(labels)) == want
+    assert labels[-1] == "blocked" and labels.count("blocked") == 1
 
 
 def test_and_of_ors_chain_has_two_to_the_k_plus_one_states():
@@ -536,6 +557,20 @@ def test_compose_rejects_a_gate_without_an_attack_side_child():
         assert want in [(d.code, d.node) for d in validate_act(act)]
         for scenario in Scenario:
             assert _rejections(act, scenario) == {want}
+
+
+def test_a_leaf_with_a_horizon_and_a_rate_is_refused():
+    # text keeps such a leaf's rate alone, so a round trip would lose the horizon that --pleaf reads
+    both = LeafTiming(p=0.5, t=2.0, lam=1.0)
+    guarded = build_act("guarded", and_gate("top", attack("a", p=0.5),
+                                            cm_gate("cm", detect("d", p=0.5), mitigate("m", p=0.5))))
+    acts = [(Act("both", 0, (Node("a", "a", AttackLeaf(both)),)), "a"),
+            (dataclasses.replace(guarded, nodes=(*guarded.nodes[:4], Node("m", "m", MitigateLeaf(both)))), "m")]
+    for act, name in acts:
+        assert [(d.code, d.node, d.message) for d in validate_act(act)] == [
+            ("LeafParam", name, "leaf carries both a horizon and a rate")]
+        for scenario in Scenario:
+            assert _rejections(act, scenario) == {("LeafParam", name)}
 
 
 @settings(deadline=None, max_examples=200)
