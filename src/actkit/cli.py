@@ -113,9 +113,9 @@ def cmd_validate(args) -> int:
 
 def cmd_static_sweep(args) -> int:
     act = load_act(args.model)
-    grid = _parse_grid(args.grid)
-    out = _out_dir(args)
-    for result in sweep_pleaf(act, grid, _scenarios(args)):
+    results = sweep_pleaf(act, _parse_grid(args.grid), _scenarios(args))
+    out = _out_dir(args)  # after the sweep, so a refused grid leaves no directory behind
+    for result in results:
         scenario = result.scenario.value
         payload = {"scenario": scenario, "grid": result.grid, "pgoal": result.pgoal, "model": act.title}
         text = _result_text(args.format, payload, f"{act.title} | scenario={scenario} | static sweep",
@@ -129,8 +129,8 @@ def cmd_timed(args) -> int:
     grid = _parse_grid(args.grid)
     # every curve is computed before the first file is written, so a failing
     # (scenario, pleaf) pair leaves no partial output behind; one call over
-    # every distinct pair (0.0 and -0.0 are one pleaf) reads the gate table once
-    pleafs = dict.fromkeys(args.pleaf or _DEFAULT_PLEAF)
+    # every distinct pair reads the gate table once (+ 0.0 makes -0.0 the pleaf 0, p0)
+    pleafs = dict.fromkeys(pleaf + 0.0 for pleaf in args.pleaf or _DEFAULT_PLEAF)
     pairs = [(scenario, pleaf) for scenario in _scenarios(args) for pleaf in pleafs]
     if args.command == "dynamic":
         curves = [curve for curve, _ in goal_curves(act, grid, args.epsilon, pairs)]

@@ -15,9 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Union
 
-import numpy as np
-
-from .errors import ActValidationError, DomainError, MissingParameter
+from .errors import ActValidationError, DomainError, MissingParameter, _number, _real
 from .timing import rate_from_probability
 
 
@@ -178,14 +176,6 @@ def _check_scenario(scenario: Scenario) -> None:
         raise DomainError(f"scenario must be a Scenario, got {scenario!r}")
 
 
-def _text_or_bool(values: list) -> bool:
-    """Whether ``values`` holds a str, bytes or bool, which ``float`` and numpy read as numbers.
-
-    Looks at each distinct type once, so a long grid costs one C-level pass.
-    """
-    return any(issubclass(t, (str, bytes, bool, np.bool_)) for t in set(map(type, values)))
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     """One validation violation with a machine-readable rule id."""
@@ -224,16 +214,16 @@ def _faults(act: Act, nid: int) -> list[Diagnostic]:
             if isinstance(nodes[c].kind, AttackLeaf):
                 bad("CmChildren", c, "attack events cannot be countermeasure children")
     else:
-        tm = kind.timing  # NaN fails every comparison below
+        tm = kind.timing
         if tm.p is None and tm.lam is None:
             bad("LeafParam", nid, "leaf carries neither a probability nor a rate")
         if tm.t is not None and tm.lam is not None:
             bad("LeafParam", nid, "leaf carries both a horizon and a rate")
-        if tm.p is not None and not 0.0 <= tm.p <= 1.0:
-            bad("LeafParam", nid, f"probability {tm.p!r} outside [0, 1]")
-        if tm.t is not None and not 0.0 < tm.t < math.inf:
+        if tm.p is not None and not _real(tm.p, 0.0, 1.0):
+            bad("LeafParam", nid, f"probability {tm.p!r} is not a number in [0, 1]")
+        if tm.t is not None and not _real(tm.t, 0.0, math.inf, lo_open=True, hi_open=True):
             bad("LeafParam", nid, f"horizon {tm.t!r} is not a positive number of hours")
-        if tm.lam is not None and not 0.0 <= tm.lam < math.inf:
+        if tm.lam is not None and not _real(tm.lam, 0.0, math.inf, hi_open=True):
             bad("LeafParam", nid, f"rate {tm.lam!r} is not finite and non-negative")
     for c in placed:
         if isinstance(nodes[c].kind, CmGate):
@@ -352,11 +342,6 @@ def apply_scenario(act: Act, scenario: Scenario) -> Act:
     return Act(act.title, act.root, tuple(nodes))
 
 
-def _check_attack_probability(p: float) -> None:
-    if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-        raise DomainError(f"attack-leaf probability must lie in [0, 1], got {p!r}")
-
-
 def _attack_horizon(timing: LeafTiming) -> float:
     """The horizon a common attack-leaf probability is read over: the leaf's own, or 1 hour when it has none."""
     return timing.t if timing.t is not None else 1.0
@@ -368,9 +353,9 @@ def with_attack_probability(act: Act, p: float) -> Act:
     Detection and mitigation events keep their modelled values. The leaf's
     horizon is kept (default 1 hour) and any explicit rate is dropped so the
     timed rate re-derives from the new probability. Raises DomainError
-    unless ``p`` is a number in [0, 1].
+    unless ``p`` is a number in [0, 1]; a truth value is not one.
     """
-    _check_attack_probability(p)
+    _number(p, "attack-leaf probability", 0.0, 1.0)
     nodes = []
     for node in act.nodes:
         if isinstance(node.kind, AttackLeaf):

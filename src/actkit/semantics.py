@@ -39,15 +39,14 @@ costs about one short path per transition, not one tree walk per state.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit
-from .model import (Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, _attack_horizon, _check_attack_probability,
-                    _check_scenario, _faults)
+from .errors import (ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit,
+                     _count, _number)
+from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, _attack_horizon, _check_scenario, _faults
 from .timing import rate_from_probability
 
 if TYPE_CHECKING:
@@ -74,12 +73,17 @@ class _CmRates:
 
 
 def _leaf_rate(act: Act, nid: int, pleaf: float | None = None) -> float:
-    """Leaf ``nid``'s rate, or at probability ``pleaf`` over ``_attack_horizon``; its errors name the leaf."""
+    """Leaf ``nid``'s rate, or at probability ``pleaf`` over ``_attack_horizon``; its errors name the leaf.
+
+    Every evaluator reads its rates here: a double whatever numeric type the
+    leaf holds, and 0.0 for -0.0 (``lambda=-0.0`` or ``p=-0.0``).
+    """
     timing = act.nodes[nid].kind.timing
     try:
-        return timing.rate() if pleaf is None else rate_from_probability(pleaf, _attack_horizon(timing))
+        rate = timing.rate() if pleaf is None else rate_from_probability(pleaf, _attack_horizon(timing))
     except (RateUndefined, MissingParameter) as exc:
         raise type(exc)(f"leaf '{act.nodes[nid].name}': {exc}") from None
+    return float(rate) + 0.0
 
 
 # one AND or OR gate as every evaluator reads it: its attack-side children in child order, and its countermeasure child
@@ -128,11 +132,11 @@ def _rates(act: Act, gates: list[_Gate], scenario: Scenario,
 
     A ``pleaf`` reads every attack leaf at that probability, as
     ``with_attack_probability`` sets it, and raises DomainError, after the
-    scenario's check, unless it lies in [0, 1].
+    scenario's check, unless it is a number in [0, 1].
     """
     _check_scenario(scenario)
     if pleaf is not None:
-        _check_attack_probability(pleaf)
+        _number(pleaf, "attack-leaf probability", 0.0, 1.0)
     leaf_rates: dict[int, float] = {}
     cm_rates: dict[int, _CmRates] = {}
     for nid in sorted([act.root, *(c for g in gates for c in g.side), *(g.guard for g in gates if g.guard is not None)]):
@@ -248,8 +252,9 @@ def compose(
     The tree under ``act.root`` must be well-formed; nodes outside it are
     ignored, so the view ``Act(title, g, act.nodes)`` composes the chain of
     ``g``'s subtree alone. Raises what ``collect_rates`` raises, DomainError
-    unless ``state_cap`` is an integer of at least 1, and StateSpaceLimit
-    when more states than that are reachable.
+    unless ``state_cap`` is an integer of at least 1 (numpy integers count,
+    truth values do not), and StateSpaceLimit when more states than that
+    are reachable.
 
     States are numbered breadth first from the initial one, successors in
     event order, and every state that cannot reach the goal merges into one
@@ -258,10 +263,7 @@ def compose(
     deterministic. When the initial state cannot reach the goal the chain is
     that one blocked state.
     """
-    if isinstance(state_cap, bool) or not isinstance(state_cap, numbers.Integral):
-        raise DomainError(f"the state cap must be an integer, got {state_cap!r}")
-    if state_cap < 1:
-        raise DomainError(f"the state cap must be at least 1, got {state_cap}")
+    _count(state_cap, "the state cap", 1)
     gates = read_gates(act)
     leaf_rates, cm_rates = _rates(act, gates, scenario)
     states, edges = _explore(act, gates, leaf_rates, cm_rates, state_cap)

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, MissingParameter
-from .model import Act, AttackLeaf, CmGate, Scenario, _check_scenario, _text_or_bool
+from .errors import MissingParameter, _grid
+from .model import Act, AttackLeaf, CmGate, Scenario, _check_scenario
 from .semantics import read_gates
 
 
@@ -48,9 +48,9 @@ def static_failure(act: Act, scenario: Scenario = Scenario.FULL) -> float:
 
 
 def _probability(act: Act, nid: int) -> float:
-    """Leaf ``nid``'s success probability; a leaf without one raises MissingParameter naming it."""
+    """Leaf ``nid``'s success probability as a double; a leaf without one raises MissingParameter naming it."""
     try:
-        return act.nodes[nid].kind.timing.probability()
+        return float(act.nodes[nid].kind.timing.probability())
     except MissingParameter as exc:
         raise MissingParameter(f"leaf '{act.nodes[nid].name}': {exc}") from None
 
@@ -106,28 +106,15 @@ class SweepResult:
 def sweep_pleaf(act: Act, grid: Sequence[float], scenarios: Sequence[Scenario] = tuple(Scenario)) -> list[SweepResult]:
     """Evaluate static_probability with every attack leaf set to each grid value.
 
-    The grid must hold numbers, not str, bytes or bool, strictly
-    increasing within [0, 1]. Detection and mitigation probabilities keep
+    The grid must be a non-empty, strictly increasing sequence of numbers
+    in [0, 1], numpy scalars included and no truth values or text, else
+    DomainError is raised. Detection and mitigation probabilities keep
     their modelled values. Each scenario is evaluated once, on the array of
     all the grid's points, and each point equals
     ``static_probability(with_attack_probability(act, x), scenario)`` bit
     for bit, without building that model.
     """
-    try:
-        values = list(grid)
-        grid = tuple(float(x) for x in values)
-    except (TypeError, ValueError):
-        raise DomainError("sweep grid must be a flat sequence of numbers") from None
-    if _text_or_bool(values):
-        raise DomainError("sweep grid must hold numbers, not text or truth values")
-    if not grid:
-        raise DomainError("sweep grid is empty")
-    for a, b in zip(grid, grid[1:]):
-        if not a < b:
-            raise DomainError("sweep grid must be strictly increasing")
-    if not (0.0 <= grid[0] and grid[-1] <= 1.0):  # NaN fails here too
-        raise DomainError("sweep grid must lie in [0, 1]")
-    gates = read_gates(act)
-    pleaf = np.array(grid)
+    pleaf = _grid(grid, "sweep grid", 1.0)
+    gates, grid = read_gates(act), tuple(pleaf.tolist())
     return [SweepResult(scenario, grid, tuple(_smaller_side(*_evaluate(act, gates, scenario, pleaf)).tolist()))
             for scenario in scenarios]

@@ -8,14 +8,8 @@ solves ``1 - exp(-rate * t) = p``. All times are in hours.
 from __future__ import annotations
 
 import math
-import numbers
 
-from .errors import DomainError, RateUndefined
-
-# Any real number, numpy scalars included, as validate_act accepts. float
-# comes first because models hold floats, and it is matched about ten times
-# faster than the numbers.Real check.
-_REAL = (float, numbers.Real)
+from .errors import RateUndefined, _number
 
 
 def rate_from_probability(p: float, t: float) -> float:
@@ -23,12 +17,12 @@ def rate_from_probability(p: float, t: float) -> float:
 
     Uses log1p so small probabilities keep full relative precision.
     Raises RateUndefined for ``p == 1`` (no finite rate exists) and
-    DomainError for ``p`` outside [0, 1] or a non-positive horizon.
+    DomainError unless ``p`` is a number in [0, 1] and ``t`` one in
+    (0, inf): numpy scalars count as numbers, read as doubles, and truth
+    values and text do not.
     """
-    if not isinstance(p, _REAL) or math.isnan(p) or not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {p!r}")
-    if not isinstance(t, _REAL) or math.isnan(t) or math.isinf(t) or t <= 0.0:
-        raise DomainError(f"horizon must be a positive finite number of hours, got {t!r}")
+    p = _number(p, "probability", 0.0, 1.0)
+    t = _number(t, "horizon", 0.0, math.inf, lo_open=True, hi_open=True)
     if p == 1.0:
         raise RateUndefined("probability 1 has no finite completion rate")
     return -math.log1p(-p) / t
@@ -36,8 +30,6 @@ def rate_from_probability(p: float, t: float) -> float:
 
 def success_cdf(rate: float, t: float) -> float:
     """P[completion <= t] for an exponential event: ``1 - exp(-rate * t)``."""
-    if not isinstance(rate, _REAL) or math.isnan(rate) or math.isinf(rate) or rate < 0.0:
-        raise DomainError(f"rate must be finite and non-negative, got {rate!r}")
-    if not isinstance(t, _REAL) or math.isnan(t) or math.isinf(t) or t < 0.0:
-        raise DomainError(f"time must be finite and non-negative, got {t!r}")
+    rate = _number(rate, "rate", 0.0, math.inf, hi_open=True)
+    t = _number(t, "time", 0.0, math.inf, hi_open=True)
     return -math.expm1(-rate * t)

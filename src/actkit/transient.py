@@ -56,15 +56,14 @@ per curve, the gates above a countermeasure, with their deadlines.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DomainError
-from .model import Act, Scenario, _text_or_bool
+from .errors import DomainError, _count, _grid, _number
+from .model import Act, Scenario
 from .semantics import Ctmc, _CmRates, _Gate, _rates, read_gates
 
 _RNG_NAME = "philox4x64 per event, keyed by identifier"
@@ -86,30 +85,6 @@ class CurveResult:
     scenario: Scenario | None
     meta: dict
     halfwidths: tuple[float, ...] | None = None
-
-
-def _check_grid(times: Sequence[float]) -> np.ndarray:
-    try:
-        values = list(times)
-        ts = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("time grid must hold numbers of hours") from None
-    if _text_or_bool(values):
-        raise DomainError("time grid must hold numbers of hours, not text or truth values")
-    if ts.ndim != 1:
-        raise DomainError("time grid must be a flat sequence of hours")
-    if ts.size == 0:
-        raise DomainError("time grid is empty")
-    if not np.all(np.isfinite(ts)) or ts[0] < 0.0:
-        raise DomainError("time grid must be finite and non-negative")
-    if np.any(np.diff(ts) <= 0.0):
-        raise DomainError("time grid must be strictly increasing")
-    return ts
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not isinstance(epsilon, numbers.Real) or not 0.0 < epsilon <= 1e-3:
-        raise DomainError(f"epsilon must lie in (0, 1e-3], got {epsilon!r}")
 
 
 def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1e-9) -> CurveResult:
@@ -139,8 +114,8 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     """
     from scipy.sparse._sparsetools import csr_matvec  # the kernel ``csr_matrix.dot`` calls after its dispatch
 
-    _check_epsilon(epsilon)
-    ts = _check_grid(times)
+    epsilon = _number(epsilon, "epsilon", 0.0, 1e-3, lo_open=True)
+    ts = _grid(times, "time grid", math.inf)
 
     goal = np.array(sorted(ctmc.goal), dtype=np.intp)
     meta = {
@@ -330,8 +305,8 @@ def goal_curves(
     ``act.root``'s tree, or any under no-cm). Package-internal: ``actkit``
     does not export it.
     """
-    _check_epsilon(epsilon)
-    ts = _check_grid(times)
+    epsilon = _number(epsilon, "epsilon", 0.0, 1e-3, lo_open=True)
+    ts = _grid(times, "time grid", math.inf)
     table = read_gates(act)
     gates = {g.node: g for g in table}
     parent = {c: g.node for g in table for c in g.side}
@@ -600,10 +575,6 @@ def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarr
                 "error_bound": float(sum(tail.sum() for tail, _, _ in estimates))}
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _event_stream(seed: int, ident: str) -> np.random.Generator:
     """An event's own generator, keyed by its identifier, which stays put when a sibling is removed."""
     key = int.from_bytes(ident.encode(), "big")
@@ -672,14 +643,13 @@ def simulate_curves(
     times are dropped before the next one's are formed, so only one pleaf's
     are held. Chunks hold at most 2^13 runs and 2^22 drawn values, which
     bounds memory and changes no draw. Raises DomainError unless ``runs`` is
-    a positive integer and ``seed`` a non-negative one. Package-internal:
-    ``actkit`` does not export it.
+    a positive integer, ``seed`` a non-negative one and each ``pleaf`` None
+    or a number in [0, 1]: numpy scalars count, truth values do not.
+    Package-internal: ``actkit`` does not export it.
     """
-    if not _is_int(runs) or runs <= 0:
-        raise DomainError(f"runs must be a positive integer, got {runs!r}")
-    if not _is_int(seed) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    ts = _check_grid(times)
+    _count(runs, "runs", 1)
+    _count(seed, "seed", 0)
+    ts = _grid(times, "time grid", math.inf)
     table = read_gates(act)
     read = [_rates(act, table, scenario, pleaf) for scenario, pleaf in curves]
     laws = {scenario: cm_rates for (scenario, _), (_, cm_rates) in zip(curves, read)}

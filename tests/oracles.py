@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from dataclasses import replace
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
@@ -282,6 +283,10 @@ def with_random_rates(act: Act, rng: random.Random, lo: float, hi: float) -> Act
     return Act(act.title, act.root, tuple(nodes))
 
 
+# values of the numeric types' neighbours: text, bytes, complex and truth values, numpy's included
+NO_NUMBERS = ("0.5", b"0.5", 0.5j, True, np.True_)
+
+
 def malformed_specs() -> list[tuple[object, tuple[str, str]]]:
     """Builder specs that break a structural rule, each with the (code, node) of a diagnostic ``validate_act`` lists.
 
@@ -311,7 +316,11 @@ def malformed_specs() -> list[tuple[object, tuple[str, str]]]:
         (or_gate("top", attack("a", p=float("nan")), b), ("LeafParam", "a")),
         (or_gate("top", attack("a", p=0.5, t=-1.0), b), ("LeafParam", "a")),
         (or_gate("top", attack("a", lam=-1.0), b), ("LeafParam", "a")),
+        (or_gate("top", attack("a", p=0.5, t=10**400), b), ("LeafParam", "a")),  # an integer past the doubles
         (and_gate("top", a, cm_gate("cm", detect("d", p=0.5, t=0.0), mitigate("m", p=0.5))), ("LeafParam", "d")),
+        # leaf parameters that are no numbers, though float() reads some and all but text compare as numbers
+        *((or_gate("top", leaf, b), ("LeafParam", "a")) for x in NO_NUMBERS
+          for leaf in (attack("a", p=x), attack("a", p=0.5, t=x), attack("a", lam=x))),
     ]
 
 
@@ -327,7 +336,8 @@ def malformed_act(rng: random.Random) -> Act:
     until it holds two. Or a countermeasure swaps its slots, or one of its
     events becomes an attack event or a gate over a new attack leaf. Or one
     event gets a probability outside [0, 1] or NaN, a horizon that is not
-    positive, a negative rate, or both a horizon and a rate.
+    positive, a negative rate, or both a horizon and a rate. Or one event's
+    ``p``, ``t`` or ``lam`` becomes one of ``NO_NUMBERS``.
     """
     act = random_act(rng, max_leaves=8, max_cms=2)
     nodes = list(act.nodes)
@@ -339,7 +349,7 @@ def malformed_act(rng: random.Random) -> Act:
     cms = list(act.cm_gates())
     misplaced_cm = [nid for nid in leaves if nid not in parent or isinstance(nodes[parent[nid]].kind, OrGate)
                     or act.guard(parent[nid]) is not None]
-    shape = rng.choice(["detect", "mitigate", "p", "t", "lam", "both"] + ["cm"] * bool(misplaced_cm)
+    shape = rng.choice(["detect", "mitigate", "p", "t", "lam", "both", "no number"] + ["cm"] * bool(misplaced_cm)
                        + ["shared", "cycle", "dangling"] * bool(gates) + ["two cms"] * bool(ands)
                        + ["swapped", "slot"] * bool(cms))
 
@@ -381,10 +391,13 @@ def malformed_act(rng: random.Random) -> Act:
             return set_kind(slot, AttackLeaf(nodes[slot].kind.timing))
         nodes.append(Node(f"{nodes[slot].ident}_a", f"{nodes[slot].name} attack", AttackLeaf(LeafTiming(p=0.5, t=1.0))))
         return set_kind(slot, AndGate((len(nodes) - 1,)))
-    if shape in ("p", "t", "lam", "both"):
+    if shape in ("p", "t", "lam", "both", "no number"):
         nid = rng.choice(events)
         kind, timing = nodes[nid].kind, nodes[nid].kind.timing
-        if shape == "p":
+        if shape == "no number":  # the field the leaf times by, or its probability
+            field = rng.choice(["p", "lam" if timing.lam is not None else "t"])
+            timing = replace(timing, **{field: rng.choice(NO_NUMBERS)})
+        elif shape == "p":
             timing = LeafTiming(p=rng.choice([-0.5, 1.5, float("nan")]), t=timing.t)
         elif shape == "t":
             timing = LeafTiming(p=timing.p, t=rng.choice([0.0, -1.0]))

@@ -126,6 +126,8 @@ def test_timed_failure_writes_no_curve(mia_path, tmp_path):
     # an attack-leaf probability outside [0, 1] is refused before any model is built
     ["dynamic", "--pleaf", "2"],
     ["simulate", "--pleaf", "2"],
+    # a sweep grid past [0, 1] leaves no output directory behind
+    ["static-sweep", "--grid", "0:2:3"],
 ])
 def test_bad_simulation_arguments_and_refused_allocations_exit_3(argv, mia_path, tmp_path, capsys):
     out = tmp_path / "out"
@@ -413,10 +415,16 @@ def test_repeated_requests_are_answered_once(command, mia_path, tmp_path, capsys
     pleafs = ["--pleaf", "0.1", "--pleaf", "-0.0", "--pleaf", "0.10", "--pleaf", "0.0"]
     assert main(common + scenarios + pleafs + ["--out", str(tmp_path / "repeated")]) == 0
     printed = [Path(line).name for line in capsys.readouterr().out.split()]
-    assert printed == [f"dynamic_{scenario}_p{pleaf}.dat" for scenario in ("full", "no-cm") for pleaf in ("0.1", "-0")]
+    assert printed == [f"dynamic_{scenario}_p{pleaf}.dat" for scenario in ("full", "no-cm") for pleaf in ("0.1", "0")]
     assert main(common + scenarios[:4] + pleafs[:4] + ["--out", str(tmp_path / "once")]) == 0
     for name in printed:
         assert (tmp_path / "repeated" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+    # -0.0 and 0.0 are one pleaf, named p0 in either order
+    capsys.readouterr()
+    assert main(common + scenarios[:2] + ["--pleaf", "0", "--pleaf", "-0", "--out", str(tmp_path / "zero")]) == 0
+    assert [Path(line).name for line in capsys.readouterr().out.split()] == ["dynamic_full_p0.dat"]
+    text = (tmp_path / "zero" / "dynamic_full_p0.dat").read_bytes()
+    assert text == (tmp_path / "repeated" / "dynamic_full_p0.dat").read_bytes() and b"| pleaf=0 |" in text
 
 
 @pytest.mark.parametrize("command", ["dynamic", "simulate"])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from actkit import load_bundled
@@ -287,7 +288,8 @@ def test_remove_cm_rejects_other_nodes():
 
 
 def test_with_attack_probability():
-    for bad in (2.0, -0.5, float("nan"), "0.5", None):  # a model validate_act would reject is never built
+    # a model validate_act would reject is never built; a truth value is no probability, though it compares as one
+    for bad in (2.0, -0.5, float("nan"), "0.5", None, True, False, np.True_, np.False_):
         with pytest.raises(DomainError):
             with_attack_probability(small_act(), bad)
     act = with_attack_probability(small_act(), 0.25)

@@ -221,8 +221,8 @@ def test_state_cap():
     for cap in (0, -3):  # no chain fits, and the error names the cap rather than counting states past it
         with pytest.raises(DomainError, match=f"state cap must be at least 1, got {cap}"):
             compose(act, Scenario.FULL, state_cap=cap)
-    # a cap that is not an integer: a string, NaN (which would never fire), a bool, a fraction
-    for cap in ("5", float("nan"), True, 5.5, None):
+    # a cap that is not an integer: a string, NaN (which would never fire), a bool, numpy's bool, a fraction
+    for cap in ("5", float("nan"), True, np.True_, 5.5, None):
         with pytest.raises(DomainError, match="state cap must be an integer"):
             compose(act, Scenario.FULL, state_cap=cap)
     assert compose(act, Scenario.FULL, state_cap=np.int64(1000)).n == compose(act).n

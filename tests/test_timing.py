@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from actkit import Scenario, and_gate, attack, build_act, cm_gate, detect, goal_curve, mitigate, simulate
+from actkit import (Scenario, and_gate, attack, build_act, cm_gate, detect, goal_curve, mitigate, simulate,
+                    static_probability)
 from actkit.errors import DomainError, RateUndefined
 from actkit.semantics import compose
 from actkit.transient import transient_probability
@@ -36,7 +37,9 @@ def test_probability_one_has_no_rate():
 
 @pytest.mark.parametrize("p,t", [(-0.1, 1.0), (1.1, 1.0), (float("nan"), 1.0),
                                  (0.5, 0.0), (0.5, -1.0), (0.5, float("inf")),
-                                 (0.5, float("nan"))])
+                                 (0.5, float("nan")),
+                                 # truth values and text are no numbers, though float() reads them
+                                 (True, 1.0), (np.True_, 1.0), ("0.5", 1.0), (0.5, True), (0.5, np.True_), (0.5, "1")])
 def test_rate_domain_errors(p, t):
     with pytest.raises(DomainError):
         rate_from_probability(p, t)
@@ -61,8 +64,28 @@ def test_numpy_scalar_parameters_time_as_their_float_twins():
                 == transient_probability(compose(float_act, scenario), times))
 
 
+def test_numpy_scalars_of_other_precisions_are_read_as_doubles():
+    # a half-precision or long-double parameter is read as its double, so no analysis computes in its precision
+    def model(real):
+        return build_act("twin", and_gate(
+            "top", attack("a", p=real(0.5), t=real(0.5)), attack("b", p=0.4, lam=real(0.5)),
+            cm_gate("cm", detect("d", p=real(0.5)), mitigate("m", p=0.5, lam=real(0.5)))))
+
+    times = [0.0, 1.0]
+    for dtype in (np.float16, np.longdouble):
+        numpy_act, float_act = model(dtype), model(lambda x: float(dtype(x)))
+        for scenario in Scenario:
+            assert static_probability(numpy_act, scenario) == static_probability(float_act, scenario)
+            curve = goal_curve(numpy_act, scenario, times)
+            assert curve == goal_curve(float_act, scenario, times) and {type(y) for y in curve.ys} == {float}
+            assert (transient_probability(compose(numpy_act, scenario), times)
+                    == transient_probability(compose(float_act, scenario), times))
+
+
 @pytest.mark.parametrize("rate,t", [(-1.0, 1.0), (float("inf"), 1.0), (float("nan"), 1.0),
-                                    (1.0, -0.5), (1.0, float("inf")), (1.0, float("nan"))])
+                                    (1.0, -0.5), (1.0, float("inf")), (1.0, float("nan")),
+                                    (True, 1.0), (np.True_, 1.0), ("0.5", 1.0),
+                                    (1.0, True), (1.0, np.True_), (1.0, "1")])
 def test_cdf_domain_errors(rate, t):
     with pytest.raises(DomainError):
         success_cdf(rate, t)

@@ -197,10 +197,33 @@ def test_chains_without_moves_stay_where_they_start():
     assert transient_probability(parse_ctmc_text("#states 1\n#goal 0\n"), ts).ys == (1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("runs, seed", [(0, 1), (-5, 1), (2.5, 1), (True, 1), (10, -1), (10, 1.5), (10, None)])
+@pytest.mark.parametrize("runs, seed", [(0, 1), (-5, 1), (2.5, 1), (True, 1), (np.True_, 1), (10, -1), (10, 1.5),
+                                        (10, None), (10, np.True_)])
 def test_simulate_rejects_bad_runs_and_seeds(runs, seed):
     with pytest.raises(DomainError):
         simulate(single_leaf(), Scenario.FULL, [1.0], runs, seed)
+
+
+@pytest.mark.parametrize("pleaf", [True, False, np.True_, np.False_, "0.5", 0.5j, 1.5])
+def test_curve_requests_refuse_a_pleaf_that_is_no_probability(pleaf):
+    # the rule with_attack_probability applies: a truth value is no probability, though it compares as 0 or 1
+    for solve in (lambda: goal_curves(single_leaf(), [1.0], 1e-9, [(Scenario.FULL, pleaf)]),
+                  lambda: simulate_curves(single_leaf(), [1.0], 10, 1, [(Scenario.FULL, pleaf)])):
+        with pytest.raises(DomainError, match="attack-leaf probability must be a number in"):
+            solve()
+
+
+def test_a_rate_of_minus_zero_reads_as_zero():
+    # lambda=-0.0, p=-0.0 and a pleaf of -0.0 are a rate of 0, and every evaluator answers +0.0, not -0.0
+    ts = [0.0, 1.0]
+    never = [build_act("never", or_gate("top", leaf)) for leaf in (attack("a", p=0.5, lam=-0.0), attack("a", p=-0.0))]
+    for act in never:
+        for ys in (goal_curve(act, Scenario.FULL, ts).ys, transient_probability(compose(act), ts).ys,
+                   simulate(act, Scenario.FULL, ts, 10, 1).ys):
+            assert [math.copysign(1.0, y) for y in ys] == [1.0, 1.0]
+    for ys in (goal_curves(single_leaf(), ts, 1e-9, [(Scenario.FULL, -0.0)])[0][0].ys,
+               simulate_curves(single_leaf(), ts, 10, 1, [(Scenario.FULL, -0.0)])[0].ys):
+        assert [math.copysign(1.0, y) for y in ys] == [1.0, 1.0]
 
 
 def test_simulate_single_leaf():
