@@ -222,7 +222,9 @@ def _static_sweep_options(p: argparse.ArgumentParser) -> None:
 
 def _dynamic_options(p: argparse.ArgumentParser) -> None:
     _timed_options(p)
-    p.add_argument("--epsilon", type=float, default=1e-6, help="solver tolerance")
+    p.add_argument("--epsilon", type=float, default=1e-6,
+                   help="solver tolerance; refinement stops at the curve's rounding level, and the "
+                        "--format json meta's error_bound reports what was reached")
 
 
 def _simulate_options(p: argparse.ArgumentParser) -> None:
@@ -234,7 +236,8 @@ def _simulate_options(p: argparse.ArgumentParser) -> None:
 def _rank_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, scenario=None)
     p.add_argument("--t-star", type=float, default=2.0, help="evaluation horizon in hours")
-    p.add_argument("--epsilon", type=float, default=1e-9, help="solver tolerance")
+    p.add_argument("--epsilon", type=float, default=1e-9,
+                   help="solver tolerance; refinement stops at the curve's rounding level")
     p.add_argument("--out", default=None, help="also write rank.json here")
     p.set_defaults(func=cmd_rank)
 

@@ -177,6 +177,13 @@ class Ctmc:
     ``labels`` names each state, by index: a tuple, or in a chain from
     ``compose`` a sequence that formats its labels when first read and
     reads, slices and compares (``==`` either way) as the tuple of them.
+
+    Construction raises DomainError naming the first of these rules that a
+    chain breaks: n is an integer of at least 1; the initial, goal
+    and blocked states are integers in [0, n); ``indptr`` holds n + 1
+    non-decreasing signed-integer offsets from 0 to ``len(indices) ==
+    len(data)``; every target is a signed integer in [0, n); every rate is
+    finite and non-negative.
     """
 
     n: int
@@ -189,6 +196,28 @@ class Ctmc:
     labels: Sequence[str]
     title: str | None = None
     scenario: Scenario | None = None
+
+    def __post_init__(self) -> None:
+        # labels are not read: a chain from ``compose`` formats them only when they are
+        import numpy as np
+
+        n = self.n
+        _count(n, "a chain's state count", 1)
+        for what, states in (("initial state", (self.init,)), ("goal state", self.goal),
+                             ("blocked state", self.blocked)):
+            for s in states:
+                _count(s, f"a chain's {what}", 0)
+                if s >= n:
+                    raise DomainError(f"a chain's {what} must lie in [0, {n}), got {s!r}")
+        indptr, indices, data = np.asarray(self.indptr), np.asarray(self.indices), np.asarray(self.data)
+        if not (indptr.dtype.kind == "i" and indptr.shape == (n + 1,) and indptr[0] == 0
+                and np.all(indptr[1:] >= indptr[:-1]) and indptr[-1] == indices.size == data.size):
+            raise DomainError(f"a chain's indptr must hold {n + 1} non-decreasing integer offsets from 0 to "
+                              f"len(indices) == len(data)")
+        if not (indices.dtype.kind == "i" and np.all((0 <= indices) & (indices < n))):
+            raise DomainError(f"a chain's transition targets must be integers in [0, {n})")
+        if not np.all((0.0 <= data) & (data < math.inf)):
+            raise DomainError("a chain's transition rates must be finite and non-negative")
 
     @cached_property
     def rates(self) -> sparse.csr_matrix:

@@ -17,10 +17,12 @@ is split between them:
   and at most ``epsilon/4`` above R_t.
 
 The three parts add up to at most ``epsilon``; ``meta["error_bound"]``
-records the sum. The cost is one call of scipy's CSR mat-vec kernel per
-jump, which also reads the goal and absorbed mass, until absorption or R,
-and memory O(n + K + |grid|·window), where K is the number of jumps taken
-and the window width is O(sqrt(Λt)).
+records the sum. The jump matrix is assembled once, by rows, with two
+reader columns that sum the goal and the absorbing states, so the cost is
+one call of scipy's CSC mat-vec kernel per jump, which moves the
+distribution on and reads its goal and absorbed mass, until absorption or
+R, and memory O(n + K + |grid|·window), where K is the number of jumps
+taken and the window width is O(sqrt(Λt)).
 
 ``goal_curve`` answers the same question for a model without building any
 chain. Sibling subtrees share no node, so their completion times are
@@ -30,7 +32,8 @@ attack side's density times the countermeasure's survival. That integral
 is taken by cumulative Chebyshev quadrature on panels of the grid, graded
 toward 0 when a rate is fast, and bisected until each race's error,
 estimated from the tail of each panel's Chebyshev coefficients, is within
-its share of ``epsilon``. Inside a race, gates fold their children by the
+its share of ``epsilon`` or to the curve's rounding level, whichever is
+reached first. Inside a race, gates fold their children by the
 product rule as each child is done, so its memory does not grow with a
 gate's width.
 ``goal_curves`` holds that evaluation for ``goal_curve``, for the CLI's
@@ -93,14 +96,16 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     The solver reads the chain's CSR arrays and builds no scipy matrix:
     ``Ctmc.rates`` is not read, and the one scipy name it loads is the
     mat-vec kernel. Every goal state is read as absorbing: an imported chain
-    may give one exits, which are filtered out of the arrays, and mass that
-    reached the goal stays counted. The transposed jump matrix gets two more
-    rows, one over the goal states and one over the absorbing states, so
-    each jump is one call of scipy's CSR mat-vec kernel that moves the
-    distribution on and reads both masses of the one it moved. The call
-    writes into one of two preallocated vectors, which swap roles, and the
-    goal masses fill a buffer that grows with the jumps taken, so memory
-    stays O(n + jumps) whatever the horizon.
+    may give one exits, which are masked off its edge list, and mass that
+    reached the goal stays counted. ``_jump_chain`` assembles the jump
+    matrix P once, by rows, with two more columns: column n holds a 1 in
+    each goal row and column n + 1 in each absorbing row. Handed P's row
+    arrays, scipy's CSC mat-vec kernel forms πP, so each jump is one call
+    that moves the distribution on and reads, in entries n and n + 1, the
+    goal and absorbed mass of the one it moved. The call writes into one of
+    two preallocated vectors, which swap roles, and the goal masses fill a
+    buffer that grows with the jumps taken, so memory stays O(n + jumps)
+    whatever the horizon.
 
     Parameters
     ----------
@@ -112,12 +117,11 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         Truncation tolerance in (0, 1e-3]. Halving it never moves any output
         by more than the previous value.
     """
-    from scipy.sparse._sparsetools import csr_matvec  # the kernel ``csr_matrix.dot`` calls after its dispatch
+    from scipy.sparse._sparsetools import csc_matvec  # the kernel ``csc_matrix.dot`` calls after its dispatch
 
     epsilon = _number(epsilon, "epsilon", 0.0, 1e-3, lo_open=True)
     ts = _grid(times, "time grid", math.inf)
 
-    goal = np.array(sorted(ctmc.goal), dtype=np.intp)
     meta = {
         "method": "uniformization",
         "epsilon": epsilon,
@@ -125,42 +129,16 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
         "model": ctmc.title,
     }
     n = ctmc.n
-    indptr, indices, data = ctmc.indptr, ctmc.indices, ctmc.data
-    # the row sums scipy's ``sum(axis=1)`` forms, without its matrix round trip
-    busy = np.flatnonzero(np.diff(indptr))
-    exit_rates = np.zeros(n)
-    exit_rates[busy] = np.add.reduceat(data, indptr[busy])
-    if exit_rates[goal].any():  # only an imported chain leaves its goal
-        counts = np.diff(indptr)
-        in_goal = np.zeros(n, dtype=bool)
-        in_goal[goal] = True
-        stay = ~np.repeat(in_goal, counts)
-        indices, data = indices[stay], data[stay]
-        counts[goal] = 0
-        indptr = np.zeros_like(indptr)
-        np.cumsum(counts, out=indptr[1:])
-        exit_rates[goal] = 0.0
-    rate = float(exit_rates.max(initial=0.0))
-    init_in_goal = 1.0 if ctmc.init in ctmc.goal else 0.0
-    if rate == 0.0 or not goal.size:
-        ys = tuple(init_in_goal if goal.size else 0.0 for _ in ts)
+    rate, jump = _jump_chain(ctmc)
+    if jump is None:
+        ys = tuple(1.0 if ctmc.init in ctmc.goal else 0.0 for _ in ts)
         return CurveResult(tuple(ts.tolist()), ys, ctmc.scenario, meta)
-
-    indptr, indices, data = _jump_transpose(indptr, indices, data, exit_rates, rate)
-
     if not ts[-1] < 2.0**53 / rate:  # past this, doubles no longer count the jumps
         raise DomainError(f"uniformization at rate {rate:g} to t = {ts[-1]:g} takes too many jumps")
     mus = rate * ts
     lo, hi = _poisson_windows(mus, epsilon / 4.0)
     right = int(hi[-1])
     stop_mass = epsilon / 2.0
-    # row n sums the goal states and row n + 1 the absorbing ones, in index
-    # order; the leftover transient mass is one minus the absorbed mass
-    absorbing = np.flatnonzero(exit_rates == 0.0)
-    itype = indices.dtype
-    indptr = np.concatenate((indptr, indptr[-1] + np.array([goal.size, goal.size + absorbing.size], itype)))
-    indices = np.concatenate((indices, goal.astype(itype), absorbing.astype(itype)))
-    data = np.concatenate((data, np.ones(goal.size + absorbing.size)))
 
     v = np.zeros(n + 2)
     v[ctmc.init] = 1.0
@@ -169,11 +147,11 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     steps = 0
     while True:
         w.fill(0.0)  # the kernel adds into its output
-        csr_matvec(n + 2, n, indptr, indices, data, v, w)
+        csc_matvec(n + 2, n, *jump, v, w)
         if steps == g.size:
             g = np.concatenate((g, np.empty(g.size)))
         g[steps] = w[n]
-        tail = 1.0 - w[n + 1]
+        tail = 1.0 - w[n + 1]  # the leftover transient mass is one minus the absorbed mass
         if tail <= stop_mass or steps == right:
             break
         v, w = w, v
@@ -191,30 +169,50 @@ def transient_probability(ctmc: Ctmc, times: Sequence[float], epsilon: float = 1
     return CurveResult(tuple(ts.tolist()), tuple(ys.tolist()), ctmc.scenario, meta)
 
 
-def _jump_transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, exit_rates: np.ndarray,
-                    rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays of the transposed jump chain of the rates ``indptr``, ``indices``, ``data``, uniformized at ``rate``.
+def _jump_chain(ctmc: Ctmc) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """The uniformization rate of ``ctmc`` with its goal states absorbing, and its jump matrix's CSR arrays.
 
-    Every rate times 1/rate, the product scipy forms for a division by a
-    scalar, and on the diagonal 1 - exit rate/rate, left out where that is
-    zero. A self-loop, which no chain from ``compose`` or
-    ``parse_ctmc_text`` holds, stays as a second diagonal entry, which the
-    mat-vec kernel adds to the first: its rate counts in ``exit_rates`` and
-    comes back here, so it moves no mass. Entries are sorted by row and
-    then column, as scipy's own conversions leave them, and keep the
-    input's index dtype.
+    The rate is the largest exit rate, each a row sum of ``data`` as scipy's
+    ``sum(axis=1)`` forms it, with a goal row's exits masked off. The
+    arrays are None when that rate is 0 or there is no goal. Otherwise
+    they hold n rows and n + 2 columns, by rows: each row's edges in stored
+    order, every rate times 1/rate (the product scipy forms for a division
+    by a scalar, or the division itself where 1/rate overflows), then its
+    diagonal 1 - exit rate/rate, left out where that is zero, then a 1 in
+    column n for a goal row and in column n + 1 for an absorbing one. Each
+    entry of πP then adds its terms by increasing source state, as a
+    row-by-row product with the sorted transpose does. A self-loop, which
+    no chain from ``compose`` or ``parse_ctmc_text`` holds, stays as an
+    entry before the diagonal, which the kernel adds to it: its rate counts
+    in the exit rate and comes back there, so it moves no mass. The index
+    arrays keep the chain's index dtype.
     """
-    n = indptr.size - 1
-    cols = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))  # the transpose's columns
-    stay = 1.0 - exit_rates / rate
-    kept = np.flatnonzero(stay).astype(cols.dtype)  # int64 would widen every index array below
-    data = np.concatenate((data * (1.0 / rate), stay[kept]))
-    rows = np.concatenate((indices, kept))
-    cols = np.concatenate((cols, kept))
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(n + 1, dtype=cols.dtype)
+    n, indptr, targets, data = ctmc.n, ctmc.indptr, ctmc.indices, ctmc.data
+    itype = targets.dtype
+    goal = np.array(sorted(ctmc.goal), dtype=itype)
+    busy = np.flatnonzero(np.diff(indptr))
+    exit_rates = np.zeros(n)
+    exit_rates[busy] = np.add.reduceat(data, indptr[busy])
+    sources = np.repeat(np.arange(n, dtype=itype), np.diff(indptr))
+    if exit_rates[goal].any():  # only an imported chain leaves its goal
+        stay = ~np.isin(sources, goal)
+        sources, targets, data = sources[stay], targets[stay], data[stay]
+        exit_rates[goal] = 0.0
+    rate = float(exit_rates.max(initial=0.0))
+    if rate == 0.0 or not goal.size:
+        return rate, None
+    diagonal = 1.0 - exit_rates / rate
+    kept = np.flatnonzero(diagonal).astype(itype)  # int64 would widen every index array below
+    absorbing = np.flatnonzero(exit_rates == 0.0).astype(itype)
+    scale = 1.0 / rate
+    rows = np.concatenate((sources, kept, goal, absorbing))
+    order = np.argsort(rows, kind="stable")  # each row's edges, then its diagonal, then its reader columns
+    cols = np.concatenate((targets, kept, np.full(goal.size, n, itype), np.full(absorbing.size, n + 1, itype)))
+    data = np.concatenate((data * scale if scale < math.inf else data / rate, diagonal[kept],
+                           np.ones(goal.size + absorbing.size)))
+    indptr = np.zeros(n + 1, dtype=itype)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order], data[order]
+    return rate, (indptr, cols[order], data[order])
 
 
 def _poisson_windows(mus: np.ndarray, tail: float) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +267,11 @@ def goal_curve(
     over a race's subtree summed over the races (a race accepted on its
     first panels counts 1). It sums the races' ``error_bound``: per panel,
     the largest of the integrand's last three Chebyshev coefficients times
-    the panel's half-width. This is ``goal_curves``' one-curve case.
+    the panel's half-width. Refinement also stops where a panel's estimate
+    sinks to the curve's rounding level, 64 ulps of its scale, so an
+    ``epsilon`` below that buys no more panels, and ``meta["error_bound"]``
+    reports the error reached, which may then exceed ``epsilon``. This is
+    ``goal_curves``' one-curve case.
     """
     [(curve, _)] = goal_curves(act, times, epsilon, [(scenario, None)])
     return curve
@@ -296,7 +298,8 @@ def goal_curves(
     Bottom-up, an attack leaf gives 1 - exp(-rate t), an OR 1 - prod(1 - F_c)
     and an AND prod(F_c) over its attack-side children; an AND gate whose
     countermeasure has a law under the curve's scenario and is not removed
-    is a ``_race`` at ``epsilon`` divided by the number of such laws. Every
+    is a ``_race`` at ``epsilon`` divided by the number of such laws, or
+    at its rounding level, as ``goal_curve`` says. Every
     node's curve is kept, so a removal recomputes only the path from its
     gate, or from the outermost race holding it, to the root. Returns, per
     curve, its CurveResult, whose ``meta`` sums the ``_race`` statistics
@@ -488,7 +491,10 @@ def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarr
     last three Chebyshev coefficients (so an odd or even g still shows one)
     times the panel's half-width. Below 64 ulps of the panel's scale the
     tail is a rounding plateau, which Chebfun's ``standardChop`` likewise
-    reads as converged (Aurentz and Trefethen, ACM TOMS 2017). The estimate
+    reads as converged (Aurentz and Trefethen, ACM TOMS 2017). That scale
+    is the attack side's F, or 1 when the attack side folds an OR of two or
+    more children: its 1 - prod(1 - F_c) rounds in ulps of 1 however small
+    F is, so a smaller scale would split panels near 0 forever. The estimate
     reads only samples, so the rule must also reproduce each panel's exact
     integrals of f_A (F_A's rise) and of the countermeasure's density (S_D's
     fall, weighted by F_A's rise). A panel is bisected while its guard's
@@ -501,9 +507,12 @@ def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarr
     steps = []  # (node, its rate if an attack leaf, whether an OR gate, its law if it races)
     parent: dict[int, tuple[int, bool]] = {}  # attack-side child: its gate, and whether that is an OR
     rates = []  # in post-order, which ``_graded``'s sum depends on
+    ors = set()  # gates whose attack side folds an OR of two or more children
     for nid in _postorder(gates, gate):
         if nid in gates:
             _, is_or, side, guard = gates[nid]
+            if is_or and len(side) > 1 or ors.intersection(side):
+                ors.add(nid)
             law = laws.get(nid) if guard not in gone else None
             if law is not None:
                 rates += [law.detect, law.mitigate or 0.0]
@@ -541,7 +550,8 @@ def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarr
                 scaled = half * f  # scaled first: a fast density's node sums may overflow
                 miss = (np.abs(scaled @ _WEIGHTS - rise)
                         + np.abs(half[:, 0] * (density @ _WEIGHTS) - survival[:, 0] + survival[:, -1]) * rise)
-                noise = _ROUNDING * h * np.abs(f).max(axis=1) + _ROUNDING * F[:, -1]  # h * f may overflow
+                # h * f may overflow
+                noise = _ROUNDING * h * np.abs(f).max(axis=1) + _ROUNDING * (1.0 if nid in ors else F[:, -1])
                 f = f * survival
                 scaled *= survival
                 cumulative = scaled @ _CUMULATIVE.T

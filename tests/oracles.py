@@ -494,29 +494,45 @@ def coo_export_text(ctmc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def jump_transpose_lil(indptr, indices, data, exit_rates, rate):
-    """CSR arrays of the transposed uniformized jump matrix of the rates ``indptr``, ``indices``, ``data``.
+def jump_matrix_lil(ctmc):
+    """``transient._jump_chain`` built through scipy's LIL format: the rate, and the jump matrix's CSR arrays.
 
-    Built through scipy's LIL ``setdiag``, then a CSR transpose.
+    The goal rows are cleared, the exit rates are scipy's row sums
+    of what is left, and the rates are divided by the largest of them; then
+    ``setdiag`` writes 1 - exit rate/rate, and a 1 goes in column n of each
+    goal row and in column n + 1 of each absorbing row. The arrays are None
+    at rate 0 or without a goal.
     """
-    n = indptr.size - 1
-    P = (scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)) / rate).tolil()
+    n, goal = ctmc.n, sorted(ctmc.goal)
+    R = ctmc.rates.tolil()
+    for g in goal:
+        R.rows[g], R.data[g] = [], []
+    R = R.tocsr()
+    exit_rates = np.asarray(R.sum(axis=1)).ravel()
+    rate = float(exit_rates.max(initial=0.0))
+    if rate == 0.0 or not goal:
+        return rate, None
+    P = (R / rate).tolil()
     P.setdiag(1.0 - exit_rates / rate)
-    PT = P.tocsr().T.tocsr()
-    return PT.indptr, PT.indices, PT.data
+    P.resize((n, n + 2))
+    P[goal, n] = 1.0
+    P[np.flatnonzero(exit_rates == 0.0).tolist(), n + 1] = 1.0
+    P = P.tocsr()
+    return rate, (P.indptr, P.indices, P.data)
 
 
 def dot_loop_transient(ctmc, times, epsilon: float = 1e-9) -> tuple[tuple[float, ...], dict]:
     """``transient_probability``'s ys and meta from the jump loop it used to run, one ``PT.dot`` per jump.
 
-    Around the library's own jump matrix and Poisson weights, this keeps the
-    loop they replaced: a fresh vector per jump, the goal and absorbed mass
-    summed by numpy over fancy-indexed states, and the goal masses in an
-    array sized to the right truncation point. It reads the goal as
-    absorbing only where the chain does, so it is the reference for chains
-    whose goal states have no exits.
+    Around the library's Poisson weights, this builds the transposed jump
+    matrix PT through scipy's LIL format and keeps the loop the kernel call
+    replaced: a fresh vector per jump, the goal and absorbed mass summed by
+    numpy over fancy-indexed states, and the goal masses in an array sized
+    to the right truncation point. It reads the goal as absorbing only where
+    the chain does, so it is the reference for chains whose goal states
+    have no exits.
     """
-    from actkit.transient import _jump_transpose, _poisson_mix, _poisson_windows
+    from actkit.transient import _poisson_mix, _poisson_windows
 
     ts = np.asarray(times, dtype=float)
     goal = np.array(sorted(ctmc.goal), dtype=np.intp)
@@ -525,8 +541,9 @@ def dot_loop_transient(ctmc, times, epsilon: float = 1e-9) -> tuple[tuple[float,
     rate = float(exit_rates.max(initial=0.0))
     if rate == 0.0 or not goal.size:
         return tuple(float(ctmc.init in ctmc.goal) for _ in ts), meta
-    indptr, indices, data = _jump_transpose(ctmc.indptr, ctmc.indices, ctmc.data, exit_rates, rate)
-    PT = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ctmc.n, ctmc.n))
+    P = (ctmc.rates / rate).tolil()
+    P.setdiag(1.0 - exit_rates / rate)
+    PT = P.tocsr().T.tocsr()
     mus = rate * ts
     lo, hi = _poisson_windows(mus, epsilon / 4.0)
     right = int(hi[-1])

@@ -318,6 +318,52 @@ def test_parse_sums_repeated_transitions_and_keeps_zero_rates():
     assert transient_probability(ctmc, ts).ys == transient_probability(plain, ts).ys
 
 
+class _Unreadable(tuple):
+    """Labels that fail the test when they are read."""
+
+    def __getitem__(self, i):
+        raise AssertionError("labels read")
+
+    def __iter__(self):
+        raise AssertionError("labels read")
+
+
+def _chain(**changes):
+    """A valid two-state chain a -> b at rate 1, whose labels must not be read, with ``changes`` to its fields."""
+    fields = dict(n=2, init=0, indptr=np.array([0, 1, 1], np.int32), indices=np.array([1], np.int32),
+                  data=np.array([1.0]), goal=frozenset({1}), blocked=frozenset(), labels=_Unreadable(("a", "b")))
+    return semantics.Ctmc(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("changes, rule", [
+    (dict(n=0), "state count must be at least 1"),
+    (dict(n=2.0), "state count must be an integer"),
+    (dict(init=-1), "initial state must be at least 0"),
+    (dict(init=2), r"initial state must lie in \[0, 2\)"),
+    (dict(goal=frozenset({2})), r"goal state must lie in \[0, 2\)"),
+    (dict(goal=frozenset({True})), "goal state must be an integer"),
+    (dict(blocked=frozenset({-1})), "blocked state must be at least 0"),
+    (dict(blocked=frozenset({5})), r"blocked state must lie in \[0, 2\)"),
+    (dict(indptr=np.array([0, 1], np.int32)), "indptr must hold 3 non-decreasing integer offsets"),
+    (dict(indptr=np.array([1, 1, 1], np.int32)), "indptr must hold 3 non-decreasing integer offsets"),
+    (dict(indptr=np.array([0, 1, 0], np.int32)), "indptr must hold 3 non-decreasing integer offsets"),
+    (dict(indptr=np.array([0, 1, 2], np.int32)), "indptr must hold 3 non-decreasing integer offsets"),
+    (dict(data=np.array([1.0, 2.0])), "indptr must hold 3 non-decreasing integer offsets"),
+    (dict(indptr=np.array([0.0, 1.0, 1.0])), "indptr must hold 3 non-decreasing integer offsets"),
+    (dict(indices=np.array([2], np.int32)), r"targets must be integers in \[0, 2\)"),
+    (dict(indices=np.array([-1], np.int32)), r"targets must be integers in \[0, 2\)"),
+    (dict(indices=np.array([1.0])), r"targets must be integers in \[0, 2\)"),
+    (dict(data=np.array([-1.0])), "rates must be finite and non-negative"),
+    (dict(data=np.array([math.nan])), "rates must be finite and non-negative"),
+    (dict(data=np.array([math.inf])), "rates must be finite and non-negative"),
+])
+def test_a_chain_outside_its_documented_shape_is_refused(changes, rule):
+    # unchecked, such a chain answers (0.0, 0.0) or fails in the solver far from its cause
+    with pytest.raises(DomainError, match=rule):
+        _chain(**changes)
+    _chain()  # in shape, and the check reads no labels
+
+
 @pytest.mark.parametrize("text, line", [
     ("0 1\n", 1),  # too few fields
     ("#states 2\n0 1 1.0 2\n", 2),  # too many fields

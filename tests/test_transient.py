@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -42,7 +43,7 @@ from oracles import (
     and_race_curve,
     dot_loop_transient,
     expm_transient,
-    jump_transpose_lil,
+    jump_matrix_lil,
     mpmath_transient,
     or_chain_text,
     random_act,
@@ -714,6 +715,38 @@ def test_goal_curve_resolves_mass_between_quadrature_nodes(attack_side, detect_r
             assert curve.meta["error_bound"] <= eps
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", ["1e-310", "5e-324"])
+def test_a_subnormal_exit_rate_gives_a_finite_curve(lam):
+    # below about 5.6e-309, 1/rate overflows to inf, so the jump chain must divide by the rate
+    act = parse_act(f'act "x" {{ root a; a = ATTACK(p=0.5, lambda={lam}); }}')
+    ts = [0.0, 1.0, 1e300]
+    curve = transient_probability(compose(act), ts)
+    assert all(math.isfinite(y) for y in curve.ys)
+    assert np.all(np.abs(np.asarray(curve.ys) - goal_curve(act, Scenario.FULL, ts).ys) <= 1e-9)
+
+
+@pytest.mark.parametrize("lam, ts", [
+    ("1e20", [0.0, 1e-20, 1.0]),
+    ("1e300", [0.0, 1e-300, 1.0]),
+    ("1e300", [0.0, 0.5, 1.0, 1e6]),  # reaches edges near 1e-300 through the grading toward 0
+])
+def test_a_race_over_tiny_or_values_stops_bisecting(lam, ts):
+    # an OR's 1 - prod(1 - F_c) rounds in ulps of 1, so below 1e-16 its error exceeds 64 ulps of F:
+    # a noise floor in ulps of F would split every panel near 0 on every round until memory ran out
+    act = parse_act(f'act "m" {{ root g; g = AND(o1, o2, cm); o1 = OR(a, b); a = ATTACK(p=0.5, lambda={lam}); '
+                    'b = ATTACK(p=0.5, lambda=0.3); o2 = OR(c, z); c = ATTACK(p=0.5, lambda=0.35); '
+                    'z = ATTACK(p=0.5, lambda=0.0); cm = CM(d, m); d = DETECT(p=0.5, lambda=0.5); '
+                    'm = MITIGATE(p=0.5, lambda=1.0); }')
+    eps = 1e-9
+    start = time.perf_counter()
+    curve = goal_curve(act, Scenario.FULL, ts, eps)
+    assert time.perf_counter() - start < 1.0
+    assert curve.ys[0] == 0.0
+    want = acyclic_transient(compose(act), ts[1:])  # the oracle takes positive times
+    assert np.all(np.abs(np.asarray(curve.ys[1:]) - want) <= eps)
+
+
 def test_goal_curve_refinement_stops_at_rounding_level():
     # no tolerance is too small: panels stop splitting once the estimate is rounding noise
     act = stiff_race()
@@ -926,26 +959,30 @@ def test_transient_probability_keeps_its_values():
     assert stiff.ys == (0.39346862221568046, 0.9178923729012712, 0.999950741336874, 0.999950741336874)
 
 
+def _entries(indptr, indices, data):
+    """A CSR matrix's (row, column, value) entries, sorted: the same matrix whatever order each row holds."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return sorted(zip(rows.tolist(), indices.tolist(), data.tolist()))
+
+
 def test_jump_matrix_matches_the_lil_construction(monkeypatch):
-    rng = random.Random(913)
-    chains = [compose(load_bundled("mia"), s) for s in Scenario]
-    chains += [compose(and_of_ors(k)) for k in range(1, 8)]
-    chains += [compose(random_act(rng, max_leaves=8), s) for _ in range(100) for s in Scenario]
-    # an imported chain may repeat an edge or give a rate of 0
-    chains.append(parse_ctmc_text("#states 4\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 3 1.0\n"
-                                  "2 3 0.5\n0 1 1.0\n"))
+    chains = _jump_chains()
+    # imported goals with exits, which the solver masks off: one with a repeated edge
+    # and a rate of 0, one that starts in a state other than 0
+    chains.append(parse_ctmc_text("#states 5\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 3 1.0\n2 3 0.5\n"
+                                  "0 1 1.0\n3 4 0.7\n3 1 0.2\n"))
+    chains.append(parse_ctmc_text("#states 6\n#init 2\n#goal 4 5\n2 0 1.5\n2 4 0.5\n0 4 3.0\n4 1 2.0\n"
+                                  "1 5 1.0\n5 0 0.25\n0 3 0.1\n"))
     for ctmc in chains:
-        exit_rates = np.asarray(ctmc.rates.sum(axis=1)).ravel()
-        rate = float(exit_rates.max())
-        if rate > 0.0:
-            arrays = ctmc.indptr, ctmc.indices, ctmc.data
-            got = transient._jump_transpose(*arrays, exit_rates, rate)
-            want = jump_transpose_lil(*arrays, exit_rates, rate)
-            for mine, theirs in zip(got, want):
-                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        rate, got = transient._jump_chain(ctmc)
+        want_rate, want = jump_matrix_lil(ctmc)
+        assert rate == want_rate and (got is None) == (want is None)
+        if got is not None:
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+            assert np.array_equal(got[0], want[0]) and _entries(*got) == _entries(*want)
     ts = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
     curves = [transient_probability(ctmc, ts) for ctmc in chains]
-    monkeypatch.setattr(transient, "_jump_transpose", jump_transpose_lil)
+    monkeypatch.setattr(transient, "_jump_chain", jump_matrix_lil)
     for ctmc, curve in zip(chains, curves):
         assert curve == transient_probability(ctmc, ts)
 
@@ -966,18 +1003,19 @@ def test_a_self_loop_moves_no_mass(indptr, indices, data):
 
 
 def _jump_chains():
-    """The chains of ``test_jump_matrix_matches_the_lil_construction``."""
+    """Chains whose goal states have no exits, for the jump-matrix and kernel-loop tests."""
     rng = random.Random(913)
     chains = [compose(load_bundled("mia"), s) for s in Scenario]
     chains += [compose(and_of_ors(k)) for k in range(1, 8)]
     chains += [compose(random_act(rng, max_leaves=8), s) for _ in range(100) for s in Scenario]
+    # an imported chain may repeat an edge or give a rate of 0
     chains.append(parse_ctmc_text("#states 4\n#init 0\n#goal 3\n0 1 2.0\n0 2 0.0\n1 3 1.0\n"
                                   "2 3 0.5\n0 1 1.0\n"))
     return chains
 
 
 def test_kernel_loop_matches_the_dot_loop():
-    # one kernel call per jump, reading goal and absorbed mass from two more rows, is the old loop bit for bit
+    # one kernel call per jump, reading goal and absorbed mass from two more columns, is the old loop bit for bit
     ts = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
     for ctmc in _jump_chains():
         for eps in (1e-6, 1e-9):
