@@ -26,14 +26,19 @@ pass runs. A state's label is formatted only when ``Ctmc.labels`` is read.
 
 Exploration reads the gate table once and evaluates no gate per state. A
 state is one integer with a 4-bit status field per event, and each state
-still to expand carries its per-gate count of children that hold the
-gate's unanimous value. Each successor changes one node, so only the path
-from that node towards the root is walked, up to the first ancestor whose
-value stays pending; the subtree below the highest changed node is the one
-that turns decided, and masks precomputed per node write its canonical
-form in a few integer operations, once per successor: events that climb to
-a node already climbed only add their rate. Building the chain therefore
-costs about one short path per transition, not one tree walk per state.
+still to expand carries its per-gate count of children that hold the gate's
+unanimous value. A new value climbs from the node that changed towards the
+root. Whether it passes a parent depends on a count only where the parent's
+unanimous value is the climbing one and its attack side has more than one
+child; everywhere else the tree alone decides. So, once per ``compose``, a
+table per value gives each node the top of its climb that reads no count,
+and a climb starts there: it reads one count at each count-dependent parent
+and, when it passes, jumps to that parent's top. The subtree below the
+highest changed node is the one that turns decided, and masks precomputed
+per node write its canonical form in a few integer operations. Leaves whose
+climbs start at one top lead to one successor, so it is formed once per
+state and the others only add their rate. Building the chain therefore
+costs a few count reads per transition, not one tree walk per state.
 """
 
 from __future__ import annotations
@@ -325,12 +330,23 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     holds it; the climb stops at the first parent that stays P. Let ``top``
     be the highest node that changed: its subtree holds the event that
     fired, and it is the only subtree that turns decided, so rewriting it in
-    canonical form normalises the successor. Per state and value, each node
-    a climb passed remembers the successor index it led to, so events that
-    climb to one ``top`` (every pending leaf of a pending OR) form and look
-    up that successor once; a leaf whose parent is remembered does not climb
-    at all. The later ones only add their rate, in event order, so every sum
-    keeps its bits.
+    canonical form normalises the successor.
+
+    The first two rules, and the third at a parent with one attack-side
+    child, read the tree alone, so ``tops[value]`` gives each node, once,
+    the top of its climb under them. A climb starts at that top and reads a
+    count only at a parent that could stop it, one whose unanimous value is
+    the climbing one and which has other attack-side children; when it
+    passes, it jumps to that parent's top. Each leaf's event carries its
+    S-top and each countermeasure its owner's D-top. Where a climb ends
+    depends only on the state, the value and the top it starts from, so per
+    state ``seen`` maps each leaf's starting top to the successor index its
+    climb led to: the leaves that start at one top (every pending leaf of a
+    pending OR) form and look up that successor once, and the later ones
+    only add their rate. So the key loses nothing: each event's successor
+    is the one its own climb would reach, events are visited in index order,
+    a successor is numbered when first reached and each sum adds its rates
+    in event order.
 
     The canonical form is a lumping: the future of a state depends only on
     which subtrees are decided and how, not on which events decided them,
@@ -347,7 +363,6 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     StateSpaceLimit when more than ``state_cap`` states are reachable.
     """
     n = len(act.nodes)
-    root = act.root
     low = {nid: 1 << 4 * i for i, nid in enumerate([*sorted(leaf_rates), *sorted(cm_rates)])}
     # per node: attack-side parent (-1 at the root), attack-side arity and,
     # for gates, the value that needs every attack-side child; the low bits
@@ -365,7 +380,9 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
     for nid in leaf_rates:
         leaf_mask[nid] = canonical[_S][nid] = low[nid]
         span[nid] = low[nid] * 15
-    wins = []  # per countermeasure: (shift, low bit, owning gate, detection rate, mitigation rate)
+    # per countermeasure: (shift, low bit, owning gate, detection rate, mitigation rate); by
+    # index, each with its owner's D-top in place of the owner once the tops are known
+    wins = []
     for nid, is_or, side, guard in gates:
         arity[nid] = len(side)
         unanimous[nid] = _D if is_or else _S
@@ -381,46 +398,48 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
         leaf_mask[nid], cm_mask[nid], span[nid] = leaves, cms, (leaves | cms) * 15
         canonical[_D][nid] = dead = leaves * _CLOSED + cms * _CM_CANCELLED
         canonical[_S][nid] = dead - (leaves & -leaves)
-    wins.sort()  # by index
-    fires = [(low[nid] * 15, nid, rate) for nid, rate in sorted(leaf_rates.items()) if rate > 0.0]
+    # per value and node: the top of its climb that reads no count, which
+    # passes a parent whose unanimous value is another or whose attack side
+    # is one child; parents come before their children in reversed post-order
+    tops = {_S: list(range(n)), _D: list(range(n))}
+    for nid, _, side, _ in reversed(gates):
+        passed = [top for value, top in tops.items() if value != unanimous[nid] or len(side) == 1]
+        for c in side:
+            for top in passed:
+                top[c] = top[nid]
+    wins = [(shift, bit, tops[_D][owner], *laws) for shift, bit, owner, *laws in sorted(wins)]
+    fires = [(low[nid] * 15, tops[_S][nid], rate) for nid, rate in sorted(leaf_rates.items()) if rate > 0.0]
 
     states = [0]  # every field 0: leaves PENDING, countermeasures DETECT
     index = {0: 0}
     counts = {0: [0] * n}  # the agree counts of each state still to expand
     edges: list[dict[int, float]] = []
 
-    def reach(s: int, nid: int, value: int, agree: list[int], seen: dict[int, int]) -> int:
-        """Index of the successor of ``s`` in which the P node ``nid`` turns ``value``, numbered if new.
+    def reach(s: int, top: int, value: int, agree: list[int]) -> int:
+        """Index of the successor of ``s`` in which the P node ``top`` turns ``value``, numbered if new.
 
-        ``seen`` maps, for this state and value, each node a climb has
-        passed to the index its climb led to: a climb that meets one of them
-        leads there too, so each successor is formed once. The event that
-        fired lies under ``top``, so the subtree's canonical form overwrites
-        its field too.
+        ``top`` is a top of ``tops[value]``, so its parent, if any, passes
+        the value only when every other attack-side child holds it: there
+        the climb reads a count and jumps to the parent's top. The event
+        that fired lies under the last ``top``, so the subtree's canonical
+        form overwrites its field too.
         """
-        path = []
-        while nid not in seen:
-            path.append(nid)
-            up = parent[nid]
-            if up < 0 or value == unanimous[up] and agree[up] + 1 < arity[up]:
-                top = nid
-                if top == root:
-                    succ = _GOAL if value == _S else _BLOCKED
-                else:
-                    succ = s & ~span[top] | canonical[value][top]
-                j = index.get(succ)
-                if j is None:
-                    j = index[succ] = len(states)
-                    states.append(succ)
-                    if succ >= 0:
-                        counts[j] = bumped = agree.copy()
-                        bumped[parent[top]] += 1
-                seen[top] = j
-                break
-            nid = up
-        j = seen[nid]
-        for node in path:
-            seen[node] = j
+        climb = tops[value]
+        up = parent[top]
+        while up >= 0 and agree[up] + 1 >= arity[up]:
+            top = climb[up]
+            up = parent[top]
+        if up < 0:
+            succ = _GOAL if value == _S else _BLOCKED
+        else:
+            succ = s & ~span[top] | canonical[value][top]
+        j = index.get(succ)
+        if j is None:
+            j = index[succ] = len(states)
+            states.append(succ)
+            if succ >= 0:
+                counts[j] = bumped = agree.copy()
+                bumped[up] += 1
         return j
 
     for k, s in enumerate(states):
@@ -432,20 +451,19 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
         if s < 0:
             continue
         agree = counts.pop(k)
+        # the successor that the climb from each leaf's top has led to in this state
         seen: dict[int, int] = {}
-        for field, nid, rate in fires:
+        for field, top, rate in fires:
             if not s & field:  # PENDING -> DONE
-                # a climb that reached the parent passed the same test this one would
-                j = seen.get(parent[nid])
+                j = seen.get(top)
                 if j is None:
-                    j = reach(s, nid, _S, agree, seen)
+                    j = seen[top] = reach(s, top, _S, agree)
                 out[j] = out.get(j, 0.0) + rate
-        seen = {}
-        for shift, bit, owner, detect, mitigate in wins:
+        for shift, bit, top, detect, mitigate in wins:
             phase = s >> shift & 15
             if phase == _CM_DETECT and detect > 0.0:
                 if mitigate is None:
-                    j = reach(s, owner, _D, agree, seen)
+                    j = reach(s, top, _D, agree)
                     out[j] = out.get(j, 0.0) + detect
                     continue
                 succ = s | bit  # DETECT -> MITIGATE decides nothing
@@ -456,7 +474,7 @@ def _explore(act: Act, gates: list[_Gate], leaf_rates: dict[int, float], cm_rate
                     counts[j] = agree
                 out[j] = out.get(j, 0.0) + detect
             elif phase == _CM_MITIGATE and mitigate > 0.0:
-                j = reach(s, owner, _D, agree, seen)
+                j = reach(s, top, _D, agree)
                 out[j] = out.get(j, 0.0) + mitigate
     return states, edges
 

@@ -205,7 +205,8 @@ def _acyclic_goal(ctmc, times, dps: int) -> list[Decimal]:
         decimal = [Decimal(q.numerator) / q.denominator for q in distinct]
         gaps: dict[tuple[int, int], Decimal] = {}  # rate a minus rate q, from the exact sums
         ts = [Decimal(float(t)) for t in times]
-        goal = [Decimal(0)] * len(ts)
+        # at t = 0 all the mass is on the initial state; a term's t^k would read 0^0 there
+        goal = [Decimal(int(not t and ctmc.init in ctmc.goal)) for t in ts]
         # per state still to solve: (rate, power) -> coefficient of its predecessors' rate-weighted sum
         inflow: list[dict | None] = [{} for _ in range(ctmc.n)]
         for u in order:
@@ -231,7 +232,8 @@ def _acyclic_goal(ctmc, times, dps: int) -> list[Decimal]:
                     sums[key] = sums.get(key, 0) + r * c
             if u in ctmc.goal:
                 for i, t in enumerate(ts):
-                    goal[i] += sum(c * t ** k * (-decimal[a] * t).exp() for (a, k), c in terms.items())
+                    if t:
+                        goal[i] += sum(c * t ** k * (-decimal[a] * t).exp() for (a, k), c in terms.items())
     return goal
 
 

@@ -11,7 +11,7 @@ from scipy import sparse
 
 from actkit import load_bundled, semantics
 from actkit.cli import main
-from actkit.dsl import serialize_act
+from actkit.dsl import parse_act, serialize_act
 from actkit.errors import ActParseError, ActValidationError, DomainError, RateUndefined, StateSpaceLimit
 from actkit.model import (
     Act,
@@ -453,6 +453,42 @@ def test_shared_tops_keep_their_bytes():
         leaf_rates, cm_rates = collect_rates(act)
         assert len(set(leaf_rates.values())) == len(leaf_rates) and cm_rates
         _assert_same_chain(act)
+
+
+def test_each_climb_keeps_its_bytes():
+    # a climb reads no count up to its precomputed top; past that, one count per parent it passes
+
+    # x1 passes its one-child guarded AND without a count and stops at the top AND
+    one_child = build_act("one-child guard", and_gate(
+        "top", _guarded(1), or_gate("o", attack("a", p=0.3), attack("b", p=0.5))))
+    # g1 turning D passes two ANDs and stops at the OR, unless g2 already has: then it blocks the root
+    ands_to_or = build_act("ands to an OR", or_gate(
+        "top", and_gate("a1", and_gate("a2", _guarded(1), attack("y", p=0.3)), attack("z", p=0.2)), _guarded(2)))
+    # x or y, the last of c, passes the count-dependent AND c, then both ORs, and stops at the top AND unless w is done
+    last_child = build_act("last child", and_gate(
+        "top", or_gate("o2", or_gate("o1", and_gate("c", attack("x", p=0.3), attack("y", p=0.4)),
+                                     attack("u", p=0.2)), attack("v", p=0.25)), attack("w", p=0.35),
+        cm_gate("cm", detect("d", p=0.45), mitigate("m", p=0.65))))
+    # leaves declared out of tree order, so events interleave the subtrees: once y1 and y2 are done, x1, x2
+    # and x3 all reach the goal, x1 and x3 from the top o1, and their rates add up in event order
+    interleaved = parse_act(
+        'act "interleaved" { root top; top = OR(a1, a2); a1 = AND(o1, y1, cm); x1 = ATTACK(p=0.15); '
+        'x2 = ATTACK(p=0.45); x3 = ATTACK(p=0.6); y1 = ATTACK(p=0.5); y2 = ATTACK(p=0.3); o1 = OR(x1, x3); '
+        'a2 = AND(x2, y2); cm = CM(d, m); d = DETECT(p=0.35); m = MITIGATE(p=0.7); }')
+    for act in (one_child, ands_to_or, last_child, interleaved):
+        _assert_same_chain(act)
+        _assert_same_chain(reverse_children(act))
+
+
+def test_a_deep_chain_of_one_child_guards_keeps_its_bytes():
+    # 300 one-child guarded ANDs: the leaf's climb and every guard's reach the root without reading a count
+    spec = attack("core", p=0.4)
+    for i in range(300):
+        spec = and_gate(f"g{i}", spec, cm_gate(f"cm{i}", detect(f"d{i}", p=0.5),
+                                               mitigate(f"m{i}", p=0.6 if i % 100 == 0 else 1.0)))
+    act = build_act("deep guards", spec)
+    assert compose(act).n == 2 ** 3 + 2  # the three guards with a mitigation phase, the goal and blocked
+    _assert_same_chain(act)
 
 
 @settings(deadline=None, max_examples=100)

@@ -530,9 +530,11 @@ def test_acyclic_oracle_matches_the_matrix_exponential():
     # unit rates all around: detection hands over to mitigation at the same exit rate, which raises a power of t
     even = build_act("even", and_gate("top", attack("a", p=E1), attack("b", p=E1),
                                       cm_gate("cm", detect("d", p=E1), mitigate("m", p=E1))))
+    # at t = 0 the goal holds the initial state's mass
+    assert acyclic_transient(parse_ctmc_text("#goal 0\n"), [0.0, 1.0]).tolist() == [1.0, 1.0]
     for scenario in Scenario:
         ctmc = compose(even, scenario)
-        ts = [0.5, 2.0, 8.0]
+        ts = [0.0, 0.5, 2.0, 8.0]
         np.testing.assert_allclose(acyclic_transient(ctmc, ts), mpmath_transient(ctmc, ts), rtol=1e-15, atol=0)
     for _ in range(12):
         act = with_random_rates(random_act(rng, max_leaves=4, max_cms=2), rng, 1e-2, 1e9)
@@ -743,8 +745,8 @@ def test_a_race_over_tiny_or_values_stops_bisecting(lam, ts):
     curve = goal_curve(act, Scenario.FULL, ts, eps)
     assert time.perf_counter() - start < 1.0
     assert curve.ys[0] == 0.0
-    want = acyclic_transient(compose(act), ts[1:])  # the oracle takes positive times
-    assert np.all(np.abs(np.asarray(curve.ys[1:]) - want) <= eps)
+    want = acyclic_transient(compose(act), ts)
+    assert np.all(np.abs(np.asarray(curve.ys) - want) <= eps)
 
 
 def test_goal_curve_refinement_stops_at_rounding_level():
