@@ -188,6 +188,12 @@ class Diagnostic:
         return f"{self.code} at '{self.node}': {self.message}"
 
 
+def _repeated(act: Act, nid: int) -> Diagnostic:
+    """The diagnostic of node ``nid``, whose identifier a node with a smaller id also carries. Package-internal."""
+    node = act.nodes[nid]
+    return Diagnostic("DuplicateIdentifier", node.name, f"identifier {node.ident!r} also names an earlier node")
+
+
 def _faults(act: Act, nid: int) -> list[Diagnostic]:
     """The rules of a well-formed tree that read only node ``nid``, its own children and whether it is the root.
 
@@ -237,10 +243,12 @@ def validate_act(act: Act) -> list[Diagnostic]:
     """Check every structural rule; returns one diagnostic per violation.
 
     An empty list means the act is a well-formed tree: acyclic, single-rooted,
-    no shared subtrees, gates non-empty, countermeasure gates placed under AND
-    gates with exactly one detection and one mitigation child, and all leaf
-    parameters in range. It checks the rules that read the whole table
-    first, then ``_faults`` of every node.
+    no shared subtrees, no identifier on two nodes, gates non-empty,
+    countermeasure gates placed under AND gates with exactly one detection
+    and one mitigation child, and all leaf parameters in range. It checks the
+    rules that read the whole table first, then ``_faults`` of every node. A
+    node whose identifier an earlier node of the table carries is a
+    DuplicateIdentifier: the simulator keys each event's random stream on it.
     """
     out: list[Diagnostic] = []
     n = len(act.nodes)
@@ -258,7 +266,10 @@ def validate_act(act: Act) -> list[Diagnostic]:
     if out:
         return out
 
+    first: dict[str, int] = {}  # each identifier: the first node carrying it
     for nid, node in enumerate(act.nodes):
+        if first.setdefault(node.ident, nid) != nid:
+            out.append(_repeated(act, nid))
         if nid == act.root:
             if parents[nid]:
                 out.append(Diagnostic("RootHasParent", node.name, "the root must not appear as a child"))

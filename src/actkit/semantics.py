@@ -51,7 +51,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit,
                      _count, _number)
-from .model import Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, _attack_horizon, _check_scenario, _faults
+from .model import (Act, AndGate, AttackLeaf, CmGate, OrGate, Scenario, _attack_horizon, _check_scenario, _faults,
+                    _repeated)
 from .timing import rate_from_probability
 
 if TYPE_CHECKING:
@@ -99,17 +100,24 @@ def read_gates(act: Act) -> list[_Gate]:
     """Every AND and OR gate under ``act.root`` in ``act.postorder()`` order: the one reading of a tree's shape.
 
     The one check every evaluator passes: it raises what ``act.postorder``
-    raises, then the first of ``model._faults`` of the nodes it returns, as
-    a one-diagnostic ActValidationError. So it rejects under the root every
-    per-node rule ``validate_act`` reports, and each evaluator finds only
-    AND and OR gates and attack events on the attack side. No scenario
-    changes the table. Package-internal.
+    raises, then the first of ``model._faults`` of the nodes it returns, or
+    the DuplicateIdentifier of the later in the table of two of them that
+    carry one identifier, whichever it reaches first, as a one-diagnostic
+    ActValidationError. So it rejects under the root every per-node rule and
+    every repeated identifier ``validate_act`` reports, each evaluator finds
+    only AND and OR gates and attack events on the attack side, and each
+    event's identifier names it alone. No scenario changes the table.
+    Package-internal.
     """
     gates = []
+    named: dict[str, int] = {}  # each identifier reached: the node carrying it
     for nid in act.postorder():
         faults = _faults(act, nid)
         if faults:
             raise ActValidationError(faults[:1])
+        other = named.setdefault(act.nodes[nid].ident, nid)
+        if other != nid:
+            raise ActValidationError([_repeated(act, max(nid, other))])
         kind = act.nodes[nid].kind
         if isinstance(kind, (AndGate, OrGate)):
             guard = act.guard(nid)

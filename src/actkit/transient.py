@@ -45,15 +45,18 @@ and ``--pleaf`` give.
 
 The simulator replays the same race semantics with sampled
 exponential completion times and reports Wilson half-widths. Each event
-draws from its own Philox stream, keyed by the seed and the event's
-identifier, so ``simulate_curves`` folds one draw per event into the curves
-of every (scenario, attack-leaf probability) pair. Only the gates above a
+draws from its own PCG64 stream, seeded by numpy's ``SeedSequence`` from
+the seed and a key that the event's identifier alone determines, so
+``simulate_curves`` folds one draw per event into the curves of every
+(scenario, attack-leaf probability) pair. Only the gates above a
 countermeasure differ between scenarios, so the fold is planned once per
 call, and one function, ``_fold``, folds each part of the plan per chunk
 of runs: each guard-free group of subtrees whose leaves share one rate
 once, on the unit draws, then scaled by 1/rate per attack-leaf
 probability; any other group per probability, from its leaves' own times;
-per curve, the gates above a countermeasure, with their deadlines.
+per curve, the gates above a countermeasure, with their deadlines, where
+an unguarded gate that shares its parent's operator is part of the
+parent's step.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .errors import DomainError, _count, _grid, _number
 from .model import Act, Scenario
 from .semantics import Ctmc, _CmRates, _Gate, _rates, read_gates
 
-_RNG_NAME = "philox4x64 per event, keyed by identifier"
+_RNG_NAME = "pcg64 per event, keyed by identifier"
 _CHUNK = 1 << 13  # runs per chunk: mia's draws stay in cache
 _CHUNK_VALUES = 1 << 22  # drawn doubles per chunk across all events: 32 MB
 
@@ -403,15 +406,19 @@ def _survival(rates: _CmRates, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the larger one b, so it neither cancels when d is small nor overflows:
     e^{-as}(1 + a(1 - e^{-ds})/d), with density ab e^{-as}(1 - e^{-ds})/d,
     which is Erlang-2 at d = 0 and 1 when a rate is 0. Instant mitigation
-    leaves the detection time alone.
+    leaves the detection time alone. Past as = 1000, where e^{-as} is 0,
+    s is read as 1000/a, so a·ramp stays finite; where ab overflows, the
+    density is (a e^{-as})(b·ramp), whose factors stay finite.
     """
     if rates.mitigate is None:
         survival = np.exp(-rates.detect * s)
         return survival, rates.detect * survival
     a, b = sorted((rates.detect, rates.mitigate))
+    if a > 0.0:
+        s = np.minimum(s, 1e3 / a)
     ramp = s if b == a else -np.expm1(-(b - a) * s) / (b - a)
     decay = np.exp(-a * s)
-    return decay * (1.0 + a * ramp), a * b * decay * ramp
+    return decay * (1.0 + a * ramp), a * b * decay * ramp if a * b < math.inf else a * decay * (b * ramp)
 
 
 def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -586,9 +593,14 @@ def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarr
 
 
 def _event_stream(seed: int, ident: str) -> np.random.Generator:
-    """An event's own generator, keyed by its identifier, which stays put when a sibling is removed."""
-    key = int.from_bytes(ident.encode(), "big")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(key,))))
+    """An event's own PCG64 generator, keyed by its identifier, which stays put when a sibling is removed.
+
+    The key reads the identifier's UTF-8 bytes behind a leading 1 byte, so
+    two identifiers give two keys even where one is the other with leading
+    NUL characters.
+    """
+    key = int.from_bytes(b"\x01" + ident.encode(), "big")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
 def simulate(
@@ -605,7 +617,7 @@ def simulate(
     earliest child, AND the latest attack-side child unless that time is
     beaten by the countermeasure's detection plus mitigation total, in which
     case the gate never succeeds. Deterministic for fixed (seed, runs, grid).
-    Each event draws from its own Philox stream keyed by the seed and its
+    Each event draws from its own PCG64 stream keyed by the seed and its
     identifier, so a time is a unit exponential times 1/rate that depends
     only on the seed, the event's identifier and the run index: not on the
     scenario, on the chunk size, or on which other events draw. Calls with
@@ -640,16 +652,17 @@ def simulate_curves(
 
     Only the gates above a countermeasure differ between scenarios. A gate
     *races* when some requested scenario gives a law to a guard in its
-    subtree; the guard-free attack-side children of each racing gate (the
-    whole tree, if none races) form one group, and ``_fold`` folds each
-    part. Per chunk, a group whose leaves all read one rate λ > 0 under some
-    pleaf is folded once on the unit draws; per distinct pleaf, each group's
-    times are that fold times 1/λ, or the group folded from its leaves' own
-    times; per curve, the racing gates are folded over them, with their
-    deadlines. Min and max are exact and x ↦ x/λ rounded is monotone, so the
-    scaled fold is the fold of the scaled draws, bit for bit. A ``pleaf``
-    gives a group one rate when its leaves share one horizon, as all of
-    ``mia``'s do. Curves are taken one pleaf at a time, and a pleaf's group
+    subtree. ``_fold_plan`` folds an unguarded racing gate into its racing
+    parent's step when the two share an operator, and the guard-free
+    attack-side children gathered by each step (the whole tree, if none
+    races) form one group; ``_fold`` folds each part. Per chunk, a group
+    whose leaves all read one rate λ > 0 under some pleaf is folded once on
+    the unit draws; per distinct pleaf, each group's times are that fold
+    times 1/λ, or the group folded from its leaves' own times; per curve,
+    the racing steps are folded over them, with their deadlines. Min and
+    max are exact and x ↦ x/λ rounded is monotone, so the scaled fold is
+    the fold of the scaled draws, bit for bit. A ``pleaf`` gives a group one
+    rate when its leaves share one horizon, as all of ``mia``'s do. Curves are taken one pleaf at a time, and a pleaf's group
     times are dropped before the next one's are formed, so only one pleaf's
     are held. Chunks hold at most 2^13 runs and 2^22 drawn values, which
     bounds memory and changes no draw. Raises DomainError unless ``runs`` is
@@ -752,38 +765,49 @@ def _own_times(units: dict[int, np.ndarray], rates: dict[int, float], size: int)
 
 
 def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[_Gate], dict[int, tuple]]:
-    """The racing gates of the gate table ``table``, and the guard-free groups they fold.
+    """The racing steps of the gate table ``table``, and the guard-free groups they fold.
 
     A gate races when a countermeasure in ``guarded`` guards it or a gate in
-    its subtree. Returns the racing gates in post-order, so the root comes
-    last, each with its racing attack-side children and then its group,
-    keyed ~gate, which no node id takes; and per group, keyed by its top,
-    the gates that fold it in post-order and its leaves. A racing gate's
-    group is its guard-free attack-side children, joined by a last step ~gate
+    its subtree. A racing gate that no countermeasure in ``guarded`` guards
+    and whose racing parent has its operator folds into the parent's step:
+    its racing children become the parent's and its guard-free children join
+    the parent's group, which keeps every bit, as min and max are exact and
+    associative. Returns the steps in post-order, so the root comes last,
+    each with its racing attack-side children and then its group, keyed
+    ~gate, which no node id takes; and per group, keyed by its top, the
+    gates that fold it in post-order and its leaves. A step's group is the
+    guard-free attack-side children it gathers, joined by a last step ~gate
     that folds them as the gate does; with nothing racing, the whole tree is
     one group, keyed by the root.
     """
+    gates = {gate.node: gate for gate in table}
     racing = set()
     for nid, _, side, guard in table:
         if guard in guarded or any(c in racing for c in side):
             racing.add(nid)
     steps: dict[int, list[_Gate]] = {} if racing else {root: []}
-    top = {root: root}  # each guard-free gate: the top of its group
-    for gate in reversed(table):  # every gate before the gates under it
-        for c in gate.side:
+    top = {root: root}  # each racing gate: the gate whose step folds it; any other node: the top of its group
+    for nid, is_or, side, _ in reversed(table):  # every gate before the gates under it
+        for c in side:
             if c not in racing:
-                top[c] = ~gate.node if gate.node in racing else top[gate.node]
+                top[c] = ~top[nid] if nid in racing else top[nid]
+            else:
+                top[c] = top[nid] if gates[c].is_or == is_or and gates[c].guard not in guarded else c
+    gathered: dict[int, tuple[list[int], list[int]]] = {}  # per step: its racing children and its group's so far
     plan = []
     for gate in table:
-        if gate.node not in racing:
-            steps.setdefault(top[gate.node], []).append(gate)
-            continue
         nid, is_or, side, guard = gate
-        free = tuple(c for c in side if c not in racing)
+        if nid not in racing:
+            steps.setdefault(top[nid], []).append(gate)
+            continue
+        kids, free = gathered.setdefault(top[nid], ([], []))
+        kids += [c for c in side if c in racing and top[c] == c]
+        free += [c for c in side if c not in racing]
+        if top[nid] != nid:
+            continue
         if free:
-            steps.setdefault(~nid, []).append(_Gate(~nid, is_or, free, None))
-        plan.append(_Gate(nid, is_or, tuple(c for c in side if c in racing) + ((~nid,) if free else ()), guard))
-    gates = {gate.node for gate in table}
+            steps.setdefault(~nid, []).append(_Gate(~nid, is_or, tuple(free), None))
+        plan.append(_Gate(nid, is_or, tuple(kids) + ((~nid,) if free else ()), guard))
     # [root]: a one-leaf tree
     return plan, {key: (group, [c for gate in group for c in gate.side if c not in gates] or [root])
                   for key, group in steps.items()}

@@ -135,6 +135,15 @@ def test_validate_orphan_and_shared():
     assert "SharedSubtree" in got and "OrphanNode" in got
 
 
+def test_validate_repeated_identifiers():
+    # each node whose identifier an earlier node carries, orphans included
+    leaf = AttackLeaf(LeafTiming(p=0.5, t=1.0))
+    act = Act("bad", 0, (Node("g", "g", OrGate((1, 2))), Node("a", "x", leaf), Node("a", "y", leaf),
+                         Node("a", "z", leaf)))
+    found = [(d.code, d.node) for d in validate_act(act)]
+    assert found == [("DuplicateIdentifier", "y"), ("DuplicateIdentifier", "z"), ("OrphanNode", "z")]
+
+
 def test_validate_cycle():
     act = Act("bad", 0, (Node("g", "g", OrGate((1,))),
                          Node("h", "h", OrGate((0,)))))

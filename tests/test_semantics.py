@@ -641,6 +641,17 @@ def test_compose_rejects_a_gate_without_an_attack_side_child():
             assert _rejections(act, scenario) == {want}
 
 
+def test_every_entry_point_refuses_a_repeated_identifier():
+    # the simulator keys each event's stream on its identifier, so two leaves with one identifier would draw one
+    # stream; the later node in the table is named, whichever the walk reaches first
+    leaf = AttackLeaf(LeafTiming(p=0.5, t=1.0))
+    for order in ((1, 2), (2, 1)):
+        act = Act("repeated", 0, (Node("top", "top", OrGate(order)), Node("a", "a", leaf), Node("a", "b", leaf)))
+        assert [(d.code, d.node) for d in validate_act(act)] == [("DuplicateIdentifier", "b")]
+        for scenario in Scenario:
+            assert _rejections(act, scenario) == {("DuplicateIdentifier", "b")}
+
+
 def test_a_leaf_with_a_horizon_and_a_rate_is_refused():
     # text keeps such a leaf's rate alone, so a round trip would lose the horizon that --pleaf reads
     both = LeafTiming(p=0.5, t=2.0, lam=1.0)
