@@ -304,7 +304,8 @@ def goal_curves(
     is a ``_race`` at ``epsilon`` divided by the number of such laws, or
     at its rounding level, as ``goal_curve`` says. Every
     node's curve is kept, so a removal recomputes only the path from its
-    gate, or from the outermost race holding it, to the root. Returns, per
+    gate, or from the outermost race holding it, to the root; that race is
+    solved again on the law table less the removed gate's law. Returns, per
     curve, its CurveResult, whose ``meta`` sums the ``_race`` statistics
     with nothing removed, and the curve with each gate in ``removed`` read
     as removed: None for one that guards no race (one outside
@@ -319,7 +320,8 @@ def goal_curves(
     read = [_rates(act, table, scenario, pleaf) for scenario, pleaf in curves]  # every curve's, before any is solved
     out = []
     # a fast leaf's rate * t may overflow to inf, which every closed form
-    # reads as certain completion
+    # reads as certain completion; so may _race's 1024/t at a subnormal t,
+    # which reads as no phase settled by t
     with np.errstate(over="ignore"):
         for (scenario, _), (leaf_rates, cm_rates) in zip(curves, read):
             ys, without, stats = _solve(gates, parent, act.root, ts, leaf_rates, cm_rates,
@@ -339,19 +341,13 @@ def _solve(gates: dict[int, _Gate], parent: dict[int, int], root: int, ts: np.nd
     stacks: dict[int, np.ndarray] = {}  # a gate's children's curves, stacked once for every removal below it
     stats = {"guards": 0, "panels": 0, "nodes": 0, "rounds": 0, "error_bound": 0.0}
 
-    def race(gate: int, gone: frozenset[int]) -> np.ndarray:
-        ys, solved = _race(gates, gate, gone, ts, leaf_rates, laws, share)
-        for key, value in solved.items():
-            stats[key] += value
-        return ys
-
     def evaluate(top: int) -> np.ndarray:
         """Fill ``curves`` for every node under ``top`` that no race below ``top`` holds."""
         for nid in _postorder(gates, top, laws):
-            if nid in curves:
-                continue
             if nid in laws:
-                curves[nid] = race(nid, frozenset())
+                curves[nid], solved = _race(gates, nid, ts, leaf_rates, laws, share)
+                for key, value in solved.items():
+                    stats[key] += value
             elif nid in gates:
                 curves[nid] = _combine(gates[nid].is_or, np.array([curves[c] for c in gates[nid].side]))
             else:
@@ -367,7 +363,8 @@ def _solve(gates: dict[int, _Gate], parent: dict[int, int], root: int, ts: np.nd
         if top is None:
             v, ys = gate, _combine(gates[gate].is_or, np.array([evaluate(c) for c in gates[gate].side]))
         else:
-            v, ys = top, race(top, frozenset({cm}))
+            v, ys = top, _race(gates, top, ts, leaf_rates, {nid: law for nid, law in laws.items() if nid != gate},
+                               share)[0]
         while v in parent:
             up = parent[v]
             side = gates[up].side
@@ -443,20 +440,24 @@ _LEFT, _RIGHT = (1.0 - _NODES) / 2.0, (1.0 + _NODES) / 2.0
 _SETTLED, _WIDENING = 1024.0, 2.0**16
 
 
-def _graded(t0: float, rates: list[float]) -> np.ndarray:
-    """Panel edges in (0, t0), graded toward 0, for a race whose phase rates are ``rates``.
+def _graded(a: float, b: float, rates: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Panel edges in (a, b), graded toward a, for race phases of rates ``rates`` that start by a.
 
-    Empty while their sum, which bounds the rate of any first completion
-    among them, times t0 is at most 8: one panel, or one bisection of it,
-    resolves that. Otherwise edges double from 1/sum(rates) to
-    1024/max(rates), past which the fastest phase is over, and then widen
-    by 2^16 up to t0; a rate of 1e200 costs about 50 panels in one pass,
-    where bisection would take one pass per halving. Each slower rate r
-    with r t0 > 8 adds its own doubling window, from 1/(the sum of the
-    rates up to r) to 1024/r, which the widening joins; windows that meet
-    merge, so a rate that the widening would put in one 2^16-wide panel
-    costs about ten panels, not a pass per halving.
+    The edges lie at offsets from a, with t0 = b - a. Empty while the
+    rates' sum, which bounds the rate of any first completion among them,
+    times t0 is at most 8: one panel, or one bisection of it, resolves
+    that. Otherwise offsets double from 1/sum(rates) to 1024/max(rates),
+    past which the fastest phase is over, and then widen by 2^16 up to t0;
+    a rate of 1e200 costs about 50 panels in one pass, where bisection
+    would take one pass per halving. Each slower rate r with r t0 > 8 adds
+    its own doubling window, from 1/(the sum of the rates up to r) to
+    1024/r, which the widening joins; windows that meet merge, so a rate
+    that the widening would put in one 2^16-wide panel costs about ten
+    panels, not a pass per halving. The widening counts its steps on a
+    ratio capped at 2^1023, so a ratio that overflows still gives a count:
+    64 steps, 2^1008 past the fastest phase's end.
     """
+    t0 = b - a
     total = sum(rates)
     if total * t0 <= 8.0:
         return np.empty(0)
@@ -473,24 +474,28 @@ def _graded(t0: float, rates: list[float]) -> np.ndarray:
     parts = []
     for (lo, hi), upto in zip(windows, [lo for lo, _ in windows[1:]] + [t0]):
         parts.append(lo * 2.0 ** np.arange(math.ceil(math.log2(hi / lo))))
-        parts.append(hi * _WIDENING ** np.arange(math.ceil(math.log(upto / hi, _WIDENING))))
-    edges = np.unique(np.concatenate(parts))
-    return edges[edges < t0]  # a rounded logarithm may reach hi or t0
+        parts.append(hi * _WIDENING ** np.arange(math.ceil(math.log(min(upto / hi, 2.0**1023), _WIDENING))))
+    edges = a + np.unique(np.concatenate(parts))
+    return edges[(a < edges) & (edges < b)]  # a rounded logarithm may reach hi or t0, a rounded sum a or b
 
 
-def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarray,
-          leaf_rates: dict[int, float], laws: dict[int, _CmRates], share: float) -> tuple[np.ndarray, dict]:
+def _race(gates: dict[int, _Gate], gate: int, ts: np.ndarray, leaf_rates: dict[int, float],
+          laws: dict[int, _CmRates], share: float) -> tuple[np.ndarray, dict]:
     """Completion probability at ``ts`` of a guarded gate, by cumulative quadrature.
 
     The attack side and the countermeasure are independent, so the gate's
     density is g = f_A S_D (attack-side density times countermeasure
     survival) and F_G(t) = int_0^t g. The panels, [0, ts[0]] and the grid
-    intervals, get 17 Chebyshev-Lobatto nodes each; when a phase is fast
-    against the first grid point, the first panel starts ``_graded`` toward
-    0. One post-order pass over the subtree, read from the gate table
-    ``gates`` (the one reading of the tree's shape), carries every node's
-    (F, f): closed forms at leaves, the running integral of g at each gate
-    with a law in ``laws`` whose guard is not in ``gone``, and the product
+    intervals, get 17 Chebyshev-Lobatto nodes each. When the phases' summed
+    rate is fast against the first grid point, the first panel starts
+    ``_graded`` toward 0; a later interval (a, b] is ``_graded`` toward a
+    for the phases still running at a (rate times a below 1024) that end
+    well inside it (rate times b - a above 1024), so no panel is wide
+    enough for its rounding floor, h max|f|, to overflow. One post-order
+    pass over the subtree, read from the gate table ``gates`` (the one
+    reading of the tree's shape), carries every node's (F, f): closed forms
+    at leaves, the running integral of g at each gate with a law in
+    ``laws``, which is the whole law table the race reads, and the product
     rule, folded into the open parent as soon as a child is done (AND:
     F <- F F_c and f <- f F_c + F f_c; OR: the same on 1 - F), so a gate
     holds one (F, f) pair however wide it is. A guard's error on a panel is
@@ -517,10 +522,10 @@ def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarr
     ors = set()  # gates whose attack side folds an OR of two or more children
     for nid in _postorder(gates, gate):
         if nid in gates:
-            _, is_or, side, guard = gates[nid]
+            _, is_or, side, _ = gates[nid]
             if is_or and len(side) > 1 or ors.intersection(side):
                 ors.add(nid)
-            law = laws.get(nid) if guard not in gone else None
+            law = laws.get(nid)
             if law is not None:
                 rates += [law.detect, law.mitigate or 0.0]
             parent.update((c, (nid, is_or)) for c in side)
@@ -529,8 +534,17 @@ def _race(gates: dict[int, _Gate], gate: int, gone: frozenset[int], ts: np.ndarr
             rates.append(leaf_rates[nid])
             steps.append((nid, leaf_rates[nid], False, None))
     edges = ts if ts[0] == 0.0 else np.concatenate(([0.0], ts))
-    if edges.size > 1:
-        edges = np.concatenate(([0.0], _graded(edges[1], rates), edges[1:]))
+    if edges.size > 1:  # every phase starts at 0, so the first panel is graded for them all
+        edges = np.concatenate(([0.0], _graded(0.0, edges[1], rates), edges[1:]))
+    # a later grid interval (a, b] is graded toward a for the phases still running at a, r a < 1024, that
+    # end well inside it, r (b - a) > 1024; none does unless one ends well before the last grid point
+    if float(ts[-1]) * max(rates) > _SETTLED:
+        later = ts[ts > 0.0]
+        a, b, ascending = later[:-1], later[1:], np.sort(rates)
+        ending = np.searchsorted(ascending, _SETTLED / (b - a), side="right")  # per interval: its slowest such phase
+        running = np.searchsorted(ascending, _SETTLED / a)  # and past its fastest
+        parts = [_graded(a[i], b[i], ascending[ending[i]:running[i]]) for i in np.flatnonzero(ending < running)]
+        edges = np.unique(np.concatenate([edges, *parts]))
     rounds = 0
     while True:
         rounds += 1
@@ -642,11 +656,14 @@ def simulate_curves(
     countermeasure laws. Each curve is bit for bit the one ``simulate``
     gives for ``act``, or for ``with_attack_probability(act, pleaf)``,
     under its scenario, and the call raises what the first curve that
-    fails alone would raise. Per chunk of runs, every event that some
-    curve reads at a positive rate draws its unit exponentials once, and
-    every curve folds from them: a leaf's units scaled by 1/rate, and a
-    countermeasure's deadline of detection units/δ, plus mitigation
-    units/μ under ``full``. So ``detect-only`` and ``full`` share their
+    fails alone would raise. Each countermeasure's phases under each
+    scenario are read once, into one table of (event, rate) pairs:
+    detection at δ, plus mitigation at μ under ``full`` unless it is
+    instant. Per chunk of runs, every event that some curve reads at a
+    positive rate, a leaf or a phase in that table, draws its unit
+    exponentials once, and every curve folds from them: a leaf's units
+    scaled by 1/rate, and a countermeasure's deadline, the sum of its
+    phases' units/rate. So ``detect-only`` and ``full`` share their
     detection draws, and in each run the goal falls no earlier under
     detect-only than under full, nor under full than under no-cm.
 
@@ -675,15 +692,15 @@ def simulate_curves(
     ts = _grid(times, "time grid", math.inf)
     table = read_gates(act)
     read = [_rates(act, table, scenario, pleaf) for scenario, pleaf in curves]
-    laws = {scenario: cm_rates for (scenario, _), (_, cm_rates) in zip(curves, read)}
+    # per scenario, per countermeasure with a law: its (event, rate) phases, an instant mitigation left out
+    phases = {scenario: {cm: [(nid, rate) for nid, rate in zip(act.nodes[cm].kind.children, (law.detect, law.mitigate))
+                              if rate is not None] for cm, law in cm_rates.items()}
+              for (scenario, _), (_, cm_rates) in zip(curves, read)}
     drawn = {nid for leaf_rates, _ in read for nid, rate in leaf_rates.items() if rate > 0.0}
-    for cm_rates in laws.values():
-        for cm, law in cm_rates.items():
-            detect, mitigate = act.nodes[cm].kind.children
-            drawn.update(nid for nid, rate in ((detect, law.detect), (mitigate, law.mitigate or 0.0)) if rate > 0.0)
+    drawn.update(nid for by_cm in phases.values() for events in by_cm.values() for nid, rate in events if rate > 0.0)
     streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
 
-    racing, groups = _fold_plan(act.root, table, {cm for cm_rates in laws.values() for cm in cm_rates})
+    racing, groups = _fold_plan(act.root, table, {cm for by_cm in phases.values() for cm in by_cm})
     by_pleaf: dict[float | None, list[int]] = {}  # each distinct pleaf: the curves reading its leaf rates
     for i, (_, pleaf) in enumerate(curves):
         by_pleaf.setdefault(pleaf, []).append(i)
@@ -704,14 +721,8 @@ def simulate_curves(
         size = min(chunk, runs - done)
         done += size
         units = {nid: stream.standard_exponential(size) for nid, stream in streams.items()}
-        deadlines = {}
-        for scenario, cm_rates in laws.items():
-            deadlines[scenario] = by_cm = {}
-            for cm, law in cm_rates.items():
-                detect, mitigate = act.nodes[cm].kind.children
-                by_cm[cm] = _scaled(units, detect, law.detect, np.empty(size))
-                if law.mitigate is not None:
-                    by_cm[cm] += _scaled(units, mitigate, law.mitigate, scratch[:size])
+        deadlines = {scenario: {cm: sum(_scaled(units, nid, rate, np.empty(size)) for nid, rate in events)
+                                for cm, events in by_cm.items()} for scenario, by_cm in phases.items()}
         unit_folds = {top: _fold(groups[top][0], _arrays(units), scratch[:size], top) for top in on_units}
         units = {nid: ys for nid, ys in units.items() if nid in kept}  # frees the rest before the sets' folds
         for rates, scales, members in sets:

@@ -104,6 +104,17 @@ def test_rank_near_the_largest_double_writes_only_the_error(tmp_path):
     assert not out.exists()
 
 
+def test_rank_and_dynamic_reach_far_past_a_fast_race(tmp_path):
+    # phases over by t = 1e-197, read out to t = 1e120: the quadrature's widening toward it must not overflow
+    path = tmp_path / "fast.act"
+    path.write_text('act "fast guard" { root g; g = AND(a, cm); a = ATTACK(p=0.5, lambda=1e300); cm = CM(d, m); '
+                    'd = DETECT(p=0.5, lambda=1e200); m = MITIGATE(p=0.5, lambda=1e200); }', encoding="utf-8")
+    assert main(["rank", "--model", str(path), "--t-star", "1e120", "--out", str(tmp_path / "rank")]) == 0
+    payload = json.loads((tmp_path / "rank" / "rank.json").read_text())
+    assert [row["name"] for row in payload["ranking"]] == ["cm"]
+    assert main(["dynamic", "--model", str(path), "--grid", "0:1e120:2", "--out", str(tmp_path / "dynamic")]) == 0
+
+
 def test_timed_failure_writes_no_curve(mia_path, tmp_path):
     # the second pleaf fails after the first is read or solved, and no curve is written
     for argv in (["dynamic", "--pleaf", "0.1", "--pleaf", "1.0"],

@@ -181,26 +181,34 @@ def test_ranking_rebuilds_only_chains_that_hold_the_removed_gate(monkeypatch, ch
 
     races = []
 
-    def spy(act, gate, gone, *args):
-        races.append((gate, gone))
-        return race(act, gate, gone, *args)
+    def spy(gates, gate, ts, leaf_rates, laws, *args):
+        races.append((gate, frozenset(laws)))
+        return race(gates, gate, ts, leaf_rates, laws, *args)
 
     race = actkit.transient._race
     monkeypatch.setattr(actkit.transient, "_race", spy)
     act = guarded_or(12)
     rank_countermeasures(act, 2.0)
-    # one race per branch; a removed branch is combined in closed form
-    assert sorted(gate for gate, _ in races) == [g for g in range(len(act.nodes)) if act.guard(g) is not None]
-    assert all(gone == frozenset() for _, gone in races)
-    # a removed gate nested in another guard's race re-solves that one race
+    # one race per branch, each read with every law; a removed branch is combined in closed form
+    guarded = frozenset(g for g in range(len(act.nodes)) if act.guard(g) is not None)
+    assert sorted(gate for gate, _ in races) == sorted(guarded)
+    assert all(laws == guarded for _, laws in races)
+    # a removed gate nested in another guard's race re-solves that one race, with a law table that lacks
+    # exactly the removed gate
     rng = random.Random(78)
     seen = 0
     for _ in range(30):
         act = random_act(rng, max_leaves=8, max_cms=3)
         races.clear()
         rank_countermeasures(act, 1.5)
-        again = [gone for _, gone in races if gone]
-        assert again == [frozenset({cm}) for cm in _nested_guards(act)]
+        guarded = frozenset(g for g in range(len(act.nodes)) if act.guard(g) is not None)
+        again = [(gate, guarded - laws) for gate, laws in races if laws != guarded]
+        assert all(laws < guarded for _, laws in races if laws != guarded)
+        assert [removed for _, removed in again] == [{g for g in guarded if act.guard(g) == cm}
+                                                     for cm in _nested_guards(act)]
+        # the race re-solved is a guarded gate above the removed one
+        assert all(gate in guarded and removed < set(Act(act.title, gate, act.nodes).postorder())
+                   for gate, removed in again)
         seen += len(again)
     assert seen >= 3
     assert chain_calls == []

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,7 @@ from oracles import (
     jump_matrix_lil,
     mpmath_transient,
     or_chain_text,
+    race_probability,
     random_act,
     reverse_children,
     with_random_rates,
@@ -661,6 +663,27 @@ def test_goal_curve_grades_toward_every_fast_time_scale(slow):
     assert curve.meta["rounds"] <= 3
     # dense expm reads NaN at these rates, so the reference is the closed form
     assert np.all(np.abs(np.asarray(curve.ys) - and_race_curve([1e200, slow], 1.0, 2.0, ts)) <= 1e-9)
+
+
+def _guarded_leaf(lam_a: float, lam_d: float, lam_m: float) -> Act:
+    return parse_act(f'act "fast guard" {{ root g; g = AND(a, cm); a = ATTACK(p=0.5, lambda={lam_a!r}); '
+                     f'cm = CM(d, m); d = DETECT(p=0.5, lambda={lam_d!r}); m = MITIGATE(p=0.5, lambda={lam_m!r}); }}')
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1e120], [1e-300, 1e300], [0.5, 1e300], [1e-6, 1e300]])
+@pytest.mark.parametrize("rates", [(1e300, 1e200, 1e200), (1.0, 1.0, 2.0), (1e3, 1.0, 2.0)])
+def test_goal_curve_grades_a_grid_that_jumps_far_past_a_race(rates, grid):
+    # the widening toward 1e120 counts its steps on a ratio past the largest double, and a grid interval
+    # (a, b] far wider than a phase still running at a needs grading: ungraded, its rounding floor
+    # h max|f| overflows to inf, or bisection takes about one pass per halving, a thousand to 1e300
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        curve = goal_curve(_guarded_leaf(*rates), Scenario.FULL, grid)
+    assert time.perf_counter() - start < 1.0 and curve.meta["rounds"] <= 3
+    ys = np.asarray(curve.ys)
+    assert np.all(np.isfinite(ys) & (ys >= 0.0) & (ys <= 1.0))
+    assert abs(ys[-1] - race_probability(*rates)) <= 1e-9
 
 
 @pytest.mark.parametrize("scenario", [Scenario.FULL, Scenario.DETECT_ONLY])
