@@ -13,7 +13,10 @@ flags produce byte-identical outputs. A timed command asks for every
 (scenario, ``--pleaf``) curve in one call, which reads the model's gate
 table once: ``dynamic`` solves every curve in that call, and ``simulate``
 draws each event once per call and folds every curve from those draws, so
-all its curves are positively correlated (common random numbers). Each
+all its curves are positively correlated (common random numbers). An
+event is a countermeasure phase or an OR pool, a maximal subtree of OR
+gates over attack leaves, which draws once at the sum of its leaves'
+rates; ``meta["events"]`` in ``--format json`` counts a curve's. Each
 file still matches a single-``--scenario``, single-``--pleaf`` run (with
 the same ``--seed``) byte for byte.
 

@@ -44,19 +44,21 @@ probability (None for the model's own rates), as the CLI's ``--scenario``
 and ``--pleaf`` give.
 
 The simulator replays the same race semantics with sampled
-exponential completion times and reports Wilson half-widths. Each event
+exponential completion times and reports Wilson half-widths. Its events
+are the countermeasure phases and the OR pools: a maximal subtree of OR
+gates over attack leaves completes when its first leaf does, at one
+exponential time whose rate is the sum of its leaves' rates, so it draws
+once; an attack leaf under no such OR is a pool of its own. Each event
 draws from its own PCG64 stream, seeded by numpy's ``SeedSequence`` from
-the seed and a key that the event's identifier alone determines, so
-``simulate_curves`` folds one draw per event into the curves of every
-(scenario, attack-leaf probability) pair. Only the gates above a
-countermeasure differ between scenarios, so the fold is planned once per
-call, and one function, ``_fold``, folds each part of the plan per chunk
-of runs: each guard-free group of subtrees whose leaves share one rate
-once, on the unit draws, then scaled by 1/rate per attack-leaf
-probability; any other group per probability, from its leaves' own times;
-per curve, the gates above a countermeasure, with their deadlines, where
-an unguarded gate that shares its parent's operator is part of the
-parent's step.
+the seed and a key that the identifier of the event's node (a pool's
+top) alone determines, so ``simulate_curves`` folds one draw per event
+into the curves of every (scenario, attack-leaf probability) pair. Only
+the gates above a countermeasure differ between scenarios, so the fold
+is planned once per call, and one function, ``_fold``, folds each part
+of the plan per chunk of runs: each guard-free group of pools once per
+attack-leaf probability, from the pools' own times; per curve, the
+gates above a countermeasure, with their deadlines, where an unguarded
+gate that shares its parent's operator is part of the parent's step.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .errors import DomainError, _count, _grid, _number
 from .model import Act, Scenario
 from .semantics import Ctmc, _CmRates, _Gate, _rates, read_gates
 
-_RNG_NAME = "pcg64 per event, keyed by identifier"
+_RNG_NAME = "pcg64 per event, keyed by identifier; an OR pool of attack leaves is one event"
 _CHUNK = 1 << 13  # runs per chunk: mia's draws stay in cache
 _CHUNK_VALUES = 1 << 22  # drawn doubles per chunk across all events: 32 MB
 
@@ -626,18 +628,23 @@ def simulate(
 ) -> CurveResult:
     """Monte Carlo estimate of the timed goal probability.
 
-    Each run draws one exponential completion time per attack leaf and per
+    Each run draws one exponential completion time per OR pool and per
     countermeasure phase, then evaluates the tree bottom-up: OR takes the
     earliest child, AND the latest attack-side child unless that time is
     beaten by the countermeasure's detection plus mitigation total, in which
-    case the gate never succeeds. Deterministic for fixed (seed, runs, grid).
-    Each event draws from its own PCG64 stream keyed by the seed and its
-    identifier, so a time is a unit exponential times 1/rate that depends
-    only on the seed, the event's identifier and the run index: not on the
-    scenario, on the chunk size, or on which other events draw. Calls with
-    the same seed therefore share the draws of every event they have in
-    common, and their curves are positively correlated (common random
-    numbers). This is ``simulate_curves``' one-curve case.
+    case the gate never succeeds. An OR pool is a maximal subtree of OR
+    gates over attack leaves, whose earliest leaf time is one exponential
+    at the sum of the leaves' rates; an attack leaf under no such OR is a
+    pool of its own. Deterministic for fixed (seed, runs, grid). Each
+    event draws from its own PCG64 stream keyed by the seed and its node's
+    identifier, a pool's by its top node's, so a time is a unit exponential
+    times 1/rate that depends only on the seed, that identifier and the run
+    index: not on the scenario, on the chunk size, or on which other events
+    draw. Calls with the same seed therefore share the draws of every event
+    they have in common, and their curves are positively correlated (common
+    random numbers). ``meta["events"]`` counts the events the curve reads
+    at a positive rate, the streams it draws: 12 for ``mia`` under
+    ``full``. This is ``simulate_curves``' one-curve case.
     """
     return simulate_curves(act, times, runs, seed, [(scenario, None)])[0]
 
@@ -656,32 +663,32 @@ def simulate_curves(
     countermeasure laws. Each curve is bit for bit the one ``simulate``
     gives for ``act``, or for ``with_attack_probability(act, pleaf)``,
     under its scenario, and the call raises what the first curve that
-    fails alone would raise. Each countermeasure's phases under each
-    scenario are read once, into one table of (event, rate) pairs:
-    detection at δ, plus mitigation at μ under ``full`` unless it is
-    instant. Per chunk of runs, every event that some curve reads at a
-    positive rate, a leaf or a phase in that table, draws its unit
-    exponentials once, and every curve folds from them: a leaf's units
-    scaled by 1/rate, and a countermeasure's deadline, the sum of its
-    phases' units/rate. So ``detect-only`` and ``full`` share their
-    detection draws, and in each run the goal falls no earlier under
-    detect-only than under full, nor under full than under no-cm.
+    fails alone would raise. ``_or_pools`` finds the OR pools once, from
+    the gate table alone, so no requested curve changes another's events;
+    per distinct pleaf, a pool's rate is the sum of its leaves' rates in
+    node order. Each countermeasure's phases under each scenario are read
+    once, into one table of (event, rate) pairs: detection at δ, plus
+    mitigation at μ under ``full`` unless it is instant. Per chunk of runs,
+    every event that some curve reads at a positive rate, a pool or a phase
+    in that table, draws its unit exponentials once, and every curve folds
+    from them: a pool's units scaled by 1/rate, and a countermeasure's
+    deadline, the sum of its phases' units/rate. So ``detect-only`` and
+    ``full`` share their detection draws, and in each run the goal falls no
+    earlier under detect-only than under full, nor under full than under
+    no-cm.
 
     Only the gates above a countermeasure differ between scenarios. A gate
     *races* when some requested scenario gives a law to a guard in its
-    subtree. ``_fold_plan`` folds an unguarded racing gate into its racing
-    parent's step when the two share an operator, and the guard-free
-    attack-side children gathered by each step (the whole tree, if none
-    races) form one group; ``_fold`` folds each part. Per chunk, a group
-    whose leaves all read one rate λ > 0 under some pleaf is folded once on
-    the unit draws; per distinct pleaf, each group's times are that fold
-    times 1/λ, or the group folded from its leaves' own times; per curve,
-    the racing steps are folded over them, with their deadlines. Min and
-    max are exact and x ↦ x/λ rounded is monotone, so the scaled fold is
-    the fold of the scaled draws, bit for bit. A ``pleaf`` gives a group one
-    rate when its leaves share one horizon, as all of ``mia``'s do. Curves are taken one pleaf at a time, and a pleaf's group
-    times are dropped before the next one's are formed, so only one pleaf's
-    are held. Chunks hold at most 2^13 runs and 2^22 drawn values, which
+    subtree. ``_fold_plan``, handed the gate table less the gates inside
+    pools, so that each pool reads as a leaf, folds an unguarded racing gate
+    into its racing parent's step when the two share an operator, and the
+    guard-free attack-side children gathered by each step (the whole tree,
+    if none races) form one group; ``_fold`` folds each part. Per chunk and
+    distinct pleaf, each group is folded from its pools' own times; per
+    curve, the racing steps are folded over them, with their deadlines.
+    Curves are taken one pleaf at a time, and a pleaf's group times are
+    dropped before the next one's are formed, so only one pleaf's are
+    held. Chunks hold at most 2^13 runs and 2^22 drawn values, which
     bounds memory and changes no draw. Raises DomainError unless ``runs`` is
     a positive integer, ``seed`` a non-negative one and each ``pleaf`` None
     or a number in [0, 1]: numpy scalars count, truth values do not.
@@ -696,22 +703,24 @@ def simulate_curves(
     phases = {scenario: {cm: [(nid, rate) for nid, rate in zip(act.nodes[cm].kind.children, (law.detect, law.mitigate))
                               if rate is not None] for cm, law in cm_rates.items()}
               for (scenario, _), (_, cm_rates) in zip(curves, read)}
-    drawn = {nid for leaf_rates, _ in read for nid, rate in leaf_rates.items() if rate > 0.0}
-    drawn.update(nid for by_cm in phases.values() for events in by_cm.values() for nid, rate in events if rate > 0.0)
-    streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
-
-    racing, groups = _fold_plan(act.root, table, {cm for by_cm in phases.values() for cm in by_cm})
+    pooled, pools = _or_pools(act.root, table)
+    racing, groups = _fold_plan(act.root, [gate for gate in table if gate.node not in pooled],
+                                {cm for by_cm in phases.values() for cm in by_cm})
     by_pleaf: dict[float | None, list[int]] = {}  # each distinct pleaf: the curves reading its leaf rates
     for i, (_, pleaf) in enumerate(curves):
         by_pleaf.setdefault(pleaf, []).append(i)
-    sets = []  # per distinct pleaf: its leaf rates, each group's 1/λ if it is folded on the unit draws, its curves
+    sets = []  # per distinct pleaf: its pool rates and its curves
     for members in by_pleaf.values():
-        rates = read[members[0]][0]
-        sets.append((rates, {top: _unit_scale(rates, group_leaves) for top, (_, group_leaves) in groups.items()},
-                     members))
-    on_units = {top for _, scales, _ in sets for top, scale in scales.items() if scale is not None}
-    # the leaves whose own times some set still folds once the deadlines and unit folds are formed
-    kept = {nid for _, scales, _ in sets for top, scale in scales.items() if scale is None for nid in groups[top][1]}
+        leaf_rates = read[members[0]][0]
+        sets.append(({top: sum(leaf_rates[nid] for nid in leaves) for top, leaves in pools.items()}, members))
+    drawn = {top for rates, _ in sets for top, rate in rates.items() if rate > 0.0}
+    drawn.update(nid for by_cm in phases.values() for events in by_cm.values() for nid, rate in events if rate > 0.0)
+    streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
+    read_events = {}  # per curve: the events it reads at a positive rate, which its own call draws
+    for rates, members in sets:
+        for i in members:
+            read_events[i] = sum(rate > 0.0 for rate in rates.values()) + sum(
+                rate > 0.0 for events in phases[curves[i][0]].values() for _, rate in events)
 
     chunk = min(_CHUNK, max(1, _CHUNK_VALUES // max(1, len(streams))))
     scratch = np.empty(chunk)
@@ -723,28 +732,21 @@ def simulate_curves(
         units = {nid: stream.standard_exponential(size) for nid, stream in streams.items()}
         deadlines = {scenario: {cm: sum(_scaled(units, nid, rate, np.empty(size)) for nid, rate in events)
                                 for cm, events in by_cm.items()} for scenario, by_cm in phases.items()}
-        unit_folds = {top: _fold(groups[top][0], _arrays(units), scratch[:size], top) for top in on_units}
-        units = {nid: ys for nid, ys in units.items() if nid in kept}  # frees the rest before the sets' folds
-        for rates, scales, members in sets:
+        units = {nid: units[nid] for nid in pools if nid in units}  # the folds' arrays reuse the phases' memory
+        for rates, members in sets:
             group_times = {top: _fold(steps, _own_times(units, rates, size), scratch[:size], top)
-                           if scales[top] is None else unit_folds[top] * scales[top]
-                           for top, (steps, _) in groups.items()}
+                           for top, steps in groups.items()}
             for i in members:
                 root_time = _fold(racing, _arrays(group_times), scratch[:size], act.root, deadlines[curves[i][0]])
                 root_time.sort()
                 counts[i] += np.searchsorted(root_time, ts, side="right")
             del group_times, root_time  # so the next set's arrays are formed with none of this set's held
 
-    meta = {
-        "method": "monte-carlo",
-        "rng": _RNG_NAME,
-        "seed": seed,
-        "runs": runs,
-        "model": act.title,
-    }
-    return [CurveResult(tuple(ts.tolist()), tuple((row / runs).tolist()), scenario, dict(meta),
+    return [CurveResult(tuple(ts.tolist()), tuple((row / runs).tolist()), scenario,
+                        {"method": "monte-carlo", "rng": _RNG_NAME, "events": read_events[i], "seed": seed,
+                         "runs": runs, "model": act.title},
                         halfwidths=tuple(_wilson_halfwidths(row, runs).tolist()))
-            for (scenario, _), row in zip(curves, counts)]
+            for i, ((scenario, _), row) in enumerate(zip(curves, counts))]
 
 
 def _wilson_halfwidths(successes: np.ndarray, runs: int) -> np.ndarray:
@@ -771,11 +773,11 @@ def _arrays(formed: dict[int, np.ndarray]):
 
 
 def _own_times(units: dict[int, np.ndarray], rates: dict[int, float], size: int):
-    """A ``_fold`` reader of leaves' own times: units times 1/the leaf's rate in ``rates``, never without one."""
-    return lambda nid, out: _scaled(units, nid, rates.get(nid, 0.0), np.empty(size) if out is None else out)
+    """A ``_fold`` reader of pools' own times: units times 1/the pool's rate in ``rates``, never at rate 0."""
+    return lambda nid, out: _scaled(units, nid, rates[nid], np.empty(size) if out is None else out)
 
 
-def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[_Gate], dict[int, tuple]]:
+def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[_Gate], dict[int, list[_Gate]]]:
     """The racing steps of the gate table ``table``, and the guard-free groups they fold.
 
     A gate races when a countermeasure in ``guarded`` guards it or a gate in
@@ -786,10 +788,10 @@ def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[_
     associative. Returns the steps in post-order, so the root comes last,
     each with its racing attack-side children and then its group, keyed
     ~gate, which no node id takes; and per group, keyed by its top, the
-    gates that fold it in post-order and its leaves. A step's group is the
-    guard-free attack-side children it gathers, joined by a last step ~gate
-    that folds them as the gate does; with nothing racing, the whole tree is
-    one group, keyed by the root.
+    gates that fold it in post-order. A step's group is the guard-free
+    attack-side children it gathers, joined by a last step ~gate that folds
+    them as the gate does; with nothing racing, the whole tree is one group,
+    keyed by the root.
     """
     gates = {gate.node: gate for gate in table}
     racing = set()
@@ -819,22 +821,36 @@ def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[_
         if free:
             steps.setdefault(~nid, []).append(_Gate(~nid, is_or, tuple(free), None))
         plan.append(_Gate(nid, is_or, tuple(kids) + ((~nid,) if free else ()), guard))
-    # [root]: a one-leaf tree
-    return plan, {key: (group, [c for gate in group for c in gate.side if c not in gates] or [root])
-                  for key, group in steps.items()}
+    return plan, steps
 
 
-def _unit_scale(rates: dict[int, float], leaves: list[int]) -> float | None:
-    """1/λ when every one of ``leaves`` reads one rate λ > 0 in ``rates`` and 1/λ is finite, else None.
+def _or_pools(root: int, table: list[_Gate]) -> tuple[set[int], dict[int, list[int]]]:
+    """The OR pools under ``root`` in the gate table ``table``: the gates inside them, and each pool's leaves.
 
-    At a finite 1/λ, x ↦ x/λ rounded is monotone and keeps every unit draw
-    finite, so folding the units and then scaling gives the bits of folding
-    the scaled units.
+    An OR pool is a maximal subtree of OR gates and attack leaves. It
+    completes when its first leaf does, at one exponential time whose rate
+    is the sum of its leaves' rates, so the simulator draws it as one event.
+    An attack leaf under no such OR gate is a pool of its own. One pass up
+    the table marks the OR gates whose children are all attack leaves or
+    marked gates, and one pass down it gives each node its pool's top, with
+    no recursion. Returns the marked gates and, per pool, keyed by its top
+    node, its leaves in node order. No scenario changes the pools: no
+    countermeasure guards an OR gate.
     """
-    rate = rates.get(leaves[0], 0.0)
-    if rate > 0.0 and all(rates.get(nid, 0.0) == rate for nid in leaves) and 1.0 / rate < math.inf:
-        return 1.0 / rate
-    return None
+    gates = {gate.node for gate in table}
+    pooled: set[int] = set()
+    for nid, is_or, side, _ in table:  # every gate after the gates under it
+        if is_or and all(c in pooled or c not in gates for c in side):
+            pooled.add(nid)
+    top = {root: root}  # each attack-side node: the top of its pool, or itself outside every pool
+    for nid, _, side, _ in reversed(table):
+        for c in side:
+            top[c] = top[nid] if nid in pooled else c
+    pools: dict[int, list[int]] = {}
+    for nid in sorted(top):
+        if nid not in gates:
+            pools.setdefault(top[nid], []).append(nid)
+    return pooled, pools
 
 
 def _fold(steps: list[_Gate], read, scratch: np.ndarray, top: int,

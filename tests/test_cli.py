@@ -391,9 +391,8 @@ MIXED = (
 
 @pytest.mark.parametrize("command", ["dynamic", "simulate"])
 def test_mixed_horizon_pleafs_write_the_bytes_of_single_pleaf_runs(command, tmp_path):
-    # under a positive --pleaf, c and d (its rate dropped, so read over 1 h) share one rate and their group folds
-    # on the unit draws, while a and b do not and theirs folds from its own times; each curve is still the one
-    # its own --pleaf run writes
+    # under a positive --pleaf, c and d (its rate dropped, so read over 1 h) share one rate while a and b do
+    # not; each curve is still the one its own --pleaf run writes
     path = tmp_path / "mixed.act"
     path.write_text(MIXED, encoding="utf-8")
     common = [command, "--model", str(path), "--grid", "0:4:9", "--format", "json"]

@@ -49,6 +49,7 @@ from oracles import (
     jump_matrix_lil,
     mpmath_transient,
     or_chain_text,
+    or_wide_text,
     race_probability,
     random_act,
     reverse_children,
@@ -259,7 +260,9 @@ def test_simulate_deterministic():
     assert a.ys != c.ys
     assert a.meta["seed"] == 42 and a.meta["runs"] == 50_000
     assert a.meta["method"] == "monte-carlo"
-    assert a.meta["rng"] == "pcg64 per event, keyed by identifier"
+    assert a.meta["rng"] == "pcg64 per event, keyed by identifier; an OR pool of attack leaves is one event"
+    # 17 attack leaves and 4 countermeasure phases: distribution's 9 leaves and steal_password's 2 are one event each
+    assert a.meta["events"] == 12
 
 
 def test_simulate_agrees_with_solver_on_bundled_model():
@@ -286,13 +289,14 @@ def test_simulated_scenario_dominance():
 
 
 def test_simulate_keeps_its_draws_on_the_bundled_model():
-    # pinned at the keyed per-event PCG64 streams; mia draws 21 events, in chunks of 2^13 runs
+    # pinned at the keyed per-event PCG64 streams; mia draws 12 events, each OR pool of attack leaves one,
+    # in chunks of 2^13 runs
     act = load_bundled("mia")
     ts = [0.5, 1.0, 2.0, 5.0]
     runs = 300_000
     pinned = {
-        Scenario.FULL: (0.32011666666666666, 0.5339566666666666, 0.7760466666666667, 0.9706766666666666),
-        Scenario.NO_CM: (0.3210033333333333, 0.5381533333333334, 0.7876333333333333, 0.97984),
+        Scenario.FULL: (0.31950666666666666, 0.5335533333333333, 0.7750833333333333, 0.9701466666666667),
+        Scenario.NO_CM: (0.3203566666666667, 0.5374333333333333, 0.7866733333333333, 0.9795666666666667),
     }
     for scenario, ys in pinned.items():
         assert simulate(act, scenario, ts, runs=runs, seed=7).ys == ys
@@ -324,8 +328,15 @@ def _pleaf_curves(pleafs):
     return [(scenario, p) for scenario in Scenario for p in pleafs]
 
 
-def one_draw_per_curve(act, scenario, ts, runs, seed):
-    """``simulate``'s goal frequencies in one chunk: each event's whole stream at once, keyed by its identifier."""
+def one_draw_per_curve(act, scenario, ts, runs, seed, pool=True):
+    """``simulate``'s goal frequencies in one chunk: each event's whole stream at once, keyed by its identifier.
+
+    An event is a countermeasure phase or an OR pool: a maximal subtree of
+    OR gates and attack leaves, read off ``act.nodes``, which completes at
+    one exponential time at the sum of its leaves' rates in node order. With
+    ``pool`` False every attack leaf is an event of its own and each OR takes
+    its earliest child: the per-leaf fold, the same law from other draws.
+    """
     leaf_rates, cm_rates = collect_rates(act, scenario)
 
     def draw(nid, rate):
@@ -333,20 +344,32 @@ def one_draw_per_curve(act, scenario, ts, runs, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
         return rng.exponential(1.0 / rate, runs) if rate > 0.0 else np.full(runs, np.inf)
 
-    times = {nid: draw(nid, rate) for nid, rate in leaf_rates.items()}
     deadlines = {}
     for nid, r in cm_rates.items():
         kind = act.nodes[nid].kind
         deadlines[nid] = draw(kind.detect, r.detect)
         if r.mitigate is not None:
             deadlines[nid] = deadlines[nid] + draw(kind.mitigate, r.mitigate)
-    for nid in act.postorder():
+    order = act.postorder()
+    pools = {}  # each node whose subtree holds only OR gates and attack leaves: those leaves
+    for nid in order:
         kind = act.nodes[nid].kind
-        if isinstance(kind, OrGate):
-            times[nid] = np.min([times[c] for c in kind.children], axis=0)
+        if isinstance(kind, AttackLeaf):
+            pools[nid] = [nid]
+        elif pool and isinstance(kind, OrGate) and all(c in pools for c in kind.children):
+            pools[nid] = [leaf for c in kind.children for leaf in pools[c]]
+    inner = {c for nid in pools if isinstance(act.nodes[nid].kind, OrGate) for c in act.nodes[nid].kind.children}
+    times = {}
+    for nid in order:
+        kind = act.nodes[nid].kind
+        if nid in pools:
+            if nid not in inner:
+                times[nid] = draw(nid, sum(leaf_rates[leaf] for leaf in sorted(pools[nid])))
+        elif isinstance(kind, OrGate):
+            times[nid] = np.min([times.pop(c) for c in kind.children], axis=0)
         elif isinstance(kind, AndGate):
             cm = act.guard(nid)
-            done = np.max([times[c] for c in kind.children if c != cm], axis=0)
+            done = np.max([times.pop(c) for c in kind.children if c != cm], axis=0)
             times[nid] = np.where(done < deadlines[cm], done, np.inf) if cm in deadlines else done
     return tuple(np.count_nonzero(times[act.root] <= t) / runs for t in ts)
 
@@ -465,6 +488,28 @@ def test_simulate_deep_or_chain(depth):
     curve = simulate(act, Scenario.FULL, ts, runs=2000, seed=1)
     for t, y, hw in zip(ts, curve.ys, curve.halfwidths):
         assert abs(y - (1.0 - math.exp(-t))) <= hw
+
+
+def test_pooled_and_per_leaf_draws_both_sit_within_their_half_widths():
+    # an OR pool draws one exponential at its leaves' summed rate, where the per-leaf fold draws one per leaf and
+    # takes the earliest: two draws of one law, each within its three-sigma half-widths of the quadrature
+    rng = random.Random(37)
+    models = [(with_attack_probability(load_bundled("mia"), 0.1), 20_000),
+              (parse_act(or_wide_text(200, 0.005)), 20_000),
+              (parse_act(or_chain_text(5000, 1.0 / 5000)), 1000),
+              *((random_act(rng, max_leaves=10, max_cms=3), 20_000) for _ in range(4))]
+    ts = [0.25, 0.5, 1.0, 2.0, 5.0]
+    for i, (act, runs) in enumerate(models):
+        for scenario in Scenario if any(act.cm_gates()) else [Scenario.FULL]:
+            exact = goal_curve(act, scenario, ts).ys
+            pooled = simulate(act, scenario, ts, runs, 5)
+            per_leaf = one_draw_per_curve(act, scenario, ts, runs, 5, pool=False)
+            if i in (1, 2):  # the wide OR and the deep chain are one pool each: one stream, not 200 or 5000
+                assert pooled.meta["events"] == 1
+            for ys, hws in ((pooled.ys, pooled.halfwidths),
+                            (per_leaf, transient._wilson_halfwidths(np.asarray(per_leaf) * runs, runs))):
+                for y, e, hw in zip(ys, exact, hws):
+                    assert abs(y - e) <= hw
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -911,8 +956,8 @@ _FOLD_SHAPES = {  # each shape: its racing steps when every countermeasure is gu
 @pytest.mark.parametrize("horizons", [(1.0,), (0.5, 1.0, 2.0)])
 @pytest.mark.parametrize("shape", list(_FOLD_SHAPES))
 def test_every_fold_shape_matches_the_whole_tree_fold(shape, horizons):
-    # the shapes the property above draws only by chance; on one horizon a pleaf folds each group on the unit
-    # draws, on mixed horizons (and on the leaves' own rates) from the leaves' own times
+    # the shapes the property above draws only by chance, on one horizon and on mixed ones, so that a pleaf
+    # reads a group's pools at one rate or at several
     act, scenarios = _fold_shape(shape, horizons)
     plan, _ = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
     assert [act.nodes[step.node].ident for step in plan] == _FOLD_SHAPES[shape]
@@ -932,12 +977,26 @@ def test_mia_folds_three_racing_steps_over_three_groups():
     assert sorted(~top for top in groups) == sorted(step.node for step in plan)
 
 
+def test_mia_pools_its_ors_of_attack_leaves():
+    # distribution's nine leaves and steal_password's two each draw as one event; every other leaf alone
+    act = load_bundled("mia")
+    pooled, pools = transient._or_pools(act.root, read_gates(act))
+    ident = {nid: node.ident for nid, node in enumerate(act.nodes)}
+    assert sorted(ident[nid] for nid in pooled) == ["copy_to_media", "distribution", "drop_box", "email",
+                                                   "file_sharing", "internet", "steal_password"]
+    assert {ident[top]: [ident[nid] for nid in leaves] for top, leaves in pools.items() if len(leaves) > 1} == {
+        "distribution": ["local_account", "web_account", "post_newsgroup", "post_website", "ftp_server",
+                         "floppy_disk", "cd_rom", "usb_drive", "online_chat"],
+        "steal_password": ["sniff_network", "root_telnet"]}
+    assert len(pools) == 8 and all(leaves == sorted(leaves) for leaves in pools.values())
+
+
 @pytest.mark.parametrize("idents", [("a", "a"), ("a", "\x00a")], ids=["repeated", "leading NUL"])
 def test_two_events_never_share_a_stream(idents):
     # a hand-built table: one identifier twice is refused; identifiers whose bytes differ only by leading
-    # NULs draw two streams, so the OR of two unit-rate leaves reads 1 - exp(-2t)
+    # NULs draw two streams, so the AND of two unit-rate leaves reads (1 - exp(-t))^2, not 1 - exp(-t)
     leaf = AttackLeaf(LeafTiming(lam=1.0, t=None))
-    act = Act("two", 0, (Node("g", "g", OrGate((1, 2))), Node(idents[0], "a", leaf), Node(idents[1], "b", leaf)))
+    act = Act("two", 0, (Node("g", "g", AndGate((1, 2))), Node(idents[0], "a", leaf), Node(idents[1], "b", leaf)))
     ts = [0.5, 1.0]
     if idents[0] == idents[1]:
         assert [(d.code, d.node) for d in validate_act(act)] == [("DuplicateIdentifier", "b")]
@@ -948,7 +1007,7 @@ def test_two_events_never_share_a_stream(idents):
     assert validate_act(act) == []
     curve = simulate(act, Scenario.FULL, ts, 100_000, 1)
     exact = goal_curve(act, Scenario.FULL, ts).ys
-    assert exact == pytest.approx([1.0 - math.exp(-2.0 * t) for t in ts], abs=1e-9)
+    assert exact == pytest.approx([(1.0 - math.exp(-t)) ** 2 for t in ts], abs=1e-9)
     for y, e, hw in zip(curve.ys, exact, curve.halfwidths):
         assert abs(y - e) <= hw
 
