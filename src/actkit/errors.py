@@ -104,5 +104,5 @@ def _grid(values, what: str, hi: float):
     if not np.all(xs[1:] > xs[:-1]):  # NaN fails here, or below when it is the only value
         raise DomainError(f"{what} must be strictly increasing")
     if not (0.0 <= xs[0] and xs[-1] <= hi and math.isfinite(xs[-1])):
-        raise DomainError(f"{what} must hold finite numbers in [0, {hi:g}]")
+        raise DomainError(f"{what} must hold finite numbers in [0, {hi:g}{')' if hi == math.inf else ']'}")
     return xs

@@ -6,8 +6,10 @@ its tolerance split, input checks and quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .errors import _number
 from .model import Act, Scenario
 # ``compose`` is unused here, but bench/tests/test_bench.py checks that the
 # tracer rewraps ``actkit.ranking.compose``; drop it when that test moves.
@@ -43,9 +45,11 @@ def rank_countermeasures(
     with each countermeasure race integrated to ``epsilon`` divided by the
     number of countermeasures. Each removal then recomputes only the path
     from its gate, or from the outermost race holding that gate, to the
-    root; no model is rebuilt and no chain is built. ``epsilon`` and
-    ``t_star`` are checked even when the model has no countermeasures.
+    root; no model is rebuilt and no chain is built. ``t_star``, a number
+    in [0, inf), and then ``epsilon`` are checked even when the model has
+    no countermeasures.
     """
+    t_star = _number(t_star, "t_star", 0.0, math.inf, hi_open=True)
     cms = sorted(act.cm_gates())
     [(curve, removals)] = goal_curves(act, [t_star], epsilon, [(Scenario.FULL, None)], cms)
     with_all = curve.ys[0]

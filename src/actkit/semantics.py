@@ -60,6 +60,7 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 DEFAULT_STATE_CAP = 1_000_000
+_INDEX_MAX = 2**31 - 1  # the largest int32: a chain's state count, one more than its largest index
 
 # completion status codes used by the direct construction
 _PENDING, _DONE, _CLOSED = 0, 1, 2
@@ -584,8 +585,10 @@ def parse_ctmc_text(text: str) -> Ctmc:
     (code ``syntax``, column 1) at the first line with a wrong field count, a
     state that is not an integer in [0, n), a rate that is negative or not
     finite, or a transition from a state to itself: ``Ctmc`` holds
-    off-diagonal rates only. Loads scipy, whose COO-to-CSR conversion puts
-    the transitions into that form.
+    off-diagonal rates only. A ``#states`` count above 2^31 - 1, or a state
+    index of 2^31 - 1 or more, is refused the same way: ``Ctmc`` holds
+    int32 indices. Loads scipy, whose COO-to-CSR conversion puts the
+    transitions into that form.
     """
     n = None
     init = 0
@@ -594,11 +597,18 @@ def parse_ctmc_text(text: str) -> Ctmc:
     triples: list[tuple[int, int, float]] = []
     named: list[tuple[int, int]] = []  # (state, line) of every state read, checked once n is known
 
+    def decimal(word: str, what: str, lo: int, hi: int) -> int:
+        try:  # int() refuses a numeral past its digit limit
+            if word.isdecimal() and lo <= int(word) <= hi:
+                return int(word)
+        except ValueError:
+            pass
+        raise ActParseError(f"expected a {what} in [{lo}, {hi}], found {word!r}", lineno, 1)
+
     def state(word: str) -> int:
-        if not word.isdecimal():
-            raise ActParseError(f"expected a state index, found {word!r}", lineno, 1)
-        named.append((int(word), lineno))
-        return int(word)
+        index = decimal(word, "state index", 0, _INDEX_MAX - 1)
+        named.append((index, lineno))
+        return index
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -607,9 +617,7 @@ def parse_ctmc_text(text: str) -> Ctmc:
             if key in ("states", "init") and len(rest) != 1 or key == "label" and not rest:
                 raise ActParseError(f"malformed #{key} line: {line!r}", lineno, 1)
             if key == "states":
-                if not rest[0].isdecimal() or int(rest[0]) < 1:
-                    raise ActParseError(f"expected a positive state count, found {rest[0]!r}", lineno, 1)
-                n = int(rest[0])
+                n = decimal(rest[0], "state count", 1, _INDEX_MAX)
             elif key == "init":
                 init = state(rest[0])
             elif key in marked:

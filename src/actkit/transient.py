@@ -663,7 +663,7 @@ def simulate_curves(
     countermeasure laws. Each curve is bit for bit the one ``simulate``
     gives for ``act``, or for ``with_attack_probability(act, pleaf)``,
     under its scenario, and the call raises what the first curve that
-    fails alone would raise. ``_or_pools`` finds the OR pools once, from
+    fails alone would raise. ``_fold_plan`` finds the OR pools once, from
     the gate table alone, so no requested curve changes another's events;
     per distinct pleaf, a pool's rate is the sum of its leaves' rates in
     node order. Each countermeasure's phases under each scenario are read
@@ -679,20 +679,21 @@ def simulate_curves(
 
     Only the gates above a countermeasure differ between scenarios. A gate
     *races* when some requested scenario gives a law to a guard in its
-    subtree. ``_fold_plan``, handed the gate table less the gates inside
-    pools, so that each pool reads as a leaf, folds an unguarded racing gate
-    into its racing parent's step when the two share an operator, and the
-    guard-free attack-side children gathered by each step (the whole tree,
-    if none races) form one group; ``_fold`` folds each part. Per chunk and
-    distinct pleaf, each group is folded from its pools' own times; per
-    curve, the racing steps are folded over them, with their deadlines.
-    Curves are taken one pleaf at a time, and a pleaf's group times are
-    dropped before the next one's are formed, so only one pleaf's are
-    held. Chunks hold at most 2^13 runs and 2^22 drawn values, which
-    bounds memory and changes no draw. Raises DomainError unless ``runs`` is
-    a positive integer, ``seed`` a non-negative one and each ``pleaf`` None
-    or a number in [0, 1]: numpy scalars count, truth values do not.
-    Package-internal: ``actkit`` does not export it.
+    subtree. ``_fold_plan`` reads each pool as a leaf, folds an unguarded
+    racing gate into its racing parent's step when the two share an
+    operator, and the guard-free attack-side children gathered by each step
+    (the whole tree, if none races) form one group; ``_fold`` folds each
+    part and writes no array it is handed. Per chunk and distinct pleaf,
+    the pools' own times are formed once and each group is folded from
+    them; per curve, the racing steps are folded over the group times, which
+    all of the pleaf's curves share, with their deadlines. Curves are taken
+    one pleaf at a time, and a pleaf's times are dropped before the next
+    one's are formed, so only one pleaf's are held. Chunks hold at most
+    2^13 runs and 2^22 drawn values, which bounds memory and changes no
+    draw. Raises DomainError unless ``runs`` is a positive integer, ``seed``
+    a non-negative one and each ``pleaf`` None or a number in [0, 1]: numpy
+    scalars count, truth values do not. Package-internal: ``actkit`` does
+    not export it.
     """
     _count(runs, "runs", 1)
     _count(seed, "seed", 0)
@@ -703,42 +704,37 @@ def simulate_curves(
     phases = {scenario: {cm: [(nid, rate) for nid, rate in zip(act.nodes[cm].kind.children, (law.detect, law.mitigate))
                               if rate is not None] for cm, law in cm_rates.items()}
               for (scenario, _), (_, cm_rates) in zip(curves, read)}
-    pooled, pools = _or_pools(act.root, table)
-    racing, groups = _fold_plan(act.root, [gate for gate in table if gate.node not in pooled],
-                                {cm for by_cm in phases.values() for cm in by_cm})
-    by_pleaf: dict[float | None, list[int]] = {}  # each distinct pleaf: the curves reading its leaf rates
-    for i, (_, pleaf) in enumerate(curves):
-        by_pleaf.setdefault(pleaf, []).append(i)
-    sets = []  # per distinct pleaf: its pool rates and its curves
-    for members in by_pleaf.values():
-        leaf_rates = read[members[0]][0]
-        sets.append(({top: sum(leaf_rates[nid] for nid in leaves) for top, leaves in pools.items()}, members))
-    drawn = {top for rates, _ in sets for top, rate in rates.items() if rate > 0.0}
+    pools, racing, groups = _fold_plan(act.root, table, {cm for by_cm in phases.values() for cm in by_cm})
+    sets: dict[float | None, tuple[dict[int, float], list[int]]] = {}  # per distinct pleaf: pool rates, curves
+    read_events = []  # per curve: the events it reads at a positive rate, which its own call draws
+    for i, (scenario, pleaf) in enumerate(curves):
+        if pleaf not in sets:
+            leaf_rates = read[i][0]
+            sets[pleaf] = ({top: sum(leaf_rates[nid] for nid in leaves) for top, leaves in pools.items()}, [])
+        rates, members = sets[pleaf]
+        members.append(i)
+        read_events.append(sum(rate > 0.0 for rate in rates.values())
+                           + sum(rate > 0.0 for phase in phases[scenario].values() for _, rate in phase))
+    drawn = {top for rates, _ in sets.values() for top, rate in rates.items() if rate > 0.0}
     drawn.update(nid for by_cm in phases.values() for events in by_cm.values() for nid, rate in events if rate > 0.0)
     streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
-    read_events = {}  # per curve: the events it reads at a positive rate, which its own call draws
-    for rates, members in sets:
-        for i in members:
-            read_events[i] = sum(rate > 0.0 for rate in rates.values()) + sum(
-                rate > 0.0 for events in phases[curves[i][0]].values() for _, rate in events)
 
     chunk = min(_CHUNK, max(1, _CHUNK_VALUES // max(1, len(streams))))
-    scratch = np.empty(chunk)
     counts = np.zeros((len(curves), ts.size), dtype=np.int64)
     done = 0
     while done < runs:
         size = min(chunk, runs - done)
         done += size
         units = {nid: stream.standard_exponential(size) for nid, stream in streams.items()}
-        deadlines = {scenario: {cm: sum(_scaled(units, nid, rate, np.empty(size)) for nid, rate in events)
+        deadlines = {scenario: {cm: sum(_times(units, nid, rate, size) for nid, rate in events)
                                 for cm, events in by_cm.items()} for scenario, by_cm in phases.items()}
         units = {nid: units[nid] for nid in pools if nid in units}  # the folds' arrays reuse the phases' memory
-        for rates, members in sets:
-            group_times = {top: _fold(steps, _own_times(units, rates, size), scratch[:size], top)
-                           for top, steps in groups.items()}
-            for i in members:
-                root_time = _fold(racing, _arrays(group_times), scratch[:size], act.root, deadlines[curves[i][0]])
-                root_time.sort()
+        for rates, members in sets.values():
+            own = {top: _times(units, top, rate, size) for top, rate in rates.items()}
+            group_times = {top: _fold(steps, own, top) for top, steps in groups.items()}
+            del own  # the group times keep what they share with it
+            for i in members:  # sorted into a new array: the fold may return one that group_times holds
+                root_time = np.sort(_fold(racing, group_times, act.root, deadlines[curves[i][0]]))
                 counts[i] += np.searchsorted(root_time, ts, side="right")
             del group_times, root_time  # so the next set's arrays are formed with none of this set's held
 
@@ -759,57 +755,64 @@ def _wilson_halfwidths(successes: np.ndarray, runs: int) -> np.ndarray:
     return np.maximum(center + half - phat, phat - (center - half))
 
 
-def _scaled(units: dict[int, np.ndarray], nid: int, rate: float, out: np.ndarray) -> np.ndarray:
-    """Event ``nid``'s completion times at ``rate``, written into ``out``: its units times 1/rate, or never at rate 0."""
-    if rate > 0.0:
-        return np.multiply(units[nid], 1.0 / rate, out=out)
-    out.fill(np.inf)
-    return out
+def _times(units: dict[int, np.ndarray], nid: int, rate: float, size: int) -> np.ndarray:
+    """Event ``nid``'s completion times at ``rate`` in a new array: its units times 1/rate, or never at rate 0."""
+    return units[nid] * (1.0 / rate) if rate > 0.0 else np.full(size, np.inf)
 
 
-def _arrays(formed: dict[int, np.ndarray]):
-    """A ``_fold`` reader of formed times: the array itself as an operand, and a copy to fold into."""
-    return lambda nid, out: formed[nid].copy() if out is None else formed[nid]
+def _fold_plan(root: int, table: list[_Gate],
+               guarded: set[int]) -> tuple[dict[int, list[int]], list[_Gate], dict[int, list[_Gate]]]:
+    """The OR pools of the gate table ``table``, its racing steps, and the guard-free groups they fold.
 
-
-def _own_times(units: dict[int, np.ndarray], rates: dict[int, float], size: int):
-    """A ``_fold`` reader of pools' own times: units times 1/the pool's rate in ``rates``, never at rate 0."""
-    return lambda nid, out: _scaled(units, nid, rates[nid], np.empty(size) if out is None else out)
-
-
-def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[_Gate], dict[int, list[_Gate]]]:
-    """The racing steps of the gate table ``table``, and the guard-free groups they fold.
-
-    A gate races when a countermeasure in ``guarded`` guards it or a gate in
-    its subtree. A racing gate that no countermeasure in ``guarded`` guards
-    and whose racing parent has its operator folds into the parent's step:
-    its racing children become the parent's and its guard-free children join
-    the parent's group, which keeps every bit, as min and max are exact and
-    associative. Returns the steps in post-order, so the root comes last,
-    each with its racing attack-side children and then its group, keyed
-    ~gate, which no node id takes; and per group, keyed by its top, the
-    gates that fold it in post-order. A step's group is the guard-free
+    An OR pool is a maximal subtree of OR gates and attack leaves. It
+    completes when its first leaf does, at one exponential time whose rate
+    is the sum of its leaves' rates, so the simulator draws it as one event
+    and the plan reads its top as a leaf; an attack leaf under no such OR
+    gate is a pool of its own. No scenario changes the pools: no
+    countermeasure guards an OR gate. A gate races when a countermeasure in
+    ``guarded`` guards it or a gate in its subtree. A racing gate that no
+    countermeasure in ``guarded`` guards and whose racing parent has its
+    operator folds into the parent's step: its racing children become the
+    parent's and its guard-free children join the parent's group, which
+    keeps every bit, as min and max are exact and associative. One pass up
+    the table marks the pooled and the racing gates, and one pass down it
+    gives each node its pool's top and the top of its step or group, with
+    no recursion. Returns, per pool, keyed by its top node, its leaves in
+    node order; the steps in post-order, so the root comes last, each with
+    its racing attack-side children and then its group, keyed ~gate, which
+    no node id takes; and per group, keyed by its top, the gates outside
+    pools that fold it in post-order. A step's group is the guard-free
     attack-side children it gathers, joined by a last step ~gate that folds
     them as the gate does; with nothing racing, the whole tree is one group,
     keyed by the root.
     """
     gates = {gate.node: gate for gate in table}
-    racing = set()
-    for nid, _, side, guard in table:
-        if guard in guarded or any(c in racing for c in side):
+    pooled, racing = set(), set()
+    for nid, is_or, side, guard in table:  # every gate after the gates under it
+        if is_or and all(c in pooled or c not in gates for c in side):
+            pooled.add(nid)
+        elif guard in guarded or any(c in racing for c in side):
             racing.add(nid)
-    steps: dict[int, list[_Gate]] = {} if racing else {root: []}
+    pool = {root: root}  # each attack-side node: the top of its pool, or itself outside every pool
     top = {root: root}  # each racing gate: the gate whose step folds it; any other node: the top of its group
     for nid, is_or, side, _ in reversed(table):  # every gate before the gates under it
         for c in side:
+            pool[c] = pool[nid] if nid in pooled else c
             if c not in racing:
                 top[c] = ~top[nid] if nid in racing else top[nid]
             else:
                 top[c] = top[nid] if gates[c].is_or == is_or and gates[c].guard not in guarded else c
+    pools: dict[int, list[int]] = {}
+    for nid in sorted(pool):
+        if nid not in gates:
+            pools.setdefault(pool[nid], []).append(nid)
+    steps: dict[int, list[_Gate]] = {} if racing else {root: []}
     gathered: dict[int, tuple[list[int], list[int]]] = {}  # per step: its racing children and its group's so far
     plan = []
     for gate in table:
         nid, is_or, side, guard = gate
+        if nid in pooled:
+            continue
         if nid not in racing:
             steps.setdefault(top[nid], []).append(gate)
             continue
@@ -821,61 +824,28 @@ def _fold_plan(root: int, table: list[_Gate], guarded: set[int]) -> tuple[list[_
         if free:
             steps.setdefault(~nid, []).append(_Gate(~nid, is_or, tuple(free), None))
         plan.append(_Gate(nid, is_or, tuple(kids) + ((~nid,) if free else ()), guard))
-    return plan, steps
+    return pools, plan, steps
 
 
-def _or_pools(root: int, table: list[_Gate]) -> tuple[set[int], dict[int, list[int]]]:
-    """The OR pools under ``root`` in the gate table ``table``: the gates inside them, and each pool's leaves.
-
-    An OR pool is a maximal subtree of OR gates and attack leaves. It
-    completes when its first leaf does, at one exponential time whose rate
-    is the sum of its leaves' rates, so the simulator draws it as one event.
-    An attack leaf under no such OR gate is a pool of its own. One pass up
-    the table marks the OR gates whose children are all attack leaves or
-    marked gates, and one pass down it gives each node its pool's top, with
-    no recursion. Returns the marked gates and, per pool, keyed by its top
-    node, its leaves in node order. No scenario changes the pools: no
-    countermeasure guards an OR gate.
-    """
-    gates = {gate.node for gate in table}
-    pooled: set[int] = set()
-    for nid, is_or, side, _ in table:  # every gate after the gates under it
-        if is_or and all(c in pooled or c not in gates for c in side):
-            pooled.add(nid)
-    top = {root: root}  # each attack-side node: the top of its pool, or itself outside every pool
-    for nid, _, side, _ in reversed(table):
-        for c in side:
-            top[c] = top[nid] if nid in pooled else c
-    pools: dict[int, list[int]] = {}
-    for nid in sorted(top):
-        if nid not in gates:
-            pools.setdefault(top[nid], []).append(nid)
-    return pooled, pools
-
-
-def _fold(steps: list[_Gate], read, scratch: np.ndarray, top: int,
+def _fold(steps: list[_Gate], formed: dict[int, np.ndarray], top: int,
           deadlines: dict[int, np.ndarray] = {}) -> np.ndarray:
     """Times of ``top`` in one chunk, folded over the gates ``steps`` in post-order without recursion.
 
-    Each step folds its attack-side children into the first one's fresh
-    array in place, OR by the earliest time and AND by the latest, and then,
-    if its guard has a deadline in ``deadlines``, never completes in the
-    runs that the deadline beats. A child that no earlier step formed comes
-    from ``read(child, out)``: a fresh array when ``out`` is None, otherwise
-    an operand that the fold only reads, formed in ``scratch`` if at all.
-    With no steps this is ``read(top, None)``.
+    Each step folds its attack-side children, OR by the earliest time and
+    AND by the latest, and then, if its guard has a deadline in
+    ``deadlines``, never completes in the runs that the deadline beats. A
+    child that no earlier step formed is read from ``formed``. The fold
+    writes no array it is handed: a step's first fold makes its new array,
+    and a deadline makes another. With no steps this is ``formed[top]``.
     """
     times: dict[int, np.ndarray] = {}
-
-    def child(nid: int, out: np.ndarray | None) -> np.ndarray:
-        return times.pop(nid) if nid in times else read(nid, out)
-
     for nid, is_or, side, guard in steps:
         fold = np.minimum if is_or else np.maximum
-        done = child(side[0], None)
-        for c in side[1:]:
-            fold(done, child(c, scratch), out=done)
+        first, *rest = [times.pop(c) if c in times else formed[c] for c in side]
+        done = fold(first, rest[0]) if rest else first
+        for c in rest[1:]:
+            fold(done, c, out=done)
         if guard in deadlines:
-            np.putmask(done, done >= deadlines[guard], np.inf)
+            done = np.where(done >= deadlines[guard], np.inf, done)
         times[nid] = done
-    return child(top, None)
+    return times[top] if top in times else formed[top]

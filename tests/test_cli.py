@@ -555,7 +555,9 @@ def test_rank_without_cms(tmp_path, capsys):
     assert "no countermeasures" in capsys.readouterr().out
     # bad flags fail as they do on a model with countermeasures
     assert main(["rank", "--model", str(path), "--epsilon", "5"]) == 3
+    capsys.readouterr()
     assert main(["rank", "--model", str(path), "--t-star", "-1"]) == 3
+    assert capsys.readouterr().err == "error: t_star must be a number in [0, inf), got -1.0\n"
 
 
 def test_export_ctmc_stdout(mini_path, capsys):

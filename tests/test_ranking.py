@@ -40,6 +40,15 @@ def test_ranking_rejects_horizons_and_tolerances_that_are_not_numbers(t_star, ep
         rank_countermeasures(load_bundled("mia"), t_star, epsilon)
 
 
+def test_ranking_names_its_horizon_and_a_grid_its_open_end():
+    # rank takes no grid, so a negative horizon is refused by name; a grid's upper end inf is open
+    act = load_bundled("mia")
+    with pytest.raises(DomainError, match=r"^t_star must be a number in \[0, inf\), got -1\.0$"):
+        rank_countermeasures(act, -1.0)
+    with pytest.raises(DomainError, match=r"^time grid must hold finite numbers in \[0, inf\)$"):
+        goal_curve(act, Scenario.FULL, [-1.0])
+
+
 def test_single_cm_delta_matches_gap():
     act = build_act("one-cm", and_gate(
         "top", attack("a", p=0.6),

@@ -385,6 +385,11 @@ def test_a_chain_outside_its_documented_shape_is_refused(changes, rule):
     ("#states 2\n0 1 inf\n", 2),
     ("#states 2\n0 1 fast\n", 2),
     ("#states 2\n#goal 1\n0 0 3.0\n0 1 1.0\n", 3),  # a self-loop
+    ("0 99999999999999999999 1.0\n", 1),  # past int32, which Ctmc's index arrays hold
+    ("#states 99999999999999999999\n", 1),
+    ("0 2147483647 1.0\n", 1),  # its chain would count 2^31 states
+    ("#states 2147483648\n", 1),
+    ("0 " + "1" * 5000 + " 1.0\n", 1),  # past int()'s digit limit
 ])
 def test_parse_rejects_malformed_chains(text, line):
     with pytest.raises(ActParseError) as exc:

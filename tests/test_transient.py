@@ -959,7 +959,7 @@ def test_every_fold_shape_matches_the_whole_tree_fold(shape, horizons):
     # the shapes the property above draws only by chance, on one horizon and on mixed ones, so that a pleaf
     # reads a group's pools at one rate or at several
     act, scenarios = _fold_shape(shape, horizons)
-    plan, _ = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
+    _, plan, _ = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
     assert [act.nodes[step.node].ident for step in plan] == _FOLD_SHAPES[shape]
     ts = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0]
     curves = [(scenario, pleaf) for scenario in scenarios for pleaf in (None, 0.1, 0.4)]
@@ -972,23 +972,56 @@ def test_every_fold_shape_matches_the_whole_tree_fold(shape, horizons):
 def test_mia_folds_three_racing_steps_over_three_groups():
     # alteration, elevation and acquire_admin are unguarded ORs under the OR goal, so they fold into its step
     act = load_bundled("mia")
-    plan, groups = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
+    _, plan, groups = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
     assert [act.nodes[step.node].ident for step in plan] == ["acquire_password", "virus_manipulation", "goal"]
     assert sorted(~top for top in groups) == sorted(step.node for step in plan)
 
 
 def test_mia_pools_its_ors_of_attack_leaves():
-    # distribution's nine leaves and steal_password's two each draw as one event; every other leaf alone
+    # distribution's nine leaves and steal_password's two each draw as one event; every other leaf alone. The
+    # seven pooled gates fold in no step or group, and only the two pool tops are read, as leaves
     act = load_bundled("mia")
-    pooled, pools = transient._or_pools(act.root, read_gates(act))
+    pools, plan, groups = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
     ident = {nid: node.ident for nid, node in enumerate(act.nodes)}
-    assert sorted(ident[nid] for nid in pooled) == ["copy_to_media", "distribution", "drop_box", "email",
-                                                   "file_sharing", "internet", "steal_password"]
+    pooled = {"copy_to_media", "distribution", "drop_box", "email", "file_sharing", "internet", "steal_password"}
+    steps = plan + [step for group in groups.values() for step in group]
+    assert pooled.isdisjoint(ident.get(step.node) for step in steps)
+    assert pooled.intersection(ident.get(c) for step in steps for c in step.side) == {"distribution",
+                                                                                       "steal_password"}
     assert {ident[top]: [ident[nid] for nid in leaves] for top, leaves in pools.items() if len(leaves) > 1} == {
         "distribution": ["local_account", "web_account", "post_newsgroup", "post_website", "ftp_server",
                          "floppy_disk", "cd_rom", "usb_drive", "online_chat"],
         "steal_password": ["sniff_network", "root_telnet"]}
     assert len(pools) == 8 and all(leaves == sorted(leaves) for leaves in pools.values())
+
+
+def test_a_pool_sums_its_leaf_rates_in_node_order():
+    # 1 + 1e-16 + 1e-16 is 1.0 in node order and 1.0000000000000002 reversed: the pool's one draw, u, then
+    # completes at u, not at u / 1.0000000000000002, so the first grid point reads 0
+    act = build_act("order", or_gate("o", attack("a", lam=1.0), attack("b", lam=1e-16), attack("c", lam=1e-16)))
+    u = transient._event_stream(3, "o").standard_exponential(1)[0]
+    [curve] = simulate_curves(act, [u * (1.0 / 1.0000000000000002), u], 1, 3, [(Scenario.FULL, None)])
+    assert curve.ys == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("plan", ["one child", "guarded under a deadline", "empty"])
+def test_a_fold_never_writes_what_it_is_handed(plan):
+    # the fold reads its children and deadlines from arrays it may not write, which lets every curve of a
+    # pleaf fold over the same group times; each plan matches a plain reduction
+    a, b, c, deadline = np.random.default_rng(5).exponential(1.0, (4, 64))
+    for array in (a, b, c, deadline):
+        array.flags.writeable = False
+    formed = {1: a, 2: b, 3: c}
+    if plan == "one child":  # AND(OR(a), b, c)
+        steps = [transient._Gate(4, True, (1,), None), transient._Gate(0, False, (4, 2, 3), None)]
+        expected = np.maximum.reduce([a, b, c])
+    elif plan == "guarded under a deadline":  # OR(a, AND(b) guarded by 9, c)
+        steps = [transient._Gate(4, False, (2,), 9), transient._Gate(0, True, (1, 4, 3), None)]
+        expected = np.minimum.reduce([a, np.where(b >= deadline, np.inf, b), c])
+    else:
+        steps, expected = [], a
+        formed[0] = a
+    assert np.array_equal(transient._fold(steps, formed, 0, {9: deadline}), expected)
 
 
 @pytest.mark.parametrize("idents", [("a", "a"), ("a", "\x00a")], ids=["repeated", "leading NUL"])
