@@ -3,9 +3,10 @@ Cross-checking the solver with Monte Carlo simulation
 ======================================================
 
 The simulator replays the same race the Markov chain encodes: one
-exponential draw per countermeasure phase and per OR pool (a subtree of OR
-gates over attack steps, which completes at the first step's time, one
-exponential at the sum of their rates), and an AND gate fails permanently
+exponential draw per countermeasure phase and per OR region (the attack
+steps under a maximal set of OR gates that are each other's children,
+which complete at the first step's time, one exponential at the sum of
+their rates), and an AND gate fails permanently
 when its countermeasure finishes first. Agreement within the reported
 three-sigma half-widths is a strong end-to-end check because the two
 implementations share no code beyond the model itself.

@@ -574,7 +574,7 @@ def export_ctmc_text(ctmc: Ctmc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_ctmc_text(text: str) -> Ctmc:
+def parse_ctmc_text(text: str, state_cap: int = DEFAULT_STATE_CAP) -> Ctmc:
     """Read a transition list produced by export_ctmc_text.
 
     Without a ``#states`` line, n is one more than the highest state a
@@ -587,9 +587,13 @@ def parse_ctmc_text(text: str) -> Ctmc:
     finite, or a transition from a state to itself: ``Ctmc`` holds
     off-diagonal rates only. A ``#states`` count above 2^31 - 1, or a state
     index of 2^31 - 1 or more, is refused the same way: ``Ctmc`` holds
-    int32 indices. Loads scipy, whose COO-to-CSR conversion puts the
-    transitions into that form.
+    int32 indices. Raises DomainError unless ``state_cap`` is an integer of
+    at least 1, as ``compose`` does, and StateSpaceLimit when the chain
+    counts more states than that, before any array of n entries is made.
+    Loads scipy, whose COO-to-CSR conversion puts the transitions into that
+    form.
     """
+    _count(state_cap, "the state cap", 1)
     n = None
     init = 0
     marked: dict[str, set[int]] = {"goal": set(), "blocked": set()}
@@ -643,6 +647,8 @@ def parse_ctmc_text(text: str) -> Ctmc:
     for i, at in named:
         if i >= n:
             raise ActParseError(f"state {i} is outside a chain of {n} states", at, 1)
+    if n > state_cap:
+        raise StateSpaceLimit(f"a chain of {n} states, more than the state cap of {state_cap}")
     from scipy import sparse
 
     rows, cols, data = map(list, zip(*triples)) if triples else ([], [], [])

@@ -45,20 +45,21 @@ and ``--pleaf`` give.
 
 The simulator replays the same race semantics with sampled
 exponential completion times and reports Wilson half-widths. Its events
-are the countermeasure phases and the OR pools: a maximal subtree of OR
-gates over attack leaves completes when its first leaf does, at one
-exponential time whose rate is the sum of its leaves' rates, so it draws
-once; an attack leaf under no such OR is a pool of its own. Each event
-draws from its own PCG64 stream, seeded by numpy's ``SeedSequence`` from
-the seed and a key that the identifier of the event's node (a pool's
-top) alone determines, so ``simulate_curves`` folds one draw per event
-into the curves of every (scenario, attack-leaf probability) pair. Only
-the gates above a countermeasure differ between scenarios, so the fold
-is planned once per call, and one function, ``_fold``, folds each part
-of the plan per chunk of runs: each guard-free group of pools once per
-attack-leaf probability, from the pools' own times; per curve, the
-gates above a countermeasure, with their deadlines, where an unguarded
-gate that shares its parent's operator is part of the parent's step.
+are the countermeasure phases and the OR regions: the attack leaves under
+a maximal set of OR gates, each but the top a child of another, complete
+when the first of them does, at one exponential time whose rate is the
+sum of their rates, so they draw once; an attack leaf under an AND gate
+is an event of its own. Each event draws from its own PCG64 stream,
+seeded by numpy's ``SeedSequence`` from the seed and a key that the
+identifier of the event's node (a region's top) alone determines, so
+``simulate_curves`` folds one draw per event into the curves of every
+(scenario, attack-leaf probability) pair. Only the gates above a
+countermeasure differ between scenarios, so the fold is planned once per
+call, and one function, ``_fold``, folds each part of the plan per chunk
+of runs: each guard-free group once per attack-leaf probability, from the
+events' own times; per curve, the gates above a countermeasure, with
+their deadlines. An unguarded gate that shares its parent's operator is
+part of the parent's step, so each OR region folds as one step.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .errors import DomainError, _count, _grid, _number
 from .model import Act, Scenario
 from .semantics import Ctmc, _CmRates, _Gate, _rates, read_gates
 
-_RNG_NAME = "pcg64 per event, keyed by identifier; an OR pool of attack leaves is one event"
+_RNG_NAME = "pcg64 per event, keyed by identifier; the attack leaves of an OR region are one event"
 _CHUNK = 1 << 13  # runs per chunk: mia's draws stay in cache
 _CHUNK_VALUES = 1 << 22  # drawn doubles per chunk across all events: 32 MB
 
@@ -611,9 +612,10 @@ def _race(gates: dict[int, _Gate], gate: int, ts: np.ndarray, leaf_rates: dict[i
 def _event_stream(seed: int, ident: str) -> np.random.Generator:
     """An event's own PCG64 generator, keyed by its identifier, which stays put when a sibling is removed.
 
-    The key reads the identifier's UTF-8 bytes behind a leading 1 byte, so
-    two identifiers give two keys even where one is the other with leading
-    NUL characters.
+    An OR region's event is keyed by the identifier of the region's top
+    gate, any other event by its own node's. The key reads the identifier's
+    UTF-8 bytes behind a leading 1 byte, so two identifiers give two keys
+    even where one is the other with leading NUL characters.
     """
     key = int.from_bytes(b"\x01" + ident.encode(), "big")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
@@ -628,22 +630,23 @@ def simulate(
 ) -> CurveResult:
     """Monte Carlo estimate of the timed goal probability.
 
-    Each run draws one exponential completion time per OR pool and per
+    Each run draws one exponential completion time per OR region and per
     countermeasure phase, then evaluates the tree bottom-up: OR takes the
     earliest child, AND the latest attack-side child unless that time is
     beaten by the countermeasure's detection plus mitigation total, in which
-    case the gate never succeeds. An OR pool is a maximal subtree of OR
-    gates over attack leaves, whose earliest leaf time is one exponential
-    at the sum of the leaves' rates; an attack leaf under no such OR is a
-    pool of its own. Deterministic for fixed (seed, runs, grid). Each
-    event draws from its own PCG64 stream keyed by the seed and its node's
-    identifier, a pool's by its top node's, so a time is a unit exponential
-    times 1/rate that depends only on the seed, that identifier and the run
+    case the gate never succeeds. An OR region is a maximal set of OR gates,
+    each but its top a child of another; the earliest time of the attack
+    leaves among their children is one exponential at the sum of those
+    leaves' rates, and an attack leaf under an AND gate is an event of its
+    own. Deterministic for fixed (seed, runs, grid). Each event draws from
+    its own PCG64 stream keyed by the seed and its node's identifier, a
+    region's by its top gate's, so a time is a unit exponential times
+    1/rate that depends only on the seed, that identifier and the run
     index: not on the scenario, on the chunk size, or on which other events
     draw. Calls with the same seed therefore share the draws of every event
     they have in common, and their curves are positively correlated (common
     random numbers). ``meta["events"]`` counts the events the curve reads
-    at a positive rate, the streams it draws: 12 for ``mia`` under
+    at a positive rate, the streams it draws: 9 for ``mia`` under
     ``full``. This is ``simulate_curves``' one-curve case.
     """
     return simulate_curves(act, times, runs, seed, [(scenario, None)])[0]
@@ -663,37 +666,37 @@ def simulate_curves(
     countermeasure laws. Each curve is bit for bit the one ``simulate``
     gives for ``act``, or for ``with_attack_probability(act, pleaf)``,
     under its scenario, and the call raises what the first curve that
-    fails alone would raise. ``_fold_plan`` finds the OR pools once, from
+    fails alone would raise. ``_fold_plan`` finds the OR regions once, from
     the gate table alone, so no requested curve changes another's events;
-    per distinct pleaf, a pool's rate is the sum of its leaves' rates in
+    per distinct pleaf, a region's rate is the sum of its leaves' rates in
     node order. Each countermeasure's phases under each scenario are read
     once, into one table of (event, rate) pairs: detection at δ, plus
     mitigation at μ under ``full`` unless it is instant. Per chunk of runs,
-    every event that some curve reads at a positive rate, a pool or a phase
-    in that table, draws its unit exponentials once, and every curve folds
-    from them: a pool's units scaled by 1/rate, and a countermeasure's
-    deadline, the sum of its phases' units/rate. So ``detect-only`` and
-    ``full`` share their detection draws, and in each run the goal falls no
-    earlier under detect-only than under full, nor under full than under
-    no-cm.
+    every event that some curve reads at a positive rate, a region or a
+    phase in that table, draws its unit exponentials once, and every curve
+    folds from them: a region's units scaled by 1/rate, and a
+    countermeasure's deadline, the sum of its phases' units/rate. So
+    ``detect-only`` and ``full`` share their detection draws, and in each
+    run the goal falls no earlier under detect-only than under full, nor
+    under full than under no-cm.
 
     Only the gates above a countermeasure differ between scenarios. A gate
     *races* when some requested scenario gives a law to a guard in its
-    subtree. ``_fold_plan`` reads each pool as a leaf, folds an unguarded
-    racing gate into its racing parent's step when the two share an
-    operator, and the guard-free attack-side children gathered by each step
-    (the whole tree, if none races) form one group; ``_fold`` folds each
-    part and writes no array it is handed. Per chunk and distinct pleaf,
-    the pools' own times are formed once and each group is folded from
-    them; per curve, the racing steps are folded over the group times, which
-    all of the pleaf's curves share, with their deadlines. Curves are taken
-    one pleaf at a time, and a pleaf's times are dropped before the next
-    one's are formed, so only one pleaf's are held. Chunks hold at most
-    2^13 runs and 2^22 drawn values, which bounds memory and changes no
-    draw. Raises DomainError unless ``runs`` is a positive integer, ``seed``
-    a non-negative one and each ``pleaf`` None or a number in [0, 1]: numpy
-    scalars count, truth values do not. Package-internal: ``actkit`` does
-    not export it.
+    subtree. ``_fold_plan`` folds each unguarded gate into its parent's
+    step when the two share an operator, so each OR region is one step that
+    reads its event, and the guard-free attack-side children gathered by
+    each racing step (the whole tree, if none races) form one group;
+    ``_fold`` folds each part and writes no array it is handed. Per chunk
+    and distinct pleaf, the regions' own times are formed once and each
+    group is folded from them; per curve, the racing steps are folded over
+    the group times, which all of the pleaf's curves share, with their
+    deadlines. Curves are taken one pleaf at a time, and a pleaf's times
+    are dropped before the next one's are formed, so only one pleaf's are
+    held. Chunks hold at most 2^13 runs and 2^22 drawn values, which bounds
+    memory and changes no draw. Raises DomainError unless ``runs`` is a
+    positive integer, ``seed`` a non-negative one and each ``pleaf`` None or
+    a number in [0, 1]: numpy scalars count, truth values do not.
+    Package-internal: ``actkit`` does not export it.
     """
     _count(runs, "runs", 1)
     _count(seed, "seed", 0)
@@ -704,20 +707,21 @@ def simulate_curves(
     phases = {scenario: {cm: [(nid, rate) for nid, rate in zip(act.nodes[cm].kind.children, (law.detect, law.mitigate))
                               if rate is not None] for cm, law in cm_rates.items()}
               for (scenario, _), (_, cm_rates) in zip(curves, read)}
-    pools, racing, groups = _fold_plan(act.root, table, {cm for by_cm in phases.values() for cm in by_cm})
-    sets: dict[float | None, tuple[dict[int, float], list[int]]] = {}  # per distinct pleaf: pool rates, curves
+    regions, racing, groups = _fold_plan(act.root, table, {cm for by_cm in phases.values() for cm in by_cm})
+    sets: dict[float | None, tuple[dict[int, float], list[int]]] = {}  # per distinct pleaf: region rates, curves
     read_events = []  # per curve: the events it reads at a positive rate, which its own call draws
     for i, (scenario, pleaf) in enumerate(curves):
         if pleaf not in sets:
             leaf_rates = read[i][0]
-            sets[pleaf] = ({top: sum(leaf_rates[nid] for nid in leaves) for top, leaves in pools.items()}, [])
+            sets[pleaf] = ({leaves[0]: sum(leaf_rates[nid] for nid in leaves) for leaves in regions.values()}, [])
         rates, members = sets[pleaf]
         members.append(i)
         read_events.append(sum(rate > 0.0 for rate in rates.values())
                            + sum(rate > 0.0 for phase in phases[scenario].values() for _, rate in phase))
-    drawn = {top for rates, _ in sets.values() for top, rate in rates.items() if rate > 0.0}
+    drawn = {nid for rates, _ in sets.values() for nid, rate in rates.items() if rate > 0.0}
     drawn.update(nid for by_cm in phases.values() for events in by_cm.values() for nid, rate in events if rate > 0.0)
-    streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
+    tops = {leaves[0]: top for top, leaves in regions.items()}  # a region's event, read at its first leaf: its top
+    streams = {nid: _event_stream(seed, act.nodes[tops.get(nid, nid)].ident) for nid in drawn}
 
     chunk = min(_CHUNK, max(1, _CHUNK_VALUES // max(1, len(streams))))
     counts = np.zeros((len(curves), ts.size), dtype=np.int64)
@@ -728,9 +732,9 @@ def simulate_curves(
         units = {nid: stream.standard_exponential(size) for nid, stream in streams.items()}
         deadlines = {scenario: {cm: sum(_times(units, nid, rate, size) for nid, rate in events)
                                 for cm, events in by_cm.items()} for scenario, by_cm in phases.items()}
-        units = {nid: units[nid] for nid in pools if nid in units}  # the folds' arrays reuse the phases' memory
+        units = {nid: units[nid] for nid in tops if nid in units}  # the folds' arrays reuse the phases' memory
         for rates, members in sets.values():
-            own = {top: _times(units, top, rate, size) for top, rate in rates.items()}
+            own = {nid: _times(units, nid, rate, size) for nid, rate in rates.items()}
             group_times = {top: _fold(steps, own, top) for top, steps in groups.items()}
             del own  # the group times keep what they share with it
             for i in members:  # sorted into a new array: the fold may return one that group_times holds
@@ -762,69 +766,69 @@ def _times(units: dict[int, np.ndarray], nid: int, rate: float, size: int) -> np
 
 def _fold_plan(root: int, table: list[_Gate],
                guarded: set[int]) -> tuple[dict[int, list[int]], list[_Gate], dict[int, list[_Gate]]]:
-    """The OR pools of the gate table ``table``, its racing steps, and the guard-free groups they fold.
+    """The OR regions of the gate table ``table``, its racing steps, and the guard-free groups they fold.
 
-    An OR pool is a maximal subtree of OR gates and attack leaves. It
-    completes when its first leaf does, at one exponential time whose rate
-    is the sum of its leaves' rates, so the simulator draws it as one event
-    and the plan reads its top as a leaf; an attack leaf under no such OR
-    gate is a pool of its own. No scenario changes the pools: no
+    An OR region is a maximal set of OR gates in which every gate but its
+    top is an attack-side child of another gate in the set. Its gates fold
+    as one step, the earliest of their children, and the attack leaves among
+    those children complete when the first of them does, at one exponential
+    time whose rate is the sum of their rates, so the simulator draws them as
+    one event, which the plan reads at the first leaf; an attack leaf under
+    an AND gate is an event of its own. No scenario changes the regions: no
     countermeasure guards an OR gate. A gate races when a countermeasure in
-    ``guarded`` guards it or a gate in its subtree. A racing gate that no
-    countermeasure in ``guarded`` guards and whose racing parent has its
-    operator folds into the parent's step: its racing children become the
-    parent's and its guard-free children join the parent's group, which
-    keeps every bit, as min and max are exact and associative. One pass up
-    the table marks the pooled and the racing gates, and one pass down it
-    gives each node its pool's top and the top of its step or group, with
-    no recursion. Returns, per pool, keyed by its top node, its leaves in
-    node order; the steps in post-order, so the root comes last, each with
-    its racing attack-side children and then its group, keyed ~gate, which
-    no node id takes; and per group, keyed by its top, the gates outside
-    pools that fold it in post-order. A step's group is the guard-free
-    attack-side children it gathers, joined by a last step ~gate that folds
-    them as the gate does; with nothing racing, the whole tree is one group,
-    keyed by the root.
+    ``guarded`` guards it or a gate in its subtree. A gate that no
+    countermeasure in ``guarded`` guards and whose parent has its operator
+    folds into the parent's step: its children become the step's, which
+    keeps every bit, as min and max are exact and associative. So an OR
+    region is one step, whatever races. One pass up the table marks the
+    racing gates, and one pass down it gives each node the top of its step,
+    or its region's top for an attack leaf under an OR, and each step outside
+    the racing ones the top of its group, with no recursion. Returns, per
+    region, keyed by its top node (an attack leaf under an AND is its own),
+    its leaves in node order; the racing steps in post-order, so the root
+    comes last, each with its racing attack-side children and then its
+    group, keyed ~gate, which no node id takes; and per group, keyed by its
+    top, the steps that fold it in post-order. A racing step's group is the
+    guard-free attack-side children it gathers, joined by a last step ~gate
+    that folds them as the gate does; with nothing racing, the whole tree is
+    one group, keyed by the root.
     """
     gates = {gate.node: gate for gate in table}
-    pooled, racing = set(), set()
-    for nid, is_or, side, guard in table:  # every gate after the gates under it
-        if is_or and all(c in pooled or c not in gates for c in side):
-            pooled.add(nid)
-        elif guard in guarded or any(c in racing for c in side):
+    racing = set()
+    for nid, _, side, guard in table:  # every gate after the gates under it
+        if guard in guarded or any(c in racing for c in side):
             racing.add(nid)
-    pool = {root: root}  # each attack-side node: the top of its pool, or itself outside every pool
-    top = {root: root}  # each racing gate: the gate whose step folds it; any other node: the top of its group
+    top = {root: root}  # each gate: the gate whose step folds it; each attack leaf: the top of its region
+    group = {root: root}  # each step outside the racing ones: the top of the group that folds it
     for nid, is_or, side, _ in reversed(table):  # every gate before the gates under it
         for c in side:
-            pool[c] = pool[nid] if nid in pooled else c
-            if c not in racing:
-                top[c] = ~top[nid] if nid in racing else top[nid]
+            if c not in gates:
+                top[c] = top[nid] if is_or else c
             else:
                 top[c] = top[nid] if gates[c].is_or == is_or and gates[c].guard not in guarded else c
-    pools: dict[int, list[int]] = {}
-    for nid in sorted(pool):
+                group[c] = ~top[nid] if top[nid] in racing else group[top[nid]]
+    regions: dict[int, list[int]] = {}
+    for nid in sorted(top):
         if nid not in gates:
-            pools.setdefault(pool[nid], []).append(nid)
+            regions.setdefault(top[nid], []).append(nid)
     steps: dict[int, list[_Gate]] = {} if racing else {root: []}
-    gathered: dict[int, tuple[list[int], list[int]]] = {}  # per step: its racing children and its group's so far
+    gathered: dict[int, tuple[list[int], list[int]]] = {}  # per step: its racing and its guard-free children so far
     plan = []
-    for gate in table:
-        nid, is_or, side, guard = gate
-        if nid in pooled:
-            continue
-        if nid not in racing:
-            steps.setdefault(top[nid], []).append(gate)
-            continue
+    for nid, is_or, side, guard in table:
         kids, free = gathered.setdefault(top[nid], ([], []))
         kids += [c for c in side if c in racing and top[c] == c]
-        free += [c for c in side if c not in racing]
+        free += [c for c in side if c not in racing and top[c] == c]
         if top[nid] != nid:
+            continue
+        if nid in regions:
+            free.append(regions[nid][0])
+        if nid not in racing:
+            steps.setdefault(group[nid], []).append(_Gate(nid, is_or, tuple(free), None))
             continue
         if free:
             steps.setdefault(~nid, []).append(_Gate(~nid, is_or, tuple(free), None))
         plan.append(_Gate(nid, is_or, tuple(kids) + ((~nid,) if free else ()), guard))
-    return pools, plan, steps
+    return regions, plan, steps
 
 
 def _fold(steps: list[_Gate], formed: dict[int, np.ndarray], top: int,

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -35,7 +36,7 @@ from actkit.model import (
     validate_act,
 )
 from actkit.ranking import rank_countermeasures
-from actkit.semantics import collect_rates, compose, export_ctmc_text, parse_ctmc_text, read_gates
+from actkit.semantics import DEFAULT_STATE_CAP, collect_rates, compose, export_ctmc_text, parse_ctmc_text, read_gates
 from actkit.statics import static_failure, static_probability, sweep_pleaf
 from actkit.transient import goal_curve, goal_curves, simulate, simulate_curves, transient_probability
 
@@ -395,6 +396,29 @@ def test_parse_rejects_malformed_chains(text, line):
     with pytest.raises(ActParseError) as exc:
         parse_ctmc_text(text)
     assert (exc.value.code, exc.value.line, exc.value.column) == ("syntax", line, 1)
+
+
+@pytest.mark.parametrize("text", ["#states 2000000000\n", "0 1999999999 1.0\n"], ids=["states line", "transition"])
+@pytest.mark.parametrize("cap", [10, DEFAULT_STATE_CAP])
+def test_parse_refuses_a_chain_past_the_state_cap(text, cap):
+    # two billion states pass the int32 check; refused at the cap, the chain's n + 1 offsets are never made
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceLimit, match=f"a chain of 2000000000 states, more than the state cap of {cap}$"):
+            parse_ctmc_text(text, **({} if cap == DEFAULT_STATE_CAP else {"state_cap": cap}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_parse_holds_a_chain_at_the_state_cap():
+    assert parse_ctmc_text("#states 3\n#goal 2\n0 2 1.0\n", state_cap=3).n == 3
+    with pytest.raises(StateSpaceLimit):
+        parse_ctmc_text("#goal 2\n0 3 1.0\n", state_cap=3)
+    for cap in (0, 2.0, True):
+        with pytest.raises(DomainError, match="the state cap"):
+            parse_ctmc_text("#states 1\n", state_cap=cap)
 
 
 def test_export_contains_headers():

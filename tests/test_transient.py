@@ -260,9 +260,10 @@ def test_simulate_deterministic():
     assert a.ys != c.ys
     assert a.meta["seed"] == 42 and a.meta["runs"] == 50_000
     assert a.meta["method"] == "monte-carlo"
-    assert a.meta["rng"] == "pcg64 per event, keyed by identifier; an OR pool of attack leaves is one event"
-    # 17 attack leaves and 4 countermeasure phases: distribution's 9 leaves and steal_password's 2 are one event each
-    assert a.meta["events"] == 12
+    assert a.meta["rng"] == "pcg64 per event, keyed by identifier; the attack leaves of an OR region are one event"
+    # 17 attack leaves and 4 countermeasure phases: goal's region draws 12 leaves as one event and steal_password's
+    # region 2, and launch_virus, misuse and policy_violation, each under an AND, draw one each
+    assert a.meta["events"] == 9
 
 
 def test_simulate_agrees_with_solver_on_bundled_model():
@@ -289,14 +290,14 @@ def test_simulated_scenario_dominance():
 
 
 def test_simulate_keeps_its_draws_on_the_bundled_model():
-    # pinned at the keyed per-event PCG64 streams; mia draws 12 events, each OR pool of attack leaves one,
+    # pinned at the keyed per-event PCG64 streams; mia draws 9 events, the attack leaves of each OR region one,
     # in chunks of 2^13 runs
     act = load_bundled("mia")
     ts = [0.5, 1.0, 2.0, 5.0]
     runs = 300_000
     pinned = {
-        Scenario.FULL: (0.31950666666666666, 0.5335533333333333, 0.7750833333333333, 0.9701466666666667),
-        Scenario.NO_CM: (0.3203566666666667, 0.5374333333333333, 0.7866733333333333, 0.9795666666666667),
+        Scenario.FULL: (0.31886, 0.5336633333333334, 0.7756033333333333, 0.9703966666666667),
+        Scenario.NO_CM: (0.31970333333333334, 0.53778, 0.7872, 0.97981),
     }
     for scenario, ys in pinned.items():
         assert simulate(act, scenario, ts, runs=runs, seed=7).ys == ys
@@ -331,11 +332,13 @@ def _pleaf_curves(pleafs):
 def one_draw_per_curve(act, scenario, ts, runs, seed, pool=True):
     """``simulate``'s goal frequencies in one chunk: each event's whole stream at once, keyed by its identifier.
 
-    An event is a countermeasure phase or an OR pool: a maximal subtree of
-    OR gates and attack leaves, read off ``act.nodes``, which completes at
-    one exponential time at the sum of its leaves' rates in node order. With
-    ``pool`` False every attack leaf is an event of its own and each OR takes
-    its earliest child: the per-leaf fold, the same law from other draws.
+    An event is a countermeasure phase, an attack leaf under an AND gate, or
+    an OR region: the attack leaves under a maximal chain of OR gates, each
+    a child of the one above, read off ``act.nodes``, which complete at one
+    exponential time at the sum of their rates in node order, drawn at the
+    region's top gate. With ``pool`` False every attack leaf is an event of
+    its own and each OR takes its earliest child: the per-leaf fold, the
+    same law from other draws.
     """
     leaf_rates, cm_rates = collect_rates(act, scenario)
 
@@ -351,22 +354,26 @@ def one_draw_per_curve(act, scenario, ts, runs, seed, pool=True):
         if r.mitigate is not None:
             deadlines[nid] = deadlines[nid] + draw(kind.mitigate, r.mitigate)
     order = act.postorder()
-    pools = {}  # each node whose subtree holds only OR gates and attack leaves: those leaves
+    top = {}  # with ``pool``, each child of an OR gate: the top of that gate's region
+    for nid in reversed(order):
+        if pool and isinstance(act.nodes[nid].kind, OrGate):
+            for c in act.nodes[nid].kind.children:
+                top[c] = top.get(nid, nid)
+    regions = {}  # each region's top: its attack leaves
     for nid in order:
-        kind = act.nodes[nid].kind
-        if isinstance(kind, AttackLeaf):
-            pools[nid] = [nid]
-        elif pool and isinstance(kind, OrGate) and all(c in pools for c in kind.children):
-            pools[nid] = [leaf for c in kind.children for leaf in pools[c]]
-    inner = {c for nid in pools if isinstance(act.nodes[nid].kind, OrGate) for c in act.nodes[nid].kind.children}
+        if nid in top and isinstance(act.nodes[nid].kind, AttackLeaf):
+            regions.setdefault(top[nid], []).append(nid)
     times = {}
     for nid in order:
         kind = act.nodes[nid].kind
-        if nid in pools:
-            if nid not in inner:
-                times[nid] = draw(nid, sum(leaf_rates[leaf] for leaf in sorted(pools[nid])))
+        if isinstance(kind, AttackLeaf):
+            if nid not in top:
+                times[nid] = draw(nid, leaf_rates[nid])
         elif isinstance(kind, OrGate):
-            times[nid] = np.min([times.pop(c) for c in kind.children], axis=0)
+            parts = [times.pop(c) for c in kind.children if c in times]
+            if nid in regions:
+                parts.append(draw(nid, sum(leaf_rates[leaf] for leaf in sorted(regions[nid]))))
+            times[nid] = np.min(parts, axis=0) if parts else np.full(runs, np.inf)
         elif isinstance(kind, AndGate):
             cm = act.guard(nid)
             done = np.max([times.pop(c) for c in kind.children if c != cm], axis=0)
@@ -491,7 +498,7 @@ def test_simulate_deep_or_chain(depth):
 
 
 def test_pooled_and_per_leaf_draws_both_sit_within_their_half_widths():
-    # an OR pool draws one exponential at its leaves' summed rate, where the per-leaf fold draws one per leaf and
+    # an OR region draws one exponential at its leaves' summed rate, where the per-leaf fold draws one per leaf and
     # takes the earliest: two draws of one law, each within its three-sigma half-widths of the quadrature
     rng = random.Random(37)
     models = [(with_attack_probability(load_bundled("mia"), 0.1), 20_000),
@@ -504,7 +511,7 @@ def test_pooled_and_per_leaf_draws_both_sit_within_their_half_widths():
             exact = goal_curve(act, scenario, ts).ys
             pooled = simulate(act, scenario, ts, runs, 5)
             per_leaf = one_draw_per_curve(act, scenario, ts, runs, 5, pool=False)
-            if i in (1, 2):  # the wide OR and the deep chain are one pool each: one stream, not 200 or 5000
+            if i in (1, 2):  # the wide OR and the deep chain are one region each: one stream, not 200 or 5000
                 assert pooled.meta["events"] == 1
             for ys, hws in ((pooled.ys, pooled.halfwidths),
                             (per_leaf, transient._wilson_halfwidths(np.asarray(per_leaf) * runs, runs))):
@@ -957,7 +964,7 @@ _FOLD_SHAPES = {  # each shape: its racing steps when every countermeasure is gu
 @pytest.mark.parametrize("shape", list(_FOLD_SHAPES))
 def test_every_fold_shape_matches_the_whole_tree_fold(shape, horizons):
     # the shapes the property above draws only by chance, on one horizon and on mixed ones, so that a pleaf
-    # reads a group's pools at one rate or at several
+    # reads a group's events at one rate or at several
     act, scenarios = _fold_shape(shape, horizons)
     _, plan, _ = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
     assert [act.nodes[step.node].ident for step in plan] == _FOLD_SHAPES[shape]
@@ -977,26 +984,63 @@ def test_mia_folds_three_racing_steps_over_three_groups():
     assert sorted(~top for top in groups) == sorted(step.node for step in plan)
 
 
-def test_mia_pools_its_ors_of_attack_leaves():
-    # distribution's nine leaves and steal_password's two each draw as one event; every other leaf alone. The
-    # seven pooled gates fold in no step or group, and only the two pool tops are read, as leaves
+def test_mia_draws_one_event_per_or_region():
+    # goal's region draws its twelve attack leaves as one event and steal_password's its two; launch_virus, misuse
+    # and policy_violation, each under an AND, draw alone. The region's inner ORs fold into goal's step, and of
+    # each region's leaves only the first is read, standing for its event
     act = load_bundled("mia")
-    pools, plan, groups = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
+    regions, plan, groups = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
     ident = {nid: node.ident for nid, node in enumerate(act.nodes)}
-    pooled = {"copy_to_media", "distribution", "drop_box", "email", "file_sharing", "internet", "steal_password"}
+    assert {ident[top]: [ident[nid] for nid in leaves] for top, leaves in regions.items()} == {
+        "goal": ["unauthorized_alteration", "local_account", "web_account", "post_newsgroup", "post_website",
+                 "ftp_server", "floppy_disk", "cd_rom", "usb_drive", "online_chat", "sendmail_exploit",
+                 "poor_configuration"],
+        "steal_password": ["sniff_network", "root_telnet"],
+        "launch_virus": ["launch_virus"], "misuse": ["misuse"], "policy_violation": ["policy_violation"]}
+    assert all(leaves == sorted(leaves) for leaves in regions.values())
     steps = plan + [step for group in groups.values() for step in group]
-    assert pooled.isdisjoint(ident.get(step.node) for step in steps)
-    assert pooled.intersection(ident.get(c) for step in steps for c in step.side) == {"distribution",
-                                                                                       "steal_password"}
-    assert {ident[top]: [ident[nid] for nid in leaves] for top, leaves in pools.items() if len(leaves) > 1} == {
-        "distribution": ["local_account", "web_account", "post_newsgroup", "post_website", "ftp_server",
-                         "floppy_disk", "cd_rom", "usb_drive", "online_chat"],
-        "steal_password": ["sniff_network", "root_telnet"]}
-    assert len(pools) == 8 and all(leaves == sorted(leaves) for leaves in pools.values())
+    inner = {"alteration", "distribution", "file_sharing", "email", "drop_box", "internet", "copy_to_media",
+             "elevation", "acquire_admin"}
+    assert inner.isdisjoint(ident.get(step.node) for step in steps)
+    read = [c for step in steps for c in step.side if c >= 0 and isinstance(act.nodes[c].kind, AttackLeaf)]
+    assert sorted(read) == sorted(leaves[0] for leaves in regions.values())
+
+
+def test_or_regions_do_not_depend_on_the_guards():
+    # a region is read off the gate table alone, so a one-scenario call draws the events of the all-scenario one
+    rng = random.Random(23)
+    for _ in range(200):
+        act = random_act(rng, max_leaves=10, max_cms=3)
+        table = read_gates(act)
+        regions = transient._fold_plan(act.root, table, set())[0]
+        for guarded in [set(act.cm_gates()), *({cm} for cm in act.cm_gates())]:
+            assert transient._fold_plan(act.root, table, guarded)[0] == regions
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded and"])
+def test_an_or_region_draws_its_leaves_across_an_and(guarded):
+    # OR(a, AND(b, c), OR(d, AND(e, f))): a and d sit under one OR region, so they draw as one event keyed by
+    # the root, and b, c, e and f, each under an AND, alone; with AND(b, c) guarded its step races
+    cm = [cm_gate("cm", detect("dt", p=0.4), mitigate("mt", p=0.5))] if guarded else []
+    bc = and_gate("bc", attack("b", p=0.3), attack("c", p=0.1), *cm)
+    ef = and_gate("ef", attack("e", p=0.2), attack("f", p=0.3))
+    act = build_act("region", or_gate("top", attack("a", p=0.2), bc, or_gate("o", attack("d", p=0.4), ef)))
+    phases = {Scenario.NO_CM: 0, Scenario.DETECT_ONLY: 1, Scenario.FULL: 2} if guarded else dict.fromkeys(Scenario, 0)
+    ident = {nid: node.ident for nid, node in enumerate(act.nodes)}
+    regions = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))[0]
+    assert {ident[top]: [ident[nid] for nid in leaves] for top, leaves in regions.items()} == {
+        "top": ["a", "d"], "b": ["b"], "c": ["c"], "e": ["e"], "f": ["f"]}
+    ts = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0]
+    curves = [(scenario, pleaf) for scenario in Scenario for pleaf in (None, 0.1, 0.4)]
+    for runs in (1, 3000):
+        for (scenario, pleaf), curve in zip(curves, simulate_curves(act, ts, runs, 19, curves)):
+            model = act if pleaf is None else with_attack_probability(act, pleaf)
+            assert curve.meta["events"] == 5 + phases[scenario]
+            assert curve.ys == one_draw_per_curve(model, scenario, ts, runs, 19)
 
 
 def test_a_pool_sums_its_leaf_rates_in_node_order():
-    # 1 + 1e-16 + 1e-16 is 1.0 in node order and 1.0000000000000002 reversed: the pool's one draw, u, then
+    # 1 + 1e-16 + 1e-16 is 1.0 in node order and 1.0000000000000002 reversed: the region's one draw, u, then
     # completes at u, not at u / 1.0000000000000002, so the first grid point reads 0
     act = build_act("order", or_gate("o", attack("a", lam=1.0), attack("b", lam=1e-16), attack("c", lam=1e-16)))
     u = transient._event_stream(3, "o").standard_exponential(1)[0]
