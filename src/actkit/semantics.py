@@ -44,9 +44,9 @@ costs a few count reads per transition, not one tree walk per state.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (ActParseError, ActValidationError, DomainError, MissingParameter, RateUndefined, StateSpaceLimit,
@@ -189,8 +189,9 @@ class Ctmc:
     identity, since arrays have no single truth value.
 
     ``labels`` names each state, by index: a tuple, or in a chain from
-    ``compose`` a sequence that formats its labels when first read and
-    reads, slices and compares (``==`` either way) as the tuple of them.
+    ``compose`` or ``parse_ctmc_text`` a sequence that formats its labels
+    when first read and reads, slices and compares (``==`` either way) as
+    the tuple of them.
 
     Construction raises DomainError naming the first of these rules that a
     chain breaks: n is an integer of at least 1; the initial, goal
@@ -241,30 +242,42 @@ class Ctmc:
         return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
-class _Labels(Sequence):
-    """The state labels of a chain from ``compose``, formatted when first read: reads and compares as their tuple.
+def _status_labels(states: list[int], kept: list[int], leaves: int, cms: int, blocked: int) -> tuple[str, ...]:
+    """``compose``'s labels: label i names state ``states[kept[i]]`` by its status digits, leaves then
+    countermeasures, and ``blocked`` labels after those name the merged state."""
+    width = leaves + cms
+    labels = []
+    for u in kept:
+        s = states[u]
+        if s == _GOAL:
+            labels.append("goal")
+        else:
+            digits = format(s, f"0{width}x")[::-1]  # in hex, the lowest field comes last
+            labels.append("leaves=" + digits[:leaves] + (" cms=" + digits[leaves:] if cms else ""))
+    return tuple(labels) + ("blocked",) * blocked
 
-    Label i names state ``states[kept[i]]`` by its status digits, leaves then
-    countermeasures, and ``blocked`` labels after those name the merged state.
+
+def _named_labels(named: dict[int, str], n: int) -> tuple[str, ...]:
+    """``parse_ctmc_text``'s labels: each state's ``#label`` text, or ``s{i}`` for a state it does not name."""
+    return tuple(named.get(i, f"s{i}") for i in range(n))
+
+
+class _Labels(Sequence):
+    """A chain's state labels, formatted when first read: reads and compares as their tuple.
+
+    ``read`` takes no argument and returns the tuple; it is a
+    ``functools.partial`` over a module-level formatter, so unread labels
+    pickle, and it is dropped once read, which frees what it holds.
     """
 
-    def __init__(self, states: list[int], kept: list[int], leaves: int, cms: int, blocked: int):
-        self._read = (states, kept, leaves, cms, blocked)
+    def __init__(self, read: Callable[[], tuple[str, ...]]):
+        self._read = read
 
     @cached_property
     def _tuple(self) -> tuple[str, ...]:
-        states, kept, leaves, cms, blocked = self._read
-        del self._read  # frees the states
-        width = leaves + cms
-        labels = []
-        for u in kept:
-            s = states[u]
-            if s == _GOAL:
-                labels.append("goal")
-            else:
-                digits = format(s, f"0{width}x")[::-1]  # in hex, the lowest field comes last
-                labels.append("leaves=" + digits[:leaves] + (" cms=" + digits[leaves:] if cms else ""))
-        return tuple(labels) + ("blocked",) * blocked
+        labels = self._read()
+        del self._read  # frees what the formatter holds
+        return labels
 
     def __getitem__(self, i):
         return self._tuple[i]
@@ -550,7 +563,8 @@ def _absorbing(states: list[int], edges: list[dict[int, float]], leaves: int, cm
     indptr += [len(indices)] * (n - blocked)
     return Ctmc(n=n, init=0, indptr=np.array(indptr, dtype=np.int32), indices=np.array(indices, dtype=np.int32),
                 data=np.array(data, dtype=np.float64), goal=frozenset({renumber[goal]} if kept else ()),
-                blocked=frozenset(range(blocked, n)), labels=_Labels(states, kept, leaves, cms, n - blocked),
+                blocked=frozenset(range(blocked, n)),
+                labels=_Labels(partial(_status_labels, states, kept, leaves, cms, n - blocked)),
                 title=title, scenario=scenario)
 
 
@@ -655,4 +669,4 @@ def parse_ctmc_text(text: str, state_cap: int = DEFAULT_STATE_CAP) -> Ctmc:
     rates = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     return Ctmc(n=n, init=init, indptr=rates.indptr, indices=rates.indices, data=rates.data,
                 goal=frozenset(marked["goal"]), blocked=frozenset(marked["blocked"]),
-                labels=tuple(labels.get(i, f"s{i}") for i in range(n)))
+                labels=_Labels(partial(_named_labels, labels, n)))

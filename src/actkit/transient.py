@@ -55,11 +55,13 @@ identifier of the event's node (a region's top) alone determines, so
 ``simulate_curves`` folds one draw per event into the curves of every
 (scenario, attack-leaf probability) pair. Only the gates above a
 countermeasure differ between scenarios, so the fold is planned once per
-call, and one function, ``_fold``, folds each part of the plan per chunk
-of runs: each guard-free group once per attack-leaf probability, from the
-events' own times; per curve, the gates above a countermeasure, with
-their deadlines. An unguarded gate that shares its parent's operator is
-part of the parent's step, so each OR region folds as one step.
+call, as one list of steps, and one function, ``_fold``, folds it per
+chunk of runs into a dict of times keyed by node: the steps that do not
+race once per attack-leaf probability, from the events' own times; per
+curve, the steps above a countermeasure, with their deadlines. An
+unguarded gate that shares its parent's operator is part of the parent's
+step, so each OR region folds as one step, keyed, like its event, by its
+top.
 """
 
 from __future__ import annotations
@@ -683,20 +685,21 @@ def simulate_curves(
     Only the gates above a countermeasure differ between scenarios. A gate
     *races* when some requested scenario gives a law to a guard in its
     subtree. ``_fold_plan`` folds each unguarded gate into its parent's
-    step when the two share an operator, so each OR region is one step that
-    reads its event, and the guard-free attack-side children gathered by
-    each racing step (the whole tree, if none races) form one group;
-    ``_fold`` folds each part and writes no array it is handed. Per chunk
-    and distinct pleaf, the regions' own times are formed once and each
-    group is folded from them; per curve, the racing steps are folded over
-    the group times, which all of the pleaf's curves share, with their
-    deadlines. Curves are taken one pleaf at a time, and a pleaf's times
-    are dropped before the next one's are formed, so only one pleaf's are
-    held. Chunks hold at most 2^13 runs and 2^22 drawn values, which bounds
-    memory and changes no draw. Raises DomainError unless ``runs`` is a
-    positive integer, ``seed`` a non-negative one and each ``pleaf`` None or
-    a number in [0, 1]: numpy scalars count, truth values do not.
-    Package-internal: ``actkit`` does not export it.
+    step when the two share an operator, so each OR region is one step,
+    keyed by its top like its event, and splits the steps into those that
+    race and the others; ``_fold`` folds steps in place into a dict of
+    times and writes no array it is handed. Per chunk and distinct pleaf,
+    the regions' own times are formed once, into a dict keyed by each
+    region's top, and the steps that do not race fold into it; per curve,
+    the racing steps fold into a copy of that dict, which shares its
+    arrays, with the curve's deadlines. Curves are taken one pleaf at a
+    time, and a pleaf's times are dropped before the next one's are formed,
+    so only one pleaf's are held. Chunks hold at most 2^13 runs and 2^22
+    drawn values, which bounds memory and changes no draw. Raises
+    DomainError unless ``runs`` is a positive integer, ``seed`` a
+    non-negative one and each ``pleaf`` None or a number in [0, 1]: numpy
+    scalars count, truth values do not. Package-internal: ``actkit`` does
+    not export it.
     """
     _count(runs, "runs", 1)
     _count(seed, "seed", 0)
@@ -707,21 +710,20 @@ def simulate_curves(
     phases = {scenario: {cm: [(nid, rate) for nid, rate in zip(act.nodes[cm].kind.children, (law.detect, law.mitigate))
                               if rate is not None] for cm, law in cm_rates.items()}
               for (scenario, _), (_, cm_rates) in zip(curves, read)}
-    regions, racing, groups = _fold_plan(act.root, table, {cm for by_cm in phases.values() for cm in by_cm})
+    regions, racing, free = _fold_plan(act.root, table, {cm for by_cm in phases.values() for cm in by_cm})
     sets: dict[float | None, tuple[dict[int, float], list[int]]] = {}  # per distinct pleaf: region rates, curves
     read_events = []  # per curve: the events it reads at a positive rate, which its own call draws
     for i, (scenario, pleaf) in enumerate(curves):
         if pleaf not in sets:
             leaf_rates = read[i][0]
-            sets[pleaf] = ({leaves[0]: sum(leaf_rates[nid] for nid in leaves) for leaves in regions.values()}, [])
+            sets[pleaf] = ({top: sum(leaf_rates[nid] for nid in leaves) for top, leaves in regions.items()}, [])
         rates, members = sets[pleaf]
         members.append(i)
         read_events.append(sum(rate > 0.0 for rate in rates.values())
                            + sum(rate > 0.0 for phase in phases[scenario].values() for _, rate in phase))
     drawn = {nid for rates, _ in sets.values() for nid, rate in rates.items() if rate > 0.0}
     drawn.update(nid for by_cm in phases.values() for events in by_cm.values() for nid, rate in events if rate > 0.0)
-    tops = {leaves[0]: top for top, leaves in regions.items()}  # a region's event, read at its first leaf: its top
-    streams = {nid: _event_stream(seed, act.nodes[tops.get(nid, nid)].ident) for nid in drawn}
+    streams = {nid: _event_stream(seed, act.nodes[nid].ident) for nid in drawn}
 
     chunk = min(_CHUNK, max(1, _CHUNK_VALUES // max(1, len(streams))))
     counts = np.zeros((len(curves), ts.size), dtype=np.int64)
@@ -732,15 +734,15 @@ def simulate_curves(
         units = {nid: stream.standard_exponential(size) for nid, stream in streams.items()}
         deadlines = {scenario: {cm: sum(_times(units, nid, rate, size) for nid, rate in events)
                                 for cm, events in by_cm.items()} for scenario, by_cm in phases.items()}
-        units = {nid: units[nid] for nid in tops if nid in units}  # the folds' arrays reuse the phases' memory
+        units = {nid: units[nid] for nid in regions if nid in units}  # the folds' arrays reuse the phases' memory
         for rates, members in sets.values():
-            own = {nid: _times(units, nid, rate, size) for nid, rate in rates.items()}
-            group_times = {top: _fold(steps, own, top) for top, steps in groups.items()}
-            del own  # the group times keep what they share with it
-            for i in members:  # sorted into a new array: the fold may return one that group_times holds
-                root_time = np.sort(_fold(racing, group_times, act.root, deadlines[curves[i][0]]))
-                counts[i] += np.searchsorted(root_time, ts, side="right")
-            del group_times, root_time  # so the next set's arrays are formed with none of this set's held
+            shared = {nid: _times(units, nid, rate, size) for nid, rate in rates.items()}
+            _fold(free, shared)
+            for i in members:  # a copy of the dict, not of its arrays, which the fold never writes
+                ends = dict(shared)
+                _fold(racing, ends, deadlines[curves[i][0]])
+                counts[i] += np.searchsorted(np.sort(ends[act.root]), ts, side="right")
+            del shared, ends  # so the next set's arrays are formed with none of this set's held
 
     return [CurveResult(tuple(ts.tolist()), tuple((row / runs).tolist()), scenario,
                         {"method": "monte-carlo", "rng": _RNG_NAME, "events": read_events[i], "seed": seed,
@@ -765,33 +767,30 @@ def _times(units: dict[int, np.ndarray], nid: int, rate: float, size: int) -> np
 
 
 def _fold_plan(root: int, table: list[_Gate],
-               guarded: set[int]) -> tuple[dict[int, list[int]], list[_Gate], dict[int, list[_Gate]]]:
-    """The OR regions of the gate table ``table``, its racing steps, and the guard-free groups they fold.
+               guarded: set[int]) -> tuple[dict[int, list[int]], list[_Gate], list[_Gate]]:
+    """The OR regions of the gate table ``table`` and its fold steps: those that race, and the others.
 
     An OR region is a maximal set of OR gates in which every gate but its
     top is an attack-side child of another gate in the set. Its gates fold
     as one step, the earliest of their children, and the attack leaves among
     those children complete when the first of them does, at one exponential
     time whose rate is the sum of their rates, so the simulator draws them as
-    one event, which the plan reads at the first leaf; an attack leaf under
-    an AND gate is an event of its own. No scenario changes the regions: no
-    countermeasure guards an OR gate. A gate races when a countermeasure in
-    ``guarded`` guards it or a gate in its subtree. A gate that no
-    countermeasure in ``guarded`` guards and whose parent has its operator
-    folds into the parent's step: its children become the step's, which
-    keeps every bit, as min and max are exact and associative. So an OR
-    region is one step, whatever races. One pass up the table marks the
-    racing gates, and one pass down it gives each node the top of its step,
-    or its region's top for an attack leaf under an OR, and each step outside
-    the racing ones the top of its group, with no recursion. Returns, per
-    region, keyed by its top node (an attack leaf under an AND is its own),
-    its leaves in node order; the racing steps in post-order, so the root
-    comes last, each with its racing attack-side children and then its
-    group, keyed ~gate, which no node id takes; and per group, keyed by its
-    top, the steps that fold it in post-order. A racing step's group is the
-    guard-free attack-side children it gathers, joined by a last step ~gate
-    that folds them as the gate does; with nothing racing, the whole tree is
-    one group, keyed by the root.
+    one event, keyed by the region's top; an attack leaf under an AND gate is
+    an event of its own. No scenario changes the regions: no countermeasure
+    guards an OR gate. A gate races when a countermeasure in ``guarded``
+    guards it or a gate in its subtree. A gate that no countermeasure in
+    ``guarded`` guards and whose parent has its operator folds into the
+    parent's step: its children become the step's, which keeps every bit, as
+    min and max are exact and associative. So an OR region is one step,
+    whatever races. One pass up the table marks the racing gates, and one
+    pass down it gives each node the top of its step, or its region's top
+    for an attack leaf under an OR, with no recursion. Returns, per region,
+    keyed by its top node (an attack leaf under an AND is its own), its
+    leaves in node order; then the steps in post-order, so the root comes
+    last, split into those that race and the others. A step lists the
+    children that are steps or events of their own, and a region's top
+    lists its own node first, where its event is read, so a region whose
+    children are all attack leaves needs no step.
     """
     gates = {gate.node: gate for gate in table}
     racing = set()
@@ -799,57 +798,39 @@ def _fold_plan(root: int, table: list[_Gate],
         if guard in guarded or any(c in racing for c in side):
             racing.add(nid)
     top = {root: root}  # each gate: the gate whose step folds it; each attack leaf: the top of its region
-    group = {root: root}  # each step outside the racing ones: the top of the group that folds it
     for nid, is_or, side, _ in reversed(table):  # every gate before the gates under it
         for c in side:
-            if c not in gates:
-                top[c] = top[nid] if is_or else c
-            else:
-                top[c] = top[nid] if gates[c].is_or == is_or and gates[c].guard not in guarded else c
-                group[c] = ~top[nid] if top[nid] in racing else group[top[nid]]
+            merged = is_or if c not in gates else gates[c].is_or == is_or and gates[c].guard not in guarded
+            top[c] = top[nid] if merged else c
     regions: dict[int, list[int]] = {}
     for nid in sorted(top):
         if nid not in gates:
             regions.setdefault(top[nid], []).append(nid)
-    steps: dict[int, list[_Gate]] = {} if racing else {root: []}
-    gathered: dict[int, tuple[list[int], list[int]]] = {}  # per step: its racing and its guard-free children so far
-    plan = []
-    for nid, is_or, side, guard in table:
-        kids, free = gathered.setdefault(top[nid], ([], []))
-        kids += [c for c in side if c in racing and top[c] == c]
-        free += [c for c in side if c not in racing and top[c] == c]
-        if top[nid] != nid:
-            continue
-        if nid in regions:
-            free.append(regions[nid][0])
-        if nid not in racing:
-            steps.setdefault(group[nid], []).append(_Gate(nid, is_or, tuple(free), None))
-            continue
-        if free:
-            steps.setdefault(~nid, []).append(_Gate(~nid, is_or, tuple(free), None))
-        plan.append(_Gate(nid, is_or, tuple(kids) + ((~nid,) if free else ()), guard))
-    return regions, plan, steps
+    kids = {nid: [nid] if nid in regions else [] for nid in gates}  # per step: its region's event, its children
+    for nid, _, side, _ in table:
+        kids[top[nid]] += [c for c in side if top[c] == c]
+    steps = [_Gate(nid, is_or, tuple(kids[nid]), guard) for nid, is_or, _, guard in table
+             if top[nid] == nid and kids[nid] != [nid]]
+    return regions, [s for s in steps if s.node in racing], [s for s in steps if s.node not in racing]
 
 
-def _fold(steps: list[_Gate], formed: dict[int, np.ndarray], top: int,
-          deadlines: dict[int, np.ndarray] = {}) -> np.ndarray:
-    """Times of ``top`` in one chunk, folded over the gates ``steps`` in post-order without recursion.
+def _fold(steps: list[_Gate], times: dict[int, np.ndarray], deadlines: dict[int, np.ndarray] = {}) -> None:
+    """Fold the gates ``steps`` over one chunk's ``times``, in post-order, without recursion, in place.
 
-    Each step folds its attack-side children, OR by the earliest time and
-    AND by the latest, and then, if its guard has a deadline in
-    ``deadlines``, never completes in the runs that the deadline beats. A
-    child that no earlier step formed is read from ``formed``. The fold
-    writes no array it is handed: a step's first fold makes its new array,
-    and a deadline makes another. With no steps this is ``formed[top]``.
+    Each step pops its children's times from ``times``, folds them, OR by the
+    earliest time and AND by the latest, then, if its guard has a deadline in
+    ``deadlines``, never completes in the runs that the deadline beats, and
+    writes the result under its own node. A step may read its own node: a
+    region's top reads its event there. The fold writes no array it is
+    handed: a step's first fold makes its new array, and a deadline makes
+    another.
     """
-    times: dict[int, np.ndarray] = {}
     for nid, is_or, side, guard in steps:
         fold = np.minimum if is_or else np.maximum
-        first, *rest = [times.pop(c) if c in times else formed[c] for c in side]
+        first, *rest = [times.pop(c) for c in side]
         done = fold(first, rest[0]) if rest else first
         for c in rest[1:]:
             fold(done, c, out=done)
         if guard in deadlines:
             done = np.where(done >= deadlines[guard], np.inf, done)
         times[nid] = done
-    return times[top] if top in times else formed[top]

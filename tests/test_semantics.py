@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -419,6 +420,32 @@ def test_parse_holds_a_chain_at_the_state_cap():
     for cap in (0, 2.0, True):
         with pytest.raises(DomainError, match="the state cap"):
             parse_ctmc_text("#states 1\n", state_cap=cap)
+
+
+def test_parse_formats_its_default_labels_when_first_read():
+    # a million unnamed states: the parse holds the chain's arrays, not a million formatted labels
+    parse_ctmc_text("#states 2\n")  # scipy is loaded before anything is timed
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        parse_ctmc_text("#states 1000000\n")
+        seconds.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        ctmc = parse_ctmc_text("#states 1000000\n#label 2 two words\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(seconds) < 0.1
+    assert peak < 16 * 2**20
+    pickled = pickle.dumps(ctmc.labels)  # before the first read: the formatter and its arguments
+    assert len(pickled) < 1024
+    unread = pickle.loads(pickled)
+    want = ("s0", "s1", "two words", *(f"s{i}" for i in range(3, 1000000)))
+    assert tuple(ctmc.labels) == want and ctmc.labels == want
+    assert ctmc.labels[-1] == "s999999" and len(ctmc.labels) == 1000000
+    assert pickle.loads(pickle.dumps(ctmc.labels)) == want  # after the first read
+    assert unread == want
 
 
 def test_export_contains_headers():

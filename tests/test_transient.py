@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -976,20 +977,22 @@ def test_every_fold_shape_matches_the_whole_tree_fold(shape, horizons):
             assert curve.ys == one_draw_per_curve(model, scenario, ts, runs, 17)
 
 
-def test_mia_folds_three_racing_steps_over_three_groups():
-    # alteration, elevation and acquire_admin are unguarded ORs under the OR goal, so they fold into its step
+def test_mia_folds_three_racing_steps_and_one_free_step():
+    # alteration, elevation and acquire_admin are unguarded ORs under the OR goal, so they fold into its step;
+    # steal_password's region holds only attack leaves, so its event is its result and it takes no step
     act = load_bundled("mia")
-    _, plan, groups = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
-    assert [act.nodes[step.node].ident for step in plan] == ["acquire_password", "virus_manipulation", "goal"]
-    assert sorted(~top for top in groups) == sorted(step.node for step in plan)
+    _, racing, free = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
+    assert [act.nodes[step.node].ident for step in racing] == ["acquire_password", "virus_manipulation", "goal"]
+    assert [act.nodes[step.node].ident for step in free] == ["snooping"]
+    assert all(len(step.side) > 1 for step in racing + free if step.guard is None)
 
 
 def test_mia_draws_one_event_per_or_region():
     # goal's region draws its twelve attack leaves as one event and steal_password's its two; launch_virus, misuse
-    # and policy_violation, each under an AND, draw alone. The region's inner ORs fold into goal's step, and of
-    # each region's leaves only the first is read, standing for its event
+    # and policy_violation, each under an AND, draw alone. The region's inner ORs fold into goal's step, which
+    # reads the region's event at goal, and no step reads an attack leaf of a region of two or more leaves
     act = load_bundled("mia")
-    regions, plan, groups = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
+    regions, racing, free = transient._fold_plan(act.root, read_gates(act), set(act.cm_gates()))
     ident = {nid: node.ident for nid, node in enumerate(act.nodes)}
     assert {ident[top]: [ident[nid] for nid in leaves] for top, leaves in regions.items()} == {
         "goal": ["unauthorized_alteration", "local_account", "web_account", "post_newsgroup", "post_website",
@@ -998,12 +1001,35 @@ def test_mia_draws_one_event_per_or_region():
         "steal_password": ["sniff_network", "root_telnet"],
         "launch_virus": ["launch_virus"], "misuse": ["misuse"], "policy_violation": ["policy_violation"]}
     assert all(leaves == sorted(leaves) for leaves in regions.values())
-    steps = plan + [step for group in groups.values() for step in group]
+    steps = racing + free
     inner = {"alteration", "distribution", "file_sharing", "email", "drop_box", "internet", "copy_to_media",
              "elevation", "acquire_admin"}
-    assert inner.isdisjoint(ident.get(step.node) for step in steps)
-    read = [c for step in steps for c in step.side if c >= 0 and isinstance(act.nodes[c].kind, AttackLeaf)]
-    assert sorted(read) == sorted(leaves[0] for leaves in regions.values())
+    assert inner.isdisjoint(ident[step.node] for step in steps)
+    read = [ident[c] for step in steps for c in step.side if c in regions]
+    assert sorted(read) == ["goal", "launch_virus", "misuse", "policy_violation", "steal_password"]
+    leaves = [ident[c] for step in steps for c in step.side if isinstance(act.nodes[c].kind, AttackLeaf)]
+    assert sorted(leaves) == ["launch_virus", "misuse", "policy_violation"]
+    [goal] = [step for step in steps if step.node == act.root]
+    assert goal.side[0] == act.root
+
+
+def test_every_plan_reads_each_time_once():
+    # the fold pops each child it reads, so an event or a step's result read twice would raise KeyError, and
+    # one never read would hold its array to the end of the chunk: across the steps and the root, each region
+    # top and each step node is read once, and folding the plan leaves the root's times alone
+    rng = random.Random(41)
+    for _ in range(200):
+        act = random_act(rng, max_leaves=10, max_cms=3)
+        table = read_gates(act)
+        for guarded in [set(), set(act.cm_gates()), *({cm} for cm in act.cm_gates())]:
+            regions, racing, free = transient._fold_plan(act.root, table, guarded)
+            steps = free + racing
+            read = collections.Counter([c for step in steps for c in step.side] + [act.root])
+            assert read == collections.Counter([*regions, *(step.node for step in steps)])
+            times = {top: np.zeros(1) for top in regions}
+            transient._fold(free, times)
+            transient._fold(racing, times)
+            assert list(times) == [act.root]
 
 
 def test_or_regions_do_not_depend_on_the_guards():
@@ -1048,24 +1074,30 @@ def test_a_pool_sums_its_leaf_rates_in_node_order():
     assert curve.ys == (0.0, 1.0)
 
 
-@pytest.mark.parametrize("plan", ["one child", "guarded under a deadline", "empty"])
+@pytest.mark.parametrize("plan", ["one child", "guarded under a deadline", "own key", "empty"])
 def test_a_fold_never_writes_what_it_is_handed(plan):
     # the fold reads its children and deadlines from arrays it may not write, which lets every curve of a
-    # pleaf fold over the same group times; each plan matches a plain reduction
+    # pleaf fold into a copy of the same dict of times; each plan matches a plain reduction
     a, b, c, deadline = np.random.default_rng(5).exponential(1.0, (4, 64))
     for array in (a, b, c, deadline):
         array.flags.writeable = False
-    formed = {1: a, 2: b, 3: c}
+    times = {1: a, 2: b, 3: c}
     if plan == "one child":  # AND(OR(a), b, c)
         steps = [transient._Gate(4, True, (1,), None), transient._Gate(0, False, (4, 2, 3), None)]
         expected = np.maximum.reduce([a, b, c])
     elif plan == "guarded under a deadline":  # OR(a, AND(b) guarded by 9, c)
         steps = [transient._Gate(4, False, (2,), 9), transient._Gate(0, True, (1, 4, 3), None)]
         expected = np.minimum.reduce([a, np.where(b >= deadline, np.inf, b), c])
+    elif plan == "own key":  # OR(a, b, AND(c)): a region's top reads its event, a, under its own node
+        times = {0: a, 2: b, 3: c}
+        steps = [transient._Gate(4, False, (3,), None), transient._Gate(0, True, (0, 2, 4), None)]
+        expected = np.minimum.reduce([a, b, c])
     else:
         steps, expected = [], a
-        formed[0] = a
-    assert np.array_equal(transient._fold(steps, formed, 0, {9: deadline}), expected)
+        times = {0: a}
+    transient._fold(steps, times, {9: deadline})
+    assert list(times) == [0]
+    assert np.array_equal(times[0], expected)
 
 
 @pytest.mark.parametrize("idents", [("a", "a"), ("a", "\x00a")], ids=["repeated", "leading NUL"])
